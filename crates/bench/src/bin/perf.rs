@@ -1,6 +1,6 @@
-//! Hot-path perf harness: times the fixed EW-MAC / S-FAMA scenarios on the
-//! cached fan-out fast path, the recompute-everything reference path, and
-//! a profiled pass, then writes the `BENCH_perf.json` trajectory file.
+//! Hot-path perf harness: times the fixed EW-MAC / S-FAMA scenarios in a
+//! plain pass and a profiled pass, then writes the `BENCH_perf.json`
+//! trajectory file.
 //!
 //! Usage:
 //!
@@ -10,13 +10,13 @@
 //! ```
 //!
 //! Each scenario runs `--warmup` discarded rounds plus `--repeats` timed
-//! rounds; a round runs the fast, reference, and profiled configurations
-//! back to back, and each path reports its median round (see
-//! `uasn_bench::perf` for the noise rationale). With `--check BASELINE`
-//! the fresh numbers are additionally
-//! compared against a committed baseline document and the process exits
-//! nonzero if any scenario's fast-path events/sec regressed by more than
-//! the gate tolerance (25%).
+//! rounds; a round runs the plain and profiled configurations back to
+//! back, and each pass reports its median round (see `uasn_bench::perf`
+//! for the noise rationale). The process exits nonzero if the two passes'
+//! metrics reports differ. With `--check BASELINE` the fresh numbers are
+//! additionally compared against a committed baseline document and the
+//! process exits nonzero if any scenario's events/sec regressed by more
+//! than the gate tolerance (25%).
 //!
 //! The default output path is `<workspace root>/BENCH_perf.json`, so CI and
 //! local runs update the same committed trajectory. An existing document at
@@ -117,12 +117,9 @@ fn main() -> ExitCode {
         );
         let result = run_scenario_with(s, warmup, repeats);
         println!(
-            "{:<14} fast {:>12.0} ev/s  reference {:>12.0} ev/s  speedup {:>5.2}x  \
-             profiled +{:>4.1}%  {}",
+            "{:<14} {:>12.0} ev/s  profiled +{:>4.1}%  {}",
             result.scenario.name,
-            result.fastpath.events_per_sec(),
-            result.reference.events_per_sec(),
-            result.speedup(),
+            result.timed.events_per_sec(),
             result.overhead_pct().unwrap_or(0.0),
             if result.reports_equal {
                 "reports equal"
@@ -153,7 +150,7 @@ fn main() -> ExitCode {
     eprintln!("perf: wrote {}", out.display());
 
     if !all_equal {
-        eprintln!("perf: FAILURE — fast / reference / profiled runs disagreed");
+        eprintln!("perf: FAILURE — plain and profiled runs disagreed");
         return ExitCode::FAILURE;
     }
 

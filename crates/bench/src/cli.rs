@@ -1,170 +1,14 @@
-//! Shared command-line plumbing for the `src/bin` targets.
-//!
-//! Every figure bin used to carry its own copy of seed parsing and wrote
-//! into a cwd-relative `results/` directory (so running from a crate
-//! subdirectory scattered CSVs around the tree). This module centralises
-//! both: [`parse_common`] understands the shared flag set (`--seeds`,
-//! `--jobs`, `--out`, `--quiet`, plus the historical positional seed
-//! count), and [`results_dir`] resolves the *workspace* results directory
-//! regardless of the invocation cwd.
-
-use std::path::PathBuf;
-use std::process::ExitCode;
-
-use crate::figures::by_id;
-use crate::grid::{run_sweep, SweepOptions};
-use crate::runner::DEFAULT_SEEDS;
+//! Shared command-line plumbing for the `src/bin` targets: [`results_dir`]
+//! resolves the *workspace* results directory regardless of the invocation
+//! cwd, so running a bin from a crate subdirectory never scatters CSVs
+//! around the tree. Figure sweeps go through the `lab` bin
+//! (`lab run --figures <id>`).
 
 pub use crate::paths::{results_dir, RESULTS_ENV};
-
-/// The flag set shared by every figure bin.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CommonArgs {
-    /// Replications per cell (`--seeds N` or the historical positional N).
-    pub seeds: Option<u64>,
-    /// Worker threads (`--jobs N`); `None` defers to `UASN_LAB_JOBS` /
-    /// available parallelism.
-    pub jobs: Option<usize>,
-    /// Output directory override (`--out DIR`).
-    pub out: Option<PathBuf>,
-    /// Suppress the live progress line (`--quiet`).
-    pub quiet: bool,
-}
-
-impl CommonArgs {
-    /// The seed count to run with.
-    pub fn seeds_or_default(&self) -> u64 {
-        self.seeds.unwrap_or(DEFAULT_SEEDS)
-    }
-
-    /// The directory to write artifacts into.
-    pub fn out_dir(&self) -> PathBuf {
-        self.out.clone().unwrap_or_else(results_dir)
-    }
-}
-
-/// Parses the shared flag set from an argument iterator (without the
-/// program name). A bare leading number is accepted as the seed count for
-/// compatibility with the original `fig6 [seeds]` convention.
-///
-/// # Errors
-///
-/// Returns a usage message naming the offending token.
-pub fn parse_common(args: impl Iterator<Item = String>) -> Result<CommonArgs, String> {
-    let mut parsed = CommonArgs::default();
-    let mut args = args;
-    while let Some(arg) = args.next() {
-        let mut take_value =
-            |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
-        match arg.as_str() {
-            "--seeds" => {
-                let v = take_value("--seeds")?;
-                parsed.seeds = Some(v.parse().map_err(|_| format!("bad --seeds value {v:?}"))?);
-            }
-            "--jobs" => {
-                let v = take_value("--jobs")?;
-                parsed.jobs = Some(v.parse().map_err(|_| format!("bad --jobs value {v:?}"))?);
-            }
-            "--out" => parsed.out = Some(PathBuf::from(take_value("--out")?)),
-            "--quiet" => parsed.quiet = true,
-            other => match other.parse::<u64>() {
-                Ok(n) if parsed.seeds.is_none() => parsed.seeds = Some(n),
-                _ => {
-                    return Err(format!(
-                        "unexpected argument {other:?} \
-                         (expected [seeds] [--seeds N] [--jobs N] [--out DIR] [--quiet])"
-                    ))
-                }
-            },
-        }
-    }
-    Ok(parsed)
-}
-
-/// The whole body of a single-figure bin: parse the shared flags, run the
-/// figure's registry entry on the worker pool, print its table, and write
-/// the CSV + manifest. `id` must be a registered figure ID.
-pub fn figure_main(id: &str) -> ExitCode {
-    let spec = by_id(id).unwrap_or_else(|| panic!("{id} is not a registered figure"));
-    let args = match parse_common(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{}: {message}", spec.id);
-            return ExitCode::from(2);
-        }
-    };
-    let opts = SweepOptions {
-        seeds: args.seeds_or_default(),
-        workers: uasn_lab::pool::resolve_workers(args.jobs),
-        journal: None,
-        max_cells: None,
-        quiet: args.quiet,
-        profile: false,
-        monitor: false,
-        cancel: None,
-    };
-    let outcome = match run_sweep(&[spec], &opts) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("{}: sweep failed: {e}", spec.id);
-            return ExitCode::FAILURE;
-        }
-    };
-    for (job, error) in &outcome.failed {
-        eprintln!("{}: cell {job} failed: {error}", spec.id);
-    }
-    if !outcome.complete {
-        eprintln!("{}: incomplete sweep; nothing written", spec.id);
-        return ExitCode::FAILURE;
-    }
-    let dir = args.out_dir();
-    for run in &outcome.runs {
-        print!("{}", run.to_table());
-        if let Err(e) = run.write(&dir) {
-            eprintln!("warning: could not write results CSV/manifest: {e}");
-        }
-    }
-    eprintln!("{}", outcome.summary);
-    if !outcome.trace.is_lossless() {
-        eprintln!(
-            "warning: trace loss across the sweep — {} capture drops, {} ring evictions, \
-             {} JSONL I/O errors",
-            outcome.trace.capture_dropped, outcome.trace.ring_evicted, outcome.trace.io_errors
-        );
-    }
-    ExitCode::SUCCESS
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::Path;
-
-    fn parse(tokens: &[&str]) -> Result<CommonArgs, String> {
-        parse_common(tokens.iter().map(|t| t.to_string()))
-    }
-
-    #[test]
-    fn positional_seed_count_still_works() {
-        let args = parse(&["12"]).expect("parse");
-        assert_eq!(args.seeds, Some(12));
-        assert_eq!(args.seeds_or_default(), 12);
-        assert_eq!(parse(&[]).expect("empty").seeds_or_default(), DEFAULT_SEEDS);
-    }
-
-    #[test]
-    fn flags_parse_and_reject_garbage() {
-        let args =
-            parse(&["--seeds", "4", "--jobs", "2", "--out", "/tmp/r", "--quiet"]).expect("parse");
-        assert_eq!(args.seeds, Some(4));
-        assert_eq!(args.jobs, Some(2));
-        assert_eq!(args.out.as_deref(), Some(Path::new("/tmp/r")));
-        assert!(args.quiet);
-        assert!(parse(&["--seeds"]).is_err(), "missing value");
-        assert!(parse(&["--seeds", "x"]).is_err(), "non-numeric");
-        assert!(parse(&["--frobnicate"]).is_err(), "unknown flag");
-        assert!(parse(&["3", "4"]).is_err(), "second positional");
-    }
 
     #[test]
     fn results_dir_is_the_workspace_root_results() {

@@ -1,15 +1,13 @@
 //! Seeded hot-path performance scenarios (the `perf` bin's engine room).
 //!
-//! Each scenario runs one fixed `(protocol, grid, seed)` cell on both the
-//! cached fan-out fast path and the recompute-everything reference path
-//! (`SimConfig::with_fastpath(false)`). Because the two paths are
-//! bit-identical by construction (see the golden-trace suite), the
-//! events-processed counts must match exactly and the only difference is
-//! wall time; the ratio is the measured speedup the `BENCH_perf.json`
-//! trajectory tracks across PRs. The `swarm*` cells instead time the
-//! spatial grid index against the indexless fast path (the recompute
-//! reference is intractable at 10k nodes), so their speedup isolates the
-//! grid's candidate pruning.
+//! Each scenario runs one fixed `(protocol, grid, seed)` cell twice per
+//! round: a plain timed pass and a *profiled* pass
+//! ([`SimConfig::with_profiling`]). Profiling is contractually invisible,
+//! so both passes must produce the same metrics report; the timed pass's
+//! events/sec is the figure the `BENCH_perf.json` trajectory tracks and the
+//! regression gate checks, and `overhead_pct` (profiled median against the
+//! timed median) measures the observability tax. The scenario's
+//! [`ProfileReport`] rides along in the document for `obs_report profile`.
 //!
 //! ## Noise discipline (schema v2)
 //!
@@ -17,18 +15,12 @@
 //! machine was doing. Version 2 of the harness therefore discards *warmup
 //! rounds* (they page in the binary, warm the allocator, and settle CPU
 //! frequency), then times *N repeat rounds* and reports the **median**
-//! per path. Within every round the three configurations (fast,
-//! reference, profiled) run back to back, so slow drift in machine speed
-//! lands on all paths equally instead of skewing whichever path happened
-//! to run last. The raw repeat list is kept in the JSON so a reviewer can
-//! judge the spread. The committed `BENCH_perf.json` also carries a
-//! bounded `history` of prior summaries, giving the perf-regression gate
-//! a trajectory rather than a single point.
-//!
-//! A third, *profiled* pass (fast path + [`SimConfig::with_profiling`])
-//! measures the observability tax: `overhead_pct` is the profiled median
-//! against the unprofiled fast median, and the scenario's
-//! [`ProfileReport`] rides along in the document for `obs_report profile`.
+//! per pass. Within every round the two passes run back to back, so slow
+//! drift in machine speed lands on both equally instead of skewing
+//! whichever happened to run last. The raw repeat list is kept in the JSON
+//! so a reviewer can judge the spread. The committed `BENCH_perf.json` also
+//! carries a bounded `history` of prior summaries, giving the
+//! perf-regression gate a trajectory rather than a single point.
 
 use uasn_net::config::SimConfig;
 use uasn_net::topology::Deployment;
@@ -68,11 +60,7 @@ pub struct PerfScenario {
     /// retransmission cost lands inside the regression gate.
     pub routed: bool,
     /// Swarm variant: a wide mobile column at the swarm goldens' per-layer
-    /// density. The scenario's *reference* path disables the spatial index
-    /// (`with_spatial_index(false)`) instead of the whole fast path, so the
-    /// reported speedup isolates what the grid buys over the brute-force
-    /// O(N) fan-out scan — the recompute-everything reference would be
-    /// intractable at 10k nodes.
+    /// density, where link-row rebuilds through the spatial index dominate.
     pub swarm: bool,
 }
 
@@ -110,17 +98,6 @@ impl PerfScenario {
             };
         }
         cfg
-    }
-
-    /// The configuration this scenario's *reference* timing runs: the
-    /// recompute-everything path normally, the indexless fast path for
-    /// swarm cells (see [`PerfScenario::swarm`]).
-    pub fn reference_config(&self) -> SimConfig {
-        if self.swarm {
-            self.config().with_fastpath(true).with_spatial_index(false)
-        } else {
-            self.config().with_fastpath(false)
-        }
     }
 }
 
@@ -188,10 +165,8 @@ pub const SCENARIOS: &[PerfScenario] = &[
         swarm: false,
     },
     // Swarm fan-out: wide mobile columns where every transmission's
-    // candidate scan is the dominant cost. These two cells time the
-    // spatial grid index against the indexless scan (not the recompute
-    // reference — see `PerfScenario::swarm`), pinning the measured
-    // speedup at 1k and 10k nodes in the `BENCH_perf.json` trajectory.
+    // candidate scan is the dominant cost, pinning the grid-indexed row
+    // builds at 1k and 10k nodes in the `BENCH_perf.json` trajectory.
     PerfScenario {
         name: "swarm1k-ewmac",
         protocol: Protocol::EwMac,
@@ -236,15 +211,14 @@ pub fn median_us(samples: &[u64]) -> u64 {
     }
 }
 
-/// One path's timing: the deterministic engine statistics (identical
+/// One pass's timing: the deterministic engine statistics (identical
 /// across repeats) plus every timed repeat's wall clock.
 ///
 /// The timed wall covers the **full run** — world construction (topology
-/// build, audibility oracle, link-cache setup) plus the event loop — not
-/// just the engine's own `RunStats::wall`. At swarm node counts the
-/// construction phase is where the spatial index pays off hardest (the
-/// unindexed audibility oracle is O(N²)), and a metric that ignored it
-/// would miss exactly the regressions the swarm cells exist to catch.
+/// build, link rows, neighbour tables) plus the event loop — not just the
+/// engine's own `RunStats::wall`. At swarm node counts construction is a
+/// large share of the run, and a metric that ignored it would miss
+/// exactly the regressions the swarm cells exist to catch.
 #[derive(Debug, Clone)]
 pub struct PathTiming {
     /// Engine statistics from the last timed repeat. All fields except
@@ -277,40 +251,27 @@ impl PathTiming {
 pub struct ScenarioResult {
     /// The scenario that ran.
     pub scenario: PerfScenario,
-    /// Timing of the cached-fan-out runs.
-    pub fastpath: PathTiming,
-    /// Timing of the reference (recompute) runs.
-    pub reference: PathTiming,
-    /// Timing of the profiled fast-path runs (`None` when the profiled
-    /// pass was skipped).
+    /// Timing of the plain (unprofiled) runs.
+    pub timed: PathTiming,
+    /// Timing of the profiled runs (`None` when the profiled pass was
+    /// skipped).
     pub profiled: Option<PathTiming>,
     /// The profile from the profiled pass.
     pub profile: Option<ProfileReport>,
-    /// SDUs generated per run (deterministic across paths and repeats) —
+    /// SDUs generated per run (deterministic across passes and repeats) —
     /// the traffic-volume witness for the heavy-load scenarios.
     pub sdus_generated: u64,
     /// Whether every run produced the same metrics report (they must;
-    /// `false` here means an optimisation or instrumentation changed
-    /// behaviour).
+    /// `false` here means profiling changed behaviour).
     pub reports_equal: bool,
 }
 
 impl ScenarioResult {
-    /// Median events/sec ratio, fast over reference.
-    pub fn speedup(&self) -> f64 {
-        let reference = self.reference.events_per_sec();
-        if reference > 0.0 {
-            self.fastpath.events_per_sec() / reference
-        } else {
-            0.0
-        }
-    }
-
     /// Profiling tax: profiled median wall over unprofiled, as a
     /// percentage (`Some(4.2)` = profiling costs 4.2%).
     pub fn overhead_pct(&self) -> Option<f64> {
         let profiled = self.profiled.as_ref()?.median_wall_us() as f64;
-        let plain = self.fastpath.median_wall_us() as f64;
+        let plain = self.timed.median_wall_us() as f64;
         (plain > 0.0).then(|| (profiled / plain - 1.0) * 100.0)
     }
 
@@ -357,9 +318,10 @@ impl ScenarioResult {
                 "sdus_generated".to_string(),
                 JsonValue::from_u64(self.sdus_generated),
             ),
-            ("fastpath".to_string(), path(&self.fastpath)),
-            ("reference".to_string(), path(&self.reference)),
-            ("speedup".to_string(), JsonValue::from_f64(self.speedup())),
+            // The timed pass keeps its historical key so committed documents
+            // written when a reference pass ran beside it stay valid
+            // `--check` baselines: the gate reads `fastpath.events_per_sec`.
+            ("fastpath".to_string(), path(&self.timed)),
             (
                 "reports_equal".to_string(),
                 JsonValue::Bool(self.reports_equal),
@@ -403,7 +365,7 @@ fn checked_run(
     (out, wall_us)
 }
 
-/// Accumulates one path's timed repeats into a [`PathTiming`].
+/// Accumulates one pass's timed repeats into a [`PathTiming`].
 #[derive(Default)]
 struct PathAccum {
     runs_us: Vec<u64>,
@@ -424,44 +386,32 @@ impl PathAccum {
     }
 }
 
-/// Runs one scenario on the fast path, the reference path, and the
-/// profiled pass.
+/// Runs one scenario's timed and profiled passes.
 ///
-/// Each warmup round runs all three configurations once, discarded; then
-/// each of the `repeats` (min 1) timed rounds runs all three **back to
-/// back**. Interleaving matters: machine speed drifts on multi-second
-/// timescales (frequency scaling, noisy neighbours), and timing each path
-/// as its own block would hand different paths different machines. With
-/// round-robin rounds every path samples the same drift, so the per-path
-/// medians — and the speedup/overhead ratios built from them — stay
-/// comparable.
+/// Each warmup round runs both configurations once, discarded; then each
+/// of the `repeats` (min 1) timed rounds runs both **back to back**.
+/// Interleaving matters: machine speed drifts on multi-second timescales
+/// (frequency scaling, noisy neighbours), and timing each pass as its own
+/// block would hand the two passes different machines. With round-robin
+/// rounds both sample the same drift, so the per-pass medians — and the
+/// overhead ratio built from them — stay comparable.
 pub fn run_scenario_with(scenario: PerfScenario, warmup: u32, repeats: u32) -> ScenarioResult {
     let cfg = scenario.config();
-    let fast_cfg = cfg.clone().with_fastpath(true);
-    let reference_cfg = scenario.reference_config();
-    // Profiled pass: fast path + registry + instrumented engine loop. The
-    // report must *still* match — profiling is contractually invisible.
-    let profiled_cfg = cfg.with_fastpath(true).with_profiling(true);
+    // Profiled pass: registry + instrumented engine loop. The report must
+    // *still* match — profiling is contractually invisible.
+    let profiled_cfg = cfg.clone().with_profiling(true);
     let mut expect = None;
     let mut equal = true;
     for _ in 0..warmup {
-        checked_run(&fast_cfg, scenario.protocol, &mut expect, &mut equal);
-        checked_run(&reference_cfg, scenario.protocol, &mut expect, &mut equal);
+        checked_run(&cfg, scenario.protocol, &mut expect, &mut equal);
         checked_run(&profiled_cfg, scenario.protocol, &mut expect, &mut equal);
     }
-    let mut fastpath = PathAccum::default();
-    let mut reference = PathAccum::default();
+    let mut timed = PathAccum::default();
     let mut profiled = PathAccum::default();
     let mut profile = None;
     for _ in 0..repeats.max(1) {
-        fastpath.push(checked_run(
-            &fast_cfg,
-            scenario.protocol,
-            &mut expect,
-            &mut equal,
-        ));
-        reference.push(checked_run(
-            &reference_cfg,
+        timed.push(checked_run(
+            &cfg,
             scenario.protocol,
             &mut expect,
             &mut equal,
@@ -472,8 +422,7 @@ pub fn run_scenario_with(scenario: PerfScenario, warmup: u32, repeats: u32) -> S
     }
     ScenarioResult {
         scenario,
-        fastpath: fastpath.finish(),
-        reference: reference.finish(),
+        timed: timed.finish(),
         profiled: Some(profiled.finish()),
         profile,
         sdus_generated: expect.as_ref().map_or(0, |r| r.sdus_generated),
@@ -524,7 +473,7 @@ pub fn perf_doc(
     ])
 }
 
-/// Fast-path events/sec for one scenario object, reading either the v2
+/// Timed-pass events/sec for one scenario object, reading either the v2
 /// (`events_per_sec` at the median) or v1 (`events_per_wall_sec`) shape.
 fn scenario_events_per_sec(scenario: &JsonValue) -> Option<f64> {
     let fast = scenario.get("fastpath")?;
@@ -534,7 +483,7 @@ fn scenario_events_per_sec(scenario: &JsonValue) -> Option<f64> {
 }
 
 /// Compresses a full document into one history entry: per-scenario
-/// events/sec and speedup, without raw run lists or profiles.
+/// events/sec, without raw run lists or profiles.
 fn summarize_doc(doc: &JsonValue) -> Option<JsonValue> {
     let scenarios = doc.get("scenarios")?.as_array()?;
     let entries: Vec<JsonValue> = scenarios
@@ -544,9 +493,6 @@ fn summarize_doc(doc: &JsonValue) -> Option<JsonValue> {
             let mut fields = vec![("name".to_string(), JsonValue::from_string(name))];
             if let Some(eps) = scenario_events_per_sec(s) {
                 fields.push(("events_per_sec".to_string(), JsonValue::from_f64(eps)));
-            }
-            if let Some(speedup) = s.get("speedup").and_then(JsonValue::as_f64) {
-                fields.push(("speedup".to_string(), JsonValue::from_f64(speedup)));
             }
             Some(JsonValue::Object(fields))
         })
@@ -560,7 +506,7 @@ fn summarize_doc(doc: &JsonValue) -> Option<JsonValue> {
 
 /// Compares a fresh document against a committed baseline.
 ///
-/// A scenario regresses when its fast-path events/sec falls below
+/// A scenario regresses when its timed-pass events/sec falls below
 /// `(1 - tolerance)` of the baseline's figure for the same name.
 /// Scenarios present on only one side are ignored (rosters may grow).
 /// Returns human-readable regression lines; empty = gate passes.
@@ -622,13 +568,6 @@ mod tests {
         assert!(scenarios_matching("nonsense").is_empty());
         for s in SCENARIOS {
             s.config().validate().expect("scenario config is valid");
-            s.reference_config()
-                .validate()
-                .expect("reference config is valid");
-            // Swarm cells time the index against the indexless scan; the
-            // reference must therefore still be the fast path.
-            assert_eq!(s.reference_config().fastpath, s.swarm);
-            assert_eq!(s.reference_config().spatial_index, !s.swarm);
         }
     }
 
@@ -645,8 +584,8 @@ mod tests {
     #[test]
     fn small_scenario_runs_and_serialises() {
         // A miniature cell keeps this test cheap while exercising the full
-        // triple-run (fast / reference / profiled) + JSON pipeline the bin
-        // uses, including two timed repeats so medians are real.
+        // timed + profiled + JSON pipeline the bin uses, including two timed
+        // repeats so medians are real.
         let tiny = PerfScenario {
             name: "tiny-ewmac",
             protocol: Protocol::EwMac,
@@ -656,12 +595,12 @@ mod tests {
             swarm: false,
         };
         let result = run_scenario_with(tiny, 0, 2);
-        assert!(result.reports_equal, "paths or profiling diverged");
+        assert!(result.reports_equal, "profiling diverged");
         assert_eq!(
-            result.fastpath.stats.events_processed,
-            result.reference.stats.events_processed
+            result.timed.stats.events_processed,
+            result.profiled.as_ref().unwrap().stats.events_processed
         );
-        assert_eq!(result.fastpath.runs_us.len(), 2);
+        assert_eq!(result.timed.runs_us.len(), 2);
         let profile = result.profile.as_ref().expect("profiled pass ran");
         assert!(profile.engine.sampled_events > 0);
         assert!(result.overhead_pct().is_some());
@@ -707,7 +646,6 @@ mod tests {
                                         JsonValue::from_f64(eps),
                                     )]),
                                 ),
-                                ("speedup".to_string(), JsonValue::from_f64(2.0)),
                             ])
                         })
                         .collect(),

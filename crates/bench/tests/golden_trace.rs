@@ -1,18 +1,21 @@
-//! Golden-trace regression suite for the fan-out fast path.
+//! Golden-trace regression suite for the transmission fan-out.
 //!
-//! Every protocol in the roster runs a fixed seeded scenario at two node
-//! densities, through the cached fan-out fast path, the same fast path with
-//! performance profiling enabled, the same fast path with the online
-//! invariant monitors attached, and the recompute-everything reference
-//! path. All four JSONL trace exports must be
-//! **byte-identical** — the strongest behavioural-equivalence check the
-//! simulator offers, since the Debug-level trace records every event the
-//! engine processes — and their FNV-1a hash must match the golden checked
-//! into `tests/goldens/`, so a behaviour change in *either* path fails the
-//! suite even if both paths drift together. The monitored pass additionally
-//! asserts online/post-hoc parity: over the invariants the streaming
-//! monitors cover, their findings must equal the offline checker's replay
-//! of the exported trace.
+//! Every protocol in the roster runs fixed seeded scenarios — two node
+//! densities, a swarm column, a mobile cell and a hello-phase cell — and
+//! the FNV-1a hash of each Debug-level JSONL trace export must match the
+//! golden checked into `tests/goldens/`. The Debug trace records every
+//! event the engine processes, so this is the strongest behavioural
+//! lockdown the simulator offers. At the two densities the same cell also
+//! runs with performance profiling and with the online invariant monitors
+//! attached; both exports must be **byte-identical** to the plain one, and
+//! the monitored pass additionally asserts online/post-hoc parity: over
+//! the invariants the streaming monitors cover, their findings must equal
+//! the offline checker's replay of the exported trace.
+//!
+//! The hashes were blessed while a recompute-everything reference fan-out
+//! still ran beside the cached one and exported identical bytes; the
+//! differential proptests in `crates/phy/tests` (`cache_diff.rs`,
+//! `grid_diff.rs`) keep recomputing each link directly against the cache.
 //!
 //! To bless new goldens after an intentional behaviour change:
 //!
@@ -149,8 +152,7 @@ fn write_goldens(density: &str, hashes: &[(String, u64)]) {
     std::fs::create_dir_all(path.parent().unwrap()).expect("create goldens dir");
     let mut text = String::from(
         "# FNV-1a 64 hashes of the Debug-level JSONL trace of each seeded golden\n\
-         # cell (fast path and reference path export identical bytes; the suite\n\
-         # asserts that separately). Regenerate with UASN_UPDATE_GOLDENS=1.\n",
+         # cell. Regenerate with UASN_UPDATE_GOLDENS=1.\n",
     );
     for (name, hash) in hashes {
         text.push_str(&format!("{name} {hash:016x}\n"));
@@ -158,73 +160,11 @@ fn write_goldens(density: &str, hashes: &[(String, u64)]) {
     std::fs::write(&path, text).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
-/// Runs the full roster at one density: asserts fast == reference bytes and
-/// checks (or, under `UASN_UPDATE_GOLDENS`, rewrites) the golden hashes.
-fn check_density(density: &str, sensors: u32) {
-    let update = std::env::var_os("UASN_UPDATE_GOLDENS").is_some();
-    let mut hashes = Vec::new();
-    for (protocol, slug) in GOLDEN_PROTOCOLS {
-        let cfg = golden_cfg(sensors);
-        let fast = trace_bytes(&cfg.clone().with_fastpath(true), protocol);
-        let profiled = trace_bytes(
-            &cfg.clone().with_fastpath(true).with_profiling(true),
-            protocol,
-        );
-        let reference = trace_bytes(&cfg.with_fastpath(false), protocol);
-        assert!(
-            !fast.is_empty(),
-            "{slug}-{density}: empty trace — nothing was locked down"
-        );
-        assert!(
-            fast == reference,
-            "{slug}-{density}: fast path and reference traces differ \
-             (first divergence at byte {})",
-            fast.iter()
-                .zip(reference.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| fast.len().min(reference.len()))
-        );
-        assert!(
-            fast == profiled,
-            "{slug}-{density}: enabling profiling changed the trace \
-             (first divergence at byte {})",
-            fast.iter()
-                .zip(profiled.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| fast.len().min(profiled.len()))
-        );
-        let (monitored, online) = monitored_trace_bytes(
-            &golden_cfg(sensors)
-                .with_fastpath(true)
-                .with_monitoring(true),
-            protocol,
-        );
-        assert!(
-            fast == monitored,
-            "{slug}-{density}: enabling monitoring changed the trace \
-             (first divergence at byte {})",
-            fast.iter()
-                .zip(monitored.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| fast.len().min(monitored.len()))
-        );
-        // Online/post-hoc parity: replay the exact bytes the run exported
-        // through the offline checker and compare over the shared kinds.
-        let records = parse_jsonl(std::str::from_utf8(&monitored).expect("traces are UTF-8"))
-            .expect("exported trace parses");
-        let model = TraceModel::from_records(&records);
-        let post_hoc: Vec<Violation> = uasn_audit::check(&model)
-            .into_iter()
-            .filter(|v| STREAMED_KINDS.contains(&v.kind))
-            .collect();
-        assert_eq!(
-            online, post_hoc,
-            "{slug}-{density}: online monitor findings disagree with the post-hoc checker"
-        );
-        hashes.push((format!("{slug}-{density}"), fnv1a64(&fast)));
-    }
-    if update {
-        write_goldens(density, &hashes);
+/// Checks `hashes` against the committed goldens for `density`, or rewrites
+/// them under `UASN_UPDATE_GOLDENS`.
+fn check_goldens(density: &str, hashes: &[(String, u64)]) {
+    if std::env::var_os("UASN_UPDATE_GOLDENS").is_some() {
+        write_goldens(density, hashes);
         return;
     }
     let goldens = load_goldens(density);
@@ -241,6 +181,75 @@ fn check_density(density: &str, sensors: u32) {
              regenerate with UASN_UPDATE_GOLDENS=1 and review the diff"
         );
     }
+}
+
+/// Byte offset of the first difference between two traces.
+fn first_divergence(a: &[u8], b: &[u8]) -> usize {
+    a.iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .unwrap_or_else(|| a.len().min(b.len()))
+}
+
+/// Runs the roster on each `(cell, config)` pair and checks the golden
+/// hashes, named `<protocol>-<cell>`, in `trace_hashes_<density>.txt`.
+fn check_cells(density: &str, cells: &[(&str, SimConfig)]) {
+    let mut hashes = Vec::new();
+    for (cell, cfg) in cells {
+        for (protocol, slug) in GOLDEN_PROTOCOLS {
+            let trace = trace_bytes(cfg, protocol);
+            assert!(
+                !trace.is_empty(),
+                "{slug}-{cell}: empty trace — nothing was locked down"
+            );
+            hashes.push((format!("{slug}-{cell}"), fnv1a64(&trace)));
+        }
+    }
+    check_goldens(density, &hashes);
+}
+
+/// Runs the full roster at one density: asserts that profiling and
+/// monitoring leave the trace bytes untouched, that the online monitors
+/// agree with the post-hoc checker, and checks the golden hashes.
+fn check_density(density: &str, sensors: u32) {
+    let mut hashes = Vec::new();
+    for (protocol, slug) in GOLDEN_PROTOCOLS {
+        let cfg = golden_cfg(sensors);
+        let plain = trace_bytes(&cfg, protocol);
+        let profiled = trace_bytes(&cfg.clone().with_profiling(true), protocol);
+        assert!(
+            !plain.is_empty(),
+            "{slug}-{density}: empty trace — nothing was locked down"
+        );
+        assert!(
+            plain == profiled,
+            "{slug}-{density}: enabling profiling changed the trace \
+             (first divergence at byte {})",
+            first_divergence(&plain, &profiled)
+        );
+        let (monitored, online) = monitored_trace_bytes(&cfg.with_monitoring(true), protocol);
+        assert!(
+            plain == monitored,
+            "{slug}-{density}: enabling monitoring changed the trace \
+             (first divergence at byte {})",
+            first_divergence(&plain, &monitored)
+        );
+        // Online/post-hoc parity: replay the exact bytes the run exported
+        // through the offline checker and compare over the shared kinds.
+        let records = parse_jsonl(std::str::from_utf8(&monitored).expect("traces are UTF-8"))
+            .expect("exported trace parses");
+        let model = TraceModel::from_records(&records);
+        let post_hoc: Vec<Violation> = uasn_audit::check(&model)
+            .into_iter()
+            .filter(|v| STREAMED_KINDS.contains(&v.kind))
+            .collect();
+        assert_eq!(
+            online, post_hoc,
+            "{slug}-{density}: online monitor findings disagree with the post-hoc checker"
+        );
+        hashes.push((format!("{slug}-{density}"), fnv1a64(&plain)));
+    }
+    check_goldens(density, &hashes);
 }
 
 /// Swarm cell: 1 000 sensors in a wide layered column sized for a mean
@@ -259,65 +268,6 @@ fn swarm_cfg() -> SimConfig {
     cfg
 }
 
-/// Runs the roster at swarm density through three configurations — fast
-/// path with the spatial index, fast path without it, and the reference
-/// path — asserts all three export identical bytes, and checks (or, under
-/// `UASN_UPDATE_GOLDENS`, rewrites) the golden hashes.
-fn check_swarm() {
-    let density = "swarm";
-    let update = std::env::var_os("UASN_UPDATE_GOLDENS").is_some();
-    let mut hashes = Vec::new();
-    for (protocol, slug) in GOLDEN_PROTOCOLS {
-        let cfg = swarm_cfg();
-        let indexed = trace_bytes(&cfg.clone().with_spatial_index(true), protocol);
-        let unindexed = trace_bytes(&cfg.clone().with_spatial_index(false), protocol);
-        let reference = trace_bytes(&cfg.with_fastpath(false), protocol);
-        assert!(
-            !indexed.is_empty(),
-            "{slug}-{density}: empty trace — nothing was locked down"
-        );
-        assert!(
-            indexed == unindexed,
-            "{slug}-{density}: spatial index changed the trace \
-             (first divergence at byte {})",
-            indexed
-                .iter()
-                .zip(unindexed.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| indexed.len().min(unindexed.len()))
-        );
-        assert!(
-            indexed == reference,
-            "{slug}-{density}: fast path and reference traces differ \
-             (first divergence at byte {})",
-            indexed
-                .iter()
-                .zip(reference.iter())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| indexed.len().min(reference.len()))
-        );
-        hashes.push((format!("{slug}-{density}"), fnv1a64(&indexed)));
-    }
-    if update {
-        write_goldens(density, &hashes);
-        return;
-    }
-    let goldens = load_goldens(density);
-    assert_eq!(
-        goldens.len(),
-        hashes.len(),
-        "golden file covers a different roster; regenerate with UASN_UPDATE_GOLDENS=1"
-    );
-    for ((got_name, got_hash), (want_name, want_hash)) in hashes.iter().zip(&goldens) {
-        assert_eq!(got_name, want_name, "golden roster order changed");
-        assert_eq!(
-            got_hash, want_hash,
-            "{got_name}: trace hash changed — behaviour drifted; if intentional, \
-             regenerate with UASN_UPDATE_GOLDENS=1 and review the diff"
-        );
-    }
-}
-
 #[test]
 fn golden_traces_sparse() {
     check_density("sparse", 10);
@@ -330,5 +280,25 @@ fn golden_traces_dense() {
 
 #[test]
 fn golden_traces_swarm() {
-    check_swarm();
+    check_cells("swarm", &[("swarm", swarm_cfg())]);
+}
+
+/// Mobile and hello-phase cells: the regimes where fan-out rows are
+/// rebuilt mid-run (mobility epochs) or first exercised by on-air beacons
+/// rather than by traffic.
+#[test]
+fn golden_traces_mobile() {
+    check_cells(
+        "mobile",
+        &[
+            ("mobile", golden_cfg(10).with_mobility(0.5)),
+            (
+                "hello",
+                SimConfig {
+                    hello_init: true,
+                    ..golden_cfg(10)
+                },
+            ),
+        ],
+    );
 }

@@ -96,22 +96,6 @@ pub struct SimConfig {
     /// adds no events, so the seed event stream — and therefore every
     /// seeded run — is byte-for-byte unchanged.
     pub sample_interval: Option<SimDuration>,
-    /// When `true` (the default), transmissions fan out through the
-    /// per-pair [`uasn_phy::cache::LinkBudgetCache`] with acoustic-range
-    /// culling; when `false`, every broadcast recomputes each receiver's
-    /// link budget from positions — the slow reference path the golden-trace
-    /// suite compares against. Both paths produce bit-identical runs.
-    pub fastpath: bool,
-    /// When `true` (the default), the fast path's link-budget cache carries
-    /// a uniform spatial grid (cells sized from the channel's detection
-    /// radius, incrementally re-binned on mobility ticks) so each row build
-    /// visits only candidate-neighbour cells instead of all N nodes. The
-    /// grid only skips receivers the cache's distance cull would provably
-    /// reject, so runs are bit-identical with it on or off; the flag exists
-    /// for the perf harness and the swarm golden-trace suite, which compare
-    /// the two. Ignored (no grid is built) on the reference path or when the
-    /// PER model admits no detection radius.
-    pub spatial_index: bool,
     /// Per-node clock model. [`ClockModelConfig::ideal`] (the default)
     /// reproduces the paper's perfect-synchronization assumption: no RNG
     /// streams are drawn, no events added, and every seeded run is
@@ -179,8 +163,6 @@ impl SimConfig {
             hello_init: false,
             data_bits_range: None,
             sample_interval: None,
-            fastpath: true,
-            spatial_index: true,
             clock: ClockModelConfig::ideal(),
             slot_guard: SimDuration::ZERO,
             route: None,
@@ -280,22 +262,6 @@ impl SimConfig {
     /// forensics — for the run; see [`SimConfig::monitor`].
     pub fn with_monitoring(mut self, monitor: bool) -> Self {
         self.monitor = monitor;
-        self
-    }
-
-    /// Selects between the cached fan-out (`true`, the default) and the
-    /// recompute-everything reference path (`false`). Runs are bit-identical
-    /// either way; the flag exists for the perf harness and the golden-trace
-    /// regression suite.
-    pub fn with_fastpath(mut self, fastpath: bool) -> Self {
-        self.fastpath = fastpath;
-        self
-    }
-
-    /// Enables (or disables) the fast path's spatial grid index; see
-    /// [`SimConfig::spatial_index`]. Runs are bit-identical either way.
-    pub fn with_spatial_index(mut self, spatial_index: bool) -> Self {
-        self.spatial_index = spatial_index;
         self
     }
 

@@ -22,7 +22,6 @@ use uasn_phy::cache::LinkBudgetCache;
 use uasn_phy::channel::AcousticChannel;
 use uasn_phy::energy::EnergyMeter;
 use uasn_phy::geometry::Point;
-use uasn_phy::grid::SpatialGrid;
 use uasn_phy::mobility::MobilityModel;
 use uasn_phy::modem::{Modem, ModemSpec, ModemState, ReceptionId};
 use uasn_phy::soa::{PositionSource, PositionTable};
@@ -226,8 +225,8 @@ struct NetworkWorld {
     clock: SlotClock,
     spec: ModemSpec,
     channel: AcousticChannel,
-    /// Memoized per-transmitter fan-out rows (consulted only when
-    /// `cfg.fastpath`; invalidated by mobility ticks).
+    /// Memoized per-transmitter fan-out rows, the one source of audibility
+    /// and one-hop delays (invalidated by mobility ticks).
     link_cache: LinkBudgetCache,
     now: SimTime,
 
@@ -563,58 +562,27 @@ impl NetworkWorld {
             (frame.to_string(), fields)
         });
 
-        // Fan out arrivals to every audible node. Both paths visit audible
-        // receivers in ascending index order and call the same arithmetic
-        // on the same `(distance, snr)` pairs, so the channel-RNG stream —
-        // and therefore the whole run — is bit-identical between them.
+        // Fan out arrivals to every audible node, in ascending receiver
+        // order from the memoized row: the channel RNG is drawn once per
+        // receiver in that order, so the row's order is part of the run.
         debug_assert!(self.event_buf.is_empty());
-        let fanout: u64;
-        if self.cfg.fastpath {
-            self.link_cache
-                .ensure_row(&self.channel, &self.positions, node);
-            fanout = self.link_cache.row_len(node) as u64;
-            for k in 0..self.link_cache.row_len(node) {
-                let link = self.link_cache.link_at(node, k);
-                let pre_lost = !self.channel.draw_delivery_at(
-                    &mut self.channel_rng,
-                    link.distance_m,
-                    link.snr_db,
-                    frame.bits,
-                );
-                self.schedule_arrival(link.rx, &frame, token, link.delay, duration, pre_lost);
-                if let Some(echo_delay) = link.echo_delay {
-                    self.schedule_echo(link.rx, &frame, token, echo_delay, duration);
-                }
+        self.link_cache
+            .ensure_row(&self.channel, &self.positions, node);
+        let fanout = self.link_cache.row_len(node);
+        for k in 0..fanout {
+            let link = self.link_cache.link_at(node, k);
+            let pre_lost = !self.channel.draw_delivery_at(
+                &mut self.channel_rng,
+                link.distance_m,
+                link.snr_db,
+                frame.bits,
+            );
+            self.schedule_arrival(link.rx, &frame, token, link.delay, duration, pre_lost);
+            // Surface-bounce echo (when the channel models multipath): a
+            // delayed, data-less copy that occupies the receiver.
+            if let Some(echo_delay) = link.echo_delay {
+                self.schedule_echo(link.rx, &frame, token, echo_delay, duration);
             }
-        } else {
-            let src_pos = self.positions.get(node);
-            let mut degree = 0u64;
-            for j in 0..self.node_count() {
-                if j == node {
-                    continue;
-                }
-                let dst_pos = self.positions.get(j);
-                if !self.channel.is_audible(src_pos, dst_pos) {
-                    continue;
-                }
-                degree += 1;
-                let delay = self.channel.propagation_delay(src_pos, dst_pos);
-                let pre_lost = !self.channel.draw_delivery(
-                    &mut self.channel_rng,
-                    src_pos,
-                    dst_pos,
-                    frame.bits,
-                );
-                self.schedule_arrival(j as u32, &frame, token, delay, duration, pre_lost);
-
-                // Surface-bounce echo (when the channel models multipath):
-                // a delayed, data-less copy that occupies the receiver.
-                if self.channel.echo_audible(src_pos, dst_pos) {
-                    let echo_delay = self.channel.echo_delay(src_pos, dst_pos);
-                    self.schedule_echo(j as u32, &frame, token, echo_delay, duration);
-                }
-            }
-            fanout = degree;
         }
         // One reserve + push pass for the whole fan-out instead of 2(+2)
         // heap pushes per receiver. The drain preserves push order, so the
@@ -622,7 +590,7 @@ impl NetworkWorld {
         let mut buf = std::mem::take(&mut self.event_buf);
         sched.at_batch(buf.drain(..));
         self.event_buf = buf;
-        self.registry.observe("net.fanout", fanout);
+        self.registry.observe("net.fanout", fanout as u64);
 
         self.inflight_tx.insert(token, frame);
         sched.at(
@@ -637,8 +605,7 @@ impl NetworkWorld {
     /// Books one direct-path reception: pending-rx entry plus its
     /// `RxStart`/`RxEnd` pair staged into [`Self::event_buf`] (the caller
     /// flushes the whole fan-out in one batch). Token allocation order is
-    /// part of the determinism contract shared by the fast and reference
-    /// fan-outs.
+    /// part of the determinism contract the golden traces pin.
     fn schedule_arrival(
         &mut self,
         rx_node: u32,
@@ -1343,16 +1310,9 @@ impl NetworkWorld {
 
     /// How many nodes can hear `node` right now (its one-hop degree).
     fn audible_degree(&mut self, node: usize) -> usize {
-        if self.cfg.fastpath {
-            self.link_cache
-                .ensure_row(&self.channel, &self.positions, node);
-            self.link_cache.row_len(node)
-        } else {
-            let p = self.positions.get(node);
-            (0..self.node_count())
-                .filter(|&j| j != node && self.channel.is_audible(p, self.positions.get(j)))
-                .count()
-        }
+        self.link_cache
+            .ensure_row(&self.channel, &self.positions, node);
+        self.link_cache.row_len(node)
     }
 
     /// One resynchronization round: sample every node's sync error into the
@@ -1643,47 +1603,26 @@ impl Simulation {
             })
             .collect();
 
-        let positions: Vec<Point> = nodes.iter().map(|i| i.position).collect();
+        let points: Vec<Point> = nodes.iter().map(|i| i.position).collect();
+        let positions = PositionTable::from_points(&points);
         let roles: Vec<NodeRole> = nodes.iter().map(|i| i.role).collect();
         let mut macs: Vec<Option<Box<dyn MacProtocol>>> = (0..n)
             .map(|i| Some(factory(NodeId::new(i as u32))))
             .collect();
 
-        // Oracle neighbour installation (the Hello phase). With the spatial
-        // index enabled the scan visits only the transmitter's 27-cell
-        // neighbourhood; candidates come back in ascending node order and
-        // every one still passes the exact `is_audible` check, so the
-        // installed tables are identical to the full O(N) scan's.
+        // Oracle neighbour installation (the Hello phase, §4.3): every
+        // table is read off the node's fan-out row as `(rx, delay)`, so the
+        // MACs schedule against exactly the audible set and delays the
+        // channel will apply — the audibility decision lives in the cache.
         let channel = cfg.channel.clone();
-        let oracle_grid: Option<SpatialGrid> = if cfg.spatial_index {
-            channel
-                .index_cell_m()
-                .map(|cell| SpatialGrid::build(cell, positions.as_slice()))
-        } else {
-            None
-        };
-        let audible_with_delays = |i: usize| -> Vec<(NodeId, SimDuration)> {
-            let link = |j: usize| {
-                (
-                    NodeId::new(j as u32),
-                    channel.propagation_delay(positions[i], positions[j]),
-                )
-            };
-            match &oracle_grid {
-                Some(grid) => {
-                    let mut cand = Vec::new();
-                    grid.candidates_into(positions[i], &mut cand);
-                    cand.iter()
-                        .map(|&j| j as usize)
-                        .filter(|&j| j != i && channel.is_audible(positions[i], positions[j]))
-                        .map(link)
-                        .collect()
-                }
-                None => (0..n)
-                    .filter(|&j| j != i && channel.is_audible(positions[i], positions[j]))
-                    .map(link)
-                    .collect(),
-            }
+        let mut link_cache = LinkBudgetCache::with_index(&channel, &positions);
+        let mut delay_table = |i: usize| -> Vec<(NodeId, SimDuration)> {
+            link_cache.ensure_row(&channel, &positions, i);
+            link_cache
+                .row(i)
+                .iter()
+                .map(|link| (NodeId::new(link.rx), link.delay))
+                .collect()
         };
         let mut maintenance = Vec::with_capacity(n);
         let mut metrics = DeliveryMetrics::new(n);
@@ -1694,31 +1633,24 @@ impl Simulation {
             let mac = macs[i].as_mut().expect("just built");
             let profile = mac.maintenance();
             maintenance.push(profile);
-            let one_hop = audible_with_delays(i);
-            match profile.scope {
-                NeighborInfoScope::None => {}
-                NeighborInfoScope::OneHop => {
-                    mac.install_neighbors(&one_hop);
-                    let init_bits =
-                        cfg.control_bits as u64 + one_hop.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
-                    metrics.per_node[i].maintenance_bits += init_bits;
-                    meters[i].charge_maintenance_bits(init_bits);
-                }
-                NeighborInfoScope::TwoHop => {
-                    mac.install_neighbors(&one_hop);
-                    let two_hop: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = one_hop
-                        .iter()
-                        .map(|&(j, _)| (j, audible_with_delays(j.index())))
-                        .collect();
-                    mac.install_two_hop(&two_hop);
-                    // The node transmits one hello plus its own table; the
-                    // two-hop view is assembled from neighbours' announcements.
-                    let init_bits =
-                        cfg.control_bits as u64 + one_hop.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
-                    metrics.per_node[i].maintenance_bits += init_bits;
-                    meters[i].charge_maintenance_bits(init_bits);
-                }
+            if profile.scope == NeighborInfoScope::None {
+                continue;
             }
+            let one_hop = delay_table(i);
+            mac.install_neighbors(&one_hop);
+            if profile.scope == NeighborInfoScope::TwoHop {
+                let two_hop: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = one_hop
+                    .iter()
+                    .map(|&(j, _)| (j, delay_table(j.index())))
+                    .collect();
+                mac.install_two_hop(&two_hop);
+            }
+            // The node transmits one hello plus its own table; a two-hop
+            // view is assembled from neighbours' announcements.
+            let init_bits =
+                cfg.control_bits as u64 + one_hop.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
+            metrics.per_node[i].maintenance_bits += init_bits;
+            meters[i].charge_maintenance_bits(init_bits);
         }
 
         // Clock-model wiring. Under the (default) ideal model nothing here
@@ -1779,15 +1711,6 @@ impl Simulation {
             cfg: rc,
         });
 
-        let positions = PositionTable::from_points(&positions);
-        // The fan-out cache only consults the index on the fast path; the
-        // reference path keeps its plain O(N) scan as the differential
-        // baseline, so it never builds one.
-        let link_cache = if cfg.fastpath && cfg.spatial_index {
-            LinkBudgetCache::with_index(&channel, &positions)
-        } else {
-            LinkBudgetCache::new(&channel, n)
-        };
         let mut world = NetworkWorld {
             clock,
             spec,
@@ -2321,29 +2244,6 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_and_reference_runs_are_identical() {
-        // The whole optimisation contract in one assertion: caching and
-        // culling may not change any measured number.
-        for cfg in [
-            small_cfg(),
-            small_cfg().with_mobility(0.5),
-            SimConfig {
-                hello_init: true,
-                forwarding: true,
-                ..small_cfg()
-            },
-        ] {
-            let fast = Simulation::new(cfg.clone().with_fastpath(true), &blast_factory)
-                .unwrap()
-                .run();
-            let reference = Simulation::new(cfg.with_fastpath(false), &blast_factory)
-                .unwrap()
-                .run();
-            assert_eq!(fast, reference);
-        }
-    }
-
-    #[test]
     fn sampling_does_not_perturb_the_run() {
         let plain = Simulation::new(small_cfg(), &blast_factory).unwrap().run();
         let sampled = Simulation::new(
@@ -2382,39 +2282,38 @@ mod tests {
         // The observability contract in one assertion: with profiling on,
         // the trace stream, the report, and every deterministic engine
         // statistic are byte-for-byte what the unprofiled run produces.
-        for cfg in [small_cfg(), small_cfg().with_fastpath(false)] {
-            let run = |profile: bool| {
-                Simulation::new(cfg.clone().with_profiling(profile), &blast_factory)
-                    .unwrap()
-                    .with_tracing(TraceLevel::Debug)
-                    .run_full()
-            };
-            let plain = run(false);
-            let profiled = run(true);
-            assert_eq!(plain.report, profiled.report);
-            assert_eq!(
-                plain.stats.events_processed,
-                profiled.stats.events_processed
-            );
-            assert_eq!(plain.stats.sim_end, profiled.stats.sim_end);
-            assert_eq!(plain.stats.stop_reason, profiled.stats.stop_reason);
-            assert_eq!(
-                plain.stats.peak_queue_depth,
-                profiled.stats.peak_queue_depth
-            );
-            assert_eq!(plain.stats.kind_counts, profiled.stats.kind_counts);
-            let jsonl = |out: &RunOutput| {
-                out.tracer
-                    .records()
-                    .iter()
-                    .map(|r| r.to_json_line())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(jsonl(&plain), jsonl(&profiled));
-            assert!(plain.profile.is_none());
-            assert!(profiled.profile.is_some());
-        }
+        let cfg = small_cfg();
+        let run = |profile: bool| {
+            Simulation::new(cfg.clone().with_profiling(profile), &blast_factory)
+                .unwrap()
+                .with_tracing(TraceLevel::Debug)
+                .run_full()
+        };
+        let plain = run(false);
+        let profiled = run(true);
+        assert_eq!(plain.report, profiled.report);
+        assert_eq!(
+            plain.stats.events_processed,
+            profiled.stats.events_processed
+        );
+        assert_eq!(plain.stats.sim_end, profiled.stats.sim_end);
+        assert_eq!(plain.stats.stop_reason, profiled.stats.stop_reason);
+        assert_eq!(
+            plain.stats.peak_queue_depth,
+            profiled.stats.peak_queue_depth
+        );
+        assert_eq!(plain.stats.kind_counts, profiled.stats.kind_counts);
+        let jsonl = |out: &RunOutput| {
+            out.tracer
+                .records()
+                .iter()
+                .map(|r| r.to_json_line())
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(jsonl(&plain), jsonl(&profiled));
+        assert!(plain.profile.is_none());
+        assert!(profiled.profile.is_some());
     }
 
     #[test]
@@ -2423,51 +2322,50 @@ mod tests {
         // the simulation already decided, so with monitoring on the trace
         // stream, the report, and the engine statistics are byte-for-byte
         // what the unmonitored run produces — plus a verdict histogram.
-        for cfg in [small_cfg(), small_cfg().with_fastpath(false)] {
-            let run = |monitor: bool| {
-                Simulation::new(cfg.clone().with_monitoring(monitor), &blast_factory)
-                    .unwrap()
-                    .with_tracing(TraceLevel::Debug)
-                    .run_full()
-            };
-            let plain = run(false);
-            let monitored = run(true);
-            assert_eq!(plain.report, monitored.report);
-            assert_eq!(
-                plain.stats.events_processed,
-                monitored.stats.events_processed
-            );
-            assert_eq!(plain.stats.sim_end, monitored.stats.sim_end);
-            assert_eq!(plain.stats.stop_reason, monitored.stats.stop_reason);
-            assert_eq!(plain.stats.kind_counts, monitored.stats.kind_counts);
-            let jsonl = |out: &RunOutput| {
-                out.tracer
-                    .records()
-                    .iter()
-                    .map(|r| r.to_json_line())
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(jsonl(&plain), jsonl(&monitored));
-            assert!(plain.verdicts.is_none());
-            // Every counted loss reconciles against the delivery counters:
-            // the verdict histogram is the same totals, causally split.
-            let verdicts = monitored.verdicts.expect("monitoring enabled");
-            assert_eq!(
-                verdicts.count(DropVerdict::ModemBusy),
-                monitored.report.tx_dropped
-            );
-            assert_eq!(
-                verdicts.count(DropVerdict::NoAudibleReceiver),
-                monitored.report.unroutable
-            );
-            assert_eq!(
-                verdicts.count(DropVerdict::MacDrop)
-                    + verdicts.count(DropVerdict::HandshakeTimeout)
-                    + verdicts.count(DropVerdict::QueueOverflow),
-                monitored.report.sdus_dropped
-            );
-        }
+        let cfg = small_cfg();
+        let run = |monitor: bool| {
+            Simulation::new(cfg.clone().with_monitoring(monitor), &blast_factory)
+                .unwrap()
+                .with_tracing(TraceLevel::Debug)
+                .run_full()
+        };
+        let plain = run(false);
+        let monitored = run(true);
+        assert_eq!(plain.report, monitored.report);
+        assert_eq!(
+            plain.stats.events_processed,
+            monitored.stats.events_processed
+        );
+        assert_eq!(plain.stats.sim_end, monitored.stats.sim_end);
+        assert_eq!(plain.stats.stop_reason, monitored.stats.stop_reason);
+        assert_eq!(plain.stats.kind_counts, monitored.stats.kind_counts);
+        let jsonl = |out: &RunOutput| {
+            out.tracer
+                .records()
+                .iter()
+                .map(|r| r.to_json_line())
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        assert_eq!(jsonl(&plain), jsonl(&monitored));
+        assert!(plain.verdicts.is_none());
+        // Every counted loss reconciles against the delivery counters:
+        // the verdict histogram is the same totals, causally split.
+        let verdicts = monitored.verdicts.expect("monitoring enabled");
+        assert_eq!(
+            verdicts.count(DropVerdict::ModemBusy),
+            monitored.report.tx_dropped
+        );
+        assert_eq!(
+            verdicts.count(DropVerdict::NoAudibleReceiver),
+            monitored.report.unroutable
+        );
+        assert_eq!(
+            verdicts.count(DropVerdict::MacDrop)
+                + verdicts.count(DropVerdict::HandshakeTimeout)
+                + verdicts.count(DropVerdict::QueueOverflow),
+            monitored.report.sdus_dropped
+        );
     }
 
     #[test]
@@ -2505,8 +2403,8 @@ mod tests {
                 .map(|&(_, v)| v)
                 .unwrap_or(0)
         };
-        // The default config runs the fastpath, so every tx after the first
-        // hits the cached row and the static topology never invalidates.
+        // Every tx after a node's first hits the cached row, and the static
+        // topology never invalidates.
         assert!(counter("phy.cache.misses") > 0);
         assert!(counter("phy.cache.hits") > 0);
         assert_eq!(counter("phy.cache.invalidations"), 0);

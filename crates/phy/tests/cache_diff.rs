@@ -1,11 +1,12 @@
 //! Differential properties of [`LinkBudgetCache`] against direct channel
 //! recomputation, over random topologies and all three PER models.
 //!
-//! The cache feeds the network layer's fan-out fast path, whose determinism
-//! contract is exact: the cached row must contain **exactly** the receivers
-//! the uncached loop would visit, in ascending order, with bit-identical
-//! link budgets — otherwise the channel RNG stream desynchronizes and runs
-//! diverge. These properties pin each clause of that contract, including
+//! The cache is the network layer's only fan-out and the source of its
+//! neighbour delay tables, and these properties are the reference it is
+//! held to. The contract is exact: the cached row must contain **exactly**
+//! the receivers a direct scan would keep, in ascending order, with
+//! bit-identical link budgets — otherwise the channel RNG stream
+//! desynchronizes and runs diverge. These properties pin each clause of that contract, including
 //! the one the acceptance gate singles out: acoustic-range culling never
 //! drops a receiver whose packet-error rate is below 1.
 

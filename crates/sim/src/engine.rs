@@ -380,7 +380,7 @@ impl<E> Engine<E> {
     /// Events exactly at the horizon are **not** processed — a horizon of
     /// 300 s means the simulated window is [0, 300).
     pub fn run<W: World<Event = E>>(&mut self, world: &mut W, horizon: SimTime) -> StopReason {
-        self.run_inner(world, horizon, |_| {}).0
+        self.run_loop::<W, Silent>(world, horizon).0
     }
 
     /// Like [`Engine::run`], but also profiles the run: per-kind event
@@ -389,30 +389,7 @@ impl<E> Engine<E> {
     where
         E: EventLabel,
     {
-        // Kinds are few (an event enum), so a first-seen-ordered Vec beats a
-        // HashMap and keeps manifest output deterministic.
-        let mut kind_counts: Vec<(&'static str, u64)> = Vec::new();
-        let started = Instant::now();
-        let (stop_reason, profile) = self.run_inner(world, horizon, |ev| {
-            let label = ev.label();
-            match kind_counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, count)) => *count += 1,
-                None => kind_counts.push((label, 1)),
-            }
-        });
-        RunStats {
-            stop_reason,
-            events_processed: profile.processed,
-            sim_end: self.now,
-            wall: started.elapsed(),
-            peak_queue_depth: profile.depth_peak,
-            mean_queue_depth: if profile.processed > 0 {
-                profile.depth_sum as f64 / profile.processed as f64
-            } else {
-                0.0
-            },
-            kind_counts,
-        }
+        self.run_probed::<W, Counting>(world, horizon).0
     }
 
     /// Like [`Engine::run_profiled`], but additionally attributes wall time
@@ -432,14 +409,22 @@ impl<E> Engine<E> {
     where
         E: EventLabel,
     {
-        let mut kind_counts: Vec<(&'static str, u64)> = Vec::new();
-        let mut cost = EngineCost::default();
-        let started = Instant::now();
-        let (stop_reason, profile) =
-            self.run_inner_timed(world, horizon, &mut kind_counts, &mut cost);
+        let (stats, mut cost) = self.run_probed::<W, Timed>(world, horizon);
         cost.slab_slots = self.queue.slab_slots() as u64;
         cost.slab_reuses = self.queue.slab_reuses();
         cost.events_scheduled = self.queue.scheduled_count();
+        (stats, cost)
+    }
+
+    /// Runs the loop under probe `P` and folds its accumulators into
+    /// [`RunStats`] plus the (possibly empty) engine cost.
+    fn run_probed<W: World<Event = E>, P: Probe<E>>(
+        &mut self,
+        world: &mut W,
+        horizon: SimTime,
+    ) -> (RunStats, EngineCost) {
+        let started = Instant::now();
+        let (stop_reason, profile) = self.run_loop::<W, P>(world, horizon);
         let stats = RunStats {
             stop_reason,
             events_processed: profile.processed,
@@ -451,34 +436,27 @@ impl<E> Engine<E> {
             } else {
                 0.0
             },
-            kind_counts,
+            kind_counts: profile.kind_counts,
         };
-        (stats, cost)
+        (stats, profile.cost)
     }
 
-    /// The timed twin of [`Engine::run_inner`]: identical control flow, plus
-    /// sampled clock reads around pop and handler. Kept as a separate loop
-    /// (rather than a flag inside `run_inner`) so the unprofiled path
-    /// carries no per-event branch on a profiling mode;
-    /// `run_instrumented_matches_run_profiled` pins the two loops to the
-    /// same semantics.
-    fn run_inner_timed<W: World<Event = E>>(
+    /// The one event loop. `P` is a zero-sized probe, so each mode gets its
+    /// own monomorphised copy and the product loop carries no per-event
+    /// branch on a profiling mode: a counting probe compiles the timing out,
+    /// a silent one the counting as well.
+    fn run_loop<W: World<Event = E>, P: Probe<E>>(
         &mut self,
         world: &mut W,
         horizon: SimTime,
-        kind_counts: &mut Vec<(&'static str, u64)>,
-        cost: &mut EngineCost,
-    ) -> (StopReason, RunProfile)
-    where
-        E: EventLabel,
-    {
+    ) -> (StopReason, RunProfile) {
         let mut profile = RunProfile::default();
         let reason = loop {
             if self.processed >= self.budget {
                 break StopReason::BudgetExhausted;
             }
-            let sampled = profile.processed % PROFILE_SAMPLE_STRIDE == 0;
-            let popped_at = if sampled { Some(Instant::now()) } else { None };
+            let sampled = P::TIMED && profile.processed % PROFILE_SAMPLE_STRIDE == 0;
+            let popped_at = sampled.then(Instant::now);
             match self.queue.peek_time() {
                 None => break StopReason::QueueExhausted,
                 Some(t) if t >= horizon => {
@@ -494,22 +472,28 @@ impl<E> Engine<E> {
             let depth = self.queue.len();
             profile.depth_sum += depth as u64;
             profile.depth_peak = profile.depth_peak.max(depth);
-            let label = ev.label();
-            match kind_counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, count)) => *count += 1,
-                None => kind_counts.push((label, 1)),
+            let label = P::label(&ev);
+            if let Some(label) = label {
+                // Kinds are few (an event enum), so a first-seen-ordered Vec
+                // beats a HashMap and keeps manifest output deterministic.
+                match profile.kind_counts.iter_mut().find(|(l, _)| *l == label) {
+                    Some((_, count)) => *count += 1,
+                    None => profile.kind_counts.push((label, 1)),
+                }
             }
-            let handled_at = if sampled { Some(Instant::now()) } else { None };
-            if let (Some(popped), Some(handled)) = (popped_at, handled_at) {
-                cost.pop_ns += (handled - popped).as_nanos() as u64;
-            }
+            let handled_at = popped_at.map(|popped| {
+                let handled = Instant::now();
+                profile.cost.pop_ns += (handled - popped).as_nanos() as u64;
+                handled
+            });
             let mut sched = Schedule {
                 queue: &mut self.queue,
                 now: t,
             };
             world.handle(t, ev, &mut sched);
-            if let Some(handled) = handled_at {
+            if let (Some(handled), Some(label)) = (handled_at, label) {
                 let ns = handled.elapsed().as_nanos() as u64;
+                let cost = &mut profile.cost;
                 cost.sampled_events += 1;
                 match cost.handler.iter_mut().find(|(l, _)| *l == label) {
                     Some((_, kc)) => {
@@ -517,57 +501,16 @@ impl<E> Engine<E> {
                         kc.total_ns += ns;
                         kc.max_ns = kc.max_ns.max(ns);
                     }
-                    None => {
-                        cost.handler.push((
-                            label,
-                            KindCost {
-                                sampled: 1,
-                                total_ns: ns,
-                                max_ns: ns,
-                            },
-                        ));
-                    }
+                    None => cost.handler.push((
+                        label,
+                        KindCost {
+                            sampled: 1,
+                            total_ns: ns,
+                            max_ns: ns,
+                        },
+                    )),
                 }
             }
-            if world.should_stop() {
-                break StopReason::StoppedByWorld;
-            }
-        };
-        (reason, profile)
-    }
-
-    fn run_inner<W: World<Event = E>>(
-        &mut self,
-        world: &mut W,
-        horizon: SimTime,
-        mut observe: impl FnMut(&E),
-    ) -> (StopReason, RunProfile) {
-        let mut profile = RunProfile::default();
-        let reason = loop {
-            if self.processed >= self.budget {
-                break StopReason::BudgetExhausted;
-            }
-            match self.queue.peek_time() {
-                None => break StopReason::QueueExhausted,
-                Some(t) if t >= horizon => {
-                    self.now = horizon;
-                    break StopReason::HorizonReached;
-                }
-                Some(_) => {}
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event vanished");
-            self.now = t;
-            self.processed += 1;
-            profile.processed += 1;
-            let depth = self.queue.len();
-            profile.depth_sum += depth as u64;
-            profile.depth_peak = profile.depth_peak.max(depth);
-            observe(&ev);
-            let mut sched = Schedule {
-                queue: &mut self.queue,
-                now: t,
-            };
-            world.handle(t, ev, &mut sched);
             if world.should_stop() {
                 break StopReason::StoppedByWorld;
             }
@@ -576,12 +519,55 @@ impl<E> Engine<E> {
     }
 }
 
-/// Per-run-call accumulators for [`Engine::run_profiled`].
+/// What the run loop records beyond the queue statistics. Implemented only
+/// by zero-sized markers, so the mode is fixed at compile time.
+trait Probe<E> {
+    /// Whether one event in [`PROFILE_SAMPLE_STRIDE`] has its pop and
+    /// handler wall time sampled.
+    const TIMED: bool;
+
+    /// The kind to count the event under; `None` counts nothing.
+    fn label(ev: &E) -> Option<&'static str>;
+}
+
+/// [`Engine::run`]: queue statistics only.
+struct Silent;
+
+/// [`Engine::run_profiled`]: per-kind event counts.
+struct Counting;
+
+/// [`Engine::run_instrumented`]: per-kind counts plus sampled timing.
+struct Timed;
+
+impl<E> Probe<E> for Silent {
+    const TIMED: bool = false;
+    fn label(_: &E) -> Option<&'static str> {
+        None
+    }
+}
+
+impl<E: EventLabel> Probe<E> for Counting {
+    const TIMED: bool = false;
+    fn label(ev: &E) -> Option<&'static str> {
+        Some(ev.label())
+    }
+}
+
+impl<E: EventLabel> Probe<E> for Timed {
+    const TIMED: bool = true;
+    fn label(ev: &E) -> Option<&'static str> {
+        Some(ev.label())
+    }
+}
+
+/// Per-run-call accumulators of the run loop.
 #[derive(Debug, Default)]
 struct RunProfile {
     processed: u64,
     depth_sum: u64,
     depth_peak: usize,
+    kind_counts: Vec<(&'static str, u64)>,
+    cost: EngineCost,
 }
 
 #[cfg(test)]
