@@ -17,9 +17,8 @@ use uasn_net::neighbor::TwoHopTable;
 use uasn_net::node::NodeId;
 use uasn_net::packet::{Frame, FrameKind, Sdu};
 use uasn_net::slots::SlotIndex;
+use uasn_net::slotted::{CoreConfig, CoreEvent, CoreRole, OverheardInfo, SlottedCore};
 use uasn_sim::time::{SimDuration, SimTime};
-
-use crate::common::{CoreConfig, CoreEvent, CoreRole, OverheardInfo, SlottedCore};
 
 /// The Ack for a stolen transmission never arrived.
 const TIMER_STEAL_ACK: TimerToken = TimerToken(20);
@@ -244,13 +243,13 @@ impl MacProtocol for CsMac {
             ctx.cancel_timer(TIMER_STEAL_ACK);
             self.stealing = false;
             self.core.hold = false;
-            self.core.succeed();
+            self.core.succeed(1);
             self.steals_succeeded += 1;
             return;
         }
 
         let ev = self.core.on_frame_received(ctx, rx);
-        match ev {
+        match self.core.default_lost_contention(ctx, ev) {
             CoreEvent::Overheard(info) => self.maybe_steal(ctx, info),
             CoreEvent::UnexpectedData
                 // Someone stole the channel to reach us. A receiver mid-way

@@ -14,8 +14,10 @@
 //!   load; heavy two-hop piggyback.
 //! * [`Aloha`] — unslotted send-and-pray sanity floor (not in the paper).
 //!
-//! All four plug into `uasn-net`'s [`MacProtocol`](uasn_net::mac::MacProtocol)
-//! and share the [`common::SlottedCore`] handshake engine.
+//! All four plug into `uasn-net`'s [`MacProtocol`](uasn_net::mac::MacProtocol).
+//! S-FAMA, ROPA and CS-MAC wrap the slotted handshake engine
+//! [`SlottedCore`](uasn_net::slotted::SlottedCore) (EW-MAC wraps the same
+//! one); ALOHA is unslotted and runs its own send-and-retry loop.
 //!
 //! # Examples
 //!
@@ -39,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod aloha;
-pub mod common;
 pub mod csmac;
 pub mod ropa;
 pub mod sfama;

@@ -18,9 +18,8 @@ use uasn_net::neighbor::TwoHopTable;
 use uasn_net::node::NodeId;
 use uasn_net::packet::{Frame, FrameKind, Sdu};
 use uasn_net::slots::SlotIndex;
+use uasn_net::slotted::{CoreConfig, CoreEvent, CoreRole, OverheardInfo, SlottedCore};
 use uasn_sim::time::{SimDuration, SimTime};
-
-use crate::common::{CoreConfig, CoreEvent, CoreRole, SlottedCore};
 
 /// Waiting too long for the append poll.
 const TIMER_POLL: TimerToken = TimerToken(10);
@@ -135,7 +134,7 @@ impl Ropa {
     }
 
     /// Appender side: react to an overheard RTS from our intended next hop.
-    fn maybe_append(&mut self, ctx: &mut MacContext<'_>, info: crate::common::OverheardInfo) {
+    fn maybe_append(&mut self, ctx: &mut MacContext<'_>, info: OverheardInfo) {
         if self.append.is_some()
             || self.collect.is_some()
             || self.core.hold
@@ -362,7 +361,7 @@ impl MacProtocol for Ropa {
                             .neighbors
                             .observe(frame.src, rx.prop_delay, ctx.now());
                         ctx.cancel_timer(TIMER_APPEND_ACK);
-                        self.core.succeed();
+                        self.core.succeed(1);
                         self.release_append(ctx, false);
                         return;
                     }
@@ -372,6 +371,9 @@ impl MacProtocol for Ropa {
         }
 
         let ev = self.core.on_frame_received(ctx, rx);
+        // The retry charge can drop the head SDU, so the RTA path must see
+        // a lost contention only after it.
+        let ev = self.core.default_lost_contention(ctx, ev);
         self.after_core_event(ev);
         match ev {
             CoreEvent::Overheard(info) => self.maybe_append(ctx, info),

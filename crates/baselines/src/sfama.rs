@@ -9,8 +9,7 @@ use uasn_net::mac::{MacContext, MacProtocol, MaintenanceProfile, Reception};
 use uasn_net::node::NodeId;
 use uasn_net::packet::Sdu;
 use uasn_net::slots::SlotIndex;
-
-use crate::common::{CoreConfig, SlottedCore};
+use uasn_net::slotted::{CoreConfig, SlottedCore};
 
 /// The S-FAMA instance bound to one node.
 ///
@@ -63,7 +62,8 @@ impl MacProtocol for SFama {
     }
 
     fn on_frame_received(&mut self, ctx: &mut MacContext<'_>, rx: &Reception<'_>) {
-        let _ = self.core.on_frame_received(ctx, rx);
+        let ev = self.core.on_frame_received(ctx, rx);
+        let _ = self.core.default_lost_contention(ctx, ev);
     }
 
     fn queue_len(&self) -> usize {

@@ -1,21 +1,26 @@
 //! Golden-trace regression suite for the transmission fan-out.
 //!
 //! Every protocol in the roster runs fixed seeded scenarios — two node
-//! densities, a swarm column, a mobile cell and a hello-phase cell — and
-//! the FNV-1a hash of each Debug-level JSONL trace export must match the
-//! golden checked into `tests/goldens/`. The Debug trace records every
-//! event the engine processes, so this is the strongest behavioural
-//! lockdown the simulator offers. At the two densities the same cell also
-//! runs with performance profiling and with the online invariant monitors
-//! attached; both exports must be **byte-identical** to the plain one, and
-//! the monitored pass additionally asserts online/post-hoc parity: over
-//! the invariants the streaming monitors cover, their findings must equal
-//! the offline checker's replay of the exported trace.
+//! densities, a swarm column, a mobile cell, a hello-phase cell, and busy,
+//! drifting-clock and routed cells that also run EW-MAC's no-extra and
+//! aggregating variants — and the FNV-1a hash of each Debug-level JSONL
+//! trace export must match the golden checked into `tests/goldens/`. The
+//! Debug trace records every event the engine processes, so this is the
+//! strongest behavioural lockdown the simulator offers. At the two
+//! densities the same cell also runs with performance profiling and with
+//! the online invariant monitors attached; both exports must be
+//! **byte-identical** to the plain one, and the monitored pass
+//! additionally asserts online/post-hoc parity: over the invariants the
+//! streaming monitors cover, their findings must equal the offline
+//! checker's replay of the exported trace.
 //!
-//! The hashes were blessed while a recompute-everything reference fan-out
-//! still ran beside the cached one and exported identical bytes; the
-//! differential proptests in `crates/phy/tests` (`cache_diff.rs`,
-//! `grid_diff.rs`) keep recomputing each link directly against the cache.
+//! The sparse, dense and swarm hashes were blessed while a
+//! recompute-everything reference fan-out still ran beside the cached one
+//! and exported identical bytes; the differential proptests in
+//! `crates/phy/tests` (`cache_diff.rs`, `grid_diff.rs`) keep recomputing
+//! each link directly against the cache. The busy hashes were blessed
+//! while EW-MAC still ran its own copy of the slotted handshake, so they
+//! pin the shared core to that behaviour.
 //!
 //! To bless new goldens after an intentional behaviour change:
 //!
@@ -70,8 +75,8 @@ fn golden_cfg(sensors: u32) -> SimConfig {
     cfg
 }
 
-/// Runs one traced cell and returns the exported JSONL bytes.
-fn trace_bytes(cfg: &SimConfig, protocol: Protocol) -> Vec<u8> {
+/// Runs one traced cell and returns its lossless Debug capture.
+fn traced(cfg: &SimConfig, protocol: Protocol) -> Tracer {
     let factory = move |id: NodeId| protocol.build(id);
     let out = Simulation::new(cfg.clone(), &factory)
         .unwrap_or_else(|e| panic!("{} config rejected: {e}", protocol.name()))
@@ -82,11 +87,20 @@ fn trace_bytes(cfg: &SimConfig, protocol: Protocol) -> Vec<u8> {
         "{}: trace capture dropped records — hashes would depend on capacity",
         protocol.name()
     );
-    let mut buf = Vec::new();
     out.tracer
+}
+
+fn export(tracer: &Tracer) -> Vec<u8> {
+    let mut buf = Vec::new();
+    tracer
         .export_jsonl(&mut buf)
         .expect("in-memory export cannot fail");
     buf
+}
+
+/// Runs one traced cell and returns the exported JSONL bytes.
+fn trace_bytes(cfg: &SimConfig, protocol: Protocol) -> Vec<u8> {
+    export(&traced(cfg, protocol))
 }
 
 /// Like [`trace_bytes`], but with monitoring on and the streaming monitors
@@ -301,4 +315,50 @@ fn golden_traces_mobile() {
             ),
         ],
     );
+}
+
+/// EW-MAC's variants under load: the paper protocol, its no-extra
+/// ablation and its aggregating twin beside the baselines, in the regimes
+/// where the extra-communication path actually runs — a busy cell, a
+/// drifting-clock cell and a routed column. Every EW-MAC and aggregating
+/// cell must put at least one EXAck on the air, so the hashes pin the
+/// whole EXR → EXC → EXData → EXAck exchange, not just the handshake.
+#[test]
+fn golden_traces_busy() {
+    let roster = GOLDEN_PROTOCOLS.into_iter().chain([
+        (Protocol::EwMacNoExtra, "ewmac-noextra"),
+        (Protocol::EwMacAggregated, "ewmac-agg"),
+    ]);
+    let mut routed = golden_cfg(40)
+        .with_offered_load_kbps(4.0)
+        .with_reliable_route()
+        .with_sim_time(SimDuration::from_secs(60));
+    routed.deployment = Deployment::LayeredColumn {
+        extent_m: 2_000.0,
+        layers: 4,
+        layer_spacing_m: 1_200.0,
+    };
+    let cells = [
+        ("busy", golden_cfg(30).with_offered_load_kbps(2.0)),
+        ("drift", golden_cfg(10).with_clock_drift(20.0)),
+        ("routed", routed),
+    ];
+    let mut hashes = Vec::new();
+    for (cell, cfg) in &cells {
+        for (protocol, slug) in roster.clone() {
+            let tracer = traced(cfg, protocol);
+            if matches!(protocol, Protocol::EwMac | Protocol::EwMacAggregated) {
+                let exacks = tracer
+                    .with_tag("tx")
+                    .filter(|r| r.message.starts_with("EXAck["))
+                    .count();
+                assert!(
+                    exacks > 0,
+                    "{slug}-{cell}: no EXAck on the air — the extra path is not pinned"
+                );
+            }
+            hashes.push((format!("{slug}-{cell}"), fnv1a64(&export(&tracer))));
+        }
+    }
+    check_goldens("busy", &hashes);
 }

@@ -1,5 +1,7 @@
 //! EW-MAC tuning parameters.
 
+use uasn_net::priority::PriorityRule;
+use uasn_net::slotted::CoreConfig;
 use uasn_sim::time::SimDuration;
 
 /// EW-MAC configuration.
@@ -22,19 +24,15 @@ use uasn_sim::time::SimDuration;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EwMacConfig {
+    /// The slotted handshake EW-MAC runs on. EW-MAC always announces pair
+    /// delays, never piggybacks tables and always ranks RTSs by the §3.1
+    /// `rp` priority ([`EwMacConfig::validated`] enforces all three); what
+    /// a caller may tune is the backoff and retry budget, the `rp`
+    /// parameters and optional aggregation.
+    pub core: CoreConfig,
     /// Whether the extra-communication machinery (EXR/EXC/EXData/EXAck) is
     /// active.
     pub enable_extra: bool,
-    /// Initial contention window, slots. After a failed contention the next
-    /// attempt is delayed by `1 + uniform(0..cw)` slots.
-    pub base_cw: u32,
-    /// Contention window cap for the binary exponential backoff.
-    pub max_cw: u32,
-    /// Random component range of the RTS priority value `rp`.
-    pub rp_random_range: u32,
-    /// Priority added per slot an SDU has waited (§3.1: rp is "related to
-    /// the contention and wait times").
-    pub rp_wait_weight: u32,
     /// Guard time added to extra-packet arrival targets so an EXData lands
     /// strictly after the Ack transmission ends (numerical safety on top of
     /// Eq 6; see DESIGN.md).
@@ -46,28 +44,22 @@ pub struct EwMacConfig {
     /// world announces a bound via `install_clock_error` when the clock
     /// model drifts.
     pub sync_margin: SimDuration,
-    /// Maximum retransmission attempts per SDU before it is dropped.
-    pub max_retries: u32,
-    /// When set, a negotiated data frame aggregates consecutive queued SDUs
-    /// for the same next hop up to this many payload bits (§2: "data should
-    /// be collected and then transmitted when the amount of data is
-    /// sufficient"). `None` sends one SDU per exchange (the evaluation
-    /// default, matching the fixed-size baselines).
-    pub aggregate_max_bits: Option<u32>,
 }
 
 impl Default for EwMacConfig {
     fn default() -> Self {
         EwMacConfig {
+            core: CoreConfig {
+                announce_delays: true,
+                priority: Some(PriorityRule {
+                    random_range: 256,
+                    wait_weight: 8,
+                }),
+                ..CoreConfig::default()
+            },
             enable_extra: true,
-            base_cw: 2,
-            max_cw: 16,
-            rp_random_range: 256,
-            rp_wait_weight: 8,
             extra_guard: SimDuration::from_millis(2),
             sync_margin: SimDuration::ZERO,
-            max_retries: 20,
-            aggregate_max_bits: None,
         }
     }
 }
@@ -79,9 +71,11 @@ impl EwMacConfig {
         self
     }
 
-    /// Enables SDU aggregation up to `max_bits` per negotiated data frame.
+    /// Enables SDU aggregation up to `max_bits` per negotiated data frame
+    /// (the evaluation default sends one SDU per exchange, matching the
+    /// fixed-size baselines).
     pub fn with_aggregation(mut self, max_bits: u32) -> Self {
-        self.aggregate_max_bits = Some(max_bits);
+        self.core.aggregate_max_bits = Some(max_bits);
         self
     }
 
@@ -101,16 +95,23 @@ impl EwMacConfig {
     ///
     /// # Panics
     ///
-    /// Panics on out-of-range values; configurations are programmer input,
-    /// not runtime data.
+    /// Panics on out-of-range values, and when `core` departs from the
+    /// EW-MAC handshake (pair delays announced, no table piggyback, `rp`
+    /// priority on); configurations are programmer input, not runtime data.
     pub fn validated(self) -> Self {
-        assert!(self.base_cw >= 1, "base contention window must be >= 1");
+        let core = &self.core;
+        assert!(core.announce_delays, "EW-MAC announces pair delays");
+        assert!(!core.announce_table, "EW-MAC does not piggyback tables");
+        assert!(core.base_cw >= 1, "base contention window must be >= 1");
         assert!(
-            self.max_cw >= self.base_cw,
+            core.max_cw >= core.base_cw,
             "max contention window must be >= base"
         );
-        assert!(self.rp_random_range >= 1, "rp range must be >= 1");
-        assert!(self.max_retries >= 1, "at least one retry is required");
+        assert!(
+            core.priority.is_some_and(|rp| rp.random_range >= 1),
+            "EW-MAC needs the rp priority with range >= 1"
+        );
+        assert!(core.max_retries >= 1, "at least one retry is required");
         self
     }
 }
@@ -123,14 +124,14 @@ mod tests {
     fn default_is_valid() {
         let c = EwMacConfig::default().validated();
         assert!(c.enable_extra);
-        assert!(c.max_cw >= c.base_cw);
+        assert!(c.core.max_cw >= c.core.base_cw);
     }
 
     #[test]
     fn without_extra_only_touches_extra() {
         let c = EwMacConfig::default().without_extra();
         assert!(!c.enable_extra);
-        assert_eq!(c.base_cw, EwMacConfig::default().base_cw);
+        assert_eq!(c.core, EwMacConfig::default().core);
     }
 
     #[test]
@@ -148,11 +149,33 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be >= base")]
     fn bad_cw_panics() {
-        let _ = EwMacConfig {
-            base_cw: 8,
-            max_cw: 4,
-            ..EwMacConfig::default()
-        }
-        .validated();
+        let mut cfg = EwMacConfig::default();
+        cfg.core.base_cw = 8;
+        cfg.core.max_cw = 4;
+        let _ = cfg.validated();
+    }
+
+    #[test]
+    #[should_panic(expected = "announces pair delays")]
+    fn silent_handshake_panics() {
+        let mut cfg = EwMacConfig::default();
+        cfg.core.announce_delays = false;
+        let _ = cfg.validated();
+    }
+
+    #[test]
+    #[should_panic(expected = "does not piggyback tables")]
+    fn table_piggyback_panics() {
+        let mut cfg = EwMacConfig::default();
+        cfg.core.announce_table = true;
+        let _ = cfg.validated();
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the rp priority")]
+    fn missing_priority_panics() {
+        let mut cfg = EwMacConfig::default();
+        cfg.core.priority = None;
+        let _ = cfg.validated();
     }
 }

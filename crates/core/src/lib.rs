@@ -8,10 +8,12 @@
 //! idle windows of already-negotiated neighbours for interference-free
 //! **extra communications**.
 //!
+//! EW-MAC runs on the slotted handshake core of `uasn-net`
+//! ([`uasn_net::slotted`]), which already carries the `rp` priority and
+//! aggregation; this crate adds the extra communications.
+//!
 //! * [`config`] — protocol parameters, including the `enable_extra`
 //!   ablation switch.
-//! * [`priority`] — RTS priority values (`rp`, §3.1) and winner selection.
-//! * [`schedule`] — the quiet schedule (Fig 3's Quiet state).
 //! * [`extra`] — the §4.2 timing algebra: EXR windows, Eq 6 EXData timing,
 //!   grant timeouts.
 //! * [`protocol`] — the [`EwMac`] state machine implementing
@@ -40,9 +42,7 @@
 
 pub mod config;
 pub mod extra;
-pub mod priority;
 pub mod protocol;
-pub mod schedule;
 
 pub use config::EwMacConfig;
 pub use extra::ObservedNegotiation;

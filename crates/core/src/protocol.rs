@@ -1,17 +1,15 @@
 //! The EW-MAC protocol state machine (paper §4, Figure 3).
 //!
-//! Roles mirror the paper's state-transfer diagram: an idle sensor with
-//! traffic contends with an RTS at a slot boundary; a receiver picks the
-//! highest-priority RTS and answers CTS; Data goes out two slots after the
-//! RTS and the Ack slot follows Eq 5. A sensor that *loses* contention —
-//! it sent `RTS(i,j)` but overhears `RTS(j,k)` or `CTS(j,k)` — enters the
-//! "Asking Extra Commu" path (§4.2): EXR into the peer's provably idle
-//! window, EXC back, EXData timed by Eq 6 to land right after the
-//! negotiated Ack, EXAck to finish. Overhearing any negotiation or extra
-//! packet imposes quiet windows; all quiet-window arithmetic lives in
-//! [`crate::schedule`] and all extra-timing arithmetic in [`crate::extra`].
-
-use std::collections::VecDeque;
+//! EW-MAC is the slotted handshake of [`uasn_net::slotted`] — an idle
+//! sensor with traffic contends with an RTS at a slot boundary, a receiver
+//! answers the highest-`rp` RTS with a CTS, Data goes out two slots after
+//! the RTS and the Ack slot follows Eq 5 — plus one mechanism. A sensor
+//! that *loses* contention — it sent `RTS(i,j)` but overhears `RTS(j,k)` or
+//! `CTS(j,k)` — enters the "Asking Extra Commu" path (§4.2): EXR into the
+//! peer's provably idle window, EXC back, EXData timed by Eq 6 to land
+//! right after the negotiated Ack, EXAck to finish. This module holds only
+//! that path: the two extra roles, the granting side, and their timers;
+//! all extra-timing arithmetic lives in [`crate::extra`].
 
 use uasn_net::mac::{
     DropReason, MacContext, MacProtocol, MaintenanceProfile, NeighborInfoScope, Reception,
@@ -21,14 +19,13 @@ use uasn_net::neighbor::OneHopTable;
 use uasn_net::node::NodeId;
 use uasn_net::packet::{Frame, FrameKind, Sdu};
 use uasn_net::slots::SlotIndex;
+use uasn_net::slotted::{CoreEvent, CoreRole, OverheardInfo, SlottedCore};
 use uasn_sim::time::{SimDuration, SimTime};
 
 use crate::config::EwMacConfig;
 use crate::extra::{
     exc_reply_ok, exdata_grant_timeout, exdata_send_time, exr_send_time, ObservedNegotiation,
 };
-use crate::priority::{pick_winner, priority_value};
-use crate::schedule::QuietSchedule;
 
 /// Timer: no EXC arrived for our EXR.
 const TIMER_EXC: TimerToken = TimerToken(1);
@@ -37,64 +34,14 @@ const TIMER_EXACK: TimerToken = TimerToken(2);
 /// Timer: a granted EXData never arrived.
 const TIMER_GRANT: TimerToken = TimerToken(3);
 
-/// An SDU waiting in the MAC queue.
-#[derive(Debug, Clone, Copy)]
-struct PendingSdu {
-    sdu: Sdu,
-    retries: u32,
-    first_attempt_slot: Option<SlotIndex>,
-}
-
-/// What this node is currently doing (Figure 3).
+/// The requesting side of an extra communication (Figure 3's "Asking
+/// Extra Commu"), exploiting the overheard negotiation `obs`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum Role {
-    /// Idle / quiet (quiet is a schedule, not a role).
-    Idle,
-    /// Sent `RTS(me, peer)` at `rts_slot`; waiting for the CTS.
-    Contending {
-        peer: NodeId,
-        rts_slot: SlotIndex,
-        td: SimDuration,
-        /// How many queued SDUs the announced TD covers (aggregation).
-        bundle: usize,
-    },
-    /// Won contention; Data goes out at `data_slot`, Ack expected by
-    /// `ack_slot` (checked one slot later).
-    SendingData {
-        peer: NodeId,
-        data_slot: SlotIndex,
-        ack_slot: SlotIndex,
-        /// How many queued SDUs ride the data frame.
-        bundle: usize,
-    },
-    /// Sent a CTS; waiting for Data (transmitted at `data_slot`), will Ack
-    /// at `ack_slot`.
-    Receiving {
-        peer: NodeId,
-        data_slot: SlotIndex,
-        ack_slot: SlotIndex,
-        data_received: bool,
-    },
+enum ExtraRole {
     /// Sent an EXR; waiting for the EXC.
-    ExtraRequesting { obs: ObservedNegotiation },
+    Requesting(ObservedNegotiation),
     /// EXC granted; EXData scheduled; waiting for the EXAck.
-    ExtraSending { obs: ObservedNegotiation },
-}
-
-/// Granting-side bookkeeping: we promised `from` an extra window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ExtraGrant {
-    from: NodeId,
-}
-
-/// One decoded RTS waiting for the next slot boundary's winner pick.
-#[derive(Debug, Clone, Copy)]
-struct RtsCandidate {
-    src: NodeId,
-    rp: u32,
-    td: SimDuration,
-    sent_slot: SlotIndex,
-    measured_delay: SimDuration,
+    Sending(ObservedNegotiation),
 }
 
 /// The EW-MAC instance bound to one node.
@@ -112,19 +59,17 @@ struct RtsCandidate {
 /// ```
 #[derive(Debug)]
 pub struct EwMac {
-    id: NodeId,
-    cfg: EwMacConfig,
-    queue: VecDeque<PendingSdu>,
-    neighbors: OneHopTable,
-    quiet: QuietSchedule,
-    role: Role,
-    grant: Option<ExtraGrant>,
-    rts_inbox: Vec<RtsCandidate>,
-    /// End instants of overheard exchanges (interference awareness for the
-    /// extra-communication decision).
-    overheard_ends: Vec<SimTime>,
-    next_attempt_slot: SlotIndex,
-    cw: u32,
+    core: SlottedCore,
+    /// Whether the extra-communication machinery is active.
+    enable_extra: bool,
+    /// Numerical guard on extra-packet arrival targets.
+    extra_guard: SimDuration,
+    /// Clock-error margin added to `extra_guard`.
+    sync_margin: SimDuration,
+    /// Our own extra exchange, if one is running; holds the core.
+    extra: Option<ExtraRole>,
+    /// The requester we promised an extra window; holds the core.
+    grant: Option<NodeId>,
     /// Lifetime statistics: extra exchanges completed (for diagnostics and
     /// the ablation study).
     extra_successes: u64,
@@ -135,21 +80,23 @@ pub struct EwMac {
 impl EwMac {
     /// Creates an EW-MAC instance for node `id`.
     pub fn new(id: NodeId, cfg: EwMacConfig) -> Self {
+        let cfg = cfg.validated();
         EwMac {
-            id,
-            cfg: cfg.validated(),
-            queue: VecDeque::new(),
-            neighbors: OneHopTable::new(),
-            quiet: QuietSchedule::new(),
-            role: Role::Idle,
+            core: SlottedCore::new(id, cfg.core),
+            enable_extra: cfg.enable_extra,
+            extra_guard: cfg.extra_guard,
+            sync_margin: cfg.sync_margin,
+            extra: None,
             grant: None,
-            rts_inbox: Vec::new(),
-            overheard_ends: Vec::new(),
-            next_attempt_slot: 0,
-            cw: cfg.base_cw,
             extra_successes: 0,
             extra_attempts: 0,
         }
+    }
+
+    /// The effective guard on extra-window arithmetic (see
+    /// [`EwMacConfig::effective_guard`]).
+    fn guard(&self) -> SimDuration {
+        self.extra_guard + self.sync_margin
     }
 
     /// Completed extra (EXData) exchanges initiated by this node.
@@ -164,302 +111,173 @@ impl EwMac {
 
     /// The current one-hop neighbour table (tests/diagnostics).
     pub fn neighbor_table(&self) -> &OneHopTable {
-        &self.neighbors
+        &self.core.neighbors
     }
 
-    fn backoff(&mut self, ctx: &mut MacContext<'_>) {
-        let slot = ctx.current_slot();
-        let jitter = ctx.rng().gen_range(0..self.cw.max(1)) as u64;
-        self.next_attempt_slot = slot + 1 + jitter;
-        self.cw = (self.cw * 2).min(self.cfg.max_cw);
+    /// While an extra exchange or a grant is active, the core neither
+    /// contends nor answers RTSs.
+    fn set_extra(&mut self, extra: Option<ExtraRole>) {
+        self.extra = extra;
+        self.core.hold = self.extra.is_some() || self.grant.is_some();
     }
 
-    fn succeed(&mut self, bundle: usize) {
-        for _ in 0..bundle.max(1) {
-            self.queue.pop_front();
-        }
-        self.cw = self.cfg.base_cw;
+    fn set_grant(&mut self, grant: Option<NodeId>) {
+        self.grant = grant;
+        self.core.hold = self.extra.is_some() || self.grant.is_some();
     }
 
-    /// How many consecutive head SDUs (same next hop) one data frame will
-    /// carry, and their total transmit duration.
-    fn bundle_plan(&self, ctx: &MacContext<'_>) -> (SimDuration, usize) {
-        let Some(head) = self.queue.front() else {
-            return (SimDuration::ZERO, 0);
+    /// Fig 3's transition into "Asking Extra Commu": my contention target
+    /// was overheard negotiating with someone else. Try an extra
+    /// communication in its waiting window before counting the failure.
+    fn on_lost_contention(&mut self, ctx: &mut MacContext<'_>, info: OverheardInfo) {
+        let Some(pair_delay) = info.pair_delay else {
+            // No announced pair delay, no window to predict: back off
+            // without charging a retry.
+            self.core.backoff(ctx);
+            return;
         };
-        let Some(max_bits) = self.cfg.aggregate_max_bits else {
-            return (ctx.tx_duration(head.sdu.bits), 1);
-        };
-        let mut total_bits = 0u64;
-        let mut count = 0usize;
-        for p in &self.queue {
-            if p.sdu.next_hop != head.sdu.next_hop {
-                break;
-            }
-            if count > 0 && total_bits + p.sdu.bits as u64 > max_bits as u64 {
-                break;
-            }
-            total_bits += p.sdu.bits as u64;
-            count += 1;
-        }
-        (
-            ctx.tx_duration(total_bits.min(u32::MAX as u64) as u32),
-            count,
-        )
-    }
-
-    /// A delivery attempt for the head SDU failed terminally this round:
-    /// count a retry, drop the SDU if exhausted, back off. `reason` labels
-    /// the phase of *this* failure and is reported if the drop happens now.
-    fn attempt_failed(&mut self, ctx: &mut MacContext<'_>, reason: DropReason) {
-        if let Some(head) = self.queue.front_mut() {
-            head.retries += 1;
-            if head.retries > self.cfg.max_retries {
-                let dropped = self.queue.pop_front().expect("head exists");
-                ctx.report_drop_with(dropped.sdu.id, reason);
-                self.cw = self.cfg.base_cw;
-            }
-        }
-        self.backoff(ctx);
-    }
-
-    fn head_td(&self, ctx: &MacContext<'_>) -> Option<SimDuration> {
-        self.queue.front().map(|p| ctx.tx_duration(p.sdu.bits))
-    }
-
-    /// Conservative end of an overheard exchange when the pair delay is
-    /// unknown (an RTS without pair info): assume τmax everywhere.
-    fn conservative_exchange_end(
-        &self,
-        ctx: &MacContext<'_>,
-        control_slot: SlotIndex,
-        is_cts: bool,
-        td: SimDuration,
-    ) -> SimTime {
-        let clock = ctx.clock();
         let obs = ObservedNegotiation {
-            peer: self.id, // placeholders; only timing fields matter here
-            other: self.id,
-            peer_is_receiver: is_cts,
-            control_slot,
-            pair_delay: clock.tau_max(),
-            data_duration: td,
+            peer: info.src,
+            other: info.dst,
+            peer_is_receiver: info.kind == FrameKind::Cts,
+            control_slot: info.control_slot,
+            pair_delay,
+            data_duration: info.data_duration.unwrap_or_else(|| ctx.tx_duration(2_048)),
         };
-        obs.exchange_end(&clock)
+        if !self.try_extra(ctx, obs) {
+            self.core.attempt_failed(ctx, DropReason::HandshakeTimeout);
+        }
     }
 
-    fn record_overheard(&mut self, ctx: &mut MacContext<'_>, end: SimTime) {
-        let now = ctx.now();
-        self.overheard_ends.retain(|&e| e > now);
-        self.overheard_ends.push(end);
-        self.quiet.add(now, end);
-    }
-
-    /// The contention-failure path with the §4.2 twist: try an extra
-    /// communication against peer `j` before giving up.
-    fn try_extra_or_fail(
-        &mut self,
-        ctx: &mut MacContext<'_>,
-        obs: ObservedNegotiation,
-        exchange_end: SimTime,
-    ) {
-        let now = ctx.now();
-        self.overheard_ends.retain(|&e| e > now);
-        self.record_overheard(ctx, exchange_end);
-
+    /// Sends an EXR into `obs.peer`'s idle window if it provably fits.
+    fn try_extra(&mut self, ctx: &mut MacContext<'_>, obs: ObservedNegotiation) -> bool {
         // The paper protects only the exchange being exploited and accepts
         // residual RTS/extra collision risk ("we do not assure that there is
         // no collision"); actual overlaps are caught by the modem ledger.
-        let can_try = self.cfg.enable_extra && self.grant.is_none() && !self.queue.is_empty();
-        if can_try {
-            if let Some(tau_ij) = self.neighbors.delay_of(obs.peer) {
-                let clock = ctx.clock();
-                if let Some(send_at) =
-                    exr_send_time(&clock, &obs, now, tau_ij, self.cfg.effective_guard())
-                {
-                    let td = self.head_td(ctx).expect("queue checked non-empty");
-                    let exr =
-                        Frame::control(FrameKind::ExRts, self.id, obs.peer, ctx.control_bits())
-                            .with_data_duration(td)
-                            .with_pair_delay(tau_ij);
-                    ctx.send_frame_at(exr, send_at);
-                    self.extra_attempts += 1;
-                    // EXC should be back within a round trip plus decode.
-                    let timeout = send_at + tau_ij + tau_ij + ctx.omega() * 4;
-                    ctx.set_timer_at(timeout, TIMER_EXC);
-                    self.role = Role::ExtraRequesting { obs };
-                    return;
-                }
-            }
+        if !self.enable_extra || self.grant.is_some() {
+            return false;
         }
-        // No extra chance: plain contention failure.
-        self.role = Role::Idle;
-        self.attempt_failed(ctx, DropReason::HandshakeTimeout);
-    }
-
-    /// Handles an overheard negotiation packet (not addressed to me).
-    fn on_overheard_negotiation(&mut self, ctx: &mut MacContext<'_>, rx: &Reception<'_>) {
-        let frame = rx.frame;
-        let clock = ctx.clock();
-        let control_slot = clock.slot_of(frame.timestamp);
-        let is_cts = frame.kind == FrameKind::Cts;
-        let td = frame
-            .data_duration
-            .unwrap_or_else(|| ctx.tx_duration(2_048));
-        let exchange_end = match frame.pair_delay {
-            Some(pair_delay) => ObservedNegotiation {
-                peer: frame.src,
-                other: frame.dst,
-                peer_is_receiver: is_cts,
-                control_slot,
-                pair_delay,
-                data_duration: td,
-            }
-            .exchange_end(&clock),
-            None => self.conservative_exchange_end(ctx, control_slot, is_cts, td),
+        let (Some(head), Some(tau_ij)) = (
+            self.core.queue.front(),
+            self.core.neighbors.delay_of(obs.peer),
+        ) else {
+            return false;
         };
-
-        // Am I the contention loser this packet is telling about?
-        if let Role::Contending { peer, .. } = self.role {
-            if frame.src == peer {
-                // My target is negotiating with someone else — Fig 3's
-                // transition into "Asking Extra Commu".
-                if let Some(pair_delay) = frame.pair_delay {
-                    let obs = ObservedNegotiation {
-                        peer,
-                        other: frame.dst,
-                        peer_is_receiver: is_cts,
-                        control_slot,
-                        pair_delay,
-                        data_duration: td,
-                    };
-                    self.try_extra_or_fail(ctx, obs, exchange_end);
-                } else {
-                    self.role = Role::Idle;
-                    self.record_overheard(ctx, exchange_end);
-                    self.backoff(ctx);
-                }
-                return;
-            }
-        }
-        self.record_overheard(ctx, exchange_end);
+        let guard = self.guard();
+        let Some(send_at) = exr_send_time(&ctx.clock(), &obs, ctx.now(), tau_ij, guard) else {
+            return false;
+        };
+        let exr = Frame::control(FrameKind::ExRts, self.core.id, obs.peer, ctx.control_bits())
+            .with_data_duration(ctx.tx_duration(head.sdu.bits))
+            .with_pair_delay(tau_ij);
+        ctx.send_frame_at(exr, send_at);
+        self.extra_attempts += 1;
+        // EXC should be back within a round trip plus decode.
+        ctx.set_timer_at(send_at + tau_ij + tau_ij + ctx.omega() * 4, TIMER_EXC);
+        self.set_extra(Some(ExtraRole::Requesting(obs)));
+        true
     }
 
     /// Handles an EXR addressed to me: I'm sensor *j*, being asked to share
     /// my waiting window.
     fn on_extra_request(&mut self, ctx: &mut MacContext<'_>, rx: &Reception<'_>) {
-        if !self.cfg.enable_extra || self.grant.is_some() {
+        if !self.enable_extra || self.grant.is_some() {
             return;
         }
+        let requested = rx.frame.data_duration;
+        // Restate my own negotiation as an ObservedNegotiation so the
+        // shared timing checks apply.
+        let (other, peer_is_receiver, control_slot, data_duration) = match self.core.role {
+            // Receiving was entered at the CTS slot = data_slot - 1.
+            CoreRole::Receiving {
+                peer, data_slot, ..
+            } => (
+                peer,
+                true,
+                data_slot.saturating_sub(1),
+                requested.unwrap_or(SimDuration::ZERO),
+            ),
+            CoreRole::Contending {
+                peer, rts_slot, td, ..
+            } => (peer, false, rts_slot, td),
+            // The CTS already arrived, so the requester's EXR was cut fine
+            // — but the shareable window (until our Ack returns) still
+            // exists; treat it as the sender case anchored at the original
+            // RTS slot.
+            CoreRole::SendingData {
+                peer, data_slot, ..
+            } => {
+                let Some(head) = self.core.queue.front() else {
+                    return;
+                };
+                (
+                    peer,
+                    false,
+                    data_slot.saturating_sub(2),
+                    ctx.tx_duration(head.sdu.bits),
+                )
+            }
+            CoreRole::Idle => return, // no shareable window
+        };
+        let Some(pair_delay) = self.core.neighbors.delay_of(other) else {
+            return;
+        };
+        let my_obs = ObservedNegotiation {
+            peer: self.core.id,
+            other,
+            peer_is_receiver,
+            control_slot,
+            pair_delay,
+            data_duration,
+        };
         let now = ctx.now();
         let clock = ctx.clock();
-        // Reconstruct my own negotiation as an ObservedNegotiation so the
-        // shared timing checks apply.
-        let my_obs = match self.role {
-            Role::Receiving {
-                peer, data_slot, ..
-            } => {
-                let pair_delay = match self.neighbors.delay_of(peer) {
-                    Some(d) => d,
-                    None => return,
-                };
-                ObservedNegotiation {
-                    peer: self.id,
-                    other: peer,
-                    peer_is_receiver: true,
-                    // Receiving was entered at the CTS slot = data_slot - 1.
-                    control_slot: data_slot.saturating_sub(1),
-                    pair_delay,
-                    data_duration: rx.frame.data_duration.unwrap_or(SimDuration::ZERO),
-                }
-            }
-            Role::Contending {
-                peer, rts_slot, td, ..
-            } => {
-                let pair_delay = match self.neighbors.delay_of(peer) {
-                    Some(d) => d,
-                    None => return,
-                };
-                ObservedNegotiation {
-                    peer: self.id,
-                    other: peer,
-                    peer_is_receiver: false,
-                    control_slot: rts_slot,
-                    pair_delay,
-                    data_duration: td,
-                }
-            }
-            Role::SendingData {
-                peer, data_slot, ..
-            } => {
-                // The CTS already arrived, so the requester's EXR was cut
-                // fine — but the shareable window (until our Ack returns)
-                // still exists; treat it as the sender case anchored at the
-                // original RTS slot.
-                let pair_delay = match self.neighbors.delay_of(peer) {
-                    Some(d) => d,
-                    None => return,
-                };
-                let td = match self.head_td(ctx) {
-                    Some(td) => td,
-                    None => return,
-                };
-                ObservedNegotiation {
-                    peer: self.id,
-                    other: peer,
-                    peer_is_receiver: false,
-                    control_slot: data_slot.saturating_sub(2),
-                    pair_delay,
-                    data_duration: td,
-                }
-            }
-            _ => return, // not in a state with a shareable window
-        };
-        if !exc_reply_ok(&clock, &my_obs, now, self.cfg.effective_guard()) {
+        let guard = self.guard();
+        if !exc_reply_ok(&clock, &my_obs, now, guard) {
             return;
         }
         let requester = rx.frame.src;
-        let exc = Frame::control(FrameKind::ExCts, self.id, requester, ctx.control_bits())
-            .with_pair_delay(rx.prop_delay)
-            .with_data_duration(rx.frame.data_duration.unwrap_or(SimDuration::ZERO));
+        let exc = Frame::control(
+            FrameKind::ExCts,
+            self.core.id,
+            requester,
+            ctx.control_bits(),
+        )
+        .with_pair_delay(rx.prop_delay)
+        .with_data_duration(requested.unwrap_or(SimDuration::ZERO));
         ctx.send_frame_now(exc);
-        self.grant = Some(ExtraGrant { from: requester });
-        let exdata_duration = rx.frame.data_duration.unwrap_or(clock.slot_len());
-        let timeout =
-            exdata_grant_timeout(&clock, &my_obs, exdata_duration, self.cfg.effective_guard());
+        self.set_grant(Some(requester));
+        let exdata_duration = requested.unwrap_or(clock.slot_len());
+        let timeout = exdata_grant_timeout(&clock, &my_obs, exdata_duration, guard);
         ctx.set_timer_at(timeout.max(now), TIMER_GRANT);
     }
 
-    /// Handles the EXC answering my EXR.
+    /// Handles the EXC answering my EXR: schedule the EXData per Eq 6.
     fn on_extra_clear(&mut self, ctx: &mut MacContext<'_>, rx: &Reception<'_>) {
-        let Role::ExtraRequesting { obs } = self.role else {
+        let Some(ExtraRole::Requesting(obs)) = self.extra else {
             return;
         };
         if rx.frame.src != obs.peer {
             return;
         }
         ctx.cancel_timer(TIMER_EXC);
-        let now = ctx.now();
-        let clock = ctx.clock();
-        let Some(tau_ij) = self.neighbors.delay_of(obs.peer) else {
-            self.role = Role::Idle;
-            self.backoff(ctx);
+        self.set_extra(None);
+        let Some(tau_ij) = self.core.neighbors.delay_of(obs.peer) else {
+            self.core.backoff(ctx);
             return;
         };
-        let send_at = exdata_send_time(&clock, &obs, tau_ij, self.cfg.effective_guard());
-        let Some(head) = self.queue.front() else {
-            self.role = Role::Idle;
+        let Some(head) = self.core.queue.front() else {
             return;
         };
-        if send_at <= now {
+        let send_at = exdata_send_time(&ctx.clock(), &obs, tau_ij, self.guard());
+        if send_at <= ctx.now() {
             // The window has already passed (long EXC turnaround).
-            self.role = Role::Idle;
-            self.backoff(ctx);
+            self.core.backoff(ctx);
             return;
         }
         let mut sdu = head.sdu;
         sdu.next_hop = obs.peer;
-        let mut frame = Frame::data(FrameKind::ExData, self.id, sdu);
+        let mut frame = Frame::data(FrameKind::ExData, self.core.id, sdu);
         if head.retries > 0 {
             frame = frame.as_retransmission();
         }
@@ -467,80 +285,7 @@ impl EwMac {
         ctx.send_frame_at(frame, send_at);
         let timeout = send_at + duration + tau_ij + tau_ij + ctx.omega() * 4;
         ctx.set_timer_at(timeout, TIMER_EXACK);
-        self.role = Role::ExtraSending { obs };
-    }
-
-    fn maybe_answer_rts_inbox(&mut self, ctx: &mut MacContext<'_>, slot: SlotIndex) {
-        let clock = ctx.clock();
-        let now = ctx.now();
-        let candidates: Vec<RtsCandidate> = self
-            .rts_inbox
-            .drain(..)
-            .filter(|c| c.sent_slot + 1 == slot)
-            .collect();
-        if candidates.is_empty() {
-            return;
-        }
-        if self.role != Role::Idle || self.grant.is_some() {
-            return;
-        }
-        // Fig 3 "Checking Scheduling": the whole exchange must fit outside
-        // known quiet windows.
-        if self.quiet.overlaps(now, clock.start_of(slot + 2)) {
-            return;
-        }
-        let keyed: Vec<(u32, u32)> = candidates
-            .iter()
-            .map(|c| (c.src.index() as u32, c.rp))
-            .collect();
-        let Some(winner_idx) = pick_winner(&keyed) else {
-            return;
-        };
-        let winner = candidates[winner_idx];
-        let cts = Frame::control(FrameKind::Cts, self.id, winner.src, ctx.control_bits())
-            .with_pair_delay(winner.measured_delay)
-            .with_data_duration(winner.td);
-        ctx.send_frame_now(cts);
-        let data_slot = slot + 1;
-        let ack_slot = clock.ack_slot(data_slot, winner.td, winner.measured_delay);
-        self.role = Role::Receiving {
-            peer: winner.src,
-            data_slot,
-            ack_slot,
-            data_received: false,
-        };
-    }
-
-    fn maybe_start_contention(&mut self, ctx: &mut MacContext<'_>, slot: SlotIndex) {
-        if self.role != Role::Idle
-            || self.grant.is_some()
-            || self.queue.is_empty()
-            || slot < self.next_attempt_slot
-        {
-            return;
-        }
-        let now = ctx.now();
-        if self.quiet.is_quiet(now) {
-            return;
-        }
-        let (td, bundle) = self.bundle_plan(ctx);
-        let head = self.queue.front_mut().expect("checked non-empty");
-        let waited = slot.saturating_sub(*head.first_attempt_slot.get_or_insert(slot));
-        let peer = head.sdu.next_hop;
-        let rp = priority_value(ctx.rng(), &self.cfg, waited);
-        let mut rts = Frame::control(FrameKind::Rts, self.id, peer, ctx.control_bits())
-            .with_rp(rp)
-            .with_data_duration(td);
-        if let Some(tau) = self.neighbors.delay_of(peer) {
-            rts = rts.with_pair_delay(tau);
-        }
-        ctx.send_frame_now(rts);
-        self.role = Role::Contending {
-            peer,
-            rts_slot: slot,
-            td,
-            bundle,
-        };
+        self.set_extra(Some(ExtraRole::Sending(obs)));
     }
 }
 
@@ -564,7 +309,7 @@ impl MacProtocol for EwMac {
 
     fn install_neighbors(&mut self, neighbors: &[(NodeId, SimDuration)]) {
         for &(id, delay) in neighbors {
-            self.neighbors.observe(id, delay, SimTime::ZERO);
+            self.core.neighbors.observe(id, delay, SimTime::ZERO);
         }
     }
 
@@ -573,277 +318,89 @@ impl MacProtocol for EwMac {
         // worst-case timing error or EXData transmissions would spill into
         // reserved slot phases. Keep the larger of a caller-set margin and
         // the world's announced bound.
-        self.cfg.sync_margin = self.cfg.sync_margin.max(bound);
+        self.sync_margin = self.sync_margin.max(bound);
     }
 
     fn on_slot_start(&mut self, ctx: &mut MacContext<'_>, slot: SlotIndex) {
-        let now = ctx.now();
-        self.quiet.prune(now);
-        self.overheard_ends.retain(|&e| e > now);
-        // A node that transmits in the role-handling phase has spent this
-        // boundary: answering an RTS or starting contention in the same
-        // instant would double-book the modem.
-        let mut transmitted = false;
-
-        match self.role {
-            Role::Receiving {
-                peer,
-                ack_slot,
-                data_received,
-                ..
-            } => {
-                if slot == ack_slot {
-                    if data_received {
-                        let ack = Frame::control(FrameKind::Ack, self.id, peer, ctx.control_bits());
-                        ctx.send_frame_now(ack);
-                        transmitted = true;
-                    }
-                    self.role = Role::Idle;
-                } else if slot > ack_slot {
-                    // Shouldn't happen (handled at equality), but never wedge.
-                    self.role = Role::Idle;
-                }
-            }
-            Role::SendingData {
-                peer,
-                data_slot,
-                ack_slot,
-                bundle,
-            } => {
-                if slot == data_slot {
-                    let head = self.queue.front().expect("SendingData with empty queue");
-                    let retx = head.retries > 0;
-                    let mut sdu = head.sdu;
-                    sdu.next_hop = peer;
-                    let extra: Vec<Sdu> = self
-                        .queue
-                        .iter()
-                        .take(bundle.max(1))
-                        .skip(1)
-                        .map(|p| {
-                            let mut s = p.sdu;
-                            s.next_hop = peer;
-                            s
-                        })
-                        .collect();
-                    let mut frame = Frame::data(FrameKind::Data, self.id, sdu).with_bundle(extra);
-                    if retx {
-                        frame = frame.as_retransmission();
-                    }
-                    ctx.send_frame_now(frame);
-                    transmitted = true;
-                } else if slot > ack_slot {
-                    // The Ack should have arrived during ack_slot.
-                    self.attempt_failed(ctx, DropReason::RetryExhausted);
-                    self.role = Role::Idle;
-                }
-            }
-            Role::Contending { rts_slot, .. } => {
-                if slot >= rts_slot + 2 {
-                    // No CTS and no extra path engaged: contention failed.
-                    // This consumes the retry budget so an unreachable next
-                    // hop (drifted away) cannot be re-contended forever.
-                    self.role = Role::Idle;
-                    self.attempt_failed(ctx, DropReason::HandshakeTimeout);
-                }
-            }
-            Role::Idle | Role::ExtraRequesting { .. } | Role::ExtraSending { .. } => {}
-        }
-
-        if transmitted {
-            self.rts_inbox.retain(|c| c.sent_slot + 1 != slot);
-            return;
-        }
-        self.maybe_answer_rts_inbox(ctx, slot);
-        self.maybe_start_contention(ctx, slot);
+        let _ = self.core.on_slot_start(ctx, slot);
     }
 
     fn on_enqueue(&mut self, _ctx: &mut MacContext<'_>, sdu: Sdu) {
-        self.queue.push_back(PendingSdu {
-            sdu,
-            retries: 0,
-            first_attempt_slot: None,
-        });
+        self.core.on_enqueue(sdu);
     }
 
     fn on_frame_received(&mut self, ctx: &mut MacContext<'_>, rx: &Reception<'_>) {
-        // §4.3: every reception refreshes the one-hop delay table.
-        self.neighbors
-            .observe(rx.frame.src, rx.prop_delay, ctx.now());
-
-        let frame = rx.frame;
-        let to_me = rx.addressed_to(self.id);
-        match frame.kind {
-            FrameKind::Rts => {
-                if to_me {
-                    self.rts_inbox.push(RtsCandidate {
-                        src: frame.src,
-                        rp: frame.rp,
-                        td: frame
-                            .data_duration
-                            .unwrap_or_else(|| ctx.tx_duration(2_048)),
-                        sent_slot: ctx.clock().slot_of(frame.timestamp),
-                        measured_delay: rx.prop_delay,
-                    });
-                } else {
-                    self.on_overheard_negotiation(ctx, rx);
-                }
-            }
-            FrameKind::Cts => {
-                if to_me {
-                    if let Role::Contending {
-                        peer,
-                        rts_slot,
-                        td,
-                        bundle,
-                    } = self.role
-                    {
-                        if frame.src == peer {
-                            let clock = ctx.clock();
-                            let data_slot = rts_slot + 2;
-                            let ack_slot = clock.ack_slot(data_slot, td, rx.prop_delay);
-                            self.role = Role::SendingData {
-                                peer,
-                                data_slot,
-                                ack_slot,
-                                bundle,
-                            };
-                        }
-                    }
-                } else {
-                    self.on_overheard_negotiation(ctx, rx);
-                }
-            }
-            FrameKind::Data => {
-                if to_me {
-                    if let Role::Receiving {
-                        peer,
-                        data_slot,
-                        ack_slot,
-                        data_received,
-                    } = self.role
-                    {
-                        if frame.src == peer && !data_received {
-                            self.role = Role::Receiving {
-                                peer,
-                                data_slot,
-                                ack_slot,
-                                data_received: true,
-                            };
-                        }
-                    }
-                }
-                // Overheard data needs no action: the quiet window from its
-                // negotiation already covers it.
-            }
-            FrameKind::Ack => {
-                if to_me {
-                    if let Role::SendingData { peer, bundle, .. } = self.role {
-                        if frame.src == peer {
-                            self.succeed(bundle);
-                            self.role = Role::Idle;
-                        }
-                    }
-                }
-            }
-            FrameKind::ExRts => {
-                if to_me {
-                    self.on_extra_request(ctx, rx);
-                } else {
-                    // §4.2 tail note: hearing someone else's extra control
-                    // packet imposes quiet after our own exchange.
-                    let until = ctx.now() + ctx.clock().slot_len() * 2;
-                    self.quiet.add(ctx.now(), until);
-                }
-            }
-            FrameKind::ExCts => {
-                if to_me {
-                    self.on_extra_clear(ctx, rx);
-                } else {
-                    let until = ctx.now() + ctx.clock().slot_len() * 2;
-                    self.quiet.add(ctx.now(), until);
-                }
-            }
-            FrameKind::ExData => {
-                if to_me {
-                    if let Some(grant) = self.grant {
-                        if grant.from == frame.src {
-                            let exack = Frame::control(
-                                FrameKind::ExAck,
-                                self.id,
-                                frame.src,
-                                ctx.control_bits(),
-                            );
-                            ctx.send_frame_now(exack);
-                            ctx.cancel_timer(TIMER_GRANT);
-                            self.grant = None;
-                        }
-                    }
-                }
-            }
-            FrameKind::ExAck => {
-                if to_me {
-                    if let Role::ExtraSending { obs } = self.role {
-                        if frame.src == obs.peer {
-                            ctx.cancel_timer(TIMER_EXACK);
-                            self.extra_successes += 1;
-                            // Extras stay unaggregated: the waiting window
-                            // is sized for one SDU.
-                            self.succeed(1);
-                            self.role = Role::Idle;
-                        }
-                    }
-                }
-            }
-            FrameKind::Beacon | FrameKind::Rta => {
-                // Delay table already refreshed above; EW-MAC has no other
-                // use for these.
-            }
+        if let CoreEvent::LostContention(info) = self.core.on_frame_received(ctx, rx) {
+            self.on_lost_contention(ctx, info);
+            return;
         }
-    }
-
-    fn on_timer(&mut self, ctx: &mut MacContext<'_>, token: TimerToken) {
-        match token {
-            TIMER_EXC => {
-                if let Role::ExtraRequesting { .. } = self.role {
-                    // No EXC: give up the extra chance, stay quiet (the
-                    // quiet window from the overheard negotiation is
-                    // already in place), count the failed attempt.
-                    self.role = Role::Idle;
-                    self.attempt_failed(ctx, DropReason::HandshakeTimeout);
-                }
+        let frame = rx.frame;
+        match (frame.kind, rx.addressed_to(self.core.id)) {
+            (FrameKind::ExRts, true) => self.on_extra_request(ctx, rx),
+            (FrameKind::ExCts, true) => self.on_extra_clear(ctx, rx),
+            (FrameKind::ExRts | FrameKind::ExCts, false) => {
+                // §4.2 tail note: hearing someone else's extra control
+                // packet imposes quiet after our own exchange.
+                let now = ctx.now();
+                self.core.quiet.add(now, now + ctx.clock().slot_len() * 2);
             }
-            TIMER_EXACK => {
-                if let Role::ExtraSending { .. } = self.role {
-                    self.attempt_failed(ctx, DropReason::RetryExhausted);
-                    self.role = Role::Idle;
-                }
+            (FrameKind::ExData, true) if self.grant == Some(frame.src) => {
+                let exack = Frame::control(
+                    FrameKind::ExAck,
+                    self.core.id,
+                    frame.src,
+                    ctx.control_bits(),
+                );
+                ctx.send_frame_now(exack);
+                ctx.cancel_timer(TIMER_GRANT);
+                self.set_grant(None);
             }
-            TIMER_GRANT => {
-                self.grant = None;
+            (FrameKind::ExAck, true) => {
+                if let Some(ExtraRole::Sending(obs)) = self.extra {
+                    if frame.src == obs.peer {
+                        ctx.cancel_timer(TIMER_EXACK);
+                        self.extra_successes += 1;
+                        // Extras stay unaggregated: the waiting window is
+                        // sized for one SDU.
+                        self.core.succeed(1);
+                        self.set_extra(None);
+                    }
+                }
             }
             _ => {}
         }
     }
 
+    fn on_timer(&mut self, ctx: &mut MacContext<'_>, token: TimerToken) {
+        match (token, self.extra) {
+            (TIMER_EXC, Some(ExtraRole::Requesting(_))) => {
+                // No EXC: give up the extra chance, stay quiet (the quiet
+                // window from the overheard negotiation is already in
+                // place), count the failed attempt.
+                self.set_extra(None);
+                self.core.attempt_failed(ctx, DropReason::HandshakeTimeout);
+            }
+            (TIMER_EXACK, Some(ExtraRole::Sending(_))) => {
+                self.core.attempt_failed(ctx, DropReason::RetryExhausted);
+                self.set_extra(None);
+            }
+            (TIMER_GRANT, _) => self.set_grant(None),
+            _ => {}
+        }
+    }
+
     fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.core.queue.len()
     }
 
     fn state_label(&self) -> &'static str {
-        match self.role {
-            Role::Idle => "idle",
-            Role::Contending { .. } => "contending",
-            Role::SendingData { .. } => "sending-data",
-            Role::Receiving { .. } => "receiving",
-            Role::ExtraRequesting { .. } => "extra-requesting",
-            Role::ExtraSending { .. } => "extra-sending",
+        match self.extra {
+            Some(ExtraRole::Requesting(_)) => "extra-requesting",
+            Some(ExtraRole::Sending(_)) => "extra-sending",
+            None => self.core.role.label(),
         }
     }
 }
-
-// Re-export Rng for the backoff's gen_range call site.
-use rand::Rng;
 
 #[cfg(test)]
 mod tests {
@@ -882,7 +439,7 @@ mod tests {
         fn ctx_at<F: FnOnce(&mut EwMac, &mut MacContext<'_>)>(&mut self, now: SimTime, f: F) {
             let mut ctx = MacContext::new(
                 now,
-                self.mac.id,
+                self.mac.core.id,
                 self.clock,
                 self.spec,
                 64,
@@ -1006,7 +563,7 @@ mod tests {
         );
         h.recv(ack, SimDuration::from_millis(400));
         assert_eq!(h.mac.queue_len(), 0, "SDU delivered");
-        assert_eq!(h.mac.role, Role::Idle);
+        assert_eq!(h.mac.state_label(), "idle");
     }
 
     #[test]
@@ -1045,7 +602,7 @@ mod tests {
         // Eq 5: ack at slot 3.
         h.slot(3);
         assert_eq!(h.sent_kinds(), [FrameKind::Ack]);
-        assert_eq!(h.mac.role, Role::Idle);
+        assert_eq!(h.mac.state_label(), "idle");
     }
 
     #[test]
@@ -1131,7 +688,7 @@ mod tests {
             .expect("EXR sent after losing contention");
         assert_eq!(exr.0.dst, NodeId::new(5));
         assert_eq!(h.mac.extra_attempts(), 1);
-        assert!(matches!(h.mac.role, Role::ExtraRequesting { .. }));
+        assert_eq!(h.mac.state_label(), "extra-requesting");
 
         // EXC comes back quickly.
         let mut exc = Frame::control(FrameKind::ExCts, NodeId::new(5), NodeId::new(0), 64)
@@ -1161,7 +718,7 @@ mod tests {
         h.recv(exack, SimDuration::from_millis(300));
         assert_eq!(h.mac.queue_len(), 0);
         assert_eq!(h.mac.extra_successes(), 1);
-        assert_eq!(h.mac.role, Role::Idle);
+        assert_eq!(h.mac.state_label(), "idle");
     }
 
     #[test]
@@ -1183,7 +740,7 @@ mod tests {
         h.recv(cts, SimDuration::from_millis(300));
         let kinds: Vec<FrameKind> = h.sent_kinds();
         assert!(kinds.is_empty(), "no EXR with extra disabled: {kinds:?}");
-        assert_eq!(h.mac.role, Role::Idle);
+        assert_eq!(h.mac.state_label(), "idle");
         assert_eq!(h.mac.extra_attempts(), 0);
     }
 
@@ -1210,7 +767,7 @@ mod tests {
         h.recv(exr, SimDuration::from_millis(300));
         let kinds = h.sent_kinds();
         assert_eq!(kinds, [FrameKind::ExCts], "grant issued");
-        assert!(h.mac.grant.is_some());
+        assert!(h.mac.core.hold, "the grant holds the core");
 
         // Data from 7 arrives in slot 2; node 5 acks at slot 3.
         let data = stamped(
@@ -1249,7 +806,7 @@ mod tests {
         exdata.timestamp = clock.start_of(3) + SimDuration::from_millis(100);
         h.recv(exdata, SimDuration::from_millis(300));
         assert_eq!(h.sent_kinds(), [FrameKind::ExAck]);
-        assert!(h.mac.grant.is_none());
+        assert!(!h.mac.core.hold, "the grant is released");
     }
 
     #[test]
@@ -1301,9 +858,9 @@ mod tests {
         // No Ack in slot 3; at slot 4 the sender gives up this attempt.
         h.slot(3);
         h.slot(4);
-        assert_eq!(h.mac.role, Role::Idle);
+        assert_eq!(h.mac.state_label(), "idle");
         assert_eq!(h.mac.queue_len(), 1, "SDU kept for retry");
-        assert_eq!(h.mac.queue.front().unwrap().retries, 1);
+        assert_eq!(h.mac.core.queue.front().unwrap().retries, 1);
         // Eventually it re-contends, and the Data goes out flagged retx.
         let mut sent_retx = false;
         for slot in 5..40 {
@@ -1336,10 +893,8 @@ mod tests {
 
     #[test]
     fn sdu_dropped_after_max_retries() {
-        let cfg = EwMacConfig {
-            max_retries: 1,
-            ..EwMacConfig::default()
-        };
+        let mut cfg = EwMacConfig::default();
+        cfg.core.max_retries = 1;
         let mut h = Harness::with_cfg(0, cfg);
         h.mac
             .install_neighbors(&[(NodeId::new(5), SimDuration::from_millis(400))]);
@@ -1390,9 +945,9 @@ mod tests {
             1,
         );
         h.recv(cts, SimDuration::from_millis(300));
-        assert!(matches!(h.mac.role, Role::ExtraRequesting { .. }));
+        assert_eq!(h.mac.state_label(), "extra-requesting");
         h.timer(clock.start_of(3), TIMER_EXC);
-        assert_eq!(h.mac.role, Role::Idle);
+        assert_eq!(h.mac.state_label(), "idle");
         assert_eq!(h.mac.queue_len(), 1, "SDU survives for normal retry");
     }
 

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use uasn_ewmac::extra::{
     exc_reply_ok, exdata_grant_timeout, exdata_send_time, exr_send_time, ObservedNegotiation,
 };
-use uasn_ewmac::priority::pick_winner;
 use uasn_net::node::NodeId;
+use uasn_net::priority::pick_winner;
 use uasn_net::slots::SlotClock;
 use uasn_sim::time::SimDuration;
 

@@ -13,6 +13,8 @@
 //! * [`neighbor`] — one-hop (EW-MAC) and two-hop (ROPA/CS-MAC) delay tables.
 //! * [`mac`] — the [`mac::MacProtocol`] trait, context, and
 //!   maintenance-cost profiles.
+//! * [`slotted`] — the slotted RTS/CTS/Data/Ack handshake every slotted
+//!   MAC shares, with [`quiet`] windows and the [`priority`] (`rp`) rule.
 //! * [`world`] — the event-driven network simulator
 //!   ([`world::Simulation`]).
 //! * [`metrics`] — the paper's measurement axes (Eq 2–4, §5.2–§5.3).
@@ -48,10 +50,12 @@ pub mod metrics;
 pub mod neighbor;
 pub mod node;
 pub mod packet;
+pub mod priority;
 pub mod quiet;
 pub mod routing;
 pub mod sampling;
 pub mod slots;
+pub mod slotted;
 pub mod topology;
 pub mod traffic;
 pub mod world;
