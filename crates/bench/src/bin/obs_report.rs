@@ -8,10 +8,10 @@
 //!   obs_report --trace <trace.jsonl>    summarise a trace alone
 //!   obs_report audit <manifest.json>    invariant-check the manifest's
 //!                                       trace file + slowest journeys
-//!   obs_report profile <file.json>      render performance profile(s):
+//!   obs_report profile <file.json>      render a performance profile:
 //!                                       accepts a manifest with a
-//!                                       `stats.profile`, a BENCH_perf.json,
-//!                                       or a bare ProfileReport document
+//!                                       `stats.profile` or a bare
+//!                                       ProfileReport document
 //!   obs_report forensics <file.json>    render drop forensics: invariant
 //!                                       findings and the causal verdict
 //!                                       histogram from a manifest with a
@@ -568,10 +568,9 @@ fn render_forensics(totals: &MonitorTotals) {
     }
 }
 
-/// Renders the performance profile(s) found in `path`. Three document
-/// shapes are accepted: a bare `ProfileReport` JSON, a run manifest whose
-/// `stats.profile` carries one, and a `BENCH_perf.json` whose scenarios
-/// each carry one.
+/// Renders the performance profile found in `path`. Two document shapes
+/// are accepted: a bare `ProfileReport` JSON and a run manifest whose
+/// `stats.profile` carries one.
 fn profile_command(path: &Path) -> ExitCode {
     let doc = match load_json(path) {
         Ok(doc) => doc,
@@ -610,52 +609,9 @@ fn profile_command(path: &Path) -> ExitCode {
         render_profile(&report);
         return ExitCode::SUCCESS;
     }
-    if let Some(scenarios) = doc.get("scenarios").and_then(JsonValue::as_array) {
-        let mut rendered = 0usize;
-        for scenario in scenarios {
-            let Some(profile) = scenario.get("profile") else {
-                continue;
-            };
-            let name = scenario
-                .get("name")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?");
-            let protocol = scenario
-                .get("protocol")
-                .and_then(JsonValue::as_str)
-                .unwrap_or("?");
-            let Some(report) = ProfileReport::from_json(profile) else {
-                eprintln!("scenario {name}-{protocol}: profile does not decode");
-                return ExitCode::FAILURE;
-            };
-            if rendered > 0 {
-                println!();
-            }
-            print!("[{name}-{protocol}]");
-            if let Some(pct) = scenario
-                .get("profiled")
-                .and_then(|p| p.get("overhead_pct"))
-                .and_then(JsonValue::as_f64)
-            {
-                print!(" (profiling overhead {pct:+.1}%)");
-            }
-            println!();
-            render_profile(&report);
-            rendered += 1;
-        }
-        if rendered == 0 {
-            eprintln!(
-                "{} has no per-scenario profiles; re-run the perf bin \
-                 (it records them by default)",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
-    }
     eprintln!(
-        "{}: no profile found — expected a ProfileReport, a manifest with \
-         `stats.profile`, or a BENCH_perf.json with scenario profiles",
+        "{}: no profile found — expected a ProfileReport or a manifest \
+         with `stats.profile`",
         path.display()
     );
     ExitCode::FAILURE

@@ -142,7 +142,7 @@ impl CellOutput {
                 "stats_wall_ns".to_string(),
                 JsonValue::from_u64(self.stats.wall.as_nanos() as u64),
             ),
-            ("trace".to_string(), trace_to_json(&self.trace)),
+            ("trace".to_string(), self.trace.to_json()),
             ("delivery_us".to_string(), self.delivery_hist.to_json()),
             ("e2e_us".to_string(), self.e2e_hist.to_json()),
         ];
@@ -197,7 +197,7 @@ impl CellOutput {
             e2e_delivery_ratio: values[13],
             e2e_latency_p90_s: values[14],
             stats,
-            trace: trace_from_json(doc.get("trace")?)?,
+            trace: TraceHealth::from_json(doc.get("trace")?)?,
             profile,
             monitor,
             delivery_hist: LogHistogram::from_json(doc.get("delivery_us")?)?,
@@ -208,44 +208,6 @@ impl CellOutput {
             },
         })
     }
-}
-
-fn trace_to_json(health: &TraceHealth) -> JsonValue {
-    let mut pairs = vec![
-        (
-            "capture_dropped".to_string(),
-            JsonValue::from_u64(health.capture_dropped),
-        ),
-        (
-            "ring_evicted".to_string(),
-            JsonValue::from_u64(health.ring_evicted),
-        ),
-        (
-            "io_errors".to_string(),
-            JsonValue::from_u64(health.io_errors),
-        ),
-        (
-            "jsonl_lines".to_string(),
-            JsonValue::from_u64(health.jsonl_lines),
-        ),
-    ];
-    if let Some(err) = &health.first_io_error {
-        pairs.push(("first_io_error".to_string(), JsonValue::from_string(err)));
-    }
-    JsonValue::Object(pairs)
-}
-
-fn trace_from_json(doc: &JsonValue) -> Option<TraceHealth> {
-    Some(TraceHealth {
-        capture_dropped: doc.get("capture_dropped")?.as_u64()?,
-        ring_evicted: doc.get("ring_evicted")?.as_u64()?,
-        io_errors: doc.get("io_errors")?.as_u64()?,
-        jsonl_lines: doc.get("jsonl_lines")?.as_u64()?,
-        first_io_error: doc
-            .get("first_io_error")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string),
-    })
 }
 
 /// Runs one seeded replication of `(cfg, protocol)`.
@@ -440,22 +402,5 @@ mod tests {
             (b.throughput_kbps, b.collisions, b.latency_s),
             "different seeds draw different randomness"
         );
-    }
-
-    #[test]
-    fn trace_health_round_trips() {
-        let health = TraceHealth {
-            capture_dropped: 3,
-            ring_evicted: 1,
-            io_errors: 1,
-            first_io_error: Some("disk full".to_string()),
-            jsonl_lines: 42,
-        };
-        assert_eq!(
-            trace_from_json(&trace_to_json(&health)),
-            Some(health.clone())
-        );
-        let clean = TraceHealth::default();
-        assert_eq!(trace_from_json(&trace_to_json(&clean)), Some(clean));
     }
 }

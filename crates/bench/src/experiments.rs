@@ -1,12 +1,12 @@
-//! The experiment definitions: one function per table/figure of §5 plus
-//! the extensions (DESIGN.md experiment index).
+//! The experiment plumbing behind every table and figure of §5 plus the
+//! extensions (DESIGN.md experiment index).
 //!
-//! Since the `uasn-lab` orchestration layer landed, each experiment is
-//! *declared* in [`crate::figures::REGISTRY`] and the functions here are
-//! thin wrappers that run a registry entry sequentially ([`run_spec`]).
-//! Aggregation lives in [`assemble`], which both the sequential path and
-//! the parallel grid path share — so a figure regenerated cell-by-cell on
-//! N workers is byte-identical to one produced here.
+//! Each experiment is *declared* in [`crate::figures::REGISTRY`];
+//! [`run_spec`] runs a registry entry sequentially, and the `uasn-lab`
+//! grid (`lab run --figures <id>`) runs it cell by cell in parallel.
+//! Aggregation lives in [`assemble`], which both paths share — so a figure
+//! regenerated cell-by-cell on N workers is byte-identical to one produced
+//! by [`run_spec`].
 //!
 //! All §5 experiments run with the paper's location models enabled (each
 //! node randomly static / horizontal drift / vertical drift, ≤1 m/s —
@@ -21,7 +21,7 @@ use std::path::Path;
 
 use uasn_net::config::SimConfig;
 
-use crate::figures::{by_id, FigureSpec};
+use crate::figures::FigureSpec;
 use crate::manifest::{RunManifest, StatsAggregate};
 use crate::protocols::Protocol;
 use crate::report::{FigureResult, Series};
@@ -130,112 +130,9 @@ pub fn run_spec(spec: &FigureSpec, seeds: u64) -> ExperimentRun {
     })
 }
 
-fn registry_run(id: &str, seeds: u64) -> ExperimentRun {
-    run_spec(by_id(id).expect("registered figure id"), seeds)
-}
-
 /// The offered-load x-axis used by Figures 6 and 11 (extended past the
 /// paper's 1.0 because this reproduction's saturation point sits higher).
 pub const LOAD_AXIS: [f64; 9] = [0.1, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.6, 2.0];
-
-/// Figure 6: throughput vs offered load, 60 sensors.
-pub fn fig6_throughput_vs_load(seeds: u64) -> ExperimentRun {
-    registry_run("F6", seeds)
-}
-
-/// Figure 7: throughput vs node count at high load; density realised by
-/// packing more layers into the fixed column volume.
-pub fn fig7_throughput_vs_density(seeds: u64) -> ExperimentRun {
-    registry_run("F7", seeds)
-}
-
-/// Figure 8: execution time (batch completion) vs offered load.
-pub fn fig8_execution_time(seeds: u64) -> ExperimentRun {
-    registry_run("F8", seeds)
-}
-
-/// Figure 9a: energy per delivered information vs offered load, 80 sensors
-/// (§5.2 compares consumption "when they transmit varied amounts of
-/// information").
-pub fn fig9a_power_vs_load(seeds: u64) -> ExperimentRun {
-    registry_run("F9a", seeds)
-}
-
-/// Figure 9b: energy per delivered information vs node count at load 0.3.
-pub fn fig9b_power_vs_density(seeds: u64) -> ExperimentRun {
-    registry_run("F9b", seeds)
-}
-
-/// Figure 10a: overhead ratio vs node count at load 0.5 (S-FAMA = 1).
-pub fn fig10a_overhead_vs_density(seeds: u64) -> ExperimentRun {
-    registry_run("F10a", seeds)
-}
-
-/// Figure 10b: overhead ratio vs offered load among 200 sensors.
-pub fn fig10b_overhead_vs_load(seeds: u64) -> ExperimentRun {
-    registry_run("F10b", seeds)
-}
-
-/// Figure 11: efficiency index (Eq 4, throughput per unit power) vs load,
-/// normalized so S-FAMA = 1.
-pub fn fig11_efficiency(seeds: u64) -> ExperimentRun {
-    registry_run("F11", seeds)
-}
-
-/// Extension X1: throughput vs data packet size (Table 2's 1024–4096-bit
-/// sweep; §2's large-packet argument).
-pub fn x1_packet_size(seeds: u64) -> ExperimentRun {
-    registry_run("X1", seeds)
-}
-
-/// Extension X2: EW-MAC's mobility sensitivity (§5's closing caveat: the
-/// protocol assumes stable pairwise delays).
-pub fn x2_mobility(seeds: u64) -> ExperimentRun {
-    registry_run("X2", seeds)
-}
-
-/// Extension X3: mixed packet sizes — §4.3's "data packets are not bound
-/// by a fixed data size", exercised as a uniform 512–4096-bit draw per SDU
-/// against the fixed-size default at the same mean offered bits.
-pub fn x3_mixed_sizes(seeds: u64) -> ExperimentRun {
-    registry_run("X3", seeds)
-}
-
-/// Extension X4: in-simulation Hello phase instead of oracle neighbour
-/// installation (§4.3) — the cost of *learning* the delays, which mainly
-/// disarms CS-MAC's two-hop-dependent stealing.
-pub fn x4_hello_init(seeds: u64) -> ExperimentRun {
-    registry_run("X4", seeds)
-}
-
-/// Extension X5: source-level fairness (Jain index over per-origin
-/// delivered bits) — §3.1's stated purpose for the rp priority value.
-pub fn x5_fairness(seeds: u64) -> ExperimentRun {
-    registry_run("X5", seeds)
-}
-
-/// Extension X6: bandwidth utilization — the paper's title metric: the
-/// share of the window a modem spends carrying signal instead of waiting.
-pub fn x6_utilization(seeds: u64) -> ExperimentRun {
-    registry_run("X6", seeds)
-}
-
-/// Extension X7: SDU aggregation — §2's collect-then-transmit argument made
-/// dynamic: bundling queued same-next-hop SDUs into one Eq-5 data frame.
-pub fn x7_aggregation(seeds: u64) -> ExperimentRun {
-    registry_run("X7", seeds)
-}
-
-/// Extension X8: two-ray surface reverberation on a shallow coastal
-/// column — how much shallow-water multipath costs each protocol.
-pub fn x8_multipath(seeds: u64) -> ExperimentRun {
-    registry_run("X8", seeds)
-}
-
-/// Ablation: what the extra-communication machinery buys EW-MAC.
-pub fn ablation_extra(seeds: u64) -> ExperimentRun {
-    registry_run("ABL", seeds)
-}
 
 /// Divides every series by the S-FAMA series pointwise (the paper's ratio
 /// presentations, Figs 10 and 11).

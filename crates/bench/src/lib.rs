@@ -4,7 +4,8 @@
 //! index lives in DESIGN.md; measured-vs-paper comparisons in
 //! EXPERIMENTS.md). The library provides the protocol roster, the
 //! replicated runner, and figure/table formatting; the `src/bin` targets
-//! regenerate individual artifacts; `benches/` holds the Criterion wiring.
+//! regenerate individual artifacts. Performance is measured by the
+//! standalone `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -16,7 +17,6 @@ pub mod figures;
 pub mod grid;
 pub mod manifest;
 pub mod paths;
-pub mod perf;
 pub mod protocols;
 pub mod report;
 pub mod runner;
@@ -29,13 +29,3 @@ pub use manifest::{RunManifest, StatsAggregate};
 pub use protocols::Protocol;
 pub use report::{FigureResult, Series};
 pub use runner::{run_once, run_once_full, run_replicated, Summary, DEFAULT_SEEDS};
-
-/// A miniature configuration for Criterion benches: the full stack (slots,
-/// handshakes, extras, energy, metrics) on a 12-sensor, 40-second network,
-/// so one run costs milliseconds instead of seconds.
-pub fn criterion_cfg() -> uasn_net::config::SimConfig {
-    uasn_net::config::SimConfig::paper_default()
-        .with_sensors(12)
-        .with_offered_load_kbps(0.5)
-        .with_sim_time(uasn_sim::time::SimDuration::from_secs(40))
-}

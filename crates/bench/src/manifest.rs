@@ -147,6 +147,14 @@ impl StatsAggregate {
                     .collect(),
             )
         };
+        // The trace codec's object plus the manifest's `lossless` verdict.
+        let mut trace = self.trace.to_json();
+        if let JsonValue::Object(pairs) = &mut trace {
+            pairs.push((
+                "lossless".to_string(),
+                JsonValue::Bool(self.trace.is_lossless()),
+            ));
+        }
         let mut fields = vec![
             ("runs".to_string(), JsonValue::from_u64(self.runs)),
             (
@@ -167,7 +175,7 @@ impl StatsAggregate {
             ),
             ("kind_counts".to_string(), pairs(&self.kind_counts)),
             ("stop_reasons".to_string(), pairs(&self.stop_reasons)),
-            ("trace".to_string(), trace_health_json(&self.trace)),
+            ("trace".to_string(), trace),
         ];
         if let Some(profile) = &self.profile {
             fields.push(("profile".to_string(), profile.to_json()));
@@ -263,36 +271,6 @@ impl MonitorTotals {
             verdicts,
         })
     }
-}
-
-/// Serialises a [`TraceHealth`] into the manifest's `trace` object.
-fn trace_health_json(health: &TraceHealth) -> JsonValue {
-    let mut pairs = vec![
-        (
-            "capture_dropped".to_string(),
-            JsonValue::from_u64(health.capture_dropped),
-        ),
-        (
-            "ring_evicted".to_string(),
-            JsonValue::from_u64(health.ring_evicted),
-        ),
-        (
-            "io_errors".to_string(),
-            JsonValue::from_u64(health.io_errors),
-        ),
-        (
-            "jsonl_lines".to_string(),
-            JsonValue::from_u64(health.jsonl_lines),
-        ),
-        (
-            "lossless".to_string(),
-            JsonValue::Bool(health.is_lossless()),
-        ),
-    ];
-    if let Some(err) = &health.first_io_error {
-        pairs.push(("first_io_error".to_string(), JsonValue::from_string(err)));
-    }
-    JsonValue::Object(pairs)
 }
 
 /// Flattens the interesting [`SimConfig`] knobs into `(key, value)` strings

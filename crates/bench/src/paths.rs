@@ -1,12 +1,10 @@
 //! Workspace-anchored artifact paths.
 //!
-//! Several binaries (the figure bins, `lab`, `perf`, `uasn-labd`) write
+//! Several binaries (`lab`, `trace_run`, `guard_ablation`, `labd`) write
 //! artifacts that must land in the *workspace*, not wherever the process
-//! happens to run. Each used to re-derive that anchoring on its own —
-//! `perf` chained `results_dir().parent()` — so the resolution rules lived
-//! in two places. This module is the single home: one walk from the
-//! compiled-in manifest dir to the workspace root, and every derived path
-//! ([`results_dir`], [`bench_perf_path`]) built from it.
+//! happens to run. This module is the single home for that anchoring: one
+//! walk from the compiled-in manifest dir to the workspace root
+//! ([`workspace_root`]), and [`results_dir`] built from it.
 
 use std::path::{Path, PathBuf};
 
@@ -39,16 +37,6 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// The committed perf-trajectory document, `<workspace
-/// root>/BENCH_perf.json` — deliberately *not* under [`results_dir`], and
-/// deliberately not affected by [`RESULTS_ENV`]: CI and local runs must
-/// update the same committed file even when results are redirected.
-pub fn bench_perf_path() -> PathBuf {
-    workspace_root()
-        .map(|root| root.join("BENCH_perf.json"))
-        .unwrap_or_else(|| PathBuf::from("BENCH_perf.json"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,7 +52,6 @@ mod tests {
     #[test]
     fn derived_paths_share_the_anchor() {
         let root = workspace_root().expect("root");
-        assert_eq!(bench_perf_path(), root.join("BENCH_perf.json"));
         // results_dir honours the env override; without it, same anchor.
         if std::env::var_os(RESULTS_ENV).is_none() {
             assert_eq!(results_dir(), root.join("results"));

@@ -492,65 +492,6 @@ impl ProfileReport {
             metrics: MetricsSnapshot::from_json(doc.get("metrics")?)?,
         })
     }
-
-    /// Flat CSV export: one `section,name,field,value` row per scalar, so a
-    /// spreadsheet can pivot a profile without JSON tooling.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("section,name,field,value\n");
-        let mut push = |section: &str, name: &str, field: &str, value: String| {
-            out.push_str(&format!("{section},{name},{field},{value}\n"));
-        };
-        push("report", "runs", "count", self.runs.to_string());
-        for (name, c) in &self.engine.handler {
-            push("handler", name, "sampled", c.sampled.to_string());
-            push("handler", name, "total_ns", c.total_ns.to_string());
-            push("handler", name, "max_ns", c.max_ns.to_string());
-        }
-        push("engine", "pop", "total_ns", self.engine.pop_ns.to_string());
-        push(
-            "engine",
-            "sampled_events",
-            "count",
-            self.engine.sampled_events.to_string(),
-        );
-        push(
-            "engine",
-            "slab",
-            "slots",
-            self.engine.slab_slots.to_string(),
-        );
-        push(
-            "engine",
-            "slab",
-            "reuses",
-            self.engine.slab_reuses.to_string(),
-        );
-        push(
-            "engine",
-            "scheduled",
-            "count",
-            self.engine.events_scheduled.to_string(),
-        );
-        for &(name, v) in &self.metrics.counters {
-            push("counter", name, "count", v.to_string());
-        }
-        for &(name, v) in &self.metrics.gauges {
-            push("gauge", name, "max", format!("{v}"));
-        }
-        for (name, h) in &self.metrics.hists {
-            push("hist", name, "count", h.count().to_string());
-            push("hist", name, "sum", h.sum().to_string());
-            if let (Some(min), Some(max), Some(p50), Some(p99)) =
-                (h.min(), h.max(), h.p50(), h.p99())
-            {
-                push("hist", name, "min", min.to_string());
-                push("hist", name, "max", max.to_string());
-                push("hist", name, "p50", p50.to_string());
-                push("hist", name, "p99", p99.to_string());
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -721,16 +662,5 @@ mod tests {
         assert_eq!(top[0].0, "dear");
         assert_eq!(top[1].0, "cheap");
         assert_eq!(top[0].1.mean_ns(), 900);
-    }
-
-    #[test]
-    fn csv_export_has_one_row_per_scalar() {
-        let report = sample_report(3);
-        let csv = report.to_csv();
-        assert!(csv.starts_with("section,name,field,value\n"));
-        assert!(csv.contains("handler,tx-start,total_ns,300\n"));
-        assert!(csv.contains("counter,alpha,count,3\n"));
-        assert!(csv.contains("hist,dist,count,3\n"));
-        assert!(csv.lines().all(|l| l.split(',').count() == 4));
     }
 }

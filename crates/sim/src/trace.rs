@@ -381,6 +381,46 @@ impl TraceHealth {
         }
         self.jsonl_lines += other.jsonl_lines;
     }
+
+    /// Serialises the report as a JSON object: the four counters in field
+    /// order, then `first_io_error` only when one was seen.
+    pub fn to_json(&self) -> JsonValue {
+        let mut pairs = vec![
+            (
+                "capture_dropped".to_string(),
+                JsonValue::from_u64(self.capture_dropped),
+            ),
+            (
+                "ring_evicted".to_string(),
+                JsonValue::from_u64(self.ring_evicted),
+            ),
+            ("io_errors".to_string(), JsonValue::from_u64(self.io_errors)),
+            (
+                "jsonl_lines".to_string(),
+                JsonValue::from_u64(self.jsonl_lines),
+            ),
+        ];
+        if let Some(err) = &self.first_io_error {
+            pairs.push(("first_io_error".to_string(), JsonValue::from_string(err)));
+        }
+        JsonValue::Object(pairs)
+    }
+
+    /// Reconstructs a report from its [`TraceHealth::to_json`] form. Keys
+    /// beyond those it writes are ignored. Returns `None` when a counter is
+    /// missing or not an unsigned integer.
+    pub fn from_json(doc: &JsonValue) -> Option<TraceHealth> {
+        Some(TraceHealth {
+            capture_dropped: doc.get("capture_dropped")?.as_u64()?,
+            ring_evicted: doc.get("ring_evicted")?.as_u64()?,
+            io_errors: doc.get("io_errors")?.as_u64()?,
+            jsonl_lines: doc.get("jsonl_lines")?.as_u64()?,
+            first_io_error: doc
+                .get("first_io_error")
+                .and_then(JsonValue::as_str)
+                .map(str::to_string),
+        })
+    }
 }
 
 /// A destination for trace records.
@@ -1076,6 +1116,23 @@ mod tests {
         assert_eq!(h.io_errors, 1);
         assert!(h.first_io_error.as_deref().unwrap().contains("disk full"));
         assert!(!h.is_lossless());
+    }
+
+    #[test]
+    fn trace_health_round_trips() {
+        let health = TraceHealth {
+            capture_dropped: 3,
+            ring_evicted: 1,
+            io_errors: 1,
+            first_io_error: Some("disk full".to_string()),
+            jsonl_lines: 42,
+        };
+        assert_eq!(
+            TraceHealth::from_json(&health.to_json()),
+            Some(health.clone())
+        );
+        let clean = TraceHealth::default();
+        assert_eq!(TraceHealth::from_json(&clean.to_json()), Some(clean));
     }
 
     #[test]
