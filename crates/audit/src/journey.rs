@@ -16,6 +16,7 @@ use uasn_net::packet::FrameKind;
 use uasn_sim::hist::LogHistogram;
 use uasn_sim::json::JsonValue;
 
+use crate::copies::CopyIndex;
 use crate::model::TraceModel;
 
 /// One hop of an SDU's journey: from MAC enqueue at `from` to decoded data
@@ -416,10 +417,10 @@ impl SduPath {
 /// / `relay` / `e2e-deliver` / drop records, in injection order. Empty for
 /// non-routed traces (which emit none of those tags).
 pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
-    // Open paths keyed per copy — `(sdu, attempt)` — mirroring the
-    // streaming monitor: a stale copy from an earlier transport attempt
-    // extends its own path, never the retry's.
-    let mut open: HashMap<(u64, u64), usize> = HashMap::new();
+    // Index of each open copy's path, one per `(sdu, attempt)` and grouped
+    // by SDU like the streaming monitor's: a stale copy from an earlier
+    // transport attempt extends its own path, never the retry's.
+    let mut open: CopyIndex<usize> = CopyIndex::default();
     let mut paths: Vec<SduPath> = Vec::with_capacity(model.route.len());
 
     // Merge the four per-SDU streams back into trace order by record
@@ -442,7 +443,7 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
     for (_, ev) in events {
         match ev {
             Ev::Route(e) => {
-                open.insert((e.sdu, e.attempt), paths.len());
+                open.insert(e.sdu, e.attempt, paths.len());
                 paths.push(SduPath {
                     sdu: e.sdu,
                     origin: e.node,
@@ -453,7 +454,7 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
                 });
             }
             Ev::Relay(e) => {
-                if let Some(&i) = open.get(&(e.sdu, e.attempt)) {
+                if let Some(&i) = open.get(e.sdu, e.attempt) {
                     paths[i].nodes.push(e.node);
                 }
             }
@@ -463,30 +464,22 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
                     // copy (or, for retry exhaustion, the latest open
                     // one) records the fate; any other copies still in
                     // flight close without one.
-                    let mut closed: Vec<usize> = Vec::new();
-                    open.retain(|&(id, _), &mut i| {
-                        if id == e.sdu {
-                            closed.push(i);
-                            false
-                        } else {
-                            true
-                        }
-                    });
+                    let closed = open.retire(e.sdu);
                     let fated = match e.attempt {
-                        Some(a) => closed.iter().copied().find(|&i| paths[i].attempt == a),
-                        None => closed.iter().copied().max(),
+                        Some(a) => closed.iter().find(|&&(attempt, _)| attempt == a),
+                        None => closed.iter().max_by_key(|&&(_, i)| i),
                     };
-                    if let Some(i) = fated {
+                    if let Some(&(_, i)) = fated {
                         paths[i].dropped = Some((e.node, e.reason.clone()));
                     }
                 } else if let Some(a) = e.attempt {
-                    if let Some(i) = open.remove(&(e.sdu, a)) {
+                    if let Some(i) = open.remove(e.sdu, a) {
                         paths[i].dropped = Some((e.node, e.reason.clone()));
                     }
                 }
             }
             Ev::Deliver(e) => {
-                if let Some(i) = open.remove(&(e.sdu, e.attempt)) {
+                if let Some(i) = open.remove(e.sdu, e.attempt) {
                     paths[i].nodes.push(e.node);
                     paths[i].delivered = Some((e.node, e.e2e_us));
                 }

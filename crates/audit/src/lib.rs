@@ -30,6 +30,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod copies;
 pub mod invariant;
 pub mod journey;
 pub mod model;

@@ -44,6 +44,7 @@ use uasn_net::NodeId;
 use uasn_sim::time::{SimDuration, SimTime};
 use uasn_sim::trace::{export_jsonl, RingSink, TraceRecord, TraceSink};
 
+use crate::copies::CopyIndex;
 use crate::invariant::{overlaps, Violation, ViolationKind};
 use crate::model::{
     parse_record, E2eDeliverEvent, ParsedRecord, RelayEvent, RouteDropEvent, RouteEvent, RunInfo,
@@ -114,15 +115,16 @@ pub struct MonitorSet {
     pending_rts: Vec<PendingRts>,
     reserved: Vec<Reservation>,
     /// Nodes visited so far by each in-flight routed SDU copy, origin
-    /// first, keyed by `(sdu id, attempt)` — per copy, not per SDU, so a
+    /// first. One path per copy, `(sdu id, attempt)`, not per SDU, so a
     /// stale frame from an earlier transport attempt extends its own
     /// path instead of tripping the revisit check against the retry's.
     /// Each `route` record seeds its copy's path (a retry is a fresh
-    /// copy, free to re-traverse the earlier copy's nodes); paths are
-    /// pruned on that copy's delivery or loss (terminal drops retire
-    /// every copy of the SDU), so the working set is bounded by the
-    /// in-flight copy population.
-    route_paths: HashMap<(u64, u64), Vec<usize>>,
+    /// copy, free to re-traverse the earlier copy's nodes). A path goes
+    /// on that copy's delivery or loss, so the working set is bounded by
+    /// the in-flight copy population. Copies are indexed by SDU, so a
+    /// terminal drop retires its SDU's copies without visiting any
+    /// other.
+    route_paths: CopyIndex<Vec<usize>>,
     findings: Vec<Violation>,
     peak_tracked: usize,
 }
@@ -184,7 +186,7 @@ impl MonitorSet {
     /// an earlier copy still in flight keeps extending its own path.
     pub fn observe_route(&mut self, ev: &RouteEvent) {
         self.advance(ev.time_us);
-        self.route_paths.insert((ev.sdu, ev.attempt), vec![ev.node]);
+        self.route_paths.insert(ev.sdu, ev.attempt, vec![ev.node]);
         self.update_peak();
     }
 
@@ -209,14 +211,14 @@ impl MonitorSet {
     /// Consumes a routed loss. A copy-level loss releases that copy's
     /// path (a pending retry re-seeds via its own `route` record); a
     /// terminal loss retires the SDU outright, so every copy's path goes
-    /// — including stale earlier attempts still in flight.
+    /// — including stale earlier attempts still in flight. Either costs
+    /// O(open copies of this SDU), whatever else is in flight.
     pub fn observe_route_drop(&mut self, ev: &RouteDropEvent) {
         self.advance(ev.time_us);
         if ev.terminal {
-            let sdu = ev.sdu;
-            self.route_paths.retain(|&(id, _), _| id != sdu);
+            self.route_paths.retire(ev.sdu);
         } else if let Some(attempt) = ev.attempt {
-            self.route_paths.remove(&(ev.sdu, attempt));
+            self.route_paths.remove(ev.sdu, attempt);
         }
         self.update_peak();
     }
@@ -233,7 +235,7 @@ impl MonitorSet {
             ev.hops,
             "delivered",
         );
-        self.route_paths.remove(&(ev.sdu, ev.attempt));
+        self.route_paths.remove(ev.sdu, ev.attempt);
         self.update_peak();
     }
 
@@ -250,7 +252,7 @@ impl MonitorSet {
         verb: &str,
     ) {
         let (sdu, attempt) = copy;
-        let path = self.route_paths.entry(copy).or_default();
+        let path = self.route_paths.get_or_default(sdu, attempt);
         if path.contains(&node) {
             self.findings.push(Violation {
                 kind: ViolationKind::RoutingLoop,
@@ -741,7 +743,8 @@ pub struct MonitorReport {
     /// monitors need and were skipped.
     pub skipped: u64,
     /// Largest live working set the monitors held (own transmissions +
-    /// pending grants + reservations): bounded-memory evidence.
+    /// pending grants + reservations + in-flight routed copy paths, as
+    /// [`MonitorSet::tracked`] counts it): bounded-memory evidence.
     pub peak_tracked: usize,
     /// Flight-recorder snapshot files written.
     pub flight_dumps: u64,

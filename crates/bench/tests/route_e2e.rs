@@ -314,3 +314,103 @@ fn retry_exhaustion_reconciles_with_e2e_drop_records() {
         online.findings
     );
 }
+
+/// Terminal `e2e-drop` records that retire two or more open copies of
+/// their SDU, replaying the copy lifecycle in record order: a `route`
+/// opens a copy, a relay of an unopened copy opens it too, a delivery or
+/// copy-level drop closes one, and a terminal drop closes them all.
+fn multi_copy_terminal_drops(model: &TraceModel) -> usize {
+    let mut events: Vec<(usize, u64, Option<u64>, i8)> = Vec::new();
+    events.extend(
+        model
+            .route
+            .iter()
+            .map(|e| (e.record, e.sdu, Some(e.attempt), 1)),
+    );
+    events.extend(
+        model
+            .relay
+            .iter()
+            .map(|e| (e.record, e.sdu, Some(e.attempt), 1)),
+    );
+    events.extend(
+        model
+            .e2e_deliver
+            .iter()
+            .map(|e| (e.record, e.sdu, Some(e.attempt), -1)),
+    );
+    events.extend(model.route_drops.iter().map(|e| {
+        let op = if e.terminal { 0 } else { -1 };
+        (e.record, e.sdu, e.attempt, op)
+    }));
+    events.sort_by_key(|e| e.0);
+    let mut open: HashSet<(u64, u64)> = HashSet::new();
+    let mut multi = 0;
+    for (_, sdu, attempt, op) in events {
+        match (op, attempt) {
+            (1, Some(a)) => {
+                open.insert((sdu, a));
+            }
+            (-1, Some(a)) => {
+                open.remove(&(sdu, a));
+            }
+            (0, _) => {
+                let before = open.len();
+                open.retain(|&(id, _)| id != sdu);
+                multi += usize::from(before - open.len() >= 2);
+            }
+            _ => {}
+        }
+    }
+    multi
+}
+
+#[test]
+fn overloaded_routed_run_keeps_online_post_hoc_parity() {
+    // Overload with reliable transport: deep MAC queues outlast a short
+    // transport timeout, so retries put several copies of an SDU in
+    // flight and terminal drops retire more than one of them.
+    let mut rc = uasn_route::RouteConfig::reliable();
+    rc.transport = Some(uasn_route::TransportConfig {
+        retry_budget: 2,
+        base_timeout_us: 5_000_000,
+    });
+    let mut cfg = SimConfig::paper_default()
+        .with_sensors(20)
+        .with_offered_load_kbps(10.0)
+        .with_route(rc)
+        .with_sim_time(SimDuration::from_secs(300))
+        .with_seed(0xEA5E);
+    cfg.deployment = Deployment::LayeredColumn {
+        extent_m: 2_000.0,
+        layers: 4,
+        layer_spacing_m: 1_200.0,
+    };
+    let (out, online) = traced_routed_run(&cfg);
+    assert!(
+        out.tracer.health().is_lossless(),
+        "capture kept every record"
+    );
+    let model = TraceModel::from_records(out.tracer.records());
+
+    let multi = multi_copy_terminal_drops(&model);
+    assert!(multi > 0, "some e2e-drop retires two or more open copies");
+
+    let loops = |findings: Vec<uasn_audit::Violation>| -> Vec<_> {
+        findings
+            .into_iter()
+            .filter(|v| v.kind == ViolationKind::RoutingLoop)
+            .collect()
+    };
+    assert_eq!(
+        loops(online.findings.clone()),
+        loops(uasn_audit::check(&model)),
+        "online/post-hoc routing-loop parity"
+    );
+
+    let paths = reconstruct_paths(&model);
+    assert_eq!(paths.len(), model.route.len(), "one path per route record");
+    for (path, route) in paths.iter().zip(&model.route) {
+        assert_eq!((path.sdu, path.attempt), (route.sdu, route.attempt));
+    }
+}
