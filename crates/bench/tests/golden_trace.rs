@@ -1,9 +1,10 @@
 //! Golden-trace regression suite for the transmission fan-out.
 //!
 //! Every protocol in the roster runs fixed seeded scenarios — two node
-//! densities, a swarm column, a mobile cell, a hello-phase cell, and busy,
+//! densities, a swarm column, a mobile cell, a hello-phase cell, busy,
 //! drifting-clock and routed cells that also run EW-MAC's no-extra and
-//! aggregating variants — and the FNV-1a hash of each Debug-level JSONL
+//! aggregating variants, and traffic cells for every SDU arrival and
+//! routing path — and the FNV-1a hash of each Debug-level JSONL
 //! trace export must match the golden checked into `tests/goldens/`. The
 //! Debug trace records every event the engine processes, so this is the
 //! strongest behavioural lockdown the simulator offers. At the two
@@ -20,7 +21,10 @@
 //! `crates/phy/tests` (`cache_diff.rs`, `grid_diff.rs`) keep recomputing
 //! each link directly against the cache. The busy hashes were blessed
 //! while EW-MAC still ran its own copy of the slotted handshake, so they
-//! pin the shared core to that behaviour.
+//! pin the shared core to that behaviour. The traffic hashes were blessed
+//! while fresh injections, relays and transport retries still each had
+//! their own hop-and-enqueue code and legacy runs their own next-hop scan,
+//! so they pin the single SDU path to that behaviour.
 //!
 //! To bless new goldens after an intentional behaviour change:
 //!
@@ -39,6 +43,7 @@ use uasn_net::config::SimConfig;
 use uasn_net::node::NodeId;
 use uasn_net::topology::Deployment;
 use uasn_net::world::Simulation;
+use uasn_route::{ForwardPolicy, RouteConfig, TransportConfig};
 use uasn_sim::time::SimDuration;
 use uasn_sim::trace::{parse_jsonl, TraceLevel, Tracer, DEFAULT_CAPTURE_CAPACITY};
 
@@ -205,13 +210,37 @@ fn first_divergence(a: &[u8], b: &[u8]) -> usize {
         .unwrap_or_else(|| a.len().min(b.len()))
 }
 
-/// Runs the roster on each `(cell, config)` pair and checks the golden
-/// hashes, named `<protocol>-<cell>`, in `trace_hashes_<density>.txt`.
-fn check_cells(density: &str, cells: &[(&str, SimConfig)]) {
+/// A trace record a cell exists to pin: `(tag, key, value)` — some record
+/// tagged `tag` must carry field `key` equal to `value` (any record with
+/// the tag when `key` is empty).
+type Pin = (&'static str, &'static str, &'static str);
+
+/// Whether `tracer` holds a record matching `pin`.
+fn has_record(tracer: &Tracer, (tag, key, value): Pin) -> bool {
+    tracer.with_tag(tag).any(|r| {
+        key.is_empty()
+            || r.fields
+                .iter()
+                .any(|(k, v)| k.as_ref() == key && v.to_string() == value)
+    })
+}
+
+/// Runs the roster on each `(cell, config, pins)` triple and checks the
+/// golden hashes, named `<protocol>-<cell>`, in `trace_hashes_<density>.txt`.
+/// Every protocol's trace must contain each of the cell's pinned records,
+/// so a cell cannot silently stop covering the path it is there for.
+fn check_cells(density: &str, cells: &[(&str, SimConfig, &[Pin])]) {
     let mut hashes = Vec::new();
-    for (cell, cfg) in cells {
+    for (cell, cfg, pins) in cells {
         for (protocol, slug) in GOLDEN_PROTOCOLS {
-            let trace = trace_bytes(cfg, protocol);
+            let tracer = traced(cfg, protocol);
+            for &pin in *pins {
+                assert!(
+                    has_record(&tracer, pin),
+                    "{slug}-{cell}: no {pin:?} record — the cell no longer pins that path"
+                );
+            }
+            let trace = export(&tracer);
             assert!(
                 !trace.is_empty(),
                 "{slug}-{cell}: empty trace — nothing was locked down"
@@ -294,7 +323,7 @@ fn golden_traces_dense() {
 
 #[test]
 fn golden_traces_swarm() {
-    check_cells("swarm", &[("swarm", swarm_cfg())]);
+    check_cells("swarm", &[("swarm", swarm_cfg(), &[])]);
 }
 
 /// Mobile and hello-phase cells: the regimes where fan-out rows are
@@ -305,13 +334,14 @@ fn golden_traces_mobile() {
     check_cells(
         "mobile",
         &[
-            ("mobile", golden_cfg(10).with_mobility(0.5)),
+            ("mobile", golden_cfg(10).with_mobility(0.5), &[]),
             (
                 "hello",
                 SimConfig {
                     hello_init: true,
                     ..golden_cfg(10)
                 },
+                &[],
             ),
         ],
     );
@@ -361,4 +391,81 @@ fn golden_traces_busy() {
         }
     }
     check_goldens("busy", &hashes);
+}
+
+/// The SDU paths the other cells never reach: batch load, mixed SDU
+/// sizes, bursty and convergecast arrivals, the randomized forwarding
+/// policy, TTL expiry, transport retries and unroutable hops.
+#[test]
+fn golden_traces_traffic() {
+    // A short base timeout with one retry: transport retries, and their
+    // exhaustion, happen inside the cell's horizon.
+    let quick_retry = RouteConfig {
+        transport: Some(TransportConfig {
+            retry_budget: 1,
+            base_timeout_us: 8_000_000,
+        }),
+        ..RouteConfig::greedy()
+    };
+    let mut batch = golden_cfg(10).with_batch_load_kbps(0.5);
+    batch.max_time = SimDuration::from_secs(200);
+    // Layers close to the acoustic range: drifting sensors lose their
+    // last shallower neighbour mid-run, so hops become unroutable.
+    let mut stranding = golden_cfg(10)
+        .with_mobility(10.0)
+        .with_offered_load_kbps(2.0)
+        .with_route(quick_retry)
+        .with_sim_time(SimDuration::from_secs(60));
+    stranding.deployment = Deployment::LayeredColumn {
+        extent_m: 600.0,
+        layers: 3,
+        layer_spacing_m: 1_450.0,
+    };
+    let random = RouteConfig::reliable().with_policy(ForwardPolicy::RandomShallowest { k: 2 });
+    check_cells(
+        "traffic",
+        &[
+            ("batch", batch, &[("enq", "fwd", "false")]),
+            (
+                "mixed-size",
+                golden_cfg(10).with_data_bits_range(1_024, 4_096),
+                &[("enq", "fwd", "true")],
+            ),
+            (
+                "bursty",
+                golden_cfg(10)
+                    .with_bursty_load_kbps(1.0, 5.0, 15.0)
+                    .with_route(quick_retry),
+                &[("route", "attempt", "1"), ("e2e-deliver", "", "")],
+            ),
+            (
+                "convergecast",
+                golden_cfg(10)
+                    .with_convergecast(10.0, 5.0)
+                    .with_route(quick_retry),
+                &[
+                    ("route", "attempt", "1"),
+                    ("e2e-drop", "reason", "retry-exhausted"),
+                ],
+            ),
+            (
+                "random-k2",
+                golden_cfg(10).with_route(random),
+                &[("relay", "", ""), ("e2e-deliver", "", "")],
+            ),
+            (
+                "ttl",
+                golden_cfg(10).with_route(RouteConfig::greedy().with_ttl(2)),
+                &[("e2e-drop", "reason", "ttl-exhausted")],
+            ),
+            (
+                "stranding",
+                stranding,
+                &[
+                    ("e2e-drop", "reason", "unroutable"),
+                    ("relay-drop", "reason", "unroutable"),
+                ],
+            ),
+        ],
+    );
 }
