@@ -14,7 +14,6 @@ use uasn_net::mac::{
     DropReason, MacContext, MacProtocol, MaintenanceProfile, NeighborInfoScope, Reception,
     TimerToken,
 };
-use uasn_net::neighbor::TwoHopTable;
 use uasn_net::node::NodeId;
 use uasn_net::packet::{Frame, FrameKind, Sdu};
 use uasn_net::slots::SlotIndex;
@@ -70,7 +69,6 @@ struct CollectState {
 #[derive(Debug)]
 pub struct Ropa {
     core: SlottedCore,
-    two_hop: TwoHopTable,
     append: Option<AppendSide>,
     collect: Option<CollectState>,
     guard: SimDuration,
@@ -88,7 +86,6 @@ impl Ropa {
                     ..CoreConfig::default()
                 },
             ),
-            two_hop: TwoHopTable::new(),
             append: None,
             collect: None,
             guard: SimDuration::from_millis(2),
@@ -236,16 +233,6 @@ impl MacProtocol for Ropa {
         }
     }
 
-    fn install_two_hop(&mut self, tables: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {
-        for (neighbor, list) in tables {
-            let mut table = uasn_net::neighbor::OneHopTable::new();
-            for &(id, delay) in list {
-                table.observe(id, delay, SimTime::ZERO);
-            }
-            self.two_hop.install(*neighbor, table);
-        }
-    }
-
     fn on_slot_start(&mut self, ctx: &mut MacContext<'_>, slot: SlotIndex) {
         // Collector duties first: ack appended data at its Eq-5 slot.
         let mut finished_current = false;
@@ -301,15 +288,6 @@ impl MacProtocol for Ropa {
     fn on_frame_received(&mut self, ctx: &mut MacContext<'_>, rx: &Reception<'_>) {
         let frame = rx.frame;
         let to_me = rx.addressed_to(self.id());
-
-        // Assemble the two-hop view from piggybacked announcements.
-        if !frame.announced.is_empty() {
-            let mut table = uasn_net::neighbor::OneHopTable::new();
-            for &(id, delay) in &frame.announced {
-                table.observe(id, delay, ctx.now());
-            }
-            self.two_hop.install(frame.src, table);
-        }
 
         // Protocol-specific paths first.
         match frame.kind {

@@ -319,7 +319,6 @@ pub fn config_summary(cfg: &SimConfig) -> Vec<(String, String)> {
                 "off".to_string()
             },
         ),
-        ("forwarding".to_string(), cfg.forwarding.to_string()),
         ("hello_init".to_string(), cfg.hello_init.to_string()),
     ];
     if let Some((min, max)) = cfg.data_bits_range {

@@ -76,9 +76,6 @@ pub struct SimConfig {
     pub mobility: MobilityConfig,
     /// Modem power profile.
     pub power: PowerProfile,
-    /// Whether nodes re-enqueue received data toward the surface
-    /// (multi-hop forwarding per Figure 1).
-    pub forwarding: bool,
     /// When `true`, neighbour tables start empty and nodes learn delays
     /// from an in-simulation Hello phase (§4.3) — staggered beacons in the
     /// opening slots — instead of the oracle installation. Two-hop views
@@ -114,13 +111,14 @@ pub struct SimConfig {
     /// never RNG streams or the event queue — so seeded runs are
     /// byte-for-byte identical with it on or off.
     pub profile: bool,
-    /// Multi-hop routing + end-to-end transport. `None` (the default)
-    /// keeps the legacy single-enqueue pipeline: SDUs get their next hop
-    /// from [`crate::routing::next_hop_uphill`] once and relays re-enqueue
-    /// under [`SimConfig::forwarding`], with no routing headers, no extra
-    /// events, no extra RNG draws — every seeded run is byte-for-byte
-    /// identical to a build without the routing subsystem. `Some` routes
-    /// every SDU through the configured
+    /// Multi-hop routing + end-to-end transport. Every run forwards each
+    /// SDU hop by hop toward the surface (Figure 1), choosing among the
+    /// uphill candidates of [`crate::routing::uphill_candidates`].
+    /// `None` (the default) chooses greedily
+    /// ([`uasn_route::ForwardPolicy::Greedy`]) with no hop counting, no
+    /// extra events, no extra RNG draws and no routing trace records —
+    /// every seeded run is byte-for-byte identical to a build without the
+    /// routing subsystem. `Some` chooses by the configured
     /// [`uasn_route::ForwardPolicy`] with a hop-count TTL, emits the
     /// `route`/`relay`/`e2e-deliver`/`e2e-drop` trace records, and (when
     /// [`uasn_route::RouteConfig::transport`] is set) arms origin-side
@@ -159,7 +157,6 @@ impl SimConfig {
             seed: 1,
             mobility: MobilityConfig::default(),
             power: PowerProfile::default(),
-            forwarding: true,
             hello_init: false,
             data_bits_range: None,
             sample_interval: None,
@@ -293,7 +290,8 @@ impl SimConfig {
     }
 
     /// Shorthand: greedy depth routing at the default TTL, no transport —
-    /// the routed twin of the legacy forwarding pipeline.
+    /// the same per-hop choices as a run without routing, plus hop
+    /// counting and the routing trace records.
     pub fn with_routing(self) -> Self {
         self.with_route(uasn_route::RouteConfig::greedy())
     }

@@ -1,27 +1,35 @@
-//! Depth-based next-hop selection.
+//! Depth-based next-hop candidates.
 //!
 //! The paper assumes routing is solved elsewhere ("sensors at greater
 //! depths transmit packets to sensors closer to the surface"; localization
 //! "has been dealt with by other protocols"). We implement the standard
-//! greedy depth routing that realises that assumption: forward to the
-//! audible neighbour with the smallest depth, i.e. the one closest to the
-//! surface (ties broken by distance, then id for determinism).
+//! greedy depth routing that realises that assumption. This module owns
+//! the one neighbourhood scan: a node's candidates are the strictly
+//! shallower nodes within acoustic range. The choice among them is
+//! [`uasn_route::select_next_hop`]'s; under [`ForwardPolicy::Greedy`] it is
+//! the candidate with the smallest depth, i.e. the one closest to the
+//! surface (ties broken by distance, then id for determinism). Every run
+//! of the world forwards through this pair, with greedy as the policy when
+//! no routing configuration is set.
 
+use rand::rngs::mock::StepRng;
 use uasn_phy::soa::PositionSource;
+use uasn_route::{select_next_hop, Candidate, ForwardPolicy};
 
 use crate::node::NodeId;
 
-/// Selects the next hop for `from` among `positions` (indexed by node id):
-/// the strictly-shallower node within `comm_range_m` with minimum depth.
+/// Fills `buf` with `from`'s forwarding candidates: every strictly
+/// shallower node within `comm_range_m`, in ascending node order. The
+/// buffer is cleared first and reused, so the scan does not allocate once
+/// it has grown to the largest neighbourhood.
 ///
-/// Returns `None` when the node is stranded (no shallower neighbour in
+/// An empty result means the node is stranded (no shallower neighbour in
 /// range) — the caller counts the packet as unroutable.
 ///
 /// # Examples
 ///
 /// ```
-/// use uasn_net::node::NodeId;
-/// use uasn_net::routing::next_hop_uphill;
+/// use uasn_net::routing::uphill_candidates;
 /// use uasn_phy::geometry::Point;
 ///
 /// let positions = vec![
@@ -29,50 +37,41 @@ use crate::node::NodeId;
 ///     Point::new(0.0, 0.0, 1_200.0),     // n1
 ///     Point::new(0.0, 0.0, 2_400.0),     // n2
 /// ];
-/// assert_eq!(
-///     next_hop_uphill(&positions, NodeId::new(2), 1_500.0),
-///     Some(NodeId::new(1))
-/// );
-/// assert_eq!(
-///     next_hop_uphill(&positions, NodeId::new(1), 1_500.0),
-///     Some(NodeId::new(0))
-/// );
-/// assert_eq!(next_hop_uphill(&positions, NodeId::new(0), 1_500.0), None);
+/// let mut buf = Vec::new();
+/// uphill_candidates(&positions, 2, 1_500.0, &mut buf);
+/// assert_eq!(buf.len(), 1);
+/// assert_eq!(buf[0].node, 1);
+/// uphill_candidates(&positions, 0, 1_500.0, &mut buf);
+/// assert!(buf.is_empty());
 /// ```
-pub fn next_hop_uphill<P: PositionSource + ?Sized>(
+pub fn uphill_candidates<P: PositionSource + ?Sized>(
     positions: &P,
-    from: NodeId,
+    from: usize,
     comm_range_m: f64,
-) -> Option<NodeId> {
-    let me = positions.position(from.index());
-    let mut best: Option<(usize, f64, f64)> = None; // (idx, depth, dist)
+    buf: &mut Vec<Candidate>,
+) {
+    buf.clear();
+    let me = positions.position(from);
     for idx in 0..positions.node_count() {
         let p = positions.position(idx);
-        if idx == from.index() || p.depth() >= me.depth() {
+        if idx == from || p.depth() >= me.depth() {
             continue;
         }
         let dist = me.distance(p);
         if dist > comm_range_m {
             continue;
         }
-        let candidate = (idx, p.depth(), dist);
-        best = Some(match best {
-            None => candidate,
-            Some(cur) => {
-                // min depth, then min distance, then min id
-                if (candidate.1, candidate.2, candidate.0) < (cur.1, cur.2, cur.0) {
-                    candidate
-                } else {
-                    cur
-                }
-            }
+        buf.push(Candidate {
+            node: idx as u32,
+            depth_m: p.depth(),
+            dist_m: dist,
         });
     }
-    best.map(|(idx, _, _)| NodeId::new(idx as u32))
 }
 
-/// The full uphill route from `from` to the first node with no shallower
-/// neighbour (a sink if the topology is connected). Includes `from` itself.
+/// The full greedy uphill route from `from` to the first node with no
+/// shallower neighbour (a sink if the topology is connected). Includes
+/// `from` itself.
 ///
 /// The route is guaranteed to terminate because every hop strictly
 /// decreases depth.
@@ -83,17 +82,28 @@ pub fn route_uphill<P: PositionSource + ?Sized>(
 ) -> Vec<NodeId> {
     let mut route = vec![from];
     let mut cur = from;
-    while let Some(next) = next_hop_uphill(positions, cur, comm_range_m) {
-        route.push(next);
-        cur = next;
+    let mut buf = Vec::new();
+    // Greedy never draws randomness, so a constant stream serves.
+    let mut no_draws = StepRng::new(0, 0);
+    loop {
+        uphill_candidates(positions, cur.index(), comm_range_m, &mut buf);
+        let Some(next) = select_next_hop(ForwardPolicy::Greedy, &buf, &mut no_draws) else {
+            return route;
+        };
+        cur = NodeId::new(next);
+        route.push(cur);
     }
-    route
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use uasn_phy::geometry::Point;
+
+    /// The greedy next hop: the second node of the uphill route.
+    fn next_hop_uphill(p: &[Point], from: NodeId, range: f64) -> Option<NodeId> {
+        route_uphill(p, from, range).get(1).copied()
+    }
 
     fn column() -> Vec<Point> {
         vec![

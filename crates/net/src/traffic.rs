@@ -11,19 +11,19 @@
 //!   packets per 300 s ≈ 0.136 kbps offered load") is
 //!   [`TrafficPattern::batch_for_load`].
 //!
-//! Two more drive the multi-hop routing sweeps (they delegate the arrival
-//! processes to [`uasn_route::workload`]):
+//! Two more drive the multi-hop routing sweeps:
 //!
 //! * [`TrafficPattern::BurstyOnOff`] — Poisson arrivals gated by an on/off
 //!   duty cycle; the same mean offered load as `Poisson` but delivered in
 //!   bursts that stress MAC queues and the transport's retry budget.
 //! * [`TrafficPattern::Convergecast`] — every sensor injects one reading
 //!   per round toward the sinks, the classic many-to-one UASN workload.
+//!
+//! Every pattern but `Batch` runs on one per-sensor arrival stream,
+//! [`TrafficPattern::workload`]'s [`uasn_route::WorkloadStream`].
 
-use rand::RngCore;
-
-use uasn_sim::rng::exponential;
-use uasn_sim::time::{SimDuration, SimTime};
+use uasn_route::{Workload, WorkloadStream};
+use uasn_sim::time::SimDuration;
 
 /// What the sources inject.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,10 +92,24 @@ impl TrafficPattern {
         matches!(self, TrafficPattern::Batch { .. })
     }
 
-    /// The per-sensor `uasn-route` workload stream behind this pattern,
-    /// when it is one of the heavy-traffic variants (`None` for
-    /// `Poisson` / `Batch`, which the world drives natively — keeping
-    /// those arrival streams byte-identical to the pre-routing builds).
+    /// The per-sensor arrival stream behind this pattern; `None` only for
+    /// `Batch`, whose arrivals are all drawn when the run is built.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use uasn_net::traffic::TrafficPattern;
+    /// use uasn_sim::rng::SeedFactory;
+    /// use uasn_sim::time::SimTime;
+    ///
+    /// let mut rng = SeedFactory::new(1).stream("traffic", 0);
+    /// // 0.5 kbps of 2048-bit packets over 60 sensors
+    /// let p = TrafficPattern::Poisson { offered_load_kbps: 0.5 };
+    /// let stream = p.workload(2_048, 60).expect("recurring pattern");
+    /// let t1 = stream.next_arrival(&mut rng, SimTime::ZERO);
+    /// let t2 = stream.next_arrival(&mut rng, t1);
+    /// assert!(t2 > t1);
+    /// ```
     ///
     /// # Panics
     ///
@@ -103,10 +117,12 @@ impl TrafficPattern {
     /// rates, `jitter_s >= period_s`, …).
     ///
     /// [`SimConfig::validate`]: crate::config::SimConfig::validate
-    pub fn workload(&self, packet_bits: u32, sensors: u32) -> Option<uasn_route::WorkloadStream> {
-        use uasn_route::{Workload, WorkloadStream};
-        match *self {
-            TrafficPattern::Poisson { .. } | TrafficPattern::Batch { .. } => None,
+    pub fn workload(&self, packet_bits: u32, sensors: u32) -> Option<WorkloadStream> {
+        let workload = match *self {
+            TrafficPattern::Poisson { offered_load_kbps } => Workload::Poisson {
+                rate_hz: per_sensor_rate(offered_load_kbps, packet_bits, sensors),
+            },
+            TrafficPattern::Batch { .. } => return None,
             TrafficPattern::BurstyOnOff {
                 offered_load_kbps,
                 on_s,
@@ -116,67 +132,17 @@ impl TrafficPattern {
                 // The burst rate compensates for the silent fraction so the
                 // long-run mean matches the offered load.
                 let duty = on_s / (on_s + off_s);
-                Some(WorkloadStream::new(Workload::BurstyOnOff {
+                Workload::BurstyOnOff {
                     rate_hz: mean / duty,
                     on_s,
                     off_s,
-                }))
+                }
             }
             TrafficPattern::Convergecast { period_s, jitter_s } => {
-                Some(WorkloadStream::new(Workload::ConvergecastRounds {
-                    period_s,
-                    jitter_s,
-                }))
+                Workload::ConvergecastRounds { period_s, jitter_s }
             }
-        }
-    }
-}
-
-/// Per-node Poisson arrival stream of SDU creation times.
-///
-/// # Examples
-///
-/// ```
-/// use uasn_net::traffic::ArrivalStream;
-/// use uasn_sim::rng::SeedFactory;
-/// use uasn_sim::time::SimTime;
-///
-/// let mut rng = SeedFactory::new(1).stream("traffic", 0);
-/// // one 2048-bit packet every ~10 s on average
-/// let mut stream = ArrivalStream::poisson(0.1);
-/// let t1 = stream.next_arrival(&mut rng, SimTime::ZERO);
-/// let t2 = stream.next_arrival(&mut rng, t1);
-/// assert!(t2 > t1);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalStream {
-    /// Mean arrivals per second.
-    rate_per_sec: f64,
-}
-
-impl ArrivalStream {
-    /// A Poisson stream at `rate_per_sec` arrivals per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not finite and positive.
-    pub fn poisson(rate_per_sec: f64) -> Self {
-        assert!(
-            rate_per_sec.is_finite() && rate_per_sec > 0.0,
-            "arrival rate must be positive, got {rate_per_sec}"
-        );
-        ArrivalStream { rate_per_sec }
-    }
-
-    /// The stream rate in arrivals per second.
-    pub fn rate_per_sec(&self) -> f64 {
-        self.rate_per_sec
-    }
-
-    /// Draws the next arrival instant strictly after `after`.
-    pub fn next_arrival<R: RngCore>(&self, rng: &mut R, after: SimTime) -> SimTime {
-        let gap = exponential(rng, 1.0 / self.rate_per_sec).max(1e-6);
-        after + SimDuration::from_secs_f64(gap)
+        };
+        Some(WorkloadStream::new(workload))
     }
 }
 
@@ -200,6 +166,7 @@ pub fn per_sensor_rate(offered_load_kbps: f64, packet_bits: u32, sensors: u32) -
 mod tests {
     use super::*;
     use uasn_sim::rng::SeedFactory;
+    use uasn_sim::time::SimTime;
 
     #[test]
     fn paper_batch_conversion() {
@@ -232,10 +199,19 @@ mod tests {
         assert!((aggregate_kbps - 0.8).abs() < 1e-12);
     }
 
+    /// The Poisson stream of one sensor carrying the whole `kbps` load
+    /// in 2048-bit packets.
+    fn poisson(kbps: f64) -> WorkloadStream {
+        let p = TrafficPattern::Poisson {
+            offered_load_kbps: kbps,
+        };
+        p.workload(2_048, 1).expect("poisson stream")
+    }
+
     #[test]
     fn poisson_stream_mean_rate() {
         let mut rng = SeedFactory::new(3).stream("traffic", 9);
-        let stream = ArrivalStream::poisson(2.0);
+        let stream = poisson(4.096); // 2 arrivals per second
         let mut t = SimTime::ZERO;
         let n = 10_000;
         for _ in 0..n {
@@ -248,7 +224,7 @@ mod tests {
     #[test]
     fn arrivals_strictly_increase() {
         let mut rng = SeedFactory::new(4).stream("traffic", 0);
-        let stream = ArrivalStream::poisson(1_000.0); // very fast
+        let stream = poisson(2_048.0); // 1000 arrivals per second
         let mut t = SimTime::ZERO;
         for _ in 0..1_000 {
             let next = stream.next_arrival(&mut rng, t);
@@ -258,11 +234,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_patterns_have_no_workload_stream() {
+    fn only_batch_has_no_workload_stream() {
         let p = TrafficPattern::Poisson {
             offered_load_kbps: 0.5,
         };
-        assert!(p.workload(2_048, 60).is_none());
+        let stream = p.workload(2_048, 60).expect("poisson stream");
+        assert_eq!(
+            stream.workload(),
+            Workload::Poisson {
+                rate_hz: per_sensor_rate(0.5, 2_048, 60)
+            }
+        );
         let b = TrafficPattern::batch_for_load(0.136, SimDuration::from_secs(300), 2_048);
         assert!(b.workload(2_048, 60).is_none());
     }
@@ -297,7 +279,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_panics() {
-        let _ = ArrivalStream::poisson(0.0);
+        let _ = poisson(0.0);
     }
 
     #[test]

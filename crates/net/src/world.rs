@@ -24,9 +24,9 @@ use uasn_phy::energy::EnergyMeter;
 use uasn_phy::geometry::Point;
 use uasn_phy::mobility::MobilityModel;
 use uasn_phy::modem::{Modem, ModemSpec, ModemState, ReceptionId};
-use uasn_phy::soa::{PositionSource, PositionTable};
+use uasn_phy::soa::PositionTable;
 use uasn_route::{
-    select_next_hop, Candidate, RouteConfig, TimeoutVerdict, TransportTable, WorkloadStream,
+    select_next_hop, Candidate, ForwardPolicy, TimeoutVerdict, TransportTable, WorkloadStream,
 };
 use uasn_sim::engine::{Engine, EventLabel, RunStats, Schedule, StopReason};
 use uasn_sim::profile::{MetricsRegistry, ProfileReport};
@@ -44,11 +44,11 @@ use crate::metrics::{DeliveryMetrics, DropVerdict, MetricsReport, VerdictHistogr
 use crate::neighbor::ANNOUNCE_BITS_PER_ENTRY;
 use crate::node::{NodeId, NodeInfo, NodeRole};
 use crate::packet::{Frame, Sdu};
-use crate::routing::next_hop_uphill;
+use crate::routing::uphill_candidates;
 use crate::sampling::{NodeSample, Snapshot, TimeSeries};
 use crate::slots::{SlotClock, SlotIndex};
 use crate::topology::stranded_sensors;
-use crate::traffic::{per_sensor_rate, ArrivalStream, TrafficPattern};
+use crate::traffic::TrafficPattern;
 
 /// Builds one MAC instance per node.
 pub type MacFactory<'f> = dyn Fn(NodeId) -> Box<dyn MacProtocol> + 'f;
@@ -167,14 +167,15 @@ struct PendingRx {
 }
 
 /// Live state of the routing + transport subsystem; `Some` iff
-/// [`SimConfig::route`] was set. Absent, the world draws no "route" RNG
-/// stream, schedules no route events, and emits no route trace records,
-/// so `route: None` runs are byte-identical to pre-routing builds.
+/// [`SimConfig::route`] was set. Every run picks its next hops through the
+/// same candidate scan and policy; what routed runs add is this state:
+/// hop counting against the TTL, the `route`/`relay`/`e2e-*` trace
+/// records and the transport. Absent, the world schedules no route events
+/// and emits no route trace records, and the greedy policy never draws
+/// the route stream, so `route: None` runs are byte-identical to
+/// pre-routing builds.
 #[derive(Debug)]
 struct RouteRuntime {
-    cfg: RouteConfig,
-    /// Policy stream (`"route"`); only randomized policies ever draw it.
-    rng: StdRng,
     /// MAC hops traversed so far by each in-flight SDU copy, keyed by
     /// `(sdu id, attempt)` — the attempt is the routing header stamped on
     /// the copy, so a stale frame from an earlier transport attempt keeps
@@ -184,40 +185,8 @@ struct RouteRuntime {
     /// and the audit monitors' path state in lock-step.
     hops: HashMap<(u64, u32), u32>,
     /// Origin-side retransmission state; `Some` iff
-    /// [`RouteConfig::transport`] was set.
+    /// [`uasn_route::RouteConfig::transport`] was set.
     transport: Option<TransportTable>,
-    /// Scratch candidate list, reused across selections so the forwarding
-    /// hot path does not allocate.
-    cand_buf: Vec<Candidate>,
-}
-
-/// Fills `buf` with `from`'s forwarding candidates: every strictly
-/// shallower node within acoustic range, visited in ascending node order.
-/// Exactly the neighbourhood [`next_hop_uphill`] scans, so the greedy
-/// policy reproduces the legacy choice bit-for-bit.
-fn gather_candidates<P: PositionSource + ?Sized>(
-    positions: &P,
-    from: usize,
-    comm_range_m: f64,
-    buf: &mut Vec<Candidate>,
-) {
-    buf.clear();
-    let me = positions.position(from);
-    for idx in 0..positions.node_count() {
-        let p = positions.position(idx);
-        if idx == from || p.depth() >= me.depth() {
-            continue;
-        }
-        let dist = me.distance(p);
-        if dist > comm_range_m {
-            continue;
-        }
-        buf.push(Candidate {
-            node: idx as u32,
-            depth_m: p.depth(),
-            dist_m: dist,
-        });
-    }
 }
 
 struct NetworkWorld {
@@ -245,11 +214,15 @@ struct NetworkWorld {
     channel_rng: StdRng,
     mobility_rng: StdRng,
     traffic_rng: StdRng,
-    traffic_stream: Option<ArrivalStream>,
-    /// Heavy-traffic arrival stream (bursty / convergecast patterns);
-    /// `None` for the legacy Poisson/Batch patterns, whose arrival maths
-    /// stay untouched.
-    workload_stream: Option<WorkloadStream>,
+    /// Every sensor's recurring arrival stream; `None` only for batch
+    /// traffic, whose arrivals are all seeded up front.
+    traffic_stream: Option<WorkloadStream>,
+    /// Forwarding-policy stream (`"route"`); only randomized policies ever
+    /// draw it, so deriving it in every run perturbs nothing.
+    route_rng: StdRng,
+    /// Scratch candidate list, reused across next-hop selections so the
+    /// forwarding hot path does not allocate.
+    cand_buf: Vec<Candidate>,
     /// Routing + transport runtime; `Some` iff `cfg.route`.
     route: Option<RouteRuntime>,
 
@@ -352,7 +325,8 @@ impl NetworkWorld {
             field("tau_max_us", self.clock.tau_max().as_micros()),
             field("slot_us", self.clock.slot_len().as_micros()),
             field("mobility", self.cfg.mobility.enabled),
-            field("forwarding", self.cfg.forwarding),
+            // Relays always forward; the field stays for the trace layout.
+            field("forwarding", true),
         ];
         // Emitted only when the run departs from the ideal-sync paper model,
         // so ideal-mode traces keep their historical byte layout.
@@ -825,62 +799,82 @@ impl NetworkWorld {
                     if self.route.is_some() {
                         self.route_sink_arrival(sched, node, &sdu, e2e);
                     }
-                } else if self.route.is_some() {
-                    self.route_relay(sched, node, sdu);
-                } else if self.cfg.forwarding {
-                    self.forward(sched, node, sdu);
+                } else {
+                    self.relay(sched, node, sdu);
                 }
             }
         }
     }
 
-    fn forward(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, sdu: Sdu) {
-        match next_hop_uphill(
-            &self.positions,
-            NodeId::new(node as u32),
-            self.channel.max_range_m(),
-        ) {
-            Some(next) => {
-                let fwd = Sdu {
-                    next_hop: next,
-                    created: self.now,
-                    ..sdu
-                };
-                self.trace_fields(TraceLevel::Debug, node, "enq", || {
-                    (
-                        format!("sdu {} forwarded toward {next}", fwd.id),
-                        vec![
-                            field("sdu", fwd.id),
-                            field("origin", fwd.origin.index()),
-                            field("next_hop", next.index()),
-                            field("bits", fwd.bits),
-                            field("fwd", true),
-                        ],
-                    )
-                });
-                self.with_mac(sched, node, |mac, ctx| mac.on_enqueue(ctx, fwd));
-                self.observe_queue_depth(node);
-            }
-            None => {
-                self.metrics.per_node[node].unroutable += 1;
-                self.record_verdict(DropVerdict::NoAudibleReceiver);
-            }
-        }
-    }
-
-    /// Policy-driven next hop for `node` (routed runs only). The greedy
-    /// policy never draws the route RNG and ranks candidates exactly like
-    /// [`next_hop_uphill`], so a `ForwardPolicy::Greedy` run makes the
-    /// same per-hop decisions as the legacy pipeline.
-    fn route_next_hop(&mut self, node: usize) -> Option<NodeId> {
-        let route = self.route.as_mut().expect("routed run");
-        gather_candidates(
+    /// `node`'s next hop: the one uphill candidate scan, then the routing
+    /// policy's choice among the candidates — greedy when the run has no
+    /// routing configuration. Greedy never draws the route stream.
+    fn next_hop(&mut self, node: usize) -> Option<NodeId> {
+        let policy = self.cfg.route.map_or(ForwardPolicy::Greedy, |r| r.policy);
+        uphill_candidates(
             &self.positions,
             node,
             self.channel.max_range_m(),
-            &mut route.cand_buf,
+            &mut self.cand_buf,
         );
-        select_next_hop(route.cfg.policy, &route.cand_buf, &mut route.rng).map(NodeId::new)
+        select_next_hop(policy, &self.cand_buf, &mut self.route_rng).map(NodeId::new)
+    }
+
+    /// Sends `sdu` one hop on from `node`: the one step by which every SDU
+    /// leaves a node — fresh injection, relay or transport retry. With a
+    /// next hop, the copy is stamped with it and the enqueue time, `stage`
+    /// records the caller's own bookkeeping for it, and the MAC takes it.
+    /// Without one the SDU is counted unroutable and, in routed runs, its
+    /// drop record is emitted at `hops` traversed. Returns whether the
+    /// copy was enqueued.
+    fn send_hop(
+        &mut self,
+        sched: &mut Schedule<'_, NetEvent>,
+        node: usize,
+        sdu: Sdu,
+        hops: u32,
+        stage: impl FnOnce(&mut Self, &mut Schedule<'_, NetEvent>, &Sdu),
+    ) -> bool {
+        let Some(next) = self.next_hop(node) else {
+            self.metrics.per_node[node].unroutable += 1;
+            self.record_verdict(DropVerdict::NoAudibleReceiver);
+            if self.route.is_some() {
+                self.trace_route_drop(node, &sdu, hops, "unroutable");
+            }
+            return false;
+        };
+        let sdu = Sdu {
+            next_hop: next,
+            created: self.now,
+            ..sdu
+        };
+        stage(self, sched, &sdu);
+        self.with_mac(sched, node, |mac, ctx| mac.on_enqueue(ctx, sdu));
+        self.observe_queue_depth(node);
+        true
+    }
+
+    /// The `enq` record of an SDU entering `node`'s MAC queue: freshly
+    /// generated (`fwd` false) or, in legacy runs, relayed.
+    fn trace_enq(&mut self, node: usize, sdu: &Sdu, fwd: bool) {
+        let (id, origin, next, bits) = (sdu.id, sdu.origin, sdu.next_hop, sdu.bits);
+        self.trace_fields(TraceLevel::Debug, node, "enq", || {
+            let msg = if fwd {
+                format!("sdu {id} forwarded toward {next}")
+            } else {
+                format!("sdu {id} enqueued for {next}")
+            };
+            (
+                msg,
+                vec![
+                    field("sdu", id),
+                    field("origin", origin.index()),
+                    field("next_hop", next.index()),
+                    field("bits", bits),
+                    field("fwd", fwd),
+                ],
+            )
+        });
     }
 
     /// Whether the transport still holds an in-flight entry for `sdu` —
@@ -925,9 +919,8 @@ impl NetworkWorld {
         sched: &mut Schedule<'_, NetEvent>,
         node: usize,
         sdu: &Sdu,
-        attempt: u32,
     ) {
-        let (id, next, bits) = (sdu.id, sdu.next_hop, sdu.bits);
+        let (id, next, bits, attempt) = (sdu.id, sdu.next_hop, sdu.bits, sdu.attempt);
         self.trace_fields(TraceLevel::Info, node, "route", || {
             (
                 format!("sdu {id} routed toward {next} (attempt {attempt})"),
@@ -953,54 +946,50 @@ impl NetworkWorld {
         }
     }
 
-    /// Relays a routed SDU copy at an intermediate node: charge the hop
-    /// against the TTL, pick the next hop, re-enqueue. Copy losses under
-    /// a pending transport entry are non-terminal (`relay-drop`); without
-    /// one they are the SDU's end-to-end fate (`e2e-drop`).
-    fn route_relay(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, sdu: Sdu) {
-        let route = self.route.as_mut().expect("routed run");
-        let ttl = route.cfg.ttl;
+    /// Forwards an SDU copy that reached the non-sink `node`. Legacy runs
+    /// re-enqueue it toward the surface; routed runs first charge the hop
+    /// against the TTL. A routed copy lost here (TTL spent or no next hop)
+    /// is non-terminal under a pending transport entry (`relay-drop`) and
+    /// the SDU's end-to-end fate without one (`e2e-drop`).
+    fn relay(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, sdu: Sdu) {
+        let (Some(route), Some(rc)) = (self.route.as_mut(), self.cfg.route) else {
+            self.send_hop(sched, node, sdu, 0, |w, _, fwd| {
+                w.trace_enq(node, fwd, true)
+            });
+            return;
+        };
+        let ttl = rc.ttl;
         let copy = (sdu.id, sdu.attempt);
         let traversed = route.hops.get(&copy).copied().unwrap_or(0) + 1;
         route.hops.insert(copy, traversed);
-        if traversed >= ttl {
+        let sent = if traversed >= ttl {
             self.metrics.per_node[node].ttl_dropped += 1;
             self.record_verdict(DropVerdict::TtlExhausted);
             self.trace_route_drop(node, &sdu, traversed, "ttl-exhausted");
-            // The drop record closed this copy's audit path; its hop
-            // counter goes with it (other copies keep theirs).
-            self.route.as_mut().expect("routed run").hops.remove(&copy);
-            return;
-        }
-        match self.route_next_hop(node) {
-            Some(next) => {
-                let fwd = Sdu {
-                    next_hop: next,
-                    created: self.now,
-                    ..sdu
-                };
-                self.trace_fields(TraceLevel::Info, node, "relay", || {
+            false
+        } else {
+            self.send_hop(sched, node, sdu, traversed, |w, _, fwd| {
+                let (id, origin, next, attempt, bits) =
+                    (fwd.id, fwd.origin, fwd.next_hop, fwd.attempt, fwd.bits);
+                w.trace_fields(TraceLevel::Info, node, "relay", || {
                     (
-                        format!("sdu {} relayed toward {next} (hop {traversed})", fwd.id),
+                        format!("sdu {id} relayed toward {next} (hop {traversed})"),
                         vec![
-                            field("sdu", fwd.id),
-                            field("origin", fwd.origin.index()),
+                            field("sdu", id),
+                            field("origin", origin.index()),
                             field("next_hop", next.index()),
-                            field("attempt", fwd.attempt),
+                            field("attempt", attempt),
                             field("hops", traversed),
-                            field("bits", fwd.bits),
+                            field("bits", bits),
                         ],
                     )
                 });
-                self.with_mac(sched, node, |mac, ctx| mac.on_enqueue(ctx, fwd));
-                self.observe_queue_depth(node);
-            }
-            None => {
-                self.metrics.per_node[node].unroutable += 1;
-                self.record_verdict(DropVerdict::NoAudibleReceiver);
-                self.trace_route_drop(node, &sdu, traversed, "unroutable");
-                self.route.as_mut().expect("routed run").hops.remove(&copy);
-            }
+            })
+        };
+        if !sent {
+            // The drop record closed this copy's audit path; its hop
+            // counter goes with it (other copies keep theirs).
+            self.route.as_mut().expect("routed run").hops.remove(&copy);
         }
     }
 
@@ -1072,36 +1061,20 @@ impl NetworkWorld {
                     SimTime::ZERO + SimDuration::from_micros(deadline_us),
                     NetEvent::RouteTimeout { sdu },
                 );
-                match self.route_next_hop(origin) {
-                    Some(next) => {
-                        let fwd = Sdu {
-                            id: sdu,
-                            origin: NodeId::new(entry.origin),
-                            next_hop: next,
-                            bits: entry.bits,
-                            created: self.now,
-                            attempt: entry.attempts,
-                        };
-                        self.route_register_origin(sched, origin, &fwd, entry.attempts);
-                        self.with_mac(sched, origin, |mac, ctx| mac.on_enqueue(ctx, fwd));
-                        self.observe_queue_depth(origin);
-                    }
-                    None => {
-                        // This attempt is burnt; later timeouts may still
-                        // retry (mobility can restore a neighbour).
-                        self.metrics.per_node[origin].unroutable += 1;
-                        self.record_verdict(DropVerdict::NoAudibleReceiver);
-                        let stub = Sdu {
-                            id: sdu,
-                            origin: NodeId::new(entry.origin),
-                            next_hop: NodeId::new(entry.origin),
-                            bits: entry.bits,
-                            created: self.now,
-                            attempt: entry.attempts,
-                        };
-                        self.trace_route_drop(origin, &stub, 0, "unroutable");
-                    }
-                }
+                let me = NodeId::new(entry.origin);
+                let retry = Sdu {
+                    id: sdu,
+                    origin: me,
+                    next_hop: me,
+                    bits: entry.bits,
+                    created: self.now,
+                    attempt: entry.attempts,
+                };
+                // Without a next hop this attempt is burnt; later timeouts
+                // may still retry (mobility can restore a neighbour).
+                self.send_hop(sched, origin, retry, 0, |w, sched, fwd| {
+                    w.route_register_origin(sched, origin, fwd);
+                });
             }
             TimeoutVerdict::Exhausted => {
                 self.metrics.per_node[origin].retry_dropped += 1;
@@ -1163,85 +1136,35 @@ impl NetworkWorld {
             }
             None => self.cfg.data_bits,
         };
-        let chosen = if self.route.is_some() {
-            self.route_next_hop(node)
-        } else {
-            next_hop_uphill(
-                &self.positions,
-                NodeId::new(node as u32),
-                self.channel.max_range_m(),
-            )
+        let me = NodeId::new(node as u32);
+        let sdu = Sdu {
+            id: sdu_id,
+            origin: me,
+            next_hop: me,
+            bits,
+            created: self.now,
+            attempt: 0,
         };
-        match chosen {
-            Some(next) => {
-                let sdu = Sdu {
-                    id: sdu_id,
-                    origin: NodeId::new(node as u32),
-                    next_hop: next,
-                    bits,
-                    created: self.now,
-                    attempt: 0,
-                };
-                self.metrics.record_sdu_generated(self.now, sdu_id);
-                if self.cfg.traffic.is_batch() {
-                    self.metrics.register_batch_sdu(Some(sdu_id));
-                }
-                self.trace_fields(TraceLevel::Debug, node, "enq", || {
-                    (
-                        format!("sdu {sdu_id} enqueued for {next}"),
-                        vec![
-                            field("sdu", sdu_id),
-                            field("origin", node),
-                            field("next_hop", next.index()),
-                            field("bits", bits),
-                            field("fwd", false),
-                        ],
-                    )
-                });
-                if self.route.is_some() {
-                    self.route_register_origin(sched, node, &sdu, 0);
-                }
-                self.with_mac(sched, node, |mac, ctx| mac.on_enqueue(ctx, sdu));
-                self.observe_queue_depth(node);
+        // An SDU unroutable at its origin is terminal even with transport:
+        // it was never registered, so there is nothing to retransmit.
+        let sent = self.send_hop(sched, node, sdu, 0, |w, sched, sdu| {
+            w.metrics.record_sdu_generated(w.now, sdu.id);
+            if w.cfg.traffic.is_batch() {
+                w.metrics.register_batch_sdu(Some(sdu.id));
             }
-            None => {
-                self.metrics.per_node[node].unroutable += 1;
-                self.record_verdict(DropVerdict::NoAudibleReceiver);
-                if self.route.is_some() {
-                    // Origin-unroutable SDUs are terminal even with
-                    // transport: there is nothing to retransmit.
-                    let stub = Sdu {
-                        id: sdu_id,
-                        origin: NodeId::new(node as u32),
-                        next_hop: NodeId::new(node as u32),
-                        bits,
-                        created: self.now,
-                        attempt: 0,
-                    };
-                    self.trace_route_drop(node, &stub, 0, "unroutable");
-                }
-                if self.cfg.traffic.is_batch() {
-                    // An unroutable batch SDU would deadlock completion;
-                    // count the arrival as (vacuously) done.
-                    self.metrics.register_batch_sdu(None);
-                }
+            w.trace_enq(node, sdu, false);
+            if w.route.is_some() {
+                w.route_register_origin(sched, node, sdu);
             }
+        });
+        if !sent && self.cfg.traffic.is_batch() {
+            // An unroutable batch SDU would deadlock completion; count the
+            // arrival as (vacuously) done.
+            self.metrics.register_batch_sdu(None);
         }
         if recurring {
             if let Some(stream) = self.traffic_stream {
                 let next = stream.next_arrival(&mut self.traffic_rng, self.now);
-                if next < self.traffic_end {
-                    sched.at(
-                        next,
-                        NetEvent::TrafficArrival {
-                            node: node as u32,
-                            recurring: true,
-                        },
-                    );
-                }
-            } else if let Some(stream) = self.workload_stream {
-                let next_s = stream.next_arrival(&mut self.traffic_rng, self.now.as_secs_f64());
-                let next = SimTime::ZERO + SimDuration::from_secs_f64(next_s);
                 if next < self.traffic_end {
                     sched.at(
                         next,
@@ -1681,34 +1604,17 @@ impl Simulation {
             cfg.channel.max_range_m() / cfg.channel.max_propagation_delay().as_secs_f64();
         let estimator = DelayEstimator::new(cfg.clock.meas_noise, max_speed, sound_speed);
 
-        // Traffic setup. The legacy Poisson path keeps its own
-        // `ArrivalStream` arithmetic untouched (byte-identity with
-        // pre-routing builds); the heavy-traffic patterns ride the
-        // `uasn-route` workload streams instead.
-        let (traffic_stream, traffic_end) = match cfg.traffic {
-            TrafficPattern::Poisson { offered_load_kbps } => (
-                Some(ArrivalStream::poisson(per_sensor_rate(
-                    offered_load_kbps,
-                    cfg.data_bits,
-                    cfg.sensors,
-                ))),
-                cfg.horizon(),
-            ),
-            TrafficPattern::Batch { window, .. } => (None, SimTime::ZERO + window),
-            TrafficPattern::BurstyOnOff { .. } | TrafficPattern::Convergecast { .. } => {
-                (None, cfg.horizon())
-            }
+        // Traffic setup: one recurring arrival stream per pattern, except
+        // batch traffic, whose arrivals are all seeded below.
+        let traffic_stream = cfg.traffic.workload(cfg.data_bits, cfg.sensors);
+        let traffic_end = match cfg.traffic {
+            TrafficPattern::Batch { window, .. } => SimTime::ZERO + window,
+            _ => cfg.horizon(),
         };
-        let workload_stream = cfg.traffic.workload(cfg.data_bits, cfg.sensors);
 
-        // Routing runtime. Only routed runs derive the "route" stream, so
-        // `route: None` draws exactly the historical set of seed streams.
         let route = cfg.route.map(|rc| RouteRuntime {
-            rng: seeds.stream("route", 0),
             hops: HashMap::new(),
             transport: rc.transport.map(TransportTable::new),
-            cand_buf: Vec::new(),
-            cfg: rc,
         });
 
         let mut world = NetworkWorld {
@@ -1729,7 +1635,8 @@ impl Simulation {
             mobility_rng: seeds.stream("mobility", 0),
             traffic_rng: seeds.stream("traffic", 0),
             traffic_stream,
-            workload_stream,
+            route_rng: seeds.stream("route", 0),
+            cand_buf: Vec::new(),
             route,
             metrics,
             delivered: std::collections::HashSet::new(),
@@ -1804,68 +1711,48 @@ impl Simulation {
                 );
             }
         }
-        match world.cfg.traffic {
-            TrafficPattern::Poisson { .. } => {
-                let stream = world.traffic_stream.expect("poisson stream");
-                for i in 0..n {
-                    if world.roles[i] == NodeRole::Sensor {
-                        let first = stream.next_arrival(&mut world.traffic_rng, SimTime::ZERO);
-                        if first < world.traffic_end {
-                            engine.seed_event(
-                                first,
-                                NetEvent::TrafficArrival {
-                                    node: i as u32,
-                                    recurring: true,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-            TrafficPattern::Batch {
-                total_packets,
-                window,
-            } => {
-                world.metrics.expect_batch(total_packets);
-                let sensor_ids: Vec<u32> = (0..n)
-                    .filter(|&i| world.roles[i] == NodeRole::Sensor)
-                    .map(|i| i as u32)
-                    .collect();
-                use rand::Rng;
-                for k in 0..total_packets {
-                    let node = sensor_ids[k as usize % sensor_ids.len()];
-                    let at = SimTime::ZERO
-                        + SimDuration::from_secs_f64(
-                            world
-                                .traffic_rng
-                                .gen_range(0.0..window.as_secs_f64().max(1e-6)),
+        if let Some(stream) = world.traffic_stream {
+            for i in 0..n {
+                if world.roles[i] == NodeRole::Sensor {
+                    let first = stream.next_arrival(&mut world.traffic_rng, SimTime::ZERO);
+                    if first < world.traffic_end {
+                        engine.seed_event(
+                            first,
+                            NetEvent::TrafficArrival {
+                                node: i as u32,
+                                recurring: true,
+                            },
                         );
-                    engine.seed_event(
-                        at,
-                        NetEvent::TrafficArrival {
-                            node,
-                            recurring: false,
-                        },
-                    );
-                }
-            }
-            TrafficPattern::BurstyOnOff { .. } | TrafficPattern::Convergecast { .. } => {
-                let stream = world.workload_stream.expect("workload stream");
-                for i in 0..n {
-                    if world.roles[i] == NodeRole::Sensor {
-                        let first_s = stream.next_arrival(&mut world.traffic_rng, 0.0);
-                        let first = SimTime::ZERO + SimDuration::from_secs_f64(first_s);
-                        if first < world.traffic_end {
-                            engine.seed_event(
-                                first,
-                                NetEvent::TrafficArrival {
-                                    node: i as u32,
-                                    recurring: true,
-                                },
-                            );
-                        }
                     }
                 }
+            }
+        }
+        if let TrafficPattern::Batch {
+            total_packets,
+            window,
+        } = world.cfg.traffic
+        {
+            world.metrics.expect_batch(total_packets);
+            let sensor_ids: Vec<u32> = (0..n)
+                .filter(|&i| world.roles[i] == NodeRole::Sensor)
+                .map(|i| i as u32)
+                .collect();
+            use rand::Rng;
+            for k in 0..total_packets {
+                let node = sensor_ids[k as usize % sensor_ids.len()];
+                let at = SimTime::ZERO
+                    + SimDuration::from_secs_f64(
+                        world
+                            .traffic_rng
+                            .gen_range(0.0..window.as_secs_f64().max(1e-6)),
+                    );
+                engine.seed_event(
+                    at,
+                    NetEvent::TrafficArrival {
+                        node,
+                        recurring: false,
+                    },
+                );
             }
         }
         if world.cfg.mobility.enabled {
@@ -2073,7 +1960,6 @@ mod tests {
         SimConfig {
             sensors: 10,
             sinks: 2,
-            forwarding: false,
             ..SimConfig::paper_default()
         }
         .with_offered_load_kbps(0.3)
@@ -2113,8 +1999,17 @@ mod tests {
 
     #[test]
     fn delivered_bits_never_exceed_sent_bits() {
-        let report = Simulation::new(small_cfg(), &blast_factory).unwrap().run();
-        assert!(report.data_bits_received <= report.sdus_generated * 2_048);
+        // Relays re-send what they receive, so hop deliveries are bounded
+        // by the data bits put on the air, and sink arrivals by the bits
+        // generated (each SDU reaches at most one sink).
+        let mut sim = Simulation::new(small_cfg(), &blast_factory).unwrap();
+        sim.engine.run_profiled(&mut sim.world, sim.horizon);
+        let counters = &sim.world.metrics.per_node;
+        let sent: u64 = counters.iter().map(|c| c.data_bits_sent).sum();
+        let received: u64 = counters.iter().map(|c| c.data_bits_received).sum();
+        assert!(received > 0 && received <= sent, "{received} > {sent}");
+        let report = sim.world.finalize(sim.horizon);
+        assert!(report.sink_bits_received <= report.sdus_generated * 2_048);
     }
 
     #[test]
@@ -2122,7 +2017,6 @@ mod tests {
         let cfg = SimConfig {
             sensors: 6,
             sinks: 2,
-            forwarding: true,
             ..SimConfig::paper_default()
         }
         .with_batch_load_kbps(0.05);
@@ -2156,7 +2050,6 @@ mod tests {
         let cfg = SimConfig {
             sensors: 10,
             sinks: 2,
-            forwarding: true,
             ..SimConfig::paper_default()
         }
         .with_offered_load_kbps(0.2)
@@ -2171,7 +2064,6 @@ mod tests {
         let cfg = SimConfig {
             sensors: 8,
             sinks: 2,
-            forwarding: false,
             hello_init: true,
             ..SimConfig::paper_default()
         }
@@ -2199,7 +2091,6 @@ mod tests {
         let base = SimConfig {
             sensors: 8,
             sinks: 2,
-            forwarding: false,
             ..SimConfig::paper_default()
         }
         .with_offered_load_kbps(0.3)
@@ -2494,14 +2385,13 @@ mod tests {
     #[test]
     fn greedy_routing_twins_legacy_forwarding() {
         // The byte-identity contract's dynamic half: a greedy routed run
-        // makes exactly the per-hop decisions of the legacy forwarding
-        // pipeline (same candidate ranking, no RNG draws), so every
-        // delivery counter matches; only the new path-length histogram —
-        // which legacy runs never record — differs.
+        // makes exactly the per-hop decisions of a run without routing
+        // (the same candidate scan and policy, no RNG draws), so every
+        // delivery counter matches; only the path-length histogram —
+        // which runs without routing never record — differs.
         let base = SimConfig {
             sensors: 10,
             sinks: 2,
-            forwarding: true,
             ..SimConfig::paper_default()
         }
         .with_offered_load_kbps(0.2)
@@ -2528,7 +2418,6 @@ mod tests {
         let cfg = SimConfig {
             sensors: 10,
             sinks: 2,
-            forwarding: true,
             ..SimConfig::paper_default()
         }
         .with_convergecast(30.0, 10.0)
@@ -2585,7 +2474,6 @@ mod tests {
         let cfg = SimConfig {
             sensors: 10,
             sinks: 2,
-            forwarding: true,
             ..SimConfig::paper_default()
         }
         .with_convergecast(20.0, 10.0)
@@ -2629,7 +2517,6 @@ mod tests {
         let cfg = SimConfig {
             sensors: 10,
             sinks: 2,
-            forwarding: false,
             ..SimConfig::paper_default()
         }
         .with_bursty_load_kbps(0.3, 5.0, 15.0)

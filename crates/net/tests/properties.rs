@@ -7,7 +7,7 @@ use rand::SeedableRng;
 
 use uasn_net::node::NodeId;
 use uasn_net::quiet::QuietSchedule;
-use uasn_net::routing::{next_hop_uphill, route_uphill};
+use uasn_net::routing::route_uphill;
 use uasn_net::slots::SlotClock;
 use uasn_net::topology::{stranded_sensors, Deployment};
 use uasn_phy::geometry::Point;
@@ -152,7 +152,8 @@ proptest! {
             .expect("generates");
         let positions: Vec<Point> = nodes.iter().map(|n| n.position).collect();
         for (idx, p) in positions.iter().enumerate() {
-            if let Some(next) = next_hop_uphill(&positions, NodeId::new(idx as u32), 1_500.0) {
+            let route = route_uphill(&positions, NodeId::new(idx as u32), 1_500.0);
+            if let Some(&next) = route.get(1) {
                 prop_assert!(positions[next.index()].depth() < p.depth());
                 prop_assert!(p.distance(positions[next.index()]) <= 1_500.0);
             }

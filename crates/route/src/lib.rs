@@ -15,8 +15,9 @@
 //!   keeps a copy of every SDU it injects, arms a timeout, and
 //!   retransmits with exponential backoff until a sink ack arrives or a
 //!   bounded retry budget is exhausted.
-//! - [`workload`] — seeded heavy-traffic arrival processes (Poisson,
-//!   bursty on/off, convergecast rounds) that drive the multi-hop sweeps.
+//! - [`workload`] — seeded per-sensor arrival processes (Poisson, bursty
+//!   on/off, convergecast rounds): the one arrival stream behind every
+//!   recurring traffic pattern.
 //!
 //! The crate is deliberately independent of `uasn-net`: it operates on
 //! caller-supplied candidate lists and plain integer node ids, so the

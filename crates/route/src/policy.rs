@@ -6,10 +6,10 @@
 //! decision needs (id, depth, distance), so the policies are pure
 //! functions over plain data and never allocate.
 //!
-//! The [`ForwardPolicy::Greedy`] ranking `(depth, distance, id)` is
-//! deliberately identical to `uasn-net`'s legacy `next_hop_uphill`
-//! selection, so a greedy routed run chooses exactly the hops the
-//! pre-routing forwarding path chose.
+//! `uasn-net` forwards every SDU of every run through
+//! [`select_next_hop`]: runs without a routing configuration use
+//! [`ForwardPolicy::Greedy`], so the `(depth, distance, id)` ranking here
+//! is the simulator's only next-hop rule.
 
 use rand::Rng;
 
@@ -45,7 +45,7 @@ impl Candidate {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardPolicy {
     /// Always the best-ranked candidate (min depth, then distance, then
-    /// id) — byte-compatible with the legacy uphill forwarding.
+    /// id) — the policy of every run without a routing configuration.
     Greedy,
     /// Uniformly random choice among the `k` best-ranked candidates
     /// (`k >= 1`), drawn from the seeded routing stream. Spreads relay

@@ -1,9 +1,10 @@
-//! Seeded heavy-traffic arrival processes for the multi-hop sweeps.
+//! Seeded per-sensor arrival processes: the one arrival stream type every
+//! recurring traffic pattern of the simulator runs on.
 //!
-//! Three shapes, all operating on absolute seconds so they compose with
-//! any clock representation:
+//! Three shapes:
 //!
-//! * [`Workload::Poisson`] — memoryless arrivals, the paper's own axis.
+//! * [`Workload::Poisson`] — memoryless arrivals, the paper's own
+//!   offered-load axis.
 //! * [`Workload::BurstyOnOff`] — a Poisson process gated by a
 //!   deterministic on/off duty cycle: arrivals cluster inside "on"
 //!   windows and the channel goes silent in between, the classic
@@ -16,14 +17,17 @@
 //! Streams are plain `Copy` values with no hidden state: the next
 //! arrival is a pure function of the previous arrival time and the
 //! seeded RNG stream, so replays and worker-count changes cannot
-//! reorder them.
+//! reorder them. A Poisson gap is added to the previous instant in
+//! [`SimTime`]; the duty-cycle and round shapes do their arithmetic in
+//! absolute f64 seconds and convert the result once.
 
 use rand::{Rng, RngCore};
 
 use uasn_sim::rng::exponential;
+use uasn_sim::time::{SimDuration, SimTime};
 
 /// Minimum inter-arrival gap, seconds — keeps arrivals strictly
-/// increasing even at absurd rates (mirrors `uasn-net`'s streams).
+/// increasing even at absurd rates.
 const MIN_GAP_S: f64 = 1e-6;
 
 /// A per-sensor arrival process shape.
@@ -132,6 +136,7 @@ impl Workload {
 /// ```
 /// use uasn_route::{Workload, WorkloadStream};
 /// use uasn_sim::rng::SeedFactory;
+/// use uasn_sim::time::SimTime;
 ///
 /// let mut rng = SeedFactory::new(1).stream("route-traffic", 0);
 /// let stream = WorkloadStream::new(Workload::BurstyOnOff {
@@ -139,7 +144,7 @@ impl Workload {
 ///     on_s: 2.0,
 ///     off_s: 8.0,
 /// });
-/// let t1 = stream.next_arrival(&mut rng, 0.0);
+/// let t1 = stream.next_arrival(&mut rng, SimTime::ZERO);
 /// let t2 = stream.next_arrival(&mut rng, t1);
 /// assert!(t2 > t1);
 /// ```
@@ -166,10 +171,14 @@ impl WorkloadStream {
         self.workload
     }
 
-    /// Draws the next arrival instant strictly after `after_s` seconds.
-    pub fn next_arrival<R: RngCore>(&self, rng: &mut R, after_s: f64) -> f64 {
-        let next = match self.workload {
-            Workload::Poisson { rate_hz } => after_s + exponential(rng, 1.0 / rate_hz),
+    /// Draws the next arrival instant strictly after `after`.
+    pub fn next_arrival<R: RngCore>(&self, rng: &mut R, after: SimTime) -> SimTime {
+        let after_s = after.as_secs_f64();
+        let next_s = match self.workload {
+            Workload::Poisson { rate_hz } => {
+                let gap = exponential(rng, 1.0 / rate_hz).max(MIN_GAP_S);
+                return after + SimDuration::from_secs_f64(gap);
+            }
             Workload::BurstyOnOff {
                 rate_hz,
                 on_s,
@@ -194,7 +203,7 @@ impl WorkloadStream {
                 round * period_s + jitter
             }
         };
-        next.max(after_s + MIN_GAP_S)
+        SimTime::ZERO + SimDuration::from_secs_f64(next_s.max(after_s + MIN_GAP_S))
     }
 }
 
@@ -249,13 +258,13 @@ mod tests {
             off_s: 8.0,
         });
         let mut r = rng(11);
-        let mut t = 0.0;
+        let mut t = SimTime::ZERO;
         for _ in 0..500 {
             t = stream.next_arrival(&mut r, t);
-            let phase = t % 10.0;
+            let phase = t.as_secs_f64() % 10.0;
             assert!(
                 phase <= 2.0 + 1e-9,
-                "arrival at {t} (phase {phase}) is off-window"
+                "arrival at {t:?} (phase {phase}) is off-window"
             );
         }
     }
@@ -268,12 +277,12 @@ mod tests {
             off_s: 7.0,
         });
         let mut r = rng(5);
-        let mut t = 0.0;
+        let mut t = SimTime::ZERO;
         let n = 20_000;
         for _ in 0..n {
             t = stream.next_arrival(&mut r, t);
         }
-        let rate = n as f64 / t;
+        let rate = n as f64 / t.as_secs_f64();
         let expect = stream.workload().mean_rate_hz();
         assert!(
             (rate - expect).abs() / expect < 0.05,
@@ -288,13 +297,13 @@ mod tests {
             jitter_s: 5.0,
         });
         let mut r = rng(7);
-        let mut t = 0.0;
+        let mut t = SimTime::ZERO;
         for round in 1..=50u32 {
             t = stream.next_arrival(&mut r, t);
-            let base = round as f64 * 30.0;
+            let (at, base) = (t.as_secs_f64(), round as f64 * 30.0);
             assert!(
-                t >= base && t < base + 5.0,
-                "round {round} fired at {t}, expected [{base}, {})",
+                at >= base && at < base + 5.0,
+                "round {round} fired at {at}, expected [{base}, {})",
                 base + 5.0
             );
         }
@@ -307,10 +316,10 @@ mod tests {
             jitter_s: 0.0,
         });
         let mut r = rng(1);
-        let mut t = 0.0;
+        let mut t = SimTime::ZERO;
         for round in 1..=5u32 {
             t = stream.next_arrival(&mut r, t);
-            assert!((t - round as f64 * 10.0).abs() < 1e-9);
+            assert!((t.as_secs_f64() - round as f64 * 10.0).abs() < 1e-9);
         }
     }
 
@@ -331,10 +340,10 @@ mod tests {
         for (i, w) in shapes.iter().enumerate() {
             let stream = WorkloadStream::new(*w);
             let mut r = rng(20 + i as u64);
-            let mut t = 0.0;
+            let mut t = SimTime::ZERO;
             for _ in 0..1_000 {
                 let next = stream.next_arrival(&mut r, t);
-                assert!(next > t, "{} stalled at {t}", w.as_str());
+                assert!(next > t, "{} stalled at {t:?}", w.as_str());
                 t = next;
             }
         }

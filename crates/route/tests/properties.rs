@@ -70,8 +70,8 @@ proptest! {
         prop_assert_eq!(forward, backward);
     }
 
-    /// Greedy picks exactly the (depth, dist, id) minimum — the legacy
-    /// `next_hop_uphill` contract.
+    /// Greedy picks exactly the (depth, dist, id) minimum — the next-hop
+    /// rule of every run without a routing configuration.
     #[test]
     fn greedy_is_the_rank_minimum(cs in arb_candidates()) {
         let pick = select_next_hop(ForwardPolicy::Greedy, &cs, &mut StdRng::seed_from_u64(0));
