@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::model::{RunInfo, RxEvent, TraceModel};
+use crate::model::{ModelEvent, RunInfo, RxEvent, TraceModel};
 use crate::monitor::MonitorSet;
 
 /// What kind of promise a violation breaks.
@@ -138,56 +138,17 @@ pub fn check(model: &TraceModel) -> Vec<Violation> {
 }
 
 /// Feeds the model's frame and routing events through the streaming
-/// monitors in trace record order (ties broken in emission order:
-/// tx < rx < rx-lost < route < relay < route-drop < e2e-deliver).
+/// monitors in trace record order.
 fn replay(model: &TraceModel, monitors: &mut MonitorSet) {
-    enum Step<'a> {
-        Tx(&'a crate::model::TxEvent),
-        Rx(&'a RxEvent),
-        RxLost(&'a crate::model::RxLostEvent),
-        Route(&'a crate::model::RouteEvent),
-        Relay(&'a crate::model::RelayEvent),
-        RouteDrop(&'a crate::model::RouteDropEvent),
-        E2eDeliver(&'a crate::model::E2eDeliverEvent),
-    }
-    let mut steps: Vec<(usize, Step<'_>)> = Vec::with_capacity(
-        model.tx.len()
-            + model.rx.len()
-            + model.rx_lost.len()
-            + model.route.len()
-            + model.relay.len()
-            + model.route_drops.len()
-            + model.e2e_deliver.len(),
-    );
-    steps.extend(model.tx.iter().map(|e| (e.record, Step::Tx(e))));
-    steps.extend(model.rx.iter().map(|e| (e.record, Step::Rx(e))));
-    steps.extend(model.rx_lost.iter().map(|e| (e.record, Step::RxLost(e))));
-    steps.extend(model.route.iter().map(|e| (e.record, Step::Route(e))));
-    steps.extend(model.relay.iter().map(|e| (e.record, Step::Relay(e))));
-    steps.extend(
-        model
-            .route_drops
-            .iter()
-            .map(|e| (e.record, Step::RouteDrop(e))),
-    );
-    steps.extend(
-        model
-            .e2e_deliver
-            .iter()
-            .map(|e| (e.record, Step::E2eDeliver(e))),
-    );
-    // Stable by record index; the extend order above breaks the (test-only)
-    // ties between synthetic events sharing a record.
-    steps.sort_by_key(|(record, _)| *record);
-    for (_, step) in steps {
-        match step {
-            Step::Tx(e) => monitors.observe_tx(e),
-            Step::Rx(e) => monitors.observe_rx(e),
-            Step::RxLost(e) => monitors.observe_rx_lost(e),
-            Step::Route(e) => monitors.observe_route(e),
-            Step::Relay(e) => monitors.observe_relay(e),
-            Step::RouteDrop(e) => monitors.observe_route_drop(e),
-            Step::E2eDeliver(e) => monitors.observe_e2e_deliver(e),
+    for event in model.in_record_order() {
+        match event {
+            ModelEvent::Tx(e) => monitors.observe_tx(e),
+            ModelEvent::Rx(e) => monitors.observe_rx(e),
+            ModelEvent::RxLost(e) => monitors.observe_rx_lost(e),
+            ModelEvent::Route(e) => monitors.observe_route(e),
+            ModelEvent::Relay(e) => monitors.observe_relay(e),
+            ModelEvent::RouteDrop(e) => monitors.observe_route_drop(e),
+            ModelEvent::E2eDeliver(e) => monitors.observe_e2e_deliver(e),
         }
     }
 }

@@ -17,7 +17,7 @@ use uasn_sim::hist::LogHistogram;
 use uasn_sim::json::JsonValue;
 
 use crate::copies::CopyIndex;
-use crate::model::TraceModel;
+use crate::model::{ModelEvent, TraceModel};
 
 /// One hop of an SDU's journey: from MAC enqueue at `from` to decoded data
 /// arrival at `to` (when the hop completed).
@@ -423,26 +423,11 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
     let mut open: CopyIndex<usize> = CopyIndex::default();
     let mut paths: Vec<SduPath> = Vec::with_capacity(model.route.len());
 
-    // Merge the four per-SDU streams back into trace order by record
-    // index, the same order the streaming monitor saw them in.
-    enum Ev<'a> {
-        Route(&'a crate::model::RouteEvent),
-        Relay(&'a crate::model::RelayEvent),
-        Drop(&'a crate::model::RouteDropEvent),
-        Deliver(&'a crate::model::E2eDeliverEvent),
-    }
-    let mut events: Vec<(usize, Ev<'_>)> = Vec::with_capacity(
-        model.route.len() + model.relay.len() + model.route_drops.len() + model.e2e_deliver.len(),
-    );
-    events.extend(model.route.iter().map(|e| (e.record, Ev::Route(e))));
-    events.extend(model.relay.iter().map(|e| (e.record, Ev::Relay(e))));
-    events.extend(model.route_drops.iter().map(|e| (e.record, Ev::Drop(e))));
-    events.extend(model.e2e_deliver.iter().map(|e| (e.record, Ev::Deliver(e))));
-    events.sort_by_key(|(record, _)| *record);
-
-    for (_, ev) in events {
-        match ev {
-            Ev::Route(e) => {
+    // Walk in trace record order, the order the streaming monitor saw
+    // these events in.
+    for event in model.in_record_order() {
+        match event {
+            ModelEvent::Route(e) => {
                 open.insert(e.sdu, e.attempt, paths.len());
                 paths.push(SduPath {
                     sdu: e.sdu,
@@ -453,12 +438,12 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
                     dropped: None,
                 });
             }
-            Ev::Relay(e) => {
+            ModelEvent::Relay(e) => {
                 if let Some(&i) = open.get(e.sdu, e.attempt) {
                     paths[i].nodes.push(e.node);
                 }
             }
-            Ev::Drop(e) => {
+            ModelEvent::RouteDrop(e) => {
                 if e.terminal {
                     // A terminal drop retires the whole SDU: the named
                     // copy (or, for retry exhaustion, the latest open
@@ -478,12 +463,13 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
                     }
                 }
             }
-            Ev::Deliver(e) => {
+            ModelEvent::E2eDeliver(e) => {
                 if let Some(i) = open.remove(e.sdu, e.attempt) {
                     paths[i].nodes.push(e.node);
                     paths[i].delivered = Some((e.node, e.e2e_us));
                 }
             }
+            ModelEvent::Tx(_) | ModelEvent::Rx(_) | ModelEvent::RxLost(_) => {}
         }
     }
     paths

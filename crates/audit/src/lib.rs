@@ -24,8 +24,9 @@
 //!   replays through the same machines, so both paths agree by
 //!   construction.
 //!
-//! The `audit` binary fronts all three over a JSONL trace file:
-//! `audit check`, `audit journeys`, `audit latency`.
+//! [`read_trace`] is the one loader from a JSONL file. The library has no
+//! binary of its own: `uasn-bench`'s `obs_report` fronts it over a trace
+//! or a run manifest (`check`, `journeys`, `latency`, `paths`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,5 +41,5 @@ pub use invariant::{check, Violation, ViolationKind};
 pub use journey::{
     reconstruct, reconstruct_paths, slowest, Journey, PathStats, PhaseHistograms, SduPath,
 };
-pub use model::TraceModel;
-pub use monitor::{FlightRecorder, MonitorReport, MonitorSet, StreamingMonitor};
+pub use model::{read_trace, TraceModel};
+pub use monitor::{FlightRecorder, MonitorReport, MonitorSet, StreamingMonitor, STREAMED_KINDS};

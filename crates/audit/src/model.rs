@@ -8,8 +8,10 @@
 //! in [`TraceModel::skipped`] rather than failing the whole parse — the
 //! checks that need them simply see fewer events, and callers can warn.
 
+use std::path::Path;
+
 use uasn_net::packet::FrameKind;
-use uasn_sim::trace::{FieldValue, TraceRecord};
+use uasn_sim::trace::{parse_jsonl, FieldValue, TraceRecord};
 
 /// The run-description record (`run-info` tag) the world emits at t = 0:
 /// protocol identity, network shape, and the slot geometry the invariant
@@ -609,6 +611,80 @@ impl TraceModel {
     pub fn has_frame_detail(&self) -> bool {
         !self.tx.is_empty() || !self.rx.is_empty()
     }
+
+    /// The frame and routing events merged back into trace record order,
+    /// the order the streaming monitors see them in. Ties between events
+    /// sharing a record (synthetic models only) break in emission order:
+    /// tx < rx < rx-lost < route < relay < route-drop < e2e-deliver.
+    pub fn in_record_order(&self) -> impl Iterator<Item = ModelEvent<'_>> {
+        let mut events: Vec<(usize, ModelEvent<'_>)> = Vec::with_capacity(
+            self.tx.len()
+                + self.rx.len()
+                + self.rx_lost.len()
+                + self.route.len()
+                + self.relay.len()
+                + self.route_drops.len()
+                + self.e2e_deliver.len(),
+        );
+        events.extend(self.tx.iter().map(|e| (e.record, ModelEvent::Tx(e))));
+        events.extend(self.rx.iter().map(|e| (e.record, ModelEvent::Rx(e))));
+        events.extend(
+            self.rx_lost
+                .iter()
+                .map(|e| (e.record, ModelEvent::RxLost(e))),
+        );
+        events.extend(self.route.iter().map(|e| (e.record, ModelEvent::Route(e))));
+        events.extend(self.relay.iter().map(|e| (e.record, ModelEvent::Relay(e))));
+        events.extend(
+            self.route_drops
+                .iter()
+                .map(|e| (e.record, ModelEvent::RouteDrop(e))),
+        );
+        events.extend(
+            self.e2e_deliver
+                .iter()
+                .map(|e| (e.record, ModelEvent::E2eDeliver(e))),
+        );
+        // Stable by record index, so the extend order above breaks ties.
+        events.sort_by_key(|(record, _)| *record);
+        events.into_iter().map(|(_, event)| event)
+    }
+}
+
+/// One frame or routing event of a [`TraceModel`], borrowed, as
+/// [`TraceModel::in_record_order`] yields it.
+#[derive(Debug, Clone, Copy)]
+pub enum ModelEvent<'a> {
+    /// A transmission start.
+    Tx(&'a TxEvent),
+    /// A decoded reception.
+    Rx(&'a RxEvent),
+    /// A lost reception.
+    RxLost(&'a RxLostEvent),
+    /// A routed SDU copy injected at its origin.
+    Route(&'a RouteEvent),
+    /// A relay decision at an intermediate node.
+    Relay(&'a RelayEvent),
+    /// A routed loss (copy-level or terminal).
+    RouteDrop(&'a RouteDropEvent),
+    /// A first end-to-end delivery.
+    E2eDeliver(&'a E2eDeliverEvent),
+}
+
+/// Reads a JSONL trace file into its records and their [`TraceModel`]:
+/// the one way the tools load a trace from disk.
+///
+/// # Errors
+///
+/// A message naming the file when it cannot be read or does not parse as
+/// a `uasn-trace` stream.
+pub fn read_trace(path: &Path) -> Result<(Vec<TraceRecord>, TraceModel), String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read trace {}: {e}", path.display()))?;
+    let records =
+        parse_jsonl(&text).map_err(|e| format!("{} is not a valid trace: {e}", path.display()))?;
+    let model = TraceModel::from_records(&records);
+    Ok((records, model))
 }
 
 #[cfg(test)]

@@ -51,6 +51,16 @@ use crate::model::{
     RxEvent, RxLostEvent, TxEvent,
 };
 
+/// The violation kinds the streaming monitors check, in display order.
+/// The post-hoc [`crate::check`] adds the whole-trace kinds (overlapping
+/// receptions, propagation consistency) on top.
+pub const STREAMED_KINDS: [ViolationKind; 4] = [
+    ViolationKind::HalfDuplexDecode,
+    ViolationKind::SlotMisalignment,
+    ViolationKind::ExtraWindowIntrusion,
+    ViolationKind::RoutingLoop,
+];
+
 /// Default flight-recorder depth: enough context to see the negotiation
 /// that preceded an anomaly without holding a meaningful trace.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
@@ -756,15 +766,9 @@ pub struct MonitorReport {
 }
 
 impl MonitorReport {
-    /// Finding counts per violation kind, in display order.
+    /// Finding counts per streamed violation kind, in display order.
     pub fn counts_by_kind(&self) -> Vec<(ViolationKind, usize)> {
-        let kinds = [
-            ViolationKind::HalfDuplexDecode,
-            ViolationKind::SlotMisalignment,
-            ViolationKind::ExtraWindowIntrusion,
-            ViolationKind::RoutingLoop,
-        ];
-        kinds
+        STREAMED_KINDS
             .iter()
             .map(|&k| (k, self.findings.iter().filter(|v| v.kind == k).count()))
             .collect()

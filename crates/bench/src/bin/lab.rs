@@ -6,6 +6,7 @@
 //! lab resume <journal> [--jobs N] [--out DIR] [--max-cells N] [--quiet]
 //!            [--profile] [--monitor]
 //! lab status <journal> [--json]
+//! lab table2
 //! ```
 //!
 //! `run` expands the requested figures (default `all`) into a flat
@@ -15,6 +16,7 @@
 //! alone, skips every journaled cell, and retries failed ones. `status`
 //! summarises a journal without running anything. Results are
 //! byte-identical for any `--jobs` value and any interrupt/resume split.
+//! `table2` echoes the validated Table 2 configuration (experiment T2).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,6 +31,7 @@ const USAGE: &str = "usage:
   lab resume <journal> [--jobs N] [--out DIR] [--max-cells N] [--quiet]
              [--profile] [--monitor]
   lab status <journal> [--json]
+  lab table2
 
 LIST is comma-separated figure IDs (fig6, F9a, X2, ablation, ...) or \"all\".
 --profile runs every cell with performance profiling on (results are
@@ -43,6 +46,7 @@ fn main() -> ExitCode {
         Some("run") => cmd_run(&args[1..]),
         Some("resume") => cmd_resume(&args[1..]),
         Some("status") => cmd_status(&args[1..]),
+        Some("table2") if args.len() == 1 => cmd_table2(),
         _ => Err(USAGE.to_string()),
     };
     match result {
@@ -168,6 +172,14 @@ fn cmd_status(tokens: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::FAILURE
     })
+}
+
+fn cmd_table2() -> Result<ExitCode, String> {
+    println!("[T2] Simulation parameters (paper Table 2)");
+    for (k, v) in uasn_bench::experiments::table2() {
+        println!("{k:>24}: {v}");
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Prints tables, writes artifacts, and maps the outcome to an exit code:

@@ -1,13 +1,18 @@
-//! Pretty-prints run manifests, summarises JSONL traces, and audits a
-//! manifest's trace.
+//! The one inspector for run manifests and JSONL traces.
 //!
 //! Usage:
 //!   obs_report                          list results/*.manifest.json
 //!   obs_report <manifest.json>          pretty-print one manifest
 //!   obs_report <manifest.json> <trace.jsonl>   + summarise a trace
 //!   obs_report --trace <trace.jsonl>    summarise a trace alone
-//!   obs_report audit <manifest.json>    invariant-check the manifest's
-//!                                       trace file + slowest journeys
+//!   obs_report check <input>            replay the invariant checks
+//!   obs_report journeys <input> [--top N]
+//!                                       slowest packet journeys (default 10)
+//!   obs_report latency <input> [--csv P] [--json P]
+//!                                       phase-latency histograms
+//!   obs_report paths <input> [--json P] routed source→sink paths: copy
+//!                                       fates, hop-count distribution, e2e
+//!                                       percentiles, per-reason loss shares
 //!   obs_report profile <file.json>      render a performance profile:
 //!                                       accepts a manifest with a
 //!                                       `stats.profile` or a bare
@@ -17,58 +22,348 @@
 //!                                       histogram from a manifest with a
 //!                                       `stats.monitor` or a bare
 //!                                       MonitorTotals document
-//!   obs_report e2e <manifest.json>      render source→sink path stats from
-//!                                       the manifest's trace: hop-count
-//!                                       distribution, e2e latency
-//!                                       percentiles, per-reason loss shares
+//!
+//! `<input>` is a JSONL trace or a run manifest, told apart by the file
+//! itself (the trace's `uasn-trace` header line against the manifest's
+//! `uasn-manifest` schema). A manifest stands for the trace its
+//! `trace_file` names, relative to the manifest's directory, and is refused
+//! when it records a lossy trace.
+//!
+//! Exit codes: 0 on success, 1 on any failure: a violation found by
+//! `check`, a usage error, or an unreadable, unparsable or lossy input.
 
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use uasn_audit::journey::{reconstruct, reconstruct_paths, slowest, PathStats, PhaseHistograms};
 use uasn_audit::model::TraceModel;
-use uasn_bench::manifest::MonitorTotals;
+use uasn_audit::read_trace;
+use uasn_bench::manifest::{MonitorTotals, MANIFEST_SCHEMA};
 use uasn_sim::json::JsonValue;
 use uasn_sim::profile::ProfileReport;
-use uasn_sim::trace::parse_jsonl;
+use uasn_sim::trace::TRACE_SCHEMA;
+
+const USAGE: &str = "usage: obs_report [manifest.json] [trace.jsonl]
+       obs_report --trace <trace.jsonl>
+       obs_report check <input>
+       obs_report journeys <input> [--top N]
+       obs_report latency <input> [--csv PATH] [--json PATH]
+       obs_report paths <input> [--json PATH]
+       obs_report profile <file.json>
+       obs_report forensics <file.json>
+<input> is a JSONL trace or a run manifest with a `trace_file`.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.as_slice() {
+    let result = match args.as_slice() {
         [] => list_manifests(&uasn_bench::cli::results_dir()),
+        [verb, input, opts @ ..] if Verb::NAMES.contains(&verb.as_str()) => {
+            Verb::parse(verb, opts).and_then(|verb| inspect(&verb, Path::new(input)))
+        }
         [flag, trace] if flag == "--trace" => summarize_trace(Path::new(trace)),
-        [cmd, manifest] if cmd == "audit" => audit_manifest(Path::new(manifest)),
         [cmd, file] if cmd == "profile" => profile_command(Path::new(file)),
         [cmd, file] if cmd == "forensics" => forensics_command(Path::new(file)),
-        [cmd, manifest] if cmd == "e2e" => e2e_command(Path::new(manifest)),
+        [cmd]
+            if Verb::NAMES.contains(&cmd.as_str())
+                || ["--trace", "profile", "forensics"].contains(&cmd.as_str()) =>
+        {
+            Err(format!("`{cmd}` needs an input file\n\n{USAGE}"))
+        }
+        [first, rest @ ..] if rest.len() <= 1 && !Path::new(first).is_file() => Err(format!(
+            "`{first}` is neither a command nor a manifest file\n\n{USAGE}"
+        )),
         [manifest] => print_manifest(Path::new(manifest)),
         [manifest, trace] => {
-            let a = print_manifest(Path::new(manifest));
+            let shown = print_manifest(Path::new(manifest));
             println!();
-            let b = summarize_trace(Path::new(trace));
-            if a == ExitCode::SUCCESS && b == ExitCode::SUCCESS {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
+            match (shown, summarize_trace(Path::new(trace))) {
+                (Err(a), Err(b)) => Err(format!("{a}\n{b}")),
+                (shown, summary) => shown.and(summary),
             }
         }
-        _ => {
-            eprintln!(
-                "usage: obs_report [manifest.json] [trace.jsonl] \
-                 | --trace <trace.jsonl> | audit <manifest.json> \
-                 | profile <file.json> | forensics <file.json> \
-                 | e2e <manifest.json>"
-            );
+        _ => Err(USAGE.to_string()),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("obs_report: {message}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn list_manifests(dir: &Path) -> ExitCode {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        eprintln!("no {} directory; run a figure binary first", dir.display());
-        return ExitCode::FAILURE;
+/// One question asked of a trace, with its options.
+enum Verb {
+    /// Replay the invariant checks.
+    Check,
+    /// The slowest packet journeys.
+    Journeys { top: usize },
+    /// Phase-latency histograms, optionally exported.
+    Latency {
+        csv: Option<PathBuf>,
+        json: Option<PathBuf>,
+    },
+    /// Routed source→sink path statistics, optionally exported.
+    Paths { json: Option<PathBuf> },
+}
+
+impl Verb {
+    const NAMES: [&'static str; 4] = ["check", "journeys", "latency", "paths"];
+
+    /// Parses `name` and its `--option value` pairs; each verb accepts
+    /// only its own options.
+    fn parse(name: &str, tokens: &[String]) -> Result<Verb, String> {
+        let allowed: &[&str] = match name {
+            "journeys" => &["--top"],
+            "latency" => &["--csv", "--json"],
+            "paths" => &["--json"],
+            _ => &[],
+        };
+        let (mut top, mut csv, mut json) = (10, None, None);
+        let mut tokens = tokens.iter();
+        while let Some(option) = tokens.next() {
+            if !allowed.contains(&option.as_str()) {
+                return Err(format!("`{name}` takes no option {option:?}\n\n{USAGE}"));
+            }
+            let value = tokens
+                .next()
+                .ok_or_else(|| format!("{option} needs a value\n\n{USAGE}"))?;
+            match option.as_str() {
+                "--top" => {
+                    top = value
+                        .parse()
+                        .map_err(|_| format!("bad --top value {value:?}"))?;
+                }
+                "--csv" => csv = Some(PathBuf::from(value)),
+                _ => json = Some(PathBuf::from(value)),
+            }
+        }
+        Ok(match name {
+            "check" => Verb::Check,
+            "journeys" => Verb::Journeys { top },
+            "latency" => Verb::Latency { csv, json },
+            _ => Verb::Paths { json },
+        })
+    }
+}
+
+/// Loads the trace behind `input` (a trace or a manifest), prints what
+/// was loaded, and answers `verb` over it.
+fn inspect(verb: &Verb, input: &Path) -> Result<(), String> {
+    let trace_path = trace_of(input)?;
+    let (records, model) = read_trace(&trace_path)?;
+    println!(
+        "trace {}: {} records ({} audit events skipped for missing fields)",
+        trace_path.display(),
+        records.len(),
+        model.skipped
+    );
+    if let Some(run) = &model.run_info {
+        println!(
+            "run: {} | {} nodes ({} sinks) | slot {} us | mobility {} | forwarding {}",
+            run.protocol, run.nodes, run.sinks, run.slot_us, run.mobility, run.forwarding
+        );
+    } else {
+        println!("run: no run-info record; geometry-dependent checks are skipped");
+    }
+    if !model.has_frame_detail() {
+        println!("note: no per-frame events — trace the run at Debug level for a full audit");
+    }
+    match verb {
+        Verb::Check => check(&model),
+        Verb::Journeys { top } => journeys(&model, *top),
+        Verb::Latency { csv, json } => latency(&model, csv.as_deref(), json.as_deref()),
+        Verb::Paths { json } => paths(&model, json.as_deref()),
+    }
+}
+
+/// The trace file `input` stands for: `input` itself when its first line
+/// is a `uasn-trace` header, else the `trace_file` of the run manifest
+/// `input` is, resolved against the manifest's directory.
+fn trace_of(input: &Path) -> Result<PathBuf, String> {
+    let file = File::open(input).map_err(|e| format!("cannot read {}: {e}", input.display()))?;
+    let header = BufReader::new(file)
+        .lines()
+        .map_while(Result::ok)
+        .find(|line| !line.trim().is_empty());
+    let is_trace = header
+        .and_then(|line| JsonValue::parse(&line).ok())
+        .is_some_and(|h| h.get("schema").and_then(JsonValue::as_str) == Some(TRACE_SCHEMA));
+    if is_trace {
+        return Ok(input.to_path_buf());
+    }
+    let doc = load_json(input)
+        .ok()
+        .filter(|doc| doc.get("schema").and_then(JsonValue::as_str) == Some(MANIFEST_SCHEMA))
+        .ok_or_else(|| {
+            format!(
+                "{} is neither a {TRACE_SCHEMA} JSONL trace nor a {MANIFEST_SCHEMA} document",
+                input.display()
+            )
+        })?;
+    let Some(trace_file) = doc.get("trace_file").and_then(JsonValue::as_str) else {
+        return Err(format!(
+            "{} has no `trace_file`; re-run the experiment with tracing \
+             (e.g. the trace_run bin) to produce an inspectable manifest",
+            input.display()
+        ));
     };
+    let lossless = doc
+        .get("stats")
+        .and_then(|s| s.get("trace"))
+        .and_then(|t| t.get("lossless"))
+        .and_then(JsonValue::as_bool)
+        .unwrap_or(true);
+    if !lossless {
+        return Err(format!(
+            "refusing {}: the manifest records a lossy trace \
+             (dropped/evicted/unwritten records), so conclusions would be unsound",
+            input.display()
+        ));
+    }
+    let trace_path = input.parent().unwrap_or(Path::new(".")).join(trace_file);
+    println!(
+        "[{}] manifest {}",
+        doc.get("id").and_then(JsonValue::as_str).unwrap_or("?"),
+        input.display()
+    );
+    if let Some(route) = doc
+        .get("config")
+        .and_then(|c| c.get("route"))
+        .and_then(JsonValue::as_str)
+    {
+        println!("route: {route}");
+    }
+    Ok(trace_path)
+}
+
+fn check(model: &TraceModel) -> Result<(), String> {
+    let violations = uasn_audit::check(model);
+    if violations.is_empty() {
+        println!("OK: all invariant checks passed");
+        return Ok(());
+    }
+    println!("FAIL: {} violation(s)", violations.len());
+    for v in &violations {
+        println!("  {v}");
+    }
+    Err(format!("{} invariant violation(s)", violations.len()))
+}
+
+fn journeys(model: &TraceModel, top: usize) -> Result<(), String> {
+    let journeys = reconstruct(model);
+    let delivered = journeys.iter().filter(|j| j.delivered()).count();
+    let dropped = journeys.iter().filter(|j| j.dropped.is_some()).count();
+    println!(
+        "{} journeys: {} delivered, {} dropped, {} in flight",
+        journeys.len(),
+        delivered,
+        dropped,
+        journeys.len() - delivered - dropped
+    );
+    println!("slowest {top} by end-to-end latency:");
+    for j in slowest(&journeys, top) {
+        print!("{}", j.describe());
+    }
+    Ok(())
+}
+
+fn latency(model: &TraceModel, csv: Option<&Path>, json: Option<&Path>) -> Result<(), String> {
+    let hists = PhaseHistograms::from_journeys(&reconstruct(model));
+    println!("phase          count        p50        p90        p99        max (us)");
+    for (name, hist) in hists.phases() {
+        println!(
+            "{name:<14} {:>6} {:>10} {:>10} {:>10} {:>10}",
+            hist.count(),
+            opt(hist.p50()),
+            opt(hist.p90()),
+            opt(hist.p99()),
+            opt(hist.max()),
+        );
+    }
+    if let Some(path) = csv {
+        write_file(path, hists.to_csv())?;
+    }
+    if let Some(path) = json {
+        write_file(path, hists.to_json().to_json() + "\n")?;
+    }
+    Ok(())
+}
+
+fn paths(model: &TraceModel, json: Option<&Path>) -> Result<(), String> {
+    let paths = reconstruct_paths(model);
+    if paths.is_empty() {
+        println!("no routed paths: the trace carries no route/relay records");
+        return Ok(());
+    }
+    let stats = PathStats::from_paths(&paths);
+    let lost = stats.attempted - stats.delivered;
+    println!(
+        "copies: {} injected, {} delivered ({:.1}%), {} lost",
+        stats.attempted,
+        stats.delivered,
+        stats.delivered as f64 / stats.attempted as f64 * 100.0,
+        lost
+    );
+    println!("hop-count distribution (delivered paths):");
+    for (lo, hi, count) in stats.hop_counts.iter_nonzero() {
+        let label = if hi == lo + 1 {
+            format!("{lo}")
+        } else {
+            format!("{lo}-{}", hi - 1)
+        };
+        println!(
+            "  {label:<8} {count:>8}  {:>5.1}%",
+            count as f64 / stats.hop_counts.count() as f64 * 100.0
+        );
+    }
+    println!(
+        "e2e latency (us): n={} p50={} p90={} p99={} max={}",
+        stats.e2e_us.count(),
+        opt(stats.e2e_us.p50()),
+        opt(stats.e2e_us.p90()),
+        opt(stats.e2e_us.p99()),
+        opt(stats.e2e_us.max()),
+    );
+    let dropped: u64 = stats.drop_reasons.iter().map(|(_, n)| n).sum();
+    let in_flight = lost - dropped;
+    if lost == 0 {
+        println!("losses: none");
+    } else {
+        println!("losses ({lost} total):");
+        let share = |n: u64| n as f64 / lost as f64 * 100.0;
+        for (reason, count) in &stats.drop_reasons {
+            println!("  {reason:<26} {count:>8}  {:>5.1}%", share(*count));
+        }
+        if in_flight > 0 {
+            println!(
+                "  {:<26} {in_flight:>8}  {:>5.1}%",
+                "in-flight at end",
+                share(in_flight)
+            );
+        }
+    }
+    if let Some(path) = json {
+        write_file(path, stats.to_json().to_json() + "\n")?;
+    }
+    Ok(())
+}
+
+fn opt(v: Option<u64>) -> String {
+    v.map_or_else(|| "-".to_string(), |v| v.to_string())
+}
+
+fn write_file(path: &Path, contents: String) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+fn list_manifests(dir: &Path) -> Result<(), String> {
+    let entries = std::fs::read_dir(dir)
+        .map_err(|_| format!("no {} directory; run a figure sweep first", dir.display()))?;
     let mut names: Vec<String> = entries
         .filter_map(|e| e.ok())
         .map(|e| e.file_name().to_string_lossy().into_owned())
@@ -77,7 +372,7 @@ fn list_manifests(dir: &Path) -> ExitCode {
     names.sort();
     if names.is_empty() {
         println!("no manifests under {}", dir.display());
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
     println!("{} manifest(s) under {}:", names.len(), dir.display());
     for name in names {
@@ -92,28 +387,23 @@ fn list_manifests(dir: &Path) -> ExitCode {
                     .unwrap_or(0);
                 println!("  {name:<28} {runs:>4} runs  {title}");
             }
-            Err(e) => println!("  {name:<28} (unreadable: {e})"),
+            Err(e) => println!("  {name:<28} ({e})"),
         }
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn load_json(path: &Path) -> Result<JsonValue, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    JsonValue::parse(&text).map_err(|e| e.to_string())
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    JsonValue::parse(&text).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-fn print_manifest(path: &Path) -> ExitCode {
-    let doc = match load_json(path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn print_manifest(path: &Path) -> Result<(), String> {
+    let doc = load_json(path)?;
     let str_of = |key: &str| doc.get(key).and_then(JsonValue::as_str).unwrap_or("?");
     let schema = str_of("schema");
-    if schema != uasn_bench::manifest::MANIFEST_SCHEMA {
+    if schema != MANIFEST_SCHEMA {
         eprintln!(
             "warning: unexpected schema `{schema}` in {}",
             path.display()
@@ -216,264 +506,17 @@ fn print_manifest(path: &Path) -> ExitCode {
         }
     }
     if let Some(trace_file) = doc.get("trace_file").and_then(JsonValue::as_str) {
-        println!("  trace file: {trace_file} (try: obs_report audit <manifest>)");
+        println!("  trace file: {trace_file} (try: obs_report check <manifest>)");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Audits the trace a manifest points at: replays the invariant checks,
-/// then prints the slowest journeys and the phase-latency table.
-fn audit_manifest(path: &Path) -> ExitCode {
-    let doc = match load_json(path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(trace_file) = doc.get("trace_file").and_then(JsonValue::as_str) else {
-        eprintln!(
-            "{} has no `trace_file`; re-run the experiment with tracing \
-             (e.g. the trace_run bin) to produce an auditable manifest",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    let lossless = doc
-        .get("stats")
-        .and_then(|s| s.get("trace"))
-        .and_then(|t| t.get("lossless"))
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(true);
-    if !lossless {
-        eprintln!(
-            "refusing to audit {}: manifest records a lossy trace \
-             (dropped/evicted/unwritten records) — conclusions would be unsound",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    // Relative trace paths are relative to the manifest's directory.
-    let trace_path = {
-        let p = Path::new(trace_file);
-        if p.is_absolute() {
-            p.to_path_buf()
-        } else {
-            path.parent().unwrap_or(Path::new(".")).join(p)
-        }
-    };
-    let text = match std::fs::read_to_string(&trace_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read trace {}: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let records = match parse_jsonl(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{} is not a valid trace: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
-        "[{}] auditing {} ({} records)",
-        doc.get("id").and_then(JsonValue::as_str).unwrap_or("?"),
-        trace_path.display(),
-        records.len()
-    );
-    let model = TraceModel::from_records(&records);
-    if model.skipped > 0 {
-        println!(
-            "  note: {} record(s) had unusable fields and were skipped",
-            model.skipped
-        );
-    }
-
-    let violations = uasn_audit::check(&model);
-    if violations.is_empty() {
-        println!("  invariants: all checks passed");
-    } else {
-        println!("  invariants: {} VIOLATION(S)", violations.len());
-        for v in &violations {
-            println!("    {v}");
-        }
-    }
-
-    let journeys = reconstruct(&model);
-    let delivered = journeys.iter().filter(|j| j.delivered()).count();
-    println!(
-        "  journeys: {} reconstructed, {} delivered",
-        journeys.len(),
-        delivered
-    );
-    let top = slowest(&journeys, 5);
-    if !top.is_empty() {
-        println!("  slowest end-to-end:");
-        for j in top {
-            println!("    {}", j.describe());
-        }
-    }
-    let hists = PhaseHistograms::from_journeys(&journeys);
-    println!("  phase latency (us):");
-    println!(
-        "    {:<14}{:>8}{:>12}{:>12}{:>12}{:>12}",
-        "phase", "n", "p50", "p90", "p99", "max"
-    );
-    for (name, hist) in hists.phases() {
-        println!(
-            "    {name:<14}{:>8}{:>12}{:>12}{:>12}{:>12}",
-            hist.count(),
-            hist.p50().unwrap_or(0),
-            hist.p90().unwrap_or(0),
-            hist.p99().unwrap_or(0),
-            hist.max().unwrap_or(0),
-        );
-    }
-
-    if violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Renders routed source→sink path statistics from a manifest's trace:
-/// per-attempt copy fates, the hop-count distribution, end-to-end latency
-/// percentiles, and per-reason loss shares.
-fn e2e_command(path: &Path) -> ExitCode {
-    let doc = match load_json(path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(trace_file) = doc.get("trace_file").and_then(JsonValue::as_str) else {
-        eprintln!(
-            "{} has no `trace_file`; re-run with tracing (e.g. \
-             trace_run --route) to produce path statistics",
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    };
-    // Relative trace paths are relative to the manifest's directory.
-    let trace_path: PathBuf = {
-        let p = Path::new(trace_file);
-        if p.is_absolute() {
-            p.to_path_buf()
-        } else {
-            path.parent().unwrap_or(Path::new(".")).join(p)
-        }
-    };
-    let text = match std::fs::read_to_string(&trace_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read trace {}: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let records = match parse_jsonl(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{} is not a valid trace: {e}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let model = TraceModel::from_records(&records);
-    let paths = reconstruct_paths(&model);
-    println!(
-        "[{}] e2e paths from {} ({} records)",
-        doc.get("id").and_then(JsonValue::as_str).unwrap_or("?"),
-        trace_path.display(),
-        records.len()
-    );
-    if let Some(route) = doc
-        .get("config")
-        .and_then(|c| c.get("route"))
-        .and_then(JsonValue::as_str)
-    {
-        println!("  route: {route}");
-    }
-    if paths.is_empty() {
-        eprintln!(
-            "  no route/relay records — run a routed configuration \
-             (SimConfig::with_routing) with tracing enabled"
-        );
-        return ExitCode::FAILURE;
-    }
-    let stats = PathStats::from_paths(&paths);
-    let lost = stats.attempted - stats.delivered;
-    println!(
-        "  copies: {} injected, {} delivered ({:.1}%), {} lost",
-        stats.attempted,
-        stats.delivered,
-        stats.delivered as f64 / stats.attempted as f64 * 100.0,
-        lost
-    );
-    println!("  hop-count distribution (delivered paths):");
-    for (lo, hi, count) in stats.hop_counts.iter_nonzero() {
-        let label = if hi == lo + 1 {
-            format!("{lo}")
-        } else {
-            format!("{lo}-{}", hi - 1)
-        };
-        println!(
-            "    {label:<8} {count:>8}  {:>5.1}%",
-            count as f64 / stats.hop_counts.count() as f64 * 100.0
-        );
-    }
-    println!(
-        "  e2e latency (us): n={} p50={} p90={} p99={} max={}",
-        stats.e2e_us.count(),
-        stats.e2e_us.p50().unwrap_or(0),
-        stats.e2e_us.p90().unwrap_or(0),
-        stats.e2e_us.p99().unwrap_or(0),
-        stats.e2e_us.max().unwrap_or(0),
-    );
-    let dropped: u64 = stats.drop_reasons.iter().map(|(_, n)| n).sum();
-    let in_flight = lost - dropped;
-    if lost == 0 {
-        println!("  losses: none");
-    } else {
-        println!("  losses ({lost} total):");
-        for (reason, count) in &stats.drop_reasons {
-            println!(
-                "    {reason:<26} {count:>8}  {:>5.1}%",
-                *count as f64 / lost as f64 * 100.0
-            );
-        }
-        if in_flight > 0 {
-            println!(
-                "    {:<26} {in_flight:>8}  {:>5.1}%",
-                "in-flight at end",
-                in_flight as f64 / lost as f64 * 100.0
-            );
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn summarize_trace(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let records = match parse_jsonl(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{} is not a valid trace: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn summarize_trace(path: &Path) -> Result<(), String> {
+    let (records, _) = read_trace(path)?;
     println!("trace {}: {} record(s)", path.display(), records.len());
-    let Some(first) = records.first() else {
-        return ExitCode::SUCCESS;
+    let (Some(first), Some(last)) = (records.first(), records.last()) else {
+        return Ok(());
     };
-    let last = records.last().expect("non-empty");
     println!(
         "  span: {:.3} s .. {:.3} s",
         first.time.as_secs_f64(),
@@ -495,7 +538,7 @@ fn summarize_trace(path: &Path) -> ExitCode {
     for (tag, count) in tags.iter().take(12) {
         println!("    {tag:<12} {count}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn bump_count<'a>(table: &mut Vec<(&'a str, u64)>, key: &'a str) {
@@ -508,25 +551,18 @@ fn bump_count<'a>(table: &mut Vec<(&'a str, u64)>, key: &'a str) {
 /// Renders the drop forensics found in `path`. Two document shapes are
 /// accepted: a run manifest whose `stats.monitor` carries monitoring
 /// totals, and a bare `MonitorTotals` JSON (`runs`/`findings`/`verdicts`).
-fn forensics_command(path: &Path) -> ExitCode {
-    let doc = match load_json(path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn forensics_command(path: &Path) -> Result<(), String> {
+    let doc = load_json(path)?;
     let block = doc.get("stats").and_then(|s| s.get("monitor")).or_else(|| {
         (doc.get("findings").is_some() && doc.get("verdicts").is_some()).then_some(&doc)
     });
     let Some(totals) = block.and_then(MonitorTotals::from_json) else {
-        eprintln!(
+        return Err(format!(
             "{}: no monitoring totals found — re-run the experiment with \
              monitoring (SimConfig::with_monitoring / --monitor) to attribute \
              losses",
             path.display()
-        );
-        return ExitCode::FAILURE;
+        ));
     };
     if let Some(id) = doc.get("id").and_then(JsonValue::as_str) {
         println!("[{id}] drop forensics from {}", path.display());
@@ -534,7 +570,7 @@ fn forensics_command(path: &Path) -> ExitCode {
         println!("drop forensics from {}", path.display());
     }
     render_forensics(&totals);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Pretty-prints one decoded `MonitorTotals`: invariant findings by kind,
@@ -571,50 +607,36 @@ fn render_forensics(totals: &MonitorTotals) {
 /// Renders the performance profile found in `path`. Two document shapes
 /// are accepted: a bare `ProfileReport` JSON and a run manifest whose
 /// `stats.profile` carries one.
-fn profile_command(path: &Path) -> ExitCode {
-    let doc = match load_json(path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
+fn profile_command(path: &Path) -> Result<(), String> {
+    let doc = load_json(path)?;
     // A bare report has `handler` + `metrics` at the top level.
     if doc.get("handler").is_some() && doc.get("metrics").is_some() {
-        return match ProfileReport::from_json(&doc) {
-            Some(report) => {
-                println!("profile {}", path.display());
-                render_profile(&report);
-                ExitCode::SUCCESS
-            }
-            None => {
-                eprintln!(
-                    "{} looks like a profile but does not decode",
-                    path.display()
-                );
-                ExitCode::FAILURE
-            }
-        };
+        let report = ProfileReport::from_json(&doc).ok_or_else(|| {
+            format!(
+                "{} looks like a profile but does not decode",
+                path.display()
+            )
+        })?;
+        println!("profile {}", path.display());
+        render_profile(&report);
+        return Ok(());
     }
     if let Some(profile) = doc.get("stats").and_then(|s| s.get("profile")) {
-        let Some(report) = ProfileReport::from_json(profile) else {
-            eprintln!("{}: stats.profile does not decode", path.display());
-            return ExitCode::FAILURE;
-        };
+        let report = ProfileReport::from_json(profile)
+            .ok_or_else(|| format!("{}: stats.profile does not decode", path.display()))?;
         println!(
             "[{}] profile from manifest {}",
             doc.get("id").and_then(JsonValue::as_str).unwrap_or("?"),
             path.display()
         );
         render_profile(&report);
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    eprintln!(
+    Err(format!(
         "{}: no profile found — expected a ProfileReport or a manifest \
          with `stats.profile`",
         path.display()
-    );
-    ExitCode::FAILURE
+    ))
 }
 
 /// Pretty-prints one decoded `ProfileReport`: per-event-kind attribution,

@@ -22,27 +22,16 @@ use std::io::BufWriter;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use uasn_audit::invariant::ViolationKind;
 use uasn_audit::journey::{reconstruct, reconstruct_paths, PathStats, PhaseHistograms};
-use uasn_audit::model::TraceModel;
 use uasn_audit::monitor::{StreamingMonitor, DEFAULT_FLIGHT_CAPACITY};
+use uasn_audit::{read_trace, STREAMED_KINDS};
 use uasn_bench::manifest::MonitorTotals;
 use uasn_bench::{Protocol, RunManifest, StatsAggregate};
 use uasn_net::config::SimConfig;
 use uasn_net::topology::Deployment;
 use uasn_net::world::Simulation;
 use uasn_sim::time::SimDuration;
-use uasn_sim::trace::{parse_jsonl, TraceLevel, Tracer, DEFAULT_CAPTURE_CAPACITY};
-
-/// The invariants the streaming monitors cover; the post-hoc checker
-/// additionally runs whole-trace checks (overlapping receptions,
-/// propagation consistency) that need the full model.
-const STREAMED_KINDS: [ViolationKind; 4] = [
-    ViolationKind::HalfDuplexDecode,
-    ViolationKind::SlotMisalignment,
-    ViolationKind::ExtraWindowIntrusion,
-    ViolationKind::RoutingLoop,
-];
+use uasn_sim::trace::{TraceLevel, Tracer};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -100,7 +89,6 @@ fn main() -> ExitCode {
     let monitor =
         StreamingMonitor::new().with_flight_recorder(&flight_dir, DEFAULT_FLIGHT_CAPACITY);
     let tracer = Tracer::new(TraceLevel::Debug)
-        .with_capture(DEFAULT_CAPTURE_CAPACITY)
         .with_jsonl(Box::new(BufWriter::new(file)))
         .with_sink(monitor.sink());
 
@@ -125,16 +113,7 @@ fn main() -> ExitCode {
     drop(out.tracer);
 
     let online = monitor.report();
-    let mut totals = MonitorTotals {
-        runs: 1,
-        ..MonitorTotals::default()
-    };
-    for (kind, count) in online.counts_by_kind() {
-        totals.findings.push((kind.to_string(), count as u64));
-    }
-    if let Some(verdicts) = &out.verdicts {
-        totals.verdicts = *verdicts;
-    }
+    let totals = MonitorTotals::from_run(&online, out.verdicts.as_ref());
     stats.absorb_monitor(&totals);
 
     let report = out.report;
@@ -192,22 +171,14 @@ fn main() -> ExitCode {
         failed = true;
     }
 
-    // Audit the file on disk — the same artifact `audit check` would see.
-    let text = match fs::read_to_string(&trace_path) {
-        Ok(t) => t,
+    // Audit the file on disk — the same artifact `obs_report check` sees.
+    let (records, model) = match read_trace(&trace_path) {
+        Ok(loaded) => loaded,
         Err(e) => {
-            eprintln!("trace_run: cannot read back {}: {e}", trace_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let records = match parse_jsonl(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("FAIL: written trace does not parse: {e}");
+            eprintln!("FAIL: {e}");
             return ExitCode::from(1);
         }
     };
-    let model = TraceModel::from_records(&records);
     let violations = uasn_audit::check(&model);
     if violations.is_empty() {
         println!(

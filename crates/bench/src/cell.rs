@@ -221,22 +221,7 @@ impl CellOutput {
 pub fn run_cell(cfg: &SimConfig, protocol: Protocol, seed: u64) -> CellOutput {
     let cfg = cfg.clone().with_seed(master_seed(seed));
     let (out, monitor_report) = run_once_monitored(&cfg, protocol);
-    // A monitored cell summarises its run into a totals block: every
-    // finding kind (zero counts included, so merged blocks always list
-    // the full taxonomy) plus the run's verdict histogram.
-    let monitor = monitor_report.map(|rep| {
-        let mut totals = MonitorTotals {
-            runs: 1,
-            ..MonitorTotals::default()
-        };
-        for (kind, count) in rep.counts_by_kind() {
-            totals.findings.push((kind.to_string(), count as u64));
-        }
-        if let Some(verdicts) = &out.verdicts {
-            totals.verdicts = *verdicts;
-        }
-        totals
-    });
+    let monitor = monitor_report.map(|rep| MonitorTotals::from_run(&rep, out.verdicts.as_ref()));
     let trace = out.tracer.health();
     let stats = out.stats;
     let report = out.report;

@@ -13,6 +13,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use uasn_audit::MonitorReport;
 use uasn_net::config::SimConfig;
 use uasn_net::metrics::{DropVerdict, VerdictHistogram};
 use uasn_net::traffic::TrafficPattern;
@@ -203,6 +204,21 @@ pub struct MonitorTotals {
 }
 
 impl MonitorTotals {
+    /// The totals of one monitored run: a count for every streamed finding
+    /// kind (zero counts included, so merged blocks always list the full
+    /// taxonomy) plus the run's causal verdict histogram, if it kept one.
+    pub fn from_run(report: &MonitorReport, verdicts: Option<&VerdictHistogram>) -> MonitorTotals {
+        MonitorTotals {
+            runs: 1,
+            findings: report
+                .counts_by_kind()
+                .into_iter()
+                .map(|(kind, count)| (kind.to_string(), count as u64))
+                .collect(),
+            verdicts: verdicts.copied().unwrap_or_default(),
+        }
+    }
+
     /// Total invariant findings across every kind.
     pub fn total_findings(&self) -> u64 {
         self.findings.iter().map(|(_, c)| c).sum()
@@ -410,8 +426,8 @@ impl RunManifest {
         self
     }
 
-    /// Records the JSONL trace file behind this artifact so `obs_report
-    /// audit` can find it.
+    /// Records the JSONL trace file behind this artifact so `obs_report`'s
+    /// trace verbs (`check`, `journeys`, `latency`, `paths`) can find it.
     pub fn with_trace_file(mut self, path: impl Into<String>) -> Self {
         self.trace_file = Some(path.into());
         self
