@@ -64,7 +64,9 @@ pub struct SimConfig {
     pub control_bits: u32,
     /// Data packet size, bits (Table 2: 2048, swept 1024–4096).
     pub data_bits: u32,
-    /// Traffic injection.
+    /// Traffic injection: the one arrival process of the run, checked by
+    /// [`SimConfig::validate`] and drawn by
+    /// [`TrafficPattern::next_arrival`].
     pub traffic: TrafficPattern,
     /// Observation window (Table 2: 300 s).
     pub sim_time: SimDuration,

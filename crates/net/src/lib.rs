@@ -8,7 +8,8 @@
 //!   arithmetic.
 //! * [`topology`] — Figure-1-style layered-column deployment (connectivity
 //!   guaranteed) plus the Table-2-literal uniform box.
-//! * [`traffic`] — Poisson offered load and Figure 8's batch mode.
+//! * [`traffic`] — every arrival process: Poisson offered load, Figure 8's
+//!   batch mode, bursty on/off and convergecast rounds.
 //! * [`routing`] — greedy depth routing toward surface sinks.
 //! * [`neighbor`] — one-hop (EW-MAC) and two-hop (ROPA/CS-MAC) delay tables.
 //! * [`mac`] — the [`mac::MacProtocol`] trait, context, and

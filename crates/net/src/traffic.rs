@@ -1,4 +1,4 @@
-//! Traffic generation.
+//! Traffic generation: the one description of every arrival process.
 //!
 //! Two modes match the two x-axes of the paper's figures:
 //!
@@ -19,11 +19,18 @@
 //! * [`TrafficPattern::Convergecast`] — every sensor injects one reading
 //!   per round toward the sinks, the classic many-to-one UASN workload.
 //!
-//! Every pattern but `Batch` runs on one per-sensor arrival stream,
-//! [`TrafficPattern::workload`]'s [`uasn_route::WorkloadStream`].
+//! Every pattern but `Batch` draws each sensor's arrivals one at a time
+//! through [`TrafficPattern::next_arrival`]. Parameters are checked once,
+//! by [`SimConfig::validate`](crate::config::SimConfig::validate).
 
-use uasn_route::{Workload, WorkloadStream};
-use uasn_sim::time::SimDuration;
+use rand::{Rng, RngCore};
+
+use uasn_sim::rng::exponential;
+use uasn_sim::time::{SimDuration, SimTime};
+
+/// Minimum inter-arrival gap, seconds — keeps arrivals strictly
+/// increasing even at absurd rates.
+const MIN_GAP_S: f64 = 1e-6;
 
 /// What the sources inject.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -92,8 +99,13 @@ impl TrafficPattern {
         matches!(self, TrafficPattern::Batch { .. })
     }
 
-    /// The per-sensor arrival stream behind this pattern; `None` only for
-    /// `Batch`, whose arrivals are all drawn when the run is built.
+    /// Draws one sensor's next arrival instant strictly after `after`;
+    /// `None` only for `Batch`, whose arrivals are all drawn when the run
+    /// is built. The next arrival is a pure function of `after` and the
+    /// seeded `rng`, so replays and worker-count changes cannot reorder
+    /// arrivals. A Poisson gap is added to `after` in [`SimTime`]; the
+    /// duty-cycle and round shapes do their arithmetic in absolute f64
+    /// seconds and convert the result once.
     ///
     /// # Examples
     ///
@@ -105,9 +117,8 @@ impl TrafficPattern {
     /// let mut rng = SeedFactory::new(1).stream("traffic", 0);
     /// // 0.5 kbps of 2048-bit packets over 60 sensors
     /// let p = TrafficPattern::Poisson { offered_load_kbps: 0.5 };
-    /// let stream = p.workload(2_048, 60).expect("recurring pattern");
-    /// let t1 = stream.next_arrival(&mut rng, SimTime::ZERO);
-    /// let t2 = stream.next_arrival(&mut rng, t1);
+    /// let t1 = p.next_arrival(&mut rng, SimTime::ZERO, 2_048, 60).expect("recurring");
+    /// let t2 = p.next_arrival(&mut rng, t1, 2_048, 60).expect("recurring");
     /// assert!(t2 > t1);
     /// ```
     ///
@@ -117,33 +128,69 @@ impl TrafficPattern {
     /// rates, `jitter_s >= period_s`, …).
     ///
     /// [`SimConfig::validate`]: crate::config::SimConfig::validate
-    pub fn workload(&self, packet_bits: u32, sensors: u32) -> Option<WorkloadStream> {
-        let workload = match *self {
-            TrafficPattern::Poisson { offered_load_kbps } => Workload::Poisson {
-                rate_hz: per_sensor_rate(offered_load_kbps, packet_bits, sensors),
-            },
+    pub fn next_arrival<R: RngCore>(
+        &self,
+        rng: &mut R,
+        after: SimTime,
+        packet_bits: u32,
+        sensors: u32,
+    ) -> Option<SimTime> {
+        let after_s = after.as_secs_f64();
+        let next_s = match *self {
             TrafficPattern::Batch { .. } => return None,
+            TrafficPattern::Poisson { offered_load_kbps } => {
+                let rate_hz = per_sensor_rate(offered_load_kbps, packet_bits, sensors);
+                let gap = exponential(rng, 1.0 / rate_hz).max(MIN_GAP_S);
+                return Some(after + SimDuration::from_secs_f64(gap));
+            }
             TrafficPattern::BurstyOnOff {
                 offered_load_kbps,
                 on_s,
                 off_s,
             } => {
-                let mean = per_sensor_rate(offered_load_kbps, packet_bits, sensors);
                 // The burst rate compensates for the silent fraction so the
-                // long-run mean matches the offered load.
+                // long-run mean matches the offered load. The gap is drawn
+                // in "on-time" (the clock that only runs inside bursts),
+                // then mapped back to wall time.
                 let duty = on_s / (on_s + off_s);
-                Workload::BurstyOnOff {
-                    rate_hz: mean / duty,
-                    on_s,
-                    off_s,
-                }
+                let rate_hz = per_sensor_rate(offered_load_kbps, packet_bits, sensors) / duty;
+                let gap = exponential(rng, 1.0 / rate_hz).max(MIN_GAP_S);
+                wall_from_on_time(on_time_elapsed(after_s, on_s, off_s) + gap, on_s, off_s)
             }
             TrafficPattern::Convergecast { period_s, jitter_s } => {
-                Workload::ConvergecastRounds { period_s, jitter_s }
+                // Because jitter < period, the arrival of round k is
+                // always earlier than round k+1's boundary, so "the round
+                // after the boundary containing `after_s`" fires each
+                // round exactly once.
+                let round = (after_s / period_s).floor() + 1.0;
+                let jitter = if jitter_s > 0.0 {
+                    rng.gen::<f64>() * jitter_s
+                } else {
+                    0.0
+                };
+                round * period_s + jitter
             }
         };
-        Some(WorkloadStream::new(workload))
+        Some(SimTime::ZERO + SimDuration::from_secs_f64(next_s.max(after_s + MIN_GAP_S)))
     }
+}
+
+/// Seconds of "on" time elapsed by wall instant `t` under the duty
+/// cycle `on`/`off`.
+fn on_time_elapsed(t: f64, on_s: f64, off_s: f64) -> f64 {
+    let cycle = on_s + off_s;
+    let full = (t / cycle).floor();
+    let rem = t - full * cycle;
+    full * on_s + rem.min(on_s)
+}
+
+/// Inverse of [`on_time_elapsed`]: the wall instant at which `u`
+/// seconds of "on" time have elapsed.
+fn wall_from_on_time(u: f64, on_s: f64, off_s: f64) -> f64 {
+    let cycle = on_s + off_s;
+    let full = (u / on_s).floor();
+    let rem = u - full * on_s;
+    full * cycle + rem
 }
 
 /// Converts an aggregate offered load into the per-sensor packet arrival
@@ -165,8 +212,28 @@ pub fn per_sensor_rate(offered_load_kbps: f64, packet_bits: u32, sensors: u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimConfig;
+    use crate::error::BuildNetworkError;
     use uasn_sim::rng::SeedFactory;
-    use uasn_sim::time::SimTime;
+
+    /// `n` successive arrivals of `p` at one sensor carrying the whole
+    /// load in 2048-bit packets.
+    fn arrivals(p: TrafficPattern, seed: u64, n: usize) -> Vec<SimTime> {
+        let mut rng = SeedFactory::new(seed).stream("traffic", 0);
+        let mut t = SimTime::ZERO;
+        (0..n)
+            .map(|_| {
+                t = p.next_arrival(&mut rng, t, 2_048, 1).expect("recurring");
+                t
+            })
+            .collect()
+    }
+
+    /// The offered load that gives one 2048-bit sensor `rate_hz` arrivals
+    /// per second.
+    fn kbps(rate_hz: f64) -> f64 {
+        rate_hz * 2.048
+    }
 
     #[test]
     fn paper_batch_conversion() {
@@ -199,87 +266,171 @@ mod tests {
         assert!((aggregate_kbps - 0.8).abs() < 1e-12);
     }
 
-    /// The Poisson stream of one sensor carrying the whole `kbps` load
-    /// in 2048-bit packets.
-    fn poisson(kbps: f64) -> WorkloadStream {
-        let p = TrafficPattern::Poisson {
-            offered_load_kbps: kbps,
-        };
-        p.workload(2_048, 1).expect("poisson stream")
-    }
-
     #[test]
     fn poisson_stream_mean_rate() {
-        let mut rng = SeedFactory::new(3).stream("traffic", 9);
-        let stream = poisson(4.096); // 2 arrivals per second
-        let mut t = SimTime::ZERO;
+        let p = TrafficPattern::Poisson {
+            offered_load_kbps: kbps(2.0),
+        };
         let n = 10_000;
-        for _ in 0..n {
-            t = stream.next_arrival(&mut rng, t);
-        }
-        let rate = n as f64 / t.as_secs_f64();
+        let end = arrivals(p, 3, n)[n - 1];
+        let rate = n as f64 / end.as_secs_f64();
         assert!((rate - 2.0).abs() < 0.1, "empirical rate {rate}");
     }
 
     #[test]
     fn arrivals_strictly_increase() {
-        let mut rng = SeedFactory::new(4).stream("traffic", 0);
-        let stream = poisson(2_048.0); // 1000 arrivals per second
-        let mut t = SimTime::ZERO;
-        for _ in 0..1_000 {
-            let next = stream.next_arrival(&mut rng, t);
-            assert!(next > t);
-            t = next;
+        let shapes = [
+            TrafficPattern::Poisson {
+                offered_load_kbps: kbps(1_000.0),
+            },
+            TrafficPattern::BurstyOnOff {
+                offered_load_kbps: kbps(500.0),
+                on_s: 0.5,
+                off_s: 0.5,
+            },
+            TrafficPattern::Convergecast {
+                period_s: 0.01,
+                jitter_s: 0.005,
+            },
+        ];
+        for (i, p) in shapes.into_iter().enumerate() {
+            let mut t = SimTime::ZERO;
+            for next in arrivals(p, 20 + i as u64, 1_000) {
+                assert!(next > t, "{p:?} stalled at {t:?}");
+                t = next;
+            }
         }
     }
 
     #[test]
     fn only_batch_has_no_workload_stream() {
+        let mut rng = SeedFactory::new(1).stream("traffic", 0);
+        let b = TrafficPattern::batch_for_load(0.136, SimDuration::from_secs(300), 2_048);
+        assert_eq!(b.next_arrival(&mut rng, SimTime::ZERO, 2_048, 60), None);
         let p = TrafficPattern::Poisson {
             offered_load_kbps: 0.5,
         };
-        let stream = p.workload(2_048, 60).expect("poisson stream");
-        assert_eq!(
-            stream.workload(),
-            Workload::Poisson {
-                rate_hz: per_sensor_rate(0.5, 2_048, 60)
-            }
-        );
-        let b = TrafficPattern::batch_for_load(0.136, SimDuration::from_secs(300), 2_048);
-        assert!(b.workload(2_048, 60).is_none());
+        assert!(p.next_arrival(&mut rng, SimTime::ZERO, 2_048, 60).is_some());
+    }
+
+    #[test]
+    fn on_time_maps_round_trip() {
+        // on=2, off=8: wall 0..2 is on, 2..10 off, 10..12 on, ...
+        assert_eq!(on_time_elapsed(0.0, 2.0, 8.0), 0.0);
+        assert_eq!(on_time_elapsed(1.5, 2.0, 8.0), 1.5);
+        assert_eq!(on_time_elapsed(5.0, 2.0, 8.0), 2.0);
+        assert_eq!(on_time_elapsed(11.0, 2.0, 8.0), 3.0);
+        for u in [0.1, 1.9, 2.0, 3.7, 10.0] {
+            let wall = wall_from_on_time(u, 2.0, 8.0);
+            assert!(
+                (on_time_elapsed(wall, 2.0, 8.0) - u).abs() < 1e-9,
+                "u={u} wall={wall}"
+            );
+        }
     }
 
     #[test]
     fn bursty_workload_preserves_the_mean_rate() {
-        let p = TrafficPattern::BurstyOnOff {
-            offered_load_kbps: 0.8,
-            on_s: 10.0,
-            off_s: 30.0,
-        };
-        let stream = p.workload(2_048, 60).expect("bursty workload");
-        let mean = stream.workload().mean_rate_hz();
-        let expect = per_sensor_rate(0.8, 2_048, 60);
-        assert!(
-            (mean - expect).abs() < 1e-12,
-            "duty-cycle compensation: {mean} vs {expect}"
-        );
+        // (mean rate per second, on_s, off_s): arrivals cluster inside the
+        // on-windows, yet the long-run rate is the offered load's.
+        for (i, (rate_hz, on_s, off_s)) in [(1.0, 2.0, 8.0), (3.0, 3.0, 7.0), (0.5, 10.0, 30.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let p = TrafficPattern::BurstyOnOff {
+                offered_load_kbps: kbps(rate_hz),
+                on_s,
+                off_s,
+            };
+            let n = 20_000;
+            let times = arrivals(p, 5 + i as u64, n);
+            for t in &times {
+                let phase = t.as_secs_f64() % (on_s + off_s);
+                assert!(phase <= on_s + 1e-9, "{p:?}: {t:?} is off-window");
+            }
+            let rate = n as f64 / times[n - 1].as_secs_f64();
+            assert!(
+                (rate - rate_hz).abs() / rate_hz < 0.05,
+                "{p:?}: rate {rate}, expected {rate_hz}"
+            );
+        }
     }
 
     #[test]
     fn convergecast_workload_is_one_per_round() {
-        let p = TrafficPattern::Convergecast {
-            period_s: 60.0,
-            jitter_s: 5.0,
+        // (period_s, jitter_s): round k fires in [k·period, k·period +
+        // jitter); zero jitter is exact.
+        for (period_s, jitter_s) in [(30.0, 5.0), (60.0, 59.0), (10.0, 0.0)] {
+            let p = TrafficPattern::Convergecast { period_s, jitter_s };
+            for (k, t) in arrivals(p, 7, 50).into_iter().enumerate() {
+                let (at, base) = (t.as_secs_f64(), (k + 1) as f64 * period_s);
+                if jitter_s == 0.0 {
+                    assert!((at - base).abs() < 1e-9, "{p:?}: round {k} at {at}");
+                } else {
+                    assert!(
+                        at >= base && at < base + jitter_s,
+                        "{p:?}: round {k} fired at {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_every_bad_parameter() {
+        let poisson = |offered_load_kbps| TrafficPattern::Poisson { offered_load_kbps };
+        let bursty = |offered_load_kbps, on_s, off_s| TrafficPattern::BurstyOnOff {
+            offered_load_kbps,
+            on_s,
+            off_s,
         };
-        let stream = p.workload(2_048, 60).expect("convergecast workload");
-        assert!((stream.workload().mean_rate_hz() - 1.0 / 60.0).abs() < 1e-12);
-        assert!(!p.is_batch());
+        let rounds = |period_s, jitter_s| TrafficPattern::Convergecast { period_s, jitter_s };
+        let with = |traffic| SimConfig {
+            traffic,
+            ..SimConfig::paper_default()
+        };
+        for good in [poisson(0.5), bursty(0.8, 10.0, 30.0), rounds(60.0, 0.0)] {
+            with(good).validate().expect("valid traffic");
+        }
+        let bad = [
+            poisson(0.0),
+            poisson(f64::NAN),
+            poisson(f64::INFINITY),
+            bursty(-0.8, 10.0, 30.0),
+            bursty(0.8, 0.0, 30.0),
+            bursty(0.8, f64::INFINITY, 30.0),
+            bursty(0.8, 10.0, -1.0),
+            bursty(0.8, 10.0, f64::NAN),
+            rounds(0.0, 0.0),
+            rounds(f64::NAN, 0.0),
+            rounds(60.0, -1.0),
+            rounds(60.0, 60.0),
+            rounds(60.0, f64::INFINITY),
+            TrafficPattern::Batch {
+                total_packets: 0,
+                window: SimDuration::from_secs(300),
+            },
+        ];
+        for traffic in bad {
+            match with(traffic).validate() {
+                Err(BuildNetworkError::InvalidConfig { field, .. }) => {
+                    assert_eq!(field, "traffic", "{traffic:?}")
+                }
+                other => panic!("{traffic:?} validated: {other:?}"),
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn zero_rate_panics() {
-        let _ = poisson(0.0);
+        let _ = arrivals(
+            TrafficPattern::Poisson {
+                offered_load_kbps: 0.0,
+            },
+            0,
+            1,
+        );
     }
 
     #[test]

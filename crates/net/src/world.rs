@@ -25,9 +25,7 @@ use uasn_phy::geometry::Point;
 use uasn_phy::mobility::MobilityModel;
 use uasn_phy::modem::{Modem, ModemSpec, ModemState, ReceptionId};
 use uasn_phy::soa::PositionTable;
-use uasn_route::{
-    select_next_hop, Candidate, ForwardPolicy, TimeoutVerdict, TransportTable, WorkloadStream,
-};
+use uasn_route::{select_next_hop, Candidate, ForwardPolicy, TimeoutVerdict, TransportTable};
 use uasn_sim::engine::{Engine, EventLabel, RunStats, Schedule, StopReason};
 use uasn_sim::profile::{MetricsRegistry, ProfileReport};
 use uasn_sim::rng::SeedFactory;
@@ -60,8 +58,8 @@ enum NetEvent {
     Start,
     /// A slot boundary.
     SlotStart(SlotIndex),
-    /// Traffic source fires at `node`; recurring sources reschedule.
-    TrafficArrival { node: u32, recurring: bool },
+    /// Traffic source fires at `node`; recurring patterns reschedule.
+    TrafficArrival { node: u32 },
     /// A queued frame's transmit time arrived.
     TxStart { node: u32, token: u64 },
     /// A transmission finished.
@@ -214,9 +212,6 @@ struct NetworkWorld {
     channel_rng: StdRng,
     mobility_rng: StdRng,
     traffic_rng: StdRng,
-    /// Every sensor's recurring arrival stream; `None` only for batch
-    /// traffic, whose arrivals are all seeded up front.
-    traffic_stream: Option<WorkloadStream>,
     /// Forwarding-policy stream (`"route"`); only randomized policies ever
     /// draw it, so deriving it in every run perturbs nothing.
     route_rng: StdRng,
@@ -247,7 +242,6 @@ struct NetworkWorld {
     event_buf: Vec<(SimTime, NetEvent)>,
     next_token: u64,
     next_sdu_id: u64,
-    traffic_end: SimTime,
     tracer: Tracer,
     series: Option<TimeSeries>,
 
@@ -1122,10 +1116,7 @@ impl NetworkWorld {
         }
     }
 
-    fn handle_traffic(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, recurring: bool) {
-        if recurring && self.now >= self.traffic_end {
-            return; // offered-load window closed
-        }
+    fn handle_traffic(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize) {
         let sdu_id = self.next_sdu_id;
         self.next_sdu_id += 1;
         self.metrics.per_node[node].sdus_generated += 1;
@@ -1162,20 +1153,19 @@ impl NetworkWorld {
             // arrival as (vacuously) done.
             self.metrics.register_batch_sdu(None);
         }
-        if recurring {
-            if let Some(stream) = self.traffic_stream {
-                let next = stream.next_arrival(&mut self.traffic_rng, self.now);
-                if next < self.traffic_end {
-                    sched.at(
-                        next,
-                        NetEvent::TrafficArrival {
-                            node: node as u32,
-                            recurring: true,
-                        },
-                    );
-                }
-            }
+        if let Some(next) = self.next_arrival(self.now) {
+            sched.at(next, NetEvent::TrafficArrival { node: node as u32 });
         }
+    }
+
+    /// One sensor's next arrival after `after`, if it falls inside the
+    /// horizon; always `None` for batch traffic, which is seeded up front.
+    fn next_arrival(&mut self, after: SimTime) -> Option<SimTime> {
+        let (bits, sensors) = (self.cfg.data_bits, self.cfg.sensors);
+        self.cfg
+            .traffic
+            .next_arrival(&mut self.traffic_rng, after, bits, sensors)
+            .filter(|&t| t < self.cfg.horizon())
     }
 
     fn handle_mobility_tick(&mut self, sched: &mut Schedule<'_, NetEvent>) {
@@ -1397,9 +1387,7 @@ impl uasn_sim::engine::World for NetworkWorld {
                 }
                 sched.at(self.clock.start_of(slot + 1), NetEvent::SlotStart(slot + 1));
             }
-            NetEvent::TrafficArrival { node, recurring } => {
-                self.handle_traffic(sched, node as usize, recurring);
-            }
+            NetEvent::TrafficArrival { node } => self.handle_traffic(sched, node as usize),
             NetEvent::TxStart { node, token } => {
                 self.handle_tx_start(sched, node as usize, token);
             }
@@ -1604,14 +1592,6 @@ impl Simulation {
             cfg.channel.max_range_m() / cfg.channel.max_propagation_delay().as_secs_f64();
         let estimator = DelayEstimator::new(cfg.clock.meas_noise, max_speed, sound_speed);
 
-        // Traffic setup: one recurring arrival stream per pattern, except
-        // batch traffic, whose arrivals are all seeded below.
-        let traffic_stream = cfg.traffic.workload(cfg.data_bits, cfg.sensors);
-        let traffic_end = match cfg.traffic {
-            TrafficPattern::Batch { window, .. } => SimTime::ZERO + window,
-            _ => cfg.horizon(),
-        };
-
         let route = cfg.route.map(|rc| RouteRuntime {
             hops: HashMap::new(),
             transport: rc.transport.map(TransportTable::new),
@@ -1634,7 +1614,6 @@ impl Simulation {
             channel_rng: seeds.stream("channel", 0),
             mobility_rng: seeds.stream("mobility", 0),
             traffic_rng: seeds.stream("traffic", 0),
-            traffic_stream,
             route_rng: seeds.stream("route", 0),
             cand_buf: Vec::new(),
             route,
@@ -1648,7 +1627,6 @@ impl Simulation {
             event_buf: Vec::new(),
             next_token: 0,
             next_sdu_id: 0,
-            traffic_end,
             tracer: Tracer::disabled(),
             series: cfg.sample_interval.map(TimeSeries::new),
             clocks,
@@ -1711,19 +1689,10 @@ impl Simulation {
                 );
             }
         }
-        if let Some(stream) = world.traffic_stream {
-            for i in 0..n {
-                if world.roles[i] == NodeRole::Sensor {
-                    let first = stream.next_arrival(&mut world.traffic_rng, SimTime::ZERO);
-                    if first < world.traffic_end {
-                        engine.seed_event(
-                            first,
-                            NetEvent::TrafficArrival {
-                                node: i as u32,
-                                recurring: true,
-                            },
-                        );
-                    }
+        for i in 0..n {
+            if world.roles[i] == NodeRole::Sensor {
+                if let Some(first) = world.next_arrival(SimTime::ZERO) {
+                    engine.seed_event(first, NetEvent::TrafficArrival { node: i as u32 });
                 }
             }
         }
@@ -1746,13 +1715,7 @@ impl Simulation {
                             .traffic_rng
                             .gen_range(0.0..window.as_secs_f64().max(1e-6)),
                     );
-                engine.seed_event(
-                    at,
-                    NetEvent::TrafficArrival {
-                        node,
-                        recurring: false,
-                    },
-                );
+                engine.seed_event(at, NetEvent::TrafficArrival { node });
             }
         }
         if world.cfg.mobility.enabled {

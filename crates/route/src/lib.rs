@@ -15,9 +15,6 @@
 //!   keeps a copy of every SDU it injects, arms a timeout, and
 //!   retransmits with exponential backoff until a sink ack arrives or a
 //!   bounded retry budget is exhausted.
-//! - [`workload`] — seeded per-sensor arrival processes (Poisson, bursty
-//!   on/off, convergecast rounds): the one arrival stream behind every
-//!   recurring traffic pattern.
 //!
 //! The crate is deliberately independent of `uasn-net`: it operates on
 //! caller-supplied candidate lists and plain integer node ids, so the
@@ -26,14 +23,15 @@
 //! the integration (candidate gathering, trace emission, verdict
 //! accounting).
 //!
+//! Arrival processes are not here: `uasn-net`'s `TrafficPattern` is the
+//! one description of every traffic shape and draws its own arrivals.
+//!
 //! Everything here is allocation-conscious on the hot path: candidate
-//! selection never allocates, the transport table reuses its map storage,
-//! and workload streams are plain value types.
+//! selection never allocates and the transport table reuses its map
+//! storage.
 
 pub mod policy;
 pub mod transport;
-pub mod workload;
 
 pub use policy::{select_next_hop, Candidate, ForwardPolicy, RouteConfig, DEFAULT_TTL};
 pub use transport::{PendingSdu, TimeoutVerdict, TransportConfig, TransportTable};
-pub use workload::{Workload, WorkloadStream};
