@@ -1521,10 +1521,12 @@ impl Simulation {
             .map(|i| Some(factory(NodeId::new(i as u32))))
             .collect();
 
-        // Oracle neighbour installation (the Hello phase, §4.3): every
-        // table is read off the node's fan-out row as `(rx, delay)`, so the
-        // MACs schedule against exactly the audible set and delays the
-        // channel will apply — the audibility decision lives in the cache.
+        // Oracle neighbour installation (standing in for the Hello phase,
+        // §4.3): every table is read off the node's fan-out row as `(rx,
+        // delay)`, so the MACs schedule against exactly the audible set and
+        // delays the channel will apply — the audibility decision lives in
+        // the cache. Under `hello_init` the tables start empty and the MACs
+        // learn them from on-air beacons; the init charge is the same.
         let channel = cfg.channel.clone();
         let mut link_cache = LinkBudgetCache::with_index(&channel, &positions);
         let mut delay_table = |i: usize| -> Vec<(NodeId, SimDuration)> {
@@ -1548,13 +1550,15 @@ impl Simulation {
                 continue;
             }
             let one_hop = delay_table(i);
-            mac.install_neighbors(&one_hop);
-            if profile.scope == NeighborInfoScope::TwoHop {
-                let two_hop: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = one_hop
-                    .iter()
-                    .map(|&(j, _)| (j, delay_table(j.index())))
-                    .collect();
-                mac.install_two_hop(&two_hop);
+            if !cfg.hello_init {
+                mac.install_neighbors(&one_hop);
+                if profile.scope == NeighborInfoScope::TwoHop {
+                    let two_hop: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = one_hop
+                        .iter()
+                        .map(|&(j, _)| (j, delay_table(j.index())))
+                        .collect();
+                    mac.install_two_hop(&two_hop);
+                }
             }
             // The node transmits one hello plus its own table; a two-hop
             // view is assembled from neighbours' announcements.
@@ -2067,6 +2071,73 @@ mod tests {
         // Blast MAC has a None maintenance scope: zero charge either way.
         assert_eq!(a.maintenance_bits, 0);
         assert_eq!(b.maintenance_bits, 0);
+    }
+
+    /// A MAC of a given neighbour scope that counts the oracle table
+    /// installs it receives and does nothing else.
+    #[derive(Debug)]
+    struct InstallProbe {
+        scope: NeighborInfoScope,
+        installs: std::rc::Rc<std::cell::Cell<u32>>,
+    }
+
+    impl MacProtocol for InstallProbe {
+        fn name(&self) -> &'static str {
+            "PROBE"
+        }
+        fn maintenance(&self) -> MaintenanceProfile {
+            MaintenanceProfile {
+                scope: self.scope,
+                ..MaintenanceProfile::none()
+            }
+        }
+        fn install_neighbors(&mut self, _: &[(NodeId, SimDuration)]) {
+            self.installs.set(self.installs.get() + 1);
+        }
+        fn install_two_hop(&mut self, _: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {
+            self.installs.set(self.installs.get() + 1);
+        }
+        fn on_slot_start(&mut self, _: &mut MacContext<'_>, _: SlotIndex) {}
+        fn on_enqueue(&mut self, _: &mut MacContext<'_>, _: Sdu) {}
+        fn on_frame_received(&mut self, _: &mut MacContext<'_>, _: &Reception<'_>) {}
+        fn queue_len(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn hello_init_installs_no_oracle_tables() {
+        // (scope, installs per node under the oracle): tables start empty
+        // under hello_init, and the init maintenance charge is the same.
+        for (scope, per_node) in [
+            (NeighborInfoScope::OneHop, 1),
+            (NeighborInfoScope::TwoHop, 2),
+        ] {
+            let run = |hello_init: bool| {
+                let installs = std::rc::Rc::new(std::cell::Cell::new(0));
+                let factory = |_: NodeId| -> Box<dyn MacProtocol> {
+                    Box::new(InstallProbe {
+                        scope,
+                        installs: installs.clone(),
+                    })
+                };
+                let cfg = SimConfig {
+                    sensors: 8,
+                    sinks: 2,
+                    hello_init,
+                    ..SimConfig::paper_default()
+                }
+                .with_sim_time(SimDuration::from_secs(5));
+                let report = Simulation::new(cfg, &factory).unwrap().run();
+                (installs.get(), report.maintenance_bits)
+            };
+            let (oracle, oracle_bits) = run(false);
+            let (hello, hello_bits) = run(true);
+            assert_eq!(oracle, 10 * per_node, "{scope:?} oracle installs");
+            assert_eq!(hello, 0, "{scope:?} hello run got an oracle install");
+            assert!(oracle_bits > 0);
+            assert_eq!(oracle_bits, hello_bits, "{scope:?} init charge");
+        }
     }
 
     #[test]
