@@ -94,7 +94,7 @@ fn main() {
         stats,
     )
     .with_latency(delivery_hist, e2e_hist);
-    if let Err(e) = manifest.write(&uasn_bench::cli::results_dir()) {
+    if let Err(e) = manifest.write(&uasn_bench::paths::results_dir()) {
         eprintln!("warning: could not write manifest: {e}");
     }
 }

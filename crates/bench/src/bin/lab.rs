@@ -21,9 +21,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use uasn_bench::cli;
 use uasn_bench::figures::parse_figures;
 use uasn_bench::grid::{self, SweepOptions, SweepOutcome};
+use uasn_bench::paths::results_dir;
 
 const USAGE: &str = "usage:
   lab run    [--figures LIST] [--seeds N] [--jobs N] [--journal PATH]
@@ -186,7 +186,7 @@ fn cmd_table2() -> Result<ExitCode, String> {
 /// failed cells → 1; a planned `--max-cells` stop → 0 (the journal has the
 /// partial progress, which is the point).
 fn finish(outcome: SweepOutcome, out: Option<PathBuf>) -> ExitCode {
-    let dir = out.unwrap_or_else(cli::results_dir);
+    let dir = out.unwrap_or_else(results_dir);
     for run in &outcome.runs {
         print!("{}", run.to_table());
         if let Err(e) = run.write(&dir) {

@@ -58,7 +58,7 @@ const USAGE: &str = "usage: obs_report [manifest.json] [trace.jsonl]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.as_slice() {
-        [] => list_manifests(&uasn_bench::cli::results_dir()),
+        [] => list_manifests(&uasn_bench::paths::results_dir()),
         [verb, input, opts @ ..] if Verb::NAMES.contains(&verb.as_str()) => {
             Verb::parse(verb, opts).and_then(|verb| inspect(&verb, Path::new(input)))
         }

@@ -42,7 +42,7 @@ fn main() -> ExitCode {
     let out_dir: PathBuf = args
         .next()
         .map(PathBuf::from)
-        .unwrap_or_else(uasn_bench::cli::results_dir);
+        .unwrap_or_else(uasn_bench::paths::results_dir);
     let out_dir = out_dir.as_path();
     let tag = if routed { "TRC-ROUTE" } else { "TRC" };
     let trace_name = format!("{tag}.trace.jsonl");

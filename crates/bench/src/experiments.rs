@@ -4,9 +4,9 @@
 //! Each experiment is *declared* in [`crate::figures::REGISTRY`];
 //! [`run_spec`] runs a registry entry sequentially, and the `uasn-lab`
 //! grid (`lab run --figures <id>`) runs it cell by cell in parallel.
-//! Aggregation lives in [`assemble`], which both paths share — so a figure
-//! regenerated cell-by-cell on N workers is byte-identical to one produced
-//! by [`run_spec`].
+//! Aggregation lives in the private `assemble`, which both paths share —
+//! so a figure regenerated cell-by-cell on N workers is byte-identical to
+//! one produced by [`run_spec`].
 //!
 //! All §5 experiments run with the paper's location models enabled (each
 //! node randomly static / horizontal drift / vertical drift, ≤1 m/s —

@@ -15,7 +15,7 @@
 //! JSON round trip ([`CellOutput`]'s invariant). Aggregation never sees
 //! completion order: it walks the job table in `(figure, point, protocol,
 //! seed)` order and folds with the same arithmetic as the sequential
-//! reference path ([`crate::experiments::assemble`] over
+//! reference path (`experiments::assemble` over
 //! [`crate::cell::fold_cells`]). Hence `--jobs 1`, `--jobs 8`, and any
 //! kill/resume split produce bit-identical figures.
 

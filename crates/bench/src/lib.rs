@@ -11,7 +11,6 @@
 #![warn(missing_docs)]
 
 pub mod cell;
-pub mod cli;
 pub mod experiments;
 pub mod figures;
 pub mod grid;

@@ -7,13 +7,13 @@
 //! routing path — and the FNV-1a hash of each Debug-level JSONL
 //! trace export must match the golden checked into `tests/goldens/`. The
 //! Debug trace records every event the engine processes, so this is the
-//! strongest behavioural lockdown the simulator offers. At the two
-//! densities the same cell also runs with performance profiling and with
-//! the online invariant monitors attached; both exports must be
-//! **byte-identical** to the plain one, and the monitored pass
-//! additionally asserts online/post-hoc parity: over the invariants the
-//! streaming monitors cover, their findings must equal the offline
-//! checker's replay of the exported trace.
+//! strongest behavioural lockdown the simulator offers. Every cell also
+//! runs with performance profiling and with the online invariant monitors
+//! attached; both exports must be **byte-identical** to the plain one, and
+//! the monitored pass additionally asserts online/post-hoc parity: over
+//! every invariant the streaming monitors cover
+//! (`uasn_audit::STREAMED_KINDS`, routing loops included), their findings
+//! must equal the offline checker's replay of the exported trace.
 //!
 //! The sparse, dense and swarm hashes were blessed while a
 //! recompute-everything reference fan-out still ran beside the cached one
@@ -34,9 +34,10 @@
 
 use std::path::PathBuf;
 
-use uasn_audit::invariant::{Violation, ViolationKind};
+use uasn_audit::invariant::Violation;
 use uasn_audit::model::TraceModel;
 use uasn_audit::monitor::StreamingMonitor;
+use uasn_audit::STREAMED_KINDS;
 use uasn_bench::protocols::Protocol;
 use uasn_bench::runner::master_seed;
 use uasn_net::config::SimConfig;
@@ -46,14 +47,6 @@ use uasn_net::world::Simulation;
 use uasn_route::{ForwardPolicy, RouteConfig, TransportConfig};
 use uasn_sim::time::SimDuration;
 use uasn_sim::trace::{parse_jsonl, TraceLevel, Tracer, DEFAULT_CAPTURE_CAPACITY};
-
-/// The invariants the streaming monitors cover (the post-hoc checker
-/// additionally runs whole-trace checks that need the full model).
-const STREAMED_KINDS: [ViolationKind; 3] = [
-    ViolationKind::HalfDuplexDecode,
-    ViolationKind::SlotMisalignment,
-    ViolationKind::ExtraWindowIntrusion,
-];
 
 /// The roster under golden lockdown: the paper protocol plus every baseline.
 const GOLDEN_PROTOCOLS: [(Protocol, &str); 5] = [
@@ -225,72 +218,64 @@ fn has_record(tracer: &Tracer, (tag, key, value): Pin) -> bool {
     })
 }
 
-/// Runs the roster on each `(cell, config, pins)` triple and checks the
-/// golden hashes, named `<protocol>-<cell>`, in `trace_hashes_<density>.txt`.
-/// Every protocol's trace must contain each of the cell's pinned records,
-/// so a cell cannot silently stop covering the path it is there for.
+/// Runs one golden cell traced and returns the tracer with its exported
+/// bytes, after asserting that profiling and monitoring leave those bytes
+/// untouched and that the online monitors agree with the post-hoc
+/// checker over every streamed kind (the checker additionally runs
+/// whole-trace checks that need the full model).
+fn locked_down(name: &str, cfg: &SimConfig, protocol: Protocol) -> (Tracer, Vec<u8>) {
+    let tracer = traced(cfg, protocol);
+    let plain = export(&tracer);
+    assert!(
+        !plain.is_empty(),
+        "{name}: empty trace — nothing was locked down"
+    );
+    let profiled = trace_bytes(&cfg.clone().with_profiling(true), protocol);
+    assert!(
+        plain == profiled,
+        "{name}: enabling profiling changed the trace (first divergence at byte {})",
+        first_divergence(&plain, &profiled)
+    );
+    let (monitored, online) = monitored_trace_bytes(&cfg.clone().with_monitoring(true), protocol);
+    assert!(
+        plain == monitored,
+        "{name}: enabling monitoring changed the trace (first divergence at byte {})",
+        first_divergence(&plain, &monitored)
+    );
+    // Online/post-hoc parity: replay the exact bytes the run exported
+    // through the offline checker and compare over the shared kinds.
+    let records = parse_jsonl(std::str::from_utf8(&monitored).expect("traces are UTF-8"))
+        .expect("exported trace parses");
+    let post_hoc: Vec<Violation> = uasn_audit::check(&TraceModel::from_records(&records))
+        .into_iter()
+        .filter(|v| STREAMED_KINDS.contains(&v.kind))
+        .collect();
+    assert_eq!(
+        online, post_hoc,
+        "{name}: online monitor findings disagree with the post-hoc checker"
+    );
+    (tracer, plain)
+}
+
+/// Runs the roster on each `(cell, config, pins)` triple, locks each run
+/// down, and checks the golden hashes, named `<protocol>-<cell>`, in
+/// `trace_hashes_<density>.txt`. Every protocol's trace must contain each
+/// of the cell's pinned records, so a cell cannot silently stop covering
+/// the path it is there for.
 fn check_cells(density: &str, cells: &[(&str, SimConfig, &[Pin])]) {
     let mut hashes = Vec::new();
     for (cell, cfg, pins) in cells {
         for (protocol, slug) in GOLDEN_PROTOCOLS {
-            let tracer = traced(cfg, protocol);
+            let name = format!("{slug}-{cell}");
+            let (tracer, trace) = locked_down(&name, cfg, protocol);
             for &pin in *pins {
                 assert!(
                     has_record(&tracer, pin),
-                    "{slug}-{cell}: no {pin:?} record — the cell no longer pins that path"
+                    "{name}: no {pin:?} record — the cell no longer pins that path"
                 );
             }
-            let trace = export(&tracer);
-            assert!(
-                !trace.is_empty(),
-                "{slug}-{cell}: empty trace — nothing was locked down"
-            );
-            hashes.push((format!("{slug}-{cell}"), fnv1a64(&trace)));
+            hashes.push((name, fnv1a64(&trace)));
         }
-    }
-    check_goldens(density, &hashes);
-}
-
-/// Runs the full roster at one density: asserts that profiling and
-/// monitoring leave the trace bytes untouched, that the online monitors
-/// agree with the post-hoc checker, and checks the golden hashes.
-fn check_density(density: &str, sensors: u32) {
-    let mut hashes = Vec::new();
-    for (protocol, slug) in GOLDEN_PROTOCOLS {
-        let cfg = golden_cfg(sensors);
-        let plain = trace_bytes(&cfg, protocol);
-        let profiled = trace_bytes(&cfg.clone().with_profiling(true), protocol);
-        assert!(
-            !plain.is_empty(),
-            "{slug}-{density}: empty trace — nothing was locked down"
-        );
-        assert!(
-            plain == profiled,
-            "{slug}-{density}: enabling profiling changed the trace \
-             (first divergence at byte {})",
-            first_divergence(&plain, &profiled)
-        );
-        let (monitored, online) = monitored_trace_bytes(&cfg.with_monitoring(true), protocol);
-        assert!(
-            plain == monitored,
-            "{slug}-{density}: enabling monitoring changed the trace \
-             (first divergence at byte {})",
-            first_divergence(&plain, &monitored)
-        );
-        // Online/post-hoc parity: replay the exact bytes the run exported
-        // through the offline checker and compare over the shared kinds.
-        let records = parse_jsonl(std::str::from_utf8(&monitored).expect("traces are UTF-8"))
-            .expect("exported trace parses");
-        let model = TraceModel::from_records(&records);
-        let post_hoc: Vec<Violation> = uasn_audit::check(&model)
-            .into_iter()
-            .filter(|v| STREAMED_KINDS.contains(&v.kind))
-            .collect();
-        assert_eq!(
-            online, post_hoc,
-            "{slug}-{density}: online monitor findings disagree with the post-hoc checker"
-        );
-        hashes.push((format!("{slug}-{density}"), fnv1a64(&plain)));
     }
     check_goldens(density, &hashes);
 }
@@ -313,12 +298,12 @@ fn swarm_cfg() -> SimConfig {
 
 #[test]
 fn golden_traces_sparse() {
-    check_density("sparse", 10);
+    check_cells("sparse", &[("sparse", golden_cfg(10), &[])]);
 }
 
 #[test]
 fn golden_traces_dense() {
-    check_density("dense", 30);
+    check_cells("dense", &[("dense", golden_cfg(30), &[])]);
 }
 
 #[test]
@@ -376,7 +361,8 @@ fn golden_traces_busy() {
     let mut hashes = Vec::new();
     for (cell, cfg) in &cells {
         for (protocol, slug) in roster.clone() {
-            let tracer = traced(cfg, protocol);
+            let name = format!("{slug}-{cell}");
+            let (tracer, trace) = locked_down(&name, cfg, protocol);
             if matches!(protocol, Protocol::EwMac | Protocol::EwMacAggregated) {
                 let exacks = tracer
                     .with_tag("tx")
@@ -384,10 +370,10 @@ fn golden_traces_busy() {
                     .count();
                 assert!(
                     exacks > 0,
-                    "{slug}-{cell}: no EXAck on the air — the extra path is not pinned"
+                    "{name}: no EXAck on the air — the extra path is not pinned"
                 );
             }
-            hashes.push((format!("{slug}-{cell}"), fnv1a64(&export(&tracer))));
+            hashes.push((name, fnv1a64(&trace)));
         }
     }
     check_goldens("busy", &hashes);

@@ -12,6 +12,7 @@ use uasn_audit::invariant::ViolationKind;
 use uasn_audit::journey::reconstruct_paths;
 use uasn_audit::model::TraceModel;
 use uasn_audit::monitor::StreamingMonitor;
+use uasn_audit::STREAMED_KINDS;
 use uasn_bench::figures::{FigureSpec, Metric};
 use uasn_bench::grid::{run_sweep, SweepOptions};
 use uasn_bench::{ExperimentRun, Protocol};
@@ -154,14 +155,6 @@ fn routed_sweep_kill_and_resume_is_invisible() {
     assert_identical(&reference[0], &second.runs[0]);
     let _ = std::fs::remove_file(&journal);
 }
-
-/// The invariants the streaming monitors cover (mirrors `trace_run`).
-const STREAMED_KINDS: [ViolationKind; 4] = [
-    ViolationKind::HalfDuplexDecode,
-    ViolationKind::SlotMisalignment,
-    ViolationKind::ExtraWindowIntrusion,
-    ViolationKind::RoutingLoop,
-];
 
 /// One seeded routed run, traced at Debug with the streaming monitors on
 /// the same record stream.

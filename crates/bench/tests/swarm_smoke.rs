@@ -15,6 +15,7 @@ use std::time::Duration;
 use uasn_audit::invariant::ViolationKind;
 use uasn_audit::model::TraceModel;
 use uasn_audit::monitor::{MonitorReport, StreamingMonitor};
+use uasn_audit::STREAMED_KINDS;
 use uasn_bench::protocols::Protocol;
 use uasn_bench::runner::master_seed;
 use uasn_net::config::SimConfig;
@@ -23,14 +24,6 @@ use uasn_net::topology::Deployment;
 use uasn_net::world::{RunOutput, Simulation};
 use uasn_sim::time::SimDuration;
 use uasn_sim::trace::{TraceLevel, Tracer, DEFAULT_CAPTURE_CAPACITY};
-
-/// The invariants the streaming monitors cover (mirrors `trace_run`).
-const STREAMED_KINDS: [ViolationKind; 4] = [
-    ViolationKind::HalfDuplexDecode,
-    ViolationKind::SlotMisalignment,
-    ViolationKind::ExtraWindowIntrusion,
-    ViolationKind::RoutingLoop,
-];
 
 /// 10 000 sensors in a wide ten-layer column (≈1 000 nodes per layer at
 /// the same per-layer density as the 1k swarm golden), carrying reliable

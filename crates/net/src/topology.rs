@@ -280,7 +280,7 @@ const STRANDED_GRID_THRESHOLD: usize = 256;
 /// Sensors with **no** shallower node within `comm_range_m` — the stranded
 /// set that would make depth routing impossible.
 ///
-/// Above [`STRANDED_GRID_THRESHOLD`] nodes the scan runs over a uniform
+/// From `STRANDED_GRID_THRESHOLD` nodes up the scan runs over a uniform
 /// grid with cell edge `comm_range_m`, so any in-range witness is in the
 /// 27-cell neighbourhood and each candidate still takes the exact distance
 /// check — the result is identical to the brute-force scan for every input.
