@@ -59,6 +59,8 @@ pub mod slots;
 pub mod slotted;
 pub mod topology;
 pub mod traffic;
+#[cfg(test)]
+mod workload;
 pub mod world;
 
 pub use config::SimConfig;

@@ -177,7 +177,7 @@ impl TrafficPattern {
 
 /// Seconds of "on" time elapsed by wall instant `t` under the duty
 /// cycle `on`/`off`.
-fn on_time_elapsed(t: f64, on_s: f64, off_s: f64) -> f64 {
+pub(crate) fn on_time_elapsed(t: f64, on_s: f64, off_s: f64) -> f64 {
     let cycle = on_s + off_s;
     let full = (t / cycle).floor();
     let rem = t - full * cycle;
@@ -186,7 +186,7 @@ fn on_time_elapsed(t: f64, on_s: f64, off_s: f64) -> f64 {
 
 /// Inverse of [`on_time_elapsed`]: the wall instant at which `u`
 /// seconds of "on" time have elapsed.
-fn wall_from_on_time(u: f64, on_s: f64, off_s: f64) -> f64 {
+pub(crate) fn wall_from_on_time(u: f64, on_s: f64, off_s: f64) -> f64 {
     let cycle = on_s + off_s;
     let full = (u / on_s).floor();
     let rem = u - full * on_s;
@@ -212,28 +212,8 @@ pub fn per_sensor_rate(offered_load_kbps: f64, packet_bits: u32, sensors: u32) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
-    use crate::error::BuildNetworkError;
+    use crate::workload::{arrivals, kbps};
     use uasn_sim::rng::SeedFactory;
-
-    /// `n` successive arrivals of `p` at one sensor carrying the whole
-    /// load in 2048-bit packets.
-    fn arrivals(p: TrafficPattern, seed: u64, n: usize) -> Vec<SimTime> {
-        let mut rng = SeedFactory::new(seed).stream("traffic", 0);
-        let mut t = SimTime::ZERO;
-        (0..n)
-            .map(|_| {
-                t = p.next_arrival(&mut rng, t, 2_048, 1).expect("recurring");
-                t
-            })
-            .collect()
-    }
-
-    /// The offered load that gives one 2048-bit sensor `rate_hz` arrivals
-    /// per second.
-    fn kbps(rate_hz: f64) -> f64 {
-        rate_hz * 2.048
-    }
 
     #[test]
     fn paper_batch_conversion() {
@@ -279,26 +259,13 @@ mod tests {
 
     #[test]
     fn arrivals_strictly_increase() {
-        let shapes = [
-            TrafficPattern::Poisson {
-                offered_load_kbps: kbps(1_000.0),
-            },
-            TrafficPattern::BurstyOnOff {
-                offered_load_kbps: kbps(500.0),
-                on_s: 0.5,
-                off_s: 0.5,
-            },
-            TrafficPattern::Convergecast {
-                period_s: 0.01,
-                jitter_s: 0.005,
-            },
-        ];
-        for (i, p) in shapes.into_iter().enumerate() {
-            let mut t = SimTime::ZERO;
-            for next in arrivals(p, 20 + i as u64, 1_000) {
-                assert!(next > t, "{p:?} stalled at {t:?}");
-                t = next;
-            }
+        let p = TrafficPattern::Poisson {
+            offered_load_kbps: kbps(1_000.0),
+        };
+        let mut t = SimTime::ZERO;
+        for next in arrivals(p, 4, 1_000) {
+            assert!(next > t, "stalled at {t:?}");
+            t = next;
         }
     }
 
@@ -314,110 +281,35 @@ mod tests {
     }
 
     #[test]
-    fn on_time_maps_round_trip() {
-        // on=2, off=8: wall 0..2 is on, 2..10 off, 10..12 on, ...
-        assert_eq!(on_time_elapsed(0.0, 2.0, 8.0), 0.0);
-        assert_eq!(on_time_elapsed(1.5, 2.0, 8.0), 1.5);
-        assert_eq!(on_time_elapsed(5.0, 2.0, 8.0), 2.0);
-        assert_eq!(on_time_elapsed(11.0, 2.0, 8.0), 3.0);
-        for u in [0.1, 1.9, 2.0, 3.7, 10.0] {
-            let wall = wall_from_on_time(u, 2.0, 8.0);
-            assert!(
-                (on_time_elapsed(wall, 2.0, 8.0) - u).abs() < 1e-9,
-                "u={u} wall={wall}"
-            );
-        }
-    }
-
-    #[test]
     fn bursty_workload_preserves_the_mean_rate() {
-        // (mean rate per second, on_s, off_s): arrivals cluster inside the
-        // on-windows, yet the long-run rate is the offered load's.
-        for (i, (rate_hz, on_s, off_s)) in [(1.0, 2.0, 8.0), (3.0, 3.0, 7.0), (0.5, 10.0, 30.0)]
-            .into_iter()
-            .enumerate()
-        {
-            let p = TrafficPattern::BurstyOnOff {
-                offered_load_kbps: kbps(rate_hz),
-                on_s,
-                off_s,
-            };
-            let n = 20_000;
-            let times = arrivals(p, 5 + i as u64, n);
-            for t in &times {
-                let phase = t.as_secs_f64() % (on_s + off_s);
-                assert!(phase <= on_s + 1e-9, "{p:?}: {t:?} is off-window");
-            }
-            let rate = n as f64 / times[n - 1].as_secs_f64();
-            assert!(
-                (rate - rate_hz).abs() / rate_hz < 0.05,
-                "{p:?}: rate {rate}, expected {rate_hz}"
-            );
+        // The burst rate compensates for the silent fraction: each of 60
+        // sensors still averages its share of 0.8 kbps.
+        let p = TrafficPattern::BurstyOnOff {
+            offered_load_kbps: 0.8,
+            on_s: 10.0,
+            off_s: 30.0,
+        };
+        let mut rng = SeedFactory::new(6).stream("traffic", 0);
+        let (n, mut t) = (20_000, SimTime::ZERO);
+        for _ in 0..n {
+            t = p.next_arrival(&mut rng, t, 2_048, 60).expect("recurring");
         }
+        let rate = n as f64 / t.as_secs_f64();
+        let expect = per_sensor_rate(0.8, 2_048, 60);
+        assert!(
+            (rate - expect).abs() / expect < 0.05,
+            "duty-cycle compensation: {rate} vs {expect}"
+        );
     }
 
     #[test]
     fn convergecast_workload_is_one_per_round() {
-        // (period_s, jitter_s): round k fires in [k·period, k·period +
-        // jitter); zero jitter is exact.
-        for (period_s, jitter_s) in [(30.0, 5.0), (60.0, 59.0), (10.0, 0.0)] {
-            let p = TrafficPattern::Convergecast { period_s, jitter_s };
-            for (k, t) in arrivals(p, 7, 50).into_iter().enumerate() {
-                let (at, base) = (t.as_secs_f64(), (k + 1) as f64 * period_s);
-                if jitter_s == 0.0 {
-                    assert!((at - base).abs() < 1e-9, "{p:?}: round {k} at {at}");
-                } else {
-                    assert!(
-                        at >= base && at < base + jitter_s,
-                        "{p:?}: round {k} fired at {at}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn validate_rejects_every_bad_parameter() {
-        let poisson = |offered_load_kbps| TrafficPattern::Poisson { offered_load_kbps };
-        let bursty = |offered_load_kbps, on_s, off_s| TrafficPattern::BurstyOnOff {
-            offered_load_kbps,
-            on_s,
-            off_s,
-        };
-        let rounds = |period_s, jitter_s| TrafficPattern::Convergecast { period_s, jitter_s };
-        let with = |traffic| SimConfig {
-            traffic,
-            ..SimConfig::paper_default()
-        };
-        for good in [poisson(0.5), bursty(0.8, 10.0, 30.0), rounds(60.0, 0.0)] {
-            with(good).validate().expect("valid traffic");
-        }
-        let bad = [
-            poisson(0.0),
-            poisson(f64::NAN),
-            poisson(f64::INFINITY),
-            bursty(-0.8, 10.0, 30.0),
-            bursty(0.8, 0.0, 30.0),
-            bursty(0.8, f64::INFINITY, 30.0),
-            bursty(0.8, 10.0, -1.0),
-            bursty(0.8, 10.0, f64::NAN),
-            rounds(0.0, 0.0),
-            rounds(f64::NAN, 0.0),
-            rounds(60.0, -1.0),
-            rounds(60.0, 60.0),
-            rounds(60.0, f64::INFINITY),
-            TrafficPattern::Batch {
-                total_packets: 0,
-                window: SimDuration::from_secs(300),
-            },
-        ];
-        for traffic in bad {
-            match with(traffic).validate() {
-                Err(BuildNetworkError::InvalidConfig { field, .. }) => {
-                    assert_eq!(field, "traffic", "{traffic:?}")
-                }
-                other => panic!("{traffic:?} validated: {other:?}"),
-            }
+        let (period_s, jitter_s) = (60.0, 5.0);
+        let p = TrafficPattern::Convergecast { period_s, jitter_s };
+        assert!(!p.is_batch());
+        for (k, t) in arrivals(p, 8, 50).into_iter().enumerate() {
+            let round = (t.as_secs_f64() / period_s).floor() as usize;
+            assert_eq!(round, k + 1, "{t:?}");
         }
     }
 
