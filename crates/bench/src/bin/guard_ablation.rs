@@ -59,7 +59,7 @@ fn main() {
                 Box::new(EwMac::new(id, mac_cfg))
             };
             let out = Simulation::new(cfg, &factory).expect("valid").run_full();
-            stats.absorb(&out.stats);
+            stats.absorb(&out.stats, &out.tracer.health(), out.profile.as_ref(), None);
             let report = out.report;
             delivery_hist.merge(&report.delivery_latency_us);
             e2e_hist.merge(&report.e2e_latency_us);

@@ -197,14 +197,15 @@ fn finish(outcome: SweepOutcome, out: Option<PathBuf>) -> ExitCode {
         eprintln!("failed: {job}: {error}");
     }
     eprintln!("{}", outcome.summary);
-    if !outcome.trace.is_lossless() {
+    let stats = &outcome.stats;
+    if !stats.trace.is_lossless() {
         eprintln!(
             "warning: trace loss across the sweep — {} capture drops, {} ring evictions, \
              {} JSONL I/O errors",
-            outcome.trace.capture_dropped, outcome.trace.ring_evicted, outcome.trace.io_errors
+            stats.trace.capture_dropped, stats.trace.ring_evicted, stats.trace.io_errors
         );
     }
-    if let Some(profile) = &outcome.profile {
+    if let Some(profile) = &stats.profile {
         eprintln!(
             "profiled {} runs: {} events sampled, slab reuse {:.0}%",
             profile.runs,
@@ -212,7 +213,7 @@ fn finish(outcome: SweepOutcome, out: Option<PathBuf>) -> ExitCode {
             profile.engine.slab_reuse_rate() * 100.0
         );
     }
-    if let Some(monitor) = &outcome.monitor {
+    if let Some(monitor) = &stats.monitor {
         eprintln!(
             "monitored {} runs: {} invariant finding(s), {} attributed loss(es)",
             monitor.runs,

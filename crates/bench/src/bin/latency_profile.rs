@@ -32,7 +32,7 @@ fn main() {
         for seed in 0..seeds {
             let cfg = base_cfg.clone().with_seed(master_seed(seed));
             let out = run_once_full(&cfg, p);
-            stats.absorb(&out.stats);
+            stats.absorb(&out.stats, &out.tracer.health(), out.profile.as_ref(), None);
             let report = out.report;
             delivery_hist.merge(&report.delivery_latency_us);
             e2e_hist.merge(&report.e2e_latency_us);

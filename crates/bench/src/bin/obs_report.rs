@@ -40,7 +40,7 @@ use std::process::ExitCode;
 use uasn_audit::journey::{reconstruct, reconstruct_paths, slowest, PathStats, PhaseHistograms};
 use uasn_audit::model::TraceModel;
 use uasn_audit::read_trace;
-use uasn_bench::manifest::{MonitorTotals, MANIFEST_SCHEMA};
+use uasn_bench::manifest::{MonitorTotals, StatsAggregate, MANIFEST_SCHEMA};
 use uasn_sim::json::JsonValue;
 use uasn_sim::profile::ProfileReport;
 use uasn_sim::trace::TRACE_SCHEMA;
@@ -194,15 +194,13 @@ fn trace_of(input: &Path) -> Result<PathBuf, String> {
     if is_trace {
         return Ok(input.to_path_buf());
     }
-    let doc = load_json(input)
-        .ok()
-        .filter(|doc| doc.get("schema").and_then(JsonValue::as_str) == Some(MANIFEST_SCHEMA))
-        .ok_or_else(|| {
-            format!(
-                "{} is neither a {TRACE_SCHEMA} JSONL trace nor a {MANIFEST_SCHEMA} document",
-                input.display()
-            )
-        })?;
+    let doc = load_json(input).ok().filter(is_manifest).ok_or_else(|| {
+        format!(
+            "{} is neither a {TRACE_SCHEMA} JSONL trace nor a {MANIFEST_SCHEMA} document",
+            input.display()
+        )
+    })?;
+    let stats = manifest_stats(input, &doc)?;
     let Some(trace_file) = doc.get("trace_file").and_then(JsonValue::as_str) else {
         return Err(format!(
             "{} has no `trace_file`; re-run the experiment with tracing \
@@ -210,13 +208,7 @@ fn trace_of(input: &Path) -> Result<PathBuf, String> {
             input.display()
         ));
     };
-    let lossless = doc
-        .get("stats")
-        .and_then(|s| s.get("trace"))
-        .and_then(|t| t.get("lossless"))
-        .and_then(JsonValue::as_bool)
-        .unwrap_or(true);
-    if !lossless {
+    if !stats.trace.is_lossless() {
         return Err(format!(
             "refusing {}: the manifest records a lossy trace \
              (dropped/evicted/unwritten records), so conclusions would be unsound",
@@ -377,20 +369,19 @@ fn list_manifests(dir: &Path) -> Result<(), String> {
     println!("{} manifest(s) under {}:", names.len(), dir.display());
     for name in names {
         let path = dir.join(&name);
-        match load_json(&path) {
-            Ok(doc) => {
+        match load_manifest(&path) {
+            Ok((doc, stats)) => {
                 let title = doc.get("title").and_then(JsonValue::as_str).unwrap_or("?");
-                let runs = doc
-                    .get("stats")
-                    .and_then(|s| s.get("runs"))
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0);
-                println!("  {name:<28} {runs:>4} runs  {title}");
+                println!("  {name:<28} {:>4} runs  {title}", stats.runs);
             }
             Err(e) => println!("  {name:<28} ({e})"),
         }
     }
     Ok(())
+}
+
+fn is_manifest(doc: &JsonValue) -> bool {
+    doc.get("schema").and_then(JsonValue::as_str) == Some(MANIFEST_SCHEMA)
 }
 
 fn load_json(path: &Path) -> Result<JsonValue, String> {
@@ -399,8 +390,29 @@ fn load_json(path: &Path) -> Result<JsonValue, String> {
     JsonValue::parse(&text).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
 
-fn print_manifest(path: &Path) -> Result<(), String> {
+/// Loads the run manifest at `path` with its decoded `stats` account.
+fn load_manifest(path: &Path) -> Result<(JsonValue, StatsAggregate), String> {
     let doc = load_json(path)?;
+    let stats = manifest_stats(path, &doc)?;
+    Ok((doc, stats))
+}
+
+/// Decodes the `stats` account of the manifest `doc` read from `path`. A
+/// manifest whose account is missing or does not decode is refused: its
+/// trace health, profile and monitor totals cannot be trusted.
+fn manifest_stats(path: &Path, doc: &JsonValue) -> Result<StatsAggregate, String> {
+    doc.get("stats")
+        .and_then(StatsAggregate::from_json)
+        .ok_or_else(|| {
+            format!(
+                "refusing {}: its `stats` account is missing or does not decode",
+                path.display()
+            )
+        })
+}
+
+fn print_manifest(path: &Path) -> Result<(), String> {
+    let (doc, stats) = load_manifest(path)?;
     let str_of = |key: &str| doc.get(key).and_then(JsonValue::as_str).unwrap_or("?");
     let schema = str_of("schema");
     if schema != MANIFEST_SCHEMA {
@@ -428,65 +440,54 @@ fn print_manifest(path: &Path) -> Result<(), String> {
             println!("    {k:<20} {}", v.as_str().unwrap_or("?"));
         }
     }
-    if let Some(stats) = doc.get("stats") {
-        let num = |key: &str| stats.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        println!("  engine:");
-        println!("    runs                 {}", num("runs"));
-        println!("    events processed     {}", num("events_processed"));
+    println!("  engine:");
+    println!("    runs                 {}", stats.runs);
+    println!("    events processed     {}", stats.events_processed);
+    println!(
+        "    wall                 {:.3} s",
+        stats.wall.as_micros() as f64 / 1e6
+    );
+    // Echo the stored rate: it was computed from nanosecond wall time,
+    // which the manifest keeps only to the microsecond.
+    println!(
+        "    events/wall-sec      {:.0}",
+        doc.get("stats")
+            .and_then(|s| s.get("events_per_wall_sec"))
+            .and_then(JsonValue::as_f64)
+            .unwrap_or(0.0)
+    );
+    println!("    peak queue depth     {}", stats.peak_queue_depth);
+    println!("    events by kind:");
+    for (label, count) in &stats.kind_counts {
+        println!("      {label:<18} {count}");
+    }
+    let reasons: Vec<String> = stats
+        .stop_reasons
+        .iter()
+        .map(|(reason, count)| format!("{reason} x{count}"))
+        .collect();
+    println!("    stop reasons: {}", reasons.join(", "));
+    let trace = &stats.trace;
+    println!(
+        "  trace health: {} ({} lines, {} dropped, {} evicted, {} io errors)",
+        if trace.is_lossless() {
+            "lossless"
+        } else {
+            "LOSSY"
+        },
+        trace.jsonl_lines,
+        trace.capture_dropped,
+        trace.ring_evicted,
+        trace.io_errors,
+    );
+    if let Some(totals) = &stats.monitor {
         println!(
-            "    wall                 {:.3} s",
-            num("wall_us") as f64 / 1e6
+            "  monitoring: {} run(s), {} finding(s), {} attributed loss(es) \
+             (try: obs_report forensics <manifest>)",
+            totals.runs,
+            totals.total_findings(),
+            totals.verdicts.total(),
         );
-        println!(
-            "    events/wall-sec      {:.0}",
-            stats
-                .get("events_per_wall_sec")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0)
-        );
-        println!("    peak queue depth     {}", num("peak_queue_depth"));
-        if let Some(kinds) = stats.get("kind_counts").and_then(JsonValue::as_array) {
-            println!("    events by kind:");
-            for pair in kinds {
-                if let Some(pair) = pair.as_array() {
-                    if let (Some(label), Some(count)) = (pair[0].as_str(), pair[1].as_u64()) {
-                        println!("      {label:<18} {count}");
-                    }
-                }
-            }
-        }
-        if let Some(reasons) = stats.get("stop_reasons").and_then(JsonValue::as_array) {
-            let text: Vec<String> = reasons
-                .iter()
-                .filter_map(|p| p.as_array())
-                .filter_map(|p| Some(format!("{} x{}", p[0].as_str()?, p[1].as_u64()?)))
-                .collect();
-            println!("    stop reasons: {}", text.join(", "));
-        }
-        if let Some(trace) = stats.get("trace") {
-            let num = |key: &str| trace.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-            let lossless = trace
-                .get("lossless")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(true);
-            println!(
-                "  trace health: {} ({} lines, {} dropped, {} evicted, {} io errors)",
-                if lossless { "lossless" } else { "LOSSY" },
-                num("jsonl_lines"),
-                num("capture_dropped"),
-                num("ring_evicted"),
-                num("io_errors"),
-            );
-        }
-        if let Some(totals) = stats.get("monitor").and_then(MonitorTotals::from_json) {
-            println!(
-                "  monitoring: {} run(s), {} finding(s), {} attributed loss(es) \
-                 (try: obs_report forensics <manifest>)",
-                totals.runs,
-                totals.total_findings(),
-                totals.verdicts.total(),
-            );
-        }
     }
     if let Some(latency) = doc.get("latency") {
         println!("  latency (us):");
@@ -553,10 +554,12 @@ fn bump_count<'a>(table: &mut Vec<(&'a str, u64)>, key: &'a str) {
 /// totals, and a bare `MonitorTotals` JSON (`runs`/`findings`/`verdicts`).
 fn forensics_command(path: &Path) -> Result<(), String> {
     let doc = load_json(path)?;
-    let block = doc.get("stats").and_then(|s| s.get("monitor")).or_else(|| {
-        (doc.get("findings").is_some() && doc.get("verdicts").is_some()).then_some(&doc)
-    });
-    let Some(totals) = block.and_then(MonitorTotals::from_json) else {
+    let totals = if is_manifest(&doc) {
+        manifest_stats(path, &doc)?.monitor
+    } else {
+        MonitorTotals::from_json(&doc)
+    };
+    let Some(totals) = totals else {
         return Err(format!(
             "{}: no monitoring totals found — re-run the experiment with \
              monitoring (SimConfig::with_monitoring / --monitor) to attribute \
@@ -621,16 +624,16 @@ fn profile_command(path: &Path) -> Result<(), String> {
         render_profile(&report);
         return Ok(());
     }
-    if let Some(profile) = doc.get("stats").and_then(|s| s.get("profile")) {
-        let report = ProfileReport::from_json(profile)
-            .ok_or_else(|| format!("{}: stats.profile does not decode", path.display()))?;
-        println!(
-            "[{}] profile from manifest {}",
-            doc.get("id").and_then(JsonValue::as_str).unwrap_or("?"),
-            path.display()
-        );
-        render_profile(&report);
-        return Ok(());
+    if is_manifest(&doc) {
+        if let Some(report) = manifest_stats(path, &doc)?.profile {
+            println!(
+                "[{}] profile from manifest {}",
+                doc.get("id").and_then(JsonValue::as_str).unwrap_or("?"),
+                path.display()
+            );
+            render_profile(&report);
+            return Ok(());
+        }
     }
     Err(format!(
         "{}: no profile found — expected a ProfileReport or a manifest \

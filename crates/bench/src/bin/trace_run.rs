@@ -104,17 +104,15 @@ fn main() -> ExitCode {
         .with_tracer(tracer)
         .run_full();
 
-    let mut stats = StatsAggregate::default();
-    stats.absorb(&out.stats);
     let health = out.tracer.health();
-    stats.absorb_trace(&health);
     // Drop the tracer so the buffered JSONL stream is flushed to disk
     // before the audit reads it back.
     drop(out.tracer);
 
     let online = monitor.report();
     let totals = MonitorTotals::from_run(&online, out.verdicts.as_ref());
-    stats.absorb_monitor(&totals);
+    let mut stats = StatsAggregate::default();
+    stats.absorb(&out.stats, &health, out.profile.as_ref(), Some(&totals));
 
     let report = out.report;
     println!(

@@ -17,7 +17,7 @@ use uasn_audit::MonitorReport;
 use uasn_net::config::SimConfig;
 use uasn_net::metrics::{DropVerdict, VerdictHistogram};
 use uasn_net::traffic::TrafficPattern;
-use uasn_sim::engine::RunStats;
+use uasn_sim::engine::{intern_label, RunStats};
 use uasn_sim::hist::LogHistogram;
 use uasn_sim::json::JsonValue;
 use uasn_sim::profile::ProfileReport;
@@ -57,47 +57,24 @@ pub struct StatsAggregate {
 }
 
 impl StatsAggregate {
-    /// Folds one run's statistics in.
-    pub fn absorb(&mut self, stats: &RunStats) {
+    /// Folds one run in: its engine statistics, its trace-sink health
+    /// (capture drops, ring evictions, JSONL I/O errors), and its
+    /// performance profile and online-monitoring totals when it carried
+    /// them.
+    pub fn absorb(
+        &mut self,
+        stats: &RunStats,
+        trace: &TraceHealth,
+        profile: Option<&ProfileReport>,
+        monitor: Option<&MonitorTotals>,
+    ) {
         self.runs += 1;
         self.events_processed += stats.events_processed;
         self.wall += stats.wall;
         self.peak_queue_depth = self.peak_queue_depth.max(stats.peak_queue_depth);
-        for &(label, count) in &stats.kind_counts {
-            match self.kind_counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, c)) => *c += count,
-                None => self.kind_counts.push((label, count)),
-            }
-        }
-        let reason = stats.stop_reason.as_str();
-        match self.stop_reasons.iter_mut().find(|(r, _)| *r == reason) {
-            Some((_, c)) => *c += 1,
-            None => self.stop_reasons.push((reason, 1)),
-        }
-    }
-
-    /// Folds one run's trace-sink health in (capture drops, ring evictions,
-    /// JSONL I/O errors).
-    pub fn absorb_trace(&mut self, health: &TraceHealth) {
-        self.trace.merge(health);
-    }
-
-    /// Folds one run's performance profile in (handler-time attribution,
-    /// cache counters, fan-out/queue distributions).
-    pub fn absorb_profile(&mut self, profile: &ProfileReport) {
-        match &mut self.profile {
-            Some(mine) => mine.merge(profile),
-            None => self.profile = Some(profile.clone()),
-        }
-    }
-
-    /// Folds one run's online-monitoring totals in (invariant findings by
-    /// kind, drop verdicts by cause).
-    pub fn absorb_monitor(&mut self, monitor: &MonitorTotals) {
-        match &mut self.monitor {
-            Some(mine) => mine.merge(monitor),
-            None => self.monitor = Some(monitor.clone()),
-        }
+        add_counts(&mut self.kind_counts, &stats.kind_counts);
+        add_counts(&mut self.stop_reasons, &[(stats.stop_reason.as_str(), 1)]);
+        self.absorb_observations(trace, profile, monitor);
     }
 
     /// Merges another aggregate (e.g. per-cell into per-figure).
@@ -106,24 +83,29 @@ impl StatsAggregate {
         self.events_processed += other.events_processed;
         self.wall += other.wall;
         self.peak_queue_depth = self.peak_queue_depth.max(other.peak_queue_depth);
-        for &(label, count) in &other.kind_counts {
-            match self.kind_counts.iter_mut().find(|(l, _)| *l == label) {
-                Some((_, c)) => *c += count,
-                None => self.kind_counts.push((label, count)),
+        add_counts(&mut self.kind_counts, &other.kind_counts);
+        add_counts(&mut self.stop_reasons, &other.stop_reasons);
+        self.absorb_observations(&other.trace, other.profile.as_ref(), other.monitor.as_ref());
+    }
+
+    fn absorb_observations(
+        &mut self,
+        trace: &TraceHealth,
+        profile: Option<&ProfileReport>,
+        monitor: Option<&MonitorTotals>,
+    ) {
+        self.trace.merge(trace);
+        if let Some(profile) = profile {
+            match &mut self.profile {
+                Some(mine) => mine.merge(profile),
+                None => self.profile = Some(profile.clone()),
             }
         }
-        for &(reason, count) in &other.stop_reasons {
-            match self.stop_reasons.iter_mut().find(|(r, _)| *r == reason) {
-                Some((_, c)) => *c += count,
-                None => self.stop_reasons.push((reason, count)),
+        if let Some(monitor) = monitor {
+            match &mut self.monitor {
+                Some(mine) => mine.merge(monitor),
+                None => self.monitor = Some(monitor.clone()),
             }
-        }
-        self.trace.merge(&other.trace);
-        if let Some(theirs) = &other.profile {
-            self.absorb_profile(theirs);
-        }
-        if let Some(theirs) = &other.monitor {
-            self.absorb_monitor(theirs);
         }
     }
 
@@ -186,6 +168,61 @@ impl StatsAggregate {
         }
         JsonValue::Object(fields)
     }
+
+    /// Reconstructs an aggregate from its [`StatsAggregate::to_json`]
+    /// form. Wall time comes back at the microseconds it is stored at;
+    /// the derived `events_per_wall_sec` and `trace.lossless` are
+    /// recomputed rather than read. Labels are interned with the table
+    /// [`RunStats::from_json`] uses.
+    ///
+    /// Returns `None` on a missing or malformed field, including a
+    /// present but undecodable profile or monitor block.
+    pub fn from_json(doc: &JsonValue) -> Option<StatsAggregate> {
+        let counts = |key: &str| {
+            doc.get(key)?
+                .as_array()?
+                .iter()
+                .map(|pair| {
+                    let [label, count] = pair.as_array()? else {
+                        return None;
+                    };
+                    Some((intern_label(label.as_str()?), count.as_u64()?))
+                })
+                .collect::<Option<Vec<_>>>()
+        };
+        // Absent key = the block was off for every run; a present but
+        // malformed block fails the whole decode.
+        let profile = match doc.get("profile") {
+            Some(p) => Some(ProfileReport::from_json(p)?),
+            None => None,
+        };
+        let monitor = match doc.get("monitor") {
+            Some(m) => Some(MonitorTotals::from_json(m)?),
+            None => None,
+        };
+        Some(StatsAggregate {
+            runs: doc.get("runs")?.as_u64()?,
+            events_processed: doc.get("events_processed")?.as_u64()?,
+            wall: Duration::from_micros(doc.get("wall_us")?.as_u64()?),
+            peak_queue_depth: doc.get("peak_queue_depth")?.as_u64()? as usize,
+            kind_counts: counts("kind_counts")?,
+            stop_reasons: counts("stop_reasons")?,
+            trace: TraceHealth::from_json(doc.get("trace")?)?,
+            profile,
+            monitor,
+        })
+    }
+}
+
+/// Adds `counts` into `table` label by label, appending labels it has not
+/// seen yet (so the table keeps first-seen order).
+fn add_counts<L: PartialEq + Clone>(table: &mut Vec<(L, u64)>, counts: &[(L, u64)]) {
+    for (label, count) in counts {
+        match table.iter_mut().find(|(l, _)| l == label) {
+            Some((_, c)) => *c += count,
+            None => table.push((label.clone(), *count)),
+        }
+    }
 }
 
 /// Online-monitoring totals summed over every run behind one artifact:
@@ -227,12 +264,7 @@ impl MonitorTotals {
     /// Merges another totals block in (e.g. per-cell into per-figure).
     pub fn merge(&mut self, other: &MonitorTotals) {
         self.runs += other.runs;
-        for (label, count) in &other.findings {
-            match self.findings.iter_mut().find(|(l, _)| l == label) {
-                Some((_, c)) => *c += count,
-                None => self.findings.push((label.clone(), *count)),
-            }
-        }
+        add_counts(&mut self.findings, &other.findings);
         self.verdicts.merge(&other.verdicts);
     }
 
@@ -527,8 +559,8 @@ mod tests {
     #[test]
     fn aggregate_sums_runs() {
         let mut agg = StatsAggregate::default();
-        agg.absorb(&stats(100));
-        agg.absorb(&stats(50));
+        agg.absorb(&stats(100), &TraceHealth::default(), None, None);
+        agg.absorb(&stats(50), &TraceHealth::default(), None, None);
         assert_eq!(agg.runs, 2);
         assert_eq!(agg.events_processed, 150);
         assert_eq!(agg.peak_queue_depth, 40);
@@ -539,9 +571,9 @@ mod tests {
     #[test]
     fn merge_combines_aggregates() {
         let mut a = StatsAggregate::default();
-        a.absorb(&stats(10));
+        a.absorb(&stats(10), &TraceHealth::default(), None, None);
         let mut b = StatsAggregate::default();
-        b.absorb(&stats(20));
+        b.absorb(&stats(20), &TraceHealth::default(), None, None);
         a.merge(&b);
         assert_eq!(a.runs, 2);
         assert_eq!(a.events_processed, 30);
@@ -550,7 +582,7 @@ mod tests {
     #[test]
     fn manifest_json_parses_back() {
         let mut agg = StatsAggregate::default();
-        agg.absorb(&stats(100));
+        agg.absorb(&stats(100), &TraceHealth::default(), None, None);
         let m = RunManifest::new(
             "F6",
             "Throughput vs load",
@@ -622,17 +654,27 @@ mod tests {
     #[test]
     fn lossy_trace_health_serialises_as_not_lossless() {
         let mut agg = StatsAggregate::default();
-        agg.absorb_trace(&TraceHealth {
-            capture_dropped: 5,
-            first_io_error: Some("disk full".to_string()),
-            io_errors: 1,
-            ..TraceHealth::default()
-        });
+        agg.absorb(
+            &stats(10),
+            &TraceHealth {
+                capture_dropped: 5,
+                first_io_error: Some("disk full".to_string()),
+                io_errors: 1,
+                ..TraceHealth::default()
+            },
+            None,
+            None,
+        );
         let mut other = StatsAggregate::default();
-        other.absorb_trace(&TraceHealth {
-            ring_evicted: 2,
-            ..TraceHealth::default()
-        });
+        other.absorb(
+            &stats(10),
+            &TraceHealth {
+                ring_evicted: 2,
+                ..TraceHealth::default()
+            },
+            None,
+            None,
+        );
         agg.merge(&other);
         assert_eq!(agg.trace.capture_dropped, 5);
         assert_eq!(agg.trace.ring_evicted, 2);
@@ -644,6 +686,78 @@ mod tests {
             trace.get("first_io_error").and_then(JsonValue::as_str),
             Some("disk full")
         );
+    }
+
+    #[test]
+    fn aggregate_json_round_trips_with_profile_monitor_and_lossy_trace() {
+        use uasn_sim::profile::{EngineCost, KindCost, MetricsSnapshot};
+
+        let mut fanout = LogHistogram::new();
+        for v in [3u64, 5, 40] {
+            fanout.record(v);
+        }
+        let profile = ProfileReport {
+            runs: 1,
+            engine: EngineCost {
+                handler: vec![(
+                    "tx-start",
+                    KindCost {
+                        sampled: 4,
+                        total_ns: 9_000,
+                        max_ns: 4_000,
+                    },
+                )],
+                pop_ns: 700,
+                sampled_events: 4,
+                slab_slots: 16,
+                slab_reuses: 30,
+                events_scheduled: 50,
+            },
+            metrics: MetricsSnapshot {
+                counters: vec![("phy.cache.hits", 12)],
+                gauges: vec![("net.queue_depth", 2.5)],
+                hists: vec![("phy.fanout", fanout)],
+            },
+        };
+        let mut verdicts = VerdictHistogram::new();
+        verdicts.add(DropVerdict::MacDrop, 3);
+        let monitor = MonitorTotals {
+            runs: 1,
+            findings: vec![("overlap".to_string(), 1)],
+            verdicts,
+        };
+        let lossy = TraceHealth {
+            ring_evicted: 2,
+            io_errors: 1,
+            first_io_error: Some("disk full".to_string()),
+            jsonl_lines: 40,
+            ..TraceHealth::default()
+        };
+        let mut agg = StatsAggregate::default();
+        agg.absorb(&stats(100), &lossy, Some(&profile), Some(&monitor));
+        let mut quiet = stats(60);
+        quiet.stop_reason = StopReason::QueueExhausted;
+        agg.absorb(&quiet, &TraceHealth::default(), None, None);
+        // The manifest stores wall time in microseconds.
+        agg.wall = Duration::from_micros(agg.wall.as_micros() as u64);
+
+        let text = agg.to_json().to_json_pretty();
+        let back = StatsAggregate::from_json(&JsonValue::parse(&text).expect("valid json"))
+            .expect("decodes");
+        assert_eq!(back, agg, "every field survives the manifest codec");
+        assert!(!back.trace.is_lossless());
+        assert_eq!(back.stop_reasons.len(), 2);
+
+        // Sub-microsecond wall time is read back at the stored precision.
+        let mut fine = agg.clone();
+        fine.wall += Duration::from_nanos(999);
+        assert_eq!(StatsAggregate::from_json(&fine.to_json()), Some(agg));
+        // A present but malformed block fails the decode.
+        let mut doc = StatsAggregate::default().to_json();
+        if let JsonValue::Object(pairs) = &mut doc {
+            pairs.push(("monitor".to_string(), JsonValue::Bool(true)));
+        }
+        assert_eq!(StatsAggregate::from_json(&doc), None);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! `obs_report`'s trace verbs end to end: `check`, `journeys`, `latency`
 //! and `paths` read a JSONL trace or the run manifest that points at it,
 //! flag an injected violation with its record, refuse a manifest that
-//! records a lossy trace, and fail cleanly on bad input.
+//! records a lossy trace or has no decodable `stats` account, and fail
+//! cleanly on bad input.
 
 use std::fs::{self, File};
 use std::io::BufWriter;
@@ -52,8 +53,7 @@ fn fixture() -> &'static Fixture {
             .with_tracer(Tracer::new(TraceLevel::Debug).with_jsonl(Box::new(BufWriter::new(file))))
             .run_full();
         let mut stats = StatsAggregate::default();
-        stats.absorb(&out.stats);
-        stats.absorb_trace(&out.tracer.health());
+        stats.absorb(&out.stats, &out.tracer.health(), None, None);
         // Dropping the tracer flushes the JSONL stream.
         drop(out.tracer);
         let manifest = write_manifest(&dir, "TRC", &cfg, stats);
@@ -161,6 +161,72 @@ fn a_manifest_recording_a_lossy_trace_is_refused() {
         let out = obs_report(&[verb, path_str(&manifest)]);
         assert_eq!(out.status.code(), Some(1), "{verb}: {out:?}");
         assert!(stderr(&out).contains("lossy trace"), "{verb}: {out:?}");
+    }
+}
+
+#[test]
+fn a_manifest_without_a_decodable_account_is_refused() {
+    let f = fixture();
+    let dir = f.dir.join("damaged");
+    fs::create_dir_all(&dir).expect("create damaged dir");
+    fs::copy(&f.trace, dir.join("TRC.trace.jsonl")).expect("copy trace");
+    let JsonValue::Object(fields) =
+        JsonValue::parse(&fs::read_to_string(&f.manifest).expect("read manifest"))
+            .expect("manifest parses")
+    else {
+        panic!("a manifest is a JSON object");
+    };
+    // One copy loses its whole `stats` account, the other only the trace
+    // health inside it.
+    let without = |fields: &[(String, JsonValue)], key: &str| -> Vec<(String, JsonValue)> {
+        fields.iter().filter(|(k, _)| k != key).cloned().collect()
+    };
+    let no_trace = fields
+        .iter()
+        .map(|(k, v)| match v {
+            JsonValue::Object(stats) if k == "stats" => {
+                (k.clone(), JsonValue::Object(without(stats, "trace")))
+            }
+            _ => (k.clone(), v.clone()),
+        })
+        .collect();
+    for (name, damaged) in [
+        ("NOSTATS", without(&fields, "stats")),
+        ("NOTRACE", no_trace),
+    ] {
+        let manifest = dir.join(format!("{name}.manifest.json"));
+        fs::write(&manifest, JsonValue::Object(damaged).to_json_pretty())
+            .expect("write damaged manifest");
+        let path = path_str(&manifest);
+        for args in [
+            vec!["check", path],
+            vec!["journeys", path],
+            vec![path],
+            vec!["profile", path],
+            vec!["forensics", path],
+        ] {
+            let out = obs_report(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+            let err = stderr(&out);
+            assert!(
+                err.starts_with("obs_report: ") && err.contains(path),
+                "{args:?}: {err}"
+            );
+        }
+    }
+    // The listing still shows every file, with an error line per damaged one.
+    let out = Command::new(env!("CARGO_BIN_EXE_obs_report"))
+        .env("UASN_RESULTS_DIR", &dir)
+        .output()
+        .expect("run obs_report");
+    assert!(out.status.success(), "{out:?}");
+    let text = stdout(&out);
+    for name in ["NOSTATS", "NOTRACE"] {
+        let line = text
+            .lines()
+            .find(|l| l.contains(&format!("{name}.manifest.json")))
+            .unwrap_or_else(|| panic!("no listing line for {name}: {text}"));
+        assert!(line.contains("(refusing"), "{line}");
     }
 }
 

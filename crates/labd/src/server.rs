@@ -335,13 +335,13 @@ fn write_summary(shared: &Shared, id: &str, outcome: &SweepOutcome) {
         ),
         (
             "trace_lossless".to_string(),
-            JsonValue::Bool(outcome.trace.is_lossless()),
+            JsonValue::Bool(outcome.stats.trace.is_lossless()),
         ),
     ];
-    if let Some(profile) = &outcome.profile {
+    if let Some(profile) = &outcome.stats.profile {
         pairs.push(("profile".to_string(), profile.to_json()));
     }
-    if let Some(monitor) = &outcome.monitor {
+    if let Some(monitor) = &outcome.stats.monitor {
         pairs.push(("monitor".to_string(), monitor.to_json()));
     }
     let mut text = JsonValue::Object(pairs).to_json();

@@ -263,13 +263,14 @@ impl RunStats {
     }
 }
 
-/// Interns an event-kind label, returning a `&'static str` equal to it.
+/// Interns a label, returning a `&'static str` equal to it.
 ///
-/// Labels originate from [`EventLabel::label`] implementations, which return
-/// `&'static str`; parsing a manifest back only ever re-encounters those
-/// same few strings, so the leaked table stays tiny and is shared across
-/// all parsed documents.
-pub(crate) fn intern_label(label: &str) -> &'static str {
+/// Labels (event kinds from [`EventLabel::label`], stop reasons, profile
+/// metric names) are `&'static str` in the live structs; parsing a
+/// manifest back only ever re-encounters those same few strings, so the
+/// leaked table stays tiny and is shared across every decoder and every
+/// parsed document.
+pub fn intern_label(label: &str) -> &'static str {
     static TABLE: std::sync::OnceLock<std::sync::Mutex<Vec<&'static str>>> =
         std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| std::sync::Mutex::new(Vec::new()));
