@@ -51,12 +51,6 @@ pub enum MacCommand {
         /// Token of the timer to cancel.
         token: TimerToken,
     },
-    /// Charge `bits` of neighbour-maintenance traffic/storage to this node
-    /// (overhead + energy accounting, §5.3).
-    ChargeMaintenance {
-        /// Maintenance bits.
-        bits: u64,
-    },
     /// Report that the protocol gave up on an SDU; the simulator uses this
     /// for loss accounting and batch termination.
     SduDropped {
@@ -272,11 +266,6 @@ impl<'a> MacContext<'a> {
         self.commands.push(MacCommand::CancelTimer { token });
     }
 
-    /// Charges maintenance bits (overhead and energy accounting).
-    pub fn charge_maintenance(&mut self, bits: u64) {
-        self.commands.push(MacCommand::ChargeMaintenance { bits });
-    }
-
     /// Reports a terminally dropped SDU whose last failure was in the
     /// data/ack phase (the common retry-exhaustion case).
     pub fn report_drop(&mut self, id: u64) {
@@ -412,7 +401,6 @@ mod tests {
         let cmds = with_ctx(now, |ctx| {
             ctx.set_timer_after(SimDuration::from_millis(500), TimerToken(7));
             ctx.cancel_timer(TimerToken(7));
-            ctx.charge_maintenance(96);
         });
         assert_eq!(
             cmds,
@@ -424,7 +412,6 @@ mod tests {
                 MacCommand::CancelTimer {
                     token: TimerToken(7)
                 },
-                MacCommand::ChargeMaintenance { bits: 96 },
             ]
         );
     }

@@ -427,10 +427,6 @@ impl NetworkWorld {
                     sched.cancel(key);
                 }
             }
-            MacCommand::ChargeMaintenance { bits } => {
-                self.metrics.per_node[node].maintenance_bits += bits;
-                self.meters[node].charge_maintenance_bits(bits);
-            }
             MacCommand::SduDropped { id, reason } => {
                 self.metrics.per_node[node].sdus_dropped += 1;
                 self.metrics.record_mac_drop(self.now, id);
