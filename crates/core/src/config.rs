@@ -37,13 +37,6 @@ pub struct EwMacConfig {
     /// strictly after the Ack transmission ends (numerical safety on top of
     /// Eq 6; see DESIGN.md).
     pub extra_guard: SimDuration,
-    /// Extra margin for clock-synchronization error: added to `extra_guard`
-    /// everywhere the extra-window arithmetic is evaluated, shrinking the
-    /// usable windows I–VII by the worst-case timing error of the run. Zero
-    /// (the default) models the paper's perfectly synchronized nodes; the
-    /// world announces a bound via `install_clock_error` when the clock
-    /// model drifts.
-    pub sync_margin: SimDuration,
 }
 
 impl Default for EwMacConfig {
@@ -59,7 +52,6 @@ impl Default for EwMacConfig {
             },
             enable_extra: true,
             extra_guard: SimDuration::from_millis(2),
-            sync_margin: SimDuration::ZERO,
         }
     }
 }
@@ -77,18 +69,6 @@ impl EwMacConfig {
     pub fn with_aggregation(mut self, max_bits: u32) -> Self {
         self.core.aggregate_max_bits = Some(max_bits);
         self
-    }
-
-    /// Sets the clock-error margin added to every extra-window guard.
-    pub fn with_sync_margin(mut self, margin: SimDuration) -> Self {
-        self.sync_margin = margin;
-        self
-    }
-
-    /// The effective guard on extra-window arithmetic: numerical safety
-    /// plus whatever timing-error margin the run demands.
-    pub fn effective_guard(&self) -> SimDuration {
-        self.extra_guard + self.sync_margin
     }
 
     /// Validates the configuration.
@@ -132,18 +112,6 @@ mod tests {
         let c = EwMacConfig::default().without_extra();
         assert!(!c.enable_extra);
         assert_eq!(c.core, EwMacConfig::default().core);
-    }
-
-    #[test]
-    fn sync_margin_widens_the_effective_guard() {
-        let c = EwMacConfig::default();
-        assert!(c.sync_margin.is_zero());
-        assert_eq!(c.effective_guard(), c.extra_guard);
-        let margined = c.with_sync_margin(SimDuration::from_millis(10));
-        assert_eq!(
-            margined.effective_guard(),
-            c.extra_guard + SimDuration::from_millis(10)
-        );
     }
 
     #[test]

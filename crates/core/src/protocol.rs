@@ -64,7 +64,9 @@ pub struct EwMac {
     enable_extra: bool,
     /// Numerical guard on extra-packet arrival targets.
     extra_guard: SimDuration,
-    /// Clock-error margin added to `extra_guard`.
+    /// Clock-error margin added to `extra_guard`: zero (the paper's
+    /// perfectly synchronized nodes) until the world announces a bound
+    /// through `install_clock_error`.
     sync_margin: SimDuration,
     /// Our own extra exchange, if one is running; holds the core.
     extra: Option<ExtraRole>,
@@ -85,7 +87,7 @@ impl EwMac {
             core: SlottedCore::new(id, cfg.core),
             enable_extra: cfg.enable_extra,
             extra_guard: cfg.extra_guard,
-            sync_margin: cfg.sync_margin,
+            sync_margin: SimDuration::ZERO,
             extra: None,
             grant: None,
             extra_successes: 0,
@@ -93,8 +95,8 @@ impl EwMac {
         }
     }
 
-    /// The effective guard on extra-window arithmetic (see
-    /// [`EwMacConfig::effective_guard`]).
+    /// The effective guard on extra-window arithmetic: numerical safety
+    /// plus the run's clock-error margin.
     fn guard(&self) -> SimDuration {
         self.extra_guard + self.sync_margin
     }
@@ -316,8 +318,7 @@ impl MacProtocol for EwMac {
     fn install_clock_error(&mut self, bound: SimDuration) {
         // Under drifting clocks, every extra window must shrink by the
         // worst-case timing error or EXData transmissions would spill into
-        // reserved slot phases. Keep the larger of a caller-set margin and
-        // the world's announced bound.
+        // reserved slot phases. Keep the largest bound announced.
         self.sync_margin = self.sync_margin.max(bound);
     }
 
@@ -719,6 +720,54 @@ mod tests {
         assert_eq!(h.mac.queue_len(), 0);
         assert_eq!(h.mac.extra_successes(), 1);
         assert_eq!(h.mac.state_label(), "idle");
+    }
+
+    /// When node 0, having lost contention at node 5 to node 7, schedules
+    /// its EXData, after the world announced `clock_error` (if any).
+    fn exdata_send_instant(clock_error: Option<SimDuration>) -> SimTime {
+        let mut h = Harness::new(0);
+        let clock = h.clock;
+        if let Some(bound) = clock_error {
+            h.mac.install_clock_error(bound);
+        }
+        h.mac
+            .install_neighbors(&[(NodeId::new(5), SimDuration::from_millis(300))]);
+        h.enqueue(sdu_to(5));
+        h.slot(0);
+        let cts = stamped(
+            Frame::control(FrameKind::Cts, NodeId::new(5), NodeId::new(7), 64)
+                .with_pair_delay(SimDuration::from_millis(700))
+                .with_data_duration(SimDuration::from_micros(170_667)),
+            &clock,
+            1,
+        );
+        h.recv(cts, SimDuration::from_millis(300));
+        let sent_at = |cmds: Vec<MacCommand>, kind: FrameKind| {
+            cmds.into_iter()
+                .find_map(|c| match c {
+                    MacCommand::SendFrame { frame, at } if frame.kind == kind => Some(at),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("{kind:?} sent"))
+        };
+        let exr_at = sent_at(h.drain(), FrameKind::ExRts);
+        let mut exc = Frame::control(FrameKind::ExCts, NodeId::new(5), NodeId::new(0), 64)
+            .with_pair_delay(SimDuration::from_millis(300));
+        exc.timestamp = exr_at + SimDuration::from_millis(320);
+        h.recv(exc, SimDuration::from_millis(300));
+        sent_at(h.drain(), FrameKind::ExData)
+    }
+
+    #[test]
+    fn installed_clock_error_delays_the_exdata_by_exactly_the_bound() {
+        let bound = SimDuration::from_millis(3);
+        let synced = exdata_send_instant(None);
+        assert_eq!(exdata_send_instant(Some(bound)), synced + bound);
+        // The margin keeps the largest bound announced.
+        let mut h = Harness::new(0);
+        h.mac.install_clock_error(bound);
+        h.mac.install_clock_error(SimDuration::from_millis(1));
+        assert_eq!(h.mac.guard(), EwMacConfig::default().extra_guard + bound);
     }
 
     #[test]
