@@ -1,12 +1,12 @@
 //! The experiment plumbing behind every table and figure of §5 plus the
 //! extensions (DESIGN.md experiment index).
 //!
-//! Each experiment is *declared* in [`crate::figures::REGISTRY`];
-//! [`run_spec`] runs a registry entry sequentially, and the `uasn-lab`
-//! grid (`lab run --figures <id>`) runs it cell by cell in parallel.
-//! Aggregation lives in the private `assemble`, which both paths share —
-//! so a figure regenerated cell-by-cell on N workers is byte-identical to
-//! one produced by [`run_spec`].
+//! Each experiment is *declared* in [`crate::figures::REGISTRY`] and run
+//! by the `uasn-lab` grid ([`crate::grid::run_sweep`], `lab run --figures
+//! <id>`) cell by cell on a worker pool. Aggregation lives in the private
+//! `assemble`, which walks the figure's grid in canonical order — so a
+//! figure regenerated on any number of workers, across any kill/resume
+//! split, is byte-identical.
 //!
 //! All §5 experiments run with the paper's location models enabled (each
 //! node randomly static / horizontal drift / vertical drift, ≤1 m/s —
@@ -25,7 +25,7 @@ use crate::figures::FigureSpec;
 use crate::manifest::{RunManifest, StatsAggregate};
 use crate::protocols::Protocol;
 use crate::report::{FigureResult, Series};
-use crate::runner::{run_replicated, Summary};
+use crate::runner::Summary;
 
 /// One regenerated artifact: the figure plus its run manifest.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,11 +65,10 @@ pub fn paper_base() -> SimConfig {
 /// Assembles an [`ExperimentRun`] from per-cell summaries, walking the
 /// spec's grid in canonical `(point, protocol)` order.
 ///
-/// `summarise(point_index, protocol)` supplies each cell's [`Summary`] —
-/// the sequential path computes it live, the `uasn-lab` grid path re-folds
-/// journaled cells. Everything downstream of the summaries (series
-/// extraction, stat merging, histogram merging, normalisation, manifest
-/// layout) happens *here*, once, so the two paths cannot drift apart.
+/// `summarise(point_index, protocol)` supplies each cell's [`Summary`],
+/// which the grid re-folds from its decoded cells. Everything downstream
+/// of the summaries (series extraction, stat merging, histogram merging,
+/// normalisation, manifest layout) happens *here*, once.
 pub(crate) fn assemble(
     spec: &FigureSpec,
     seeds: u64,
@@ -119,15 +118,6 @@ pub(crate) fn assemble(
         figure = normalized_against_sfama(figure);
     }
     ExperimentRun { figure, manifest }
-}
-
-/// Runs a registry entry sequentially: every cell in canonical order on
-/// the calling thread. This is the single-threaded reference the parallel
-/// grid is tested against.
-pub fn run_spec(spec: &FigureSpec, seeds: u64) -> ExperimentRun {
-    assemble(spec, seeds, |x_idx, p| {
-        run_replicated(&(spec.configure)(spec.xs[x_idx]), p, seeds)
-    })
 }
 
 /// The offered-load x-axis used by Figures 6 and 11 (extended past the
@@ -196,6 +186,7 @@ pub fn table2() -> Vec<(&'static str, String)> {
 mod tests {
     use super::*;
     use crate::figures::Metric;
+    use crate::grid::{run_sweep, SweepOptions};
     use uasn_sim::time::SimDuration;
 
     #[test]
@@ -251,7 +242,7 @@ mod tests {
     #[test]
     fn tiny_spec_run_produces_all_series() {
         // 2 protocols x 1 point x 1 seed: fast smoke of the sweep plumbing.
-        let spec = FigureSpec {
+        static SPEC: FigureSpec = FigureSpec {
             id: "T",
             title: "tiny",
             x_label: "x",
@@ -262,7 +253,19 @@ mod tests {
             metric: Metric::ThroughputKbps,
             normalized: false,
         };
-        let run = run_spec(&spec, 1);
+        let outcome = run_sweep(
+            &[&SPEC],
+            &SweepOptions {
+                seeds: 1,
+                workers: 1,
+                journal: None,
+                ..SweepOptions::default()
+            },
+        )
+        .expect("sweep runs");
+        let [run] = outcome.runs.as_slice() else {
+            panic!("one figure requested, {} assembled", outcome.runs.len());
+        };
         assert_eq!(run.figure.series.len(), 2);
         assert_eq!(run.figure.series[0].points.len(), 1);
         // The manifest records the roster, the seeds, and every run's stats.
