@@ -13,8 +13,8 @@ use uasn_sim::time::{SimDuration, SimTime};
 
 use crate::node::NodeId;
 
-/// Bits needed to store one neighbour entry (id + delay) in memory; used
-/// for storage-side maintenance accounting.
+/// Bits of one neighbour entry (id + delay); EW-MAC prices the entry it
+/// piggybacks on every packet at this size.
 pub const ENTRY_BITS: u64 = 32;
 
 /// Bits charged per entry when a table is *announced* over the channel.
@@ -111,26 +111,6 @@ impl OneHopTable {
         self.entries.is_empty()
     }
 
-    /// Removes entries older than `max_age` at time `now`; returns how many
-    /// were dropped. Models table expiry under mobility.
-    pub fn expire(&mut self, now: SimTime, max_age: SimDuration) -> usize {
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, e| now.duration_since(e.measured_at) <= max_age);
-        before - self.entries.len()
-    }
-
-    /// Bits needed to announce this table (maintenance accounting).
-    pub fn announcement_bits(&self) -> u64 {
-        self.entries.len() as u64 * ENTRY_BITS
-    }
-
-    /// The largest known delay, if any — a node's local estimate of its
-    /// neighbourhood τmax.
-    pub fn max_delay(&self) -> Option<SimDuration> {
-        self.entries.values().map(|e| e.delay).max()
-    }
-
     /// Age of the stored measurement for `neighbor` at `now`, if any.
     /// Under mobility this is what bounds how far the stored delay can
     /// have drifted from the true one (see `uasn-clock`'s
@@ -185,16 +165,6 @@ impl TwoHopTable {
     pub fn is_empty(&self) -> bool {
         self.snapshots.is_empty()
     }
-
-    /// Total stored entries across all snapshots.
-    pub fn total_entries(&self) -> usize {
-        self.snapshots.values().map(OneHopTable::len).sum()
-    }
-
-    /// Bits needed to store/refresh the whole two-hop view.
-    pub fn storage_bits(&self) -> u64 {
-        self.total_entries() as u64 * ENTRY_BITS
-    }
 }
 
 #[cfg(test)]
@@ -241,17 +211,6 @@ mod tests {
     }
 
     #[test]
-    fn expire_drops_stale_entries() {
-        let mut table = OneHopTable::new();
-        table.observe(NodeId::new(1), d(300), t(0));
-        table.observe(NodeId::new(2), d(400), t(90));
-        let dropped = table.expire(t(100), SimDuration::from_secs(60));
-        assert_eq!(dropped, 1);
-        assert_eq!(table.delay_of(NodeId::new(1)), None);
-        assert_eq!(table.delay_of(NodeId::new(2)), Some(d(400)));
-    }
-
-    #[test]
     fn ages_track_measurement_time() {
         let mut table = OneHopTable::new();
         table.observe(NodeId::new(1), d(300), t(10));
@@ -269,24 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn max_delay_is_local_tau_max() {
-        let mut table = OneHopTable::new();
-        assert_eq!(table.max_delay(), None);
-        table.observe(NodeId::new(1), d(300), t(0));
-        table.observe(NodeId::new(2), d(950), t(0));
-        assert_eq!(table.max_delay(), Some(d(950)));
-    }
-
-    #[test]
-    fn announcement_bits_scale_with_entries() {
-        let mut table = OneHopTable::new();
-        assert_eq!(table.announcement_bits(), 0);
-        table.observe(NodeId::new(1), d(1), t(0));
-        table.observe(NodeId::new(2), d(2), t(0));
-        assert_eq!(table.announcement_bits(), 2 * ENTRY_BITS);
-    }
-
-    #[test]
     fn two_hop_lookup() {
         let mut mine = TwoHopTable::new();
         let mut theirs = OneHopTable::new();
@@ -299,8 +240,6 @@ mod tests {
         assert_eq!(mine.delay_between(NodeId::new(3), NodeId::new(8)), None);
         assert_eq!(mine.delay_between(NodeId::new(4), NodeId::new(7)), None);
         assert_eq!(mine.len(), 1);
-        assert_eq!(mine.total_entries(), 1);
-        assert_eq!(mine.storage_bits(), ENTRY_BITS);
     }
 
     #[test]
@@ -310,11 +249,12 @@ mod tests {
         a.observe(NodeId::new(7), d(420), t(0));
         a.observe(NodeId::new(8), d(100), t(0));
         mine.install(NodeId::new(3), a);
-        assert_eq!(mine.total_entries(), 2);
+        let entries = |t: &TwoHopTable| t.snapshot(NodeId::new(3)).map(OneHopTable::len);
+        assert_eq!(entries(&mine), Some(2));
         let mut b = OneHopTable::new();
         b.observe(NodeId::new(9), d(50), t(5));
         mine.install(NodeId::new(3), b);
-        assert_eq!(mine.total_entries(), 1);
+        assert_eq!(entries(&mine), Some(1));
         assert_eq!(mine.delay_between(NodeId::new(3), NodeId::new(7)), None);
     }
 }
