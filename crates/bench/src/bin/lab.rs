@@ -207,10 +207,8 @@ fn finish(outcome: SweepOutcome, out: Option<PathBuf>) -> ExitCode {
     }
     if let Some(profile) = &stats.profile {
         eprintln!(
-            "profiled {} runs: {} events sampled, slab reuse {:.0}%",
-            profile.runs,
-            profile.engine.sampled_events,
-            profile.engine.slab_reuse_rate() * 100.0
+            "profiled {} runs: {} events sampled",
+            profile.runs, profile.engine.sampled_events
         );
     }
     if let Some(monitor) = &stats.monitor {

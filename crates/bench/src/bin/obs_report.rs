@@ -654,12 +654,6 @@ fn render_profile(report: &ProfileReport) {
         "    pop cost             {} ns total over sampled pops",
         engine.pop_ns
     );
-    println!(
-        "    slab                 {} slots, {} reuses ({:.0}% reuse)",
-        engine.slab_slots,
-        engine.slab_reuses,
-        engine.slab_reuse_rate() * 100.0
-    );
     let handlers = report.top_handlers();
     let grand_total: u64 = handlers.iter().map(|(_, c)| c.total_ns).sum();
     if !handlers.is_empty() {

@@ -709,8 +709,6 @@ mod tests {
                 )],
                 pop_ns: 700,
                 sampled_events: 4,
-                slab_slots: 16,
-                slab_reuses: 30,
                 events_scheduled: 50,
             },
             metrics: MetricsSnapshot {

@@ -63,8 +63,6 @@ fn fixed_stats() -> StatsAggregate {
                 ],
                 pop_ns: 4_400,
                 sampled_events: 22,
-                slab_slots: 64,
-                slab_reuses: 900,
                 events_scheduled: 1_200,
             },
             metrics: MetricsSnapshot {
@@ -177,7 +175,6 @@ fn profile_view_of_the_manifest_is_pinned() {
 [LOCK] profile from manifest {path}
   engine: 3 run(s), 1200 events scheduled, 22 sampled for timing
     pop cost             4400 ns total over sampled pops
-    slab                 64 slots, 900 reuses (75% reuse)
   handler time (sampled):
     kind                 sampled    total_us   mean_ns    max_ns   share
     tx-start                  10          50      5000      9000   62.5%

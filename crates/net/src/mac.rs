@@ -40,6 +40,7 @@ pub enum MacCommand {
         at: SimTime,
     },
     /// Arm a timer that fires [`MacProtocol::on_timer`] at `at`.
+    /// Re-arming an armed token replaces its earlier expiry.
     SetTimer {
         /// Expiry instant.
         at: SimTime,

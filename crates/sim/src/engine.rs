@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::event::{EventKey, EventQueue};
+use crate::event::EventQueue;
 use crate::json::JsonValue;
 use crate::profile::{EngineCost, KindCost};
 use crate::time::SimTime;
@@ -56,20 +56,19 @@ impl<'a, E> Schedule<'a, E> {
     /// # Panics
     ///
     /// Panics if `at` precedes the current time.
-    pub fn at(&mut self, at: SimTime, event: E) -> EventKey {
-        self.queue.schedule(at, event)
+    pub fn at(&mut self, at: SimTime, event: E) {
+        self.queue.schedule(at, event);
     }
 
     /// Schedules `event` after `delay` from now.
-    pub fn after(&mut self, delay: crate::time::SimDuration, event: E) -> EventKey {
-        self.queue.schedule(self.now + delay, event)
+    pub fn after(&mut self, delay: crate::time::SimDuration, event: E) {
+        self.queue.schedule(self.now + delay, event);
     }
 
-    /// Schedules a batch of `(time, event)` pairs in iteration order,
-    /// fire-and-forget. Equivalent to calling [`Schedule::at`] once per pair
-    /// and discarding the keys, but reserves queue space up front — the
-    /// cheap path for transmission fan-outs that schedule one arrival pair
-    /// per audible receiver and never cancel them.
+    /// Schedules a batch of `(time, event)` pairs in iteration order.
+    /// Equivalent to calling [`Schedule::at`] once per pair, but reserves
+    /// queue space up front — the cheap path for transmission fan-outs that
+    /// schedule one arrival pair per audible receiver.
     ///
     /// # Panics
     ///
@@ -80,17 +79,12 @@ impl<'a, E> Schedule<'a, E> {
     {
         self.queue.schedule_all(events);
     }
-
-    /// Cancels a scheduled event; returns whether it was still pending.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.queue.cancel(key)
-    }
 }
 
 /// Why [`Engine::run`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
-    /// No live events remained.
+    /// No events remained.
     QueueExhausted,
     /// The next event lay at or beyond the horizon.
     HorizonReached,
@@ -135,28 +129,32 @@ pub trait EventLabel {
 /// Profiling summary of one [`Engine::run_profiled`] call.
 ///
 /// Queue-depth statistics are sampled after each pop (i.e. the number of
-/// events still pending while one is being handled).
+/// events still pending while one is being handled). Every count here
+/// includes events the world pops and ignores as stale — in the network
+/// layer, the superseded arms of re-armed or cancelled MAC timers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Why the run stopped.
     pub stop_reason: StopReason,
-    /// Events handled during this run call.
+    /// Events popped during this run call, stale ones included.
     pub events_processed: u64,
     /// Simulation clock when the run ended.
     pub sim_end: SimTime,
     /// Wall-clock time the run loop took.
     pub wall: Duration,
-    /// Highest queue depth observed.
+    /// Highest queue depth observed, pending stale events included.
     pub peak_queue_depth: usize,
-    /// Mean queue depth over all processed events.
+    /// Mean queue depth over all processed events, pending stale events
+    /// included.
     pub mean_queue_depth: f64,
-    /// Events handled per kind, in first-seen order (empty when the run was
-    /// not label-profiled).
+    /// Events popped per kind, stale ones included, in first-seen order
+    /// (empty when the run was not label-profiled).
     pub kind_counts: Vec<(&'static str, u64)>,
 }
 
 impl RunStats {
-    /// Events processed per simulated second (0 if no simulated time passed).
+    /// Events processed (stale ones included) per simulated second (0 if no
+    /// simulated time passed).
     pub fn events_per_sim_sec(&self) -> f64 {
         let secs = self.sim_end.as_secs_f64();
         if secs > 0.0 {
@@ -361,8 +359,8 @@ impl<E> Engine<E> {
     /// # Panics
     ///
     /// Panics if `at` precedes the current time.
-    pub fn seed_event(&mut self, at: SimTime, event: E) -> EventKey {
-        self.queue.schedule(at, event)
+    pub fn seed_event(&mut self, at: SimTime, event: E) {
+        self.queue.schedule(at, event);
     }
 
     /// Current simulation time (time of the last processed event).
@@ -394,14 +392,14 @@ impl<E> Engine<E> {
     }
 
     /// Like [`Engine::run_profiled`], but additionally attributes wall time
-    /// to each event kind's handler and to heap pop, and reports slab
-    /// occupancy — the engine half of a [`crate::profile::ProfileReport`].
+    /// to each event kind's handler and to heap pop — the engine half of a
+    /// [`crate::profile::ProfileReport`].
     ///
     /// Timing is sampled (one event in [`PROFILE_SAMPLE_STRIDE`]); counters
-    /// and slab statistics are exact. The instrumentation reads the wall
-    /// clock only — it never draws randomness, schedules events, or reorders
-    /// anything, so a run under `run_instrumented` is event-for-event
-    /// identical to the same run under [`Engine::run_profiled`].
+    /// are exact. The instrumentation reads the wall clock only — it never
+    /// draws randomness, schedules events, or reorders anything, so a run
+    /// under `run_instrumented` is event-for-event identical to the same run
+    /// under [`Engine::run_profiled`].
     pub fn run_instrumented<W: World<Event = E>>(
         &mut self,
         world: &mut W,
@@ -411,8 +409,6 @@ impl<E> Engine<E> {
         E: EventLabel,
     {
         let (stats, mut cost) = self.run_probed::<W, Timed>(world, horizon);
-        cost.slab_slots = self.queue.slab_slots() as u64;
-        cost.slab_reuses = self.queue.slab_reuses();
         cost.events_scheduled = self.queue.scheduled_count();
         (stats, cost)
     }
@@ -663,29 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_through_schedule_handle() {
-        struct Canceller {
-            fired: Vec<u32>,
-        }
-        impl World for Canceller {
-            type Event = u32;
-            fn handle(&mut self, _now: SimTime, ev: u32, sched: &mut Schedule<'_, u32>) {
-                self.fired.push(ev);
-                if ev == 1 {
-                    let doomed = sched.after(SimDuration::from_secs(2), 99);
-                    sched.after(SimDuration::from_secs(1), 2);
-                    assert!(sched.cancel(doomed));
-                }
-            }
-        }
-        let mut engine = Engine::new();
-        engine.seed_event(SimTime::ZERO, 1);
-        let mut world = Canceller { fired: Vec::new() };
-        engine.run(&mut world, SimTime::MAX);
-        assert_eq!(world.fired, [1, 2]);
-    }
-
-    #[test]
     fn resumable_runs_continue_from_horizon() {
         let mut engine = Engine::new();
         engine.seed_event(SimTime::from_secs(1), 1);
@@ -795,10 +768,6 @@ mod profiling_tests {
         let sampled_by_kind: u64 = cost.handler.iter().map(|&(_, c)| c.sampled).sum();
         assert_eq!(sampled_by_kind, cost.sampled_events);
         assert!(cost.handler.iter().all(|&(_, c)| c.max_ns >= c.mean_ns()));
-
-        // Slab accounting is exact.
-        assert_eq!(cost.events_scheduled, cost.slab_slots + cost.slab_reuses);
-        assert!(cost.slab_slots >= 1);
     }
 
     #[test]

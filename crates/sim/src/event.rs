@@ -8,57 +8,20 @@
 //! are packed into one `u128` (`time << 64 | sequence`), so heap sift
 //! comparisons are a single integer compare instead of two chained ones.
 //!
-//! Events support O(log n) lazy cancellation via [`EventKey`] handles. The
-//! cancellation bookkeeping is a slab of reusable slots (generation-tagged to
-//! stop stale keys from resurrecting reused slots), replacing the two hash
-//! sets the first implementation paid for on every push/pop.
+//! Every scheduled event fires: the queue has no cancellation. A caller that
+//! needs to take an event back (the network layer's MAC timers) tags it and
+//! ignores it when it pops stale.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// Opaque handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Encodes a slab slot plus its generation at schedule time; a key whose
-/// slot has since been freed and reused no longer matches and cancels
-/// nothing.
-///
-/// # Examples
-///
-/// ```
-/// use uasn_sim::event::EventQueue;
-/// use uasn_sim::time::SimTime;
-///
-/// let mut q = EventQueue::new();
-/// let key = q.schedule(SimTime::from_secs(1), "timer");
-/// q.cancel(key);
-/// assert!(q.pop().is_none());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventKey(u64);
-
-impl EventKey {
-    fn new(slot: u32, gen: u32) -> Self {
-        EventKey((gen as u64) << 32 | slot as u64)
-    }
-
-    fn slot(self) -> u32 {
-        self.0 as u32
-    }
-
-    fn generation(self) -> u32 {
-        (self.0 >> 32) as u32
-    }
-}
-
-/// Heap entry: the packed ordering key plus the slab slot owning the
-/// payload's liveness state.
+/// Heap entry: the packed ordering key plus the payload.
 #[derive(Debug)]
 struct Entry<E> {
     /// `time.as_micros() << 64 | seq` — min-heap order in one compare.
     key: u128,
-    slot: u32,
     payload: E,
 }
 
@@ -86,26 +49,6 @@ impl<E> PartialEq for Entry<E> {
 }
 impl<E> Eq for Entry<E> {}
 
-/// Liveness of one slab slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// Not referenced by any heap entry; available for reuse.
-    Free,
-    /// A pending (deliverable) heap entry points here.
-    Live,
-    /// The entry was cancelled; the heap still holds its carcass.
-    Cancelled,
-}
-
-/// One slab slot: the state of the heap entry pointing at it plus a
-/// generation counter bumped on every free, which invalidates outstanding
-/// [`EventKey`]s for earlier occupancies of the slot.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    gen: u32,
-    state: SlotState,
-}
-
 /// A deterministic future-event list.
 ///
 /// `E` is the caller's event payload type. Events at equal times are
@@ -129,14 +72,8 @@ struct Slot {
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
-    /// Pending non-cancelled entries (`heap` minus cancelled carcasses).
-    live: usize,
     /// Time of the most recently popped event; schedules may never precede it.
     watermark: SimTime,
-    /// Schedules that reused a freed slot instead of growing the slab.
-    reuses: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -157,23 +94,17 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
             next_seq: 0,
-            slots: Vec::with_capacity(capacity),
-            free: Vec::with_capacity(capacity),
-            live: 0,
             watermark: SimTime::ZERO,
-            reuses: 0,
         }
     }
 
     /// Schedules `payload` to fire at absolute time `time`.
     ///
-    /// Returns a key that can later be passed to [`cancel`](Self::cancel).
-    ///
     /// # Panics
     ///
     /// Panics if `time` precedes the time of the last event popped — the
     /// simulation cannot schedule into its own past.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventKey {
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
         assert!(
             time >= self.watermark,
             "cannot schedule event at {time} before current time {}",
@@ -181,34 +112,13 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize].state = SlotState::Live;
-                self.reuses += 1;
-                slot
-            }
-            None => {
-                let slot = self.slots.len() as u32;
-                // Generations start at 1 so a zero-valued key never matches.
-                self.slots.push(Slot {
-                    gen: 1,
-                    state: SlotState::Live,
-                });
-                slot
-            }
-        };
-        let gen = self.slots[slot as usize].gen;
-        self.live += 1;
         self.heap.push(Entry {
             key: (time.as_micros() as u128) << 64 | seq as u128,
-            slot,
             payload,
         });
-        EventKey::new(slot, gen)
     }
 
-    /// Schedules every `(time, payload)` pair in iteration order, returning
-    /// the keys in the same order.
+    /// Schedules every `(time, payload)` pair in iteration order.
     ///
     /// Semantically identical to calling [`schedule`](Self::schedule) once
     /// per pair — sequence numbers are handed out in iteration order, so
@@ -218,22 +128,6 @@ impl<E> EventQueue<E> {
     /// # Panics
     ///
     /// Panics if any pair's time precedes the watermark.
-    pub fn schedule_batch<I>(&mut self, events: I) -> Vec<EventKey>
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let events = events.into_iter();
-        let hint = events.size_hint().0;
-        self.heap.reserve(hint);
-        let mut keys = Vec::with_capacity(hint);
-        for (time, payload) in events {
-            keys.push(self.schedule(time, payload));
-        }
-        keys
-    }
-
-    /// [`schedule_batch`](Self::schedule_batch) without collecting keys —
-    /// the fire-and-forget form for fan-outs that never cancel.
     pub fn schedule_all<I>(&mut self, events: I)
     where
         I: IntoIterator<Item = (SimTime, E)>,
@@ -245,80 +139,31 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Cancels every key in the batch; returns how many were still pending.
+    /// Removes and returns the next event as `(time, payload)`.
     ///
-    /// Stale, fired, or already-cancelled keys are skipped exactly as
-    /// [`cancel`](Self::cancel) skips them — a batch cancel can never touch
-    /// a reused slot.
-    pub fn cancel_batch(&mut self, keys: &[EventKey]) -> usize {
-        keys.iter().filter(|&&key| self.cancel(key)).count()
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event had not yet fired (and is now guaranteed
-    /// never to fire), `false` if it already fired or was already cancelled.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        let Some(slot) = self.slots.get_mut(key.slot() as usize) else {
-            return false;
-        };
-        if slot.gen != key.generation() || slot.state != SlotState::Live {
-            return false;
-        }
-        slot.state = SlotState::Cancelled;
-        self.live -= 1;
-        true
-    }
-
-    /// Returns the slot to the free list, invalidating outstanding keys.
-    fn release(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.state = SlotState::Free;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(slot);
-    }
-
-    /// Removes and returns the next live event as `(time, payload)`.
-    ///
-    /// Returns `None` when the queue holds no live events. Advances the
-    /// watermark to the popped event's time.
+    /// Returns `None` when the queue is empty. Advances the watermark to the
+    /// popped event's time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            let cancelled = self.slots[entry.slot as usize].state == SlotState::Cancelled;
-            self.release(entry.slot);
-            if cancelled {
-                continue;
-            }
-            self.live -= 1;
-            let time = entry.time();
-            self.watermark = time;
-            return Some((time, entry.payload));
-        }
-        None
+        let entry = self.heap.pop()?;
+        let time = entry.time();
+        self.watermark = time;
+        Some((time, entry.payload))
     }
 
-    /// The time of the next live event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.slots[entry.slot as usize].state == SlotState::Cancelled {
-                let slot = entry.slot;
-                self.heap.pop();
-                self.release(slot);
-                continue;
-            }
-            return Some(entry.time());
-        }
-        None
+    /// The time of the next event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(Entry::time)
     }
 
-    /// Number of live (non-cancelled) events still queued.
+    /// Number of events still queued, including any the caller will find
+    /// stale when they pop.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
-    /// Whether no live events remain.
+    /// Whether no events remain.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// The time of the most recently popped event.
@@ -326,22 +171,9 @@ impl<E> EventQueue<E> {
         self.watermark
     }
 
-    /// Total events ever scheduled (live, fired, and cancelled).
+    /// Total events ever scheduled (pending and fired).
     pub fn scheduled_count(&self) -> u64 {
         self.next_seq
-    }
-
-    /// Slab slots ever allocated — the high-water mark of simultaneously
-    /// tracked events (slots are reused, never shrunk).
-    pub fn slab_slots(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Schedules served by reusing a freed slab slot rather than growing
-    /// the slab; `slab_reuses() + slab_slots()` equals
-    /// [`EventQueue::scheduled_count`].
-    pub fn slab_reuses(&self) -> u64 {
-        self.reuses
     }
 }
 
@@ -368,90 +200,6 @@ mod tests {
         }
         let out: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(out, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn cancel_prevents_delivery() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(2), "b");
-        assert!(q.cancel(a));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_twice_returns_false() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), ());
-        assert!(q.cancel(a));
-        assert!(!q.cancel(a));
-    }
-
-    #[test]
-    fn cancel_after_fire_returns_false_and_is_harmless() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), 7);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 7)));
-        assert!(!q.cancel(a));
-        // A later event with a fresh seq must not be affected.
-        q.schedule(SimTime::from_secs(2), 8);
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), 8)));
-    }
-
-    #[test]
-    fn cancel_bogus_key_returns_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventKey(42)));
-    }
-
-    #[test]
-    fn stale_key_does_not_cancel_slot_reuse() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "a")));
-        // "a" fired, freeing its slot; "b" reuses it with a bumped
-        // generation, so the stale key must not touch it.
-        let b = q.schedule(SimTime::from_secs(2), "b");
-        assert!(!q.cancel(a));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
-        // After "b" fires its key goes stale too.
-        assert!(!q.cancel(b));
-    }
-
-    #[test]
-    fn cancelled_slot_reuse_keeps_fresh_event_alive() {
-        let mut q = EventQueue::new();
-        let doomed = q.schedule(SimTime::from_secs(5), "doomed");
-        assert!(q.cancel(doomed));
-        // The carcass still occupies the heap; scheduling a replacement must
-        // not resurrect the cancelled payload or kill the fresh one.
-        q.schedule(SimTime::from_secs(1), "fresh");
-        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "fresh")));
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn len_accounts_for_cancellations() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), ());
-        q.schedule(SimTime::from_secs(2), ());
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled_heads() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1), "a");
-        q.schedule(SimTime::from_secs(5), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(5), "b")));
     }
 
     #[test]
@@ -490,41 +238,6 @@ mod tests {
         q.schedule(SimTime::from_secs(1), 2);
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), 2)));
-    }
-
-    #[test]
-    fn slots_are_reused_not_leaked() {
-        let mut q = EventQueue::new();
-        for round in 0..1_000u64 {
-            q.schedule(SimTime::from_secs(round), round);
-            q.pop();
-        }
-        // A schedule/pop ping-pong touches one slot forever.
-        assert_eq!(q.slots.len(), 1);
-        assert_eq!(q.scheduled_count(), 1_000);
-        assert_eq!(q.slab_slots(), 1);
-        assert_eq!(
-            q.slab_reuses(),
-            999,
-            "every schedule after the first reuses"
-        );
-        assert_eq!(q.slab_reuses() + q.slab_slots() as u64, q.scheduled_count());
-    }
-
-    #[test]
-    fn slab_stats_track_concurrent_occupancy() {
-        let mut q = EventQueue::new();
-        for i in 0..10u64 {
-            q.schedule(SimTime::from_secs(i + 1), i);
-        }
-        assert_eq!(q.slab_slots(), 10, "ten live events need ten slots");
-        assert_eq!(q.slab_reuses(), 0);
-        while q.pop().is_some() {}
-        for i in 0..5u64 {
-            q.schedule(SimTime::from_secs(100 + i), i);
-        }
-        assert_eq!(q.slab_slots(), 10, "slab never shrinks");
-        assert_eq!(q.slab_reuses(), 5, "all five came from the free list");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! * [`time`] — integer-microsecond [`time::SimTime`] /
 //!   [`time::SimDuration`] newtypes with exact slot arithmetic.
 //! * [`event`] — a future-event list with stable FIFO ordering of
-//!   simultaneous events and O(log n) cancellation.
+//!   simultaneous events.
 //! * [`engine`] — the generic run loop ([`engine::Engine`] drives any
 //!   [`engine::World`]).
 //! * [`rng`] — labelled, independently derived random streams so adding a
@@ -67,7 +67,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Engine, EventLabel, RunStats, Schedule, StopReason, World};
-pub use event::{EventKey, EventQueue};
+pub use event::EventQueue;
 pub use hist::LogHistogram;
 pub use profile::{
     EngineCost, KindCost, MetricsRegistry, MetricsSnapshot, ProfileReport, Stopwatch,

@@ -333,11 +333,11 @@ impl KindCost {
 }
 
 /// Engine-level cost attribution from one instrumented run: where the run
-/// loop's wall time went, and how the event-queue slab behaved.
+/// loop's wall time went.
 ///
 /// Handler and pop timings are **sampled** (one event in
 /// [`crate::engine::PROFILE_SAMPLE_STRIDE`]) so the clock reads stay off the
-/// common path; slab statistics are exact.
+/// common path; the event count is exact.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineCost {
     /// Per-event-kind sampled handler cost, in first-seen order.
@@ -346,10 +346,6 @@ pub struct EngineCost {
     pub pop_ns: u64,
     /// Events whose iteration was timed.
     pub sampled_events: u64,
-    /// High-water slab size (distinct slots ever occupied at once).
-    pub slab_slots: u64,
-    /// Schedules that reused a freed slot instead of growing the slab.
-    pub slab_reuses: u64,
     /// Total events ever scheduled on the queue.
     pub events_scheduled: u64,
 }
@@ -365,18 +361,7 @@ impl EngineCost {
         }
         self.pop_ns += other.pop_ns;
         self.sampled_events += other.sampled_events;
-        self.slab_slots = self.slab_slots.max(other.slab_slots);
-        self.slab_reuses += other.slab_reuses;
         self.events_scheduled += other.events_scheduled;
-    }
-
-    /// Fraction of schedules served from the free list (0 when none).
-    pub fn slab_reuse_rate(&self) -> f64 {
-        if self.events_scheduled > 0 {
-            self.slab_reuses as f64 / self.events_scheduled as f64
-        } else {
-            0.0
-        }
     }
 }
 
@@ -444,14 +429,6 @@ impl ProfileReport {
                 JsonValue::from_u64(self.engine.sampled_events),
             ),
             (
-                "slab_slots".to_string(),
-                JsonValue::from_u64(self.engine.slab_slots),
-            ),
-            (
-                "slab_reuses".to_string(),
-                JsonValue::from_u64(self.engine.slab_reuses),
-            ),
-            (
                 "events_scheduled".to_string(),
                 JsonValue::from_u64(self.engine.events_scheduled),
             ),
@@ -485,8 +462,6 @@ impl ProfileReport {
                 handler,
                 pop_ns: doc.get("pop_ns")?.as_u64()?,
                 sampled_events: doc.get("sampled_events")?.as_u64()?,
-                slab_slots: doc.get("slab_slots")?.as_u64()?,
-                slab_reuses: doc.get("slab_reuses")?.as_u64()?,
                 events_scheduled: doc.get("events_scheduled")?.as_u64()?,
             },
             metrics: MetricsSnapshot::from_json(doc.get("metrics")?)?,
@@ -583,8 +558,6 @@ mod tests {
                 )],
                 pop_ns: seed * 7,
                 sampled_events: seed,
-                slab_slots: 10 + seed,
-                slab_reuses: seed * 3,
                 events_scheduled: seed * 5,
             },
             sample_snapshot(seed),
@@ -603,7 +576,6 @@ mod tests {
         right.merge(&bc);
         assert_eq!(left, right);
         assert_eq!(left.runs, 3);
-        assert_eq!(left.engine.slab_slots, 21, "slab high-water is a max");
         assert_eq!(left.engine.handler[0].1.sampled, 18);
     }
 

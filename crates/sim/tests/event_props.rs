@@ -1,8 +1,6 @@
-//! Property tests for the event queue's determinism contract, pinned
-//! across the slab/packed-key changes: equal-timestamp entries pop in
-//! insertion order, cancelled entries never resurface (even when their slab
-//! slot is reused by a later schedule), and the live-event accounting stays
-//! exact under arbitrary schedule/cancel/pop interleavings.
+//! Property tests for the event queue's determinism contract:
+//! equal-timestamp entries pop in insertion order, whether they were
+//! scheduled one by one or in batches.
 
 use proptest::prelude::*;
 
@@ -30,48 +28,7 @@ proptest! {
         prop_assert_eq!(popped, expected);
     }
 
-    /// Cancel-then-push slot reuse: cancelled payloads never pop, survivors
-    /// all pop exactly once in contract order, and a second wave that
-    /// reuses the cancelled entries' slab slots is unaffected by the
-    /// carcasses still sitting in the heap.
-    #[test]
-    fn cancelled_events_never_resurface_across_slot_reuse(
-        first_wave in proptest::collection::vec((0u64..6, proptest::bool::ANY), 1..60),
-        second_wave in proptest::collection::vec(0u64..6, 0..60),
-    ) {
-        let mut q = EventQueue::new();
-        let keys: Vec<_> = first_wave
-            .iter()
-            .enumerate()
-            .map(|(i, &(t, _))| q.schedule(SimTime::from_micros(t), i))
-            .collect();
-        let mut live = Vec::new();
-        for (i, &(t, doomed)) in first_wave.iter().enumerate() {
-            if doomed {
-                prop_assert!(q.cancel(keys[i]));
-                prop_assert!(!q.cancel(keys[i]), "double cancel must fail");
-            } else {
-                live.push((t, i));
-            }
-        }
-        // The second wave reuses freed... no — cancelled slots are only
-        // freed when their carcass drains, so these pushes exercise both
-        // fresh slots and (after interleaved pops below) reused ones.
-        for (k, &t) in second_wave.iter().enumerate() {
-            live.push((t, first_wave.len() + k));
-            q.schedule(SimTime::from_micros(t), first_wave.len() + k);
-        }
-        prop_assert_eq!(q.len(), live.len());
-        live.sort_by_key(|&(t, _)| t);
-        let mut popped = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            popped.push((t.as_micros(), i));
-        }
-        prop_assert_eq!(popped, live);
-        prop_assert!(q.is_empty());
-    }
-
-    /// Batch pushes are semantically repeated `schedule` calls: a batch
+    /// `schedule_all` is semantically repeated `schedule` calls: a batch
     /// interleaved with singleton pushes preserves equal-time FIFO order
     /// exactly as if every event had been scheduled one by one.
     #[test]
@@ -97,8 +54,7 @@ proptest! {
                 e
             })
             .collect();
-        let keys = q.schedule_batch(batch_events);
-        prop_assert_eq!(keys.len(), batch.len());
+        q.schedule_all(batch_events);
         for &t in &suffix {
             q.schedule(SimTime::from_micros(t), idx);
             expected.push((t, idx));
@@ -113,95 +69,5 @@ proptest! {
             popped.push((t.as_micros(), i));
         }
         prop_assert_eq!(popped, expected);
-    }
-
-    /// Batch cancel: every cancelled event is inert, survivors drain in
-    /// contract order, and the returned count plus reused keys stay exact —
-    /// a second `cancel_batch` on the same keys removes nothing.
-    #[test]
-    fn batch_cancel_makes_keys_inert(
-        events in proptest::collection::vec((0u64..6, proptest::bool::ANY), 1..60),
-    ) {
-        let mut q = EventQueue::new();
-        let pairs: Vec<(SimTime, usize)> = events
-            .iter()
-            .enumerate()
-            .map(|(i, &(t, _))| (SimTime::from_micros(t), i))
-            .collect();
-        let keys = q.schedule_batch(pairs);
-        let doomed: Vec<_> = events
-            .iter()
-            .zip(&keys)
-            .filter(|((_, d), _)| *d)
-            .map(|(_, &k)| k)
-            .collect();
-        let cancelled = q.cancel_batch(&doomed);
-        prop_assert_eq!(cancelled, doomed.len());
-        // Stale keys are inert: nothing left for them to cancel.
-        prop_assert_eq!(q.cancel_batch(&doomed), 0);
-        let mut live: Vec<(u64, usize)> = events
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, d))| !d)
-            .map(|(i, &(t, _))| (t, i))
-            .collect();
-        prop_assert_eq!(q.len(), live.len());
-        live.sort_by_key(|&(t, _)| t);
-        let mut popped = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            popped.push((t.as_micros(), i));
-        }
-        prop_assert_eq!(popped, live);
-        prop_assert!(q.is_empty());
-    }
-
-    /// `schedule_all` is `schedule_batch` without the keys: same events,
-    /// same order, same queue state.
-    #[test]
-    fn schedule_all_matches_schedule_batch(
-        times in proptest::collection::vec(0u64..6, 1..60),
-    ) {
-        let mut with_keys = EventQueue::new();
-        let mut fire_and_forget = EventQueue::new();
-        let pairs: Vec<(SimTime, usize)> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (SimTime::from_micros(t), i))
-            .collect();
-        with_keys.schedule_batch(pairs.clone());
-        fire_and_forget.schedule_all(pairs);
-        prop_assert_eq!(with_keys.len(), fire_and_forget.len());
-        loop {
-            let (a, b) = (with_keys.pop(), fire_and_forget.pop());
-            prop_assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    /// Stale keys from drained events never cancel the slot's new occupant.
-    #[test]
-    fn stale_keys_cannot_touch_reused_slots(rounds in 1usize..50) {
-        let mut q = EventQueue::new();
-        let mut stale = Vec::new();
-        for round in 0..rounds {
-            let key = q.schedule(SimTime::from_micros(round as u64), round);
-            // Half the keys go stale by firing, half by cancellation.
-            if round % 2 == 0 {
-                prop_assert_eq!(q.pop(), Some((SimTime::from_micros(round as u64), round)));
-            } else {
-                prop_assert!(q.cancel(key));
-                prop_assert!(q.pop().is_none(), "cancelled round has nothing live");
-            }
-            stale.push(key);
-        }
-        // Every historical key is now dead; none may cancel the survivor.
-        let survivor_time = SimTime::from_micros(rounds as u64);
-        q.schedule(survivor_time, usize::MAX);
-        for key in stale {
-            prop_assert!(!q.cancel(key));
-        }
-        prop_assert_eq!(q.pop(), Some((survivor_time, usize::MAX)));
     }
 }

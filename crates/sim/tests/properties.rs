@@ -60,32 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn cancelled_events_never_fire(
-        times in proptest::collection::vec(0u64..1_000, 2..100),
-        cancel_mask in proptest::collection::vec(proptest::bool::ANY, 2..100),
-    ) {
-        let mut q = EventQueue::new();
-        let keys: Vec<_> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i, q.schedule(SimTime::from_micros(t), i)))
-            .collect();
-        let mut cancelled = std::collections::HashSet::new();
-        for (i, key) in &keys {
-            if *cancel_mask.get(*i).unwrap_or(&false) {
-                q.cancel(*key);
-                cancelled.insert(*i);
-            }
-        }
-        let mut fired = std::collections::HashSet::new();
-        while let Some((_, i)) = q.pop() {
-            fired.insert(i);
-        }
-        prop_assert!(fired.is_disjoint(&cancelled));
-        prop_assert_eq!(fired.len() + cancelled.len(), times.len());
-    }
-
-    #[test]
     fn accumulator_merge_equals_sequential(
         left in proptest::collection::vec(-1e6f64..1e6, 0..50),
         right in proptest::collection::vec(-1e6f64..1e6, 0..50),
