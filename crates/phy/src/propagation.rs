@@ -92,6 +92,10 @@ impl TransmissionLoss {
 /// A transmit source level plus the loss/noise environment: everything
 /// needed to compute receiver SNR.
 ///
+/// The ambient noise enters only through its level over the receiver band,
+/// which depends on nothing but the constructor inputs, so it is evaluated
+/// once here rather than on every [`snr_db`](Self::snr_db) call.
+///
 /// # Examples
 ///
 /// ```
@@ -112,7 +116,8 @@ impl TransmissionLoss {
 pub struct LinkBudget {
     source_level_db: f64,
     loss: TransmissionLoss,
-    noise: AmbientNoise,
+    /// `noise.band_level_db(fc, bandwidth_hz)`, dB re µPa.
+    noise_db: f64,
     bandwidth_hz: f64,
 }
 
@@ -143,7 +148,7 @@ impl LinkBudget {
         LinkBudget {
             source_level_db,
             loss,
-            noise,
+            noise_db: noise.band_level_db(loss.frequency_khz(), bandwidth_hz),
             bandwidth_hz,
         }
     }
@@ -156,10 +161,7 @@ impl LinkBudget {
     /// Signal-to-noise ratio at `distance_m`, in dB:
     /// `SL − TL(r) − (NSD(fc) + 10 log BW)`.
     pub fn snr_db(&self, distance_m: f64) -> f64 {
-        let noise_db = self
-            .noise
-            .band_level_db(self.loss.frequency_khz(), self.bandwidth_hz);
-        self.received_level_db(distance_m) - noise_db
+        self.received_level_db(distance_m) - self.noise_db
     }
 
     /// The distance at which the SNR drops to `threshold_db`, found by
@@ -294,6 +296,72 @@ mod tests {
         let low_rate = b.eb_n0_linear(10.0, 1_000.0);
         let high_rate = b.eb_n0_linear(10.0, 10_000.0);
         assert!((low_rate / high_rate - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn snr_is_bit_identical_to_the_per_call_noise_formula() {
+        use crate::channel::AcousticChannel;
+        use crate::per::PerModel;
+        use crate::sound::SoundSpeedProfile;
+
+        let settings = [
+            (AmbientNoise::default(), 12_000.0, 10.0),
+            (
+                AmbientNoise::new(Shipping::moderate(), WindSpeed::new(12.0)),
+                4_000.0,
+                25.0,
+            ),
+        ];
+        for spreading in [
+            Spreading::Cylindrical,
+            Spreading::Practical,
+            Spreading::Spherical,
+        ] {
+            for &(noise, bw, fc) in &settings {
+                let tl = TransmissionLoss::new(spreading, fc);
+                let b = LinkBudget::new(170.0, tl, noise, bw);
+                let formula = |d: f64| 170.0 - tl.loss_db(d) - noise.band_level_db(fc, bw);
+                for k in 0..=2_000 {
+                    let d = k as f64 * 50.0 + (k % 7) as f64 * 0.137;
+                    assert_eq!(
+                        b.snr_db(d).to_bits(),
+                        formula(d).to_bits(),
+                        "{spreading:?} at {d} m"
+                    );
+                }
+                // The SNR-threshold detection radius is the same bisection
+                // over the same values.
+                let threshold_db = 15.0;
+                let ch = AcousticChannel::new(
+                    SoundSpeedProfile::default(),
+                    b,
+                    PerModel::SnrThreshold { threshold_db },
+                    1_500.0,
+                );
+                let (mut lo, mut hi) = (1.0, 150_000.0);
+                let expected = if formula(1.0) < threshold_db {
+                    Some(0.0)
+                } else if formula(hi) >= threshold_db {
+                    None
+                } else {
+                    for _ in 0..64 {
+                        let mid = 0.5 * (lo + hi);
+                        if formula(mid) >= threshold_db {
+                            lo = mid;
+                        } else {
+                            hi = mid;
+                        }
+                    }
+                    Some(0.5 * (lo + hi))
+                };
+                assert!(expected.is_some_and(|r| r > 1.0), "{spreading:?}");
+                assert_eq!(
+                    ch.detection_radius_m().map(f64::to_bits),
+                    expected.map(f64::to_bits),
+                    "{spreading:?}, {bw} Hz"
+                );
+            }
+        }
     }
 
     #[test]
