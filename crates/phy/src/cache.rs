@@ -1,10 +1,11 @@
 //! Per-pair link-budget memoization for the transmission fan-out hot path.
 //!
 //! Every transmission in the network simulator asks the channel, for each
-//! potential receiver: distance, SNR (which re-evaluates the four-component
-//! Wenz noise integral every call), propagation delay, audibility, and —
-//! when multipath is configured — the surface-echo geometry. On a static
-//! topology none of that changes between transmissions, so
+//! potential receiver: distance, SNR (a transmission-loss `log10` against
+//! the band noise level the link budget fixed at construction),
+//! propagation delay, audibility, and — when multipath is configured — the
+//! surface-echo geometry. On a static topology none of that changes between
+//! transmissions, so
 //! [`LinkBudgetCache`] computes each transmitter's audible-receiver row once
 //! and replays it until a mobility epoch invalidates it.
 //!
@@ -66,8 +67,9 @@ struct Row {
 ///
 /// Deterministic for a given run (they count structural decisions, not wall
 /// time), so they can ride in profile reports without perturbing anything.
-/// Maintained unconditionally: five integer adds per row build are noise
-/// next to the noise-integral evaluations they sit beside.
+/// Maintained unconditionally: a few integer adds per row build are noise
+/// next to the per-link transmission-loss and delay arithmetic they sit
+/// beside.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// `ensure_row` calls answered by a fresh row (epoch matched).
@@ -140,10 +142,11 @@ pub struct LinkBudgetCache {
     rows: Vec<Row>,
     stats: CacheStats,
     /// Optional spatial index: when present, row builds visit only the
-    /// 27-cell neighbourhood around the transmitter instead of all N nodes.
+    /// 27-cell neighbourhood around the transmitter instead of all N nodes,
+    /// and the cull runs inside the grid query.
     grid: Option<SpatialGrid>,
-    /// Scratch buffer for grid candidate queries (kept to avoid a per-build
-    /// allocation).
+    /// Scratch buffer for the grid query's survivors (kept to avoid a
+    /// per-build allocation).
     scratch: Vec<u32>,
 }
 
@@ -226,7 +229,9 @@ impl LinkBudgetCache {
     /// spatial index attached, nodes outside the transmitter's 27-cell
     /// neighbourhood are skipped without even the squared-distance test —
     /// the cell edge exceeds the cull radius, so every skipped node is one
-    /// the cull would have rejected, and it is counted as such to keep the
+    /// the cull would have rejected — and the neighbourhood is culled inside
+    /// the grid query on the positions the grid stores, so only survivors
+    /// are sorted. Every dropped node is counted as culled to keep the
     /// statistics layout-independent.
     pub fn ensure_row<P: PositionSource + ?Sized>(
         &mut self,
@@ -245,6 +250,7 @@ impl LinkBudgetCache {
         self.stats.misses += 1;
         self.rows[tx].links.clear();
         let from = positions.position(tx);
+        let r2 = self.cull_radius_sq.unwrap_or(f64::INFINITY);
         if let Some(grid) = &self.grid {
             debug_assert_eq!(
                 grid.node_count(),
@@ -252,32 +258,43 @@ impl LinkBudgetCache {
                 "spatial index covers a different node set"
             );
             let mut scratch = std::mem::take(&mut self.scratch);
-            grid.candidates_into(from, &mut scratch);
-            // Everything the neighbourhood query skipped is provably beyond
-            // the cull radius (cell edge > cull radius); account for it as a
-            // cull so stats match the unindexed build exactly. `tx` itself
-            // is always among the candidates, so the skip count never
-            // includes it.
+            grid.within_into(from, r2, &mut scratch);
+            // Everything the query dropped is beyond the cull radius: either
+            // outside the neighbourhood (cell edge > cull radius) or rejected
+            // by the cull's own comparison on the stored position. Count it
+            // as culled so stats match the unindexed build exactly. `tx`
+            // itself always survives, so the count never includes it.
             self.stats.cull_rejects += (n - scratch.len()) as u64;
+            scratch.sort_unstable();
             for &cand in &scratch {
                 let j = cand as usize;
-                self.consider_link(channel, from, positions.position(j), tx, j);
+                if j != tx {
+                    self.push_if_audible(channel, from, positions.position(j), tx, j);
+                }
             }
             scratch.clear();
             self.scratch = scratch;
         } else {
             for j in 0..n {
-                self.consider_link(channel, from, positions.position(j), tx, j);
+                let to = positions.position(j);
+                if j == tx {
+                    continue;
+                }
+                if from.distance_sq(to) > r2 {
+                    self.stats.cull_rejects += 1;
+                    continue;
+                }
+                self.push_if_audible(channel, from, to, tx, j);
             }
         }
         self.rows[tx].epoch = self.epoch;
     }
 
-    /// One candidate-receiver step of a row build: cull, exact audibility,
-    /// then append. Shared verbatim between the indexed and linear scans so
-    /// they cannot drift apart.
+    /// The exact step of a row build for a receiver that survived the
+    /// cull: audibility, then append. Shared verbatim between the indexed
+    /// and linear scans so they cannot drift apart.
     #[inline]
-    fn consider_link(
+    fn push_if_audible(
         &mut self,
         channel: &AcousticChannel,
         from: Point,
@@ -285,18 +302,6 @@ impl LinkBudgetCache {
         tx: usize,
         j: usize,
     ) {
-        if j == tx {
-            return;
-        }
-        if let Some(r2) = self.cull_radius_sq {
-            let dx = from.x - to.x;
-            let dy = from.y - to.y;
-            let dz = from.z - to.z;
-            if dx * dx + dy * dy + dz * dz > r2 {
-                self.stats.cull_rejects += 1;
-                return;
-            }
-        }
         let distance_m = from.distance(to);
         let snr_db = channel.budget().snr_db(distance_m);
         // Same arithmetic as `AcousticChannel::is_audible`, reusing the

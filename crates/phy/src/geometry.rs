@@ -51,10 +51,17 @@ impl Point {
 
     /// Euclidean distance to `other`, in metres.
     pub fn distance(self, other: Point) -> f64 {
+        self.distance_sq(other).sqrt()
+    }
+
+    /// Squared Euclidean distance to `other`, in m²: the exact value
+    /// [`distance`](Self::distance) takes the square root of.
+    #[inline]
+    pub fn distance_sq(self, other: Point) -> f64 {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         let dz = self.z - other.z;
-        (dx * dx + dy * dy + dz * dz).sqrt()
+        dx * dx + dy * dy + dz * dz
     }
 
     /// Horizontal (surface-projected) distance to `other`, in metres.

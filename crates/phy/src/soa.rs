@@ -1,12 +1,13 @@
 //! Struct-of-arrays storage for hot per-node state.
 //!
-//! The fan-out hot path touches every candidate receiver's coordinates and
-//! nothing else about the node, so an array-of-`Point` layout drags two
-//! unused-neighbour coordinates through the cache for every useful one once
-//! `Point` sits inside a larger per-node struct. [`PositionTable`] keeps the
-//! three coordinate arrays separate (`xs`/`ys`/`zs`), which the squared-
-//! distance cull in [`crate::cache::LinkBudgetCache`] streams through
-//! linearly.
+//! The fan-out hot path needs each node's coordinates and nothing else
+//! about it, so [`PositionTable`] keeps the three coordinate arrays
+//! separate (`xs`/`ys`/`zs`) instead of leaving `Point`s inside a larger
+//! per-node struct. The unindexed cull in
+//! [`crate::cache::LinkBudgetCache`] streams through them linearly. With a
+//! spatial index the cull reads the positions stored in the grid's buckets
+//! instead, and the table is read only for the few receivers that survive
+//! it.
 //!
 //! [`PositionSource`] abstracts over the layouts so the cache and the
 //! spatial index accept either a plain `&[Point]` (tests, small tools) or a

@@ -78,17 +78,26 @@ fn build_geometry(geom: u8, layers: u32, spacing: f64, raw: &[(f64, f64, f64, f6
         .collect()
 }
 
-/// Bounded per-node displacements standing in for mobility-epoch steps.
+/// Bounded per-node displacements standing in for mobility-epoch steps:
+/// large ones that usually change a node's cell, and ±50 m ones that
+/// usually keep it in its cell but still move it across the cull radius of
+/// nearby transmitters.
 fn moves() -> impl Strategy<Value = Vec<(usize, f64, f64, f64)>> {
-    proptest::collection::vec(
-        (
-            0usize..14,
-            -800.0f64..800.0,
-            -800.0f64..800.0,
-            -200.0f64..200.0,
-        ),
-        0..8,
+    let step = (
+        0usize..14,
+        -800.0f64..800.0,
+        -800.0f64..800.0,
+        -200.0f64..200.0,
+        0u8..2,
     )
+        .prop_map(|(node, dx, dy, dz, small)| {
+            if small == 1 {
+                (node, dx / 16.0, dy / 16.0, dz / 4.0)
+            } else {
+                (node, dx, dy, dz)
+            }
+        });
+    proptest::collection::vec(step, 0..12)
 }
 
 /// Asserts two caches hold bit-identical rows and statistics for every
