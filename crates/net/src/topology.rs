@@ -224,14 +224,14 @@ fn place_layered<R: Rng>(
 /// anchors for deeper ones: each sensor farther than 0.95 × range from its
 /// nearest shallower node slides toward it until it is in range.
 ///
-/// The anchor is the eligible node minimising `(distance, index)`. From
-/// `STRANDED_GRID_THRESHOLD` nodes up the search first asks a uniform grid
+/// The anchor is the nearest eligible node. A sensor with an eligible node
+/// within the target range stays put whichever node is nearest, so from
+/// `STRANDED_GRID_THRESHOLD` nodes up the pass first asks a uniform grid
 /// with cell edge `comm_range_m`, kept current with
-/// [`SpatialGrid::note_move`] as sensors slide. Its answer is taken only
-/// when it lies within 0.9 × the cell edge: every node outside the queried
-/// neighbourhood is farther than one cell edge, so nothing the grid missed
-/// can beat or tie it. Otherwise, and below the threshold, the search scans
-/// every node; both paths pick the same anchor.
+/// [`SpatialGrid::note_move`] as sensors slide, whether such a node exists:
+/// every node within the target range is in the queried neighbourhood.
+/// Only when none does, and below the threshold, does the pass scan every
+/// node for the anchor; both paths give the same positions.
 fn repair_layered(
     nodes: &mut [NodeInfo],
     sinks: u32,
@@ -250,34 +250,26 @@ fn repair_layered(
     let target_range = 0.95 * comm_range_m;
     for idx in order {
         let me = nodes[idx].position;
+        let eligible = |p: Point, vertical_cap: f64| {
+            p.depth() < me.depth() && me.depth() - p.depth() <= vertical_cap
+        };
+        if let Some(grid) = &grid {
+            grid.within_into(me, comm_range_m * comm_range_m, &mut near);
+            let anchored = near.iter().any(|&j| {
+                let p = nodes[j as usize].position;
+                eligible(p, 0.9 * target_range) && me.distance(p) <= target_range
+            });
+            if anchored {
+                continue;
+            }
+        }
         // Prefer an anchor whose vertical separation alone leaves horizontal
         // slack; with heavy depth jitter in sparse layers none may exist, in
         // which case take the nearest shallower node and move in 3-D.
-        let mut nearest = |vertical_cap: f64| -> Option<Point> {
-            let eligible =
-                |p: Point| p.depth() < me.depth() && me.depth() - p.depth() <= vertical_cap;
-            if let Some(grid) = &grid {
-                let cell = grid.cell_m();
-                grid.within_into(me, cell * cell, &mut near);
-                let best = near
-                    .iter()
-                    .map(|&j| (j, nodes[j as usize].position))
-                    .filter(|&(_, p)| eligible(p))
-                    .map(|(j, p)| (me.distance(p), j, p))
-                    .min_by(|a, b| {
-                        a.0.partial_cmp(&b.0)
-                            .expect("distances are finite")
-                            .then(a.1.cmp(&b.1))
-                    });
-                if let Some((d, _, p)) = best {
-                    if d <= 0.9 * cell {
-                        return Some(p);
-                    }
-                }
-            }
+        let nearest = |vertical_cap: f64| -> Option<Point> {
             nodes
                 .iter()
-                .filter(|n| eligible(n.position))
+                .filter(|n| eligible(n.position, vertical_cap))
                 .min_by(|a, b| {
                     me.distance(a.position)
                         .partial_cmp(&me.distance(b.position))

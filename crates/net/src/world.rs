@@ -1304,7 +1304,8 @@ impl NetworkWorld {
             // with how many neighbours the protocol must monitor.
             let mw = self.maintenance[node].listen_mw_per_neighbor;
             if mw > 0.0 {
-                let degree = self.audible_degree(node) as f64;
+                // Only the count is needed: no row is built this late.
+                let degree = self.link_cache.degree(&self.channel, &self.positions, node) as f64;
                 self.meters[node].charge_joules(mw / 1_000.0 * degree * duration_s);
             }
         }

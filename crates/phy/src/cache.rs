@@ -239,41 +239,121 @@ impl LinkBudgetCache {
         positions: &P,
         tx: usize,
     ) {
-        let n = positions.node_count();
+        if self.is_fresh(positions.node_count(), tx) {
+            return;
+        }
+        let from = positions.position(tx);
+        let mut links = std::mem::take(&mut self.rows[tx].links);
+        links.clear();
+        self.walk_audible(channel, positions, tx, true, |j, to, distance_m, snr_db| {
+            let echo_delay = channel
+                .echo_audible(from, to)
+                .then(|| channel.echo_delay(from, to));
+            // `AcousticChannel::propagation_delay` on the distance just
+            // computed, so the delay is bit-identical to it.
+            let delay_s =
+                channel
+                    .sound()
+                    .propagation_delay_secs(distance_m, from.depth(), to.depth());
+            links.push(CachedLink {
+                rx: j as u32,
+                distance_m,
+                snr_db,
+                delay: SimDuration::from_secs_f64(delay_s),
+                echo_delay,
+            });
+        });
+        self.rows[tx] = Row {
+            epoch: self.epoch,
+            links,
+        };
+    }
+
+    /// The number of audible receivers of `tx`: what
+    /// [`row_len`](Self::row_len) returns after
+    /// [`ensure_row`](Self::ensure_row), with the same change to
+    /// [`stats`](Self::stats). A stale row is not rebuilt: the count runs
+    /// the row build's cull and audibility test but computes no delays and
+    /// stores and sorts nothing, so the row stays stale.
+    pub fn degree<P: PositionSource + ?Sized>(
+        &mut self,
+        channel: &AcousticChannel,
+        positions: &P,
+        tx: usize,
+    ) -> usize {
+        if self.is_fresh(positions.node_count(), tx) {
+            return self.rows[tx].links.len();
+        }
+        let mut degree = 0;
+        self.walk_audible(channel, positions, tx, false, |_, _, _, _| degree += 1);
+        degree
+    }
+
+    /// Whether `tx`'s row is current, counting a hit if it is and a miss if
+    /// it is not. Sizes the row table to `n` nodes first.
+    fn is_fresh(&mut self, n: usize, tx: usize) -> bool {
         if self.rows.len() != n {
             self.rows.resize(n, Row::default());
         }
-        if self.rows[tx].epoch == self.epoch {
+        let fresh = self.rows[tx].epoch == self.epoch;
+        if fresh {
             self.stats.hits += 1;
-            return;
+        } else {
+            self.stats.misses += 1;
         }
-        self.stats.misses += 1;
-        self.rows[tx].links.clear();
+        fresh
+    }
+
+    /// The walk of a row build: calls `keep(j, to, distance_m, snr_db)` for
+    /// every receiver `j` at `to` that survives the cull and the exact
+    /// audibility test, counting the rejects of both. Receivers come in
+    /// ascending index order when `sorted` is set (the linear scan is always
+    /// ascending). Shared by the row build and the degree count so they
+    /// cannot drift apart.
+    fn walk_audible<P: PositionSource + ?Sized>(
+        &mut self,
+        channel: &AcousticChannel,
+        positions: &P,
+        tx: usize,
+        sorted: bool,
+        mut keep: impl FnMut(usize, Point, f64, f64),
+    ) {
+        let n = positions.node_count();
         let from = positions.position(tx);
         let r2 = self.cull_radius_sq.unwrap_or(f64::INFINITY);
+        let mut audible = |j: usize, to: Point, stats: &mut CacheStats| {
+            let distance_m = from.distance(to);
+            let snr_db = channel.budget().snr_db(distance_m);
+            // Same arithmetic as `AcousticChannel::is_audible`, reusing the
+            // distance and SNR just computed.
+            if channel.loss_probability_at(distance_m, snr_db, 1) >= 1.0 {
+                stats.audibility_rejects += 1;
+            } else {
+                keep(j, to, distance_m, snr_db);
+            }
+        };
         if let Some(grid) = &self.grid {
             debug_assert_eq!(
                 grid.node_count(),
                 n,
                 "spatial index covers a different node set"
             );
-            let mut scratch = std::mem::take(&mut self.scratch);
-            grid.within_into(from, r2, &mut scratch);
+            grid.within_into(from, r2, &mut self.scratch);
             // Everything the query dropped is beyond the cull radius: either
             // outside the neighbourhood (cell edge > cull radius) or rejected
             // by the cull's own comparison on the stored position. Count it
             // as culled so stats match the unindexed build exactly. `tx`
             // itself always survives, so the count never includes it.
-            self.stats.cull_rejects += (n - scratch.len()) as u64;
-            scratch.sort_unstable();
-            for &cand in &scratch {
+            self.stats.cull_rejects += (n - self.scratch.len()) as u64;
+            if sorted {
+                self.scratch.sort_unstable();
+            }
+            for &cand in &self.scratch {
                 let j = cand as usize;
                 if j != tx {
-                    self.push_if_audible(channel, from, positions.position(j), tx, j);
+                    audible(j, positions.position(j), &mut self.stats);
                 }
             }
-            scratch.clear();
-            self.scratch = scratch;
         } else {
             for j in 0..n {
                 let to = positions.position(j);
@@ -284,42 +364,9 @@ impl LinkBudgetCache {
                     self.stats.cull_rejects += 1;
                     continue;
                 }
-                self.push_if_audible(channel, from, to, tx, j);
+                audible(j, to, &mut self.stats);
             }
         }
-        self.rows[tx].epoch = self.epoch;
-    }
-
-    /// The exact step of a row build for a receiver that survived the
-    /// cull: audibility, then append. Shared verbatim between the indexed
-    /// and linear scans so they cannot drift apart.
-    #[inline]
-    fn push_if_audible(
-        &mut self,
-        channel: &AcousticChannel,
-        from: Point,
-        to: Point,
-        tx: usize,
-        j: usize,
-    ) {
-        let distance_m = from.distance(to);
-        let snr_db = channel.budget().snr_db(distance_m);
-        // Same arithmetic as `AcousticChannel::is_audible`, reusing the
-        // distance and SNR just computed.
-        if channel.loss_probability_at(distance_m, snr_db, 1) >= 1.0 {
-            self.stats.audibility_rejects += 1;
-            return;
-        }
-        let echo_delay = channel
-            .echo_audible(from, to)
-            .then(|| channel.echo_delay(from, to));
-        self.rows[tx].links.push(CachedLink {
-            rx: j as u32,
-            distance_m,
-            snr_db,
-            delay: channel.propagation_delay(from, to),
-            echo_delay,
-        });
     }
 
     /// Number of audible receivers in `tx`'s row (the node's degree).
@@ -530,5 +577,78 @@ mod tests {
         cache.ensure_row(&ch, &positions, 0);
         // Probabilistic PER never reaches loss 1: everyone is audible.
         assert_eq!(cache.row_len(0), positions.len() - 1);
+    }
+
+    #[test]
+    fn degree_equals_row_len_and_counts_like_a_row_build() {
+        use crate::noise::AmbientNoise;
+        use crate::per::{Modulation, PerModel};
+        use crate::propagation::{LinkBudget, Spreading, TransmissionLoss};
+        use crate::sound::SoundSpeedProfile;
+
+        let pers = [
+            PerModel::RangeCutoff { range_m: 1_500.0 },
+            PerModel::SnrThreshold { threshold_db: 20.0 },
+            PerModel::Modulation {
+                scheme: Modulation::NcFsk,
+                bandwidth_over_bitrate: 1.0,
+            },
+        ];
+        // A 6 × 6 lattice at 700 m with depth jitter: every node has some
+        // neighbours in range and some beyond it.
+        let start: Vec<Point> = (0..36)
+            .map(|i| {
+                let (x, y) = ((i % 6) as f64, (i / 6) as f64);
+                Point::new(x * 700.0, y * 700.0, 300.0 + (i * 37 % 11) as f64 * 90.0)
+            })
+            .collect();
+        for per in pers {
+            let ch = AcousticChannel::new(
+                SoundSpeedProfile::default(),
+                LinkBudget::new(
+                    170.0,
+                    TransmissionLoss::new(Spreading::Practical, 10.0),
+                    AmbientNoise::default(),
+                    12_000.0,
+                ),
+                per,
+                1_500.0,
+            );
+            for indexed in [false, true] {
+                let mut positions = start.clone();
+                let make = |p: &Vec<Point>| {
+                    if indexed {
+                        LinkBudgetCache::with_index(&ch, p)
+                    } else {
+                        LinkBudgetCache::new(&ch, p.len())
+                    }
+                };
+                let (mut counted, mut built) = (make(&positions), make(&positions));
+                for epoch in 0..3 {
+                    for tx in 0..positions.len() {
+                        // Every other row is fresh in `counted` too, so the
+                        // hit path is covered as well as the count.
+                        if tx % 2 == 0 {
+                            counted.ensure_row(&ch, &positions, tx);
+                            built.ensure_row(&ch, &positions, tx);
+                        }
+                        let degree = counted.degree(&ch, &positions, tx);
+                        built.ensure_row(&ch, &positions, tx);
+                        assert_eq!(degree, built.row_len(tx), "{per:?}, epoch {epoch}, tx {tx}");
+                        assert_eq!(counted.stats(), built.stats(), "{per:?}, epoch {epoch}");
+                    }
+                    // Scatter a few nodes, some out of range of everyone.
+                    for node in [3usize, 14, 29] {
+                        let p = positions[node];
+                        let moved = Point::new(p.x + 900.0 * (epoch + 1) as f64, p.y - 450.0, p.z);
+                        positions[node] = moved;
+                        counted.note_move(node as u32, moved);
+                        built.note_move(node as u32, moved);
+                    }
+                    counted.invalidate();
+                    built.invalidate();
+                }
+            }
+        }
     }
 }

@@ -1,15 +1,36 @@
 //! Uniform-grid spatial index over node positions.
 //!
-//! Partitions space into axis-aligned cubic cells of edge `cell_m` and maps
-//! each node to the cell containing it. Each bucket stores its nodes'
-//! positions next to their indices, so a query walks contiguous memory. A
-//! query gathers the 27-cell neighbourhood (3×3×3) around a query point,
+//! Partitions the build-time bounding box into axis-aligned cubic cells of
+//! edge `cell_m` and stores one bucket per cell in a flat, row-major array
+//! (x fastest, then y, then z). A node's cell is `floor(coordinate /
+//! cell_m)` per axis, offset by the box's minimum cell. Each bucket stores
+//! its nodes' positions next to their indices, so a query walks contiguous
+//! memory, and it finds its buckets by index arithmetic with no hashing.
+//!
+//! A query gathers the 27-cell neighbourhood (3×3×3) around a query point,
 //! which is a **superset** of every node within `cell_m` of the point: a
 //! node outside the neighbourhood differs from the query by at least two
 //! whole cells along some axis, so its distance along that axis alone
-//! exceeds `cell_m`. [`SpatialGrid::within_into`] applies a squared-distance
-//! bound to the stored positions while it walks the buckets, so callers see
-//! only the survivors.
+//! exceeds `cell_m`. Three details keep that argument true on the flat
+//! array:
+//!
+//! - **Clamping.** A position outside the build-time box (a node that moved
+//!   away, or a query point) clamps into the border cell along each axis it
+//!   overshoots. Clamping is monotone and never widens the gap between two
+//!   cell indices, so two points at most one cell apart stay at most one
+//!   cell apart, and the neighbourhood still holds every node within
+//!   `cell_m`. Border cells simply collect more nodes.
+//! - **Edge growth.** A sparse layout over a huge extent would need far
+//!   more cells than nodes. When the box needs more than about two cells
+//!   per node (and more than a small fixed budget), [`SpatialGrid::build`]
+//!   doubles the edge until it does not.
+//!   Any edge at least the requested one keeps the superset argument, so
+//!   queries stay exact; they only see more candidates.
+//! - **The cull.** [`SpatialGrid::within_into`] applies a squared-distance
+//!   bound to the stored positions while it walks the buckets, so callers
+//!   see only the survivors. The loop writes every candidate and advances
+//!   the output length by the comparison's outcome, so it has no
+//!   data-dependent branch.
 //!
 //! The link-budget cache sizes cells at the channel's culling radius padded
 //! by [`crate::cache::CULL_MARGIN`] **twice** (see
@@ -24,12 +45,17 @@
 //! scan's row — and its RNG consumption — bit for bit. The differential
 //! property tests in `crates/phy/tests/grid_diff.rs` enforce exactly this.
 
-use std::collections::HashMap;
-
 use crate::geometry::Point;
 use crate::soa::PositionSource;
 
-/// A uniform spatial hash of node indices, supporting incremental moves.
+/// Cells the array may always use, whatever the node count. An array this
+/// small (24 KiB of empty buckets) costs less than coarse cells would in
+/// extra candidates per query. It must be at least 8: a box that straddles
+/// a cell boundary on every axis spans 2 cells per axis at any edge.
+const MIN_CELL_BUDGET: usize = 1024;
+
+/// A uniform grid of node indices over a flat cell array, supporting
+/// incremental moves.
 ///
 /// # Examples
 ///
@@ -49,14 +75,22 @@ use crate::soa::PositionSource;
 /// ```
 #[derive(Debug, Clone)]
 pub struct SpatialGrid {
+    /// Cell edge in use: the requested edge, or a multiple of it.
     cell_m: f64,
-    /// Each cell's nodes with their current positions.
-    cells: HashMap<(i64, i64, i64), Vec<(u32, Point)>>,
-    node_cell: Vec<(i64, i64, i64)>,
+    /// Cell coordinates of the box's minimum corner, per axis.
+    origin: [i64; 3],
+    /// Cells along each axis, each at least 1.
+    dims: [usize; 3],
+    /// Each cell's nodes with their current positions, row-major.
+    cells: Vec<Vec<(u32, Point)>>,
+    /// Each node's index into `cells`.
+    node_cell: Vec<u32>,
 }
 
 impl SpatialGrid {
-    /// Builds the index over `positions` with cubic cells of edge `cell_m`.
+    /// Builds the index over `positions` with cubic cells of edge `cell_m`,
+    /// or of a larger edge when the positions' bounding box would need more
+    /// than about two cells per node.
     ///
     /// # Panics
     ///
@@ -67,21 +101,53 @@ impl SpatialGrid {
             "grid cell edge must be finite and positive, got {cell_m}"
         );
         let n = positions.node_count();
+        // Non-finite coordinates bin by clamping; they do not size the box.
+        let mut lo = [f64::INFINITY; 3];
+        let mut hi = [f64::NEG_INFINITY; 3];
+        for i in 0..n {
+            let p = positions.position(i);
+            for (axis, v) in [p.x, p.y, p.z].into_iter().enumerate() {
+                if v.is_finite() {
+                    lo[axis] = lo[axis].min(v);
+                    hi[axis] = hi[axis].max(v);
+                }
+            }
+        }
+        let max_cells = (2 * n).max(MIN_CELL_BUDGET) as f64;
+        let mut edge = cell_m;
+        let (origin, dims) = loop {
+            let mut origin = [0i64; 3];
+            let mut spans = [1.0f64; 3];
+            for axis in 0..3 {
+                if lo[axis] <= hi[axis] {
+                    let first = (lo[axis] / edge).floor();
+                    origin[axis] = first as i64;
+                    spans[axis] = (hi[axis] / edge).floor() - first + 1.0;
+                }
+            }
+            if spans.iter().product::<f64>() <= max_cells {
+                break (origin, spans.map(|s| s as usize));
+            }
+            edge *= 2.0;
+        };
         let mut grid = SpatialGrid {
-            cell_m,
-            cells: HashMap::new(),
+            cell_m: edge,
+            origin,
+            dims,
+            cells: vec![Vec::new(); dims.iter().product()],
             node_cell: Vec::with_capacity(n),
         };
         for i in 0..n {
             let p = positions.position(i);
             let cell = grid.cell_of(p);
-            grid.cells.entry(cell).or_default().push((i as u32, p));
-            grid.node_cell.push(cell);
+            grid.cells[cell].push((i as u32, p));
+            grid.node_cell.push(cell as u32);
         }
         grid
     }
 
-    /// The cell edge length, metres.
+    /// The cell edge in use, metres: the requested edge, or a larger one
+    /// if the build grew it. Queries are exact for any bound up to it.
     pub fn cell_m(&self) -> f64 {
         self.cell_m
     }
@@ -91,17 +157,31 @@ impl SpatialGrid {
         self.node_cell.len()
     }
 
-    /// Number of non-empty cells (occupancy statistic).
-    pub fn occupied_cells(&self) -> usize {
+    /// Number of cells in the array, empty or not.
+    pub fn cell_count(&self) -> usize {
         self.cells.len()
     }
 
-    fn cell_of(&self, p: Point) -> (i64, i64, i64) {
-        (
-            (p.x / self.cell_m).floor() as i64,
-            (p.y / self.cell_m).floor() as i64,
-            (p.z / self.cell_m).floor() as i64,
-        )
+    /// Number of non-empty cells (occupancy statistic).
+    pub fn occupied_cells(&self) -> usize {
+        self.cells.iter().filter(|c| !c.is_empty()).count()
+    }
+
+    /// The cell coordinates of `p` along each axis, clamped into the box.
+    fn coords_of(&self, p: Point) -> [usize; 3] {
+        let mut out = [0; 3];
+        for (axis, v) in [p.x, p.y, p.z].into_iter().enumerate() {
+            // `as` saturates (and maps NaN to 0), so any input clamps.
+            let c = ((v / self.cell_m).floor() as i64).saturating_sub(self.origin[axis]);
+            out[axis] = c.clamp(0, self.dims[axis] as i64 - 1) as usize;
+        }
+        out
+    }
+
+    /// The flat index of `p`'s cell.
+    fn cell_of(&self, p: Point) -> usize {
+        let [x, y, z] = self.coords_of(p);
+        (z * self.dims[1] + y) * self.dims[0] + x
     }
 
     /// Records that `node` moved to `p`: refreshes its stored position and
@@ -112,11 +192,8 @@ impl SpatialGrid {
     /// Panics if `node` was not part of the indexed set.
     pub fn note_move(&mut self, node: u32, p: Point) {
         let new_cell = self.cell_of(p);
-        let old_cell = self.node_cell[node as usize];
-        let bucket = self
-            .cells
-            .get_mut(&old_cell)
-            .expect("node's recorded cell exists");
+        let old_cell = self.node_cell[node as usize] as usize;
+        let bucket = &mut self.cells[old_cell];
         let at = bucket
             .iter()
             .position(|&(m, _)| m == node)
@@ -128,35 +205,36 @@ impl SpatialGrid {
             return;
         }
         bucket.swap_remove(at);
-        if bucket.is_empty() {
-            self.cells.remove(&old_cell);
-        }
-        self.cells.entry(new_cell).or_default().push((node, p));
-        self.node_cell[node as usize] = new_cell;
+        self.cells[new_cell].push((node, p));
+        self.node_cell[node as usize] = new_cell as u32;
     }
 
     /// Collects into `out`, in no particular order, every node of the
     /// 27-cell neighbourhood around `p` whose stored position `q` has
     /// `p.distance_sq(q) <= r2`.
     ///
-    /// For `r2 ≤ cell_m²` the result is exactly the set of indexed nodes
+    /// For `r2 ≤ cell_m()²` the result is exactly the set of indexed nodes
     /// within that squared distance of `p`: everything outside the
-    /// neighbourhood lies strictly farther than `cell_m`. With an infinite
+    /// neighbourhood lies strictly farther than `cell_m()`. With an infinite
     /// bound it is the whole neighbourhood.
     pub fn within_into(&self, p: Point, r2: f64, out: &mut Vec<u32>) {
         out.clear();
-        let (cx, cy, cz) = self.cell_of(p);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                for dz in -1..=1 {
-                    if let Some(bucket) = self.cells.get(&(cx + dx, cy + dy, cz + dz)) {
-                        out.extend(
-                            bucket
-                                .iter()
-                                .filter(|&&(_, q)| p.distance_sq(q) <= r2)
-                                .map(|&(j, _)| j),
-                        );
+        let [cx, cy, cz] = self.coords_of(p);
+        let [nx, ny, nz] = self.dims;
+        let (x0, x1) = (cx.saturating_sub(1), (cx + 1).min(nx - 1));
+        for z in cz.saturating_sub(1)..=(cz + 1).min(nz - 1) {
+            for y in cy.saturating_sub(1)..=(cy + 1).min(ny - 1) {
+                let row = (z * ny + y) * nx;
+                for bucket in &self.cells[row + x0..=row + x1] {
+                    let start = out.len();
+                    out.resize(start + bucket.len(), 0);
+                    let slots = &mut out[start..];
+                    let mut kept = 0;
+                    for &(j, q) in bucket {
+                        slots[kept] = j;
+                        kept += usize::from(p.distance_sq(q) <= r2);
                     }
+                    out.truncate(start + kept);
                 }
             }
         }
@@ -323,19 +401,93 @@ mod tests {
                 );
                 grid.note_move(node as u32, *p);
             }
-            let mut got = Vec::new();
             for _ in 0..20 {
                 let p = positions[rng.gen_range(0..positions.len())];
                 let r = rng.gen_range(0.0..=cell);
-                let r2 = r * r;
-                grid.within_into(p, r2, &mut got);
-                got.sort_unstable();
-                let want: Vec<u32> = (0..positions.len() as u32)
-                    .filter(|&j| p.distance_sq(positions[j as usize]) <= r2)
-                    .collect();
-                assert_eq!(got, want, "bound {r} m around {p}");
+                assert_eq!(
+                    sorted_within(&grid, p, r * r),
+                    brute_within_sq(&positions, p, r * r),
+                    "bound {r} m around {p}"
+                );
             }
         }
+    }
+
+    /// Sorted bounded query, for comparison with a brute-force filter.
+    fn sorted_within(grid: &SpatialGrid, p: Point, r2: f64) -> Vec<u32> {
+        let mut got = Vec::new();
+        grid.within_into(p, r2, &mut got);
+        got.sort_unstable();
+        got
+    }
+
+    fn brute_within_sq(positions: &[Point], p: Point, r2: f64) -> Vec<u32> {
+        (0..positions.len() as u32)
+            .filter(|&j| p.distance_sq(positions[j as usize]) <= r2)
+            .collect()
+    }
+
+    #[test]
+    fn sparse_huge_extent_grows_the_edge_and_stays_exact() {
+        use rand::{Rng, SeedableRng};
+
+        // Pairs of nodes 600 m apart, scattered over 2,000 km × 2,000 km:
+        // at the requested edge the box would need ~4·10^6 cells per depth.
+        let cell = 1_000.0;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut positions = Vec::new();
+        for _ in 0..1_500 {
+            let p = Point::new(
+                rng.gen_range(0.0..2.0e6),
+                rng.gen_range(0.0..2.0e6),
+                rng.gen_range(0.0..5_000.0),
+            );
+            positions.push(p);
+            positions.push(Point::new(p.x + 600.0, p.y, p.z));
+        }
+        let n = positions.len();
+        let grid = SpatialGrid::build(cell, &positions);
+        assert!(grid.cell_m() > cell, "edge grew to {}", grid.cell_m());
+        assert!(
+            grid.cell_count() <= 2 * n,
+            "{} cells for {n} nodes",
+            grid.cell_count()
+        );
+        for (i, &p) in positions.iter().enumerate().step_by(7) {
+            for r in [600.0, cell, grid.cell_m()] {
+                let want = brute_within_sq(&positions, p, r * r);
+                assert_eq!(sorted_within(&grid, p, r * r), want, "node {i}, {r} m");
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_layouts_index_and_query() {
+        let r2 = 1_000.0 * 1_000.0;
+        let far = Point::new(1.0e6, -1.0e6, 7.0e5);
+
+        let empty: Vec<Point> = Vec::new();
+        let grid = SpatialGrid::build(1_000.0, &empty);
+        assert_eq!((grid.node_count(), grid.cell_count()), (0, 1));
+        assert!(sorted_within(&grid, Point::new(0.0, 0.0, 0.0), f64::INFINITY).is_empty());
+
+        let one = vec![Point::new(-20.0, 35.0, 400.0)];
+        let mut grid = SpatialGrid::build(1_000.0, &one);
+        assert_eq!(grid.cell_count(), 1);
+        assert_eq!(sorted_within(&grid, one[0], 0.0), [0]);
+        assert!(sorted_within(&grid, far, r2).is_empty());
+        // Moved far outside its build-time box, the node clamps into the
+        // only cell and is still found by distance.
+        grid.note_move(0, far);
+        assert_eq!(sorted_within(&grid, far, 0.0), [0]);
+        assert!(sorted_within(&grid, one[0], r2).is_empty());
+
+        let stacked = vec![Point::new(3.0, 3.0, 3.0); 50];
+        let grid = SpatialGrid::build(1_000.0, &stacked);
+        assert_eq!((grid.cell_count(), grid.occupied_cells()), (1, 1));
+        let all: Vec<u32> = (0..50).collect();
+        assert_eq!(sorted_within(&grid, stacked[0], 0.0), all);
+        assert!(sorted_within(&grid, far, r2).is_empty());
     }
 
     #[test]

@@ -79,25 +79,38 @@ fn build_geometry(geom: u8, layers: u32, spacing: f64, raw: &[(f64, f64, f64, f6
 }
 
 /// Bounded per-node displacements standing in for mobility-epoch steps:
-/// large ones that usually change a node's cell, and ±50 m ones that
-/// usually keep it in its cell but still move it across the cull radius of
-/// nearby transmitters.
+/// large ones that usually change a node's cell, ±50 m ones that usually
+/// keep it in its cell but still move it across the cull radius of nearby
+/// transmitters, and ±48 km ones that leave the build-time bounding box,
+/// so the grid must clamp the node into a border cell.
 fn moves() -> impl Strategy<Value = Vec<(usize, f64, f64, f64)>> {
     let step = (
         0usize..14,
         -800.0f64..800.0,
         -800.0f64..800.0,
         -200.0f64..200.0,
-        0u8..2,
+        0u8..3,
     )
-        .prop_map(|(node, dx, dy, dz, small)| {
-            if small == 1 {
-                (node, dx / 16.0, dy / 16.0, dz / 4.0)
-            } else {
-                (node, dx, dy, dz)
-            }
+        .prop_map(|(node, dx, dy, dz, kind)| match kind {
+            0 => (node, dx, dy, dz),
+            1 => (node, dx / 16.0, dy / 16.0, dz / 4.0),
+            _ => (node, dx * 60.0, dy * 60.0, dz * 20.0),
         });
     proptest::collection::vec(step, 0..12)
+}
+
+/// Sorted bounded grid query, for comparison with a brute-force filter.
+fn sorted_within(grid: &SpatialGrid, p: Point, r2: f64) -> Vec<u32> {
+    let mut got = Vec::new();
+    grid.within_into(p, r2, &mut got);
+    got.sort_unstable();
+    got
+}
+
+fn brute_within(positions: &[Point], p: Point, r2: f64) -> Vec<u32> {
+    (0..positions.len() as u32)
+        .filter(|&j| p.distance_sq(positions[j as usize]) <= r2)
+        .collect()
 }
 
 /// Asserts two caches hold bit-identical rows and statistics for every
@@ -251,5 +264,72 @@ proptest! {
             from_table.ensure_row(&ch, &table, tx);
         }
         assert_rows_identical(&from_vec, &from_table, positions.len());
+    }
+
+    /// Moves far outside the build-time bounding box: the incrementally
+    /// maintained grid clamps them into border cells, and its bounded
+    /// queries still equal both a fresh grid's and the brute-force filter,
+    /// at node positions and at arbitrary points inside and outside the box.
+    #[test]
+    fn far_moves_keep_bounded_queries_exact(
+        geom in 0u8..2,
+        layers in 2u32..6,
+        spacing in 300.0f64..1_200.0,
+        raw in raw_nodes(),
+        cell in 300.0f64..3_000.0,
+        steps in moves(),
+        probes in proptest::collection::vec(
+            (-60_000.0f64..60_000.0, -60_000.0f64..60_000.0, -5_000.0f64..20_000.0, 0.0f64..1.0),
+            1..8,
+        ),
+    ) {
+        let mut positions = build_geometry(geom, layers, spacing, &raw);
+        let n = positions.len();
+        let mut grid = SpatialGrid::build(cell, positions.as_slice());
+        for &(node, dx, dy, dz) in &steps {
+            let node = node % n;
+            let p = positions[node];
+            positions[node] = Point::new(p.x + dx, p.y + dy, p.z + dz);
+            grid.note_move(node as u32, positions[node]);
+        }
+        let fresh = SpatialGrid::build(cell, positions.as_slice());
+        let points = positions
+            .iter()
+            .map(|&p| (p, 1.0))
+            .chain(probes.iter().map(|&(x, y, z, f)| (Point::new(x, y, z), f)));
+        for (p, frac) in points {
+            let r2 = (frac * cell) * (frac * cell);
+            let want = brute_within(&positions, p, r2);
+            prop_assert_eq!(sorted_within(&grid, p, r2), want.clone(), "incremental at {}", p);
+            prop_assert_eq!(sorted_within(&fresh, p, r2), want, "fresh at {}", p);
+        }
+    }
+
+    /// Sparse layouts over extents up to 4,000 km would need far more cells
+    /// than nodes at the requested edge. The build grows the edge, keeps the
+    /// array within about two cells per node (or the small fixed budget),
+    /// and bounded queries up to the requested edge stay exact.
+    #[test]
+    fn sparse_huge_extents_grow_the_edge_and_stay_exact(
+        raw in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..1_200),
+        extent in 1.0e4f64..4.0e6,
+        cell in 300.0f64..3_000.0,
+        frac in 0.0f64..1.0,
+    ) {
+        let positions: Vec<Point> = raw
+            .iter()
+            .map(|&(x, y, z)| Point::new(x * extent, y * extent, z * 5_000.0))
+            .collect();
+        let n = positions.len();
+        let grid = SpatialGrid::build(cell, positions.as_slice());
+        prop_assert!(grid.cell_m() >= cell);
+        prop_assert!(
+            grid.cell_count() <= (2 * n).max(1_024),
+            "{} cells for {} nodes", grid.cell_count(), n
+        );
+        let r2 = (frac * cell) * (frac * cell);
+        for &p in positions.iter().step_by(13) {
+            prop_assert_eq!(sorted_within(&grid, p, r2), brute_within(&positions, p, r2));
+        }
     }
 }
