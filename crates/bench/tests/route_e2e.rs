@@ -407,3 +407,47 @@ fn overloaded_routed_run_keeps_online_post_hoc_parity() {
         assert_eq!((path.sdu, path.attempt), (route.sdu, route.attempt));
     }
 }
+
+#[test]
+fn overloaded_routed_run_pins_engine_counts() {
+    // The engine's account of one small overloaded routed run, with every
+    // transport attempt timing out (lanes 0–2 of the event queue all
+    // fire). The figures were recorded while every event still waited in
+    // the heap; where an event waits must not move how many events pop,
+    // how deep the queue runs, or which kinds pop.
+    let mut cfg = SimConfig::paper_default()
+        .with_sensors(16)
+        .with_offered_load_kbps(80.0)
+        .with_reliable_route()
+        .with_sim_time(SimDuration::from_secs(600))
+        .with_seed(0x0E4E);
+    cfg.deployment = Deployment::LayeredColumn {
+        extent_m: 2_000.0,
+        layers: 4,
+        layer_spacing_m: 1_200.0,
+    };
+    let factory = |id: uasn_net::node::NodeId| Protocol::EwMac.build(id);
+    let out = Simulation::new(cfg, &factory)
+        .expect("routed config is valid")
+        .run_full();
+    let stats = &out.stats;
+    assert_eq!(stats.events_processed, 100_237);
+    assert_eq!(stats.peak_queue_depth, 16_704);
+    assert_eq!(stats.mean_queue_depth, 11_665.204415535181);
+    assert_eq!(
+        stats.kind_counts,
+        [
+            ("start", 1),
+            ("slot-start", 597),
+            ("traffic", 23_465),
+            ("tx-start", 2_187),
+            ("tx-end", 2_187),
+            ("rx-start", 13_406),
+            ("rx-end", 13_405),
+            ("timer", 687),
+            ("route-ack", 87),
+            ("route-timeout", 44_215),
+        ]
+    );
+    assert_eq!(out.report.retry_dropped, 6_852, "third attempts time out");
+}

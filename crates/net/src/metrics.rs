@@ -7,9 +7,9 @@
 //! (Fig 8), and the ingredients of the efficiency index (Eq 4 — the
 //! harness normalises against S-FAMA).
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 
+use uasn_sim::hash::{FxHashMap, FxHashSet};
 use uasn_sim::hist::LogHistogram;
 use uasn_sim::stats::{Accumulator, Histogram, TimeWeighted};
 use uasn_sim::time::{SimDuration, SimTime};
@@ -349,9 +349,12 @@ pub struct DeliveryMetrics {
     /// otherwise).
     pub path_hops: LogHistogram,
     /// Generation time per SDU id, consumed on first sink arrival.
-    origin_time: HashMap<u64, SimTime>,
-    /// Batch tracking: SDU ids generated but not yet MAC-delivered.
-    pub batch_outstanding: HashSet<u64>,
+    /// Probed only, never iterated, so the fast hasher cannot reach any
+    /// output.
+    origin_time: FxHashMap<u64, SimTime>,
+    /// Batch tracking: SDU ids generated but not yet MAC-delivered (probed
+    /// only, like `origin_time`).
+    pub batch_outstanding: FxHashSet<u64>,
     /// Batch arrivals still to be injected by the traffic process.
     pub batch_expected: u32,
     /// Whether batch tracking is active.
@@ -372,8 +375,8 @@ impl Default for DeliveryMetrics {
             delivery_hist: LogHistogram::new(),
             e2e_hist: LogHistogram::new(),
             path_hops: LogHistogram::new(),
-            origin_time: HashMap::new(),
-            batch_outstanding: HashSet::new(),
+            origin_time: FxHashMap::default(),
+            batch_outstanding: FxHashSet::default(),
             batch_expected: 0,
             batch_mode: false,
             completion_time: None,

@@ -12,8 +12,13 @@
 //! the receiver's modem ledger (overlap ⇒ collision, own-tx ⇒ half-duplex
 //! loss) and the channel's PER draw, then delivers the decoded frame to the
 //! receiving MAC (addressed or overheard).
-
-use std::collections::HashMap;
+//!
+//! The per-event maps keyed by simulator-minted integers (frame tokens,
+//! reception ids, SDU ids: `pending_tx`, `inflight_tx`, `pending_rx`,
+//! `delivered`, the route runtime's `hops`) use the Fx hasher from
+//! `uasn_sim::hash`. They are only probed, never iterated, so the hash
+//! function cannot reach any output. Transport timeouts go to the event
+//! queue's per-attempt FIFO lanes (`uasn_route::timeout_lane`).
 
 use rand::rngs::StdRng;
 
@@ -25,8 +30,11 @@ use uasn_phy::geometry::Point;
 use uasn_phy::mobility::MobilityModel;
 use uasn_phy::modem::{Modem, ModemSpec, ModemState, ReceptionId};
 use uasn_phy::soa::PositionTable;
-use uasn_route::{select_next_hop, Candidate, ForwardPolicy, TimeoutVerdict, TransportTable};
+use uasn_route::{
+    select_next_hop, timeout_lane, Candidate, ForwardPolicy, TimeoutVerdict, TransportTable,
+};
 use uasn_sim::engine::{Engine, EventLabel, RunStats, Schedule, StopReason};
+use uasn_sim::hash::{FxHashMap, FxHashSet};
 use uasn_sim::profile::{MetricsRegistry, ProfileReport};
 use uasn_sim::rng::SeedFactory;
 use uasn_sim::time::{SimDuration, SimTime};
@@ -185,7 +193,7 @@ struct RouteRuntime {
     /// removed only at points that also emit a path-closing trace record
     /// (or physically end the copy), keeping the world's hop accounting
     /// and the audit monitors' path state in lock-step.
-    hops: HashMap<(u64, u32), u32>,
+    hops: FxHashMap<(u64, u32), u32>,
     /// Origin-side retransmission state; `Some` iff
     /// [`uasn_route::RouteConfig::transport`] was set.
     transport: Option<TransportTable>,
@@ -222,6 +230,11 @@ struct NetworkWorld {
     /// Scratch candidate list, reused across next-hop selections so the
     /// forwarding hot path does not allocate.
     cand_buf: Vec<Candidate>,
+    /// Each node's greedy next hop (`Some(None)`: stranded), memoized on
+    /// first use and forgotten by every mobility tick. Greedy selection is
+    /// a pure function of the positions and draws no randomness, so the
+    /// memo replays the scan's answer exactly.
+    greedy_hops: Vec<Option<Option<NodeId>>>,
     /// Routing + transport runtime; `Some` iff `cfg.route`.
     route: Option<RouteRuntime>,
 
@@ -231,11 +244,11 @@ struct NetworkWorld {
     /// SDU's enqueue timestamp in routed runs, so a transport retry (a
     /// genuinely new copy) can traverse nodes its lost predecessor
     /// visited while MAC-level duplicates of one copy still dedup.
-    delivered: std::collections::HashSet<(u64, u32, u64)>,
+    delivered: FxHashSet<(u64, u32, u64)>,
     cmd_buf: Vec<MacCommand>,
-    pending_tx: HashMap<u64, Frame>,
-    inflight_tx: HashMap<u64, Frame>,
-    pending_rx: HashMap<u64, PendingRx>,
+    pending_tx: FxHashMap<u64, Frame>,
+    inflight_tx: FxHashMap<u64, Frame>,
+    pending_rx: FxHashMap<u64, PendingRx>,
     /// Armed MAC timers per node: each token with the tag of its latest
     /// arm. Re-arming or cancelling a token only rewrites or drops its
     /// entry; the superseded `Timer` event still pops and, its tag no
@@ -399,10 +412,13 @@ impl NetworkWorld {
             f(mac.as_mut(), &mut ctx);
         }
         self.macs[node] = Some(mac);
-        let commands: Vec<MacCommand> = self.cmd_buf.drain(..).collect();
-        for cmd in commands {
+        // Apply from the taken buffer and hand it back, so no callback
+        // allocates; a nested dispatch would start from an empty buffer.
+        let mut commands = std::mem::take(&mut self.cmd_buf);
+        for cmd in commands.drain(..) {
             self.apply_command(sched, node, cmd);
         }
+        self.cmd_buf = commands;
     }
 
     fn apply_command(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, cmd: MacCommand) {
@@ -814,13 +830,23 @@ impl NetworkWorld {
     /// routing configuration. Greedy never draws the route stream.
     fn next_hop(&mut self, node: usize) -> Option<NodeId> {
         let policy = self.cfg.route.map_or(ForwardPolicy::Greedy, |r| r.policy);
+        let greedy = policy == ForwardPolicy::Greedy;
+        if greedy {
+            if let Some(hop) = self.greedy_hops[node] {
+                return hop;
+            }
+        }
         uphill_candidates(
             &self.positions,
             node,
             self.channel.max_range_m(),
             &mut self.cand_buf,
         );
-        select_next_hop(policy, &self.cand_buf, &mut self.route_rng).map(NodeId::new)
+        let hop = select_next_hop(policy, &self.cand_buf, &mut self.route_rng).map(NodeId::new);
+        if greedy {
+            self.greedy_hops[node] = Some(hop);
+        }
+        hop
     }
 
     /// Sends `sdu` one hop on from `node`: the one step by which every SDU
@@ -941,8 +967,9 @@ impl NetworkWorld {
         if attempt == 0 {
             if let Some(table) = route.transport.as_mut() {
                 let deadline_us = table.register(id, node as u32, bits, now_us);
-                sched.at(
-                    SimTime::ZERO + SimDuration::from_micros(deadline_us),
+                sched.at_lane(
+                    timeout_lane(0),
+                    SimTime::from_micros(deadline_us),
                     NetEvent::RouteTimeout { sdu: id },
                 );
             }
@@ -1060,8 +1087,9 @@ impl NetworkWorld {
         let origin = entry.origin as usize;
         match verdict {
             TimeoutVerdict::Retry { deadline_us } => {
-                sched.at(
-                    SimTime::ZERO + SimDuration::from_micros(deadline_us),
+                sched.at_lane(
+                    timeout_lane(entry.attempts),
+                    SimTime::from_micros(deadline_us),
                     NetEvent::RouteTimeout { sdu },
                 );
                 let me = NodeId::new(entry.origin);
@@ -1194,8 +1222,10 @@ impl NetworkWorld {
                 self.link_cache.note_move(i as u32, next);
             }
         }
-        // Positions changed: every cached fan-out row is now a lie.
+        // Positions changed: every cached fan-out row and next hop is now
+        // a lie.
         self.link_cache.invalidate();
+        self.greedy_hops.fill(None);
         sched.after(dt, NetEvent::MobilityTick);
     }
 
@@ -1609,7 +1639,7 @@ impl Simulation {
         let estimator = DelayEstimator::new(cfg.clock.meas_noise, max_speed, sound_speed);
 
         let route = cfg.route.map(|rc| RouteRuntime {
-            hops: HashMap::new(),
+            hops: FxHashMap::default(),
             transport: rc.transport.map(TransportTable::new),
         });
 
@@ -1632,13 +1662,14 @@ impl Simulation {
             traffic_rng: seeds.stream("traffic", 0),
             route_rng: seeds.stream("route", 0),
             cand_buf: Vec::new(),
+            greedy_hops: vec![None; n],
             route,
             metrics,
-            delivered: std::collections::HashSet::new(),
+            delivered: FxHashSet::default(),
             cmd_buf: Vec::new(),
-            pending_tx: HashMap::new(),
-            inflight_tx: HashMap::new(),
-            pending_rx: HashMap::new(),
+            pending_tx: FxHashMap::default(),
+            inflight_tx: FxHashMap::default(),
+            pending_rx: FxHashMap::default(),
             timers: vec![Vec::new(); n],
             next_arm: 0,
             event_buf: Vec::new(),
@@ -2559,6 +2590,30 @@ mod tests {
         assert!(ta.with_tag("e2e-deliver").count() > 0, "deliveries traced");
         assert!(ra.e2e_delivered > 0);
         assert!(ra.e2e_delivery_ratio() > 0.0 && ra.e2e_delivery_ratio() <= 1.0);
+    }
+
+    #[test]
+    fn saturated_transport_deadlines_end_cleanly() {
+        // `u64::MAX` passes validation; the first deadline must saturate
+        // (never fire) rather than overflow the clock arithmetic.
+        let mut rc = uasn_route::RouteConfig::greedy();
+        rc.transport = Some(uasn_route::TransportConfig {
+            retry_budget: 2,
+            base_timeout_us: u64::MAX,
+        });
+        assert!(rc.validate().is_ok());
+        let cfg = SimConfig {
+            sensors: 10,
+            sinks: 2,
+            ..SimConfig::paper_default()
+        }
+        .with_convergecast(20.0, 10.0)
+        .with_route(rc)
+        .with_sim_time(SimDuration::from_secs(60));
+        let out = Simulation::new(cfg, &blast_factory).unwrap().run_full();
+        assert_eq!(out.stats.stop_reason, StopReason::HorizonReached);
+        assert!(out.report.sdus_generated > 0);
+        assert_eq!(out.report.retry_dropped, 0, "no timeout ever fires");
     }
 
     #[test]

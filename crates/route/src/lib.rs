@@ -34,4 +34,6 @@ pub mod policy;
 pub mod transport;
 
 pub use policy::{select_next_hop, Candidate, ForwardPolicy, RouteConfig, DEFAULT_TTL};
-pub use transport::{PendingSdu, TimeoutVerdict, TransportConfig, TransportTable};
+pub use transport::{
+    timeout_lane, PendingSdu, TimeoutVerdict, TransportConfig, TransportTable, BACKOFF_SHIFT_CAP,
+};

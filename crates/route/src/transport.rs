@@ -16,9 +16,29 @@
 //! Because acks may still be in flight when a timeout fires, a fired
 //! timeout for an already-acked SDU is a no-op (`on_timeout` returns
 //! `None`). Deadlines are fully deterministic: `timeout(attempt) =
-//! base_timeout_us << min(attempt, 16)`, no randomness.
+//! base_timeout_us << min(attempt, BACKOFF_SHIFT_CAP)`, no randomness;
+//! both the shift and `now + timeout` saturate at `u64::MAX` rather than
+//! wrap.
+//!
+//! Because the delay depends on the attempt number alone, the deadlines
+//! armed for one attempt number never decrease as the clock advances: the
+//! simulator queues each attempt's timeouts in their own FIFO lane
+//! ([`timeout_lane`]). Attempts at or past the shift cap share one lane.
+//!
+//! The pending table is keyed by simulator-minted SDU ids and only probed,
+//! never iterated, so it uses the fast [`FxHashMap`].
 
-use std::collections::HashMap;
+use uasn_sim::hash::FxHashMap;
+
+/// Attempt number past which the backoff stops doubling; also the last
+/// timeout lane, shared by every attempt at or past the cap.
+pub const BACKOFF_SHIFT_CAP: u32 = 16;
+
+/// The event-queue FIFO lane for timeouts armed at zero-based `attempt`:
+/// one lane per distinct backoff delay.
+pub fn timeout_lane(attempt: u32) -> usize {
+    attempt.min(BACKOFF_SHIFT_CAP) as usize
+}
 
 /// Transport parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +66,8 @@ impl TransportConfig {
     /// Timeout for the given zero-based attempt number (exponential
     /// backoff, shift-capped so it cannot overflow).
     pub fn timeout_us(&self, attempt: u32) -> u64 {
-        self.base_timeout_us.saturating_mul(1u64 << attempt.min(16))
+        self.base_timeout_us
+            .saturating_mul(1u64 << attempt.min(BACKOFF_SHIFT_CAP))
     }
 
     /// Validates the configuration.
@@ -94,7 +115,7 @@ pub enum TimeoutVerdict {
 #[derive(Debug, Default)]
 pub struct TransportTable {
     cfg: TransportConfig,
-    pending: HashMap<u64, PendingSdu>,
+    pending: FxHashMap<u64, PendingSdu>,
     /// SDUs retired by an ack.
     acked: u64,
     /// SDUs retired by retry exhaustion.
@@ -118,7 +139,7 @@ impl TransportTable {
     }
 
     /// Registers a freshly injected SDU and returns the absolute deadline
-    /// of its first timeout.
+    /// of its first timeout (saturating at `u64::MAX`).
     pub fn register(&mut self, sdu: u64, origin: u32, bits: u32, now_us: u64) -> u64 {
         self.pending.insert(
             sdu,
@@ -129,7 +150,7 @@ impl TransportTable {
                 attempts: 0,
             },
         );
-        now_us + self.cfg.timeout_us(0)
+        now_us.saturating_add(self.cfg.timeout_us(0))
     }
 
     /// The pending entry for `sdu`, if any.
@@ -164,7 +185,7 @@ impl TransportTable {
         }
         entry.attempts += 1;
         self.retries += 1;
-        let deadline = now_us + self.cfg.timeout_us(entry.attempts);
+        let deadline = now_us.saturating_add(self.cfg.timeout_us(entry.attempts));
         Some((
             *entry,
             TimeoutVerdict::Retry {
@@ -209,8 +230,15 @@ mod tests {
         assert_eq!(cfg.timeout_us(0), 1_000);
         assert_eq!(cfg.timeout_us(1), 2_000);
         assert_eq!(cfg.timeout_us(2), 4_000);
-        // Shift cap: enormous attempt numbers cannot overflow.
-        assert_eq!(cfg.timeout_us(200), 1_000 << 16);
+        // Shift cap: enormous attempt numbers cannot overflow, and share
+        // the cap's lane.
+        assert_eq!(cfg.timeout_us(200), 1_000 << BACKOFF_SHIFT_CAP);
+        assert_eq!(timeout_lane(2), 2);
+        assert_eq!(timeout_lane(200), timeout_lane(BACKOFF_SHIFT_CAP));
+        assert_eq!(
+            cfg.timeout_us(BACKOFF_SHIFT_CAP + 1),
+            cfg.timeout_us(BACKOFF_SHIFT_CAP)
+        );
         let huge = TransportConfig {
             retry_budget: 0,
             base_timeout_us: u64::MAX / 2,
@@ -249,6 +277,25 @@ mod tests {
         assert_eq!(t.exhausted(), 1);
         assert_eq!(t.retries(), 2);
         assert!(t.on_timeout(9, 9_000).is_none(), "already exhausted");
+    }
+
+    #[test]
+    fn deadlines_saturate_instead_of_overflowing() {
+        // A validated config whose first timeout overflows any clock.
+        let cfg = TransportConfig {
+            retry_budget: 1,
+            base_timeout_us: u64::MAX,
+        };
+        assert!(cfg.validate().is_ok());
+        let mut t = TransportTable::new(cfg);
+        assert_eq!(t.register(3, 0, 64, 5), u64::MAX);
+        let (_, v) = t.on_timeout(3, 10).expect("pending");
+        assert_eq!(
+            v,
+            TimeoutVerdict::Retry {
+                deadline_us: u64::MAX
+            }
+        );
     }
 
     #[test]

@@ -60,6 +60,18 @@ impl<'a, E> Schedule<'a, E> {
         self.queue.schedule(at, event);
     }
 
+    /// Schedules `event` at absolute time `at` in the queue's FIFO lane
+    /// `lane` (see [`EventQueue::schedule_in_lane`]): same firing order as
+    /// [`Schedule::at`], cheaper when every event of the lane comes at a
+    /// time no earlier than the lane's previous one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` precedes the current time or the lane's last event.
+    pub fn at_lane(&mut self, lane: usize, at: SimTime, event: E) {
+        self.queue.schedule_in_lane(lane, at, event);
+    }
+
     /// Schedules `event` after `delay` from now.
     pub fn after(&mut self, delay: crate::time::SimDuration, event: E) {
         self.queue.schedule(self.now + delay, event);

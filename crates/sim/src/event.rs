@@ -11,9 +11,19 @@
 //! Every scheduled event fires: the queue has no cancellation. A caller that
 //! needs to take an event back (the network layer's MAC timers) tags it and
 //! ignores it when it pops stale.
+//!
+//! Besides the heap the queue keeps numbered **FIFO lanes**
+//! ([`EventQueue::schedule_in_lane`]): plain `VecDeque`s of the same packed
+//! keys, for event streams whose times never decrease — a fixed delay added
+//! to a non-decreasing clock, such as the transport's per-attempt timeouts.
+//! A lane push and pop are O(1) where the heap's are O(log n), and the
+//! events in lanes do not deepen the heap. Lanes draw their sequence numbers
+//! from the heap's counter and `pop` takes the smallest key over the heap
+//! top and every lane front, so the popped `(time, seq)` sequence is exactly
+//! the one a heap-only queue fed the same calls would produce.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -71,6 +81,10 @@ impl<E> Eq for Entry<E> {}
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// FIFO lanes, indexed by lane number; each holds non-decreasing keys.
+    lanes: Vec<VecDeque<Entry<E>>>,
+    /// Events queued across all lanes.
+    in_lanes: usize,
     next_seq: u64,
     /// Time of the most recently popped event; schedules may never precede it.
     watermark: SimTime,
@@ -93,6 +107,8 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(capacity),
+            lanes: Vec::new(),
+            in_lanes: 0,
             next_seq: 0,
             watermark: SimTime::ZERO,
         }
@@ -105,6 +121,39 @@ impl<E> EventQueue<E> {
     /// Panics if `time` precedes the time of the last event popped — the
     /// simulation cannot schedule into its own past.
     pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let entry = self.entry(time, payload);
+        self.heap.push(entry);
+    }
+
+    /// Schedules `payload` at `time` in FIFO lane `lane` (lanes are created
+    /// on first use). Pops see no difference from
+    /// [`schedule`](Self::schedule): the event takes the next sequence number
+    /// and fires in `(time, seq)` order among all queued events.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` precedes the watermark, or precedes the time of the
+    /// last event scheduled in the same lane.
+    pub fn schedule_in_lane(&mut self, lane: usize, time: SimTime, payload: E) {
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, VecDeque::new);
+        }
+        let entry = self.entry(time, payload);
+        let fifo = &mut self.lanes[lane];
+        if let Some(last) = fifo.back() {
+            assert!(
+                time >= last.time(),
+                "lane {lane}: event at {time} precedes the lane's last event at {}",
+                last.time()
+            );
+        }
+        fifo.push_back(entry);
+        self.in_lanes += 1;
+    }
+
+    /// Checks `time` against the watermark and packs it with the next
+    /// sequence number.
+    fn entry(&mut self, time: SimTime, payload: E) -> Entry<E> {
         assert!(
             time >= self.watermark,
             "cannot schedule event at {time} before current time {}",
@@ -112,10 +161,10 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
+        Entry {
             key: (time.as_micros() as u128) << 64 | seq as u128,
             payload,
-        });
+        }
     }
 
     /// Schedules every `(time, payload)` pair in iteration order.
@@ -144,26 +193,52 @@ impl<E> EventQueue<E> {
     /// Returns `None` when the queue is empty. Advances the watermark to the
     /// popped event's time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
+        let entry = match self.next_lane() {
+            Some(lane) => {
+                self.in_lanes -= 1;
+                self.lanes[lane].pop_front()
+            }
+            None => self.heap.pop(),
+        }?;
         let time = entry.time();
         self.watermark = time;
         Some((time, entry.payload))
     }
 
+    /// The lane whose front holds the smallest key, if that key is also
+    /// below the heap top; `None` when the heap top (or nothing) comes next.
+    fn next_lane(&self) -> Option<usize> {
+        let mut best = self.heap.peek().map(|e| e.key);
+        let mut lane = None;
+        for (i, fifo) in self.lanes.iter().enumerate() {
+            if let Some(front) = fifo.front() {
+                if best.is_none_or(|key| front.key < key) {
+                    best = Some(front.key);
+                    lane = Some(i);
+                }
+            }
+        }
+        lane
+    }
+
     /// The time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(Entry::time)
+        match self.next_lane() {
+            Some(lane) => self.lanes[lane].front(),
+            None => self.heap.peek(),
+        }
+        .map(Entry::time)
     }
 
-    /// Number of events still queued, including any the caller will find
-    /// stale when they pop.
+    /// Number of events still queued, lanes included, counting any the
+    /// caller will find stale when they pop.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.in_lanes
     }
 
-    /// Whether no events remain.
+    /// Whether no events remain, in the heap or any lane.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.in_lanes == 0
     }
 
     /// The time of the most recently popped event.

@@ -7,13 +7,15 @@
 //! * [`time`] — integer-microsecond [`time::SimTime`] /
 //!   [`time::SimDuration`] newtypes with exact slot arithmetic.
 //! * [`event`] — a future-event list with stable FIFO ordering of
-//!   simultaneous events.
+//!   simultaneous events, plus O(1) FIFO lanes for monotone event streams.
 //! * [`engine`] — the generic run loop ([`engine::Engine`] drives any
 //!   [`engine::World`]).
 //! * [`rng`] — labelled, independently derived random streams so adding a
 //!   draw in one component never perturbs another.
 //! * [`stats`] — streaming accumulators, time-weighted integrals, histograms,
 //!   and cross-seed replication summaries.
+//! * [`hash`] — a std-only Fx-style hasher ([`hash::FxHashMap`]) for the
+//!   per-event maps keyed by simulator-minted integers.
 //! * [`hist`] — mergeable log-bucketed integer histograms ([`hist::LogHistogram`])
 //!   for latency percentiles with no floats in the bucket math.
 //! * [`profile`] — zero-overhead-when-off performance observability:
@@ -58,6 +60,7 @@
 
 pub mod engine;
 pub mod event;
+pub mod hash;
 pub mod hist;
 pub mod json;
 pub mod profile;
@@ -68,6 +71,7 @@ pub mod trace;
 
 pub use engine::{Engine, EventLabel, RunStats, Schedule, StopReason, World};
 pub use event::EventQueue;
+pub use hash::{FxHashMap, FxHashSet};
 pub use hist::LogHistogram;
 pub use profile::{
     EngineCost, KindCost, MetricsRegistry, MetricsSnapshot, ProfileReport, Stopwatch,
