@@ -14,15 +14,16 @@
 //! protocol uses (`ObservedNegotiation`), so the checker and the
 //! implementation can only agree by both matching the paper's equations.
 //!
-//! The frame-level checks (half-duplex, slot alignment, extra-window)
-//! live in [`crate::monitor`] as incremental state machines; [`check`]
-//! replays the model through them, which is what guarantees the streaming
-//! and post-hoc paths can never disagree.
+//! The frame-level checks (half-duplex, slot alignment, extra-window) and
+//! the routing-loop check live in [`crate::monitor`] as incremental state
+//! machines; [`check`] replays the model's one event list through
+//! [`MonitorSet::observe`], the same call the streaming sink makes, which
+//! is what guarantees the streaming and post-hoc paths can never disagree.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::model::{ModelEvent, RunInfo, RxEvent, TraceModel};
+use crate::model::{ParsedRecord, RunInfo, RxEvent, TraceModel};
 use crate::monitor::MonitorSet;
 
 /// What kind of promise a violation breaks.
@@ -113,8 +114,9 @@ pub(crate) fn overlaps(a_start: u64, a_end: u64, b_start: u64, b_end: u64) -> bo
 /// The four streamable checks — half-duplex decode, slot alignment,
 /// extra-window non-interference, routing-loop freedom — are implemented once, as the
 /// incremental state machines in [`crate::monitor::MonitorSet`]; this
-/// function replays the model through them in record order, so the online
-/// and post-hoc paths agree by construction. The remaining checks
+/// function feeds them the run description and then the model's events,
+/// in record order, through [`MonitorSet::observe`], so the online and
+/// post-hoc paths agree by construction. The remaining checks
 /// (overlapping receptions, propagation consistency) need cross-record
 /// sorting or whole-run pair state and stay replay-only.
 ///
@@ -126,9 +128,11 @@ pub fn check(model: &TraceModel) -> Vec<Violation> {
     check_overlapping_receptions(model, &mut out);
     let mut monitors = MonitorSet::new();
     if let Some(run) = &model.run_info {
-        monitors.observe_run_info(run);
+        monitors.observe(&ParsedRecord::RunInfo(Box::new(run.clone())));
     }
-    replay(model, &mut monitors);
+    for event in &model.events {
+        monitors.observe(event);
+    }
     out.extend(monitors.into_findings());
     if let Some(run) = &model.run_info {
         check_propagation(model, run, &mut out);
@@ -137,20 +141,12 @@ pub fn check(model: &TraceModel) -> Vec<Violation> {
     out
 }
 
-/// Feeds the model's frame and routing events through the streaming
-/// monitors in trace record order.
-fn replay(model: &TraceModel, monitors: &mut MonitorSet) {
-    for event in model.in_record_order() {
-        match event {
-            ModelEvent::Tx(e) => monitors.observe_tx(e),
-            ModelEvent::Rx(e) => monitors.observe_rx(e),
-            ModelEvent::RxLost(e) => monitors.observe_rx_lost(e),
-            ModelEvent::Route(e) => monitors.observe_route(e),
-            ModelEvent::Relay(e) => monitors.observe_relay(e),
-            ModelEvent::RouteDrop(e) => monitors.observe_route_drop(e),
-            ModelEvent::E2eDeliver(e) => monitors.observe_e2e_deliver(e),
-        }
-    }
+/// The model's decoded receptions, in record order.
+fn receptions(model: &TraceModel) -> impl Iterator<Item = &RxEvent> {
+    model.events.iter().filter_map(|e| match e {
+        ParsedRecord::Rx(rx) => Some(rx),
+        _ => None,
+    })
 }
 
 /// Decoded receptions at one node must be serial: the modem records every
@@ -158,7 +154,7 @@ fn replay(model: &TraceModel, monitors: &mut MonitorSet) {
 /// sharing time means the collision model was bypassed.
 fn check_overlapping_receptions(model: &TraceModel, out: &mut Vec<Violation>) {
     let mut by_node: HashMap<usize, Vec<&RxEvent>> = HashMap::new();
-    for rx in &model.rx {
+    for rx in receptions(model) {
         by_node.entry(rx.node).or_default().push(rx);
     }
     let mut nodes: Vec<_> = by_node.into_iter().collect();
@@ -206,7 +202,7 @@ fn check_overlapping_receptions(model: &TraceModel, out: &mut Vec<Violation>) {
 /// for a fixed pair of nodes when mobility is off.
 fn check_propagation(model: &TraceModel, run: &RunInfo, out: &mut Vec<Violation>) {
     let mut seen: HashMap<(usize, usize), (u64, usize)> = HashMap::new();
-    for rx in &model.rx {
+    for rx in receptions(model) {
         if rx.prop_us > run.tau_max_us {
             out.push(Violation {
                 kind: ViolationKind::PropagationInconsistency,
@@ -277,11 +273,14 @@ mod tests {
     #[test]
     fn serial_receptions_pass_and_overlap_fails() {
         let mut model = TraceModel {
-            rx: vec![rx(0, 1, 2, 0, 100), rx(1, 1, 3, 100, 200)],
+            events: vec![
+                ParsedRecord::Rx(rx(0, 1, 2, 0, 100)),
+                ParsedRecord::Rx(rx(1, 1, 3, 100, 200)),
+            ],
             ..TraceModel::default()
         };
         assert!(check(&model).is_empty(), "boundary touch is legal");
-        model.rx.push(rx(2, 1, 4, 150, 250));
+        model.events.push(ParsedRecord::Rx(rx(2, 1, 4, 150, 250)));
         let violations = check(&model);
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].kind, ViolationKind::OverlappingReceptions);
@@ -292,21 +291,23 @@ mod tests {
     #[test]
     fn decode_during_own_transmission_fails() {
         let model = TraceModel {
-            tx: vec![TxEvent {
-                record: 0,
-                time_us: 50,
-                node: 1,
-                kind: FrameKind::Rts,
-                dst: 2,
-                bits: 64,
-                dur_us: 100,
-                pair_delay_us: None,
-                data_dur_us: None,
-                sdu: None,
-                origin: None,
-                retx: false,
-            }],
-            rx: vec![rx(1, 1, 3, 120, 220)],
+            events: vec![
+                ParsedRecord::Tx(TxEvent {
+                    record: 0,
+                    time_us: 50,
+                    node: 1,
+                    kind: FrameKind::Rts,
+                    dst: 2,
+                    bits: 64,
+                    dur_us: 100,
+                    pair_delay_us: None,
+                    data_dur_us: None,
+                    sdu: None,
+                    origin: None,
+                    retx: false,
+                }),
+                ParsedRecord::Rx(rx(1, 1, 3, 120, 220)),
+            ],
             ..TraceModel::default()
         };
         let violations = check(&model);
@@ -352,7 +353,7 @@ mod tests {
         };
         let mut model = TraceModel {
             run_info: Some(ewmac_run_info()),
-            tx: vec![tx],
+            events: vec![ParsedRecord::Tx(tx)],
             ..TraceModel::default()
         };
         let violations = check(&model);
@@ -388,12 +389,12 @@ mod tests {
         };
         let model = TraceModel {
             run_info: Some(run.clone()),
-            tx: vec![
+            events: vec![
                 // 7 us late and 5 us early: both inside the 8 us budget.
-                tx(0, run.slot_us + 7),
-                tx(1, 2 * run.slot_us - 5),
+                ParsedRecord::Tx(tx(0, run.slot_us + 7)),
+                ParsedRecord::Tx(tx(1, 2 * run.slot_us - 5)),
                 // 9 us late: past the budget.
-                tx(2, 3 * run.slot_us + 9),
+                ParsedRecord::Tx(tx(2, 3 * run.slot_us + 9)),
             ],
             ..TraceModel::default()
         };
@@ -453,8 +454,7 @@ mod tests {
         };
         let model = TraceModel {
             run_info: Some(run),
-            tx: vec![cts],
-            rx: vec![intruder],
+            events: vec![ParsedRecord::Tx(cts), ParsedRecord::Rx(intruder)],
             ..TraceModel::default()
         };
         let violations = check(&model);
@@ -513,8 +513,7 @@ mod tests {
         run.clock_error_us = 10_000;
         let mut model = TraceModel {
             run_info: Some(run),
-            tx: vec![cts],
-            rx: vec![intruder],
+            events: vec![ParsedRecord::Tx(cts), ParsedRecord::Rx(intruder)],
             ..TraceModel::default()
         };
         assert!(
@@ -587,8 +586,7 @@ mod tests {
         };
         let mut model = TraceModel {
             run_info: Some(run.clone()),
-            tx: vec![rts],
-            rx: vec![exc],
+            events: vec![ParsedRecord::Tx(rts), ParsedRecord::Rx(exc)],
             ..TraceModel::default()
         };
         assert!(
@@ -598,9 +596,9 @@ mod tests {
 
         // Once the granting CTS reaches n0, the same EXC is an intrusion.
         let cts_end = clock.start_of(1).as_micros() + pair_delay;
-        model.rx.insert(
-            0,
-            RxEvent {
+        model.events.insert(
+            1,
+            ParsedRecord::Rx(RxEvent {
                 record: 2,
                 end_us: cts_end,
                 node: 0,
@@ -613,7 +611,7 @@ mod tests {
                 addressed: true,
                 sdu: None,
                 origin: None,
-            },
+            }),
         );
         let violations = check(&model);
         assert_eq!(violations.len(), 1);
@@ -631,7 +629,11 @@ mod tests {
         drift.prop_us = 150;
         let model = TraceModel {
             run_info: Some(ewmac_run_info()),
-            rx: vec![bad_prop, first, drift],
+            events: vec![
+                ParsedRecord::Rx(bad_prop),
+                ParsedRecord::Rx(first),
+                ParsedRecord::Rx(drift),
+            ],
             ..TraceModel::default()
         };
         let violations = check(&model);

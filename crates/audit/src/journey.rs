@@ -17,7 +17,7 @@ use uasn_sim::hist::LogHistogram;
 use uasn_sim::json::JsonValue;
 
 use crate::copies::CopyIndex;
-use crate::model::{ModelEvent, TraceModel};
+use crate::model::{DropEvent, EnqEvent, ParsedRecord, RxEvent, SinkEvent, TraceModel, TxEvent};
 
 /// One hop of an SDU's journey: from MAC enqueue at `from` to decoded data
 /// arrival at `to` (when the hop completed).
@@ -170,58 +170,58 @@ impl Journey {
 /// arrival at the intended next hop.
 pub fn reconstruct(model: &TraceModel) -> Vec<Journey> {
     // Index per-SDU event streams once; each stream stays chronological.
-    let mut enq_by_sdu: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, e) in model.enq.iter().enumerate() {
-        enq_by_sdu.entry(e.sdu).or_default().push(i);
-    }
-    let mut data_tx_by_sdu: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut enq_by_sdu: HashMap<u64, Vec<&EnqEvent>> = HashMap::new();
+    let mut data_tx_by_sdu: HashMap<u64, Vec<&TxEvent>> = HashMap::new();
     let mut contact_tx: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
-    for (i, t) in model.tx.iter().enumerate() {
-        if t.kind.is_data() {
-            if let Some(sdu) = t.sdu {
-                data_tx_by_sdu.entry(sdu).or_default().push(i);
+    let mut data_rx_by_sdu: HashMap<u64, Vec<&RxEvent>> = HashMap::new();
+    let mut sink_by_sdu: HashMap<u64, &SinkEvent> = HashMap::new();
+    let mut drop_by_sdu: HashMap<u64, &DropEvent> = HashMap::new();
+    for event in &model.events {
+        match event {
+            ParsedRecord::Enq(e) => enq_by_sdu.entry(e.sdu).or_default().push(e),
+            ParsedRecord::Tx(t) if t.kind.is_data() => {
+                if let Some(sdu) = t.sdu {
+                    data_tx_by_sdu.entry(sdu).or_default().push(t);
+                }
             }
-        } else if matches!(t.kind, FrameKind::Rts | FrameKind::ExRts) {
-            contact_tx
-                .entry((t.node, t.dst))
-                .or_default()
-                .push(t.time_us);
+            ParsedRecord::Tx(t) if matches!(t.kind, FrameKind::Rts | FrameKind::ExRts) => {
+                contact_tx
+                    .entry((t.node, t.dst))
+                    .or_default()
+                    .push(t.time_us);
+            }
+            ParsedRecord::Rx(r) if r.kind.is_data() && r.addressed => {
+                if let Some(sdu) = r.sdu {
+                    data_rx_by_sdu.entry(sdu).or_default().push(r);
+                }
+            }
+            // Keyed by SDU: a later record replaces an earlier one.
+            ParsedRecord::Sink(s) => {
+                sink_by_sdu.insert(s.sdu, s);
+            }
+            ParsedRecord::Drop(d) => {
+                drop_by_sdu.insert(d.sdu, d);
+            }
+            _ => {}
         }
     }
-    let mut data_rx_by_sdu: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (i, r) in model.rx.iter().enumerate() {
-        if r.kind.is_data() && r.addressed {
-            if let Some(sdu) = r.sdu {
-                data_rx_by_sdu.entry(sdu).or_default().push(i);
-            }
-        }
-    }
-    let sink_by_sdu: HashMap<u64, &crate::model::SinkEvent> =
-        model.sink.iter().map(|s| (s.sdu, s)).collect();
-    let drop_by_sdu: HashMap<u64, &crate::model::DropEvent> =
-        model.drops.iter().map(|d| (d.sdu, d)).collect();
 
     let mut sdus: Vec<u64> = enq_by_sdu.keys().copied().collect();
     sdus.sort_unstable();
 
     let mut journeys = Vec::with_capacity(sdus.len());
     for sdu in sdus {
-        let enq_idx = &enq_by_sdu[&sdu];
-        let origin = model.enq[enq_idx[0]].origin;
-        let generated_us = enq_idx
-            .iter()
-            .map(|&i| &model.enq[i])
-            .find(|e| !e.fwd)
-            .map(|e| e.time_us);
+        let enqs = &enq_by_sdu[&sdu];
+        let origin = enqs[0].origin;
+        let generated_us = enqs.iter().find(|e| !e.fwd).map(|e| e.time_us);
 
-        let mut hops = Vec::with_capacity(enq_idx.len());
-        for &ei in enq_idx {
-            let enq = &model.enq[ei];
+        let mut hops = Vec::with_capacity(enqs.len());
+        for enq in enqs {
             // The delivery that completes this hop: the first addressed
             // data arrival of this SDU at the intended next hop, decoded
             // at or after the enqueue.
-            let delivery = data_rx_by_sdu.get(&sdu).and_then(|idxs| {
-                idxs.iter().map(|&i| &model.rx[i]).find(|r| {
+            let delivery = data_rx_by_sdu.get(&sdu).and_then(|rxs| {
+                rxs.iter().copied().find(|r| {
                     r.node == enq.next_hop && r.src == enq.node && r.end_us >= enq.time_us
                 })
             });
@@ -230,9 +230,8 @@ pub fn reconstruct(model: &TraceModel) -> Vec<Journey> {
             // the hop's window (enqueue to the delivering transmission).
             let attempts = data_tx_by_sdu
                 .get(&sdu)
-                .map(|idxs| {
-                    idxs.iter()
-                        .map(|&i| &model.tx[i])
+                .map(|txs| {
+                    txs.iter()
                         .filter(|t| {
                             t.node == enq.node
                                 && t.time_us >= enq.time_us
@@ -421,13 +420,13 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
     // by SDU like the streaming monitor's: a stale copy from an earlier
     // transport attempt extends its own path, never the retry's.
     let mut open: CopyIndex<usize> = CopyIndex::default();
-    let mut paths: Vec<SduPath> = Vec::with_capacity(model.route.len());
+    let mut paths: Vec<SduPath> = Vec::new();
 
     // Walk in trace record order, the order the streaming monitor saw
     // these events in.
-    for event in model.in_record_order() {
+    for event in &model.events {
         match event {
-            ModelEvent::Route(e) => {
+            ParsedRecord::Route(e) => {
                 open.insert(e.sdu, e.attempt, paths.len());
                 paths.push(SduPath {
                     sdu: e.sdu,
@@ -438,12 +437,12 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
                     dropped: None,
                 });
             }
-            ModelEvent::Relay(e) => {
+            ParsedRecord::Relay(e) => {
                 if let Some(&i) = open.get(e.sdu, e.attempt) {
                     paths[i].nodes.push(e.node);
                 }
             }
-            ModelEvent::RouteDrop(e) => {
+            ParsedRecord::RouteDrop(e) => {
                 if e.terminal {
                     // A terminal drop retires the whole SDU: the named
                     // copy (or, for retry exhaustion, the latest open
@@ -463,13 +462,13 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
                     }
                 }
             }
-            ModelEvent::E2eDeliver(e) => {
+            ParsedRecord::E2eDeliver(e) => {
                 if let Some(i) = open.remove(e.sdu, e.attempt) {
                     paths[i].nodes.push(e.node);
                     paths[i].delivered = Some((e.node, e.e2e_us));
                 }
             }
-            ModelEvent::Tx(_) | ModelEvent::Rx(_) | ModelEvent::RxLost(_) => {}
+            _ => {}
         }
     }
     paths
@@ -554,10 +553,7 @@ impl PathStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{
-        E2eDeliverEvent, EnqEvent, RelayEvent, RouteDropEvent, RouteEvent, RxEvent, SinkEvent,
-        TxEvent,
-    };
+    use crate::model::{E2eDeliverEvent, RelayEvent, RouteDropEvent, RouteEvent};
 
     fn enq(
         record: usize,
@@ -581,9 +577,9 @@ mod tests {
 
     fn model_one_hop() -> TraceModel {
         TraceModel {
-            enq: vec![enq(0, 1_000, 2, 7, 0, false)],
-            tx: vec![
-                TxEvent {
+            events: vec![
+                ParsedRecord::Enq(enq(0, 1_000, 2, 7, 0, false)),
+                ParsedRecord::Tx(TxEvent {
                     record: 1,
                     time_us: 5_000,
                     node: 2,
@@ -596,8 +592,8 @@ mod tests {
                     sdu: None,
                     origin: None,
                     retx: false,
-                },
-                TxEvent {
+                }),
+                ParsedRecord::Tx(TxEvent {
                     record: 2,
                     time_us: 20_000,
                     node: 2,
@@ -610,31 +606,31 @@ mod tests {
                     sdu: Some(7),
                     origin: Some(2),
                     retx: false,
-                },
+                }),
+                ParsedRecord::Rx(RxEvent {
+                    record: 3,
+                    end_us: 20_000 + 3_000 + 170_667,
+                    node: 0,
+                    kind: FrameKind::Data,
+                    src: 2,
+                    dst: 0,
+                    bits: 2_048,
+                    start_us: 23_000,
+                    prop_us: 3_000,
+                    addressed: true,
+                    sdu: Some(7),
+                    origin: Some(2),
+                }),
+                ParsedRecord::Sink(SinkEvent {
+                    record: 4,
+                    time_us: 193_667,
+                    node: 0,
+                    sdu: 7,
+                    origin: 2,
+                    bits: 2_048,
+                    e2e_us: Some(192_667),
+                }),
             ],
-            rx: vec![RxEvent {
-                record: 3,
-                end_us: 20_000 + 3_000 + 170_667,
-                node: 0,
-                kind: FrameKind::Data,
-                src: 2,
-                dst: 0,
-                bits: 2_048,
-                start_us: 23_000,
-                prop_us: 3_000,
-                addressed: true,
-                sdu: Some(7),
-                origin: Some(2),
-            }],
-            sink: vec![SinkEvent {
-                record: 4,
-                time_us: 193_667,
-                node: 0,
-                sdu: 7,
-                origin: 2,
-                bits: 2_048,
-                e2e_us: Some(192_667),
-            }],
             ..TraceModel::default()
         }
     }
@@ -686,8 +682,9 @@ mod tests {
     #[test]
     fn incomplete_hop_yields_no_phase_samples() {
         let mut model = model_one_hop();
-        model.rx.clear();
-        model.sink.clear();
+        model
+            .events
+            .retain(|e| !matches!(e, ParsedRecord::Rx(_) | ParsedRecord::Sink(_)));
         let journeys = reconstruct(&model);
         assert_eq!(journeys.len(), 1);
         assert!(!journeys[0].delivered());
@@ -701,46 +698,45 @@ mod tests {
 
     fn routed_model() -> TraceModel {
         TraceModel {
-            route: vec![
-                RouteEvent {
+            events: vec![
+                ParsedRecord::Route(RouteEvent {
                     record: 0,
                     time_us: 1_000,
                     node: 5,
                     sdu: 7,
                     next_hop: 3,
                     attempt: 0,
-                },
-                RouteEvent {
+                }),
+                ParsedRecord::Route(RouteEvent {
                     record: 1,
                     time_us: 1_500,
                     node: 6,
                     sdu: 8,
                     next_hop: 3,
                     attempt: 0,
-                },
-                // sdu 8's transport retry after the copy-level loss below.
-                RouteEvent {
-                    record: 5,
-                    time_us: 60_000,
-                    node: 6,
-                    sdu: 8,
-                    next_hop: 3,
-                    attempt: 1,
-                },
-            ],
-            relay: vec![RelayEvent {
-                record: 2,
-                time_us: 10_000,
-                node: 3,
-                sdu: 7,
-                origin: 5,
-                next_hop: 0,
-                attempt: 0,
-                hops: 1,
-                bits: 2_048,
-            }],
-            route_drops: vec![
-                RouteDropEvent {
+                }),
+                ParsedRecord::Relay(RelayEvent {
+                    record: 2,
+                    time_us: 10_000,
+                    node: 3,
+                    sdu: 7,
+                    origin: 5,
+                    next_hop: 0,
+                    attempt: 0,
+                    hops: 1,
+                    bits: 2_048,
+                }),
+                ParsedRecord::E2eDeliver(E2eDeliverEvent {
+                    record: 3,
+                    time_us: 40_000,
+                    node: 0,
+                    sdu: 7,
+                    origin: 5,
+                    attempt: 0,
+                    hops: 2,
+                    e2e_us: 39_000,
+                }),
+                ParsedRecord::RouteDrop(RouteDropEvent {
                     record: 4,
                     time_us: 50_000,
                     node: 3,
@@ -751,8 +747,17 @@ mod tests {
                     attempts: None,
                     reason: "ttl-exhausted".to_string(),
                     terminal: false,
-                },
-                RouteDropEvent {
+                }),
+                // sdu 8's transport retry after the copy-level loss above.
+                ParsedRecord::Route(RouteEvent {
+                    record: 5,
+                    time_us: 60_000,
+                    node: 6,
+                    sdu: 8,
+                    next_hop: 3,
+                    attempt: 1,
+                }),
+                ParsedRecord::RouteDrop(RouteDropEvent {
                     record: 6,
                     time_us: 120_000,
                     node: 6,
@@ -763,18 +768,8 @@ mod tests {
                     attempts: Some(2),
                     reason: "retry-exhausted".to_string(),
                     terminal: true,
-                },
+                }),
             ],
-            e2e_deliver: vec![E2eDeliverEvent {
-                record: 3,
-                time_us: 40_000,
-                node: 0,
-                sdu: 7,
-                origin: 5,
-                attempt: 0,
-                hops: 2,
-                e2e_us: 39_000,
-            }],
             ..TraceModel::default()
         }
     }

@@ -21,8 +21,8 @@
 //!   catching violations *during* the run with bounded per-node windows
 //!   (no full-trace capture), plus a fixed-capacity flight recorder that
 //!   snapshots the records around each finding. The post-hoc checker
-//!   replays through the same machines, so both paths agree by
-//!   construction.
+//!   replays the model's one event list through the same
+//!   [`MonitorSet::observe`] call, so both paths agree by construction.
 //!
 //! [`read_trace`] is the one loader from a JSONL file. The library has no
 //! binary of its own: `uasn-bench`'s `obs_report` fronts it over a trace

@@ -1,6 +1,13 @@
 //! Typed view over a raw trace: the audit-relevant events, extracted from
 //! [`TraceRecord`]s by tag and structured field.
 //!
+//! [`parse_record`] is the one classifier, shared by the post-hoc
+//! [`TraceModel`] and the streaming [`crate::monitor::MonitorSink`]. The
+//! model keeps the run description apart and every other classified
+//! record in one list, [`TraceModel::events`], in trace record order — the
+//! order the monitors see online — so a post-hoc pass replays it as is and
+//! each consumer filters it for the kinds it reads.
+//!
 //! The extractor is deliberately tolerant: records with unknown tags are
 //! ignored (future schema growth), and records of a known tag that lack the
 //! structured fields the audit needs (e.g. message-only traces from before
@@ -307,26 +314,10 @@ pub struct E2eDeliverEvent {
 pub struct TraceModel {
     /// The run description, when the trace carries one (Info level+).
     pub run_info: Option<RunInfo>,
-    /// Transmissions, in emission order.
-    pub tx: Vec<TxEvent>,
-    /// Decoded receptions, in emission order.
-    pub rx: Vec<RxEvent>,
-    /// Lost receptions, in emission order.
-    pub rx_lost: Vec<RxLostEvent>,
-    /// Queue entries, in emission order.
-    pub enq: Vec<EnqEvent>,
-    /// Sink arrivals, in emission order.
-    pub sink: Vec<SinkEvent>,
-    /// Terminal drops, in emission order.
-    pub drops: Vec<DropEvent>,
-    /// Origin injections of routed runs, in emission order.
-    pub route: Vec<RouteEvent>,
-    /// Relay decisions of routed runs, in emission order.
-    pub relay: Vec<RelayEvent>,
-    /// Routed losses (copy-level and terminal), in emission order.
-    pub route_drops: Vec<RouteDropEvent>,
-    /// First end-to-end deliveries of routed runs, in emission order.
-    pub e2e_deliver: Vec<E2eDeliverEvent>,
+    /// Every classified frame, queue and routing record, once each, in
+    /// trace record order: the stream the monitors replay. Consumers that
+    /// need one kind filter it.
+    pub events: Vec<ParsedRecord>,
     /// Records of a known tag that lacked the structured fields the audit
     /// needs (message-only traces) and were skipped.
     pub skipped: usize,
@@ -385,8 +376,9 @@ fn get_kind(r: &TraceRecord) -> Option<FrameKind> {
 /// exactly the same rules.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ParsedRecord {
-    /// The run-description record.
-    RunInfo(RunInfo),
+    /// The run-description record (boxed: it is the largest variant and
+    /// appears once per trace).
+    RunInfo(Box<RunInfo>),
     /// A transmission start.
     Tx(TxEvent),
     /// A decoded reception.
@@ -413,6 +405,10 @@ pub enum ParsedRecord {
     /// An unknown tag, ignored for schema growth.
     Other,
 }
+
+// A trace model holds one of these per frame record; with the run
+// description boxed, the enum stays at its per-frame variants' size.
+const _: () = assert!(std::mem::size_of::<ParsedRecord>() <= 128);
 
 /// Classifies one trace record. `record` is the index the event will cite
 /// back (the JSONL body line number for an exported trace).
@@ -441,7 +437,9 @@ pub fn parse_record(record: usize, r: &TraceRecord) -> ParsedRecord {
                 transport: get_bool(r, "transport").unwrap_or(false),
             })
         })()
-        .map_or(ParsedRecord::Skipped, ParsedRecord::RunInfo),
+        .map_or(ParsedRecord::Skipped, |info| {
+            ParsedRecord::RunInfo(Box::new(info))
+        }),
         "tx" => (|| {
             Some(TxEvent {
                 record,
@@ -588,19 +586,10 @@ impl TraceModel {
         let mut model = TraceModel::default();
         for (record, r) in records.iter().enumerate() {
             match parse_record(record, r) {
-                ParsedRecord::RunInfo(info) => model.run_info = Some(info),
-                ParsedRecord::Tx(ev) => model.tx.push(ev),
-                ParsedRecord::Rx(ev) => model.rx.push(ev),
-                ParsedRecord::RxLost(ev) => model.rx_lost.push(ev),
-                ParsedRecord::Enq(ev) => model.enq.push(ev),
-                ParsedRecord::Sink(ev) => model.sink.push(ev),
-                ParsedRecord::Drop(ev) => model.drops.push(ev),
-                ParsedRecord::Route(ev) => model.route.push(ev),
-                ParsedRecord::Relay(ev) => model.relay.push(ev),
-                ParsedRecord::RouteDrop(ev) => model.route_drops.push(ev),
-                ParsedRecord::E2eDeliver(ev) => model.e2e_deliver.push(ev),
+                ParsedRecord::RunInfo(info) => model.run_info = Some(*info),
                 ParsedRecord::Skipped => model.skipped += 1,
                 ParsedRecord::Other => {}
+                event => model.events.push(event),
             }
         }
         model
@@ -609,66 +598,10 @@ impl TraceModel {
     /// Whether the trace carries the per-frame detail the invariant checks
     /// and journey reconstruction need (Debug-level tracing).
     pub fn has_frame_detail(&self) -> bool {
-        !self.tx.is_empty() || !self.rx.is_empty()
+        self.events
+            .iter()
+            .any(|e| matches!(e, ParsedRecord::Tx(_) | ParsedRecord::Rx(_)))
     }
-
-    /// The frame and routing events merged back into trace record order,
-    /// the order the streaming monitors see them in. Ties between events
-    /// sharing a record (synthetic models only) break in emission order:
-    /// tx < rx < rx-lost < route < relay < route-drop < e2e-deliver.
-    pub fn in_record_order(&self) -> impl Iterator<Item = ModelEvent<'_>> {
-        let mut events: Vec<(usize, ModelEvent<'_>)> = Vec::with_capacity(
-            self.tx.len()
-                + self.rx.len()
-                + self.rx_lost.len()
-                + self.route.len()
-                + self.relay.len()
-                + self.route_drops.len()
-                + self.e2e_deliver.len(),
-        );
-        events.extend(self.tx.iter().map(|e| (e.record, ModelEvent::Tx(e))));
-        events.extend(self.rx.iter().map(|e| (e.record, ModelEvent::Rx(e))));
-        events.extend(
-            self.rx_lost
-                .iter()
-                .map(|e| (e.record, ModelEvent::RxLost(e))),
-        );
-        events.extend(self.route.iter().map(|e| (e.record, ModelEvent::Route(e))));
-        events.extend(self.relay.iter().map(|e| (e.record, ModelEvent::Relay(e))));
-        events.extend(
-            self.route_drops
-                .iter()
-                .map(|e| (e.record, ModelEvent::RouteDrop(e))),
-        );
-        events.extend(
-            self.e2e_deliver
-                .iter()
-                .map(|e| (e.record, ModelEvent::E2eDeliver(e))),
-        );
-        // Stable by record index, so the extend order above breaks ties.
-        events.sort_by_key(|(record, _)| *record);
-        events.into_iter().map(|(_, event)| event)
-    }
-}
-
-/// One frame or routing event of a [`TraceModel`], borrowed, as
-/// [`TraceModel::in_record_order`] yields it.
-#[derive(Debug, Clone, Copy)]
-pub enum ModelEvent<'a> {
-    /// A transmission start.
-    Tx(&'a TxEvent),
-    /// A decoded reception.
-    Rx(&'a RxEvent),
-    /// A lost reception.
-    RxLost(&'a RxLostEvent),
-    /// A routed SDU copy injected at its origin.
-    Route(&'a RouteEvent),
-    /// A relay decision at an intermediate node.
-    Relay(&'a RelayEvent),
-    /// A routed loss (copy-level or terminal).
-    RouteDrop(&'a RouteDropEvent),
-    /// A first end-to-end delivery.
-    E2eDeliver(&'a E2eDeliverEvent),
 }
 
 /// Reads a JSONL trace file into its records and their [`TraceModel`]:
@@ -719,8 +652,9 @@ mod tests {
             ],
         )];
         let model = TraceModel::from_records(&records);
-        assert_eq!(model.tx.len(), 1);
-        let tx = &model.tx[0];
+        let [ParsedRecord::Tx(tx)] = &model.events[..] else {
+            panic!("one tx event: {:?}", model.events);
+        };
         assert_eq!(tx.kind, FrameKind::Cts);
         assert_eq!(tx.node, 3);
         assert_eq!(tx.dst, 5);
@@ -738,7 +672,7 @@ mod tests {
             record("unknown-tag", vec![]),
         ];
         let model = TraceModel::from_records(&records);
-        assert!(model.tx.is_empty() && model.rx.is_empty());
+        assert!(model.events.is_empty());
         assert_eq!(model.skipped, 2);
         assert!(!model.has_frame_detail());
     }
@@ -831,21 +765,22 @@ mod tests {
         ];
         let model = TraceModel::from_records(&records);
         assert_eq!(model.skipped, 0);
-        assert_eq!(model.route.len(), 1);
-        assert_eq!(model.route[0].attempt, 1);
-        assert_eq!(model.relay.len(), 1);
-        assert_eq!(model.relay[0].hops, 1);
-        assert_eq!(model.relay[0].attempt, 1);
-        assert_eq!(model.route_drops.len(), 2);
-        assert!(!model.route_drops[0].terminal);
-        assert_eq!(model.route_drops[0].hops, Some(2));
-        assert_eq!(model.route_drops[0].attempt, Some(1));
-        assert!(model.route_drops[1].terminal);
-        assert_eq!(model.route_drops[1].attempts, Some(3));
-        assert_eq!(model.route_drops[1].hops, None);
-        assert_eq!(model.route_drops[1].attempt, None);
-        assert_eq!(model.e2e_deliver.len(), 1);
-        assert_eq!(model.e2e_deliver[0].e2e_us, 120_000);
+        let [ParsedRecord::Route(route), ParsedRecord::Relay(relay), ParsedRecord::RouteDrop(copy_loss), ParsedRecord::RouteDrop(final_loss), ParsedRecord::E2eDeliver(deliver)] =
+            &model.events[..]
+        else {
+            panic!("one event per record, in record order: {:?}", model.events);
+        };
+        assert_eq!(route.attempt, 1);
+        assert_eq!(relay.hops, 1);
+        assert_eq!(relay.attempt, 1);
+        assert!(!copy_loss.terminal);
+        assert_eq!(copy_loss.hops, Some(2));
+        assert_eq!(copy_loss.attempt, Some(1));
+        assert!(final_loss.terminal);
+        assert_eq!(final_loss.attempts, Some(3));
+        assert_eq!(final_loss.hops, None);
+        assert_eq!(final_loss.attempt, None);
+        assert_eq!(deliver.e2e_us, 120_000);
     }
 
     #[test]

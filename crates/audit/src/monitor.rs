@@ -7,11 +7,13 @@
 //! intrusion — **incrementally**, as [`TraceRecord`]s stream out of the
 //! tracer, holding only bounded per-node windows of recent state:
 //!
-//! - [`MonitorSet`] is the pure state machine: feed it typed events in
-//!   record order and it accumulates [`Violation`]s. The post-hoc checker
-//!   itself replays a [`crate::model::TraceModel`] through this machine,
-//!   so the online and offline paths agree **by construction** — there is
-//!   exactly one implementation of each invariant.
+//! - [`MonitorSet`] is the pure state machine: feed it classified
+//!   records in record order through [`MonitorSet::observe`] — the one
+//!   mapping from a [`ParsedRecord`] to the monitors — and it accumulates
+//!   [`Violation`]s. The post-hoc checker replays the
+//!   [`crate::model::TraceModel`]'s event list through the same call, so
+//!   the online and offline paths agree **by construction** — there is
+//!   exactly one implementation of each invariant and one dispatch to it.
 //! - [`MonitorSink`] adapts the machine to the tracer's
 //!   [`TraceSink`] interface (classifying raw records via
 //!   [`parse_record`]) and pairs it with an optional [`FlightRecorder`].
@@ -105,13 +107,15 @@ struct Geometry {
     tolerance_us: u64,
 }
 
-/// Incremental state machines for the three streamable invariants:
-/// half-duplex decode, slot alignment, and extra-window non-interference.
+/// Incremental state machines for the four streamable invariants:
+/// half-duplex decode, slot alignment, extra-window non-interference, and
+/// routing-loop freedom.
 ///
-/// Feed events in trace-record order via the `observe_*` methods; harvest
-/// accumulated findings with [`MonitorSet::into_findings`]. The post-hoc
-/// checker ([`crate::invariant::check`]) replays its model through this
-/// same machine, so streaming and replay findings are identical by
+/// Feed classified records in trace-record order via
+/// [`MonitorSet::observe`]; harvest accumulated findings with
+/// [`MonitorSet::into_findings`]. The post-hoc checker
+/// ([`crate::invariant::check`]) replays its model through this same
+/// machine and call, so streaming and replay findings are identical by
 /// construction.
 #[derive(Debug, Default)]
 pub struct MonitorSet {
@@ -141,14 +145,36 @@ pub struct MonitorSet {
 
 impl MonitorSet {
     /// A fresh monitor set with no run geometry: only the half-duplex
-    /// check runs until [`MonitorSet::observe_run_info`] supplies one.
+    /// check runs until a `run-info` record supplies one.
     pub fn new() -> MonitorSet {
         MonitorSet::default()
     }
 
+    /// Consumes one classified record: the only way records reach the
+    /// monitors, online and post-hoc alike. Queue, sink and MAC-drop
+    /// records carry nothing the monitors check; skipped and unknown
+    /// records carry nothing at all.
+    pub fn observe(&mut self, record: &ParsedRecord) {
+        match record {
+            ParsedRecord::RunInfo(run) => self.observe_run_info(run),
+            ParsedRecord::Tx(ev) => self.observe_tx(ev),
+            ParsedRecord::Rx(ev) => self.observe_rx(ev),
+            ParsedRecord::RxLost(ev) => self.observe_rx_lost(ev),
+            ParsedRecord::Route(ev) => self.observe_route(ev),
+            ParsedRecord::Relay(ev) => self.observe_relay(ev),
+            ParsedRecord::RouteDrop(ev) => self.observe_route_drop(ev),
+            ParsedRecord::E2eDeliver(ev) => self.observe_e2e_deliver(ev),
+            ParsedRecord::Enq(_)
+            | ParsedRecord::Sink(_)
+            | ParsedRecord::Drop(_)
+            | ParsedRecord::Skipped
+            | ParsedRecord::Other => {}
+        }
+    }
+
     /// Installs the run geometry (from the `run-info` record), enabling
     /// the slot-alignment and extra-window monitors.
-    pub fn observe_run_info(&mut self, run: &RunInfo) {
+    fn observe_run_info(&mut self, run: &RunInfo) {
         let clock = SlotClock::with_guard(
             SimDuration::from_micros(run.omega_us),
             SimDuration::from_micros(run.tau_max_us),
@@ -162,7 +188,7 @@ impl MonitorSet {
     }
 
     /// Consumes a transmission start.
-    pub fn observe_tx(&mut self, tx: &TxEvent) {
+    fn observe_tx(&mut self, tx: &TxEvent) {
         self.advance(tx.time_us);
         self.max_frame_us = self.max_frame_us.max(tx.dur_us);
         self.check_slot_alignment(tx);
@@ -172,7 +198,7 @@ impl MonitorSet {
     }
 
     /// Consumes a decoded reception.
-    pub fn observe_rx(&mut self, rx: &RxEvent) {
+    fn observe_rx(&mut self, rx: &RxEvent) {
         self.advance(rx.end_us);
         self.max_frame_us = self.max_frame_us.max(rx.end_us.saturating_sub(rx.start_us));
         // Same-record finding order matches the post-hoc check sequence:
@@ -184,7 +210,7 @@ impl MonitorSet {
     }
 
     /// Consumes a lost reception.
-    pub fn observe_rx_lost(&mut self, lost: &RxLostEvent) {
+    fn observe_rx_lost(&mut self, lost: &RxLostEvent) {
         self.advance(lost.end_us);
         self.check_lost_intrusion(lost);
         self.update_peak();
@@ -194,7 +220,7 @@ impl MonitorSet {
     /// SDU copy. A transport retry is a distinct copy with its own path —
     /// it may legitimately re-traverse nodes an earlier copy visited, and
     /// an earlier copy still in flight keeps extending its own path.
-    pub fn observe_route(&mut self, ev: &RouteEvent) {
+    fn observe_route(&mut self, ev: &RouteEvent) {
         self.advance(ev.time_us);
         self.route_paths.insert(ev.sdu, ev.attempt, vec![ev.node]);
         self.update_peak();
@@ -205,7 +231,7 @@ impl MonitorSet {
     /// (depth-monotone forwarding can never revisit) or if the traversed
     /// hop count escaped the run's TTL (the world must have dropped the
     /// copy instead of relaying it).
-    pub fn observe_relay(&mut self, ev: &RelayEvent) {
+    fn observe_relay(&mut self, ev: &RelayEvent) {
         self.advance(ev.time_us);
         self.check_route_step(
             ev.record,
@@ -223,7 +249,7 @@ impl MonitorSet {
     /// terminal loss retires the SDU outright, so every copy's path goes
     /// — including stale earlier attempts still in flight. Either costs
     /// O(open copies of this SDU), whatever else is in flight.
-    pub fn observe_route_drop(&mut self, ev: &RouteDropEvent) {
+    fn observe_route_drop(&mut self, ev: &RouteDropEvent) {
         self.advance(ev.time_us);
         if ev.terminal {
             self.route_paths.retire(ev.sdu);
@@ -235,7 +261,7 @@ impl MonitorSet {
 
     /// Consumes a first end-to-end delivery: the sink is the path's last
     /// node, subject to the same revisit and TTL bounds as a relay.
-    pub fn observe_e2e_deliver(&mut self, ev: &E2eDeliverEvent) {
+    fn observe_e2e_deliver(&mut self, ev: &E2eDeliverEvent) {
         self.advance(ev.time_us);
         self.check_route_step(
             ev.record,
@@ -866,21 +892,11 @@ impl TraceSink for MonitorSink {
             flight.observe(record);
         }
         let before = inner.monitors.findings().len();
-        match parse_record(index, record) {
-            ParsedRecord::RunInfo(info) => inner.monitors.observe_run_info(&info),
-            ParsedRecord::Tx(ev) => inner.monitors.observe_tx(&ev),
-            ParsedRecord::Rx(ev) => inner.monitors.observe_rx(&ev),
-            ParsedRecord::RxLost(ev) => inner.monitors.observe_rx_lost(&ev),
-            ParsedRecord::Route(ev) => inner.monitors.observe_route(&ev),
-            ParsedRecord::Relay(ev) => inner.monitors.observe_relay(&ev),
-            ParsedRecord::RouteDrop(ev) => inner.monitors.observe_route_drop(&ev),
-            ParsedRecord::E2eDeliver(ev) => inner.monitors.observe_e2e_deliver(&ev),
-            ParsedRecord::Skipped => inner.skipped += 1,
-            ParsedRecord::Enq(_)
-            | ParsedRecord::Sink(_)
-            | ParsedRecord::Drop(_)
-            | ParsedRecord::Other => {}
+        let parsed = parse_record(index, record);
+        if matches!(parsed, ParsedRecord::Skipped) {
+            inner.skipped += 1;
         }
+        inner.monitors.observe(&parsed);
         if let Some(flight) = inner.flight.as_mut() {
             for finding in &inner.monitors.findings()[before..] {
                 flight.dump(finding);
@@ -1127,40 +1143,18 @@ mod tests {
             ],
         );
         let mut monitors = MonitorSet::new();
-        let parse = |r: &TraceRecord| parse_record(0, r);
         // sdu 7 delivered through n3 -> n2 -> n0; sdu 8 lost at n5.
-        match parse(&route_record(1_000, 3, 7, 2)) {
-            ParsedRecord::Route(ev) => monitors.observe_route(&ev),
-            other => panic!("{other:?}"),
-        }
-        match parse(&relay_record(2_000, 2, 7, 1)) {
-            ParsedRecord::Relay(ev) => monitors.observe_relay(&ev),
-            other => panic!("{other:?}"),
-        }
-        match parse(&route_record(1_500, 5, 8, 4)) {
-            ParsedRecord::Route(ev) => monitors.observe_route(&ev),
-            other => panic!("{other:?}"),
-        }
+        monitors.observe(&parse_record(0, &route_record(1_000, 3, 7, 2)));
+        monitors.observe(&parse_record(0, &relay_record(2_000, 2, 7, 1)));
+        monitors.observe(&parse_record(0, &route_record(1_500, 5, 8, 4)));
         assert_eq!(monitors.tracked(), 2, "two in-flight paths");
-        match parse(&deliver) {
-            ParsedRecord::E2eDeliver(ev) => monitors.observe_e2e_deliver(&ev),
-            other => panic!("{other:?}"),
-        }
-        match parse(&drop) {
-            ParsedRecord::RouteDrop(ev) => monitors.observe_route_drop(&ev),
-            other => panic!("{other:?}"),
-        }
+        monitors.observe(&parse_record(0, &deliver));
+        monitors.observe(&parse_record(0, &drop));
         assert_eq!(monitors.tracked(), 0, "terminal events prune the paths");
         // A transport retry re-seeds sdu 8's path; re-traversing n5 (its
         // own origin) and n4 is legal on the fresh copy.
-        match parse(&route_record(10_000, 5, 8, 4)) {
-            ParsedRecord::Route(ev) => monitors.observe_route(&ev),
-            other => panic!("{other:?}"),
-        }
-        match parse(&relay_record(11_000, 4, 8, 1)) {
-            ParsedRecord::Relay(ev) => monitors.observe_relay(&ev),
-            other => panic!("{other:?}"),
-        }
+        monitors.observe(&parse_record(0, &route_record(10_000, 5, 8, 4)));
+        monitors.observe(&parse_record(0, &relay_record(11_000, 4, 8, 1)));
         assert!(
             monitors.into_findings().is_empty(),
             "no false loop findings across retries"
@@ -1175,7 +1169,7 @@ mod tests {
         let mut monitors = MonitorSet::new();
         for i in 0..10_000u64 {
             let t = i * 1_000_000;
-            monitors.observe_tx(&TxEvent {
+            monitors.observe(&ParsedRecord::Tx(TxEvent {
                 record: i as usize,
                 time_us: t,
                 node: (i % 7) as usize,
@@ -1188,7 +1182,7 @@ mod tests {
                 sdu: None,
                 origin: None,
                 retx: false,
-            });
+            }));
         }
         assert!(
             monitors.peak_tracked() <= 8,

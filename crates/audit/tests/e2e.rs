@@ -3,12 +3,14 @@
 //! must be flagged with the right trace-record pointers.
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 use uasn_audit::journey::{reconstruct, PhaseHistograms};
-use uasn_audit::model::TraceModel;
+use uasn_audit::model::{parse_record, ParsedRecord, TraceModel};
 use uasn_audit::ViolationKind;
 use uasn_ewmac::{EwMac, EwMacConfig};
 use uasn_net::config::SimConfig;
+use uasn_net::topology::Deployment;
 use uasn_net::world::Simulation;
 use uasn_sim::time::{SimDuration, SimTime};
 use uasn_sim::trace::{export_jsonl, field, parse_jsonl, Field, TraceLevel, TraceRecord, Tracer};
@@ -73,7 +75,12 @@ fn seeded_ewmac_journeys_reconstruct_with_latency_phases() {
         assert!(j.generated_us.is_some());
     }
     // Every delivered journey's sink count is mirrored by the trace.
-    assert_eq!(delivered.len(), model.sink.len());
+    let sinks = model
+        .events
+        .iter()
+        .filter(|e| matches!(e, ParsedRecord::Sink(_)))
+        .count();
+    assert_eq!(delivered.len(), sinks);
 
     let hists = PhaseHistograms::from_journeys(&journeys);
     assert_eq!(hists.end_to_end.count(), delivered.len() as u64);
@@ -88,6 +95,84 @@ fn seeded_ewmac_journeys_reconstruct_with_latency_phases() {
     assert!(hists.handshake.max().unwrap() >= run.slot_us);
     // Propagation can never beat the channel.
     assert!(hists.propagation.max().unwrap() <= run.tau_max_us);
+}
+
+/// The record index and trace tag an event was classified from.
+fn index_and_tag(event: &ParsedRecord) -> (usize, &'static str) {
+    match event {
+        ParsedRecord::Tx(e) => (e.record, "tx"),
+        ParsedRecord::Rx(e) => (e.record, "rx"),
+        ParsedRecord::RxLost(e) => (e.record, "rx-lost"),
+        ParsedRecord::Enq(e) => (e.record, "enq"),
+        ParsedRecord::Sink(e) => (e.record, "sink"),
+        ParsedRecord::Drop(e) => (e.record, "sdu-drop"),
+        ParsedRecord::Route(e) => (e.record, "route"),
+        ParsedRecord::Relay(e) => (e.record, "relay"),
+        ParsedRecord::RouteDrop(e) if e.terminal => (e.record, "e2e-drop"),
+        ParsedRecord::RouteDrop(e) => (e.record, "relay-drop"),
+        ParsedRecord::E2eDeliver(e) => (e.record, "e2e-deliver"),
+        other => panic!("the event list holds only frame, queue and routing events: {other:?}"),
+    }
+}
+
+#[test]
+fn routed_trace_model_keeps_every_event_once_in_record_order() {
+    // The `trace_run --route` reference: a seeded convergecast over a
+    // three-layer column with end-to-end transport, traced at Debug.
+    let mut cfg = SimConfig::paper_default()
+        .with_sensors(20)
+        .with_offered_load_kbps(0.5)
+        .with_convergecast(30.0, 10.0)
+        .with_reliable_route()
+        .with_sim_time(SimDuration::from_secs(240))
+        .with_seed(0xEA5E);
+    cfg.deployment = Deployment::LayeredColumn {
+        extent_m: 2_000.0,
+        layers: 3,
+        layer_spacing_m: 1_200.0,
+    };
+    let sim = Simulation::new(cfg, &|id| Box::new(EwMac::new(id, EwMacConfig::default())))
+        .expect("valid config")
+        .with_tracer(Tracer::capturing(TraceLevel::Debug));
+    let (_, tracer) = sim.run_traced();
+    assert!(tracer.health().is_lossless());
+    let records = tracer.records();
+    let model = TraceModel::from_records(records);
+    assert_eq!(model.skipped, 0);
+    assert!(model.run_info.is_some());
+
+    // Every classified frame, queue and routing record is stored, once.
+    let classified: Vec<usize> = records
+        .iter()
+        .enumerate()
+        .filter(|&(i, r)| {
+            !matches!(
+                parse_record(i, r),
+                ParsedRecord::RunInfo(_) | ParsedRecord::Skipped | ParsedRecord::Other
+            )
+        })
+        .map(|(i, _)| i)
+        .collect();
+    let stored: Vec<usize> = model.events.iter().map(|e| index_and_tag(e).0).collect();
+    assert_eq!(stored, classified);
+    assert!(
+        stored.windows(2).all(|w| w[0] < w[1]),
+        "record indices strictly increase"
+    );
+
+    // Per tag, the list holds as many events as the trace has records.
+    let mut in_trace: BTreeMap<&str, usize> = BTreeMap::new();
+    for &i in &classified {
+        *in_trace.entry(records[i].tag.as_ref()).or_default() += 1;
+    }
+    let mut in_model: BTreeMap<&str, usize> = BTreeMap::new();
+    for event in &model.events {
+        *in_model.entry(index_and_tag(event).1).or_default() += 1;
+    }
+    assert_eq!(in_model, in_trace);
+    for tag in ["tx", "rx", "enq", "sink", "route", "relay", "e2e-deliver"] {
+        assert!(in_model.contains_key(tag), "routed trace carries {tag}");
+    }
 }
 
 #[test]

@@ -82,7 +82,6 @@ impl Ropa {
                 id,
                 CoreConfig {
                     announce_delays: true,
-                    announce_table: true,
                     ..CoreConfig::default()
                 },
             ),

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use uasn_audit::invariant::ViolationKind;
 use uasn_audit::journey::reconstruct_paths;
-use uasn_audit::model::TraceModel;
+use uasn_audit::model::{ParsedRecord, RelayEvent, RouteEvent, TraceModel};
 use uasn_audit::monitor::StreamingMonitor;
 use uasn_audit::STREAMED_KINDS;
 use uasn_bench::figures::{FigureSpec, Metric};
@@ -184,7 +184,13 @@ fn streaming_loop_monitor_agrees_with_post_hoc_checker() {
     let records = out.tracer.records();
     assert!(!records.is_empty(), "trace captured");
     let model = TraceModel::from_records(records);
-    assert!(!model.route.is_empty(), "route records captured");
+    assert!(
+        model
+            .events
+            .iter()
+            .any(|e| matches!(e, ParsedRecord::Route(_))),
+        "route records captured"
+    );
 
     // Every delivered path is loop-free and TTL-bounded.
     let paths = reconstruct_paths(&model);
@@ -280,9 +286,12 @@ fn retry_exhaustion_reconciles_with_e2e_drop_records() {
 
     let reason_count = |reason: &str, terminal_only: bool| -> u64 {
         model
-            .route_drops
+            .events
             .iter()
-            .filter(|d| d.reason == reason && (!terminal_only || d.terminal))
+            .filter(|e| {
+                matches!(e, ParsedRecord::RouteDrop(d)
+                    if d.reason == reason && (!terminal_only || d.terminal))
+            })
             .count() as u64
     };
     assert!(out.report.retry_dropped > 0, "budget 1 exhausts");
@@ -313,44 +322,26 @@ fn retry_exhaustion_reconciles_with_e2e_drop_records() {
 /// opens a copy, a relay of an unopened copy opens it too, a delivery or
 /// copy-level drop closes one, and a terminal drop closes them all.
 fn multi_copy_terminal_drops(model: &TraceModel) -> usize {
-    let mut events: Vec<(usize, u64, Option<u64>, i8)> = Vec::new();
-    events.extend(
-        model
-            .route
-            .iter()
-            .map(|e| (e.record, e.sdu, Some(e.attempt), 1)),
-    );
-    events.extend(
-        model
-            .relay
-            .iter()
-            .map(|e| (e.record, e.sdu, Some(e.attempt), 1)),
-    );
-    events.extend(
-        model
-            .e2e_deliver
-            .iter()
-            .map(|e| (e.record, e.sdu, Some(e.attempt), -1)),
-    );
-    events.extend(model.route_drops.iter().map(|e| {
-        let op = if e.terminal { 0 } else { -1 };
-        (e.record, e.sdu, e.attempt, op)
-    }));
-    events.sort_by_key(|e| e.0);
     let mut open: HashSet<(u64, u64)> = HashSet::new();
     let mut multi = 0;
-    for (_, sdu, attempt, op) in events {
-        match (op, attempt) {
-            (1, Some(a)) => {
-                open.insert((sdu, a));
+    for event in &model.events {
+        match event {
+            ParsedRecord::Route(RouteEvent { sdu, attempt, .. })
+            | ParsedRecord::Relay(RelayEvent { sdu, attempt, .. }) => {
+                open.insert((*sdu, *attempt));
             }
-            (-1, Some(a)) => {
-                open.remove(&(sdu, a));
+            ParsedRecord::E2eDeliver(e) => {
+                open.remove(&(e.sdu, e.attempt));
             }
-            (0, _) => {
+            ParsedRecord::RouteDrop(e) if e.terminal => {
                 let before = open.len();
-                open.retain(|&(id, _)| id != sdu);
+                open.retain(|&(id, _)| id != e.sdu);
                 multi += usize::from(before - open.len() >= 2);
+            }
+            ParsedRecord::RouteDrop(e) => {
+                if let Some(a) = e.attempt {
+                    open.remove(&(e.sdu, a));
+                }
             }
             _ => {}
         }
@@ -402,8 +393,16 @@ fn overloaded_routed_run_keeps_online_post_hoc_parity() {
     );
 
     let paths = reconstruct_paths(&model);
-    assert_eq!(paths.len(), model.route.len(), "one path per route record");
-    for (path, route) in paths.iter().zip(&model.route) {
+    let routes: Vec<&RouteEvent> = model
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            ParsedRecord::Route(route) => Some(route),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(paths.len(), routes.len(), "one path per route record");
+    for (path, route) in paths.iter().zip(routes) {
         assert_eq!((path.sdu, path.attempt), (route.sdu, route.attempt));
     }
 }

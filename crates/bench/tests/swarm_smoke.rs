@@ -13,7 +13,7 @@
 use std::time::Duration;
 
 use uasn_audit::invariant::ViolationKind;
-use uasn_audit::model::TraceModel;
+use uasn_audit::model::{ParsedRecord, TraceModel};
 use uasn_audit::monitor::{MonitorReport, StreamingMonitor};
 use uasn_audit::STREAMED_KINDS;
 use uasn_bench::protocols::Protocol;
@@ -73,7 +73,13 @@ fn assert_swarm_invariants(out: &RunOutput, online: &MonitorReport) {
     // stream the capture retained, so replaying the capture through the
     // offline checker must reproduce their findings exactly.
     let model = TraceModel::from_records(out.tracer.records());
-    assert!(!model.route.is_empty(), "route records captured");
+    assert!(
+        model
+            .events
+            .iter()
+            .any(|e| matches!(e, ParsedRecord::Route(_))),
+        "route records captured"
+    );
     let post_hoc: Vec<_> = uasn_audit::check(&model)
         .into_iter()
         .filter(|v| STREAMED_KINDS.contains(&v.kind))

@@ -37,7 +37,9 @@ pub struct CoreConfig {
     /// overhearers (S-FAMA does not; its overhearers reserve τmax).
     pub announce_delays: bool,
     /// Whether RTS/CTS frames also carry the sender's one-hop table so
-    /// neighbours can assemble two-hop views (§5.3; ROPA and CS-MAC).
+    /// neighbours can assemble two-hop views (§5.3; CS-MAC, the one
+    /// reader of [`Frame::announced`]). ROPA's §5.3 table cost is charged
+    /// through its maintenance profile instead.
     pub announce_table: bool,
     /// The §3.1 RTS priority: with a rule, every RTS carries an `rp` and a
     /// receiver answers the highest (ties to the lowest sender index);

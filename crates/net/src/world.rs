@@ -14,7 +14,7 @@
 //! receiving MAC (addressed or overheard).
 //!
 //! The per-event maps keyed by simulator-minted integers (frame tokens,
-//! reception ids, SDU ids: `pending_tx`, `inflight_tx`, `pending_rx`,
+//! reception ids, SDU ids: `tx_frames`, `pending_rx`,
 //! `delivered`, the route runtime's `hops`) use the Fx hasher from
 //! `uasn_sim::hash`. They are only probed, never iterated, so the hash
 //! function cannot reach any output. Transport timeouts go to the event
@@ -159,7 +159,7 @@ impl ClockStats {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingRx {
     node: u32,
     frame: Frame,
@@ -246,8 +246,9 @@ struct NetworkWorld {
     /// visited while MAC-level duplicates of one copy still dedup.
     delivered: FxHashSet<(u64, u32, u64)>,
     cmd_buf: Vec<MacCommand>,
-    pending_tx: FxHashMap<u64, Frame>,
-    inflight_tx: FxHashMap<u64, Frame>,
+    /// Frames by token from `SendFrame` to `TxEnd`: queued until
+    /// `TxStart` stamps them, then in the air.
+    tx_frames: FxHashMap<u64, Frame>,
     pending_rx: FxHashMap<u64, PendingRx>,
     /// Armed MAC timers per node: each token with the tag of its latest
     /// arm. Re-arming or cancelling a token only rewrites or drops its
@@ -258,8 +259,8 @@ struct NetworkWorld {
     /// Tag for the next timer arm. Wraps; a stale event could only be
     /// mistaken for a live one after 2³² further arms while it is pending.
     next_arm: u32,
-    /// Scratch for the fan-out's batched event pushes: `schedule_arrival` /
-    /// `schedule_echo` stage their `RxStart`/`RxEnd` pairs here and
+    /// Scratch for the fan-out's batched event pushes: `book_reception`
+    /// stages each reception's `RxStart`/`RxEnd` pair here and
     /// `handle_tx_start` flushes them through `Schedule::at_batch` in one
     /// reserve-then-push pass. Push order equals the old per-call `sched.at`
     /// order, so event sequence numbers — and therefore equal-time FIFO
@@ -427,7 +428,7 @@ impl NetworkWorld {
                 let at = self.to_global(node, at);
                 let token = self.next_token;
                 self.next_token += 1;
-                self.pending_tx.insert(token, frame);
+                self.tx_frames.insert(token, frame);
                 sched.at(
                     at,
                     NetEvent::TxStart {
@@ -483,7 +484,7 @@ impl NetworkWorld {
     }
 
     fn handle_tx_start(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, token: u64) {
-        let Some(mut frame) = self.pending_tx.remove(&token) else {
+        let Some(mut frame) = self.tx_frames.remove(&token) else {
             return;
         };
         if self.modems[node].is_transmitting() {
@@ -570,11 +571,27 @@ impl NetworkWorld {
                 link.snr_db,
                 frame.bits,
             );
-            self.schedule_arrival(link.rx, &frame, token, link.delay, duration, pre_lost);
+            let arrival = PendingRx {
+                node: link.rx,
+                frame: frame.clone(),
+                arrival_start: self.now + link.delay,
+                sent_at: self.now,
+                pre_lost,
+                group: token,
+                is_echo: false,
+                rid: None,
+            };
             // Surface-bounce echo (when the channel models multipath): a
             // delayed, data-less copy that occupies the receiver.
-            if let Some(echo_delay) = link.echo_delay {
-                self.schedule_echo(link.rx, &frame, token, echo_delay, duration);
+            let echo = link.echo_delay.map(|echo_delay| PendingRx {
+                arrival_start: self.now + echo_delay,
+                pre_lost: true,
+                is_echo: true,
+                ..arrival.clone()
+            });
+            self.book_reception(arrival, duration);
+            if let Some(echo) = echo {
+                self.book_reception(echo, duration);
             }
         }
         // One reserve + push pass for the whole fan-out instead of 2(+2)
@@ -585,7 +602,7 @@ impl NetworkWorld {
         self.event_buf = buf;
         self.registry.observe("net.fanout", fanout as u64);
 
-        self.inflight_tx.insert(token, frame);
+        self.tx_frames.insert(token, frame);
         sched.at(
             self.now + duration,
             NetEvent::TxEnd {
@@ -595,78 +612,24 @@ impl NetworkWorld {
         );
     }
 
-    /// Books one direct-path reception: pending-rx entry plus its
-    /// `RxStart`/`RxEnd` pair staged into [`Self::event_buf`] (the caller
-    /// flushes the whole fan-out in one batch). Token allocation order is
-    /// part of the determinism contract the golden traces pin.
-    fn schedule_arrival(
-        &mut self,
-        rx_node: u32,
-        frame: &Frame,
-        group: u64,
-        delay: SimDuration,
-        duration: SimDuration,
-        pre_lost: bool,
-    ) {
-        let rx_token = self.next_token;
+    /// Books one reception — a direct arrival or a surface echo: mints
+    /// its token, files it as pending and stages its `RxStart`/`RxEnd`
+    /// pair into [`Self::event_buf`] (the caller flushes the whole fan-out
+    /// in one batch). Token allocation order is part of the determinism
+    /// contract the golden traces pin.
+    fn book_reception(&mut self, rx: PendingRx, duration: SimDuration) {
+        let token = self.next_token;
         self.next_token += 1;
-        let arrival_start = self.now + delay;
-        self.pending_rx.insert(
-            rx_token,
-            PendingRx {
-                node: rx_node,
-                frame: frame.clone(),
-                arrival_start,
-                sent_at: self.now,
-                pre_lost,
-                group,
-                is_echo: false,
-                rid: None,
-            },
-        );
+        let start = rx.arrival_start;
+        self.pending_rx.insert(token, rx);
+        self.event_buf.push((start, NetEvent::RxStart { token }));
         self.event_buf
-            .push((arrival_start, NetEvent::RxStart { token: rx_token }));
-        self.event_buf.push((
-            arrival_start + duration,
-            NetEvent::RxEnd { token: rx_token },
-        ));
-    }
-
-    /// Books one surface-echo reception: occupies the receiver, never
-    /// decodes. Staged into [`Self::event_buf`] like direct arrivals.
-    fn schedule_echo(
-        &mut self,
-        rx_node: u32,
-        frame: &Frame,
-        group: u64,
-        echo_delay: SimDuration,
-        duration: SimDuration,
-    ) {
-        let echo_token = self.next_token;
-        self.next_token += 1;
-        let echo_start = self.now + echo_delay;
-        self.pending_rx.insert(
-            echo_token,
-            PendingRx {
-                node: rx_node,
-                frame: frame.clone(),
-                arrival_start: echo_start,
-                sent_at: self.now,
-                pre_lost: true,
-                group,
-                is_echo: true,
-                rid: None,
-            },
-        );
-        self.event_buf
-            .push((echo_start, NetEvent::RxStart { token: echo_token }));
-        self.event_buf
-            .push((echo_start + duration, NetEvent::RxEnd { token: echo_token }));
+            .push((start + duration, NetEvent::RxEnd { token }));
     }
 
     fn handle_tx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, token: u64) {
         let frame = self
-            .inflight_tx
+            .tx_frames
             .remove(&token)
             .expect("TxEnd without inflight frame");
         self.modems[node].end_transmit(self.now);
@@ -1667,8 +1630,7 @@ impl Simulation {
             metrics,
             delivered: FxHashSet::default(),
             cmd_buf: Vec::new(),
-            pending_tx: FxHashMap::default(),
-            inflight_tx: FxHashMap::default(),
+            tx_frames: FxHashMap::default(),
             pending_rx: FxHashMap::default(),
             timers: vec![Vec::new(); n],
             next_arm: 0,
@@ -1726,7 +1688,7 @@ impl Simulation {
                     me,
                     world.cfg.control_bits,
                 );
-                world.pending_tx.insert(token, beacon);
+                world.tx_frames.insert(token, beacon);
                 let at = SimTime::ZERO + SimDuration::from_micros(17_000 * i as u64 + 1_000);
                 engine.seed_event(
                     at,

@@ -93,8 +93,6 @@ pub struct PendingSdu {
     pub origin: u32,
     /// Payload size, bits (retries rebuild the SDU).
     pub bits: u32,
-    /// Generation time, microseconds (retries keep the original anchor).
-    pub created_us: u64,
     /// Zero-based attempt number of the copy currently in flight.
     pub attempts: u32,
 }
@@ -116,12 +114,6 @@ pub enum TimeoutVerdict {
 pub struct TransportTable {
     cfg: TransportConfig,
     pending: FxHashMap<u64, PendingSdu>,
-    /// SDUs retired by an ack.
-    acked: u64,
-    /// SDUs retired by retry exhaustion.
-    exhausted: u64,
-    /// Retransmissions issued.
-    retries: u64,
 }
 
 impl TransportTable {
@@ -133,11 +125,6 @@ impl TransportTable {
         }
     }
 
-    /// The table's configuration.
-    pub fn config(&self) -> &TransportConfig {
-        &self.cfg
-    }
-
     /// Registers a freshly injected SDU and returns the absolute deadline
     /// of its first timeout (saturating at `u64::MAX`).
     pub fn register(&mut self, sdu: u64, origin: u32, bits: u32, now_us: u64) -> u64 {
@@ -146,7 +133,6 @@ impl TransportTable {
             PendingSdu {
                 origin,
                 bits,
-                created_us: now_us,
                 attempts: 0,
             },
         );
@@ -158,17 +144,10 @@ impl TransportTable {
         self.pending.get(&sdu)
     }
 
-    /// In-flight SDU count.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Retires `sdu` on a sink ack. Returns the entry when it was still
     /// pending (`None` for duplicate acks or unknown ids).
     pub fn ack(&mut self, sdu: u64) -> Option<PendingSdu> {
-        let entry = self.pending.remove(&sdu)?;
-        self.acked += 1;
-        Some(entry)
+        self.pending.remove(&sdu)
     }
 
     /// Handles a fired timeout at `now_us`. Returns `None` when the SDU
@@ -180,11 +159,9 @@ impl TransportTable {
         let entry = self.pending.get_mut(&sdu)?;
         if entry.attempts >= self.cfg.retry_budget {
             let entry = self.pending.remove(&sdu).expect("just present");
-            self.exhausted += 1;
             return Some((entry, TimeoutVerdict::Exhausted));
         }
         entry.attempts += 1;
-        self.retries += 1;
         let deadline = now_us.saturating_add(self.cfg.timeout_us(entry.attempts));
         Some((
             *entry,
@@ -192,21 +169,6 @@ impl TransportTable {
                 deadline_us: deadline,
             },
         ))
-    }
-
-    /// SDUs retired by acks so far.
-    pub fn acked(&self) -> u64 {
-        self.acked
-    }
-
-    /// SDUs retired by retry exhaustion so far.
-    pub fn exhausted(&self) -> u64 {
-        self.exhausted
-    }
-
-    /// Retransmissions issued so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
     }
 }
 
@@ -251,11 +213,11 @@ mod tests {
         let mut t = table(2);
         let deadline = t.register(7, 4, 2_048, 100);
         assert_eq!(deadline, 1_100);
-        assert_eq!(t.pending_len(), 1);
+        assert_eq!(t.pending(7).map(|e| e.attempts), Some(0));
         let entry = t.ack(7).expect("pending");
         assert_eq!(entry.origin, 4);
         assert_eq!(entry.bits, 2_048);
-        assert_eq!(t.acked(), 1);
+        assert!(t.pending(7).is_none(), "the ack retired the entry");
         assert!(t.ack(7).is_none(), "duplicate ack");
         assert!(t.on_timeout(7, 5_000).is_none(), "stale timeout");
     }
@@ -273,9 +235,7 @@ mod tests {
         let (e, v) = t.on_timeout(9, 7_000).expect("pending");
         assert_eq!(v, TimeoutVerdict::Exhausted);
         assert_eq!(e.attempts, 2);
-        assert_eq!(t.pending_len(), 0);
-        assert_eq!(t.exhausted(), 1);
-        assert_eq!(t.retries(), 2);
+        assert!(t.pending(9).is_none(), "exhaustion retired the entry");
         assert!(t.on_timeout(9, 9_000).is_none(), "already exhausted");
     }
 
