@@ -9,11 +9,13 @@
 //! (Fig 6). CS-MAC carries two-hop neighbour information in its control
 //! packets, which the paper charges heavily in §5.3.
 
+use std::sync::Arc;
+
 use uasn_net::mac::{
     DropReason, MacContext, MacProtocol, MaintenanceProfile, NeighborInfoScope, Reception,
     TimerToken,
 };
-use uasn_net::neighbor::TwoHopTable;
+use uasn_net::neighbor::{snapshot_of, TwoHopTable};
 use uasn_net::node::NodeId;
 use uasn_net::packet::{Frame, FrameKind, Sdu};
 use uasn_net::slots::SlotIndex;
@@ -206,11 +208,7 @@ impl MacProtocol for CsMac {
 
     fn install_two_hop(&mut self, tables: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {
         for (neighbor, list) in tables {
-            let mut table = uasn_net::neighbor::OneHopTable::new();
-            for &(id, delay) in list {
-                table.observe(id, delay, SimTime::ZERO);
-            }
-            self.two_hop.install(*neighbor, table);
+            self.two_hop.install(*neighbor, snapshot_of(list));
         }
     }
 
@@ -226,13 +224,10 @@ impl MacProtocol for CsMac {
         let frame = rx.frame;
         let to_me = rx.addressed_to(self.id());
 
-        // Assemble the two-hop view from piggybacked announcements.
-        if !frame.announced.is_empty() {
-            let mut table = uasn_net::neighbor::OneHopTable::new();
-            for &(id, delay) in &frame.announced {
-                table.observe(id, delay, ctx.now());
-            }
-            self.two_hop.install(frame.src, table);
+        // Assemble the two-hop view from piggybacked announcements: the
+        // sender's snapshot is the frame's own shared slice.
+        if let Some(announced) = &frame.announced {
+            self.two_hop.install(frame.src, Arc::clone(announced));
         }
 
         // A stolen transmission's Ack arrives outside any core exchange.
@@ -497,6 +492,52 @@ mod tests {
         assert!(!h.mac.stealing);
         assert_eq!(h.mac.queue_len(), 1);
         assert_eq!(h.mac.core.queue.front().unwrap().retries, 1);
+    }
+
+    #[test]
+    fn announced_rts_installs_and_replaces_the_senders_snapshot() {
+        let mut h = H::new(0);
+        let clock = h.clock;
+        let from_4 = |entries: &[(u32, u64)]| {
+            let list: Vec<(NodeId, SimDuration)> = entries
+                .iter()
+                .map(|&(id, ms)| (NodeId::new(id), SimDuration::from_millis(ms)))
+                .collect();
+            let rts = Frame::control(FrameKind::Rts, NodeId::new(4), NodeId::new(9), 64)
+                .with_announced(Some(snapshot_of(&list)));
+            stamp(rts, &clock, 1)
+        };
+        let first = from_4(&[(2, 300), (7, 950)]);
+        let shared = Arc::clone(first.announced.as_ref().unwrap());
+        h.recv(first, SimDuration::from_millis(300));
+        let installed = h.mac.two_hop.snapshot(NodeId::new(4)).unwrap();
+        assert!(Arc::ptr_eq(installed, &shared), "installed by pointer");
+        assert_eq!(
+            h.mac.two_hop.delay_between(NodeId::new(4), NodeId::new(7)),
+            Some(SimDuration::from_millis(950))
+        );
+        // A later announcement replaces the whole snapshot.
+        h.recv(from_4(&[(8, 120)]), SimDuration::from_millis(300));
+        assert_eq!(h.mac.two_hop.len(), 1);
+        assert_eq!(
+            h.mac.two_hop.delay_between(NodeId::new(4), NodeId::new(7)),
+            None
+        );
+        assert_eq!(
+            h.mac.two_hop.delay_between(NodeId::new(4), NodeId::new(8)),
+            Some(SimDuration::from_millis(120))
+        );
+        // A frame without an announcement leaves the snapshot alone.
+        let bare = stamp(
+            Frame::control(FrameKind::Rts, NodeId::new(4), NodeId::new(9), 64),
+            &clock,
+            3,
+        );
+        h.recv(bare, SimDuration::from_millis(300));
+        assert_eq!(
+            h.mac.two_hop.snapshot(NodeId::new(4)).map(|s| s.len()),
+            Some(1)
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! energy. The bit-size constants here drive that accounting.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use uasn_sim::time::{SimDuration, SimTime};
 
@@ -127,11 +128,54 @@ impl OneHopTable {
     }
 }
 
+/// One node's one-hop delays as a shared slice, ascending by neighbour id
+/// with each id once: what a control frame piggybacks
+/// ([`Frame::announced`](crate::packet::Frame::announced)) and what a
+/// [`TwoHopTable`] keeps per neighbour. Cloning it clones a pointer, so
+/// every receiver of one announcement installs the same allocation.
+pub type DelaySnapshot = Arc<[(NodeId, SimDuration)]>;
+
+/// Builds a [`DelaySnapshot`] from `entries` in any order. A later entry
+/// for an id replaces an earlier one, as repeated
+/// [`OneHopTable::observe`] calls would. An already sorted, duplicate-free
+/// list (a fan-out row, a table walk) is copied once without sorting.
+pub fn snapshot_of(entries: &[(NodeId, SimDuration)]) -> DelaySnapshot {
+    if entries.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Arc::from(entries);
+    }
+    let mut unique = entries.to_vec();
+    // Reversed first, the stable sort puts each id's last entry ahead of
+    // its earlier ones, and `dedup_by_key` keeps the first of each run.
+    unique.reverse();
+    unique.sort_by_key(|&(id, _)| id);
+    unique.dedup_by_key(|&mut (id, _)| id);
+    Arc::from(unique)
+}
+
 /// Two-hop table: for each one-hop neighbour, a snapshot of *their* one-hop
 /// delays (what ROPA and CS-MAC maintain and periodically re-broadcast).
+///
+/// A snapshot is the neighbour's announcement itself, shared with the frame
+/// that carried it; lookups binary-search it.
+///
+/// # Examples
+///
+/// ```
+/// use uasn_net::neighbor::{snapshot_of, TwoHopTable};
+/// use uasn_net::node::NodeId;
+/// use uasn_sim::time::SimDuration;
+///
+/// let mut table = TwoHopTable::new();
+/// let theirs = snapshot_of(&[(NodeId::new(7), SimDuration::from_millis(420))]);
+/// table.install(NodeId::new(3), theirs);
+/// assert_eq!(
+///     table.delay_between(NodeId::new(3), NodeId::new(7)),
+///     Some(SimDuration::from_millis(420))
+/// );
+/// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TwoHopTable {
-    snapshots: BTreeMap<NodeId, OneHopTable>,
+    snapshots: BTreeMap<NodeId, DelaySnapshot>,
 }
 
 impl TwoHopTable {
@@ -140,19 +184,27 @@ impl TwoHopTable {
         TwoHopTable::default()
     }
 
-    /// Installs `neighbor`'s announced one-hop table.
-    pub fn install(&mut self, neighbor: NodeId, table: OneHopTable) {
-        self.snapshots.insert(neighbor, table);
+    /// Installs `neighbor`'s announced delays, replacing its previous
+    /// snapshot wholesale. `snapshot` must be ascending by id with each id
+    /// once (see [`snapshot_of`]).
+    pub fn install(&mut self, neighbor: NodeId, snapshot: DelaySnapshot) {
+        debug_assert!(
+            snapshot.windows(2).all(|w| w[0].0 < w[1].0),
+            "a two-hop snapshot must be sorted by id without duplicates"
+        );
+        self.snapshots.insert(neighbor, snapshot);
     }
 
     /// The delay between `neighbor` and one of *its* neighbours `other`, if
     /// known.
     pub fn delay_between(&self, neighbor: NodeId, other: NodeId) -> Option<SimDuration> {
-        self.snapshots.get(&neighbor)?.delay_of(other)
+        let snapshot = self.snapshots.get(&neighbor)?;
+        let at = snapshot.binary_search_by_key(&other, |&(id, _)| id).ok()?;
+        Some(snapshot[at].1)
     }
 
     /// The snapshot announced by `neighbor`, if any.
-    pub fn snapshot(&self, neighbor: NodeId) -> Option<&OneHopTable> {
+    pub fn snapshot(&self, neighbor: NodeId) -> Option<&DelaySnapshot> {
         self.snapshots.get(&neighbor)
     }
 
@@ -230,9 +282,7 @@ mod tests {
     #[test]
     fn two_hop_lookup() {
         let mut mine = TwoHopTable::new();
-        let mut theirs = OneHopTable::new();
-        theirs.observe(NodeId::new(7), d(420), t(0));
-        mine.install(NodeId::new(3), theirs);
+        mine.install(NodeId::new(3), snapshot_of(&[(NodeId::new(7), d(420))]));
         assert_eq!(
             mine.delay_between(NodeId::new(3), NodeId::new(7)),
             Some(d(420))
@@ -245,16 +295,18 @@ mod tests {
     #[test]
     fn two_hop_reinstall_replaces() {
         let mut mine = TwoHopTable::new();
-        let mut a = OneHopTable::new();
-        a.observe(NodeId::new(7), d(420), t(0));
-        a.observe(NodeId::new(8), d(100), t(0));
+        let a = snapshot_of(&[(NodeId::new(7), d(420)), (NodeId::new(8), d(100))]);
         mine.install(NodeId::new(3), a);
-        let entries = |t: &TwoHopTable| t.snapshot(NodeId::new(3)).map(OneHopTable::len);
+        let entries = |t: &TwoHopTable| t.snapshot(NodeId::new(3)).map(|s| s.len());
         assert_eq!(entries(&mine), Some(2));
-        let mut b = OneHopTable::new();
-        b.observe(NodeId::new(9), d(50), t(5));
-        mine.install(NodeId::new(3), b);
+        let b = snapshot_of(&[(NodeId::new(9), d(50))]);
+        mine.install(NodeId::new(3), Arc::clone(&b));
         assert_eq!(entries(&mine), Some(1));
+        assert!(Arc::ptr_eq(mine.snapshot(NodeId::new(3)).unwrap(), &b));
         assert_eq!(mine.delay_between(NodeId::new(3), NodeId::new(7)), None);
+        assert_eq!(
+            mine.delay_between(NodeId::new(3), NodeId::new(9)),
+            Some(d(50))
+        );
     }
 }

@@ -15,6 +15,7 @@ use std::fmt;
 
 use uasn_sim::time::{SimDuration, SimTime};
 
+use crate::neighbor::DelaySnapshot;
 use crate::node::NodeId;
 
 /// The paper's packet kinds (Table 1) plus the maintenance beacon and
@@ -157,9 +158,12 @@ pub struct Frame {
     /// Whether this data frame is a retransmission (overhead accounting).
     pub retx: bool,
     /// One-hop delay entries piggybacked on this frame (§5.3: ROPA and
-    /// CS-MAC "control packets include the extra … neighbor information").
-    /// Receivers with two-hop scope install them as the sender's table.
-    pub announced: Vec<(NodeId, SimDuration)>,
+    /// CS-MAC "control packets include the extra … neighbor information"),
+    /// ascending by id with each id once. Receivers with two-hop scope
+    /// install the shared slice itself as the sender's snapshot (a pointer
+    /// clone). `None` when nothing is announced, so an ordinary frame
+    /// allocates nothing for it.
+    pub announced: Option<DelaySnapshot>,
     /// Further SDUs aggregated into this data frame beyond [`Frame::sdu`]
     /// (§2: "data should be collected and then transmitted when the amount
     /// of data is sufficient"; §4.3: packets are "not bound by a fixed
@@ -187,7 +191,7 @@ impl Frame {
             data_duration: None,
             sdu: None,
             retx: false,
-            announced: Vec::new(),
+            announced: None,
             bundle: Vec::new(),
         }
     }
@@ -210,7 +214,7 @@ impl Frame {
             data_duration: None,
             sdu: Some(sdu),
             retx: false,
-            announced: Vec::new(),
+            announced: None,
             bundle: Vec::new(),
         }
     }
@@ -239,8 +243,9 @@ impl Frame {
         self
     }
 
-    /// Piggybacks one-hop delay entries on the frame.
-    pub fn with_announced(mut self, entries: Vec<(NodeId, SimDuration)>) -> Self {
+    /// Piggybacks one-hop delay entries on the frame (`None`: nothing to
+    /// announce).
+    pub fn with_announced(mut self, entries: Option<DelaySnapshot>) -> Self {
         self.announced = entries;
         self
     }

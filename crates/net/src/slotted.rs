@@ -16,7 +16,7 @@ use rand::Rng;
 use uasn_sim::time::{SimDuration, SimTime};
 
 use crate::mac::{DropReason, MacContext, Reception};
-use crate::neighbor::OneHopTable;
+use crate::neighbor::{DelaySnapshot, OneHopTable};
 use crate::node::NodeId;
 use crate::packet::{Frame, FrameKind, Sdu};
 use crate::priority::{pick_winner, priority_value, PriorityRule};
@@ -304,14 +304,20 @@ impl SlottedCore {
     }
 
     /// The one-hop entries this node piggybacks when `announce_table` is
-    /// set, capped so control packets stay bounded.
-    pub fn table_announcement(&self) -> Vec<(NodeId, SimDuration)> {
+    /// set, capped so control packets stay bounded; `None` while the table
+    /// is empty. Built once per frame and shared by all its receivers.
+    pub fn table_announcement(&self) -> Option<DelaySnapshot> {
         const MAX_ENTRIES: usize = 16;
-        self.neighbors
+        if self.neighbors.is_empty() {
+            return None;
+        }
+        let entries = self
+            .neighbors
             .iter()
             .take(MAX_ENTRIES)
             .map(|(id, e)| (id, e.delay))
-            .collect()
+            .collect();
+        Some(entries)
     }
 
     /// How many consecutive head SDUs (same next hop) one data frame will

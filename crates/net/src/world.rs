@@ -6,12 +6,16 @@
 //! `uasn-phy`, collision overlap in each node's modem ledger, energy
 //! integration — while protocols only see the [`MacProtocol`] callbacks.
 //!
-//! Event flow for one transmission: a MAC queues `SendFrame` → `TxStart`
-//! stamps the timestamp, seizes the modem and fans out `RxStart`/`RxEnd`
-//! pairs to every audible node at its propagation delay → `RxEnd` consults
-//! the receiver's modem ledger (overlap ⇒ collision, own-tx ⇒ half-duplex
-//! loss) and the channel's PER draw, then delivers the decoded frame to the
-//! receiving MAC (addressed or overheard).
+//! Event flow for one transmission: a MAC queues `SendFrame`, and the
+//! world files the frame as one shared `Rc<Frame>` → `TxStart` stamps the
+//! timestamp while the frame is still unshared, seizes the modem and fans
+//! out `RxStart`/`RxEnd` pairs to every audible node at its propagation
+//! delay, each pending reception (surface echoes too) holding a pointer
+//! to that one frame → `RxEnd` consults the receiver's modem ledger
+//! (overlap ⇒ collision, own-tx ⇒ half-duplex loss) and the channel's PER
+//! draw, then lends the decoded frame to the receiving MAC (addressed or
+//! overheard) → `TxEnd` lends it to the sender's MAC and drops the in-air
+//! entry.
 //!
 //! The per-event maps keyed by simulator-minted integers (frame tokens,
 //! reception ids, SDU ids: `tx_frames`, `pending_rx`,
@@ -19,6 +23,8 @@
 //! `uasn_sim::hash`. They are only probed, never iterated, so the hash
 //! function cannot reach any output. Transport timeouts go to the event
 //! queue's per-attempt FIFO lanes (`uasn_route::timeout_lane`).
+
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 
@@ -162,7 +168,8 @@ impl ClockStats {
 #[derive(Debug, Clone)]
 struct PendingRx {
     node: u32,
-    frame: Frame,
+    /// The transmission's one frame, shared with its other receptions.
+    frame: Rc<Frame>,
     arrival_start: SimTime,
     /// Global send instant — the true-propagation reference. The frame's
     /// own `timestamp` is the *sender-local* reading and drifts with it.
@@ -247,8 +254,9 @@ struct NetworkWorld {
     delivered: FxHashSet<(u64, u32, u64)>,
     cmd_buf: Vec<MacCommand>,
     /// Frames by token from `SendFrame` to `TxEnd`: queued until
-    /// `TxStart` stamps them, then in the air.
-    tx_frames: FxHashMap<u64, Frame>,
+    /// `TxStart` stamps them, then in the air. Each transmission has one
+    /// allocation, which its receptions share.
+    tx_frames: FxHashMap<u64, Rc<Frame>>,
     pending_rx: FxHashMap<u64, PendingRx>,
     /// Armed MAC timers per node: each token with the tag of its latest
     /// arm. Re-arming or cancelling a token only rewrites or drops its
@@ -428,7 +436,7 @@ impl NetworkWorld {
                 let at = self.to_global(node, at);
                 let token = self.next_token;
                 self.next_token += 1;
-                self.tx_frames.insert(token, frame);
+                self.tx_frames.insert(token, Rc::new(frame));
                 sched.at(
                     at,
                     NetEvent::TxStart {
@@ -507,7 +515,9 @@ impl NetworkWorld {
         // §4.3: the frame carries the *sender's* clock reading, which is
         // what receivers difference against. Identical to `self.now` under
         // ideal clocks.
-        frame.timestamp = self.local_now(node);
+        Rc::get_mut(&mut frame)
+            .expect("a frame is unshared until it starts")
+            .timestamp = self.local_now(node);
         let duration = self.spec.tx_duration(frame.bits);
         self.modems[node].begin_transmit(self.now, self.now + duration);
         self.sync_energy(node);
@@ -573,7 +583,7 @@ impl NetworkWorld {
             );
             let arrival = PendingRx {
                 node: link.rx,
-                frame: frame.clone(),
+                frame: Rc::clone(&frame),
                 arrival_start: self.now + link.delay,
                 sent_at: self.now,
                 pre_lost,
@@ -741,8 +751,7 @@ impl NetworkWorld {
         // …then account data deliveries (every SDU riding the frame) and
         // forward toward the surface.
         if addressed && frame.kind.is_data() {
-            let sdus: Vec<Sdu> = frame.sdus().copied().collect();
-            for sdu in sdus {
+            for &sdu in frame.sdus() {
                 let copy = if self.route.is_some() {
                     sdu.created.as_micros()
                 } else {
@@ -1688,7 +1697,7 @@ impl Simulation {
                     me,
                     world.cfg.control_bits,
                 );
-                world.tx_frames.insert(token, beacon);
+                world.tx_frames.insert(token, Rc::new(beacon));
                 let at = SimTime::ZERO + SimDuration::from_micros(17_000 * i as u64 + 1_000);
                 engine.seed_event(
                     at,
@@ -2077,6 +2086,42 @@ mod tests {
         // Blast MAC has a None maintenance scope: zero charge either way.
         assert_eq!(a.maintenance_bits, 0);
         assert_eq!(b.maintenance_bits, 0);
+    }
+
+    #[test]
+    fn one_transmission_shares_one_frame() {
+        // Hello beacons over a lossless two-ray channel: node 0's beacon
+        // goes out at 1 ms, and a microsecond later its direct arrivals and
+        // surface echoes are all still pending.
+        let base = small_cfg();
+        let cfg = SimConfig {
+            hello_init: true,
+            channel: base.channel.clone().with_two_ray(0.0),
+            ..base
+        };
+        let mut sim = Simulation::new(cfg, &blast_factory).unwrap();
+        sim.engine.run(
+            &mut sim.world,
+            SimTime::ZERO + SimDuration::from_micros(1_001),
+        );
+        let world = &sim.world;
+        let (&token, in_air) = world
+            .tx_frames
+            .iter()
+            .find(|(_, f)| f.src == NodeId::new(0))
+            .expect("node 0's beacon is in the air");
+        assert_ne!(in_air.timestamp, SimTime::ZERO, "stamped at TxStart");
+        let receptions: Vec<&PendingRx> = world
+            .pending_rx
+            .values()
+            .filter(|rx| rx.group == token)
+            .collect();
+        let echoes = receptions.iter().filter(|rx| rx.is_echo).count();
+        assert!(echoes > 0 && echoes < receptions.len(), "{echoes} echoes");
+        for rx in &receptions {
+            assert!(Rc::ptr_eq(&rx.frame, in_air), "one allocation");
+        }
+        assert_eq!(Rc::strong_count(in_air), 1 + receptions.len());
     }
 
     /// A MAC of a given neighbour scope that counts the oracle table
