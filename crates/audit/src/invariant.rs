@@ -1,9 +1,9 @@
-//! Trace replay against the protocol invariants the simulator (and the
-//! paper) promise.
+//! The protocol invariants the simulator (and the paper) promise: the
+//! [`Violation`] vocabulary, and [`check`], the post-hoc replay of a
+//! captured trace.
 //!
-//! Each check walks the typed [`TraceModel`] and emits [`Violation`]s
-//! carrying the index of the offending trace record, so a finding can be
-//! traced back to the exact JSONL line that produced it.
+//! Every finding carries the index of the offending trace record, so it
+//! can be traced back to the exact JSONL line that produced it.
 //!
 //! The headline check is the paper's non-interference guarantee (§4.3):
 //! EW-MAC's extra communications (EXR/EXC/EXData/EXAck) must fit inside the
@@ -14,16 +14,15 @@
 //! protocol uses (`ObservedNegotiation`), so the checker and the
 //! implementation can only agree by both matching the paper's equations.
 //!
-//! The frame-level checks (half-duplex, slot alignment, extra-window) and
-//! the routing-loop check live in [`crate::monitor`] as incremental state
-//! machines; [`check`] replays the model's one event list through
+//! Every check lives in [`crate::monitor`] as an incremental state
+//! machine; [`check`] keeps no state of its own and only replays the
+//! model's run description and one event list through
 //! [`MonitorSet::observe`], the same call the streaming sink makes, which
 //! is what guarantees the streaming and post-hoc paths can never disagree.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::model::{ParsedRecord, RunInfo, RxEvent, TraceModel};
+use crate::model::{ParsedRecord, TraceModel};
 use crate::monitor::MonitorSet;
 
 /// What kind of promise a violation breaks.
@@ -49,6 +48,18 @@ pub enum ViolationKind {
     /// path length escaped the hop-count TTL: depth-monotone forwarding
     /// promises both never happen.
     RoutingLoop,
+}
+
+impl ViolationKind {
+    /// Every kind, in display order.
+    pub const ALL: [ViolationKind; 6] = [
+        ViolationKind::OverlappingReceptions,
+        ViolationKind::HalfDuplexDecode,
+        ViolationKind::SlotMisalignment,
+        ViolationKind::ExtraWindowIntrusion,
+        ViolationKind::PropagationInconsistency,
+        ViolationKind::RoutingLoop,
+    ];
 }
 
 impl fmt::Display for ViolationKind {
@@ -111,21 +122,15 @@ pub(crate) fn overlaps(a_start: u64, a_end: u64, b_start: u64, b_end: u64) -> bo
 /// Runs every applicable check over the model and returns all violations,
 /// ordered by the trace record they point at.
 ///
-/// The four streamable checks — half-duplex decode, slot alignment,
-/// extra-window non-interference, routing-loop freedom — are implemented once, as the
-/// incremental state machines in [`crate::monitor::MonitorSet`]; this
-/// function feeds them the run description and then the model's events,
-/// in record order, through [`MonitorSet::observe`], so the online and
-/// post-hoc paths agree by construction. The remaining checks
-/// (overlapping receptions, propagation consistency) need cross-record
-/// sorting or whole-run pair state and stay replay-only.
+/// This is a replay: the run description and then the model's events, in
+/// record order, go through [`MonitorSet::observe`] — the call a
+/// streaming sink makes during the run — so the online and post-hoc
+/// paths agree by construction.
 ///
 /// Checks that need the run geometry (slot alignment, extra-window
 /// non-interference, propagation bounds) are skipped when the trace has no
 /// `run-info` record; callers should surface that as a warning.
 pub fn check(model: &TraceModel) -> Vec<Violation> {
-    let mut out = Vec::new();
-    check_overlapping_receptions(model, &mut out);
     let mut monitors = MonitorSet::new();
     if let Some(run) = &model.run_info {
         monitors.observe(&ParsedRecord::RunInfo(Box::new(run.clone())));
@@ -133,120 +138,15 @@ pub fn check(model: &TraceModel) -> Vec<Violation> {
     for event in &model.events {
         monitors.observe(event);
     }
-    out.extend(monitors.into_findings());
-    if let Some(run) = &model.run_info {
-        check_propagation(model, run, &mut out);
-    }
+    let mut out = monitors.into_findings();
     out.sort_by_key(|v| (v.record_index, v.time_us));
     out
-}
-
-/// The model's decoded receptions, in record order.
-fn receptions(model: &TraceModel) -> impl Iterator<Item = &RxEvent> {
-    model.events.iter().filter_map(|e| match e {
-        ParsedRecord::Rx(rx) => Some(rx),
-        _ => None,
-    })
-}
-
-/// Decoded receptions at one node must be serial: the modem records every
-/// overlapping arrival as a collision loss, so two decoded `rx` intervals
-/// sharing time means the collision model was bypassed.
-fn check_overlapping_receptions(model: &TraceModel, out: &mut Vec<Violation>) {
-    let mut by_node: HashMap<usize, Vec<&RxEvent>> = HashMap::new();
-    for rx in receptions(model) {
-        by_node.entry(rx.node).or_default().push(rx);
-    }
-    let mut nodes: Vec<_> = by_node.into_iter().collect();
-    nodes.sort_by_key(|(n, _)| *n);
-    for (node, mut rxs) in nodes {
-        rxs.sort_by_key(|r| (r.start_us, r.end_us));
-        let mut prev: Option<&RxEvent> = None;
-        for rx in rxs {
-            if let Some(p) = prev {
-                if rx.start_us < p.end_us {
-                    out.push(Violation {
-                        kind: ViolationKind::OverlappingReceptions,
-                        record_index: rx.record,
-                        time_us: rx.start_us,
-                        node: Some(node),
-                        detail: format!(
-                            "{} from n{} decoded over [{}, {}] us while {} from n{} \
-                             (record #{}) still occupied [{}, {}] us",
-                            rx.kind,
-                            rx.src,
-                            rx.start_us,
-                            rx.end_us,
-                            p.kind,
-                            p.src,
-                            p.record,
-                            p.start_us,
-                            p.end_us
-                        ),
-                        observed_us: Some(p.end_us.saturating_sub(rx.start_us)),
-                        allowed_us: Some(0),
-                    });
-                }
-            }
-            // Track the latest-ending interval so a long reception is
-            // compared against everything it covers.
-            prev = match prev {
-                Some(p) if p.end_us > rx.end_us => Some(p),
-                _ => Some(rx),
-            };
-        }
-    }
-}
-
-/// Propagation must respect the channel: never beyond τmax, and constant
-/// for a fixed pair of nodes when mobility is off.
-fn check_propagation(model: &TraceModel, run: &RunInfo, out: &mut Vec<Violation>) {
-    let mut seen: HashMap<(usize, usize), (u64, usize)> = HashMap::new();
-    for rx in receptions(model) {
-        if rx.prop_us > run.tau_max_us {
-            out.push(Violation {
-                kind: ViolationKind::PropagationInconsistency,
-                record_index: rx.record,
-                time_us: rx.start_us,
-                node: Some(rx.node),
-                detail: format!(
-                    "{} from n{} propagated {} us, beyond tau_max = {} us",
-                    rx.kind, rx.src, rx.prop_us, run.tau_max_us
-                ),
-                observed_us: Some(rx.prop_us),
-                allowed_us: Some(run.tau_max_us),
-            });
-        }
-        if !run.mobility {
-            match seen.get(&(rx.src, rx.node)) {
-                None => {
-                    seen.insert((rx.src, rx.node), (rx.prop_us, rx.record));
-                }
-                Some(&(prop, first_record)) if prop != rx.prop_us => {
-                    out.push(Violation {
-                        kind: ViolationKind::PropagationInconsistency,
-                        record_index: rx.record,
-                        time_us: rx.start_us,
-                        node: Some(rx.node),
-                        detail: format!(
-                            "{} from n{} propagated {} us but the static pair measured \
-                             {} us at record #{}",
-                            rx.kind, rx.src, rx.prop_us, prop, first_record
-                        ),
-                        observed_us: Some(rx.prop_us.abs_diff(prop)),
-                        allowed_us: Some(0),
-                    });
-                }
-                Some(_) => {}
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::TxEvent;
+    use crate::model::{RunInfo, RxEvent, TxEvent};
     use uasn_ewmac::ObservedNegotiation;
     use uasn_net::packet::FrameKind;
     use uasn_net::slots::SlotClock;

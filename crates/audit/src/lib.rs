@@ -10,18 +10,16 @@
 //! - **Phase-latency histograms** ([`journey::PhaseHistograms`]):
 //!   log-bucketed, exactly mergeable, CSV/JSON-exportable latency
 //!   distributions per phase and end-to-end.
-//! - **Invariant checking** ([`invariant`]): replay of the event stream
-//!   against the promises of the simulator and the paper — serial decoded
-//!   receptions, half-duplex modems, slot-boundary alignment, EW-MAC's
-//!   extra-window non-interference guarantee (§4.3), and propagation
-//!   consistency — with every finding pointing at the offending trace
-//!   record.
-//! - **Streaming monitors** ([`monitor`]): the frame-level invariants as
-//!   incremental state machines behind a [`uasn_sim::trace::TraceSink`],
-//!   catching violations *during* the run with bounded per-node windows
-//!   (no full-trace capture), plus a fixed-capacity flight recorder that
-//!   snapshots the records around each finding. The post-hoc checker
-//!   replays the model's one event list through the same
+//! - **Invariant checking** ([`monitor`], [`invariant`]): the promises of
+//!   the simulator and the paper — serial decoded receptions, half-duplex
+//!   modems, slot-boundary alignment, EW-MAC's extra-window
+//!   non-interference guarantee (§4.3), propagation consistency, and
+//!   routing-loop freedom — as one set of incremental state machines
+//!   behind a [`uasn_sim::trace::TraceSink`], catching violations *during*
+//!   the run with bounded state (no full-trace capture), plus a
+//!   fixed-capacity flight recorder that snapshots the records around each
+//!   finding. Every finding points at the offending trace record. The
+//!   post-hoc [`check`] replays a captured trace through the same
 //!   [`MonitorSet::observe`] call, so both paths agree by construction.
 //!
 //! [`read_trace`] is the one loader from a JSONL file. The library has no
@@ -42,4 +40,4 @@ pub use journey::{
     reconstruct, reconstruct_paths, slowest, Journey, PathStats, PhaseHistograms, SduPath,
 };
 pub use model::{read_trace, TraceModel};
-pub use monitor::{FlightRecorder, MonitorReport, MonitorSet, StreamingMonitor, STREAMED_KINDS};
+pub use monitor::{FlightRecorder, MonitorReport, MonitorSet, StreamingMonitor};

@@ -1,11 +1,12 @@
 //! Online streaming invariant monitors and the anomaly flight recorder.
 //!
-//! The post-hoc checker in [`crate::invariant`] replays a fully captured
-//! trace; at swarm scale that means retaining millions of records before
-//! the first finding. This module runs the same three frame-level checks —
-//! half-duplex decode, slot alignment within tolerance, extra-window
-//! intrusion — **incrementally**, as [`TraceRecord`]s stream out of the
-//! tracer, holding only bounded per-node windows of recent state:
+//! This module is the one implementation of every invariant check —
+//! serial decoded receptions, half-duplex decode, slot alignment within
+//! tolerance, extra-window non-interference, propagation consistency and
+//! routing-loop freedom. Each runs **incrementally**, as [`TraceRecord`]s
+//! stream out of the tracer, so a monitored run needs no full-trace
+//! capture; the post-hoc [`crate::check`] replays a captured trace through
+//! the same machine:
 //!
 //! - [`MonitorSet`] is the pure state machine: feed it classified
 //!   records in record order through [`MonitorSet::observe`] — the one
@@ -33,6 +34,13 @@
 //! `dur_us`) in the stream, so the largest transmit duration seen so far
 //! bounds how far back any future arrival can reach — state older than
 //! that horizon can never produce a finding and is pruned.
+//!
+//! Decoded receptions arrive in end-time order, so one earlier reception
+//! at a node overlaps the current one exactly when the latest end seen
+//! there lies after the current start: the serial-reception check keeps
+//! only that latest reception per node. The static-pair delay check keeps
+//! the first delay measured on each `(src, rx)` link. Both tables are
+//! sized by the deployment (nodes, audible links), not by trace length.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -43,6 +51,7 @@ use uasn_ewmac::ObservedNegotiation;
 use uasn_net::packet::FrameKind;
 use uasn_net::slots::SlotClock;
 use uasn_net::NodeId;
+use uasn_sim::hash::FxHashMap;
 use uasn_sim::time::{SimDuration, SimTime};
 use uasn_sim::trace::{export_jsonl, RingSink, TraceRecord, TraceSink};
 
@@ -52,16 +61,6 @@ use crate::model::{
     parse_record, E2eDeliverEvent, ParsedRecord, RelayEvent, RouteDropEvent, RouteEvent, RunInfo,
     RxEvent, RxLostEvent, TxEvent,
 };
-
-/// The violation kinds the streaming monitors check, in display order.
-/// The post-hoc [`crate::check`] adds the whole-trace kinds (overlapping
-/// receptions, propagation consistency) on top.
-pub const STREAMED_KINDS: [ViolationKind; 4] = [
-    ViolationKind::HalfDuplexDecode,
-    ViolationKind::SlotMisalignment,
-    ViolationKind::ExtraWindowIntrusion,
-    ViolationKind::RoutingLoop,
-];
 
 /// Default flight-recorder depth: enough context to see the negotiation
 /// that preceded an anomaly without holding a meaningful trace.
@@ -107,16 +106,16 @@ struct Geometry {
     tolerance_us: u64,
 }
 
-/// Incremental state machines for the four streamable invariants:
-/// half-duplex decode, slot alignment, extra-window non-interference, and
-/// routing-loop freedom.
+/// Incremental state machines for every invariant: serial decoded
+/// receptions, half-duplex decode, slot alignment, extra-window
+/// non-interference, propagation consistency, and routing-loop freedom.
 ///
 /// Feed classified records in trace-record order via
 /// [`MonitorSet::observe`]; harvest accumulated findings with
 /// [`MonitorSet::into_findings`]. The post-hoc checker
-/// ([`crate::invariant::check`]) replays its model through this same
-/// machine and call, so streaming and replay findings are identical by
-/// construction.
+/// ([`crate::invariant::check`]) is nothing but a replay of its model
+/// through this same machine and call, so streaming and replay findings
+/// are identical by construction.
 #[derive(Debug, Default)]
 pub struct MonitorSet {
     geometry: Option<Geometry>,
@@ -128,6 +127,13 @@ pub struct MonitorSet {
     live_tx: usize,
     pending_rts: Vec<PendingRts>,
     reserved: Vec<Reservation>,
+    /// Per node, the latest-ending decoded reception: one entry per
+    /// receiving node, never pruned.
+    last_rx: FxHashMap<usize, RxEvent>,
+    /// First propagation delay (and its record) measured on each static
+    /// `(src, rx)` pair; filled only when the run has no mobility, so
+    /// it is bounded by the audible links.
+    pair_delay: FxHashMap<(usize, usize), (u64, usize)>,
     /// Nodes visited so far by each in-flight routed SDU copy, origin
     /// first. One path per copy, `(sdu id, attempt)`, not per SDU, so a
     /// stale frame from an earlier transport attempt extends its own
@@ -144,8 +150,10 @@ pub struct MonitorSet {
 }
 
 impl MonitorSet {
-    /// A fresh monitor set with no run geometry: only the half-duplex
-    /// check runs until a `run-info` record supplies one.
+    /// A fresh monitor set with no run geometry: the serial-reception,
+    /// half-duplex and routing-loop revisit checks run from the first
+    /// record; slot alignment, extra-window, propagation and TTL checks
+    /// wait for a `run-info` record to supply one.
     pub fn new() -> MonitorSet {
         MonitorSet::default()
     }
@@ -173,7 +181,7 @@ impl MonitorSet {
     }
 
     /// Installs the run geometry (from the `run-info` record), enabling
-    /// the slot-alignment and extra-window monitors.
+    /// the slot-alignment, extra-window, propagation and TTL monitors.
     fn observe_run_info(&mut self, run: &RunInfo) {
         let clock = SlotClock::with_guard(
             SimDuration::from_micros(run.omega_us),
@@ -201,11 +209,13 @@ impl MonitorSet {
     fn observe_rx(&mut self, rx: &RxEvent) {
         self.advance(rx.end_us);
         self.max_frame_us = self.max_frame_us.max(rx.end_us.saturating_sub(rx.start_us));
-        // Same-record finding order matches the post-hoc check sequence:
-        // half-duplex first, then extra-window.
+        // Same-record findings come out in one fixed order: overlap,
+        // half-duplex, extra-window, then propagation.
+        self.check_serial_reception(rx);
         self.check_half_duplex(rx);
         self.apply_grants(rx);
         self.check_decoded_intrusion(rx);
+        self.check_propagation(rx);
         self.update_peak();
     }
 
@@ -341,7 +351,9 @@ impl MonitorSet {
 
     /// Live tracked entries (own transmissions + pending RTS grants +
     /// reserved intervals + in-flight routed paths): the monitor's
-    /// working-set size.
+    /// working-set size. The per-node latest reception and the static-pair
+    /// delay table are left out: they are sized by the deployment, not by
+    /// how much traffic is in flight.
     pub fn tracked(&self) -> usize {
         self.live_tx + self.pending_rts.len() + self.reserved.len() + self.route_paths.len()
     }
@@ -389,6 +401,89 @@ impl MonitorSet {
             record: tx.record,
         });
         self.live_tx += 1;
+    }
+
+    /// Decoded receptions at one node must be serial: the modem records
+    /// every overlapping arrival as a collision loss, so two decoded `rx`
+    /// intervals sharing time mean the collision model was bypassed.
+    /// Records arrive in end order, so an earlier reception overlaps this
+    /// one exactly when the latest end seen at the node lies after this
+    /// start; the finding cites that latest-ending reception.
+    fn check_serial_reception(&mut self, rx: &RxEvent) {
+        if let Some(p) = self.last_rx.get(&rx.node) {
+            if rx.start_us < p.end_us {
+                self.findings.push(Violation {
+                    kind: ViolationKind::OverlappingReceptions,
+                    record_index: rx.record,
+                    time_us: rx.start_us,
+                    node: Some(rx.node),
+                    detail: format!(
+                        "{} from n{} decoded over [{}, {}] us while {} from n{} \
+                         (record #{}) still occupied [{}, {}] us",
+                        rx.kind,
+                        rx.src,
+                        rx.start_us,
+                        rx.end_us,
+                        p.kind,
+                        p.src,
+                        p.record,
+                        p.start_us,
+                        p.end_us
+                    ),
+                    observed_us: Some(p.end_us - rx.start_us),
+                    allowed_us: Some(0),
+                });
+            }
+            if p.end_us > rx.end_us {
+                return;
+            }
+        }
+        self.last_rx.insert(rx.node, rx.clone());
+    }
+
+    /// Propagation must respect the channel: never beyond τmax, and
+    /// constant for a fixed pair of nodes when mobility is off.
+    fn check_propagation(&mut self, rx: &RxEvent) {
+        let Some(geo) = &self.geometry else {
+            return;
+        };
+        let tau_max_us = geo.run.tau_max_us;
+        if rx.prop_us > tau_max_us {
+            self.findings.push(Violation {
+                kind: ViolationKind::PropagationInconsistency,
+                record_index: rx.record,
+                time_us: rx.start_us,
+                node: Some(rx.node),
+                detail: format!(
+                    "{} from n{} propagated {} us, beyond tau_max = {} us",
+                    rx.kind, rx.src, rx.prop_us, tau_max_us
+                ),
+                observed_us: Some(rx.prop_us),
+                allowed_us: Some(tau_max_us),
+            });
+        }
+        if geo.run.mobility {
+            return;
+        }
+        let &mut (prop, first_record) = self
+            .pair_delay
+            .entry((rx.src, rx.node))
+            .or_insert((rx.prop_us, rx.record));
+        if prop != rx.prop_us {
+            self.findings.push(Violation {
+                kind: ViolationKind::PropagationInconsistency,
+                record_index: rx.record,
+                time_us: rx.start_us,
+                node: Some(rx.node),
+                detail: format!(
+                    "{} from n{} propagated {} us but the static pair measured \
+                     {} us at record #{}",
+                    rx.kind, rx.src, rx.prop_us, prop, first_record
+                ),
+                observed_us: Some(rx.prop_us.abs_diff(prop)),
+                allowed_us: Some(0),
+            });
+        }
     }
 
     /// A half-duplex modem cannot decode while transmitting; a decoded
@@ -792,9 +887,10 @@ pub struct MonitorReport {
 }
 
 impl MonitorReport {
-    /// Finding counts per streamed violation kind, in display order.
+    /// Finding counts per violation kind, every kind listed, in display
+    /// order.
     pub fn counts_by_kind(&self) -> Vec<(ViolationKind, usize)> {
-        STREAMED_KINDS
+        ViolationKind::ALL
             .iter()
             .map(|&k| (k, self.findings.iter().filter(|v| v.kind == k).count()))
             .collect()
@@ -1015,18 +1111,7 @@ mod tests {
             }
         }
         let online = monitor.report();
-        let model = TraceModel::from_records(&records);
-        let offline: Vec<Violation> = crate::invariant::check(&model)
-            .into_iter()
-            .filter(|v| {
-                matches!(
-                    v.kind,
-                    ViolationKind::HalfDuplexDecode
-                        | ViolationKind::SlotMisalignment
-                        | ViolationKind::ExtraWindowIntrusion
-                )
-            })
-            .collect();
+        let offline = crate::invariant::check(&TraceModel::from_records(&records));
         assert_eq!(online.findings.len(), 3, "one finding per planted anomaly");
         assert_eq!(online.findings, offline, "online and post-hoc must agree");
         assert_eq!(online.records_seen, records.len() as u64);
@@ -1107,11 +1192,48 @@ mod tests {
             .expect("routing-loop kind listed");
         assert_eq!(loops.1, 2);
 
-        let model = TraceModel::from_records(&records);
-        let offline: Vec<Violation> = crate::invariant::check(&model)
-            .into_iter()
-            .filter(|v| v.kind == ViolationKind::RoutingLoop)
-            .collect();
+        let offline = crate::invariant::check(&TraceModel::from_records(&records));
+        assert_eq!(online.findings, offline, "online and post-hoc must agree");
+    }
+
+    #[test]
+    fn overlap_and_propagation_findings_stream_online() {
+        // n1 decodes a frame from n2 over [1_000, 6_000] us and then one
+        // from n3 over [4_000, 9_000] us: the second starts while the
+        // first still occupies the modem. n2 then reaches n0 with a
+        // propagation delay beyond tau_max.
+        let mut far = rx_record(1_520_000, 0, "Data", 2, 1_510_000);
+        far.fields.retain(|f| f.0 != "prop_us");
+        far.fields.push(field("prop_us", 1_500_000u64));
+        let records = vec![
+            run_info_record(),
+            rx_record(6_000, 1, "Data", 2, 1_000),
+            rx_record(9_000, 1, "Data", 3, 4_000),
+            far,
+        ];
+        let monitor = StreamingMonitor::new();
+        {
+            let mut sink = monitor.sink();
+            for r in &records {
+                sink.accept(r);
+            }
+        }
+        let online = monitor.report();
+        let kinds: Vec<ViolationKind> = online.findings.iter().map(|v| v.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                ViolationKind::OverlappingReceptions,
+                ViolationKind::PropagationInconsistency
+            ],
+            "{:#?}",
+            online.findings
+        );
+        assert_eq!(online.findings[0].record_index, 2);
+        assert!(online.findings[0].detail.contains("record #1"));
+        assert_eq!(online.findings[0].observed_us, Some(2_000));
+        assert_eq!(online.findings[1].allowed_us, Some(1_000_000));
+        let offline = crate::invariant::check(&TraceModel::from_records(&records));
         assert_eq!(online.findings, offline, "online and post-hoc must agree");
     }
 

@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 use uasn_audit::journey::{reconstruct, reconstruct_paths, PathStats, PhaseHistograms};
 use uasn_audit::monitor::{StreamingMonitor, DEFAULT_FLIGHT_CAPACITY};
-use uasn_audit::{read_trace, STREAMED_KINDS};
+use uasn_audit::read_trace;
 use uasn_bench::manifest::MonitorTotals;
 use uasn_bench::{Protocol, RunManifest, StatsAggregate};
 use uasn_net::config::SimConfig;
@@ -191,29 +191,24 @@ fn main() -> ExitCode {
         failed = true;
     }
 
-    // Online/post-hoc parity: over the invariants both paths cover, the
-    // streaming monitors must have found exactly what the offline replay
-    // found — same violations, citing the same records.
-    let post_hoc: Vec<_> = violations
-        .iter()
-        .filter(|v| STREAMED_KINDS.contains(&v.kind))
-        .cloned()
-        .collect();
-    if online.findings == post_hoc {
+    // Online/post-hoc parity: the streaming monitors must have found
+    // exactly what the offline replay found — same violations, citing the
+    // same records.
+    if online.findings == violations {
         println!(
             "parity: online findings match the post-hoc checker ({} each)",
-            post_hoc.len()
+            violations.len()
         );
     } else {
         eprintln!(
             "FAIL: online monitors found {} finding(s), post-hoc checker {}:",
             online.findings.len(),
-            post_hoc.len()
+            violations.len()
         );
         for v in &online.findings {
             eprintln!("  online:   {v}");
         }
-        for v in &post_hoc {
+        for v in &violations {
             eprintln!("  post-hoc: {v}");
         }
         failed = true;

@@ -10,10 +10,9 @@
 //! strongest behavioural lockdown the simulator offers. Every cell also
 //! runs with performance profiling and with the online invariant monitors
 //! attached; both exports must be **byte-identical** to the plain one, and
-//! the monitored pass additionally asserts online/post-hoc parity: over
-//! every invariant the streaming monitors cover
-//! (`uasn_audit::STREAMED_KINDS`, routing loops included), their findings
-//! must equal the offline checker's replay of the exported trace.
+//! the monitored pass additionally asserts online/post-hoc parity: the
+//! streaming monitors' findings, every invariant kind included, must equal
+//! the offline checker's replay of the exported trace.
 //!
 //! The sparse, dense and swarm hashes were blessed while a
 //! recompute-everything reference fan-out still ran beside the cached one
@@ -37,7 +36,6 @@ use std::path::PathBuf;
 use uasn_audit::invariant::Violation;
 use uasn_audit::model::TraceModel;
 use uasn_audit::monitor::StreamingMonitor;
-use uasn_audit::STREAMED_KINDS;
 use uasn_bench::protocols::Protocol;
 use uasn_bench::runner::master_seed;
 use uasn_net::config::SimConfig;
@@ -221,8 +219,7 @@ fn has_record(tracer: &Tracer, (tag, key, value): Pin) -> bool {
 /// Runs one golden cell traced and returns the tracer with its exported
 /// bytes, after asserting that profiling and monitoring leave those bytes
 /// untouched and that the online monitors agree with the post-hoc
-/// checker over every streamed kind (the checker additionally runs
-/// whole-trace checks that need the full model).
+/// checker finding for finding.
 fn locked_down(name: &str, cfg: &SimConfig, protocol: Protocol) -> (Tracer, Vec<u8>) {
     let tracer = traced(cfg, protocol);
     let plain = export(&tracer);
@@ -243,13 +240,10 @@ fn locked_down(name: &str, cfg: &SimConfig, protocol: Protocol) -> (Tracer, Vec<
         first_divergence(&plain, &monitored)
     );
     // Online/post-hoc parity: replay the exact bytes the run exported
-    // through the offline checker and compare over the shared kinds.
+    // through the offline checker and compare every finding.
     let records = parse_jsonl(std::str::from_utf8(&monitored).expect("traces are UTF-8"))
         .expect("exported trace parses");
-    let post_hoc: Vec<Violation> = uasn_audit::check(&TraceModel::from_records(&records))
-        .into_iter()
-        .filter(|v| STREAMED_KINDS.contains(&v.kind))
-        .collect();
+    let post_hoc: Vec<Violation> = uasn_audit::check(&TraceModel::from_records(&records));
     assert_eq!(
         online, post_hoc,
         "{name}: online monitor findings disagree with the post-hoc checker"

@@ -12,7 +12,6 @@ use uasn_audit::invariant::ViolationKind;
 use uasn_audit::journey::reconstruct_paths;
 use uasn_audit::model::{ParsedRecord, RelayEvent, RouteEvent, TraceModel};
 use uasn_audit::monitor::StreamingMonitor;
-use uasn_audit::STREAMED_KINDS;
 use uasn_bench::figures::{FigureSpec, Metric};
 use uasn_bench::grid::{run_sweep, SweepOptions};
 use uasn_bench::{ExperimentRun, Protocol};
@@ -213,12 +212,12 @@ fn streaming_loop_monitor_agrees_with_post_hoc_checker() {
     }
 
     // The streaming monitors found exactly what the offline replay found
-    // over the invariants both cover — including the routing-loop check.
-    let post_hoc: Vec<_> = uasn_audit::check(&model)
-        .into_iter()
-        .filter(|v| STREAMED_KINDS.contains(&v.kind))
-        .collect();
-    assert_eq!(online.findings, post_hoc, "online/post-hoc parity");
+    // — every invariant, the routing-loop check included.
+    assert_eq!(
+        online.findings,
+        uasn_audit::check(&model),
+        "online/post-hoc parity"
+    );
     assert_eq!(online.skipped, 0, "no route record lacked fields");
 }
 

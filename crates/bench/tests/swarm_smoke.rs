@@ -15,7 +15,6 @@ use std::time::Duration;
 use uasn_audit::invariant::ViolationKind;
 use uasn_audit::model::{ParsedRecord, TraceModel};
 use uasn_audit::monitor::{MonitorReport, StreamingMonitor};
-use uasn_audit::STREAMED_KINDS;
 use uasn_bench::protocols::Protocol;
 use uasn_bench::runner::master_seed;
 use uasn_net::config::SimConfig;
@@ -80,12 +79,9 @@ fn assert_swarm_invariants(out: &RunOutput, online: &MonitorReport) {
             .any(|e| matches!(e, ParsedRecord::Route(_))),
         "route records captured"
     );
-    let post_hoc: Vec<_> = uasn_audit::check(&model)
-        .into_iter()
-        .filter(|v| STREAMED_KINDS.contains(&v.kind))
-        .collect();
     assert_eq!(
-        online.findings, post_hoc,
+        online.findings,
+        uasn_audit::check(&model),
         "online monitor findings disagree with the post-hoc checker"
     );
     assert_eq!(online.skipped, 0, "no route record lacked fields");

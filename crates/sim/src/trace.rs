@@ -464,11 +464,6 @@ impl CaptureSink {
     pub fn dropped_records(&self) -> u64 {
         self.dropped
     }
-
-    fn clear(&mut self) {
-        self.records.clear();
-        self.dropped = 0;
-    }
 }
 
 impl TraceSink for CaptureSink {
@@ -508,11 +503,6 @@ impl RingSink {
     /// How many records have been evicted to make room.
     pub fn evicted_records(&self) -> u64 {
         self.evicted
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.evicted = 0;
     }
 }
 
@@ -709,17 +699,6 @@ impl Tracer {
         self
     }
 
-    /// Caps the number of records stored by the capture sink(s); further
-    /// records are counted in [`dropped`](Self::dropped) instead of stored.
-    pub fn with_capacity_limit(mut self, capacity: usize) -> Self {
-        for sink in &mut self.sinks {
-            if let SinkImpl::Capture(c) = sink {
-                c.capacity = capacity;
-            }
-        }
-        self
-    }
-
     /// Whether a record at `level` would be kept.
     pub fn enabled(&self, level: TraceLevel) -> bool {
         matches!(self.level, Some(gate) if level <= gate)
@@ -846,17 +825,6 @@ impl Tracer {
         health
     }
 
-    /// Clears in-memory sinks (the level gate and sink set are retained).
-    pub fn clear(&mut self) {
-        for sink in &mut self.sinks {
-            match sink {
-                SinkImpl::Capture(c) => c.clear(),
-                SinkImpl::Ring(r) => r.clear(),
-                _ => {}
-            }
-        }
-    }
-
     /// Flushes streaming sinks.
     pub fn flush(&mut self) -> io::Result<()> {
         for sink in &mut self.sinks {
@@ -933,15 +901,12 @@ mod tests {
 
     #[test]
     fn capacity_limit_counts_drops() {
-        let mut t = Tracer::capturing(TraceLevel::Debug).with_capacity_limit(2);
+        let mut t = Tracer::new(TraceLevel::Debug).with_capture(2);
         for _ in 0..5 {
             rec(&mut t, TraceLevel::Info, "x");
         }
         assert_eq!(t.records().len(), 2);
         assert_eq!(t.dropped(), 3);
-        t.clear();
-        assert_eq!(t.records().len(), 0);
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
