@@ -110,7 +110,7 @@ fn main() -> ExitCode {
     drop(out.tracer);
 
     let online = monitor.report();
-    let totals = MonitorTotals::from_run(&online, out.verdicts.as_ref());
+    let totals = MonitorTotals::from_run(&online, &out.report.drops);
     let mut stats = StatsAggregate::default();
     stats.absorb(&out.stats, &health, out.profile.as_ref(), Some(&totals));
 

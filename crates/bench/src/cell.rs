@@ -72,8 +72,8 @@ pub struct CellOutput {
     /// Performance profile; `Some` iff the cell ran with
     /// `SimConfig::with_profiling(true)`.
     pub profile: Option<ProfileReport>,
-    /// Online-monitoring totals (invariant findings + drop verdicts);
-    /// `Some` iff the cell ran with `SimConfig::with_monitoring(true)`.
+    /// Online-monitoring totals (invariant findings + loss ledger); `Some`
+    /// iff the cell ran with `SimConfig::with_monitoring(true)`.
     pub monitor: Option<MonitorTotals>,
     /// Log-bucketed MAC delivery latency.
     pub delivery_hist: LogHistogram,
@@ -221,7 +221,7 @@ impl CellOutput {
 pub fn run_cell(cfg: &SimConfig, protocol: Protocol, seed: u64) -> CellOutput {
     let cfg = cfg.clone().with_seed(master_seed(seed));
     let (out, monitor_report) = run_once_monitored(&cfg, protocol);
-    let monitor = monitor_report.map(|rep| MonitorTotals::from_run(&rep, out.verdicts.as_ref()));
+    let monitor = monitor_report.map(|rep| MonitorTotals::from_run(&rep, &out.report.drops));
     let trace = out.tracer.health();
     let stats = out.stats;
     let report = out.report;

@@ -105,10 +105,10 @@ pub struct SweepOptions {
     /// journal started with the other setting is allowed — only the
     /// freshly run cells carry (or lack) profiles.
     pub profile: bool,
-    /// Run every cell with the online invariant monitors and drop
-    /// forensics on (`SimConfig::with_monitoring`). Results are
-    /// bit-identical either way; monitored cells additionally journal a
-    /// `monitor` payload that aggregates into the sweep's
+    /// Run every cell with the online invariant monitors attached
+    /// (`SimConfig::with_monitoring`). Results are bit-identical either
+    /// way; monitored cells also journal a `monitor` payload (findings
+    /// and loss ledger) that aggregates into the sweep's
     /// [`SweepOutcome::stats`]. Like `profile`, mixed-setting resumes
     /// are allowed.
     pub monitor: bool,

@@ -243,8 +243,8 @@ pub struct MonitorTotals {
 impl MonitorTotals {
     /// The totals of one monitored run: a count for every streamed finding
     /// kind (zero counts included, so merged blocks always list the full
-    /// taxonomy) plus the run's causal verdict histogram, if it kept one.
-    pub fn from_run(report: &MonitorReport, verdicts: Option<&VerdictHistogram>) -> MonitorTotals {
+    /// taxonomy) plus the run's loss ledger (`MetricsReport::drops`).
+    pub fn from_run(report: &MonitorReport, drops: &VerdictHistogram) -> MonitorTotals {
         MonitorTotals {
             runs: 1,
             findings: report
@@ -252,7 +252,7 @@ impl MonitorTotals {
                 .into_iter()
                 .map(|(kind, count)| (kind.to_string(), count as u64))
                 .collect(),
-            verdicts: verdicts.copied().unwrap_or_default(),
+            verdicts: *drops,
         }
     }
 

@@ -1,17 +1,16 @@
 //! Monitor smoke suite: every protocol in the roster runs one seeded
-//! medium-density cell with the online invariant monitors and drop
-//! forensics on, and the suite asserts the observability layer's two core
-//! promises end to end:
+//! medium-density cell with the online invariant monitors on, and the
+//! suite asserts the observability layer's two core promises end to end:
 //!
 //! 1. **Clean runs are clean** — the streaming monitors report zero
 //!    invariant findings on a healthy simulation, with bounded working
 //!    state.
-//! 2. **Forensics reconcile with the ledger** — every per-SDU drop verdict
-//!    the world attributes online sums back to exactly the
-//!    [`DeliveryMetrics`](uasn_net::metrics::DeliveryMetrics) drop
-//!    counters: `modem-busy == tx_dropped`, `no-audible-receiver ==
-//!    unroutable`, and the MAC-layer verdicts sum to `sdus_dropped`. No
-//!    loss is double-counted and none goes unattributed.
+//! 2. **Every run keeps its loss ledger** — the report's
+//!    [`drops`](uasn_net::metrics::MetricsReport::drops) histogram is
+//!    filled whether or not monitors are attached, identically, and the
+//!    report's five loss counts are views of it: `modem-busy ==
+//!    tx_dropped`, `no-audible-receiver == unroutable`, and the MAC-layer
+//!    verdicts sum to `sdus_dropped`.
 
 use uasn_bench::runner::{master_seed, run_once_monitored};
 use uasn_bench::Protocol;
@@ -54,32 +53,47 @@ fn monitored_roster_is_clean_and_verdicts_reconcile() {
         );
         assert_eq!(monitor.skipped, 0, "{name}: monitors skipped records");
 
-        let verdicts = out.verdicts.expect("monitored runs attribute losses");
         let report = &out.report;
+        let drops = report.drops;
         assert_eq!(
-            verdicts.count(DropVerdict::ModemBusy),
+            drops.count(DropVerdict::ModemBusy),
             report.tx_dropped,
-            "{name}: modem-busy verdicts must equal the tx_dropped counter"
+            "{name}: modem-busy verdicts must equal the tx_dropped count"
         );
         assert_eq!(
-            verdicts.count(DropVerdict::NoAudibleReceiver),
+            drops.count(DropVerdict::NoAudibleReceiver),
             report.unroutable,
-            "{name}: no-audible-receiver verdicts must equal the unroutable counter"
+            "{name}: no-audible-receiver verdicts must equal the unroutable count"
         );
         assert_eq!(
-            verdicts.count(DropVerdict::MacDrop)
-                + verdicts.count(DropVerdict::HandshakeTimeout)
-                + verdicts.count(DropVerdict::QueueOverflow),
+            drops.count(DropVerdict::MacDrop)
+                + drops.count(DropVerdict::HandshakeTimeout)
+                + drops.count(DropVerdict::QueueOverflow),
             report.sdus_dropped,
-            "{name}: MAC-layer verdicts must sum to the sdus_dropped counter"
+            "{name}: MAC-layer verdicts must sum to the sdus_dropped count"
         );
     }
 }
 
 #[test]
-fn unmonitored_runs_carry_no_forensics() {
-    let cfg = smoke_cfg().with_monitoring(false);
-    let (out, monitor) = run_once_monitored(&cfg, Protocol::EwMac);
-    assert!(monitor.is_none(), "monitoring off must not attach monitors");
-    assert!(out.verdicts.is_none(), "monitoring off must not attribute");
+fn unmonitored_runs_keep_the_same_loss_ledger() {
+    let mut attributed = 0;
+    for protocol in ROSTER {
+        let name = protocol.name();
+        let (monitored, _) = run_once_monitored(&smoke_cfg(), protocol);
+        let (plain, monitor) = run_once_monitored(&smoke_cfg().with_monitoring(false), protocol);
+        assert!(
+            monitor.is_none(),
+            "{name}: monitoring off must not attach monitors"
+        );
+        assert_eq!(
+            plain.report.drops, monitored.report.drops,
+            "{name}: the loss ledger must not depend on the monitors"
+        );
+        attributed += plain.report.drops.total();
+    }
+    assert!(
+        attributed > 0,
+        "no roster run attributed a single loss — the ledger is not kept"
+    );
 }

@@ -8,6 +8,7 @@
 //! ```text
 //! <state>/labd.addr              the bound address (for port-0 tests/CI)
 //! <state>/jobs/<id>.job.json     job record: request + state (+ error)
+//! <state>/jobs/<id>.job.json.tmp  the record being rewritten (transient)
 //! <state>/jobs/<id>.journal.jsonl the sweep's checkpoint journal (v1)
 //! <state>/jobs/<id>.summary.json  sweep summary once the job ends
 //! <state>/results/<id>/<figure>.csv           figure series (Done jobs)
@@ -32,11 +33,12 @@
 //! scheduling metadata (`worker`, `wall_us`) stripped — those legitimately
 //! differ between any two executions, including two CLI runs.
 
-use std::io::{self, BufReader};
+use std::fs::File;
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -85,9 +87,20 @@ struct Shared {
     config: ServerConfig,
     manager: JobManager,
     stop: AtomicBool,
+    /// Serialises job-file rewrites, so no two share a `.tmp` file.
+    persist_lock: Mutex<()>,
 }
 
 impl Shared {
+    fn new(config: ServerConfig) -> Shared {
+        Shared {
+            manager: JobManager::new(config.queue_capacity),
+            stop: AtomicBool::new(false),
+            persist_lock: Mutex::new(()),
+            config,
+        }
+    }
+
     fn jobs_dir(&self) -> PathBuf {
         self.config.state_dir.join("jobs")
     }
@@ -112,12 +125,29 @@ impl Shared {
         self.results_dir().join(id)
     }
 
+    /// Rewrites `<id>.job.json` through `<id>.job.json.tmp` and a rename,
+    /// so a `kill -9` at any point leaves the old record or the new one,
+    /// never a truncated one. Recovery ignores the `.tmp` name.
     fn persist_job(&self, job: &Job) {
         let mut text = job.to_json().to_json();
         text.push('\n');
-        if let Err(e) = std::fs::write(self.job_file(&job.id), text) {
+        // The lock guards no data, so a poisoned one is still usable.
+        let _guard = self.persist_lock.lock().unwrap_or_else(|e| e.into_inner());
+        if let Err(e) = self.replace_file(&self.job_file(&job.id), text.as_bytes()) {
             eprintln!("labd: could not persist {}: {e}", job.id);
         }
+    }
+
+    /// Writes `bytes` to `<target>.tmp`, syncs it, renames it over
+    /// `target` (a `.json` file) and syncs the jobs directory, so the
+    /// rename itself is durable.
+    fn replace_file(&self, target: &Path, bytes: &[u8]) -> io::Result<()> {
+        let tmp = target.with_extension("json.tmp");
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, target)?;
+        File::open(self.jobs_dir())?.sync_all()
     }
 }
 
@@ -146,11 +176,7 @@ impl Server {
     ///
     /// Filesystem and bind failures.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let shared = Arc::new(Shared {
-            manager: JobManager::new(config.queue_capacity),
-            stop: AtomicBool::new(false),
-            config,
-        });
+        let shared = Arc::new(Shared::new(config));
         std::fs::create_dir_all(shared.jobs_dir())?;
         std::fs::create_dir_all(shared.results_dir())?;
         recover_jobs(&shared)?;
@@ -736,5 +762,79 @@ fn handle_results_figure(
             &format!("no manifest for figure {figure} of job {id}"),
             Vec::new(),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fresh_shared(name: &str) -> Shared {
+        let dir = std::env::temp_dir().join(format!("uasn-labd-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shared = Shared::new(ServerConfig::new("127.0.0.1:0", dir));
+        std::fs::create_dir_all(shared.jobs_dir()).expect("jobs dir");
+        shared
+    }
+
+    fn job(id: &str, state: JobState) -> Job {
+        Job {
+            id: id.to_string(),
+            request: JobRequest::new(vec!["SMOKE".to_string()], 1),
+            state,
+            error: None,
+        }
+    }
+
+    fn file_names(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("readable dir")
+            .map(|entry| {
+                entry
+                    .expect("entry")
+                    .file_name()
+                    .into_string()
+                    .expect("utf8")
+            })
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn persist_leaves_no_temp_file_behind() {
+        let shared = fresh_shared("persist");
+        shared.persist_job(&job("j0001", JobState::Queued));
+        shared.persist_job(&job("j0001", JobState::Done));
+        assert_eq!(file_names(&shared.jobs_dir()), ["j0001.job.json"]);
+        let text = std::fs::read_to_string(shared.job_file("j0001")).expect("job file");
+        let back = JsonValue::parse(&text)
+            .ok()
+            .as_ref()
+            .and_then(Job::from_json)
+            .expect("the rewritten record parses");
+        assert_eq!(back.state, JobState::Done);
+        let _ = std::fs::remove_dir_all(&shared.config.state_dir);
+    }
+
+    #[test]
+    fn recovery_ignores_a_stray_truncated_temp_file() {
+        let shared = fresh_shared("stray-tmp");
+        shared.persist_job(&job("j0001", JobState::Interrupted));
+        // What a kill between the temp write and the rename leaves behind.
+        let record = std::fs::read_to_string(shared.job_file("j0001")).expect("job file");
+        let tmp = shared.jobs_dir().join("j0001.job.json.tmp");
+        std::fs::write(&tmp, &record[..record.len() / 2]).expect("stray tmp");
+
+        let restarted = Shared::new(shared.config.clone());
+        recover_jobs(&restarted).expect("recovery");
+        assert_eq!(restarted.manager.jobs().len(), 1, "the .tmp is no job");
+        let recovered = restarted.manager.job("j0001").expect("job recovered");
+        assert_eq!(
+            recovered.state,
+            JobState::Queued,
+            "interrupted jobs requeue"
+        );
+        let _ = std::fs::remove_dir_all(&shared.config.state_dir);
     }
 }

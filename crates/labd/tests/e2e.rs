@@ -323,8 +323,19 @@ fn wait_for_addr(state: &Path, not: Option<&str>) -> String {
     }
 }
 
-fn spawn_labd(state: &Path) -> Child {
-    Command::new(env!("CARGO_BIN_EXE_labd"))
+/// A spawned `labd serve` process, killed and reaped on drop so a failed
+/// assertion never leaves a server running.
+struct Labd(Child);
+
+impl Drop for Labd {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+fn spawn_labd(state: &Path) -> Labd {
+    let child = Command::new(env!("CARGO_BIN_EXE_labd"))
         .args([
             "serve",
             "--addr",
@@ -339,7 +350,8 @@ fn spawn_labd(state: &Path) -> Child {
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .expect("labd spawns")
+        .expect("labd spawns");
+    Labd(child)
 }
 
 #[test]
@@ -347,7 +359,7 @@ fn killed_server_resumes_its_jobs_and_matches_the_uninterrupted_run() {
     let state = fresh_dir("kill9");
     std::fs::create_dir_all(&state).expect("state dir");
 
-    let mut first = spawn_labd(&state);
+    let first = spawn_labd(&state);
     let addr = wait_for_addr(&state, None);
     let client = Client::new(addr.clone());
 
@@ -363,8 +375,7 @@ fn killed_server_resumes_its_jobs_and_matches_the_uninterrupted_run() {
         Some("interrupted")
     );
 
-    first.kill().expect("kill -9 the server");
-    let _ = first.wait();
+    drop(first); // kill -9 the server and reap it
 
     // Restart on the same state dir: recovery requeues the interrupted
     // job without its max_cells bound and run_sweep resumes the journal.
@@ -383,5 +394,5 @@ fn killed_server_resumes_its_jobs_and_matches_the_uninterrupted_run() {
     assert_eq!(canonical(&journal), reference_canonical("kill9", 3, 2));
 
     client.shutdown().expect("shutdown");
-    let _ = second.wait();
+    let _ = second.0.wait();
 }

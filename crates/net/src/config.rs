@@ -126,15 +126,10 @@ pub struct SimConfig {
     /// [`uasn_route::RouteConfig::transport`] is set) arms origin-side
     /// retransmission against sink acks.
     pub route: Option<uasn_route::RouteConfig>,
-    /// When `true`, the run is instrumented for online observability: the
-    /// world attributes a causal [`crate::metrics::DropVerdict`] to every
-    /// lost SDU and [`crate::world::RunOutput::verdicts`] carries the
-    /// mergeable per-verdict histogram (harnesses additionally attach
-    /// streaming invariant monitors to the tracer). `false` (the default)
-    /// records nothing and allocates nothing on the hot path. Attribution
-    /// only observes drops the simulation already decided — never RNG
-    /// streams or the event queue — so seeded runs are byte-for-byte
-    /// identical with it on or off.
+    /// Asks the harness running this config to attach the streaming
+    /// invariant monitors to the run's tracer. The world never reads it:
+    /// every run keeps its loss ledger
+    /// ([`crate::metrics::MetricsReport::drops`]) either way.
     pub monitor: bool,
 }
 
@@ -257,8 +252,8 @@ impl SimConfig {
         self
     }
 
-    /// Enables (or disables) online observability — per-SDU drop
-    /// forensics — for the run; see [`SimConfig::monitor`].
+    /// Asks the harness to attach (or not) the streaming invariant
+    /// monitors; see [`SimConfig::monitor`].
     pub fn with_monitoring(mut self, monitor: bool) -> Self {
         self.monitor = monitor;
         self

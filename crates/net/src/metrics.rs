@@ -1,11 +1,12 @@
 //! Measurement: the quantities the paper's figures plot.
 //!
-//! Per-node counters are maintained by the simulator; [`MetricsReport`]
-//! aggregates them at the end of a run into exactly the paper's axes:
-//! throughput (Eq 2–3, kbps), average power (mW, §5.2), the overhead value
-//! (§5.3: transmission + maintenance + retransmission cost), execution time
-//! (Fig 8), and the ingredients of the efficiency index (Eq 4 — the
-//! harness normalises against S-FAMA).
+//! Per-node counters and one loss ledger ([`VerdictHistogram`]) are
+//! maintained by the simulator; [`MetricsReport`] aggregates them at the
+//! end of a run into exactly the paper's axes: throughput (Eq 2–3, kbps),
+//! average power (mW, §5.2), the overhead value (§5.3: transmission +
+//! maintenance + retransmission cost), execution time (Fig 8), and the
+//! ingredients of the efficiency index (Eq 4 — the harness normalises
+//! against S-FAMA).
 
 use std::fmt;
 
@@ -114,11 +115,6 @@ impl VerdictHistogram {
         self.counts.iter().sum()
     }
 
-    /// Whether any loss was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
     /// Folds another histogram in (element-wise addition).
     pub fn merge(&mut self, other: &VerdictHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
@@ -148,31 +144,14 @@ pub struct NodeCounters {
     pub sdus_received: u64,
     /// Data bits transmitted.
     pub data_bits_sent: u64,
-    /// Data frames transmitted.
-    pub data_frames_sent: u64,
     /// Control bits transmitted (all non-data kinds).
     pub control_bits_sent: u64,
-    /// Control frames transmitted.
-    pub control_frames_sent: u64,
     /// Neighbour-maintenance bits charged (piggyback + refresh + init).
     pub maintenance_bits: u64,
     /// Bits of data frames flagged as retransmissions.
     pub retx_bits: u64,
-    /// Retransmitted data frames.
-    pub retx_frames: u64,
     /// SDUs generated by the traffic source at this node.
     pub sdus_generated: u64,
-    /// SDUs that could not be routed (no shallower neighbour in range).
-    pub unroutable: u64,
-    /// Relayed SDUs discarded at this node because their hop count hit
-    /// the routing TTL.
-    pub ttl_dropped: u64,
-    /// SDUs this node originated whose end-to-end retry budget ran out.
-    pub retry_dropped: u64,
-    /// SDUs the MAC gave up on (retry budget exhausted).
-    pub sdus_dropped: u64,
-    /// Frames dropped because the modem was busy at their transmit time.
-    pub tx_dropped: u64,
     /// Receptions corrupted by overlap at this node (from the modem ledger).
     pub collisions: u64,
     /// Receptions corrupted by this node's own transmissions.
@@ -228,15 +207,21 @@ pub struct MetricsReport {
     pub collisions: u64,
     /// Half-duplex losses across all modems.
     pub half_duplex_losses: u64,
-    /// Frames dropped at busy modems.
+    /// Every loss the run decided, by causal verdict — the run's one loss
+    /// ledger. The five loss counts below are views of it.
+    pub drops: VerdictHistogram,
+    /// Frames dropped at busy modems (`drops`' modem-busy count).
     pub tx_dropped: u64,
-    /// Unroutable SDUs.
+    /// Unroutable SDUs (`drops`' no-audible-receiver count).
     pub unroutable: u64,
-    /// Relayed SDUs discarded at the routing TTL.
+    /// Relayed SDUs discarded at the routing TTL (`drops`' ttl-exhausted
+    /// count).
     pub ttl_dropped: u64,
-    /// SDUs whose end-to-end transport retry budget was exhausted.
+    /// SDUs whose end-to-end transport retry budget was exhausted
+    /// (`drops`' retry-exhausted count).
     pub retry_dropped: u64,
-    /// SDUs terminally dropped by MACs (retry budgets exhausted).
+    /// SDUs terminally dropped by MACs: `drops`' mac-drop,
+    /// handshake-timeout and queue-overflow counts together.
     pub sdus_dropped: u64,
     /// Distinct SDUs that reached a surface sink (first arrivals only) —
     /// the end-to-end delivery numerator.
@@ -348,6 +333,8 @@ pub struct DeliveryMetrics {
     /// Hops travelled per sink-delivered SDU (routed runs only; empty
     /// otherwise).
     pub path_hops: LogHistogram,
+    /// The loss ledger: one verdict per loss, recorded at its site.
+    pub drops: VerdictHistogram,
     /// Generation time per SDU id, consumed on first sink arrival.
     /// Probed only, never iterated, so the fast hasher cannot reach any
     /// output.
@@ -375,6 +362,7 @@ impl Default for DeliveryMetrics {
             delivery_hist: LogHistogram::new(),
             e2e_hist: LogHistogram::new(),
             path_hops: LogHistogram::new(),
+            drops: VerdictHistogram::new(),
             origin_time: FxHashMap::default(),
             batch_outstanding: FxHashSet::default(),
             batch_expected: 0,
@@ -457,6 +445,11 @@ impl DeliveryMetrics {
         let e2e = now.duration_since(generated);
         self.e2e_hist.record(e2e.as_micros());
         Some(e2e)
+    }
+
+    /// Attributes one loss to the ledger.
+    pub fn record_drop(&mut self, verdict: DropVerdict) {
+        self.drops.record(verdict);
     }
 
     /// Records a terminal MAC drop: the SDU will never be delivered, so a
@@ -627,6 +620,7 @@ mod tests {
             retx_bits: 1_000,
             collisions: 3,
             half_duplex_losses: 0,
+            drops: VerdictHistogram::new(),
             tx_dropped: 0,
             unroutable: 0,
             ttl_dropped: 0,
@@ -671,6 +665,7 @@ mod tests {
             retx_bits: 0,
             collisions: 0,
             half_duplex_losses: 0,
+            drops: VerdictHistogram::new(),
             tx_dropped: 0,
             unroutable: 0,
             ttl_dropped: 0,

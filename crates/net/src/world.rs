@@ -52,7 +52,7 @@ use crate::mac::{
     DropReason, MacCommand, MacContext, MacProtocol, MaintenanceProfile, NeighborInfoScope,
     Reception, TimerToken,
 };
-use crate::metrics::{DeliveryMetrics, DropVerdict, MetricsReport, VerdictHistogram};
+use crate::metrics::{DeliveryMetrics, DropVerdict, MetricsReport};
 use crate::neighbor::ANNOUNCE_BITS_PER_ENTRY;
 use crate::node::{NodeId, NodeInfo, NodeRole};
 use crate::packet::{Frame, Sdu};
@@ -296,10 +296,6 @@ struct NetworkWorld {
     /// *observes* — it is never read back by protocol logic, so runs are
     /// byte-identical with profiling on or off.
     registry: MetricsRegistry,
-    /// Drop-forensics verdict histogram; `Some` iff `cfg.monitor`. Like
-    /// the registry it only *observes* losses the simulation has already
-    /// decided, so runs are byte-identical with monitoring on or off.
-    verdicts: Option<VerdictHistogram>,
 }
 
 impl std::fmt::Debug for NetworkWorld {
@@ -466,9 +462,8 @@ impl NetworkWorld {
                 self.timers[node].retain(|&(t, _)| t != token);
             }
             MacCommand::SduDropped { id, reason } => {
-                self.metrics.per_node[node].sdus_dropped += 1;
                 self.metrics.record_mac_drop(self.now, id);
-                self.record_verdict(match reason {
+                self.metrics.record_drop(match reason {
                     DropReason::RetryExhausted => DropVerdict::MacDrop,
                     DropReason::HandshakeTimeout => DropVerdict::HandshakeTimeout,
                     DropReason::QueueOverflow => DropVerdict::QueueOverflow,
@@ -483,21 +478,12 @@ impl NetworkWorld {
         }
     }
 
-    /// Attributes one loss to the forensics histogram. A no-op unless
-    /// [`SimConfig::monitor`](crate::config::SimConfig::monitor) was set.
-    fn record_verdict(&mut self, verdict: DropVerdict) {
-        if let Some(verdicts) = self.verdicts.as_mut() {
-            verdicts.record(verdict);
-        }
-    }
-
     fn handle_tx_start(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, token: u64) {
         let Some(mut frame) = self.tx_frames.remove(&token) else {
             return;
         };
         if self.modems[node].is_transmitting() {
-            self.metrics.per_node[node].tx_dropped += 1;
-            self.record_verdict(DropVerdict::ModemBusy);
+            self.metrics.record_drop(DropVerdict::ModemBusy);
             self.trace_fields(TraceLevel::Debug, node, "tx-drop", || {
                 (
                     format!("{frame} dropped: modem busy"),
@@ -526,14 +512,11 @@ impl NetworkWorld {
         let counters = &mut self.metrics.per_node[node];
         if frame.kind.is_data() {
             counters.data_bits_sent += frame.bits as u64;
-            counters.data_frames_sent += 1;
             if frame.retx {
                 counters.retx_bits += frame.bits as u64;
-                counters.retx_frames += 1;
             }
         } else {
             counters.control_bits_sent += frame.bits as u64;
-            counters.control_frames_sent += 1;
         }
         let piggyback = self.maintenance[node].piggyback_bits;
         if piggyback > 0 {
@@ -680,7 +663,7 @@ impl NetworkWorld {
                 // A PER draw took the frame; collisions and half-duplex
                 // losses are already counted by the modem ledger and are
                 // outside the drop-verdict taxonomy.
-                self.record_verdict(DropVerdict::PerLoss);
+                self.metrics.record_drop(DropVerdict::PerLoss);
             }
             self.trace_fields(TraceLevel::Debug, node, "rx-lost", || {
                 (
@@ -837,8 +820,7 @@ impl NetworkWorld {
         stage: impl FnOnce(&mut Self, &mut Schedule<'_, NetEvent>, &Sdu),
     ) -> bool {
         let Some(next) = self.next_hop(node) else {
-            self.metrics.per_node[node].unroutable += 1;
-            self.record_verdict(DropVerdict::NoAudibleReceiver);
+            self.metrics.record_drop(DropVerdict::NoAudibleReceiver);
             if self.route.is_some() {
                 self.trace_route_drop(node, &sdu, hops, "unroutable");
             }
@@ -965,8 +947,7 @@ impl NetworkWorld {
         let traversed = route.hops.get(&copy).copied().unwrap_or(0) + 1;
         route.hops.insert(copy, traversed);
         let sent = if traversed >= ttl {
-            self.metrics.per_node[node].ttl_dropped += 1;
-            self.record_verdict(DropVerdict::TtlExhausted);
+            self.metrics.record_drop(DropVerdict::TtlExhausted);
             self.trace_route_drop(node, &sdu, traversed, "ttl-exhausted");
             false
         } else {
@@ -1080,8 +1061,7 @@ impl NetworkWorld {
                 });
             }
             TimeoutVerdict::Exhausted => {
-                self.metrics.per_node[origin].retry_dropped += 1;
-                self.record_verdict(DropVerdict::RetryBudgetExhausted);
+                self.metrics.record_drop(DropVerdict::RetryBudgetExhausted);
                 let attempts = entry.attempts;
                 // The terminal e2e-drop record below closes every audit
                 // path of this SDU, so all copies' hop counters go too.
@@ -1312,6 +1292,7 @@ impl NetworkWorld {
             }
         }
         let duration = end.duration_since(SimTime::ZERO);
+        let drops = self.metrics.drops;
         let totals = |f: &dyn Fn(&crate::metrics::NodeCounters) -> u64| -> u64 {
             self.metrics.per_node.iter().map(f).sum()
         };
@@ -1354,11 +1335,14 @@ impl NetworkWorld {
             retx_bits: totals(&|c| c.retx_bits),
             collisions: totals(&|c| c.collisions),
             half_duplex_losses: totals(&|c| c.half_duplex_losses),
-            tx_dropped: totals(&|c| c.tx_dropped),
-            unroutable: totals(&|c| c.unroutable),
-            ttl_dropped: totals(&|c| c.ttl_dropped),
-            retry_dropped: totals(&|c| c.retry_dropped),
-            sdus_dropped: totals(&|c| c.sdus_dropped),
+            drops,
+            tx_dropped: drops.count(DropVerdict::ModemBusy),
+            unroutable: drops.count(DropVerdict::NoAudibleReceiver),
+            ttl_dropped: drops.count(DropVerdict::TtlExhausted),
+            retry_dropped: drops.count(DropVerdict::RetryBudgetExhausted),
+            sdus_dropped: drops.count(DropVerdict::MacDrop)
+                + drops.count(DropVerdict::HandshakeTimeout)
+                + drops.count(DropVerdict::QueueOverflow),
             e2e_delivered: self.metrics.e2e_hist.count(),
             mean_latency_s: self.metrics.latency.mean(),
             latency_p95_s: self.metrics.latency_hist.quantile(0.95),
@@ -1654,7 +1638,6 @@ impl Simulation {
             clock_error: cfg.clock_error_bound(),
             clock_stats: ClockStats::default(),
             registry: MetricsRegistry::new(cfg.profile),
-            verdicts: cfg.monitor.then(VerdictHistogram::new),
             cfg,
         };
 
@@ -1867,7 +1850,6 @@ impl Simulation {
             stats,
             clock,
             profile,
-            verdicts: self.world.verdicts.take(),
         }
     }
 }
@@ -1875,7 +1857,8 @@ impl Simulation {
 /// Everything one [`Simulation::run_full`] call produces.
 #[derive(Debug)]
 pub struct RunOutput {
-    /// The paper's measurement axes for the run.
+    /// The paper's measurement axes for the run, and its loss ledger
+    /// ([`MetricsReport::drops`]), kept whether or not monitors ran.
     pub report: MetricsReport,
     /// The tracer (drained of the world; query its capture sinks).
     pub tracer: Tracer,
@@ -1892,11 +1875,6 @@ pub struct RunOutput {
     /// hit rates, fan-out/queue-depth distributions); `Some` iff
     /// [`SimConfig::profile`](crate::config::SimConfig::profile) was set.
     pub profile: Option<ProfileReport>,
-    /// Drop-forensics verdict histogram — one causal verdict per loss the
-    /// run decided (modem-busy transmit drops, PER losses, unroutable
-    /// SDUs, terminal MAC drops by reason); `Some` iff
-    /// [`SimConfig::monitor`](crate::config::SimConfig::monitor) was set.
-    pub verdicts: Option<VerdictHistogram>,
 }
 
 #[cfg(test)]
@@ -2346,58 +2324,6 @@ mod tests {
     }
 
     #[test]
-    fn monitoring_does_not_perturb_the_run() {
-        // Same contract as profiling: drop forensics only observes losses
-        // the simulation already decided, so with monitoring on the trace
-        // stream, the report, and the engine statistics are byte-for-byte
-        // what the unmonitored run produces — plus a verdict histogram.
-        let cfg = small_cfg();
-        let run = |monitor: bool| {
-            Simulation::new(cfg.clone().with_monitoring(monitor), &blast_factory)
-                .unwrap()
-                .with_tracing(TraceLevel::Debug)
-                .run_full()
-        };
-        let plain = run(false);
-        let monitored = run(true);
-        assert_eq!(plain.report, monitored.report);
-        assert_eq!(
-            plain.stats.events_processed,
-            monitored.stats.events_processed
-        );
-        assert_eq!(plain.stats.sim_end, monitored.stats.sim_end);
-        assert_eq!(plain.stats.stop_reason, monitored.stats.stop_reason);
-        assert_eq!(plain.stats.kind_counts, monitored.stats.kind_counts);
-        let jsonl = |out: &RunOutput| {
-            out.tracer
-                .records()
-                .iter()
-                .map(|r| r.to_json_line())
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(jsonl(&plain), jsonl(&monitored));
-        assert!(plain.verdicts.is_none());
-        // Every counted loss reconciles against the delivery counters:
-        // the verdict histogram is the same totals, causally split.
-        let verdicts = monitored.verdicts.expect("monitoring enabled");
-        assert_eq!(
-            verdicts.count(DropVerdict::ModemBusy),
-            monitored.report.tx_dropped
-        );
-        assert_eq!(
-            verdicts.count(DropVerdict::NoAudibleReceiver),
-            monitored.report.unroutable
-        );
-        assert_eq!(
-            verdicts.count(DropVerdict::MacDrop)
-                + verdicts.count(DropVerdict::HandshakeTimeout)
-                + verdicts.count(DropVerdict::QueueOverflow),
-            monitored.report.sdus_dropped
-        );
-    }
-
-    #[test]
     fn profiled_run_attributes_costs_and_cache_traffic() {
         // Long enough that every sensor transmits more than once, so the
         // link cache sees row *re*-use (hits), not just the initial builds.
@@ -2624,10 +2550,10 @@ mod tests {
     }
 
     #[test]
-    fn routed_verdicts_reconcile_with_counters() {
+    fn routed_losses_respect_the_ttl_and_retry_budget() {
         // A TTL too small for the column plus a tight transport budget
-        // forces both new loss classes; monitoring must attribute every
-        // one of them, and the path-length histogram must respect the TTL.
+        // forces both routed loss classes, and the path-length histogram
+        // must respect the TTL.
         let mut rc = uasn_route::RouteConfig::greedy().with_ttl(2);
         rc.transport = Some(uasn_route::TransportConfig {
             retry_budget: 1,
@@ -2640,22 +2566,8 @@ mod tests {
         }
         .with_convergecast(20.0, 10.0)
         .with_route(rc)
-        .with_monitoring(true)
         .with_sim_time(SimDuration::from_secs(120));
         let out = Simulation::new(cfg, &blast_factory).unwrap().run_full();
-        let verdicts = out.verdicts.expect("monitoring enabled");
-        assert_eq!(
-            verdicts.count(DropVerdict::TtlExhausted),
-            out.report.ttl_dropped
-        );
-        assert_eq!(
-            verdicts.count(DropVerdict::RetryBudgetExhausted),
-            out.report.retry_dropped
-        );
-        assert_eq!(
-            verdicts.count(DropVerdict::NoAudibleReceiver),
-            out.report.unroutable
-        );
         assert!(out.report.ttl_dropped > 0, "ttl 2 truncates deep paths");
         assert!(out.report.retry_dropped > 0, "budget 1 exhausts");
         if let Some(max) = out.report.path_hops.max() {

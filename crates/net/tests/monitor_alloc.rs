@@ -1,9 +1,7 @@
-//! Verifies the drop-forensics layer's allocation promises: the verdict
-//! histogram a monitored run updates on every attributed loss is a fixed
-//! array, so recording, merging, and reading it must never touch the
-//! allocator — and when monitoring is off the world holds no histogram at
-//! all (covered by `world::tests::monitoring_does_not_perturb_the_run`),
-//! so the off path is a single branch.
+//! Verifies the loss ledger's allocation promise: the verdict histogram
+//! every run updates at each loss site (`MetricsReport::drops`) is a
+//! fixed array, so recording, merging, and reading it must never touch
+//! the allocator.
 //!
 //! Uses a counting global allocator wrapping the system one. This lives in
 //! an integration test (its own crate) because the library forbids unsafe
@@ -72,7 +70,7 @@ fn verdict_merge_and_reads_allocate_nothing() {
             let _ = verdict.as_str();
         }
         assert_eq!(seen, a.total());
-        assert!(!a.is_empty());
+        assert_eq!(seen, 1 + 41 * 1_000);
     });
     assert_eq!(count, 0, "histogram merge/read must not allocate");
 }
