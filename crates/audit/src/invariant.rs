@@ -167,6 +167,8 @@ mod tests {
             addressed: true,
             sdu: None,
             origin: None,
+            meas_us: None,
+            stamp_us: 0,
         }
     }
 
@@ -205,6 +207,8 @@ mod tests {
                     sdu: None,
                     origin: None,
                     retx: false,
+                    bundle: 0,
+                    stamp_us: 0,
                 }),
                 ParsedRecord::Rx(rx(1, 1, 3, 120, 220)),
             ],
@@ -232,6 +236,7 @@ mod tests {
             route_policy: None,
             route_ttl: None,
             transport: false,
+            timing_budget: false,
         }
     }
 
@@ -250,6 +255,8 @@ mod tests {
             sdu: None,
             origin: None,
             retx: false,
+            bundle: 0,
+            stamp_us: 0,
         };
         let mut model = TraceModel {
             run_info: Some(ewmac_run_info()),
@@ -286,6 +293,8 @@ mod tests {
             sdu: None,
             origin: None,
             retx: false,
+            bundle: 0,
+            stamp_us: 0,
         };
         let model = TraceModel {
             run_info: Some(run.clone()),
@@ -336,6 +345,8 @@ mod tests {
             sdu: None,
             origin: None,
             retx: false,
+            bundle: 0,
+            stamp_us: 0,
         };
         let data_rx_start = clock.start_of(1).as_micros() + pair_delay;
         let intruder = RxEvent {
@@ -351,6 +362,8 @@ mod tests {
             addressed: true,
             sdu: None,
             origin: None,
+            meas_us: None,
+            stamp_us: 0,
         };
         let model = TraceModel {
             run_info: Some(run),
@@ -392,6 +405,8 @@ mod tests {
             sdu: None,
             origin: None,
             retx: false,
+            bundle: 0,
+            stamp_us: 0,
         };
         let data_rx_start = clock.start_of(1).as_micros() + pair_delay;
         let intruder = RxEvent {
@@ -407,6 +422,8 @@ mod tests {
             addressed: true,
             sdu: None,
             origin: None,
+            meas_us: None,
+            stamp_us: 0,
         };
         // 20 ms of clock error swallows the 15.3 ms the intruder reaches
         // into the reservation.
@@ -456,6 +473,8 @@ mod tests {
             sdu: None,
             origin: None,
             retx: false,
+            bundle: 0,
+            stamp_us: 0,
         };
         let data_tx_start = clock
             .start_of(
@@ -483,6 +502,8 @@ mod tests {
             addressed: true,
             sdu: None,
             origin: None,
+            meas_us: None,
+            stamp_us: 0,
         };
         let mut model = TraceModel {
             run_info: Some(run.clone()),
@@ -511,6 +532,8 @@ mod tests {
                 addressed: true,
                 sdu: None,
                 origin: None,
+                meas_us: None,
+                stamp_us: 0,
             }),
         );
         let violations = check(&model);

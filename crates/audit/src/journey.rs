@@ -448,17 +448,18 @@ pub fn reconstruct_paths(model: &TraceModel) -> Vec<SduPath> {
                     // copy (or, for retry exhaustion, the latest open
                     // one) records the fate; any other copies still in
                     // flight close without one.
-                    let closed = open.retire(e.sdu);
-                    let fated = match e.attempt {
-                        Some(a) => closed.iter().find(|&&(attempt, _)| attempt == a),
-                        None => closed.iter().max_by_key(|&&(_, i)| i),
-                    };
-                    if let Some(&(_, i)) = fated {
-                        paths[i].dropped = Some((e.node, e.reason.clone()));
+                    let mut fated = None;
+                    open.retire(e.sdu, |attempt, i| match e.attempt {
+                        Some(a) if attempt == a => fated = Some(i),
+                        Some(_) => {}
+                        None => fated = fated.max(Some(i)),
+                    });
+                    if let Some(i) = fated {
+                        paths[i].dropped = Some((e.node, e.reason.to_string()));
                     }
                 } else if let Some(a) = e.attempt {
                     if let Some(i) = open.remove(e.sdu, a) {
-                        paths[i].dropped = Some((e.node, e.reason.clone()));
+                        paths[i].dropped = Some((e.node, e.reason.to_string()));
                     }
                 }
             }
@@ -592,6 +593,8 @@ mod tests {
                     sdu: None,
                     origin: None,
                     retx: false,
+                    bundle: 0,
+                    stamp_us: 0,
                 }),
                 ParsedRecord::Tx(TxEvent {
                     record: 2,
@@ -606,6 +609,8 @@ mod tests {
                     sdu: Some(7),
                     origin: Some(2),
                     retx: false,
+                    bundle: 0,
+                    stamp_us: 0,
                 }),
                 ParsedRecord::Rx(RxEvent {
                     record: 3,
@@ -620,6 +625,8 @@ mod tests {
                     addressed: true,
                     sdu: Some(7),
                     origin: Some(2),
+                    meas_us: None,
+                    stamp_us: 0,
                 }),
                 ParsedRecord::Sink(SinkEvent {
                     record: 4,
@@ -745,7 +752,7 @@ mod tests {
                     attempt: Some(0),
                     hops: Some(1),
                     attempts: None,
-                    reason: "ttl-exhausted".to_string(),
+                    reason: "ttl-exhausted".into(),
                     terminal: false,
                 }),
                 // sdu 8's transport retry after the copy-level loss above.
@@ -766,7 +773,7 @@ mod tests {
                     attempt: None,
                     hops: None,
                     attempts: Some(2),
-                    reason: "retry-exhausted".to_string(),
+                    reason: "retry-exhausted".into(),
                     terminal: true,
                 }),
             ],

@@ -1,12 +1,16 @@
-//! Typed view over a raw trace: the audit-relevant events, extracted from
+//! Typed view over a raw trace: the audit-relevant events, decoded from
 //! [`TraceRecord`]s by tag and structured field.
 //!
-//! [`parse_record`] is the one classifier, shared by the post-hoc
-//! [`TraceModel`] and the streaming [`crate::monitor::MonitorSink`]. The
-//! model keeps the run description apart and every other classified
-//! record in one list, [`TraceModel::events`], in trace record order — the
-//! order the monitors see online — so a post-hoc pass replays it as is and
-//! each consumer filters it for the kinds it reads.
+//! The schema itself — [`ParsedRecord`] and its event structs — lives in
+//! `uasn_net::record`, because the world builds those records and the
+//! monitors read them online without any text. [`parse_record`] is the
+//! one decoder of the *text* form back into that schema: post-hoc reads of
+//! a captured or JSONL trace, and sinks that still hand the streaming
+//! [`crate::monitor::MonitorSink`] rendered records. The model keeps the
+//! run description apart and every other classified record in one list,
+//! [`TraceModel::events`], in trace record order — the order the monitors
+//! see online — so a post-hoc pass replays it as is and each consumer
+//! filters it for the kinds it reads.
 //!
 //! The extractor is deliberately tolerant: records with unknown tags are
 //! ignored (future schema growth), and records of a known tag that lack the
@@ -18,296 +22,13 @@
 use std::path::Path;
 
 use uasn_net::packet::FrameKind;
+use uasn_net::record::reason_label;
 use uasn_sim::trace::{parse_jsonl, FieldValue, TraceRecord};
 
-/// The run-description record (`run-info` tag) the world emits at t = 0:
-/// protocol identity, network shape, and the slot geometry the invariant
-/// checker replays against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunInfo {
-    /// Protocol display name (e.g. `"EW-MAC"`, `"S-FAMA"`).
-    pub protocol: String,
-    /// Total node count (sensors + sinks).
-    pub nodes: usize,
-    /// Surface sink count.
-    pub sinks: usize,
-    /// Modem bitrate, bits per second.
-    pub bitrate_bps: f64,
-    /// Control-packet airtime ω, microseconds.
-    pub omega_us: u64,
-    /// Maximum propagation delay τmax, microseconds.
-    pub tau_max_us: u64,
-    /// Slot length |ts| = 2·τmax + ω (paper §4.1), microseconds.
-    pub slot_us: u64,
-    /// Whether nodes drift (disables time-invariant propagation checks).
-    pub mobility: bool,
-    /// Whether multi-hop forwarding toward sinks is on.
-    pub forwarding: bool,
-    /// Guard band appended to every slot, microseconds. Zero for traces
-    /// from ideal-sync runs (which omit the field entirely).
-    pub guard_us: u64,
-    /// Worst-case per-node clock error the run was configured for,
-    /// microseconds. Zero under the ideal clock model.
-    pub clock_error_us: u64,
-    /// Forwarding policy name of a routed run (`"greedy"`,
-    /// `"random-shallowest"`). Absent from non-routed traces.
-    pub route_policy: Option<String>,
-    /// Hop-count TTL of a routed run; the loop monitor's path-length
-    /// bound. Absent from non-routed traces.
-    pub route_ttl: Option<u64>,
-    /// Whether the routed run ran the end-to-end transport (origin-side
-    /// retransmission with sink acks).
-    pub transport: bool,
-}
-
-impl RunInfo {
-    /// Whether this protocol transmits its negotiated control/data packets
-    /// on slot boundaries (EW-MAC variants and S-FAMA; CS-MAC steals
-    /// mid-slot, ROPA and ALOHA are unslotted).
-    pub fn is_slot_aligned(&self) -> bool {
-        self.protocol.starts_with("EW-MAC") || self.protocol == "S-FAMA"
-    }
-
-    /// The timing tolerance every boundary-sensitive check must allow: two
-    /// drifting clocks can disagree by twice the per-node error, and the
-    /// guard band is slack the protocol *intends* events to use.
-    pub fn tolerance_us(&self) -> u64 {
-        self.guard_us + 2 * self.clock_error_us
-    }
-}
-
-/// A transmission start (`tx` tag).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TxEvent {
-    /// Index of the source record in the parsed trace (the violation
-    /// pointer).
-    pub record: usize,
-    /// Transmit start, microseconds.
-    pub time_us: u64,
-    /// Transmitting node.
-    pub node: usize,
-    /// Frame kind.
-    pub kind: FrameKind,
-    /// Addressed node.
-    pub dst: usize,
-    /// Frame length, bits.
-    pub bits: u64,
-    /// Airtime, microseconds.
-    pub dur_us: u64,
-    /// Announced pair propagation delay τ (CTS/EXC), microseconds.
-    pub pair_delay_us: Option<u64>,
-    /// Announced data duration TD (RTS/CTS), microseconds.
-    pub data_dur_us: Option<u64>,
-    /// Primary SDU riding a data frame.
-    pub sdu: Option<u64>,
-    /// Origin node of that SDU.
-    pub origin: Option<usize>,
-    /// Whether this data frame is a retransmission.
-    pub retx: bool,
-}
-
-/// A decoded reception (`rx` tag); the record time is the arrival **end**.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RxEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Arrival end (last bit decoded), microseconds.
-    pub end_us: u64,
-    /// Receiving node.
-    pub node: usize,
-    /// Frame kind.
-    pub kind: FrameKind,
-    /// Transmitting node.
-    pub src: usize,
-    /// Addressed node.
-    pub dst: usize,
-    /// Frame length, bits.
-    pub bits: u64,
-    /// Arrival start (first bit), microseconds.
-    pub start_us: u64,
-    /// Propagation delay this copy experienced, microseconds.
-    pub prop_us: u64,
-    /// Whether the frame was addressed to the receiving node.
-    pub addressed: bool,
-    /// Primary SDU riding a data frame.
-    pub sdu: Option<u64>,
-    /// Origin node of that SDU.
-    pub origin: Option<usize>,
-}
-
-/// A lost reception (`rx-lost` tag): collision, half-duplex, or channel.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RxLostEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Arrival end, microseconds.
-    pub end_us: u64,
-    /// Receiving node.
-    pub node: usize,
-    /// Frame kind.
-    pub kind: FrameKind,
-    /// Transmitting node.
-    pub src: usize,
-    /// Addressed node.
-    pub dst: usize,
-    /// Arrival start, microseconds.
-    pub start_us: u64,
-    /// Loss reason (`"collision"` or `"channel"`).
-    pub reason: String,
-}
-
-/// An SDU entering a MAC queue (`enq` tag): generation or forwarding hop.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnqEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Enqueue time, microseconds.
-    pub time_us: u64,
-    /// Enqueueing node.
-    pub node: usize,
-    /// SDU id.
-    pub sdu: u64,
-    /// Origin node.
-    pub origin: usize,
-    /// Next-hop destination.
-    pub next_hop: usize,
-    /// Payload bits.
-    pub bits: u64,
-    /// `true` for a forwarding hop, `false` for fresh generation.
-    pub fwd: bool,
-}
-
-/// An SDU reaching a surface sink (`sink` tag).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SinkEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Arrival time, microseconds.
-    pub time_us: u64,
-    /// Sink node.
-    pub node: usize,
-    /// SDU id.
-    pub sdu: u64,
-    /// Origin node.
-    pub origin: usize,
-    /// Payload bits.
-    pub bits: u64,
-    /// End-to-end latency measured by the simulator (first arrival only).
-    pub e2e_us: Option<u64>,
-}
-
-/// A terminal MAC drop (`sdu-drop` tag).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DropEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Drop time, microseconds.
-    pub time_us: u64,
-    /// Dropping node.
-    pub node: usize,
-    /// SDU id.
-    pub sdu: u64,
-    /// Causal drop reason (e.g. `"retry-exhausted"`), when the trace
-    /// carries one. Absent from pre-forensics traces.
-    pub reason: Option<String>,
-}
-
-/// An SDU copy injected (or re-injected by a transport retry) at its
-/// origin (`route` tag). Each `route` event starts a fresh source→sink
-/// path for that SDU.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Injection time, microseconds.
-    pub time_us: u64,
-    /// Origin node.
-    pub node: usize,
-    /// SDU id.
-    pub sdu: u64,
-    /// Chosen next hop.
-    pub next_hop: usize,
-    /// Transport attempt (0 = first injection).
-    pub attempt: u64,
-}
-
-/// A relay decision at an intermediate node (`relay` tag): the SDU copy
-/// arrived here and was re-enqueued toward a strictly shallower next hop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelayEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Relay time, microseconds.
-    pub time_us: u64,
-    /// Relaying node.
-    pub node: usize,
-    /// SDU id.
-    pub sdu: u64,
-    /// Origin node.
-    pub origin: usize,
-    /// Chosen next hop.
-    pub next_hop: usize,
-    /// Transport attempt (copy number) this relay belongs to.
-    pub attempt: u64,
-    /// MAC hops the copy has traversed to reach this node.
-    pub hops: u64,
-    /// Payload bits.
-    pub bits: u64,
-}
-
-/// A routed loss (`relay-drop` / `e2e-drop` tags). `terminal` is `false`
-/// for a copy-level loss a pending transport retry can still rescue and
-/// `true` when this loss is the SDU's final fate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RouteDropEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Drop time, microseconds.
-    pub time_us: u64,
-    /// Dropping node.
-    pub node: usize,
-    /// SDU id.
-    pub sdu: u64,
-    /// Origin node.
-    pub origin: usize,
-    /// Transport attempt (copy number) of the lost copy (absent from
-    /// retry-exhaustion drops, which retire the whole SDU rather than
-    /// one copy).
-    pub attempt: Option<u64>,
-    /// MAC hops the lost copy had traversed (absent from
-    /// retry-exhaustion drops, which happen at the origin between
-    /// copies).
-    pub hops: Option<u64>,
-    /// Transport attempts consumed (retry-exhaustion drops only).
-    pub attempts: Option<u64>,
-    /// Causal reason (`"unroutable"`, `"ttl-exhausted"`,
-    /// `"retry-exhausted"`).
-    pub reason: String,
-    /// Whether the loss is terminal (`e2e-drop`) rather than copy-level
-    /// (`relay-drop`).
-    pub terminal: bool,
-}
-
-/// A first end-to-end delivery (`e2e-deliver` tag).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct E2eDeliverEvent {
-    /// Index of the source record in the parsed trace.
-    pub record: usize,
-    /// Delivery time, microseconds.
-    pub time_us: u64,
-    /// Sink node.
-    pub node: usize,
-    /// SDU id.
-    pub sdu: u64,
-    /// Origin node.
-    pub origin: usize,
-    /// Transport attempt (copy number) that completed the delivery.
-    pub attempt: u64,
-    /// MAC hops on the delivered path (origin → sink).
-    pub hops: u64,
-    /// End-to-end latency, microseconds.
-    pub e2e_us: u64,
-}
+pub use uasn_net::record::{
+    DropEvent, E2eDeliverEvent, EnqEvent, ParsedRecord, RelayEvent, RouteDropEvent, RouteEvent,
+    RunInfo, RxEvent, RxLostEvent, SinkEvent, TxEvent,
+};
 
 /// The audit's typed view of one trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -368,50 +89,34 @@ fn get_kind(r: &TraceRecord) -> Option<FrameKind> {
     FrameKind::from_label(get_str(r, "kind")?)
 }
 
-/// One trace record classified into the audit's typed event space.
-///
-/// This is the single extraction path shared by the post-hoc
-/// [`TraceModel::from_records`] builder and the streaming
-/// [`crate::monitor::MonitorSink`], so both views of a trace are typed by
-/// exactly the same rules.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParsedRecord {
-    /// The run-description record (boxed: it is the largest variant and
-    /// appears once per trace).
-    RunInfo(Box<RunInfo>),
-    /// A transmission start.
-    Tx(TxEvent),
-    /// A decoded reception.
-    Rx(RxEvent),
-    /// A lost reception.
-    RxLost(RxLostEvent),
-    /// An SDU entering a MAC queue.
-    Enq(EnqEvent),
-    /// An SDU reaching a surface sink.
-    Sink(SinkEvent),
-    /// A terminal MAC drop.
-    Drop(DropEvent),
-    /// A routed SDU copy injected at its origin.
-    Route(RouteEvent),
-    /// A relay decision at an intermediate node.
-    Relay(RelayEvent),
-    /// A routed loss (copy-level or terminal).
-    RouteDrop(RouteDropEvent),
-    /// A first end-to-end delivery.
-    E2eDeliver(E2eDeliverEvent),
-    /// A known tag that lacked the structured fields the audit needs
-    /// (message-only traces); counted in [`TraceModel::skipped`].
-    Skipped,
-    /// An unknown tag, ignored for schema growth.
-    Other,
+fn get_u32(r: &TraceRecord, name: &str) -> Option<u32> {
+    get_u64(r, name)?.try_into().ok()
 }
 
-// A trace model holds one of these per frame record; with the run
-// description boxed, the enum stays at its per-frame variants' size.
-const _: () = assert!(std::mem::size_of::<ParsedRecord>() <= 128);
+/// The frame timestamp, in microseconds, that a frame record's message
+/// carries in its label, `KIND[nSRC->nDST BITSb @SECS.MICROSs]`; the
+/// record time for a record without one (message-only fixtures).
+fn stamp_us(r: &TraceRecord) -> u64 {
+    let stamp = || {
+        let (_, rest) = r.message.split_once(" @")?;
+        let (secs, _) = rest.split_once("s]")?;
+        let (whole, micros) = secs.split_once('.')?;
+        if micros.len() != 6 {
+            return None;
+        }
+        whole
+            .parse::<u64>()
+            .ok()?
+            .checked_mul(1_000_000)?
+            .checked_add(micros.parse().ok()?)
+    };
+    stamp().unwrap_or(r.time.as_micros())
+}
 
-/// Classifies one trace record. `record` is the index the event will cite
-/// back (the JSONL body line number for an exported trace).
+/// Decodes one text trace record into the typed schema. `record` is the
+/// index the event will cite back (the JSONL body line number for an
+/// exported trace). Known loss reasons decode to their static labels, so
+/// decoding allocates only for a run description or an unknown reason.
 pub fn parse_record(record: usize, r: &TraceRecord) -> ParsedRecord {
     let time_us = r.time.as_micros();
     let node = r.node.unwrap_or(usize::MAX);
@@ -427,6 +132,7 @@ pub fn parse_record(record: usize, r: &TraceRecord) -> ParsedRecord {
                 slot_us: get_u64(r, "slot_us")?,
                 mobility: get_bool(r, "mobility")?,
                 forwarding: get_bool(r, "forwarding")?,
+                timing_budget: get(r, "guard_us").is_some(),
                 // Absent from ideal-sync traces (including all pre-clock
                 // ones): zero tolerance.
                 guard_us: get_u64(r, "guard_us").unwrap_or(0),
@@ -447,13 +153,15 @@ pub fn parse_record(record: usize, r: &TraceRecord) -> ParsedRecord {
                 node,
                 kind: get_kind(r)?,
                 dst: get_usize(r, "dst")?,
-                bits: get_u64(r, "bits")?,
+                bits: get_u32(r, "bits")?,
                 dur_us: get_u64(r, "dur_us")?,
                 pair_delay_us: get_u64(r, "pair_delay_us"),
                 data_dur_us: get_u64(r, "data_dur_us"),
                 sdu: get_u64(r, "sdu"),
                 origin: get_usize(r, "origin"),
                 retx: get_bool(r, "retx").unwrap_or(false),
+                bundle: get_u64(r, "bundle").map_or(Some(0), |n| n.try_into().ok())?,
+                stamp_us: stamp_us(r),
             })
         })()
         .map_or(ParsedRecord::Skipped, ParsedRecord::Tx),
@@ -465,12 +173,14 @@ pub fn parse_record(record: usize, r: &TraceRecord) -> ParsedRecord {
                 kind: get_kind(r)?,
                 src: get_usize(r, "src")?,
                 dst: get_usize(r, "dst")?,
-                bits: get_u64(r, "bits")?,
+                bits: get_u32(r, "bits")?,
                 start_us: get_u64(r, "start_us")?,
                 prop_us: get_u64(r, "prop_us")?,
                 addressed: get_bool(r, "addressed")?,
+                meas_us: get_u64(r, "meas_us"),
                 sdu: get_u64(r, "sdu"),
                 origin: get_usize(r, "origin"),
+                stamp_us: stamp_us(r),
             })
         })()
         .map_or(ParsedRecord::Skipped, ParsedRecord::Rx),
@@ -482,8 +192,12 @@ pub fn parse_record(record: usize, r: &TraceRecord) -> ParsedRecord {
                 kind: get_kind(r)?,
                 src: get_usize(r, "src")?,
                 dst: get_usize(r, "dst")?,
+                // Read only to re-render the message; the checks never
+                // needed it, so a record without it is not skipped.
+                bits: get_u32(r, "bits").unwrap_or(0),
                 start_us: get_u64(r, "start_us")?,
-                reason: get_str(r, "reason")?.to_string(),
+                reason: reason_label(get_str(r, "reason")?),
+                stamp_us: stamp_us(r),
             })
         })()
         .map_or(ParsedRecord::Skipped, ParsedRecord::RxLost),
@@ -518,7 +232,7 @@ pub fn parse_record(record: usize, r: &TraceRecord) -> ParsedRecord {
                 time_us,
                 node,
                 sdu: get_u64(r, "sdu")?,
-                reason: get_str(r, "reason").map(str::to_string),
+                reason: get_str(r, "reason").map(reason_label),
             })
         })()
         .map_or(ParsedRecord::Skipped, ParsedRecord::Drop),
@@ -557,7 +271,7 @@ pub fn parse_record(record: usize, r: &TraceRecord) -> ParsedRecord {
                 attempt: get_u64(r, "attempt"),
                 hops: get_u64(r, "hops"),
                 attempts: get_u64(r, "attempts"),
-                reason: get_str(r, "reason")?.to_string(),
+                reason: reason_label(get_str(r, "reason")?),
                 terminal: tag == "e2e-drop",
             })
         })()

@@ -16,15 +16,21 @@
 //!   the online and offline paths agree **by construction** — there is
 //!   exactly one implementation of each invariant and one dispatch to it.
 //! - [`MonitorSink`] adapts the machine to the tracer's
-//!   [`TraceSink`] interface (classifying raw records via
-//!   [`parse_record`]) and pairs it with an optional [`FlightRecorder`].
+//!   [`TraceSink`] interface and pairs it with an optional
+//!   [`FlightRecorder`]. The world's records arrive typed
+//!   ([`TraceSink::accept_event`]): the sink downcasts each to its
+//!   [`ParsedRecord`], stamps the record index and observes it, with no
+//!   text built or parsed. A rendered record that reaches
+//!   [`TraceSink::accept`] — from a wrapping sink that only forwards text —
+//!   is decoded by [`parse_record`] into the same schema.
 //! - [`StreamingMonitor`] is the shared handle a harness keeps: it hands a
 //!   boxed sink to `Tracer::with_sink` and harvests the
 //!   [`MonitorReport`] after the run.
 //! - [`FlightRecorder`] keeps a fixed-capacity [`RingSink`] of the most
 //!   recent records and, on every finding, snapshots the ring to
 //!   `<dir>/<seq>-<kind>.jsonl` — the last moments before the anomaly,
-//!   debuggable without any full-trace capture.
+//!   debuggable without any full-trace capture. It holds text, so with a
+//!   recorder attached each typed record is also rendered into the ring.
 //!
 //! # Why record-order streaming is exact
 //!
@@ -42,6 +48,7 @@
 //! the first delay measured on each `(src, rx)` link. Both tables are
 //! sized by the deployment (nodes, audible links), not by trace length.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::PathBuf;
@@ -49,13 +56,14 @@ use std::sync::{Arc, Mutex};
 
 use uasn_ewmac::ObservedNegotiation;
 use uasn_net::packet::FrameKind;
+use uasn_net::record::TxDropEvent;
 use uasn_net::slots::SlotClock;
 use uasn_net::NodeId;
 use uasn_sim::hash::FxHashMap;
 use uasn_sim::time::{SimDuration, SimTime};
-use uasn_sim::trace::{export_jsonl, RingSink, TraceRecord, TraceSink};
+use uasn_sim::trace::{export_jsonl, RingSink, TraceEvent, TraceLevel, TraceRecord, TraceSink};
 
-use crate::copies::CopyIndex;
+use crate::copies::{CopyIndex, PathSlab};
 use crate::invariant::{overlaps, Violation, ViolationKind};
 use crate::model::{
     parse_record, E2eDeliverEvent, ParsedRecord, RelayEvent, RouteDropEvent, RouteEvent, RunInfo,
@@ -143,8 +151,11 @@ pub struct MonitorSet {
     /// on that copy's delivery or loss, so the working set is bounded by
     /// the in-flight copy population. Copies are indexed by SDU, so a
     /// terminal drop retires its SDU's copies without visiting any
-    /// other.
-    route_paths: CopyIndex<Vec<usize>>,
+    /// other. Each copy holds the last entry of its path in `paths`.
+    route_paths: CopyIndex<Option<usize>>,
+    /// The open copies' paths, chained in one slab that reuses closed
+    /// paths' entries, so routed copies cost no allocation of their own.
+    paths: PathSlab,
     findings: Vec<Violation>,
     peak_tracked: usize,
 }
@@ -232,7 +243,10 @@ impl MonitorSet {
     /// an earlier copy still in flight keeps extending its own path.
     fn observe_route(&mut self, ev: &RouteEvent) {
         self.advance(ev.time_us);
-        self.route_paths.insert(ev.sdu, ev.attempt, vec![ev.node]);
+        let path = self.paths.push(None, ev.node);
+        if let Some(reseeded) = self.route_paths.insert(ev.sdu, ev.attempt, Some(path)) {
+            self.paths.release(reseeded);
+        }
         self.update_peak();
     }
 
@@ -262,9 +276,11 @@ impl MonitorSet {
     fn observe_route_drop(&mut self, ev: &RouteDropEvent) {
         self.advance(ev.time_us);
         if ev.terminal {
-            self.route_paths.retire(ev.sdu);
+            let paths = &mut self.paths;
+            self.route_paths
+                .retire(ev.sdu, |_, tail| paths.release(tail));
         } else if let Some(attempt) = ev.attempt {
-            self.route_paths.remove(ev.sdu, attempt);
+            self.close_path(ev.sdu, attempt);
         }
         self.update_peak();
     }
@@ -281,8 +297,15 @@ impl MonitorSet {
             ev.hops,
             "delivered",
         );
-        self.route_paths.remove(ev.sdu, ev.attempt);
+        self.close_path(ev.sdu, ev.attempt);
         self.update_peak();
+    }
+
+    /// Closes one copy's path.
+    fn close_path(&mut self, sdu: u64, attempt: u64) {
+        if let Some(tail) = self.route_paths.remove(sdu, attempt) {
+            self.paths.release(tail);
+        }
     }
 
     /// The shared relay/delivery path step: revisit and TTL-bound checks,
@@ -298,8 +321,9 @@ impl MonitorSet {
         verb: &str,
     ) {
         let (sdu, attempt) = copy;
-        let path = self.route_paths.get_or_default(sdu, attempt);
-        if path.contains(&node) {
+        let tail = self.route_paths.get_or_default(sdu, attempt);
+        if self.paths.contains(*tail, node) {
+            let path = self.paths.nodes(*tail);
             self.findings.push(Violation {
                 kind: ViolationKind::RoutingLoop,
                 record_index: record,
@@ -313,7 +337,7 @@ impl MonitorSet {
                 allowed_us: None,
             });
         }
-        path.push(node);
+        *tail = Some(self.paths.push(*tail, node));
         if let Some(ttl) = self.geometry.as_ref().and_then(|g| g.run.route_ttl) {
             // A relay happens strictly before the TTL bites (`hops < ttl`);
             // a delivery consumes one more hop and may reach it exactly.
@@ -906,6 +930,31 @@ struct MonitorInner {
     next_record: usize,
 }
 
+impl MonitorInner {
+    /// Numbers the next record (the index its findings cite).
+    fn next_index(&mut self) -> usize {
+        let index = self.next_record;
+        self.next_record += 1;
+        self.records_seen += 1;
+        index
+    }
+
+    /// Feeds one typed record to the monitors and snapshots the flight
+    /// recorder for every finding it raises.
+    fn observe(&mut self, parsed: &ParsedRecord) {
+        if matches!(parsed, ParsedRecord::Skipped) {
+            self.skipped += 1;
+        }
+        let before = self.monitors.findings().len();
+        self.monitors.observe(parsed);
+        if let Some(flight) = self.flight.as_mut() {
+            for finding in &self.monitors.findings()[before..] {
+                flight.dump(finding);
+            }
+        }
+    }
+}
+
 /// The handle a harness keeps on a streaming monitor: hand
 /// [`StreamingMonitor::sink`] to `Tracer::with_sink` before the run, call
 /// [`StreamingMonitor::report`] after it.
@@ -969,35 +1018,51 @@ impl StreamingMonitor {
     }
 }
 
-/// The [`TraceSink`] adapter: classifies each record with the same
-/// extraction rules as the post-hoc model and feeds the [`MonitorSet`],
-/// teeing every record into the flight recorder first so a finding's
-/// snapshot includes the record that exposed it.
+/// The [`TraceSink`] adapter: feeds each record to the [`MonitorSet`] —
+/// the world's typed records as they are, rendered records through the
+/// same decoder as the post-hoc model — teeing every record into the
+/// flight recorder first so a finding's snapshot includes the record that
+/// exposed it.
 pub struct MonitorSink {
     inner: Arc<Mutex<MonitorInner>>,
 }
 
 impl TraceSink for MonitorSink {
     fn accept(&mut self, record: &TraceRecord) {
-        let mut guard = self.inner.lock().expect("monitor lock");
-        let inner = &mut *guard;
-        let index = inner.next_record;
-        inner.next_record += 1;
-        inner.records_seen += 1;
+        let mut inner = self.inner.lock().expect("monitor lock");
+        let index = inner.next_index();
         if let Some(flight) = inner.flight.as_mut() {
             flight.observe(record);
         }
-        let before = inner.monitors.findings().len();
-        let parsed = parse_record(index, record);
-        if matches!(parsed, ParsedRecord::Skipped) {
-            inner.skipped += 1;
+        inner.observe(&parse_record(index, record));
+    }
+
+    fn accept_event(
+        &mut self,
+        time: SimTime,
+        level: TraceLevel,
+        node: Option<usize>,
+        tag: &'static str,
+        event: &dyn TraceEvent,
+    ) {
+        let any: &dyn Any = event;
+        let typed = any.downcast_ref::<ParsedRecord>();
+        if typed.is_none() && !any.is::<TxDropEvent>() {
+            // Not a record of the world's schema: read its text, as any
+            // rendered record is read.
+            self.accept(&TraceRecord::from_event(time, level, node, tag, event));
+            return;
         }
-        inner.monitors.observe(&parsed);
+        let mut inner = self.inner.lock().expect("monitor lock");
+        let index = inner.next_index();
         if let Some(flight) = inner.flight.as_mut() {
-            for finding in &inner.monitors.findings()[before..] {
-                flight.dump(finding);
-            }
+            flight.observe(&TraceRecord::from_event(time, level, node, tag, event));
         }
+        // A modem-busy drop carries nothing the monitors check.
+        let Some(typed) = typed else { return };
+        let mut parsed = typed.clone();
+        parsed.set_record(index);
+        inner.observe(&parsed);
     }
 }
 
@@ -1304,6 +1369,8 @@ mod tests {
                 sdu: None,
                 origin: None,
                 retx: false,
+                bundle: 0,
+                stamp_us: 0,
             }));
         }
         assert!(

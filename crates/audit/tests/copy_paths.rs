@@ -282,12 +282,12 @@ fn reference_paths(records: &[TraceRecord]) -> Vec<SduPath> {
                     None => closed.into_iter().max(),
                 };
                 if let Some(i) = fated {
-                    paths[i].dropped = Some((e.node, e.reason.clone()));
+                    paths[i].dropped = Some((e.node, e.reason.to_string()));
                 }
             }
             ParsedRecord::RouteDrop(e) => {
                 if let Some(i) = e.attempt.and_then(|a| open.remove(&(e.sdu, a))) {
-                    paths[i].dropped = Some((e.node, e.reason.clone()));
+                    paths[i].dropped = Some((e.node, e.reason.to_string()));
                 }
             }
             ParsedRecord::E2eDeliver(e) => {

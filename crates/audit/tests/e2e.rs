@@ -7,13 +7,18 @@ use std::collections::BTreeMap;
 
 use uasn_audit::journey::{reconstruct, PhaseHistograms};
 use uasn_audit::model::{parse_record, ParsedRecord, TraceModel};
+use uasn_audit::monitor::{MonitorReport, StreamingMonitor};
 use uasn_audit::ViolationKind;
+use uasn_baselines::Aloha;
 use uasn_ewmac::{EwMac, EwMacConfig};
 use uasn_net::config::SimConfig;
 use uasn_net::topology::Deployment;
-use uasn_net::world::Simulation;
+use uasn_net::world::{MacFactory, Simulation};
+use uasn_net::MetricsReport;
 use uasn_sim::time::{SimDuration, SimTime};
-use uasn_sim::trace::{export_jsonl, field, parse_jsonl, Field, TraceLevel, TraceRecord, Tracer};
+use uasn_sim::trace::{
+    export_jsonl, field, parse_jsonl, Field, TraceLevel, TraceRecord, TraceSink, Tracer,
+};
 
 fn ewmac_jsonl(seed: u64) -> String {
     let cfg = SimConfig {
@@ -311,4 +316,59 @@ fn injected_extra_window_intrusion_is_flagged_through_jsonl() {
     assert_eq!(violations[0].record_index, 2);
     assert!(violations[0].detail.contains("record #1"));
     assert!(violations[0].detail.contains("data reception"));
+}
+
+/// Hands the wrapped sink only rendered records, as a text-only wrapper
+/// sink does: the monitor behind it decodes each one with `parse_record`.
+struct TextOnly(Box<dyn TraceSink + Send>);
+
+impl TraceSink for TextOnly {
+    fn accept(&mut self, record: &TraceRecord) {
+        self.0.accept(record);
+    }
+}
+
+/// Runs `cfg` with two monitors attached: one fed the world's typed
+/// records, one fed their rendered text.
+fn typed_and_text_reports(
+    cfg: &SimConfig,
+    factory: &MacFactory<'_>,
+) -> (MetricsReport, MonitorReport, MonitorReport) {
+    let typed = StreamingMonitor::new();
+    let text = StreamingMonitor::new();
+    let tracer = Tracer::new(TraceLevel::Debug)
+        .with_sink(typed.sink())
+        .with_sink(Box::new(TextOnly(text.sink())));
+    let report = Simulation::new(cfg.clone(), factory)
+        .expect("valid config")
+        .with_tracer(tracer)
+        .run();
+    (report, typed.report(), text.report())
+}
+
+#[test]
+fn typed_records_and_their_text_reach_the_monitors_alike() {
+    // Mobile cells drift away from the delay estimates EW-MAC schedules
+    // extras by, so this run raises extra-window findings; ALOHA adds
+    // modem-busy drops, the one record outside the audit schema.
+    let cfg = SimConfig::paper_default()
+        .with_sensors(30)
+        .with_offered_load_kbps(1.5)
+        .with_mobility(1.0)
+        .with_sim_time(SimDuration::from_secs(300))
+        .with_seed(11);
+    let (_, typed, text) =
+        typed_and_text_reports(&cfg, &|id| Box::new(EwMac::new(id, EwMacConfig::default())));
+    assert!(
+        !typed.findings.is_empty(),
+        "no findings: the comparison would be vacuous"
+    );
+    assert_eq!(typed, text, "EW-MAC: the typed and the text path disagree");
+
+    let (report, typed, text) = typed_and_text_reports(&cfg, &|id| Box::new(Aloha::new(id)));
+    assert!(
+        report.tx_dropped > 0,
+        "ALOHA: no modem-busy drop was traced"
+    );
+    assert_eq!(typed, text, "ALOHA: the typed and the text path disagree");
 }

@@ -30,6 +30,7 @@ fn run_info(mobility: bool) -> RunInfo {
         route_policy: None,
         route_ttl: None,
         transport: false,
+        timing_budget: false,
     }
 }
 
@@ -52,6 +53,8 @@ fn stream(raw: &[(usize, usize, u64, u64, u64)]) -> Vec<RxEvent> {
             addressed: true,
             sdu: None,
             origin: None,
+            meas_us: None,
+            stamp_us: 0,
         })
         .collect();
     rxs.sort_by_key(|rx| rx.end_us);

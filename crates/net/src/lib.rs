@@ -53,6 +53,7 @@ pub mod node;
 pub mod packet;
 pub mod priority;
 pub mod quiet;
+pub mod record;
 pub mod routing;
 pub mod sampling;
 pub mod slots;

@@ -152,10 +152,6 @@ pub struct NodeCounters {
     pub retx_bits: u64,
     /// SDUs generated by the traffic source at this node.
     pub sdus_generated: u64,
-    /// Receptions corrupted by overlap at this node (from the modem ledger).
-    pub collisions: u64,
-    /// Receptions corrupted by this node's own transmissions.
-    pub half_duplex_losses: u64,
 }
 
 impl NodeCounters {

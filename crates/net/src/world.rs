@@ -17,6 +17,12 @@
 //! overheard) → `TxEnd` lends it to the sender's MAC and drops the in-air
 //! entry.
 //!
+//! Each traced step (`tx`, `rx`, `rx-lost`, queue, sink and routing
+//! records) builds one typed record from [`crate::record`], only once the
+//! tracer's level gate admits it, and hands it to
+//! [`Tracer::record_event`]: the streaming monitors read that record as
+//! is, and its text is rendered only when a text sink is attached.
+//!
 //! The per-event maps keyed by simulator-minted integers (frame tokens,
 //! reception ids, SDU ids: `tx_frames`, `pending_rx`,
 //! `delivered`, the route runtime's `hops`) use the Fx hasher from
@@ -44,7 +50,7 @@ use uasn_sim::hash::{FxHashMap, FxHashSet};
 use uasn_sim::profile::{MetricsRegistry, ProfileReport};
 use uasn_sim::rng::SeedFactory;
 use uasn_sim::time::{SimDuration, SimTime};
-use uasn_sim::trace::{field, Field, TraceLevel, Tracer};
+use uasn_sim::trace::{TraceLevel, Tracer};
 
 use crate::config::SimConfig;
 use crate::error::BuildNetworkError;
@@ -56,6 +62,10 @@ use crate::metrics::{DeliveryMetrics, DropVerdict, MetricsReport};
 use crate::neighbor::ANNOUNCE_BITS_PER_ENTRY;
 use crate::node::{NodeId, NodeInfo, NodeRole};
 use crate::packet::{Frame, Sdu};
+use crate::record::{
+    DropEvent, E2eDeliverEvent, EnqEvent, ParsedRecord, RelayEvent, RouteDropEvent, RouteEvent,
+    RunInfo, RxEvent, RxLostEvent, SinkEvent, TxDropEvent, TxEvent,
+};
 use crate::routing::uphill_candidates;
 use crate::sampling::{NodeSample, Snapshot, TimeSeries};
 use crate::slots::{SlotClock, SlotIndex};
@@ -317,17 +327,16 @@ impl NetworkWorld {
         self.meters[node].set_state(self.now, state);
     }
 
-    fn trace_fields(
-        &mut self,
-        level: TraceLevel,
-        node: usize,
-        tag: &'static str,
-        detail: impl FnOnce() -> (String, Vec<Field>),
-    ) {
+    /// Emits one typed trace record at `level`, built from the current
+    /// time in microseconds. The gate is the first check, so `build` runs
+    /// only when a sink takes the record; the record's own header (time,
+    /// node, tag) is what the tracer stamps, so its text and its typed
+    /// form cannot disagree.
+    fn trace(&mut self, level: TraceLevel, build: impl FnOnce(u64) -> ParsedRecord) {
         if self.tracer.enabled(level) {
-            let (msg, fields) = detail();
-            self.tracer
-                .record_fields(self.now, level, Some(node), tag, msg, fields);
+            let event = build(self.now.as_micros());
+            let (time, node, tag) = event.head().expect("the world traces data records");
+            self.tracer.record_event(time, level, node, tag, &event);
         }
     }
 
@@ -339,40 +348,30 @@ impl NetworkWorld {
             return;
         }
         let protocol = self.macs[0].as_ref().map(|m| m.name()).unwrap_or("unknown");
-        let sinks = self.roles.iter().filter(|r| **r == NodeRole::Sink).count();
-        let mut fields = vec![
-            field("protocol", protocol),
-            field("nodes", self.node_count()),
-            field("sinks", sinks),
-            field("bitrate_bps", self.cfg.bitrate_bps),
-            field("omega_us", self.clock.omega().as_micros()),
-            field("tau_max_us", self.clock.tau_max().as_micros()),
-            field("slot_us", self.clock.slot_len().as_micros()),
-            field("mobility", self.cfg.mobility.enabled),
+        let route = self.cfg.route;
+        let info = RunInfo {
+            protocol: protocol.to_string(),
+            nodes: self.node_count(),
+            sinks: self.roles.iter().filter(|r| **r == NodeRole::Sink).count(),
+            bitrate_bps: self.cfg.bitrate_bps,
+            omega_us: self.clock.omega().as_micros(),
+            tau_max_us: self.clock.tau_max().as_micros(),
+            slot_us: self.clock.slot_len().as_micros(),
+            mobility: self.cfg.mobility.enabled,
             // Relays always forward; the field stays for the trace layout.
-            field("forwarding", true),
-        ];
-        // Emitted only when the run departs from the ideal-sync paper model,
-        // so ideal-mode traces keep their historical byte layout.
-        if !(self.cfg.slot_guard.is_zero() && self.cfg.clock.is_ideal()) {
-            fields.push(field("guard_us", self.clock.guard().as_micros()));
-            fields.push(field("clock_error_us", self.clock_error.as_micros()));
-        }
-        // Same pattern for routing: only routed runs carry the fields, so
-        // `route: None` traces keep their historical byte layout.
-        if let Some(route) = &self.cfg.route {
-            fields.push(field("route_policy", route.policy.as_str()));
-            fields.push(field("route_ttl", route.ttl));
-            fields.push(field("transport", route.transport.is_some()));
-        }
-        self.tracer.record_fields(
-            self.now,
-            TraceLevel::Info,
-            None,
-            "run-info",
-            String::new(),
-            fields,
-        );
+            forwarding: true,
+            // Written only when the run departs from the ideal-sync paper
+            // model, so ideal-mode traces keep their historical byte layout.
+            timing_budget: !(self.cfg.slot_guard.is_zero() && self.cfg.clock.is_ideal()),
+            guard_us: self.clock.guard().as_micros(),
+            clock_error_us: self.clock_error.as_micros(),
+            // Same pattern for routing: only routed runs carry the fields,
+            // so `route: None` traces keep their historical byte layout.
+            route_policy: route.map(|r| r.policy.as_str().to_string()),
+            route_ttl: route.map(|r| u64::from(r.ttl)),
+            transport: route.is_some_and(|r| r.transport.is_some()),
+        };
+        self.trace(TraceLevel::Info, |_| ParsedRecord::RunInfo(Box::new(info)));
     }
 
     /// Node-local reading of `self.now` (identity under ideal clocks).
@@ -468,11 +467,14 @@ impl NetworkWorld {
                     DropReason::HandshakeTimeout => DropVerdict::HandshakeTimeout,
                     DropReason::QueueOverflow => DropVerdict::QueueOverflow,
                 });
-                self.trace_fields(TraceLevel::Debug, node, "sdu-drop", || {
-                    (
-                        format!("sdu {id} dropped by MAC ({})", reason.as_str()),
-                        vec![field("sdu", id), field("reason", reason.as_str())],
-                    )
+                self.trace(TraceLevel::Debug, |time_us| {
+                    ParsedRecord::Drop(DropEvent {
+                        record: 0,
+                        time_us,
+                        node,
+                        sdu: id,
+                        reason: Some(reason.as_str().into()),
+                    })
                 });
             }
         }
@@ -484,18 +486,22 @@ impl NetworkWorld {
         };
         if self.modems[node].is_transmitting() {
             self.metrics.record_drop(DropVerdict::ModemBusy);
-            self.trace_fields(TraceLevel::Debug, node, "tx-drop", || {
-                (
-                    format!("{frame} dropped: modem busy"),
-                    vec![
-                        field("reason", "modem-busy"),
-                        field("kind", frame.kind.label()),
-                        field("src", frame.src.index()),
-                        field("dst", frame.dst.index()),
-                        field("bits", frame.bits),
-                    ],
-                )
-            });
+            if self.tracer.enabled(TraceLevel::Debug) {
+                let event = TxDropEvent {
+                    kind: frame.kind,
+                    src: frame.src.index(),
+                    dst: frame.dst.index(),
+                    bits: frame.bits,
+                    stamp_us: frame.timestamp.as_micros(),
+                };
+                self.tracer.record_event(
+                    self.now,
+                    TraceLevel::Debug,
+                    Some(node),
+                    "tx-drop",
+                    &event,
+                );
+            }
             return;
         }
         // §4.3: the frame carries the *sender's* clock reading, which is
@@ -523,30 +529,28 @@ impl NetworkWorld {
             self.metrics.per_node[node].maintenance_bits += piggyback;
             self.meters[node].charge_maintenance_bits(piggyback);
         }
-        self.trace_fields(TraceLevel::Debug, node, "tx", || {
-            let mut fields = vec![
-                field("kind", frame.kind.label()),
-                field("dst", frame.dst.index()),
-                field("bits", frame.bits),
-                field("dur_us", duration.as_micros()),
-            ];
-            if let Some(tau) = frame.pair_delay {
-                fields.push(field("pair_delay_us", tau.as_micros()));
-            }
-            if let Some(td) = frame.data_duration {
-                fields.push(field("data_dur_us", td.as_micros()));
-            }
-            if let Some(sdu) = &frame.sdu {
-                fields.push(field("sdu", sdu.id));
-                fields.push(field("origin", sdu.origin.index()));
-                if frame.retx {
-                    fields.push(field("retx", true));
-                }
-            }
-            if !frame.bundle.is_empty() {
-                fields.push(field("bundle", frame.bundle.len()));
-            }
-            (frame.to_string(), fields)
+        self.trace(TraceLevel::Debug, |time_us| {
+            debug_assert_eq!(frame.src.index(), node, "a frame's source is its sender");
+            ParsedRecord::Tx(TxEvent {
+                record: 0,
+                time_us,
+                node,
+                kind: frame.kind,
+                dst: frame.dst.index(),
+                bits: frame.bits,
+                dur_us: duration.as_micros(),
+                pair_delay_us: frame.pair_delay.map(SimDuration::as_micros),
+                data_dur_us: frame.data_duration.map(SimDuration::as_micros),
+                sdu: frame.sdu.map(|sdu| sdu.id),
+                origin: frame.sdu.map(|sdu| sdu.origin.index()),
+                retx: frame.sdu.is_some() && frame.retx,
+                bundle: frame
+                    .bundle
+                    .len()
+                    .try_into()
+                    .expect("a frame bundles fewer than 65536 SDUs"),
+                stamp_us: frame.timestamp.as_micros(),
+            })
         });
 
         // Fan out arrivals to every audible node, in ascending receiver
@@ -665,18 +669,20 @@ impl NetworkWorld {
                 // outside the drop-verdict taxonomy.
                 self.metrics.record_drop(DropVerdict::PerLoss);
             }
-            self.trace_fields(TraceLevel::Debug, node, "rx-lost", || {
-                (
-                    format!("{} ({reason})", entry.frame),
-                    vec![
-                        field("reason", reason),
-                        field("kind", entry.frame.kind.label()),
-                        field("src", entry.frame.src.index()),
-                        field("dst", entry.frame.dst.index()),
-                        field("bits", entry.frame.bits),
-                        field("start_us", entry.arrival_start.as_micros()),
-                    ],
-                )
+            self.trace(TraceLevel::Debug, |end_us| {
+                let frame = &entry.frame;
+                ParsedRecord::RxLost(RxLostEvent {
+                    record: 0,
+                    end_us,
+                    node,
+                    kind: frame.kind,
+                    src: frame.src.index(),
+                    dst: frame.dst.index(),
+                    bits: frame.bits,
+                    start_us: entry.arrival_start.as_micros(),
+                    reason: reason.into(),
+                    stamp_us: frame.timestamp.as_micros(),
+                })
             });
             return;
         }
@@ -708,24 +714,23 @@ impl NetworkWorld {
         };
         let me = NodeId::new(entry.node);
         let addressed = reception.addressed_to(me);
-        self.trace_fields(TraceLevel::Debug, node, "rx", || {
-            let mut fields = vec![
-                field("kind", frame.kind.label()),
-                field("src", frame.src.index()),
-                field("dst", frame.dst.index()),
-                field("bits", frame.bits),
-                field("start_us", entry.arrival_start.as_micros()),
-                field("prop_us", prop_delay.as_micros()),
-                field("addressed", addressed),
-            ];
-            if drifting {
-                fields.push(field("meas_us", measured.as_micros()));
-            }
-            if let Some(sdu) = &frame.sdu {
-                fields.push(field("sdu", sdu.id));
-                fields.push(field("origin", sdu.origin.index()));
-            }
-            (frame.to_string(), fields)
+        self.trace(TraceLevel::Debug, |end_us| {
+            ParsedRecord::Rx(RxEvent {
+                record: 0,
+                end_us,
+                node,
+                kind: frame.kind,
+                src: frame.src.index(),
+                dst: frame.dst.index(),
+                bits: frame.bits,
+                start_us: entry.arrival_start.as_micros(),
+                prop_us: prop_delay.as_micros(),
+                addressed,
+                meas_us: drifting.then(|| measured.as_micros()),
+                sdu: frame.sdu.map(|sdu| sdu.id),
+                origin: frame.sdu.map(|sdu| sdu.origin.index()),
+                stamp_us: frame.timestamp.as_micros(),
+            })
         });
         self.with_mac(sched, node, |mac, ctx| {
             mac.on_frame_received(ctx, &reception)
@@ -756,19 +761,16 @@ impl NetworkWorld {
                 self.metrics.record_mac_delivery(self.now, sdu.id);
                 if self.roles[node] == NodeRole::Sink {
                     let e2e = self.metrics.record_sink_arrival(self.now, sdu.id, sdu.bits);
-                    self.trace_fields(TraceLevel::Info, node, "sink", || {
-                        let mut fields = vec![
-                            field("sdu", sdu.id),
-                            field("origin", sdu.origin.index()),
-                            field("bits", sdu.bits),
-                        ];
-                        if let Some(e2e) = e2e {
-                            fields.push(field("e2e_us", e2e.as_micros()));
-                        }
-                        (
-                            format!("sdu {} from {} reached sink", sdu.id, sdu.origin),
-                            fields,
-                        )
+                    self.trace(TraceLevel::Info, |time_us| {
+                        ParsedRecord::Sink(SinkEvent {
+                            record: 0,
+                            time_us,
+                            node,
+                            sdu: sdu.id,
+                            origin: sdu.origin.index(),
+                            bits: u64::from(sdu.bits),
+                            e2e_us: e2e.map(SimDuration::as_micros),
+                        })
                     });
                     if self.route.is_some() {
                         self.route_sink_arrival(sched, node, &sdu, e2e);
@@ -840,23 +842,17 @@ impl NetworkWorld {
     /// The `enq` record of an SDU entering `node`'s MAC queue: freshly
     /// generated (`fwd` false) or, in legacy runs, relayed.
     fn trace_enq(&mut self, node: usize, sdu: &Sdu, fwd: bool) {
-        let (id, origin, next, bits) = (sdu.id, sdu.origin, sdu.next_hop, sdu.bits);
-        self.trace_fields(TraceLevel::Debug, node, "enq", || {
-            let msg = if fwd {
-                format!("sdu {id} forwarded toward {next}")
-            } else {
-                format!("sdu {id} enqueued for {next}")
-            };
-            (
-                msg,
-                vec![
-                    field("sdu", id),
-                    field("origin", origin.index()),
-                    field("next_hop", next.index()),
-                    field("bits", bits),
-                    field("fwd", fwd),
-                ],
-            )
+        self.trace(TraceLevel::Debug, |time_us| {
+            ParsedRecord::Enq(EnqEvent {
+                record: 0,
+                time_us,
+                node,
+                sdu: sdu.id,
+                origin: sdu.origin.index(),
+                next_hop: sdu.next_hop.index(),
+                bits: u64::from(sdu.bits),
+                fwd,
+            })
         });
     }
 
@@ -873,23 +869,20 @@ impl NetworkWorld {
     /// `relay-drop` while a transport retry can still rescue the SDU,
     /// `e2e-drop` when this loss is final.
     fn trace_route_drop(&mut self, node: usize, sdu: &Sdu, hops: u32, reason: &'static str) {
-        let tag = if self.route_retry_pending(sdu.id) {
-            "relay-drop"
-        } else {
-            "e2e-drop"
-        };
-        let (id, origin, attempt) = (sdu.id, sdu.origin, sdu.attempt);
-        self.trace_fields(TraceLevel::Info, node, tag, || {
-            (
-                format!("sdu {id} lost at hop {hops} ({reason})"),
-                vec![
-                    field("sdu", id),
-                    field("origin", origin.index()),
-                    field("attempt", attempt),
-                    field("hops", hops),
-                    field("reason", reason),
-                ],
-            )
+        let terminal = !self.route_retry_pending(sdu.id);
+        self.trace(TraceLevel::Info, |time_us| {
+            ParsedRecord::RouteDrop(RouteDropEvent {
+                record: 0,
+                time_us,
+                node,
+                sdu: sdu.id,
+                origin: sdu.origin.index(),
+                attempt: Some(u64::from(sdu.attempt)),
+                hops: Some(u64::from(hops)),
+                attempts: None,
+                reason: reason.into(),
+                terminal,
+            })
         });
     }
 
@@ -903,17 +896,16 @@ impl NetworkWorld {
         node: usize,
         sdu: &Sdu,
     ) {
-        let (id, next, bits, attempt) = (sdu.id, sdu.next_hop, sdu.bits, sdu.attempt);
-        self.trace_fields(TraceLevel::Info, node, "route", || {
-            (
-                format!("sdu {id} routed toward {next} (attempt {attempt})"),
-                vec![
-                    field("sdu", id),
-                    field("origin", node),
-                    field("next_hop", next.index()),
-                    field("attempt", attempt),
-                ],
-            )
+        let (id, bits, attempt) = (sdu.id, sdu.bits, sdu.attempt);
+        self.trace(TraceLevel::Info, |time_us| {
+            ParsedRecord::Route(RouteEvent {
+                record: 0,
+                time_us,
+                node,
+                sdu: id,
+                next_hop: sdu.next_hop.index(),
+                attempt: u64::from(attempt),
+            })
         });
         let now_us = self.now.as_micros();
         let route = self.route.as_mut().expect("routed run");
@@ -952,20 +944,18 @@ impl NetworkWorld {
             false
         } else {
             self.send_hop(sched, node, sdu, traversed, |w, _, fwd| {
-                let (id, origin, next, attempt, bits) =
-                    (fwd.id, fwd.origin, fwd.next_hop, fwd.attempt, fwd.bits);
-                w.trace_fields(TraceLevel::Info, node, "relay", || {
-                    (
-                        format!("sdu {id} relayed toward {next} (hop {traversed})"),
-                        vec![
-                            field("sdu", id),
-                            field("origin", origin.index()),
-                            field("next_hop", next.index()),
-                            field("attempt", attempt),
-                            field("hops", traversed),
-                            field("bits", bits),
-                        ],
-                    )
+                w.trace(TraceLevel::Info, |time_us| {
+                    ParsedRecord::Relay(RelayEvent {
+                        record: 0,
+                        time_us,
+                        node,
+                        sdu: fwd.id,
+                        origin: fwd.origin.index(),
+                        next_hop: fwd.next_hop.index(),
+                        attempt: u64::from(fwd.attempt),
+                        hops: u64::from(traversed),
+                        bits: u64::from(fwd.bits),
+                    })
                 });
             })
         };
@@ -995,19 +985,18 @@ impl NetworkWorld {
         let Some(e2e) = e2e else { return };
         let hops = counted.unwrap_or(0) + 1;
         self.metrics.path_hops.record(u64::from(hops));
-        let (id, origin, attempt) = (sdu.id, sdu.origin, sdu.attempt);
-        self.trace_fields(TraceLevel::Info, node, "e2e-deliver", || {
-            (
-                format!("sdu {id} delivered end-to-end in {hops} hops"),
-                vec![
-                    field("sdu", id),
-                    field("origin", origin.index()),
-                    field("sink", node),
-                    field("attempt", attempt),
-                    field("hops", hops),
-                    field("e2e_us", e2e.as_micros()),
-                ],
-            )
+        let (id, origin) = (sdu.id, sdu.origin);
+        self.trace(TraceLevel::Info, |time_us| {
+            ParsedRecord::E2eDeliver(E2eDeliverEvent {
+                record: 0,
+                time_us,
+                node,
+                sdu: id,
+                origin: origin.index(),
+                attempt: u64::from(sdu.attempt),
+                hops: u64::from(hops),
+                e2e_us: e2e.as_micros(),
+            })
         });
         let has_transport = self.route.as_ref().expect("routed run").transport.is_some();
         if has_transport {
@@ -1069,16 +1058,19 @@ impl NetworkWorld {
                 for a in 0..=attempts {
                     route.hops.remove(&(sdu, a));
                 }
-                self.trace_fields(TraceLevel::Info, origin, "e2e-drop", || {
-                    (
-                        format!("sdu {sdu} lost end-to-end (retry budget exhausted)"),
-                        vec![
-                            field("sdu", sdu),
-                            field("origin", origin),
-                            field("attempts", attempts),
-                            field("reason", "retry-exhausted"),
-                        ],
-                    )
+                self.trace(TraceLevel::Info, |time_us| {
+                    ParsedRecord::RouteDrop(RouteDropEvent {
+                        record: 0,
+                        time_us,
+                        node: origin,
+                        sdu,
+                        origin,
+                        attempt: None,
+                        hops: None,
+                        attempts: Some(u64::from(attempts)),
+                        reason: "retry-exhausted".into(),
+                        terminal: true,
+                    })
                 });
             }
         }
@@ -1259,9 +1251,7 @@ impl NetworkWorld {
             sdus_received: totals(&|c| c.sdus_received),
             data_bits_received: totals(&|c| c.data_bits_received),
             control_bits_sent: totals(&|c| c.control_bits_sent),
-            // Per-node counters only learn collisions at finalize; read the
-            // live ledgers instead.
-            collisions: self.modems.iter().map(|m| m.collisions()).sum(),
+            collisions: self.modems.iter().map(Modem::collisions).sum(),
             nodes: (0..n)
                 .map(|i| {
                     let mac = self.macs[i].as_ref().expect("MAC present between events");
@@ -1279,9 +1269,6 @@ impl NetworkWorld {
     fn finalize(&mut self, end: SimTime) -> MetricsReport {
         let duration_s = end.duration_since(SimTime::ZERO).as_secs_f64();
         for node in 0..self.node_count() {
-            let counters = &mut self.metrics.per_node[node];
-            counters.collisions = self.modems[node].collisions();
-            counters.half_duplex_losses = self.modems[node].half_duplex_losses();
             // Active-listening surcharge (§5.2 "power for waiting"): scales
             // with how many neighbours the protocol must monitor.
             let mw = self.maintenance[node].listen_mw_per_neighbor;
@@ -1333,8 +1320,9 @@ impl NetworkWorld {
             control_bits_sent: totals(&|c| c.control_bits_sent),
             maintenance_bits: totals(&|c| c.maintenance_bits),
             retx_bits: totals(&|c| c.retx_bits),
-            collisions: totals(&|c| c.collisions),
-            half_duplex_losses: totals(&|c| c.half_duplex_losses),
+            // The modem ledgers are the one account of reception losses.
+            collisions: self.modems.iter().map(Modem::collisions).sum(),
+            half_duplex_losses: self.modems.iter().map(Modem::half_duplex_losses).sum(),
             drops,
             tx_dropped: drops.count(DropVerdict::ModemBusy),
             unroutable: drops.count(DropVerdict::NoAudibleReceiver),

@@ -2,10 +2,18 @@
 //!
 //! A [`Tracer`] collects timestamped, categorised [`TraceRecord`]s during a
 //! run. Protocol code emits records through the level gate, so disabled
-//! tracing is nearly free (and provably allocation-free via
-//! [`Tracer::record_lazy`]). Records carry **structured fields** — typed
-//! key/value pairs — alongside the free-form message, so downstream tooling
-//! can filter and aggregate without re-parsing strings.
+//! tracing is nearly free: nothing is built or allocated below the gate.
+//! Records carry **structured fields** — typed key/value pairs — alongside
+//! the free-form message, so downstream tooling can filter and aggregate
+//! without re-parsing strings.
+//!
+//! A record can also be emitted **typed**, as a [`TraceEvent`] through
+//! [`Tracer::record_event`]. Its text (message and fields) is rendered at
+//! most once per record, and only when a built-in text sink is attached;
+//! a custom sink receives the event itself through
+//! [`TraceSink::accept_event`] and may read it without any text at all.
+//! A custom sink that implements only [`TraceSink::accept`] gets the
+//! rendered record, so both emission paths reach every sink.
 //!
 //! Three sinks are built in, and custom ones plug in via [`TraceSink`]:
 //!
@@ -21,6 +29,7 @@
 //! produce byte-identical traces. [`parse_jsonl`] reads a trace back
 //! losslessly.
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
@@ -183,6 +192,26 @@ pub struct TraceRecord {
 }
 
 impl TraceRecord {
+    /// The text record of a typed event: its header plus the message and
+    /// fields [`TraceEvent::render`] gives.
+    pub fn from_event(
+        time: SimTime,
+        level: TraceLevel,
+        node: Option<usize>,
+        tag: &'static str,
+        event: &dyn TraceEvent,
+    ) -> TraceRecord {
+        let (message, fields) = event.render();
+        TraceRecord {
+            time,
+            level,
+            node,
+            tag: Cow::Borrowed(tag),
+            message,
+            fields,
+        }
+    }
+
     /// Serialises this record as one compact JSON object (no newline).
     ///
     /// Layout (schema v1): `t` is microseconds since simulation start;
@@ -423,6 +452,18 @@ impl TraceHealth {
     }
 }
 
+/// A typed trace record body: an event that knows how to render its own
+/// message and structured fields.
+///
+/// Emitted through [`Tracer::record_event`]. A sink that understands the
+/// concrete type downcasts it (`Any` is a supertrait) and skips the text;
+/// every other sink sees [`TraceEvent::render`]'s output.
+pub trait TraceEvent: Any {
+    /// The record's free-form message and structured fields, exactly as a
+    /// text sink stores them.
+    fn render(&self) -> (String, Vec<Field>);
+}
+
 /// A destination for trace records.
 ///
 /// Sinks receive every record that passes the tracer's level gate, in
@@ -430,6 +471,21 @@ impl TraceHealth {
 pub trait TraceSink {
     /// Consumes one record.
     fn accept(&mut self, record: &TraceRecord);
+
+    /// Consumes one typed record. The default renders the event and hands
+    /// the text record to [`TraceSink::accept`], so a sink that only reads
+    /// text works unchanged; a sink that reads the event type overrides it.
+    fn accept_event(
+        &mut self,
+        time: SimTime,
+        level: TraceLevel,
+        node: Option<usize>,
+        tag: &'static str,
+        event: &dyn TraceEvent,
+    ) {
+        self.accept(&TraceRecord::from_event(time, level, node, tag, event));
+    }
+
     /// Flushes any buffered output (no-op by default).
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
@@ -621,21 +677,25 @@ pub const DEFAULT_CAPTURE_CAPACITY: usize = 4_000_000;
 /// # Examples
 ///
 /// ```
-/// use uasn_sim::trace::{field, Tracer, TraceLevel};
+/// use uasn_sim::trace::{field, Field, TraceEvent, Tracer, TraceLevel};
 /// use uasn_sim::time::SimTime;
 ///
+/// /// A reception of `bits` bits.
+/// struct Rx {
+///     bits: u64,
+/// }
+///
+/// impl TraceEvent for Rx {
+///     fn render(&self) -> (String, Vec<Field>) {
+///         (format!("{} bits", self.bits), vec![field("bits", self.bits)])
+///     }
+/// }
+///
 /// let mut tracer = Tracer::capturing(TraceLevel::Info);
-/// tracer.record(SimTime::ZERO, TraceLevel::Info, Some(3), "tx", "RTS to n5".into());
-/// tracer.record_fields(
-///     SimTime::ZERO,
-///     TraceLevel::Info,
-///     Some(3),
-///     "rx",
-///     String::new(),
-///     vec![field("bits", 9600u64)],
-/// );
-/// tracer.record(SimTime::ZERO, TraceLevel::Debug, Some(3), "rx", "ignored".into());
-/// assert_eq!(tracer.records().len(), 2); // Debug was below the gate
+/// tracer.record_event(SimTime::ZERO, TraceLevel::Info, Some(3), "rx", &Rx { bits: 9600 });
+/// tracer.record_event(SimTime::ZERO, TraceLevel::Debug, Some(3), "rx", &Rx { bits: 64 });
+/// assert_eq!(tracer.records().len(), 1); // Debug was below the gate
+/// assert_eq!(tracer.records()[0].message, "9600 bits");
 /// ```
 #[derive(Debug)]
 pub struct Tracer {
@@ -704,61 +764,33 @@ impl Tracer {
         matches!(self.level, Some(gate) if level <= gate)
     }
 
-    /// Records an event if the level gate admits it.
-    pub fn record(
+    /// Records a typed event if the level gate admits it. The gate is the
+    /// first check, so a gated-off event is never rendered. Custom sinks
+    /// receive the event itself; the event is rendered at most once, and
+    /// only when a capture, ring or JSONL sink is attached.
+    pub fn record_event(
         &mut self,
         time: SimTime,
         level: TraceLevel,
         node: Option<usize>,
         tag: &'static str,
-        message: String,
-    ) {
-        self.record_fields(time, level, node, tag, message, Vec::new());
-    }
-
-    /// Records an event with structured fields if the level gate admits it.
-    pub fn record_fields(
-        &mut self,
-        time: SimTime,
-        level: TraceLevel,
-        node: Option<usize>,
-        tag: &'static str,
-        message: String,
-        fields: Vec<Field>,
+        event: &dyn TraceEvent,
     ) {
         if !self.enabled(level) {
             return;
         }
-        let record = TraceRecord {
-            time,
-            level,
-            node,
-            tag: Cow::Borrowed(tag),
-            message,
-            fields,
-        };
+        let mut text = None;
         for sink in &mut self.sinks {
-            sink.as_sink_mut().accept(&record);
+            match sink {
+                SinkImpl::Custom(custom) => custom.accept_event(time, level, node, tag, event),
+                builtin => {
+                    let record = text.get_or_insert_with(|| {
+                        TraceRecord::from_event(time, level, node, tag, event)
+                    });
+                    builtin.as_sink_mut().accept(record);
+                }
+            }
         }
-    }
-
-    /// Records an event whose message and fields are built only if the level
-    /// gate admits it — zero allocation when tracing is disabled.
-    pub fn record_lazy<F>(
-        &mut self,
-        time: SimTime,
-        level: TraceLevel,
-        node: Option<usize>,
-        tag: &'static str,
-        detail: F,
-    ) where
-        F: FnOnce() -> (String, Vec<Field>),
-    {
-        if !self.enabled(level) {
-            return;
-        }
-        let (message, fields) = detail();
-        self.record_fields(time, level, node, tag, message, fields);
     }
 
     /// All records stored by the first capture sink, in emission order
@@ -842,9 +874,20 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// A typed record with a fixed message and fields.
+    struct Text(&'static str, Vec<Field>);
+
+    impl TraceEvent for Text {
+        fn render(&self) -> (String, Vec<Field>) {
+            (self.0.to_string(), self.1.clone())
+        }
+    }
 
     fn rec(tracer: &mut Tracer, level: TraceLevel, tag: &'static str) {
-        tracer.record(SimTime::ZERO, level, Some(0), tag, String::new());
+        tracer.record_event(SimTime::ZERO, level, Some(0), tag, &Text("", Vec::new()));
     }
 
     fn sample_record() -> TraceRecord {
@@ -989,13 +1032,12 @@ mod tests {
         let probe = SharedBuf::default();
         let mut t2 = Tracer::new(TraceLevel::Debug).with_jsonl(Box::new(probe.clone()));
         for t in [&mut t, &mut t2] {
-            t.record_fields(
+            t.record_event(
                 SimTime::from_secs(1),
                 TraceLevel::Info,
                 Some(1),
                 "tx",
-                "x".into(),
-                vec![field("bits", 64u64)],
+                &Text("x", vec![field("bits", 64u64)]),
             );
         }
         t2.flush().expect("flush");
@@ -1107,15 +1149,108 @@ mod tests {
         assert_eq!(a.to_json_line(), b.to_json_line());
     }
 
+    /// A typed event that counts its renders.
+    struct Counted(Rc<Cell<u32>>);
+
+    impl TraceEvent for Counted {
+        fn render(&self) -> (String, Vec<Field>) {
+            self.0.set(self.0.get() + 1);
+            ("counted".into(), vec![field("n", 1u64)])
+        }
+    }
+
     #[test]
-    fn record_lazy_skips_builder_when_disabled() {
-        let mut t = Tracer::disabled();
-        let mut built = false;
-        t.record_lazy(SimTime::ZERO, TraceLevel::Error, None, "x", || {
-            built = true;
-            (String::from("never"), vec![])
-        });
-        assert!(!built, "detail builder ran while tracing was disabled");
+    fn record_event_skips_render_when_disabled() {
+        let renders = Rc::new(Cell::new(0));
+        let mut t = Tracer::capturing(TraceLevel::Info);
+        t.record_event(
+            SimTime::ZERO,
+            TraceLevel::Debug,
+            None,
+            "x",
+            &Counted(renders.clone()),
+        );
+        Tracer::disabled().record_event(
+            SimTime::ZERO,
+            TraceLevel::Error,
+            None,
+            "x",
+            &Counted(renders.clone()),
+        );
+        assert_eq!(renders.get(), 0, "a gated-off event was rendered");
+        assert!(t.records().is_empty());
+    }
+
+    #[test]
+    fn record_event_renders_once_for_all_text_sinks() {
+        let renders = Rc::new(Cell::new(0));
+        let mut t = Tracer::new(TraceLevel::Debug)
+            .with_capture(4)
+            .with_ring(4)
+            .with_jsonl(Box::new(SharedBuf::default()));
+        t.record_event(
+            SimTime::from_micros(5),
+            TraceLevel::Info,
+            Some(2),
+            "c",
+            &Counted(renders.clone()),
+        );
+        assert_eq!(renders.get(), 1, "three text sinks share one rendering");
+        let record = &t.records()[0];
+        assert_eq!(record.message, "counted");
+        assert_eq!(record.fields, vec![field("n", 1u64)]);
+        assert_eq!((record.node, record.tag.as_ref()), (Some(2), "c"));
+        assert_eq!(t.recent().count(), 1);
+        assert_eq!(t.health().jsonl_lines, 1);
+    }
+
+    #[test]
+    fn custom_sinks_get_the_event_or_its_rendering() {
+        /// Reads the event type when it can, like a typed consumer.
+        struct Typed(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
+        impl TraceSink for Typed {
+            fn accept(&mut self, record: &TraceRecord) {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push(format!("text {}", record.message));
+            }
+            fn accept_event(
+                &mut self,
+                _: SimTime,
+                _: TraceLevel,
+                _: Option<usize>,
+                tag: &'static str,
+                event: &dyn TraceEvent,
+            ) {
+                let typed = (event as &dyn Any).is::<Counted>();
+                self.0.lock().unwrap().push(format!("event {tag} {typed}"));
+            }
+        }
+        /// Implements only `accept`: the default hands it the rendering.
+        struct TextOnly(std::sync::Arc<std::sync::Mutex<Vec<String>>>);
+        impl TraceSink for TextOnly {
+            fn accept(&mut self, record: &TraceRecord) {
+                self.0
+                    .lock()
+                    .unwrap()
+                    .push(format!("text {}", record.message));
+            }
+        }
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let renders = Rc::new(Cell::new(0));
+        let mut t = Tracer::new(TraceLevel::Debug)
+            .with_sink(Box::new(Typed(seen.clone())))
+            .with_sink(Box::new(TextOnly(seen.clone())));
+        t.record_event(
+            SimTime::ZERO,
+            TraceLevel::Debug,
+            None,
+            "c",
+            &Counted(renders.clone()),
+        );
+        assert_eq!(*seen.lock().unwrap(), ["event c true", "text counted"]);
+        assert_eq!(renders.get(), 1, "only the text-only sink needed the text");
     }
 
     #[test]

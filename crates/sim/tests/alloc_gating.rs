@@ -1,8 +1,7 @@
 //! Verifies the observability layers' zero-allocation promises: when a
-//! trace record's level is gated off, `record_lazy` must not run its
-//! builder closure **and** the call itself must not allocate — hot
-//! simulation loops trace at Debug density, so a disabled tracer has to be
-//! free. The profiling registry makes the same promise: a disabled
+//! typed trace record's level is gated off, `record_event` must not render
+//! it **and** the call itself must not allocate — hot simulation loops
+//! trace at Debug density, so a disabled tracer has to be free. The profiling registry makes the same promise: a disabled
 //! [`MetricsRegistry`] must not allocate on construction or on any
 //! recording call.
 //!
@@ -15,7 +14,7 @@ use std::cell::Cell;
 
 use uasn_sim::profile::{MetricsRegistry, Stopwatch};
 use uasn_sim::time::SimTime;
-use uasn_sim::trace::{field, TraceLevel, Tracer};
+use uasn_sim::trace::{field, Field, TraceEvent, TraceLevel, Tracer};
 
 struct CountingAllocator;
 
@@ -46,35 +45,66 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
+thread_local! {
+    static RENDERS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A typed record whose text costs a `format!` and a field vector, like
+/// the world's frame records; it counts its renders.
+struct FrameEvent(u64);
+
+impl TraceEvent for FrameEvent {
+    fn render(&self) -> (String, Vec<Field>) {
+        RENDERS.with(|n| n.set(n.get() + 1));
+        (format!("frame {}", self.0), vec![field("bits", 2_048u64)])
+    }
+}
+
+fn renders() -> u64 {
+    RENDERS.with(Cell::get)
+}
+
 #[test]
 fn disabled_tracer_allocates_nothing() {
     let mut tracer = Tracer::disabled();
+    let before = renders();
     let count = allocations_during(|| {
         for i in 0..1_000u64 {
-            tracer.record_lazy(
+            let event = FrameEvent(i);
+            tracer.record_event(
                 SimTime::from_secs(i),
                 TraceLevel::Debug,
                 Some(3),
                 "tx",
-                || (format!("frame {i}"), vec![field("bits", 2_048u64)]),
+                &event,
             );
         }
     });
-    assert_eq!(count, 0, "gated record_lazy must not allocate");
+    assert_eq!(count, 0, "a gated-off record_event must not allocate");
+    assert_eq!(
+        renders(),
+        before,
+        "a gated-off record_event must not render"
+    );
 }
 
 #[test]
 fn level_gated_records_allocate_nothing() {
-    // Error-only tracer: Debug traffic is gated off before the builder runs.
+    // Error-only tracer: Debug traffic is gated off before any rendering.
     let mut tracer = Tracer::capturing(TraceLevel::Error);
+    let before = renders();
     let count = allocations_during(|| {
         for i in 0..1_000u64 {
-            tracer.record_lazy(SimTime::from_secs(i), TraceLevel::Debug, None, "rx", || {
-                (format!("frame {i}"), Vec::new())
-            });
+            let event = FrameEvent(i);
+            tracer.record_event(SimTime::from_secs(i), TraceLevel::Debug, None, "rx", &event);
         }
     });
-    assert_eq!(count, 0, "below-threshold record_lazy must not allocate");
+    assert_eq!(count, 0, "a below-threshold record_event must not allocate");
+    assert_eq!(
+        renders(),
+        before,
+        "a below-threshold record_event must not render"
+    );
     assert_eq!(tracer.records().len(), 0);
 }
 
@@ -100,19 +130,23 @@ fn disabled_registry_allocates_nothing() {
 #[test]
 fn enabled_records_do_allocate_and_are_captured() {
     // Sanity check that the counter actually counts: the same loop with the
-    // level enabled must both allocate and capture.
+    // level enabled must render, allocate and capture.
     let mut tracer = Tracer::capturing(TraceLevel::Debug);
+    let before = renders();
     let count = allocations_during(|| {
         for i in 0..100u64 {
-            tracer.record_lazy(
+            let event = FrameEvent(i);
+            tracer.record_event(
                 SimTime::from_secs(i),
                 TraceLevel::Debug,
                 Some(1),
                 "tx",
-                || (format!("frame {i}"), Vec::new()),
+                &event,
             );
         }
     });
     assert!(count > 0, "enabled records allocate their strings");
+    assert_eq!(renders() - before, 100, "one rendering per captured record");
     assert_eq!(tracer.records().len(), 100);
+    assert_eq!(tracer.records()[7].message, "frame 7");
 }
