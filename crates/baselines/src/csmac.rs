@@ -201,9 +201,7 @@ impl MacProtocol for CsMac {
     }
 
     fn install_neighbors(&mut self, neighbors: &[(NodeId, SimDuration)]) {
-        for &(id, delay) in neighbors {
-            self.core.neighbors.observe(id, delay, SimTime::ZERO);
-        }
+        self.core.neighbors.observe_all(neighbors, SimTime::ZERO);
     }
 
     fn install_two_hop(&mut self, tables: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {

@@ -227,9 +227,7 @@ impl MacProtocol for Ropa {
     }
 
     fn install_neighbors(&mut self, neighbors: &[(NodeId, SimDuration)]) {
-        for &(id, delay) in neighbors {
-            self.core.neighbors.observe(id, delay, SimTime::ZERO);
-        }
+        self.core.neighbors.observe_all(neighbors, SimTime::ZERO);
     }
 
     fn on_slot_start(&mut self, ctx: &mut MacContext<'_>, slot: SlotIndex) {

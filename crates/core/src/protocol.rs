@@ -310,9 +310,7 @@ impl MacProtocol for EwMac {
     }
 
     fn install_neighbors(&mut self, neighbors: &[(NodeId, SimDuration)]) {
-        for &(id, delay) in neighbors {
-            self.core.neighbors.observe(id, delay, SimTime::ZERO);
-        }
+        self.core.neighbors.observe_all(neighbors, SimTime::ZERO);
     }
 
     fn install_clock_error(&mut self, bound: SimDuration) {

@@ -82,6 +82,32 @@ impl OneHopTable {
         );
     }
 
+    /// Records every `(neighbor, delay)` of `entries` as measured at `now`:
+    /// the same table as calling [`observe`](Self::observe) for each entry
+    /// in order (a later entry for an id replaces an earlier one). An
+    /// empty table, the oracle install's case, is built in one bulk pass
+    /// instead of one insert per entry.
+    pub fn observe_all(&mut self, entries: &[(NodeId, SimDuration)], now: SimTime) {
+        if !self.entries.is_empty() {
+            for &(id, delay) in entries {
+                self.observe(id, delay, now);
+            }
+            return;
+        }
+        // `BTreeMap::from_iter` sorts stably and keeps the last entry of
+        // each id, as repeated inserts would.
+        self.entries = entries
+            .iter()
+            .map(|&(id, delay)| {
+                let entry = NeighborEntry {
+                    delay,
+                    measured_at: now,
+                };
+                (id, entry)
+            })
+            .collect();
+    }
+
     /// The last measured delay to `neighbor`, if any.
     pub fn delay_of(&self, neighbor: NodeId) -> Option<SimDuration> {
         self.entries.get(&neighbor).map(|e| e.delay)

@@ -59,7 +59,7 @@ use crate::mac::{
     Reception, TimerToken,
 };
 use crate::metrics::{DeliveryMetrics, DropVerdict, MetricsReport};
-use crate::neighbor::ANNOUNCE_BITS_PER_ENTRY;
+use crate::neighbor::{DelaySnapshot, ANNOUNCE_BITS_PER_ENTRY};
 use crate::node::{NodeId, NodeInfo, NodeRole};
 use crate::packet::{Frame, Sdu};
 use crate::record::{
@@ -1450,6 +1450,48 @@ impl std::fmt::Debug for Simulation {
     }
 }
 
+/// The oracle install's one-hop delay lists, each walked through
+/// [`LinkBudgetCache::neighbor_delays`] without building a fan-out row.
+/// When a two-hop MAC is present the lists are memoized for the install,
+/// so every node is walked once however many two-hop tables list it;
+/// otherwise they stream through one buffer.
+struct OracleLists<'a> {
+    channel: &'a AcousticChannel,
+    positions: &'a PositionTable,
+    cache: &'a mut LinkBudgetCache,
+    /// The walk's `(rx, delay)` output, reused across nodes.
+    walked: Vec<(u32, SimDuration)>,
+    /// The last list walked, reused across nodes.
+    list: Vec<(NodeId, SimDuration)>,
+    /// One slot per node when memoizing, empty otherwise.
+    memo: Vec<Option<DelaySnapshot>>,
+}
+
+impl OracleLists<'_> {
+    /// Walks node `i`'s list.
+    fn walk(&mut self, i: usize) -> &[(NodeId, SimDuration)] {
+        self.cache
+            .neighbor_delays(self.channel, self.positions, i, &mut self.walked);
+        self.list.clear();
+        let ids = self
+            .walked
+            .iter()
+            .map(|&(rx, delay)| (NodeId::new(rx), delay));
+        self.list.extend(ids);
+        &self.list
+    }
+
+    /// Node `i`'s list from the memo, walked on first use.
+    fn snapshot(&mut self, i: usize) -> DelaySnapshot {
+        if let Some(memo) = &self.memo[i] {
+            return memo.clone();
+        }
+        let list = DelaySnapshot::from(self.walk(i));
+        self.memo[i] = Some(list.clone());
+        list
+    }
+}
+
 impl Simulation {
     /// Builds the network: validates the config, places nodes, instantiates
     /// one MAC per node, installs oracle neighbour tables (standing in for
@@ -1508,48 +1550,61 @@ impl Simulation {
             .collect();
 
         // Oracle neighbour installation (standing in for the Hello phase,
-        // §4.3): every table is read off the node's fan-out row as `(rx,
-        // delay)`, so the MACs schedule against exactly the audible set and
-        // delays the channel will apply — the audibility decision lives in
-        // the cache. Under `hello_init` the tables start empty and the MACs
-        // learn them from on-air beacons; the init charge is the same.
+        // §4.3): a node's one-hop table is the `(rx, delay)` list of the
+        // receivers its fan-out row would keep, so the MACs schedule
+        // against exactly the audible set and delays the channel will
+        // apply — the audibility decision lives in the cache. The lists are
+        // walked without building rows (rows are built on transmission).
+        // Under `hello_init` the tables start empty and the MACs learn them
+        // from on-air beacons; the init charge, a count, is the same.
         let channel = cfg.channel.clone();
         let mut link_cache = LinkBudgetCache::with_index(&channel, &positions);
-        let mut delay_table = |i: usize| -> Vec<(NodeId, SimDuration)> {
-            link_cache.ensure_row(&channel, &positions, i);
-            link_cache
-                .row(i)
+        let maintenance: Vec<MaintenanceProfile> = macs
+            .iter()
+            .map(|mac| mac.as_ref().expect("just built").maintenance())
+            .collect();
+        let two_hop = !cfg.hello_init
+            && maintenance
                 .iter()
-                .map(|link| (NodeId::new(link.rx), link.delay))
-                .collect()
+                .any(|p| p.scope == NeighborInfoScope::TwoHop);
+        let mut lists = OracleLists {
+            channel: &channel,
+            positions: &positions,
+            cache: &mut link_cache,
+            walked: Vec::new(),
+            list: Vec::new(),
+            memo: if two_hop { vec![None; n] } else { Vec::new() },
         };
-        let mut maintenance = Vec::with_capacity(n);
         let mut metrics = DeliveryMetrics::new(n);
         let mut meters: Vec<EnergyMeter> = (0..n)
             .map(|_| EnergyMeter::new(cfg.power, SimTime::ZERO))
             .collect();
-        for i in 0..n {
+        for (i, profile) in maintenance.iter().enumerate() {
             let mac = macs[i].as_mut().expect("just built");
-            let profile = mac.maintenance();
-            maintenance.push(profile);
-            if profile.scope == NeighborInfoScope::None {
-                continue;
-            }
-            let one_hop = delay_table(i);
-            if !cfg.hello_init {
-                mac.install_neighbors(&one_hop);
-                if profile.scope == NeighborInfoScope::TwoHop {
-                    let two_hop: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = one_hop
-                        .iter()
-                        .map(|&(j, _)| (j, delay_table(j.index())))
-                        .collect();
-                    mac.install_two_hop(&two_hop);
+            let degree = match profile.scope {
+                NeighborInfoScope::None => continue,
+                _ if cfg.hello_init => lists.cache.degree(&channel, &positions, i),
+                _ if !two_hop => {
+                    let one_hop = lists.walk(i);
+                    mac.install_neighbors(one_hop);
+                    one_hop.len()
                 }
-            }
+                scope => {
+                    let mine = lists.snapshot(i);
+                    mac.install_neighbors(&mine);
+                    if scope == NeighborInfoScope::TwoHop {
+                        let theirs: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = mine
+                            .iter()
+                            .map(|&(j, _)| (j, lists.snapshot(j.index()).to_vec()))
+                            .collect();
+                        mac.install_two_hop(&theirs);
+                    }
+                    mine.len()
+                }
+            };
             // The node transmits one hello plus its own table; a two-hop
             // view is assembled from neighbours' announcements.
-            let init_bits =
-                cfg.control_bits as u64 + one_hop.len() as u64 * ANNOUNCE_BITS_PER_ENTRY;
+            let init_bits = cfg.control_bits as u64 + degree as u64 * ANNOUNCE_BITS_PER_ENTRY;
             metrics.per_node[i].maintenance_bits += init_bits;
             meters[i].charge_maintenance_bits(init_bits);
         }
@@ -2090,12 +2145,23 @@ mod tests {
         assert_eq!(Rc::strong_count(in_air), 1 + receptions.len());
     }
 
-    /// A MAC of a given neighbour scope that counts the oracle table
-    /// installs it receives and does nothing else.
+    /// What one oracle install handed a MAC.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Installed {
+        OneHop(Vec<(NodeId, SimDuration)>),
+        TwoHop(Vec<(NodeId, Vec<(NodeId, SimDuration)>)>),
+    }
+
+    /// Every install of a run, in call order, by node.
+    type InstallLog = std::rc::Rc<std::cell::RefCell<Vec<(NodeId, Installed)>>>;
+
+    /// A MAC of a given neighbour scope that records the oracle tables it
+    /// is installed with and does nothing else.
     #[derive(Debug)]
     struct InstallProbe {
+        id: NodeId,
         scope: NeighborInfoScope,
-        installs: std::rc::Rc<std::cell::Cell<u32>>,
+        installs: InstallLog,
     }
 
     impl MacProtocol for InstallProbe {
@@ -2108,11 +2174,13 @@ mod tests {
                 ..MaintenanceProfile::none()
             }
         }
-        fn install_neighbors(&mut self, _: &[(NodeId, SimDuration)]) {
-            self.installs.set(self.installs.get() + 1);
+        fn install_neighbors(&mut self, table: &[(NodeId, SimDuration)]) {
+            let installed = Installed::OneHop(table.to_vec());
+            self.installs.borrow_mut().push((self.id, installed));
         }
-        fn install_two_hop(&mut self, _: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {
-            self.installs.set(self.installs.get() + 1);
+        fn install_two_hop(&mut self, tables: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {
+            let installed = Installed::TwoHop(tables.to_vec());
+            self.installs.borrow_mut().push((self.id, installed));
         }
         fn on_slot_start(&mut self, _: &mut MacContext<'_>, _: SlotIndex) {}
         fn on_enqueue(&mut self, _: &mut MacContext<'_>, _: Sdu) {}
@@ -2122,38 +2190,101 @@ mod tests {
         }
     }
 
+    /// For each roster MAC's neighbour scope, with and without
+    /// `hello_init`: construction leaves no fresh fan-out row, installs
+    /// exactly the tables the fan-out rows list (none under `hello_init`),
+    /// and charges each node one hello plus one announced entry per
+    /// audible neighbour either way.
     #[test]
-    fn hello_init_installs_no_oracle_tables() {
-        // (scope, installs per node under the oracle): tables start empty
-        // under hello_init, and the init maintenance charge is the same.
-        for (scope, per_node) in [
-            (NeighborInfoScope::OneHop, 1),
-            (NeighborInfoScope::TwoHop, 2),
-        ] {
-            let run = |hello_init: bool| {
-                let installs = std::rc::Rc::new(std::cell::Cell::new(0));
-                let factory = |_: NodeId| -> Box<dyn MacProtocol> {
+    fn construction_builds_no_rows_and_installs_the_row_tables() {
+        use crate::topology::Deployment;
+        use NeighborInfoScope::{None as NoTables, OneHop, TwoHop};
+
+        // The neighbour scope of each roster MAC.
+        let roster = [
+            ("ALOHA", NoTables),
+            ("S-FAMA", NoTables),
+            ("EW-MAC", OneHop),
+            ("ROPA", TwoHop),
+            ("CS-MAC", TwoHop),
+        ];
+        let mut column = SimConfig::paper_default()
+            .with_sensors(36)
+            .with_mobility(0.5);
+        column.deployment = Deployment::LayeredColumn {
+            extent_m: 3_000.0,
+            layers: 4,
+            layer_spacing_m: 900.0,
+        };
+        for (mac, scope) in roster {
+            for hello_init in [false, true] {
+                let cfg = SimConfig {
+                    hello_init,
+                    ..column.clone()
+                };
+                let installs = InstallLog::default();
+                let factory = |id| -> Box<dyn MacProtocol> {
                     Box::new(InstallProbe {
+                        id,
                         scope,
                         installs: installs.clone(),
                     })
                 };
-                let cfg = SimConfig {
-                    sensors: 8,
-                    sinks: 2,
-                    hello_init,
-                    ..SimConfig::paper_default()
+                let mut sim = Simulation::new(cfg, &factory).unwrap();
+                let world = &mut sim.world;
+                let n = world.roles.len();
+                let case = format!("{mac}, hello_init {hello_init}");
+
+                // No fresh row: every node's first row build is a miss.
+                for i in 0..n {
+                    let misses = world.link_cache.stats().misses;
+                    world
+                        .link_cache
+                        .ensure_row(&world.channel, &world.positions, i);
+                    assert_eq!(
+                        world.link_cache.stats().misses,
+                        misses + 1,
+                        "{case}: row {i}"
+                    );
                 }
-                .with_sim_time(SimDuration::from_secs(5));
-                let report = Simulation::new(cfg, &factory).unwrap().run();
-                (installs.get(), report.maintenance_bits)
-            };
-            let (oracle, oracle_bits) = run(false);
-            let (hello, hello_bits) = run(true);
-            assert_eq!(oracle, 10 * per_node, "{scope:?} oracle installs");
-            assert_eq!(hello, 0, "{scope:?} hello run got an oracle install");
-            assert!(oracle_bits > 0);
-            assert_eq!(oracle_bits, hello_bits, "{scope:?} init charge");
+
+                // Expected tables, read off rows built on the same
+                // positions in a cache of their own.
+                let mut rows = LinkBudgetCache::with_index(&world.channel, &world.positions);
+                let mut row_of = |i: usize| -> Vec<(NodeId, SimDuration)> {
+                    rows.ensure_row(&world.channel, &world.positions, i);
+                    rows.row(i)
+                        .iter()
+                        .map(|link| (NodeId::new(link.rx), link.delay))
+                        .collect()
+                };
+                let mut expected = Vec::new();
+                for i in 0..n {
+                    let id = NodeId::new(i as u32);
+                    let one_hop = row_of(i);
+                    let init_bits = match scope {
+                        NoTables => 0,
+                        _ => {
+                            world.cfg.control_bits as u64
+                                + one_hop.len() as u64 * ANNOUNCE_BITS_PER_ENTRY
+                        }
+                    };
+                    assert_eq!(
+                        world.metrics.per_node[i].maintenance_bits, init_bits,
+                        "{case}: init charge of node {i}"
+                    );
+                    if hello_init || scope == NoTables {
+                        continue;
+                    }
+                    let two_hop = (scope == TwoHop).then(|| {
+                        let lists = one_hop.iter().map(|&(j, _)| (j, row_of(j.index())));
+                        (id, Installed::TwoHop(lists.collect()))
+                    });
+                    expected.push((id, Installed::OneHop(one_hop)));
+                    expected.extend(two_hop);
+                }
+                assert_eq!(*installs.borrow(), expected, "{case}");
+            }
         }
     }
 

@@ -9,6 +9,19 @@
 //! [`LinkBudgetCache`] computes each transmitter's audible-receiver row once
 //! and replays it until a mobility epoch invalidates it.
 //!
+//! Rows are built only when a node transmits. Callers that need less than
+//! a row walk the same receivers without storing one:
+//! [`LinkBudgetCache::degree`] counts them (energy and maintenance
+//! accounting) and [`LinkBudgetCache::neighbor_delays`] lists their
+//! `(rx, delay)` pairs (the network's one-hop delay tables at
+//! construction). Every walk computes only what its caller reads. The
+//! SNR, a transmission-loss `log10` per candidate, is computed for the
+//! audibility test only when the PER model decides on it
+//! ([`PerModel::reads_snr`](crate::per::PerModel::reads_snr): the SNR
+//! threshold and modulation models); the range cutoff decides on distance.
+//! A row build still stores the SNR of every link it keeps, because the
+//! delivery draw replays it.
+//!
 //! Correctness contract (enforced by the differential tests in
 //! `crates/phy/tests` and the golden-trace suite in `crates/bench/tests`):
 //! a cached row must list **exactly** the receivers the uncached loop would
@@ -109,11 +122,24 @@ impl CacheStats {
     }
 }
 
+/// [`AcousticChannel::propagation_delay`] from `from` to `to` on the
+/// distance between them already computed, so the delay is bit-identical
+/// to it.
+fn link_delay(channel: &AcousticChannel, from: Point, to: Point, distance_m: f64) -> SimDuration {
+    let delay_s = channel
+        .sound()
+        .propagation_delay_secs(distance_m, from.depth(), to.depth());
+    SimDuration::from_secs_f64(delay_s)
+}
+
 /// Memoizes each transmitter's audible receivers with their link budgets.
 ///
-/// Rows are built lazily (a node that never transmits never pays) and
-/// invalidated in O(1) by bumping the global epoch when node positions
-/// change.
+/// Rows are built lazily, by [`ensure_row`](Self::ensure_row) on a
+/// transmission (a node that never transmits never pays), and invalidated
+/// in O(1) by bumping the global epoch when node positions change.
+/// [`degree`](Self::degree) and [`neighbor_delays`](Self::neighbor_delays)
+/// read a fresh row but never build one; on a stale row they walk the
+/// receivers a build would keep and store nothing.
 ///
 /// # Examples
 ///
@@ -232,7 +258,8 @@ impl LinkBudgetCache {
     /// the cull would have rejected — and the neighbourhood is culled inside
     /// the grid query on the positions the grid stores, so only survivors
     /// are sorted. Every dropped node is counted as culled to keep the
-    /// statistics layout-independent.
+    /// statistics layout-independent. The row is sized to the cull's
+    /// survivors before it is filled, so a first build allocates once.
     pub fn ensure_row<P: PositionSource + ?Sized>(
         &mut self,
         channel: &AcousticChannel,
@@ -245,21 +272,18 @@ impl LinkBudgetCache {
         let from = positions.position(tx);
         let mut links = std::mem::take(&mut self.rows[tx].links);
         links.clear();
-        self.walk_audible(channel, positions, tx, true, |j, to, distance_m, snr_db| {
+        links.reserve_exact(self.cull(positions, tx, true));
+        self.walk_audible(channel, positions, tx, |j, to, distance_m, snr_db| {
             let echo_delay = channel
                 .echo_audible(from, to)
                 .then(|| channel.echo_delay(from, to));
-            // `AcousticChannel::propagation_delay` on the distance just
-            // computed, so the delay is bit-identical to it.
-            let delay_s =
-                channel
-                    .sound()
-                    .propagation_delay_secs(distance_m, from.depth(), to.depth());
             links.push(CachedLink {
                 rx: j as u32,
                 distance_m,
-                snr_db,
-                delay: SimDuration::from_secs_f64(delay_s),
+                // The SNR the walk skipped is the one it would have
+                // computed: same function, same distance.
+                snr_db: snr_db.unwrap_or_else(|| channel.budget().snr_db(distance_m)),
+                delay: link_delay(channel, from, to, distance_m),
                 echo_delay,
             });
         });
@@ -285,8 +309,35 @@ impl LinkBudgetCache {
             return self.rows[tx].links.len();
         }
         let mut degree = 0;
-        self.walk_audible(channel, positions, tx, false, |_, _, _, _| degree += 1);
+        self.cull(positions, tx, false);
+        self.walk_audible(channel, positions, tx, |_, _, _, _| degree += 1);
         degree
+    }
+
+    /// Fills `out` with the `(rx, delay)` pairs of `tx`'s row, ascending by
+    /// `rx`: what [`row`](Self::row) holds after
+    /// [`ensure_row`](Self::ensure_row), with the same change to
+    /// [`stats`](Self::stats). Like [`degree`](Self::degree), a stale row
+    /// is not rebuilt: the walk computes each receiver's delay but no
+    /// echo and stores no row, so the row stays stale. A fresh row is
+    /// copied. This is what a one-hop delay table needs from the channel.
+    pub fn neighbor_delays<P: PositionSource + ?Sized>(
+        &mut self,
+        channel: &AcousticChannel,
+        positions: &P,
+        tx: usize,
+        out: &mut Vec<(u32, SimDuration)>,
+    ) {
+        out.clear();
+        if self.is_fresh(positions.node_count(), tx) {
+            out.extend(self.rows[tx].links.iter().map(|l| (l.rx, l.delay)));
+            return;
+        }
+        let from = positions.position(tx);
+        out.reserve(self.cull(positions, tx, true));
+        self.walk_audible(channel, positions, tx, |j, to, distance_m, _| {
+            out.push((j as u32, link_delay(channel, from, to, distance_m)));
+        });
     }
 
     /// Whether `tx`'s row is current, counting a hit if it is and a miss if
@@ -304,67 +355,81 @@ impl LinkBudgetCache {
         fresh
     }
 
-    /// The walk of a row build: calls `keep(j, to, distance_m, snr_db)` for
-    /// every receiver `j` at `to` that survives the cull and the exact
-    /// audibility test, counting the rejects of both. Receivers come in
-    /// ascending index order when `sorted` is set (the linear scan is always
-    /// ascending). Shared by the row build and the degree count so they
-    /// cannot drift apart.
-    fn walk_audible<P: PositionSource + ?Sized>(
+    /// The first half of every walk: fills the scratch buffer with the
+    /// receivers of `tx` that survive the cull (`tx` itself excluded),
+    /// ascending when `sorted` is set (the linear scan is always
+    /// ascending), counts the rest as culled, and returns how many
+    /// survived. [`walk_audible`](Self::walk_audible) is the second half.
+    fn cull<P: PositionSource + ?Sized>(
         &mut self,
-        channel: &AcousticChannel,
         positions: &P,
         tx: usize,
         sorted: bool,
-        mut keep: impl FnMut(usize, Point, f64, f64),
-    ) {
+    ) -> usize {
         let n = positions.node_count();
         let from = positions.position(tx);
         let r2 = self.cull_radius_sq.unwrap_or(f64::INFINITY);
-        let mut audible = |j: usize, to: Point, stats: &mut CacheStats| {
-            let distance_m = from.distance(to);
-            let snr_db = channel.budget().snr_db(distance_m);
-            // Same arithmetic as `AcousticChannel::is_audible`, reusing the
-            // distance and SNR just computed.
-            if channel.loss_probability_at(distance_m, snr_db, 1) >= 1.0 {
-                stats.audibility_rejects += 1;
-            } else {
-                keep(j, to, distance_m, snr_db);
-            }
-        };
+        self.scratch.clear();
         if let Some(grid) = &self.grid {
             debug_assert_eq!(
                 grid.node_count(),
                 n,
                 "spatial index covers a different node set"
             );
+            // Everything the query drops is beyond the cull radius: either
+            // outside the neighbourhood (cell edge > cull radius) or
+            // rejected by the cull's own comparison on the stored position.
+            // `tx` itself always survives it.
             grid.within_into(from, r2, &mut self.scratch);
-            // Everything the query dropped is beyond the cull radius: either
-            // outside the neighbourhood (cell edge > cull radius) or rejected
-            // by the cull's own comparison on the stored position. Count it
-            // as culled so stats match the unindexed build exactly. `tx`
-            // itself always survives, so the count never includes it.
-            self.stats.cull_rejects += (n - self.scratch.len()) as u64;
+            self.scratch.retain(|&cand| cand as usize != tx);
             if sorted {
                 self.scratch.sort_unstable();
             }
-            for &cand in &self.scratch {
-                let j = cand as usize;
-                if j != tx {
-                    audible(j, positions.position(j), &mut self.stats);
-                }
-            }
         } else {
-            for j in 0..n {
-                let to = positions.position(j);
-                if j == tx {
-                    continue;
-                }
-                if from.distance_sq(to) > r2 {
-                    self.stats.cull_rejects += 1;
-                    continue;
-                }
-                audible(j, to, &mut self.stats);
+            self.scratch.extend(
+                (0..n)
+                    .filter(|&j| j != tx && from.distance_sq(positions.position(j)) <= r2)
+                    .map(|j| j as u32),
+            );
+        }
+        // Counted the same with and without the index, so stats match the
+        // unindexed build exactly.
+        self.stats.cull_rejects += (n - 1 - self.scratch.len()) as u64;
+        self.scratch.len()
+    }
+
+    /// The second half of every walk: calls `keep(j, to, distance_m,
+    /// snr_db)` for every receiver `j` at `to` that [`cull`](Self::cull)
+    /// left and that passes the exact audibility test, in the cull's order,
+    /// counting the audibility rejects. Shared by every walk so they cannot
+    /// drift apart.
+    ///
+    /// The test is [`AcousticChannel::loss_probability_at`] for a 1-bit
+    /// frame, the arithmetic of [`AcousticChannel::is_audible`]. The SNR
+    /// (a transmission-loss `log10`) is computed, and passed on as
+    /// `Some`, only when the PER model reads it
+    /// ([`PerModel::reads_snr`](crate::per::PerModel::reads_snr)); the range
+    /// cutoff decides on distance alone, so under it every walk but a row
+    /// build skips the `log10`.
+    fn walk_audible<P: PositionSource + ?Sized>(
+        &mut self,
+        channel: &AcousticChannel,
+        positions: &P,
+        tx: usize,
+        mut keep: impl FnMut(usize, Point, f64, Option<f64>),
+    ) {
+        let from = positions.position(tx);
+        let reads_snr = channel.per_model().reads_snr();
+        for &cand in &self.scratch {
+            let j = cand as usize;
+            let to = positions.position(j);
+            let distance_m = from.distance(to);
+            let snr_db = reads_snr.then(|| channel.budget().snr_db(distance_m));
+            // A model that does not read the SNR is handed NaN in its place.
+            if channel.loss_probability_at(distance_m, snr_db.unwrap_or(f64::NAN), 1) >= 1.0 {
+                self.stats.audibility_rejects += 1;
+            } else {
+                keep(j, to, distance_m, snr_db);
             }
         }
     }
@@ -422,18 +487,86 @@ mod tests {
         }
     }
 
+    /// One channel per PER model over a 170 dB source: along a 700 m
+    /// line every model keeps some receivers.
+    fn every_per_model() -> Vec<AcousticChannel> {
+        use crate::noise::AmbientNoise;
+        use crate::per::{Modulation, PerModel};
+        use crate::propagation::{LinkBudget, Spreading, TransmissionLoss};
+        use crate::sound::SoundSpeedProfile;
+
+        [
+            PerModel::RangeCutoff { range_m: 1_500.0 },
+            PerModel::SnrThreshold { threshold_db: 20.0 },
+            PerModel::Modulation {
+                scheme: Modulation::NcFsk,
+                bandwidth_over_bitrate: 1.0,
+            },
+        ]
+        .into_iter()
+        .map(|per| {
+            AcousticChannel::new(
+                SoundSpeedProfile::default(),
+                LinkBudget::new(
+                    170.0,
+                    TransmissionLoss::new(Spreading::Practical, 10.0),
+                    AmbientNoise::default(),
+                    12_000.0,
+                ),
+                per,
+                1_500.0,
+            )
+        })
+        .collect()
+    }
+
     #[test]
     fn cached_values_are_bit_identical_to_recomputation() {
-        let ch = AcousticChannel::paper_default();
         let positions = line(6, 700.0);
-        let mut cache = LinkBudgetCache::new(&ch, positions.len());
-        cache.ensure_row(&ch, &positions, 2);
-        for link in cache.row(2) {
-            let to = positions[link.rx as usize];
-            let d = positions[2].distance(to);
-            assert_eq!(link.distance_m.to_bits(), d.to_bits());
-            assert_eq!(link.snr_db.to_bits(), ch.budget().snr_db(d).to_bits());
-            assert_eq!(link.delay, ch.propagation_delay(positions[2], to));
+        let channels = std::iter::once(AcousticChannel::paper_default()).chain(every_per_model());
+        for ch in channels {
+            let mut cache = LinkBudgetCache::new(&ch, positions.len());
+            for tx in 0..positions.len() {
+                cache.ensure_row(&ch, &positions, tx);
+                assert!(cache.row_len(tx) > 0, "{:?}", ch.per_model());
+                for link in cache.row(tx) {
+                    let to = positions[link.rx as usize];
+                    let d = positions[tx].distance(to);
+                    assert_eq!(link.distance_m.to_bits(), d.to_bits());
+                    assert_eq!(link.snr_db.to_bits(), ch.budget().snr_db(d).to_bits());
+                    assert_eq!(link.delay, ch.propagation_delay(positions[tx], to));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_build_allocates_exactly_the_cull_survivors() {
+        // Every candidate the cull keeps either joins the row or is an
+        // audibility reject, so the survivor count is `row_len + audibility
+        // rejects` of that build. At 725 m spacing the 5.8 km pairs sit
+        // between the SNR threshold's detection radius (~5.7 km) and the
+        // padded cull radius.
+        let positions = line(12, 725.0);
+        for ch in every_per_model() {
+            let mut cache = LinkBudgetCache::with_index(&ch, &positions);
+            let mut rejected_short = false;
+            for tx in 0..positions.len() {
+                let before = cache.stats().audibility_rejects;
+                cache.ensure_row(&ch, &positions, tx);
+                let rejected = (cache.stats().audibility_rejects - before) as usize;
+                rejected_short |= rejected > 0;
+                let survivors = cache.row_len(tx) + rejected;
+                assert_eq!(
+                    cache.rows[tx].links.capacity(),
+                    survivors,
+                    "{:?}, tx {tx}",
+                    ch.per_model()
+                );
+            }
+            if matches!(ch.per_model(), crate::per::PerModel::SnrThreshold { .. }) {
+                assert!(rejected_short, "the SNR threshold rejects some survivors");
+            }
         }
     }
 
@@ -581,19 +714,6 @@ mod tests {
 
     #[test]
     fn degree_equals_row_len_and_counts_like_a_row_build() {
-        use crate::noise::AmbientNoise;
-        use crate::per::{Modulation, PerModel};
-        use crate::propagation::{LinkBudget, Spreading, TransmissionLoss};
-        use crate::sound::SoundSpeedProfile;
-
-        let pers = [
-            PerModel::RangeCutoff { range_m: 1_500.0 },
-            PerModel::SnrThreshold { threshold_db: 20.0 },
-            PerModel::Modulation {
-                scheme: Modulation::NcFsk,
-                bandwidth_over_bitrate: 1.0,
-            },
-        ];
         // A 6 × 6 lattice at 700 m with depth jitter: every node has some
         // neighbours in range and some beyond it.
         let start: Vec<Point> = (0..36)
@@ -602,18 +722,8 @@ mod tests {
                 Point::new(x * 700.0, y * 700.0, 300.0 + (i * 37 % 11) as f64 * 90.0)
             })
             .collect();
-        for per in pers {
-            let ch = AcousticChannel::new(
-                SoundSpeedProfile::default(),
-                LinkBudget::new(
-                    170.0,
-                    TransmissionLoss::new(Spreading::Practical, 10.0),
-                    AmbientNoise::default(),
-                    12_000.0,
-                ),
-                per,
-                1_500.0,
-            );
+        for ch in every_per_model() {
+            let per = ch.per_model();
             for indexed in [false, true] {
                 let mut positions = start.clone();
                 let make = |p: &Vec<Point>| {

@@ -137,6 +137,14 @@ impl PerModel {
         }
     }
 
+    /// Whether [`loss_probability`](Self::loss_probability) reads its
+    /// `snr_db` argument: every model but the range cutoff, which decides
+    /// on `distance_m <= range_m` alone. A caller that would compute the
+    /// SNR only to hand it over can skip it when this is false.
+    pub fn reads_snr(&self) -> bool {
+        !matches!(self, PerModel::RangeCutoff { .. })
+    }
+
     /// Whether any packet can ever be heard at this distance/SNR (loss
     /// probability strictly below 1 for a 1-bit packet).
     pub fn is_audible(&self, distance_m: f64, snr_db: f64) -> bool {

@@ -145,6 +145,72 @@ proptest! {
         }
     }
 
+    /// The row-free walk lists exactly the `(rx, delay)` pairs of the row
+    /// `ensure_row` builds, and moves the statistics the same way, whether
+    /// the row is fresh or stale, with and without the spatial index, and
+    /// across mobility epochs. It never builds the row itself.
+    #[test]
+    fn neighbor_delays_match_the_built_row(
+        start in positions_strategy(),
+        model in 0u8..3,
+        cutoff in 400.0f64..4_000.0,
+        indexed in proptest::bool::ANY,
+        fresh in proptest::num::u32::ANY,
+        moves in proptest::collection::vec(
+            (0usize..12, -3_000.0f64..3_000.0, -3_000.0f64..3_000.0),
+            0..6,
+        ),
+    ) {
+        let ch = channel_for(model, cutoff);
+        let mut positions = start;
+        let make = |p: &Vec<Point>| {
+            if indexed {
+                LinkBudgetCache::with_index(&ch, p)
+            } else {
+                LinkBudgetCache::new(&ch, p.len())
+            }
+        };
+        let (mut walked, mut built) = (make(&positions), make(&positions));
+        let mut out = Vec::new();
+        for epoch in 0..3 {
+            let mut walked_stale = Vec::new();
+            for tx in 0..positions.len() {
+                // Rows picked by `fresh` are built in both caches first, so
+                // the walk copies a fresh row; the rest it walks stale.
+                if fresh >> ((tx + 5 * epoch) % 32) & 1 == 1 {
+                    walked.ensure_row(&ch, &positions, tx);
+                    built.ensure_row(&ch, &positions, tx);
+                } else {
+                    walked_stale.push(tx);
+                }
+                walked.neighbor_delays(&ch, &positions, tx, &mut out);
+                built.ensure_row(&ch, &positions, tx);
+                let expected: Vec<(u32, _)> =
+                    built.row(tx).iter().map(|l| (l.rx, l.delay)).collect();
+                prop_assert_eq!(&out, &expected, "epoch {}, tx {}", epoch, tx);
+                prop_assert_eq!(walked.stats(), built.stats(), "epoch {}, tx {}", epoch, tx);
+            }
+            // A walk from a stale row stored none: walking it again on a
+            // copy is a miss again.
+            let mut probe = walked.clone();
+            for &tx in &walked_stale {
+                let misses = probe.stats().misses;
+                probe.neighbor_delays(&ch, &positions, tx, &mut out);
+                prop_assert_eq!(probe.stats().misses, misses + 1, "epoch {}, tx {}", epoch, tx);
+            }
+            for &(node, dx, dy) in &moves {
+                let node = node % positions.len();
+                let p = positions[node];
+                let moved = Point::new(p.x + dx, p.y + dy, p.z);
+                positions[node] = moved;
+                walked.note_move(node as u32, moved);
+                built.note_move(node as u32, moved);
+            }
+            walked.invalidate();
+            built.invalidate();
+        }
+    }
+
     /// Echo delays are cached exactly when the channel's multipath model
     /// makes the surface echo audible.
     #[test]
