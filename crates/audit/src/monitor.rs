@@ -26,11 +26,11 @@
 //! - [`StreamingMonitor`] is the shared handle a harness keeps: it hands a
 //!   boxed sink to `Tracer::with_sink` and harvests the
 //!   [`MonitorReport`] after the run.
-//! - [`FlightRecorder`] keeps a fixed-capacity [`RingSink`] of the most
-//!   recent records and, on every finding, snapshots the ring to
+//! - [`FlightRecorder`] keeps a fixed-capacity ring of the most recent
+//!   records and, on every finding, snapshots the ring to
 //!   `<dir>/<seq>-<kind>.jsonl` — the last moments before the anomaly,
-//!   debuggable without any full-trace capture. It holds text, so with a
-//!   recorder attached each typed record is also rendered into the ring.
+//!   debuggable without any full-trace capture. It holds typed records as
+//!   they arrive and renders text only for the window it dumps.
 //!
 //! # Why record-order streaming is exact
 //!
@@ -61,7 +61,7 @@ use uasn_net::slots::SlotClock;
 use uasn_net::NodeId;
 use uasn_sim::hash::FxHashMap;
 use uasn_sim::time::{SimDuration, SimTime};
-use uasn_sim::trace::{export_jsonl, RingSink, TraceEvent, TraceLevel, TraceRecord, TraceSink};
+use uasn_sim::trace::{export_jsonl, TraceEvent, TraceLevel, TraceRecord, TraceSink};
 
 use crate::copies::{CopyIndex, PathSlab};
 use crate::invariant::{overlaps, Violation, ViolationKind};
@@ -832,13 +832,41 @@ impl MonitorSet {
     }
 }
 
-/// Fixed-capacity flight recorder: retains the most recent records in a
-/// [`RingSink`] and snapshots them to `<dir>/<seq>-<kind>.jsonl` whenever
-/// a monitor finding fires, so anomalies in untraced swarm-scale runs
-/// still come with their surrounding evidence.
+/// One record a [`FlightRecorder`] holds: as the world typed it, with
+/// its header, or as text.
+#[derive(Debug)]
+enum Held {
+    Typed(SimTime, TraceLevel, Option<usize>, &'static str, Typed),
+    Text(TraceRecord),
+}
+
+/// The world's typed records: its audit schema, and the modem-busy drop.
+#[derive(Debug, Clone)]
+enum Typed {
+    Record(ParsedRecord),
+    TxDrop(TxDropEvent),
+}
+
+impl Held {
+    fn render(&self) -> TraceRecord {
+        let (time, level, node, tag, event): (_, _, _, _, &dyn TraceEvent) = match self {
+            Held::Text(record) => return record.clone(),
+            Held::Typed(time, level, node, tag, Typed::Record(e)) => (time, level, node, tag, e),
+            Held::Typed(time, level, node, tag, Typed::TxDrop(e)) => (time, level, node, tag, e),
+        };
+        TraceRecord::from_event(*time, *level, *node, tag, event)
+    }
+}
+
+/// Fixed-capacity flight recorder: retains the most recent records and
+/// snapshots them to `<dir>/<seq>-<kind>.jsonl` whenever a monitor
+/// finding fires, so anomalies in untraced swarm-scale runs still come
+/// with their surrounding evidence. Typed records stay typed until a
+/// dump renders the window.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    ring: RingSink,
+    ring: VecDeque<Held>,
+    capacity: usize,
     dir: PathBuf,
     dumps: u64,
     io_errors: u64,
@@ -850,7 +878,8 @@ impl FlightRecorder {
     /// the last `capacity` records.
     pub fn new(dir: impl Into<PathBuf>, capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            ring: RingSink::with_capacity(capacity),
+            ring: VecDeque::with_capacity(capacity.min(4096)),
+            capacity: capacity.max(1),
             dir: dir.into(),
             dumps: 0,
             io_errors: 0,
@@ -858,8 +887,11 @@ impl FlightRecorder {
         }
     }
 
-    fn observe(&mut self, record: &TraceRecord) {
-        self.ring.accept(record);
+    fn observe(&mut self, held: Held) {
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
+        }
+        self.ring.push_back(held);
     }
 
     /// Snapshot files written so far.
@@ -873,8 +905,9 @@ impl FlightRecorder {
         let path = self.dir.join(name);
         let result = (|| -> io::Result<()> {
             std::fs::create_dir_all(&self.dir)?;
+            let window: Vec<TraceRecord> = self.ring.iter().map(Held::render).collect();
             let mut buf = Vec::new();
-            export_jsonl(self.ring.iter(), &mut buf)?;
+            export_jsonl(&window, &mut buf)?;
             std::fs::write(&path, buf)
         })();
         if let Err(e) = result {
@@ -1032,7 +1065,7 @@ impl TraceSink for MonitorSink {
         let mut inner = self.inner.lock().expect("monitor lock");
         let index = inner.next_index();
         if let Some(flight) = inner.flight.as_mut() {
-            flight.observe(record);
+            flight.observe(Held::Text(record.clone()));
         }
         inner.observe(&parse_record(index, record));
     }
@@ -1046,23 +1079,28 @@ impl TraceSink for MonitorSink {
         event: &dyn TraceEvent,
     ) {
         let any: &dyn Any = event;
-        let typed = any.downcast_ref::<ParsedRecord>();
-        if typed.is_none() && !any.is::<TxDropEvent>() {
+        let mut typed = match (
+            any.downcast_ref::<ParsedRecord>(),
+            any.downcast_ref::<TxDropEvent>(),
+        ) {
+            (Some(record), _) => Typed::Record(record.clone()),
+            (_, Some(drop)) => Typed::TxDrop(drop.clone()),
             // Not a record of the world's schema: read its text, as any
             // rendered record is read.
-            self.accept(&TraceRecord::from_event(time, level, node, tag, event));
-            return;
-        }
+            _ => return self.accept(&TraceRecord::from_event(time, level, node, tag, event)),
+        };
         let mut inner = self.inner.lock().expect("monitor lock");
         let index = inner.next_index();
+        if let Typed::Record(parsed) = &mut typed {
+            parsed.set_record(index);
+        }
         if let Some(flight) = inner.flight.as_mut() {
-            flight.observe(&TraceRecord::from_event(time, level, node, tag, event));
+            flight.observe(Held::Typed(time, level, node, tag, typed.clone()));
         }
         // A modem-busy drop carries nothing the monitors check.
-        let Some(typed) = typed else { return };
-        let mut parsed = typed.clone();
-        parsed.set_record(index);
-        inner.observe(&parsed);
+        if let Typed::Record(parsed) = &typed {
+            inner.observe(parsed);
+        }
     }
 }
 
@@ -1421,6 +1459,75 @@ mod tests {
             let parsed = uasn_sim::trace::parse_jsonl(std::str::from_utf8(&a).expect("utf8"))
                 .expect("dump parses as a trace");
             assert!(parsed.len() <= 4, "ring capacity bounds the snapshot");
+        }
+
+        // A seeded run with findings: the recorder keeps the world's
+        // records typed, and its dumps equal byte for byte those of a
+        // recorder fed the same run as rendered text.
+        struct TextOnly(Box<dyn TraceSink + Send>);
+        impl TraceSink for TextOnly {
+            fn accept(&mut self, record: &TraceRecord) {
+                self.0.accept(record);
+            }
+        }
+        // NC-FSK frames decode past the 1.5 km range the slot's tau_max
+        // covers, so the propagation check flags some receptions.
+        use uasn_phy::propagation::{LinkBudget, Spreading, TransmissionLoss};
+        let mut cfg = uasn_net::SimConfig::paper_default()
+            .with_sensors(15)
+            .with_offered_load_kbps(2.0)
+            .with_sim_time(SimDuration::from_secs(120))
+            .with_seed(7);
+        cfg.channel = uasn_phy::channel::AcousticChannel::new(
+            *cfg.channel.sound(),
+            LinkBudget::new(
+                143.0,
+                TransmissionLoss::new(Spreading::Practical, 10.0),
+                uasn_phy::noise::AmbientNoise::default(),
+                12_000.0,
+            ),
+            uasn_phy::per::PerModel::Modulation {
+                scheme: uasn_phy::per::Modulation::NcFsk,
+                bandwidth_over_bitrate: 1.0,
+            },
+            1_500.0,
+        );
+        let mut runs = Vec::new();
+        for (dir, typed) in [(base.join("typed"), true), (base.join("text"), false)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let monitor = StreamingMonitor::new().with_flight_recorder(&dir, 16);
+            let sink = monitor.sink();
+            let sink: Box<dyn TraceSink + Send> = if typed {
+                sink
+            } else {
+                Box::new(TextOnly(sink))
+            };
+            let factory = |id| -> Box<dyn uasn_net::mac::MacProtocol> {
+                Box::new(uasn_ewmac::EwMac::new(
+                    id,
+                    uasn_ewmac::EwMacConfig::default(),
+                ))
+            };
+            uasn_net::Simulation::new(cfg.clone(), &factory)
+                .expect("valid config")
+                .with_tracer(uasn_sim::trace::Tracer::new(TraceLevel::Debug).with_sink(sink))
+                .run();
+            let report = monitor.report();
+            assert_eq!(report.flight_io_errors, 0, "{:?}", report.flight_error);
+            runs.push((dir, report.flight_dumps));
+        }
+        let (typed_dir, dumps) = &runs[0];
+        assert!(*dumps > 0, "the seeded run raised findings");
+        assert_eq!(*dumps, runs[1].1);
+        let names = list(typed_dir);
+        assert_eq!(names, list(&runs[1].0));
+        for name in &names {
+            let typed = std::fs::read(typed_dir.join(name)).expect("typed dump");
+            let text = std::fs::read(runs[1].0.join(name)).expect("text dump");
+            assert_eq!(
+                typed, text,
+                "{name}: typed and rendered rings dump the same bytes"
+            );
         }
         let _ = std::fs::remove_dir_all(&base);
     }

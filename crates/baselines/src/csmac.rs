@@ -192,6 +192,8 @@ impl MacProtocol for CsMac {
         // information; its overhead is much greater than that of EW-MAC".
         MaintenanceProfile {
             scope: NeighborInfoScope::TwoHop,
+            // The cross-delay check reads the two-hop table.
+            reads_two_hop: true,
             piggyback_bits: 24,
             periodic_refresh: Some(SimDuration::from_secs(120)),
             // Gap tracking for stealing monitors neighbours continuously,

@@ -218,6 +218,8 @@ impl MacProtocol for Ropa {
         // rarely — overhead ≈ 1.5× S-FAMA.
         MaintenanceProfile {
             scope: NeighborInfoScope::TwoHop,
+            // Appending decisions use one-hop delays only.
+            reads_two_hop: false,
             piggyback_bits: 8,
             periodic_refresh: Some(SimDuration::from_secs(120)),
             // Appending requires watching *every* neighbour's RTS→CTS wait

@@ -348,11 +348,10 @@ fn multi_copy_terminal_drops(model: &TraceModel) -> usize {
     multi
 }
 
-#[test]
-fn overloaded_routed_run_keeps_online_post_hoc_parity() {
-    // Overload with reliable transport: deep MAC queues outlast a short
-    // transport timeout, so retries put several copies of an SDU in
-    // flight and terminal drops retire more than one of them.
+/// Overload with reliable transport: deep MAC queues outlast a short
+/// transport timeout, so retries put several copies of an SDU in flight
+/// and terminal drops retire more than one of them.
+fn overloaded_routed_cfg() -> SimConfig {
     let mut rc = uasn_route::RouteConfig::reliable();
     rc.transport = Some(uasn_route::TransportConfig {
         retry_budget: 2,
@@ -369,7 +368,12 @@ fn overloaded_routed_run_keeps_online_post_hoc_parity() {
         layers: 4,
         layer_spacing_m: 1_200.0,
     };
-    let (out, online) = traced_routed_run(&cfg);
+    cfg
+}
+
+#[test]
+fn overloaded_routed_run_keeps_online_post_hoc_parity() {
+    let (out, online) = traced_routed_run(&overloaded_routed_cfg());
     assert!(
         out.tracer.health().is_lossless(),
         "capture kept every record"
@@ -404,6 +408,44 @@ fn overloaded_routed_run_keeps_online_post_hoc_parity() {
     for (path, route) in paths.iter().zip(routes) {
         assert_eq!((path.sdu, path.attempt), (route.sdu, route.attempt));
     }
+}
+
+/// SDUs whose trace delivers them end to end (`e2e-deliver`) after their
+/// terminal `e2e-drop`.
+fn delivered_after_terminal_drop(model: &TraceModel) -> usize {
+    let mut dropped: HashSet<u64> = HashSet::new();
+    let mut twice: HashSet<u64> = HashSet::new();
+    for event in &model.events {
+        match event {
+            ParsedRecord::RouteDrop(e) if e.terminal => {
+                dropped.insert(e.sdu);
+            }
+            ParsedRecord::E2eDeliver(e) if dropped.contains(&e.sdu) => {
+                twice.insert(e.sdu);
+            }
+            _ => {}
+        }
+    }
+    twice.len()
+}
+
+/// The routed double fate, read from the product: copies still queued
+/// when the transport gives an SDU up reach a sink after its terminal
+/// `e2e-drop`, and the SDU table counts each such SDU once (24 on the
+/// overloaded config; the light trace_run `--route` config shows none at
+/// seeds 0-39). This pins today's defect: once exhaustion retires every
+/// copy of its SDU, the count is 0 and this test must flip with it.
+#[test]
+fn routed_double_fates_match_the_sdu_table_count() {
+    let (out, _) = traced_routed_run(&overloaded_routed_cfg());
+    assert!(
+        out.tracer.health().is_lossless(),
+        "capture kept every record"
+    );
+    let model = TraceModel::from_records(out.tracer.records());
+    let twice = delivered_after_terminal_drop(&model);
+    assert_eq!(out.second_fates, twice as u64);
+    assert!(twice > 0, "the double fate shows on this config");
 }
 
 #[test]

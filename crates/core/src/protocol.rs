@@ -301,6 +301,7 @@ impl MacProtocol for EwMac {
         // piggybacked on every packet — no periodic re-broadcast.
         MaintenanceProfile {
             scope: NeighborInfoScope::OneHop,
+            reads_two_hop: false,
             piggyback_bits: uasn_net::neighbor::ENTRY_BITS,
             periodic_refresh: None,
             // Extra windows are computed from the node's own failed

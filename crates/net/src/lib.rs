@@ -19,6 +19,7 @@
 //! * [`world`] — the event-driven network simulator
 //!   ([`world::Simulation`]).
 //! * [`metrics`] — the paper's measurement axes (Eq 2–4, §5.2–§5.3).
+//! * [`sdu`] — the per-SDU table the world keeps, indexed by SDU id.
 //! * [`sampling`] — the periodic time-series sampler behind
 //!   [`config::SimConfig::sample_interval`].
 //! * [`config`] — Table 2 as a validated builder.
@@ -56,6 +57,7 @@ pub mod quiet;
 pub mod record;
 pub mod routing;
 pub mod sampling;
+pub mod sdu;
 pub mod slots;
 pub mod slotted;
 pub mod topology;

@@ -92,8 +92,13 @@ impl DropReason {
 /// overhead/energy accounting, charged by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenanceProfile {
-    /// Neighbour-information scope.
+    /// Neighbour-information scope: what the protocol maintains, and so
+    /// what its table upkeep costs.
     pub scope: NeighborInfoScope,
+    /// Whether the protocol reads the two-hop tables the oracle install
+    /// hands it ([`MacProtocol::install_two_hop`]). A two-hop scope pays
+    /// for two-hop upkeep either way; only a reader is given the tables.
+    pub reads_two_hop: bool,
     /// Extra bits piggybacked on every transmitted frame (timestamps,
     /// delay announcements — §4.3 "added to all packets").
     pub piggyback_bits: u64,
@@ -125,6 +130,7 @@ impl MaintenanceProfile {
     pub fn none() -> Self {
         MaintenanceProfile {
             scope: NeighborInfoScope::None,
+            reads_two_hop: false,
             piggyback_bits: 0,
             periodic_refresh: None,
             listen_mw_per_neighbor: 0.0,
@@ -298,7 +304,8 @@ pub trait MacProtocol: fmt::Debug {
     /// [`NeighborInfoScope::None`] may ignore it.
     fn install_neighbors(&mut self, _neighbors: &[(NodeId, SimDuration)]) {}
 
-    /// Two-hop oracle initialisation (ROPA/CS-MAC): for each one-hop
+    /// Two-hop oracle initialisation (CS-MAC), given only to protocols
+    /// whose [`MaintenanceProfile::reads_two_hop`] is set: for each one-hop
     /// neighbour, that neighbour's own delay list.
     fn install_two_hop(&mut self, _tables: &[(NodeId, Vec<(NodeId, SimDuration)>)]) {}
 

@@ -10,10 +10,11 @@
 
 use std::fmt;
 
-use uasn_sim::hash::{FxHashMap, FxHashSet};
 use uasn_sim::hist::LogHistogram;
 use uasn_sim::stats::{Accumulator, Histogram, TimeWeighted};
 use uasn_sim::time::{SimDuration, SimTime};
+
+use crate::sdu::SduTable;
 
 /// The causal verdict for one lost SDU (or the frame carrying it),
 /// attributed online at the site of the loss — the loss-diagnosis axis
@@ -331,13 +332,10 @@ pub struct DeliveryMetrics {
     pub path_hops: LogHistogram,
     /// The loss ledger: one verdict per loss, recorded at its site.
     pub drops: VerdictHistogram,
-    /// Generation time per SDU id, consumed on first sink arrival.
-    /// Probed only, never iterated, so the fast hasher cannot reach any
-    /// output.
-    origin_time: FxHashMap<u64, SimTime>,
-    /// Batch tracking: SDU ids generated but not yet MAC-delivered (probed
-    /// only, like `origin_time`).
-    pub batch_outstanding: FxHashSet<u64>,
+    /// Per-SDU state by id: generation time until the first sink
+    /// arrival, batch membership, and the routed copies' transport slots
+    /// and hop counters.
+    pub sdus: SduTable,
     /// Batch arrivals still to be injected by the traffic process.
     pub batch_expected: u32,
     /// Whether batch tracking is active.
@@ -359,8 +357,7 @@ impl Default for DeliveryMetrics {
             e2e_hist: LogHistogram::new(),
             path_hops: LogHistogram::new(),
             drops: VerdictHistogram::new(),
-            origin_time: FxHashMap::default(),
-            batch_outstanding: FxHashSet::default(),
+            sdus: SduTable::default(),
             batch_expected: 0,
             batch_mode: false,
             completion_time: None,
@@ -395,7 +392,7 @@ impl DeliveryMetrics {
     /// end-to-end latency measured at the sink. Forwarding hops must not
     /// call this — the anchor is the original generation time.
     pub fn record_sdu_generated(&mut self, now: SimTime, sdu_id: u64) {
-        self.origin_time.entry(sdu_id).or_insert(now);
+        self.sdus.generate(sdu_id, now);
     }
 
     /// A transmission started at `now`.
@@ -422,7 +419,7 @@ impl DeliveryMetrics {
         self.batch_mode = true;
         self.batch_expected = self.batch_expected.saturating_sub(1);
         if let Some(id) = id {
-            self.batch_outstanding.insert(id);
+            self.sdus.join_batch(id);
         }
     }
 
@@ -437,7 +434,7 @@ impl DeliveryMetrics {
         bits: u32,
     ) -> Option<SimDuration> {
         self.sink_bits += bits as u64;
-        let generated = self.origin_time.remove(&sdu_id)?;
+        let generated = self.sdus.take_generated(sdu_id)?;
         let e2e = now.duration_since(generated);
         self.e2e_hist.record(e2e.as_micros());
         Some(e2e)
@@ -461,9 +458,9 @@ impl DeliveryMetrics {
     /// delivery, not on reaching a sink.
     pub fn record_mac_delivery(&mut self, now: SimTime, sdu_id: u64) {
         if self.batch_mode
-            && self.batch_outstanding.remove(&sdu_id)
+            && self.sdus.leave_batch(sdu_id)
             && self.batch_expected == 0
-            && self.batch_outstanding.is_empty()
+            && self.sdus.batch_remaining() == 0
         {
             self.completion_time.get_or_insert(now);
         }
@@ -471,7 +468,7 @@ impl DeliveryMetrics {
 
     /// Whether every batch SDU has been injected and MAC-delivered.
     pub fn batch_complete(&self) -> bool {
-        self.batch_mode && self.batch_expected == 0 && self.batch_outstanding.is_empty()
+        self.batch_mode && self.batch_expected == 0 && self.sdus.batch_remaining() == 0
     }
 }
 

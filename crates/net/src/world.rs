@@ -24,11 +24,13 @@
 //! is, and its text is rendered only when a text sink is attached.
 //!
 //! The per-event maps keyed by simulator-minted integers (frame tokens,
-//! reception ids, SDU ids: `tx_frames`, `pending_rx`,
-//! `delivered`, the route runtime's `hops`) use the Fx hasher from
-//! `uasn_sim::hash`. They are only probed, never iterated, so the hash
-//! function cannot reach any output. Transport timeouts go to the event
-//! queue's per-attempt FIFO lanes (`uasn_route::timeout_lane`).
+//! reception ids, SDU copies: `tx_frames`, `pending_rx`, `delivered`) use
+//! the Fx hasher from `uasn_sim::hash`. They are only probed, never
+//! iterated, so the hash function cannot reach any output. Per-SDU state
+//! (generation time, batch membership, transport slot, hop counters) is
+//! one entry per SDU id in [`crate::sdu::SduTable`], indexed without
+//! hashing. Transport timeouts go to the event queue's per-attempt FIFO
+//! lanes (`uasn_route::timeout_lane`).
 
 use std::rc::Rc;
 
@@ -193,29 +195,6 @@ struct PendingRx {
     rid: Option<ReceptionId>,
 }
 
-/// Live state of the routing + transport subsystem; `Some` iff
-/// [`SimConfig::route`] was set. Every run picks its next hops through the
-/// same candidate scan and policy; what routed runs add is this state:
-/// hop counting against the TTL, the `route`/`relay`/`e2e-*` trace
-/// records and the transport. Absent, the world schedules no route events
-/// and emits no route trace records, and the greedy policy never draws
-/// the route stream, so `route: None` runs are byte-identical to
-/// pre-routing builds.
-#[derive(Debug)]
-struct RouteRuntime {
-    /// MAC hops traversed so far by each in-flight SDU copy, keyed by
-    /// `(sdu id, attempt)` — the attempt is the routing header stamped on
-    /// the copy, so a stale frame from an earlier transport attempt keeps
-    /// its own counter instead of corrupting the retry's. Entries are
-    /// removed only at points that also emit a path-closing trace record
-    /// (or physically end the copy), keeping the world's hop accounting
-    /// and the audit monitors' path state in lock-step.
-    hops: FxHashMap<(u64, u32), u32>,
-    /// Origin-side retransmission state; `Some` iff
-    /// [`uasn_route::RouteConfig::transport`] was set.
-    transport: Option<TransportTable>,
-}
-
 struct NetworkWorld {
     cfg: SimConfig,
     clock: SlotClock,
@@ -252,8 +231,10 @@ struct NetworkWorld {
     /// a pure function of the positions and draws no randomness, so the
     /// memo replays the scan's answer exactly.
     greedy_hops: Vec<Option<Option<NodeId>>>,
-    /// Routing + transport runtime; `Some` iff `cfg.route`.
-    route: Option<RouteRuntime>,
+    /// The end-to-end transport policy; `Some` iff the run's routing
+    /// configuration sets [`uasn_route::RouteConfig::transport`]. Each
+    /// SDU's pending slot lives in `metrics.sdus`.
+    transport: Option<TransportTable>,
 
     metrics: DeliveryMetrics,
     /// First-copy gate per `(sdu, node, copy)` triple. The copy component
@@ -740,7 +721,7 @@ impl NetworkWorld {
         // forward toward the surface.
         if addressed && frame.kind.is_data() {
             for &sdu in frame.sdus() {
-                let copy = if self.route.is_some() {
+                let copy = if self.cfg.route.is_some() {
                     sdu.created.as_micros()
                 } else {
                     0
@@ -772,7 +753,7 @@ impl NetworkWorld {
                             e2e_us: e2e.map(SimDuration::as_micros),
                         })
                     });
-                    if self.route.is_some() {
+                    if self.cfg.route.is_some() {
                         self.route_sink_arrival(sched, node, &sdu, e2e);
                     }
                 } else {
@@ -823,7 +804,7 @@ impl NetworkWorld {
     ) -> bool {
         let Some(next) = self.next_hop(node) else {
             self.metrics.record_drop(DropVerdict::NoAudibleReceiver);
-            if self.route.is_some() {
+            if self.cfg.route.is_some() {
                 self.trace_route_drop(node, &sdu, hops, "unroutable");
             }
             return false;
@@ -856,20 +837,11 @@ impl NetworkWorld {
         });
     }
 
-    /// Whether the transport still holds an in-flight entry for `sdu` —
-    /// i.e. a copy-level loss now is *not* the SDU's terminal fate.
-    fn route_retry_pending(&self, sdu: u64) -> bool {
-        self.route
-            .as_ref()
-            .and_then(|r| r.transport.as_ref())
-            .is_some_and(|t| t.pending(sdu).is_some())
-    }
-
-    /// Emits the copy-level or terminal drop record for a routed loss:
-    /// `relay-drop` while a transport retry can still rescue the SDU,
-    /// `e2e-drop` when this loss is final.
+    /// Settles a routed copy's loss in the SDU table and emits its
+    /// record: `relay-drop` while a transport retry can still rescue the
+    /// SDU, `e2e-drop` when this loss is final.
     fn trace_route_drop(&mut self, node: usize, sdu: &Sdu, hops: u32, reason: &'static str) {
-        let terminal = !self.route_retry_pending(sdu.id);
+        let terminal = self.metrics.sdus.settle_copy_loss(sdu.id);
         self.trace(TraceLevel::Info, |time_us| {
             ParsedRecord::RouteDrop(RouteDropEvent {
                 record: 0,
@@ -907,12 +879,12 @@ impl NetworkWorld {
                 attempt: u64::from(attempt),
             })
         });
-        let now_us = self.now.as_micros();
-        let route = self.route.as_mut().expect("routed run");
-        route.hops.insert((id, attempt), 0);
+        let sdus = &mut self.metrics.sdus;
+        sdus.register_copy(id, attempt);
         if attempt == 0 {
-            if let Some(table) = route.transport.as_mut() {
-                let deadline_us = table.register(id, node as u32, bits, now_us);
+            if let Some(policy) = &self.transport {
+                let deadline_us =
+                    sdus.register_transport(policy, id, node as u32, bits, self.now.as_micros());
                 sched.at_lane(
                     timeout_lane(0),
                     SimTime::from_micros(deadline_us),
@@ -928,17 +900,14 @@ impl NetworkWorld {
     /// is non-terminal under a pending transport entry (`relay-drop`) and
     /// the SDU's end-to-end fate without one (`e2e-drop`).
     fn relay(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, sdu: Sdu) {
-        let (Some(route), Some(rc)) = (self.route.as_mut(), self.cfg.route) else {
+        let Some(rc) = self.cfg.route else {
             self.send_hop(sched, node, sdu, 0, |w, _, fwd| {
                 w.trace_enq(node, fwd, true)
             });
             return;
         };
-        let ttl = rc.ttl;
-        let copy = (sdu.id, sdu.attempt);
-        let traversed = route.hops.get(&copy).copied().unwrap_or(0) + 1;
-        route.hops.insert(copy, traversed);
-        let sent = if traversed >= ttl {
+        let traversed = self.metrics.sdus.advance_hop(sdu.id, sdu.attempt);
+        let sent = if traversed >= rc.ttl {
             self.metrics.record_drop(DropVerdict::TtlExhausted);
             self.trace_route_drop(node, &sdu, traversed, "ttl-exhausted");
             false
@@ -962,7 +931,7 @@ impl NetworkWorld {
         if !sent {
             // The drop record closed this copy's audit path; its hop
             // counter goes with it (other copies keep theirs).
-            self.route.as_mut().expect("routed run").hops.remove(&copy);
+            self.metrics.sdus.end_copy(sdu.id, sdu.attempt);
         }
     }
 
@@ -977,10 +946,9 @@ impl NetworkWorld {
         sdu: &Sdu,
         e2e: Option<SimDuration>,
     ) {
-        let route = self.route.as_mut().expect("routed run");
         // The copy physically ends at the sink either way; its hop
         // counter is done (a sink never relays).
-        let counted = route.hops.remove(&(sdu.id, sdu.attempt));
+        let counted = self.metrics.sdus.end_copy(sdu.id, sdu.attempt);
         // Duplicate copy or late attempt: the SDU already completed.
         let Some(e2e) = e2e else { return };
         let hops = counted.unwrap_or(0) + 1;
@@ -998,8 +966,7 @@ impl NetworkWorld {
                 e2e_us: e2e.as_micros(),
             })
         });
-        let has_transport = self.route.as_ref().expect("routed run").transport.is_some();
-        if has_transport {
+        if self.transport.is_some() {
             let delay = self
                 .channel
                 .propagation_delay(self.positions.get(node), self.positions.get(origin.index()));
@@ -1012,20 +979,13 @@ impl NetworkWorld {
     /// origin with the backoff-doubled deadline, or retire it as a
     /// terminal retry-budget loss.
     fn handle_route_timeout(&mut self, sched: &mut Schedule<'_, NetEvent>, sdu: u64) {
-        let now_us = self.now.as_micros();
-        let outcome = {
-            let Some(route) = self.route.as_mut() else {
-                return;
-            };
-            let Some(table) = route.transport.as_mut() else {
-                return;
-            };
-            let Some(outcome) = table.on_timeout(sdu, now_us) else {
-                return;
-            };
-            outcome
+        let Some(policy) = &self.transport else {
+            return;
         };
-        let (entry, verdict) = outcome;
+        let now_us = self.now.as_micros();
+        let Some((entry, verdict)) = self.metrics.sdus.on_timeout(policy, sdu, now_us) else {
+            return;
+        };
         let origin = entry.origin as usize;
         match verdict {
             TimeoutVerdict::Retry { deadline_us } => {
@@ -1051,13 +1011,10 @@ impl NetworkWorld {
             }
             TimeoutVerdict::Exhausted => {
                 self.metrics.record_drop(DropVerdict::RetryBudgetExhausted);
+                // The table reset every copy's hop counter with the
+                // exhaustion: the terminal e2e-drop record below closes
+                // every audit path of this SDU.
                 let attempts = entry.attempts;
-                // The terminal e2e-drop record below closes every audit
-                // path of this SDU, so all copies' hop counters go too.
-                let route = self.route.as_mut().expect("routed run");
-                for a in 0..=attempts {
-                    route.hops.remove(&(sdu, a));
-                }
                 self.trace(TraceLevel::Info, |time_us| {
                     ParsedRecord::RouteDrop(RouteDropEvent {
                         record: 0,
@@ -1079,9 +1036,7 @@ impl NetworkWorld {
     /// The sink's end-to-end ack reached the origin: retire the pending
     /// transport entry (duplicates and post-exhaustion acks are no-ops).
     fn handle_route_ack(&mut self, sdu: u64) {
-        if let Some(table) = self.route.as_mut().and_then(|r| r.transport.as_mut()) {
-            table.ack(sdu);
-        }
+        self.metrics.sdus.ack(sdu);
     }
 
     /// Records the node's post-enqueue MAC queue depth into the
@@ -1125,7 +1080,7 @@ impl NetworkWorld {
                 w.metrics.register_batch_sdu(Some(sdu.id));
             }
             w.trace_enq(node, sdu, false);
-            if w.route.is_some() {
+            if w.cfg.route.is_some() {
                 w.route_register_origin(sched, node, sdu);
             }
         });
@@ -1452,9 +1407,9 @@ impl std::fmt::Debug for Simulation {
 
 /// The oracle install's one-hop delay lists, each walked through
 /// [`LinkBudgetCache::neighbor_delays`] without building a fan-out row.
-/// When a two-hop MAC is present the lists are memoized for the install,
-/// so every node is walked once however many two-hop tables list it;
-/// otherwise they stream through one buffer.
+/// When a MAC that reads two-hop tables is present the lists are
+/// memoized for the install, so every node is walked once however many
+/// two-hop tables list it; otherwise they stream through one buffer.
 struct OracleLists<'a> {
     channel: &'a AcousticChannel,
     positions: &'a PositionTable,
@@ -1563,10 +1518,7 @@ impl Simulation {
             .iter()
             .map(|mac| mac.as_ref().expect("just built").maintenance())
             .collect();
-        let two_hop = !cfg.hello_init
-            && maintenance
-                .iter()
-                .any(|p| p.scope == NeighborInfoScope::TwoHop);
+        let two_hop = !cfg.hello_init && maintenance.iter().any(|p| p.reads_two_hop);
         let mut lists = OracleLists {
             channel: &channel,
             positions: &positions,
@@ -1589,10 +1541,10 @@ impl Simulation {
                     mac.install_neighbors(one_hop);
                     one_hop.len()
                 }
-                scope => {
+                _ => {
                     let mine = lists.snapshot(i);
                     mac.install_neighbors(&mine);
-                    if scope == NeighborInfoScope::TwoHop {
+                    if profile.reads_two_hop {
                         let theirs: Vec<(NodeId, Vec<(NodeId, SimDuration)>)> = mine
                             .iter()
                             .map(|&(j, _)| (j, lists.snapshot(j.index()).to_vec()))
@@ -1637,10 +1589,10 @@ impl Simulation {
             cfg.channel.max_range_m() / cfg.channel.max_propagation_delay().as_secs_f64();
         let estimator = DelayEstimator::new(cfg.clock.meas_noise, max_speed, sound_speed);
 
-        let route = cfg.route.map(|rc| RouteRuntime {
-            hops: FxHashMap::default(),
-            transport: rc.transport.map(TransportTable::new),
-        });
+        let transport = cfg
+            .route
+            .and_then(|rc| rc.transport)
+            .map(TransportTable::new);
 
         let mut world = NetworkWorld {
             clock,
@@ -1662,7 +1614,7 @@ impl Simulation {
             route_rng: seeds.stream("route", 0),
             cand_buf: Vec::new(),
             greedy_hops: vec![None; n],
-            route,
+            transport,
             metrics,
             delivered: FxHashSet::default(),
             cmd_buf: Vec::new(),
@@ -1893,6 +1845,7 @@ impl Simulation {
             stats,
             clock,
             profile,
+            second_fates: self.world.metrics.sdus.second_fates(),
         }
     }
 }
@@ -1918,6 +1871,10 @@ pub struct RunOutput {
     /// hit rates, fan-out/queue-depth distributions); `Some` iff
     /// [`SimConfig::profile`](crate::config::SimConfig::profile) was set.
     pub profile: Option<ProfileReport>,
+    /// Routed SDUs delivered end to end after their terminal loss
+    /// (`SduTable::second_fates`); for tests.
+    #[doc(hidden)]
+    pub second_fates: u64,
 }
 
 #[cfg(test)]
@@ -2161,6 +2118,7 @@ mod tests {
     struct InstallProbe {
         id: NodeId,
         scope: NeighborInfoScope,
+        reads_two_hop: bool,
         installs: InstallLog,
     }
 
@@ -2171,6 +2129,7 @@ mod tests {
         fn maintenance(&self) -> MaintenanceProfile {
             MaintenanceProfile {
                 scope: self.scope,
+                reads_two_hop: self.reads_two_hop,
                 ..MaintenanceProfile::none()
             }
         }
@@ -2192,21 +2151,23 @@ mod tests {
 
     /// For each roster MAC's neighbour scope, with and without
     /// `hello_init`: construction leaves no fresh fan-out row, installs
-    /// exactly the tables the fan-out rows list (none under `hello_init`),
-    /// and charges each node one hello plus one announced entry per
-    /// audible neighbour either way.
+    /// exactly the tables the fan-out rows list (none under `hello_init`;
+    /// two-hop tables only for a MAC that reads them), and charges each
+    /// node one hello plus one announced entry per audible neighbour
+    /// either way.
     #[test]
     fn construction_builds_no_rows_and_installs_the_row_tables() {
         use crate::topology::Deployment;
         use NeighborInfoScope::{None as NoTables, OneHop, TwoHop};
 
-        // The neighbour scope of each roster MAC.
+        // The neighbour scope of each roster MAC, and whether it reads
+        // two-hop tables.
         let roster = [
-            ("ALOHA", NoTables),
-            ("S-FAMA", NoTables),
-            ("EW-MAC", OneHop),
-            ("ROPA", TwoHop),
-            ("CS-MAC", TwoHop),
+            ("ALOHA", NoTables, false),
+            ("S-FAMA", NoTables, false),
+            ("EW-MAC", OneHop, false),
+            ("ROPA", TwoHop, false),
+            ("CS-MAC", TwoHop, true),
         ];
         let mut column = SimConfig::paper_default()
             .with_sensors(36)
@@ -2216,7 +2177,7 @@ mod tests {
             layers: 4,
             layer_spacing_m: 900.0,
         };
-        for (mac, scope) in roster {
+        for (mac, scope, reads_two_hop) in roster {
             for hello_init in [false, true] {
                 let cfg = SimConfig {
                     hello_init,
@@ -2227,6 +2188,7 @@ mod tests {
                     Box::new(InstallProbe {
                         id,
                         scope,
+                        reads_two_hop,
                         installs: installs.clone(),
                     })
                 };
@@ -2276,7 +2238,7 @@ mod tests {
                     if hello_init || scope == NoTables {
                         continue;
                     }
-                    let two_hop = (scope == TwoHop).then(|| {
+                    let two_hop = reads_two_hop.then(|| {
                         let lists = one_hop.iter().map(|&(j, _)| (j, row_of(j.index())));
                         (id, Installed::TwoHop(lists.collect()))
                     });

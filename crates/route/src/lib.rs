@@ -27,8 +27,8 @@
 //! one description of every traffic shape and draws its own arrivals.
 //!
 //! Everything here is allocation-conscious on the hot path: candidate
-//! selection never allocates and the transport table reuses its map
-//! storage.
+//! selection never allocates and the transport policy keeps no storage of
+//! its own (each SDU's pending entry lives in the caller's slot).
 
 pub mod policy;
 pub mod transport;

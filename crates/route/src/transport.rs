@@ -1,17 +1,18 @@
 //! Minimal end-to-end transport: origin-side retransmission with sink
 //! acks, exponential backoff, and a bounded retry budget.
 //!
-//! The transport is a pure state machine over microsecond timestamps; the
-//! simulation drives it with three calls:
+//! The transport is a pure state machine over microsecond timestamps. Its
+//! policy, [`TransportTable`], holds no per-SDU state: the caller keeps
+//! one `Option<PendingSdu>` slot per SDU and drives it with three calls:
 //!
-//! 1. [`TransportTable::register`] when the origin injects an SDU —
-//!    returns the first timeout deadline.
-//! 2. [`TransportTable::ack`] when the sink's ack reaches the origin —
-//!    retires the pending entry.
+//! 1. [`TransportTable::register`] when the origin injects an SDU — fills
+//!    the slot and returns the first timeout deadline.
+//! 2. `slot.take()` when the sink's ack reaches the origin — retires the
+//!    pending entry.
 //! 3. [`TransportTable::on_timeout`] when an armed timeout fires —
 //!    answers [`TimeoutVerdict::Retry`] (with the next deadline) while
-//!    attempts remain, [`TimeoutVerdict::Exhausted`] when the retry
-//!    budget is spent.
+//!    attempts remain, [`TimeoutVerdict::Exhausted`] (emptying the slot)
+//!    when the retry budget is spent.
 //!
 //! Because acks may still be in flight when a timeout fires, a fired
 //! timeout for an already-acked SDU is a no-op (`on_timeout` returns
@@ -25,10 +26,8 @@
 //! simulator queues each attempt's timeouts in their own FIFO lane
 //! ([`timeout_lane`]). Attempts at or past the shift cap share one lane.
 //!
-//! The pending table is keyed by simulator-minted SDU ids and only probed,
-//! never iterated, so it uses the fast [`FxHashMap`].
-
-use uasn_sim::hash::FxHashMap;
+//! The simulator keeps the slots in its SDU table, indexed by the SDU id
+//! (`uasn_net::sdu`), next to the SDU's other per-id state.
 
 /// Attempt number past which the backoff stops doubling; also the last
 /// timeout lane, shared by every attempt at or past the cap.
@@ -86,7 +85,8 @@ impl TransportConfig {
     }
 }
 
-/// Origin-side state for one in-flight SDU.
+/// Origin-side state for one in-flight SDU: the contents of a filled
+/// slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingSdu {
     /// Origin node id (where retries re-enter the MAC).
@@ -109,57 +109,49 @@ pub enum TimeoutVerdict {
     Exhausted,
 }
 
-/// The origin-side pending-SDU table.
-#[derive(Debug, Default)]
+/// The transport policy: first deadline, backoff and budget check, applied
+/// to a caller-kept per-SDU slot.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TransportTable {
     cfg: TransportConfig,
-    pending: FxHashMap<u64, PendingSdu>,
 }
 
 impl TransportTable {
-    /// An empty table under `cfg`.
+    /// The policy of `cfg`.
     pub fn new(cfg: TransportConfig) -> TransportTable {
-        TransportTable {
-            cfg,
-            ..TransportTable::default()
-        }
+        TransportTable { cfg }
     }
 
-    /// Registers a freshly injected SDU and returns the absolute deadline
-    /// of its first timeout (saturating at `u64::MAX`).
-    pub fn register(&mut self, sdu: u64, origin: u32, bits: u32, now_us: u64) -> u64 {
-        self.pending.insert(
-            sdu,
-            PendingSdu {
-                origin,
-                bits,
-                attempts: 0,
-            },
-        );
+    /// Fills `slot` for a freshly injected SDU and returns the absolute
+    /// deadline of its first timeout (saturating at `u64::MAX`).
+    pub fn register(
+        &self,
+        slot: &mut Option<PendingSdu>,
+        origin: u32,
+        bits: u32,
+        now_us: u64,
+    ) -> u64 {
+        *slot = Some(PendingSdu {
+            origin,
+            bits,
+            attempts: 0,
+        });
         now_us.saturating_add(self.cfg.timeout_us(0))
     }
 
-    /// The pending entry for `sdu`, if any.
-    pub fn pending(&self, sdu: u64) -> Option<&PendingSdu> {
-        self.pending.get(&sdu)
-    }
-
-    /// Retires `sdu` on a sink ack. Returns the entry when it was still
-    /// pending (`None` for duplicate acks or unknown ids).
-    pub fn ack(&mut self, sdu: u64) -> Option<PendingSdu> {
-        self.pending.remove(&sdu)
-    }
-
-    /// Handles a fired timeout at `now_us`. Returns `None` when the SDU
-    /// is no longer pending (already acked or already exhausted);
-    /// otherwise the verdict, with the entry's attempt counter advanced
-    /// on [`TimeoutVerdict::Retry`] and the entry removed on
+    /// Handles a fired timeout at `now_us`. Returns `None` when the slot
+    /// is empty (already acked or already exhausted); otherwise the
+    /// verdict, with the attempt counter advanced on
+    /// [`TimeoutVerdict::Retry`] and the slot emptied on
     /// [`TimeoutVerdict::Exhausted`].
-    pub fn on_timeout(&mut self, sdu: u64, now_us: u64) -> Option<(PendingSdu, TimeoutVerdict)> {
-        let entry = self.pending.get_mut(&sdu)?;
+    pub fn on_timeout(
+        &self,
+        slot: &mut Option<PendingSdu>,
+        now_us: u64,
+    ) -> Option<(PendingSdu, TimeoutVerdict)> {
+        let entry = slot.as_mut()?;
         if entry.attempts >= self.cfg.retry_budget {
-            let entry = self.pending.remove(&sdu).expect("just present");
-            return Some((entry, TimeoutVerdict::Exhausted));
+            return slot.take().map(|e| (e, TimeoutVerdict::Exhausted));
         }
         entry.attempts += 1;
         let deadline = now_us.saturating_add(self.cfg.timeout_us(entry.attempts));
@@ -210,33 +202,38 @@ mod tests {
 
     #[test]
     fn ack_retires_and_duplicates_are_noops() {
-        let mut t = table(2);
-        let deadline = t.register(7, 4, 2_048, 100);
+        let t = table(2);
+        let mut slot = None;
+        let deadline = t.register(&mut slot, 4, 2_048, 100);
         assert_eq!(deadline, 1_100);
-        assert_eq!(t.pending(7).map(|e| e.attempts), Some(0));
-        let entry = t.ack(7).expect("pending");
+        assert_eq!(slot.map(|e| e.attempts), Some(0));
+        let entry = slot.take().expect("pending");
         assert_eq!(entry.origin, 4);
         assert_eq!(entry.bits, 2_048);
-        assert!(t.pending(7).is_none(), "the ack retired the entry");
-        assert!(t.ack(7).is_none(), "duplicate ack");
-        assert!(t.on_timeout(7, 5_000).is_none(), "stale timeout");
+        assert!(slot.is_none(), "the ack retired the entry");
+        assert!(slot.take().is_none(), "duplicate ack");
+        assert!(t.on_timeout(&mut slot, 5_000).is_none(), "stale timeout");
     }
 
     #[test]
     fn timeouts_walk_the_budget_then_exhaust() {
-        let mut t = table(2);
-        t.register(9, 1, 512, 0);
-        let (e, v) = t.on_timeout(9, 1_000).expect("pending");
+        let t = table(2);
+        let mut slot = None;
+        t.register(&mut slot, 1, 512, 0);
+        let (e, v) = t.on_timeout(&mut slot, 1_000).expect("pending");
         assert_eq!(e.attempts, 1);
         assert_eq!(v, TimeoutVerdict::Retry { deadline_us: 3_000 });
-        let (e, v) = t.on_timeout(9, 3_000).expect("pending");
+        let (e, v) = t.on_timeout(&mut slot, 3_000).expect("pending");
         assert_eq!(e.attempts, 2);
         assert_eq!(v, TimeoutVerdict::Retry { deadline_us: 7_000 });
-        let (e, v) = t.on_timeout(9, 7_000).expect("pending");
+        let (e, v) = t.on_timeout(&mut slot, 7_000).expect("pending");
         assert_eq!(v, TimeoutVerdict::Exhausted);
         assert_eq!(e.attempts, 2);
-        assert!(t.pending(9).is_none(), "exhaustion retired the entry");
-        assert!(t.on_timeout(9, 9_000).is_none(), "already exhausted");
+        assert!(slot.is_none(), "exhaustion retired the entry");
+        assert!(
+            t.on_timeout(&mut slot, 9_000).is_none(),
+            "already exhausted"
+        );
     }
 
     #[test]
@@ -247,9 +244,10 @@ mod tests {
             base_timeout_us: u64::MAX,
         };
         assert!(cfg.validate().is_ok());
-        let mut t = TransportTable::new(cfg);
-        assert_eq!(t.register(3, 0, 64, 5), u64::MAX);
-        let (_, v) = t.on_timeout(3, 10).expect("pending");
+        let t = TransportTable::new(cfg);
+        let mut slot = None;
+        assert_eq!(t.register(&mut slot, 0, 64, 5), u64::MAX);
+        let (_, v) = t.on_timeout(&mut slot, 10).expect("pending");
         assert_eq!(
             v,
             TimeoutVerdict::Retry {
@@ -260,9 +258,10 @@ mod tests {
 
     #[test]
     fn zero_budget_exhausts_on_first_timeout() {
-        let mut t = table(0);
-        t.register(1, 0, 64, 0);
-        let (_, v) = t.on_timeout(1, 1_000).expect("pending");
+        let t = table(0);
+        let mut slot = None;
+        t.register(&mut slot, 0, 64, 0);
+        let (_, v) = t.on_timeout(&mut slot, 1_000).expect("pending");
         assert_eq!(v, TimeoutVerdict::Exhausted);
     }
 

@@ -135,15 +135,16 @@ proptest! {
         base_timeout_us in 1u64..10_000_000,
         start_us in 0u64..1_000_000,
     ) {
-        let mut table = TransportTable::new(TransportConfig {
+        let table = TransportTable::new(TransportConfig {
             retry_budget: budget,
             base_timeout_us,
         });
-        let mut deadline = table.register(42, 7, 2_048, start_us);
+        let mut slot = None;
+        let mut deadline = table.register(&mut slot, 7, 2_048, start_us);
         prop_assert_eq!(deadline, start_us + base_timeout_us);
         let mut retries = 0u32;
         loop {
-            let (entry, verdict) = table.on_timeout(42, deadline).expect("pending");
+            let (entry, verdict) = table.on_timeout(&mut slot, deadline).expect("pending");
             match verdict {
                 TimeoutVerdict::Retry { deadline_us } => {
                     retries += 1;
@@ -156,10 +157,10 @@ proptest! {
             prop_assert!(retries <= budget, "retried past the budget");
         }
         prop_assert_eq!(retries, budget);
-        prop_assert!(table.pending(42).is_none());
+        prop_assert!(slot.is_none());
         // Exhaustion is reported once; a late timeout or ack is a no-op.
-        prop_assert!(table.on_timeout(42, deadline).is_none());
-        prop_assert!(table.ack(42).is_none());
+        prop_assert!(table.on_timeout(&mut slot, deadline).is_none());
+        prop_assert!(slot.take().is_none());
     }
 
     /// Transport: an ack at any point retires the SDU; every later
@@ -174,12 +175,13 @@ proptest! {
             retry_budget: budget,
             base_timeout_us: 1_000,
         };
-        let mut table = TransportTable::new(cfg);
-        let mut deadline = table.register(9, 3, 512, 0);
+        let table = TransportTable::new(cfg);
+        let mut slot = None;
+        let mut deadline = table.register(&mut slot, 3, 512, 0);
         let mut fired = 0u32;
         let mut exhausted = false;
         while fired < ack_after {
-            match table.on_timeout(9, deadline) {
+            match table.on_timeout(&mut slot, deadline) {
                 Some((_, TimeoutVerdict::Retry { deadline_us })) => {
                     deadline = deadline_us;
                     fired += 1;
@@ -191,11 +193,11 @@ proptest! {
                 None => break,
             }
         }
-        let was_pending = table.pending(9).is_some();
-        let acked = table.ack(9).is_some();
+        let was_pending = slot.is_some();
+        let acked = slot.take().is_some();
         prop_assert_eq!(acked, was_pending);
-        prop_assert!(table.on_timeout(9, deadline + 1).is_none());
-        prop_assert!(table.ack(9).is_none());
+        prop_assert!(table.on_timeout(&mut slot, deadline + 1).is_none());
+        prop_assert!(slot.take().is_none());
         prop_assert!(acked != exhausted, "exactly one retirement");
     }
 }
