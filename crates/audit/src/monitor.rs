@@ -1470,28 +1470,14 @@ mod tests {
                 self.0.accept(record);
             }
         }
-        // NC-FSK frames decode past the 1.5 km range the slot's tau_max
-        // covers, so the propagation check flags some receptions.
-        use uasn_phy::propagation::{LinkBudget, Spreading, TransmissionLoss};
-        let mut cfg = uasn_net::SimConfig::paper_default()
-            .with_sensors(15)
-            .with_offered_load_kbps(2.0)
-            .with_sim_time(SimDuration::from_secs(120))
-            .with_seed(7);
-        cfg.channel = uasn_phy::channel::AcousticChannel::new(
-            *cfg.channel.sound(),
-            LinkBudget::new(
-                143.0,
-                TransmissionLoss::new(Spreading::Practical, 10.0),
-                uasn_phy::noise::AmbientNoise::default(),
-                12_000.0,
-            ),
-            uasn_phy::per::PerModel::Modulation {
-                scheme: uasn_phy::per::Modulation::NcFsk,
-                bandwidth_over_bitrate: 1.0,
-            },
-            1_500.0,
-        );
+        // Mobile nodes drift away from the delay estimates EW-MAC schedules
+        // extras by, so this run raises extra-window findings.
+        let cfg = uasn_net::SimConfig::paper_default()
+            .with_sensors(30)
+            .with_offered_load_kbps(1.5)
+            .with_mobility(1.0)
+            .with_sim_time(SimDuration::from_secs(300))
+            .with_seed(11);
         let mut runs = Vec::new();
         for (dir, typed) in [(base.join("typed"), true), (base.join("text"), false)] {
             let _ = std::fs::remove_dir_all(&dir);

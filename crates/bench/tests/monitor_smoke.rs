@@ -16,7 +16,11 @@
 //!    verdicts sum to `sdus_dropped`.
 //! 3. **Every MAC loss site is exercised** — across the roster, the lossy
 //!    cell attributes MAC drops, handshake timeouts and PER losses.
+//! 4. **Nothing is heard past the horizon** — on a channel whose link
+//!    budget closes far beyond the 1.5 km range τmax is sized for, no
+//!    reception's delay exceeds τmax.
 
+use uasn_audit::invariant::ViolationKind;
 use uasn_audit::monitor::MonitorReport;
 use uasn_bench::runner::{master_seed, run_once_monitored};
 use uasn_bench::Protocol;
@@ -72,6 +76,58 @@ fn lossy_cfg() -> SimConfig {
         1_500.0,
     );
     cfg
+}
+
+/// The horizon cell: a 150 dB source with NC-FSK bit errors closes links
+/// well past the 1.5 km horizon that sizes τmax and the slot, so only the
+/// horizon keeps frames from decoding beyond it.
+fn horizon_cfg() -> SimConfig {
+    let mut cfg = SimConfig::paper_default()
+        .with_sensors(15)
+        .with_offered_load_kbps(2.0)
+        .with_sim_time(SimDuration::from_secs(120))
+        .with_monitoring(true)
+        .with_seed(master_seed(0));
+    cfg.channel = AcousticChannel::new(
+        *cfg.channel.sound(),
+        LinkBudget::new(
+            150.0,
+            TransmissionLoss::new(Spreading::Practical, 10.0),
+            AmbientNoise::default(),
+            12_000.0,
+        ),
+        PerModel::Modulation {
+            scheme: Modulation::NcFsk,
+            bandwidth_over_bitrate: 1.0,
+        },
+        1_500.0,
+    );
+    cfg
+}
+
+#[test]
+fn no_reception_outlasts_tau_max_on_a_long_reach_channel() {
+    let cfg = horizon_cfg();
+    for protocol in [Protocol::EwMac, Protocol::SFama] {
+        let (out, monitor) = run_once_monitored(&cfg, protocol);
+        let monitor = monitor.expect("monitoring was requested");
+        assert!(
+            out.report.data_bits_received > 0,
+            "{}: nothing was delivered",
+            protocol.name()
+        );
+        let past_tau_max = monitor
+            .findings
+            .iter()
+            .filter(|v| v.kind == ViolationKind::PropagationInconsistency)
+            .count();
+        assert_eq!(
+            past_tau_max,
+            0,
+            "{}: receptions decoded past the horizon",
+            protocol.name()
+        );
+    }
 }
 
 /// The suite's cells, by name.

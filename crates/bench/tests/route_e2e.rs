@@ -410,31 +410,39 @@ fn overloaded_routed_run_keeps_online_post_hoc_parity() {
     }
 }
 
-/// SDUs whose trace delivers them end to end (`e2e-deliver`) after their
-/// terminal `e2e-drop`.
-fn delivered_after_terminal_drop(model: &TraceModel) -> usize {
+/// SDUs whose trace shows both end-to-end fates, by the order they come
+/// in: `(delivered after a terminal drop, terminally dropped after the
+/// delivery)`. `e2e-deliver` marks only an SDU's first sink arrival, so
+/// each SDU counts once, under the order of its first two fates.
+fn double_fates(model: &TraceModel) -> (usize, usize) {
     let mut dropped: HashSet<u64> = HashSet::new();
-    let mut twice: HashSet<u64> = HashSet::new();
+    let mut delivered: HashSet<u64> = HashSet::new();
+    let (mut after_drop, mut after_delivery) = (0, 0);
     for event in &model.events {
         match event {
             ParsedRecord::RouteDrop(e) if e.terminal => {
-                dropped.insert(e.sdu);
+                let first = dropped.insert(e.sdu);
+                after_delivery += usize::from(first && delivered.contains(&e.sdu));
             }
-            ParsedRecord::E2eDeliver(e) if dropped.contains(&e.sdu) => {
-                twice.insert(e.sdu);
+            ParsedRecord::E2eDeliver(e) => {
+                delivered.insert(e.sdu);
+                after_drop += usize::from(dropped.contains(&e.sdu));
             }
             _ => {}
         }
     }
-    twice.len()
+    (after_drop, after_delivery)
 }
 
 /// The routed double fate, read from the product: copies still queued
 /// when the transport gives an SDU up reach a sink after its terminal
-/// `e2e-drop`, and the SDU table counts each such SDU once (24 on the
-/// overloaded config; the light trace_run `--route` config shows none at
-/// seeds 0-39). This pins today's defect: once exhaustion retires every
-/// copy of its SDU, the count is 0 and this test must flip with it.
+/// `e2e-drop`, and copies lost after an SDU's first sink arrival close it
+/// with a terminal `e2e-drop` too. The SDU table counts each SDU with both
+/// fates once, whichever came first (24 + 1 on the overloaded config; the
+/// light trace_run `--route` config shows none at seeds 0-39). This pins
+/// today's defect: once exhaustion retires every copy of its SDU and a
+/// delivered SDU's copies stop dropping end to end, the count is 0 and
+/// this test must flip with it.
 #[test]
 fn routed_double_fates_match_the_sdu_table_count() {
     let (out, _) = traced_routed_run(&overloaded_routed_cfg());
@@ -443,9 +451,16 @@ fn routed_double_fates_match_the_sdu_table_count() {
         "capture kept every record"
     );
     let model = TraceModel::from_records(out.tracer.records());
-    let twice = delivered_after_terminal_drop(&model);
-    assert_eq!(out.second_fates, twice as u64);
-    assert!(twice > 0, "the double fate shows on this config");
+    let (after_drop, after_delivery) = double_fates(&model);
+    assert_eq!(out.second_fates, (after_drop + after_delivery) as u64);
+    assert!(
+        after_drop > 0,
+        "delivery after the drop shows on this config"
+    );
+    assert!(
+        after_delivery > 0,
+        "a drop after the delivery shows on this config"
+    );
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! waiting resources EW-MAC harvests), and route depth (how many MAC hops
 //! Eq 2–3 count per generated packet).
 
+use uasn_phy::cache::LinkBudgetCache;
 use uasn_phy::channel::AcousticChannel;
 use uasn_sim::stats::Accumulator;
 use uasn_sim::time::SimDuration;
@@ -95,11 +96,12 @@ pub fn analyze_topology(nodes: &[NodeInfo], channel: &AcousticChannel) -> Topolo
     }
 
     let positions: Vec<_> = nodes.iter().map(|nd| nd.position).collect();
+    let mut cache = LinkBudgetCache::with_index(channel, &positions);
     let mut route_hops = Accumulator::new();
     let mut route_delay_stats = Accumulator::new();
     for (idx, node) in nodes.iter().enumerate() {
         if !node.is_sink() {
-            let route = route_uphill(&positions, NodeId::new(idx as u32), channel.max_range_m());
+            let route = route_uphill(&mut cache, channel, &positions, NodeId::new(idx as u32));
             route_hops.add((route.len() - 1) as f64);
             for hop in route.windows(2) {
                 let tau =
@@ -200,7 +202,7 @@ mod tests {
 
     #[test]
     fn links_are_symmetric_in_count() {
-        // Range-cutoff audibility is symmetric, so directed links are even.
+        // Audibility inside the horizon is symmetric, so directed links are even.
         let a = analysis(50, 5);
         assert_eq!(a.links % 2, 0);
     }

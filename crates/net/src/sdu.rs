@@ -30,6 +30,8 @@ const BATCH: u8 = 1;
 const COPIED: u8 = 2;
 /// Flag: the SDU already met a terminal end-to-end loss.
 const LOST: u8 = 4;
+/// Flag: the SDU already reached a sink end to end.
+const ARRIVED: u8 = 8;
 
 /// One SDU's state, 56 bytes.
 #[derive(Debug, Clone)]
@@ -123,7 +125,7 @@ impl SduTable {
             .get_mut(id)
             .filter(|e| e.generated_us != NOT_GENERATED)?;
         let generated = std::mem::replace(&mut e.generated_us, NOT_GENERATED);
-        self.second_fates += u64::from(e.flags & LOST != 0);
+        self.second_fates += u64::from(Self::meet(e, ARRIVED));
         self.retire_prefix();
         Some(SimTime::from_micros(generated))
     }
@@ -217,7 +219,7 @@ impl SduTable {
         let outcome = policy.on_timeout(&mut e.transport, now_us)?;
         if outcome.1 == TimeoutVerdict::Exhausted {
             (e.hops, e.spill) = ([0; INLINE_ATTEMPTS], None);
-            e.flags |= LOST;
+            self.second_fates += u64::from(Self::meet(e, LOST));
         }
         Some(outcome)
     }
@@ -230,13 +232,23 @@ impl SduTable {
         };
         let terminal = e.transport.is_none();
         if terminal {
-            e.flags |= LOST;
+            self.second_fates += u64::from(Self::meet(e, LOST));
         }
         terminal
     }
 
-    /// SDUs delivered end to end after their terminal loss: the routed
-    /// double fate.
+    /// Marks `e` with the end-to-end `fate` (`LOST` or `ARRIVED`);
+    /// whether that is its second fate: the first of its kind after the
+    /// other one.
+    fn meet(e: &mut Entry, fate: u8) -> bool {
+        let second = e.flags & (LOST | ARRIVED) == (LOST | ARRIVED) ^ fate;
+        e.flags |= fate;
+        second
+    }
+
+    /// SDUs that met both end-to-end fates, in either order: delivered to
+    /// a sink after their terminal loss, or lost after their first sink
+    /// arrival. Each such SDU counts once.
     #[doc(hidden)]
     pub fn second_fates(&self) -> u64 {
         self.second_fates
@@ -298,7 +310,36 @@ mod tests {
         assert_eq!(t.advance_hop(0, 4), 1, "a late copy restarts at 0");
         assert_eq!(t.take_generated(0), Some(SimTime::ZERO));
         assert_eq!(t.second_fates(), 1, "delivered after its terminal loss");
+        assert!(t.settle_copy_loss(0), "a later copy loss is terminal");
+        assert_eq!(t.second_fates(), 1, "an SDU counts once");
         assert_eq!(t.end_copy(0, 4), Some(1));
         assert_eq!(t.entries.len(), 1, "a routed entry is never retired");
+    }
+
+    #[test]
+    fn a_loss_after_the_first_arrival_is_a_second_fate() {
+        let policy = TransportTable::new(uasn_route::TransportConfig {
+            retry_budget: 0,
+            base_timeout_us: 10,
+        });
+        let mut t = SduTable::default();
+        for id in 0..3 {
+            t.generate(id, SimTime::ZERO);
+            t.register_copy(id, 0);
+        }
+        t.register_transport(&policy, 2, 0, 64, 0);
+        for id in 0..3 {
+            assert_eq!(t.take_generated(id), Some(SimTime::ZERO));
+        }
+        assert_eq!(t.second_fates(), 0);
+        assert!(t.settle_copy_loss(0), "no transport: the loss is terminal");
+        assert_eq!(t.second_fates(), 1, "a copy lost after SDU 0 arrived");
+        assert!(t.settle_copy_loss(0));
+        assert_eq!(t.second_fates(), 1, "SDU 0 counts once");
+        let (_, verdict) = t.on_timeout(&policy, 2, 10).expect("pending");
+        assert_eq!(verdict, TimeoutVerdict::Exhausted);
+        assert_eq!(t.second_fates(), 2, "SDU 2 exhausted after it arrived");
+        assert_eq!(t.take_generated(1), None);
+        assert_eq!(t.second_fates(), 2, "SDU 1 met one fate");
     }
 }

@@ -763,8 +763,8 @@ impl NetworkWorld {
         }
     }
 
-    /// `node`'s next hop: the one uphill candidate scan, then the routing
-    /// policy's choice among the candidates — greedy when the run has no
+    /// `node`'s next hop: the uphill candidates of its link-cache row, then
+    /// the routing policy's choice among them — greedy when the run has no
     /// routing configuration. Greedy never draws the route stream.
     fn next_hop(&mut self, node: usize) -> Option<NodeId> {
         let policy = self.cfg.route.map_or(ForwardPolicy::Greedy, |r| r.policy);
@@ -775,9 +775,10 @@ impl NetworkWorld {
             }
         }
         uphill_candidates(
+            &mut self.link_cache,
+            &self.channel,
             &self.positions,
             node,
-            self.channel.max_range_m(),
             &mut self.cand_buf,
         );
         let hop = select_next_hop(policy, &self.cand_buf, &mut self.route_rng).map(NodeId::new);

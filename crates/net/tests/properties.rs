@@ -10,6 +10,8 @@ use uasn_net::quiet::QuietSchedule;
 use uasn_net::routing::route_uphill;
 use uasn_net::slots::SlotClock;
 use uasn_net::topology::{stranded_sensors, Deployment};
+use uasn_phy::cache::LinkBudgetCache;
+use uasn_phy::channel::AcousticChannel;
 use uasn_phy::geometry::Point;
 use uasn_sim::time::{SimDuration, SimTime};
 
@@ -122,8 +124,10 @@ proptest! {
         prop_assert!(stranded_sensors(&nodes, 1_500.0).is_empty());
 
         let positions: Vec<Point> = nodes.iter().map(|n| n.position).collect();
+        let channel = AcousticChannel::paper_default();
+        let mut cache = LinkBudgetCache::with_index(&channel, &positions);
         for idx in sinks as usize..nodes.len() {
-            let route = route_uphill(&positions, NodeId::new(idx as u32), 1_500.0);
+            let route = route_uphill(&mut cache, &channel, &positions, NodeId::new(idx as u32));
             let last = *route.last().expect("route is non-empty");
             // Depth strictly decreases along the route and it ends at the
             // surface (a sink).
@@ -151,8 +155,10 @@ proptest! {
             .generate(&mut rng, sensors, 2, 1_500.0)
             .expect("generates");
         let positions: Vec<Point> = nodes.iter().map(|n| n.position).collect();
+        let channel = AcousticChannel::paper_default();
+        let mut cache = LinkBudgetCache::with_index(&channel, &positions);
         for (idx, p) in positions.iter().enumerate() {
-            let route = route_uphill(&positions, NodeId::new(idx as u32), 1_500.0);
+            let route = route_uphill(&mut cache, &channel, &positions, NodeId::new(idx as u32));
             if let Some(&next) = route.get(1) {
                 prop_assert!(positions[next.index()].depth() < p.depth());
                 prop_assert!(p.distance(positions[next.index()]) <= 1_500.0);

@@ -85,6 +85,7 @@ struct Reference {
     hops: HashMap<(u64, u32), u32>,
     pending: HashMap<u64, PendingSdu>,
     lost: HashSet<u64>,
+    arrived: HashSet<u64>,
     second_fates: u64,
 }
 
@@ -94,6 +95,7 @@ impl Reference {
         if self.lost.contains(&id) {
             self.second_fates += 1;
         }
+        self.arrived.insert(id);
         Some(now.duration_since(generated))
     }
 
@@ -114,9 +116,17 @@ impl Reference {
     fn copy_loss(&mut self, id: u64) -> bool {
         let terminal = !self.pending.contains_key(&id);
         if terminal {
-            self.lost.insert(id);
+            self.lose(id);
         }
         terminal
+    }
+
+    /// A terminal loss; its first one after a sink arrival is a second
+    /// fate.
+    fn lose(&mut self, id: u64) {
+        if self.lost.insert(id) && self.arrived.contains(&id) {
+            self.second_fates += 1;
+        }
     }
 
     fn on_timeout(
@@ -131,7 +141,7 @@ impl Reference {
             for a in 0..=entry.attempts {
                 self.hops.remove(&(id, a));
             }
-            self.lost.insert(id);
+            self.lose(id);
             return Some((entry, TimeoutVerdict::Exhausted));
         }
         entry.attempts += 1;

@@ -18,9 +18,17 @@
 //! SNR, a transmission-loss `log10` per candidate, is computed for the
 //! audibility test only when the PER model decides on it
 //! ([`PerModel::reads_snr`](crate::per::PerModel::reads_snr): the SNR
-//! threshold and modulation models); the range cutoff decides on distance.
-//! A row build still stores the SNR of every link it keeps, because the
-//! delivery draw replays it.
+//! threshold and modulation models); the lossless model is decided by the
+//! horizon alone. A row build still stores the SNR of every link it keeps,
+//! because the delivery draw replays it.
+//!
+//! Every walk is culled at the channel's horizon,
+//! [`AcousticChannel::max_range_m`], which bounds every PER model: no
+//! receiver beyond it is ever heard, so the cull radius is that range
+//! (padded by [`CULL_MARGIN`]) and every cache built
+//! [`with_index`](LinkBudgetCache::with_index) visits only the
+//! transmitter's grid neighbourhood. A row therefore also serves as the
+//! node's neighbourhood for routing (`uasn-net`'s `uphill_candidates`).
 //!
 //! Correctness contract (enforced by the differential tests in
 //! `crates/phy/tests` and the golden-trace suite in `crates/bench/tests`):
@@ -37,14 +45,17 @@ use crate::geometry::Point;
 use crate::grid::SpatialGrid;
 use crate::soa::PositionSource;
 
-/// Safety factor applied on top of [`AcousticChannel::detection_radius_m`]
-/// before culling a receiver without an exact audibility check.
+/// Safety factor applied on top of the horizon,
+/// [`AcousticChannel::max_range_m`], before culling a receiver without an
+/// exact audibility check.
 ///
-/// The radius is exact for the range-cutoff PER and a 64-iteration bisection
-/// for the SNR-threshold PER, so the honest requirement is only "strictly
-/// greater than 1"; 5% also absorbs the last-ULP difference between the
-/// culling test's squared-distance comparison and the exact
-/// `Point::distance` the audibility check uses.
+/// The horizon is exact for every PER model, so the margin only has to
+/// absorb the last-ULP difference between the cull's squared-distance
+/// comparison and the exact `Point::distance` the audibility check uses;
+/// any factor a few ULPs above 1 would do. The spatial index's cell edge
+/// applies it twice ([`AcousticChannel::index_cell_m`]), and the split
+/// between [`CacheStats::cull_rejects`] and
+/// [`CacheStats::audibility_rejects`] depends on it.
 pub const CULL_MARGIN: f64 = 1.05;
 
 /// One memoized transmitter→receiver link.
@@ -162,9 +173,8 @@ fn link_delay(channel: &AcousticChannel, from: Point, to: Point, distance_m: f64
 #[derive(Debug, Clone)]
 pub struct LinkBudgetCache {
     epoch: u64,
-    /// Squared cull radius (margin applied), `None` when the PER model
-    /// admits no sound bound and every pair needs an exact check.
-    cull_radius_sq: Option<f64>,
+    /// Squared cull radius: the horizon with the margin applied.
+    cull_radius_sq: f64,
     rows: Vec<Row>,
     stats: CacheStats,
     /// Optional spatial index: when present, row builds visit only the
@@ -177,16 +187,15 @@ pub struct LinkBudgetCache {
 }
 
 impl LinkBudgetCache {
-    /// Creates an empty cache for `node_count` nodes, deriving the culling
-    /// radius from the channel's PER model.
+    /// Creates an empty cache for `node_count` nodes, culling at the
+    /// channel's horizon. Without an index every walk tests every node
+    /// against the cull radius: the reference path the differential tests
+    /// hold [`with_index`](Self::with_index) to.
     pub fn new(channel: &AcousticChannel, node_count: usize) -> Self {
-        let cull_radius_sq = channel.detection_radius_m().map(|r| {
-            let padded = r * CULL_MARGIN;
-            padded * padded
-        });
+        let padded = channel.max_range_m() * CULL_MARGIN;
         LinkBudgetCache {
             epoch: 1,
-            cull_radius_sq,
+            cull_radius_sq: padded * padded,
             rows: vec![Row::default(); node_count],
             stats: CacheStats::default(),
             grid: None,
@@ -195,14 +204,11 @@ impl LinkBudgetCache {
     }
 
     /// Like [`LinkBudgetCache::new`], but additionally builds a
-    /// [`SpatialGrid`] over `positions` so row builds only visit
-    /// candidate-neighbour cells.
-    ///
-    /// When the channel's PER model admits no sound detection radius (see
-    /// [`AcousticChannel::index_cell_m`]) no grid is built and the cache
-    /// behaves exactly like the unindexed one — every pair gets an exact
-    /// check. Either way, rows (and therefore the channel-RNG consumption of
-    /// anything replaying them) are bit-identical to the unindexed cache's.
+    /// [`SpatialGrid`] over `positions` (cell edge
+    /// [`AcousticChannel::index_cell_m`]) so row builds only visit
+    /// candidate-neighbour cells. Rows (and therefore the channel-RNG
+    /// consumption of anything replaying them) are bit-identical to the
+    /// unindexed cache's.
     pub fn with_index<P: PositionSource + ?Sized>(
         channel: &AcousticChannel,
         positions: &P,
@@ -368,7 +374,7 @@ impl LinkBudgetCache {
     ) -> usize {
         let n = positions.node_count();
         let from = positions.position(tx);
-        let r2 = self.cull_radius_sq.unwrap_or(f64::INFINITY);
+        let r2 = self.cull_radius_sq;
         self.scratch.clear();
         if let Some(grid) = &self.grid {
             debug_assert_eq!(
@@ -408,9 +414,9 @@ impl LinkBudgetCache {
     /// frame, the arithmetic of [`AcousticChannel::is_audible`]. The SNR
     /// (a transmission-loss `log10`) is computed, and passed on as
     /// `Some`, only when the PER model reads it
-    /// ([`PerModel::reads_snr`](crate::per::PerModel::reads_snr)); the range
-    /// cutoff decides on distance alone, so under it every walk but a row
-    /// build skips the `log10`.
+    /// ([`PerModel::reads_snr`](crate::per::PerModel::reads_snr)); the
+    /// lossless model is decided by the horizon alone, so under it every
+    /// walk but a row build skips the `log10`.
     fn walk_audible<P: PositionSource + ?Sized>(
         &mut self,
         channel: &AcousticChannel,
@@ -496,7 +502,7 @@ mod tests {
         use crate::sound::SoundSpeedProfile;
 
         [
-            PerModel::RangeCutoff { range_m: 1_500.0 },
+            PerModel::Lossless,
             PerModel::SnrThreshold { threshold_db: 20.0 },
             PerModel::Modulation {
                 scheme: Modulation::NcFsk,
@@ -544,10 +550,9 @@ mod tests {
     fn first_build_allocates_exactly_the_cull_survivors() {
         // Every candidate the cull keeps either joins the row or is an
         // audibility reject, so the survivor count is `row_len + audibility
-        // rejects` of that build. At 725 m spacing the 5.8 km pairs sit
-        // between the SNR threshold's detection radius (~5.7 km) and the
-        // padded cull radius.
-        let positions = line(12, 725.0);
+        // rejects` of that build. At 760 m spacing the 1.52 km pairs sit
+        // between the horizon and the padded cull radius.
+        let positions = line(12, 760.0);
         for ch in every_per_model() {
             let mut cache = LinkBudgetCache::with_index(&ch, &positions);
             let mut rejected_short = false;
@@ -564,9 +569,11 @@ mod tests {
                     ch.per_model()
                 );
             }
-            if matches!(ch.per_model(), crate::per::PerModel::SnrThreshold { .. }) {
-                assert!(rejected_short, "the SNR threshold rejects some survivors");
-            }
+            assert!(
+                rejected_short,
+                "{:?}: the horizon rejects some survivors",
+                ch.per_model()
+            );
         }
     }
 
@@ -621,32 +628,29 @@ mod tests {
 
     #[test]
     fn no_cull_bound_means_no_cull_rejects() {
-        use crate::noise::AmbientNoise;
-        use crate::per::{Modulation, PerModel};
-        use crate::propagation::{LinkBudget, Spreading, TransmissionLoss};
-        use crate::sound::SoundSpeedProfile;
-
-        let ch = AcousticChannel::new(
-            SoundSpeedProfile::default(),
-            LinkBudget::new(
-                140.0,
-                TransmissionLoss::new(Spreading::Spherical, 10.0),
-                AmbientNoise::default(),
-                12_000.0,
-            ),
-            PerModel::Modulation {
-                scheme: Modulation::NcFsk,
-                bandwidth_over_bitrate: 1.0,
-            },
-            1_500.0,
-        );
-        assert_eq!(ch.detection_radius_m(), None);
-        let positions = line(5, 2_000.0);
-        let mut cache = LinkBudgetCache::new(&ch, positions.len());
-        cache.ensure_row(&ch, &positions, 0);
-        let stats = cache.stats();
-        assert_eq!(stats.cull_rejects, 0, "no radius, nothing to cull");
-        assert_eq!(stats.misses, 1);
+        // Every receiver sits inside the padded cull radius, the last one
+        // 1,520 m out: past the 1.5 km horizon but short of the 1,575 m
+        // cull bound. Nothing is culled under any PER model; the horizon
+        // rejects the last receiver in the exact audibility test instead.
+        let positions = vec![
+            Point::new(0.0, 0.0, 500.0),
+            Point::new(700.0, 0.0, 500.0),
+            Point::new(1_400.0, 0.0, 500.0),
+            Point::new(1_520.0, 0.0, 500.0),
+        ];
+        for ch in every_per_model() {
+            let mut cache = LinkBudgetCache::new(&ch, positions.len());
+            cache.ensure_row(&ch, &positions, 0);
+            let stats = cache.stats();
+            assert_eq!(stats.cull_rejects, 0, "nothing past the bound: {stats:?}");
+            assert_eq!(stats.misses, 1);
+            assert!(stats.audibility_rejects >= 1, "{stats:?}");
+            assert_eq!(
+                cache.row_len(0) as u64 + stats.audibility_rejects,
+                (positions.len() - 1) as u64
+            );
+            assert!(cache.row(0).iter().all(|l| l.rx != 3));
+        }
     }
 
     #[test]
@@ -683,14 +687,15 @@ mod tests {
         assert_eq!(cache.link_at(0, 0).echo_delay, None);
     }
 
-    #[test]
-    fn modulation_per_disables_culling_but_row_is_still_exact() {
+    /// A 140 dB NC-FSK channel: probabilistic PER that never reaches
+    /// loss 1 on its own within several kilometres.
+    fn nc_fsk_140() -> AcousticChannel {
         use crate::noise::AmbientNoise;
         use crate::per::{Modulation, PerModel};
         use crate::propagation::{LinkBudget, Spreading, TransmissionLoss};
         use crate::sound::SoundSpeedProfile;
 
-        let ch = AcousticChannel::new(
+        AcousticChannel::new(
             SoundSpeedProfile::default(),
             LinkBudget::new(
                 140.0,
@@ -703,13 +708,42 @@ mod tests {
                 bandwidth_over_bitrate: 1.0,
             },
             1_500.0,
-        );
-        assert_eq!(ch.detection_radius_m(), None);
-        let positions = line(5, 2_000.0);
+        )
+    }
+
+    #[test]
+    fn modulation_rows_stop_at_the_horizon() {
+        let ch = nc_fsk_140();
+        // Probabilistic PER never reaches loss 1 on its own; the horizon
+        // keeps the 1 km neighbour and culls the rest of the line.
+        let positions = line(5, 1_000.0);
         let mut cache = LinkBudgetCache::new(&ch, positions.len());
         cache.ensure_row(&ch, &positions, 0);
-        // Probabilistic PER never reaches loss 1: everyone is audible.
+        assert_eq!(cache.row_len(0), 1);
+        assert_eq!(cache.link_at(0, 0).rx, 1);
+        let stats = cache.stats();
+        assert_eq!((stats.cull_rejects, stats.audibility_rejects), (3, 0));
+        assert_eq!(stats.misses, 1);
+    }
+
+    #[test]
+    fn modulation_per_disables_culling_but_row_is_still_exact() {
+        let ch = nc_fsk_140();
+        // Inside the horizon the modulation model itself rejects nobody:
+        // every receiver of the 1.4 km line is in the row, in the order
+        // and with the values the uncached channel gives.
+        let positions = line(5, 350.0);
+        let mut cache = LinkBudgetCache::new(&ch, positions.len());
+        cache.ensure_row(&ch, &positions, 0);
         assert_eq!(cache.row_len(0), positions.len() - 1);
+        for (k, link) in cache.row(0).iter().enumerate() {
+            let to = positions[k + 1];
+            assert_eq!(link.rx as usize, k + 1);
+            assert!(ch.is_audible(positions[0], to));
+            assert_eq!(link.delay, ch.propagation_delay(positions[0], to));
+        }
+        let stats = cache.stats();
+        assert_eq!((stats.cull_rejects, stats.audibility_rejects), (0, 0));
     }
 
     #[test]

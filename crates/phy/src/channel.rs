@@ -3,6 +3,15 @@
 //! [`AcousticChannel`] is the single object the network simulator queries:
 //! given two positions it answers *when* a frame arrives (sound-speed
 //! profile), and *whether* it can be heard (PER model over the link budget).
+//!
+//! `max_range_m` is the channel's one horizon. Every direct or echo path
+//! longer than it is lost, whatever the PER model says about its SNR; the
+//! PER model decides only inside it. The same range sizes τmax
+//! ([`AcousticChannel::max_propagation_delay`]) and so the slot, bounds
+//! the fan-out cull and the spatial index, and limits routing candidates,
+//! so every pair that can hear each other is at most τmax apart. To model
+//! a longer reach, raise `max_range_m`, and all of them follow.
+//!
 //! Collisions are **not** decided here — overlap detection lives in the
 //! per-node [`Modem`](crate::modem::Modem) ledger, because whether two
 //! frames overlap depends on the receiver's full arrival history.
@@ -57,8 +66,9 @@ pub struct AcousticChannel {
 impl AcousticChannel {
     /// Creates a channel.
     ///
-    /// `max_range_m` is the nominal communication range used for neighbour
-    /// discovery and slot sizing (Table 2: 1 500 m).
+    /// `max_range_m` is the horizon (Table 2: 1 500 m): no path longer
+    /// than it is ever heard, and it sizes τmax, neighbour discovery and
+    /// routing.
     ///
     /// # Panics
     ///
@@ -117,29 +127,30 @@ impl AcousticChannel {
     }
 
     /// Whether the surface echo of a transmission is strong enough to
-    /// occupy the receiver (audible after the bounce loss).
+    /// occupy the receiver (audible after the bounce loss, inside the
+    /// horizon).
     pub fn echo_audible(&self, from: Point, to: Point) -> bool {
         let Some(mp) = self.multipath else {
             return false;
         };
         let path = self.echo_path_m(from, to);
-        let snr = self.budget.snr_db(path) - mp.surface_loss_db;
         match self.per {
-            PerModel::RangeCutoff { range_m } => {
-                // Emulate the bounce loss as extra effective distance:
-                // every 6 dB of loss ≈ a range factor of 2 under practical
-                // spreading; keep it simple and require the echo path plus
-                // a loss-scaled margin inside the range.
-                path * (1.0 + mp.surface_loss_db / 20.0) <= range_m
+            // Emulate the bounce loss as extra effective distance: every
+            // 6 dB of loss ≈ a range factor of 2 under practical
+            // spreading; keep it simple and require the echo path plus a
+            // loss-scaled margin inside the horizon.
+            PerModel::Lossless => path * (1.0 + mp.surface_loss_db / 20.0) <= self.max_range_m,
+            _ => {
+                let snr = self.budget.snr_db(path) - mp.surface_loss_db;
+                self.loss_probability_at(path, snr, 1) < 1.0
             }
-            _ => self.per.is_audible(path, snr),
         }
     }
 
     /// The channel used for the paper's headline experiments: constant
     /// 1.5 km/s sound speed, practical spreading at 10 kHz, moderate Wenz
-    /// noise over a 12 kHz band, and the deterministic 1.5 km range-cutoff
-    /// PER (the NS-3 "default PER" analogue).
+    /// noise over a 12 kHz band, and the lossless PER inside the 1.5 km
+    /// horizon (the NS-3 "default PER" analogue).
     pub fn paper_default() -> Self {
         AcousticChannel::new(
             SoundSpeedProfile::default(),
@@ -149,12 +160,13 @@ impl AcousticChannel {
                 AmbientNoise::default(),
                 12_000.0,
             ),
-            PerModel::RangeCutoff { range_m: 1_500.0 },
+            PerModel::Lossless,
             1_500.0,
         )
     }
 
-    /// Nominal communication range, metres.
+    /// The horizon, metres: the longest path any frame or echo is heard
+    /// over.
     pub fn max_range_m(&self) -> f64 {
         self.max_range_m
     }
@@ -169,8 +181,7 @@ impl AcousticChannel {
         &self.per
     }
 
-    /// Worst-case one-hop propagation delay (τmax): the nominal range
-    /// traversed at the slowest surface-to-max-depth mean speed.
+    /// Worst-case one-hop propagation delay (τmax): the horizon traversed at the slowest surface-to-max-depth mean speed.
     pub fn max_propagation_delay(&self) -> SimDuration {
         // Conservative: evaluate the mean speed at the surface where typical
         // profiles are slowest; for the constant profile this is exact.
@@ -209,15 +220,19 @@ impl AcousticChannel {
     /// distance and SNR — the entry point used by the
     /// [`LinkBudgetCache`](crate::cache::LinkBudgetCache) fast path. Feeding
     /// back the exact `(distance, snr)` pair this channel computed for a
-    /// link yields a bit-identical probability.
+    /// link yields a bit-identical probability. Beyond the horizon the
+    /// loss is certain and `snr_db` is not read.
     pub fn loss_probability_at(&self, distance_m: f64, snr_db: f64, bits: u32) -> f64 {
-        self.per.loss_probability(distance_m, snr_db, bits)
+        if distance_m > self.max_range_m {
+            1.0
+        } else {
+            self.per.loss_probability(snr_db, bits)
+        }
     }
 
     /// Whether `to` can hear transmissions from `from` at all.
     pub fn is_audible(&self, from: Point, to: Point) -> bool {
-        let d = from.distance(to);
-        self.per.is_audible(d, self.budget.snr_db(d))
+        self.loss_probability(from, to, 1) < 1.0
     }
 
     /// Draws whether a specific frame survives the channel (PER only; the
@@ -248,53 +263,17 @@ impl AcousticChannel {
         }
     }
 
-    /// A radius guaranteed to contain every audible receiver, if one can be
-    /// derived from the PER model: any receiver strictly beyond the returned
-    /// distance is provably inaudible (loss probability 1), so range culling
-    /// may skip it without checking. `None` means no sound bound exists
-    /// (e.g. modulation-based PER, where loss stays below 1 at any range)
-    /// and callers must fall back to exact per-pair audibility checks.
-    pub fn detection_radius_m(&self) -> Option<f64> {
-        match self.per {
-            // Exact: audible iff distance ≤ range_m.
-            PerModel::RangeCutoff { range_m } => Some(range_m),
-            // SNR declines monotonically with range (spreading + absorption
-            // both grow), so the threshold crossing bounds audibility. The
-            // bisection is approximate; callers add CULL_MARGIN on top.
-            PerModel::SnrThreshold { threshold_db } => {
-                let cap = 100.0 * self.max_range_m;
-                if self.budget.snr_db(1.0) < threshold_db {
-                    // Link closes nowhere: every receiver is inaudible.
-                    Some(0.0)
-                } else {
-                    // None here means the link still closes at the cap —
-                    // no useful bound, fall back to exact checks.
-                    self.budget.range_for_snr(threshold_db, cap)
-                }
-            }
-            // 1 − (1 − BER)^bits < 1 for any finite range: no cutoff.
-            PerModel::Modulation { .. } => None,
-        }
-    }
-
     /// Cell edge for a uniform spatial index over this channel, metres.
     ///
-    /// The edge is [`detection_radius_m`](Self::detection_radius_m) padded by
-    /// [`crate::cache::CULL_MARGIN`] twice: the first factor is the margin
-    /// the squared-distance cull itself applies, the second keeps the 27-cell
-    /// neighbourhood boundary a full 5% beyond the cull radius so binning
-    /// arithmetic (a floored division) can never skip a node the cull's
-    /// multiply-compare would have kept. `None` when the PER model admits no
-    /// sound radius — or a zero one, where culling already rejects every
-    /// pair — meaning an index cannot help and callers must scan linearly.
+    /// The edge is the horizon padded by [`crate::cache::CULL_MARGIN`]
+    /// twice: the first factor is the margin the squared-distance cull
+    /// itself applies, the second keeps the 27-cell neighbourhood boundary
+    /// a full 5% beyond the cull radius so binning arithmetic (a floored
+    /// division) can never skip a node the cull's multiply-compare would
+    /// have kept. Always `Some`: every PER model is bounded by the horizon.
     pub fn index_cell_m(&self) -> Option<f64> {
-        let r = self.detection_radius_m()?;
-        if r > 0.0 {
-            let margin = crate::cache::CULL_MARGIN;
-            Some(r * margin * margin)
-        } else {
-            None
-        }
+        let margin = crate::cache::CULL_MARGIN;
+        Some(self.max_range_m * margin * margin)
     }
 }
 
@@ -440,15 +419,8 @@ mod tests {
     #[test]
     fn index_cell_exceeds_the_cull_radius_or_is_absent() {
         use crate::cache::CULL_MARGIN;
-        let ch = AcousticChannel::paper_default();
-        let cell = ch.index_cell_m().expect("range cutoff has a radius");
-        let cull = ch.detection_radius_m().unwrap() * CULL_MARGIN;
-        assert!(
-            cell > cull,
-            "cell edge {cell} must clear the cull radius {cull}"
-        );
-
-        // Modulation PER has no sound radius, hence no cell size.
+        // Modulation PER has no range of its own, but the horizon bounds
+        // it as it bounds the lossless model: both get a cell.
         let lossy = AcousticChannel::new(
             SoundSpeedProfile::default(),
             LinkBudget::new(
@@ -463,7 +435,49 @@ mod tests {
             },
             1_500.0,
         );
-        assert_eq!(lossy.index_cell_m(), None);
+        for ch in [AcousticChannel::paper_default(), lossy] {
+            let cell = ch.index_cell_m().expect("the horizon bounds every model");
+            let cull = ch.max_range_m() * CULL_MARGIN;
+            assert!(
+                cell > cull,
+                "cell edge {cell} must clear the cull radius {cull}"
+            );
+        }
+    }
+
+    #[test]
+    fn no_path_is_heard_past_the_horizon() {
+        // A 170 dB source closes an NC-FSK link far past 1.5 km; the
+        // horizon still ends it there, for the direct path and the echo.
+        let ch = AcousticChannel::new(
+            SoundSpeedProfile::default(),
+            LinkBudget::new(
+                170.0,
+                TransmissionLoss::new(Spreading::Practical, 10.0),
+                AmbientNoise::default(),
+                12_000.0,
+            ),
+            PerModel::Modulation {
+                scheme: Modulation::NcFsk,
+                bandwidth_over_bitrate: 1.0,
+            },
+            1_500.0,
+        )
+        .with_two_ray(0.0);
+        let a = Point::new(0.0, 0.0, 10.0);
+        let far = Point::new(1_600.0, 0.0, 10.0);
+        assert!(ch.per_model().loss_probability(ch.snr_db(a, far), 1) < 1.0);
+        assert!(!ch.is_audible(a, far));
+        assert_eq!(ch.loss_probability(a, far, 1), 1.0);
+        assert!(!ch.echo_audible(a, far));
+        let near = Point::new(1_499.0, 0.0, 10.0);
+        assert!(ch.is_audible(a, near));
+        assert!(ch.echo_audible(a, near), "the bounce stays inside 1.5 km");
+        let edge = Point::new(1_500.0, 0.0, 10.0);
+        assert!(
+            !ch.echo_audible(a, edge),
+            "the bounce is longer than 1.5 km"
+        );
     }
 
     #[test]

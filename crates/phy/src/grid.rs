@@ -32,7 +32,7 @@
 //!   the output length by the comparison's outcome, so it has no
 //!   data-dependent branch.
 //!
-//! The link-budget cache sizes cells at the channel's culling radius padded
+//! The link-budget cache sizes cells at the channel's horizon padded
 //! by [`crate::cache::CULL_MARGIN`] **twice** (see
 //! [`crate::channel::AcousticChannel::index_cell_m`]): once is the margin the
 //! brute-force cull itself applies, and the second keeps a full 5% gap
@@ -346,7 +346,7 @@ mod tests {
         use crate::channel::AcousticChannel;
 
         let ch = AcousticChannel::paper_default();
-        let cell = ch.index_cell_m().expect("range cutoff admits an index");
+        let cell = ch.index_cell_m().expect("the horizon admits an index");
         // Transmitter and receiver share the cell [cell, 2·cell) along x;
         // the receiver walks out of range, into it and out again without
         // ever leaving that cell.

@@ -12,8 +12,8 @@
 //! * [`noise`] — Wenz four-component ambient noise.
 //! * [`propagation`] — spreading + absorption transmission loss and the
 //!   receiver link budget.
-//! * [`per`] — packet-error models: deterministic range cutoff (the paper's
-//!   regime), SNR threshold, and modulation-based BER/PER.
+//! * [`per`] — packet-error models inside the channel's horizon: lossless
+//!   (the paper's regime), SNR threshold, and modulation-based BER/PER.
 //! * [`cache`] — per-pair link-budget memoization for the fan-out hot path.
 //! * [`grid`] — uniform spatial index bounding each fan-out to neighbour
 //!   cells.

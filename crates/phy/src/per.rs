@@ -3,13 +3,18 @@
 //! NS-3's UAN PHY offers a "default PER" (deterministic threshold on SINR)
 //! and modulation-based error models. We mirror that split:
 //!
-//! * [`PerModel::RangeCutoff`] — the Default-PER-style deterministic model
-//!   the headline figures use: inside the communication range a packet
-//!   survives unless it collides; outside it is never heard.
+//! * [`PerModel::Lossless`] — the Default-PER-style deterministic model
+//!   the headline figures use: a packet survives unless it collides.
 //! * [`PerModel::SnrThreshold`] — deterministic on a dB threshold.
 //! * [`PerModel::Modulation`] — probabilistic: SNR → Eb/N0 → BER (per
 //!   modulation) → PER over the packet length. Used by the failure-injection
 //!   tests and the lossy-channel extension experiments.
+//!
+//! A model decides on the SNR alone. Range is not its business: the
+//! channel's horizon,
+//! [`AcousticChannel::max_range_m`](crate::channel::AcousticChannel::max_range_m),
+//! loses every path beyond it before a model is asked, so under every
+//! model a frame is heard only inside the range τmax is sized for.
 
 use crate::noise::db_to_linear;
 
@@ -70,14 +75,12 @@ fn erfc(x: f64) -> f64 {
 }
 
 /// A packet-error model: maps link conditions to a loss probability.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum PerModel {
-    /// Deterministic: packets are always received inside `range_m`, never
-    /// outside. This is the model behind the paper's headline figures.
-    RangeCutoff {
-        /// The communication range in metres (1 500 m in Table 2).
-        range_m: f64,
-    },
+    /// Deterministic: every packet inside the channel's horizon is
+    /// received. This is the model behind the paper's headline figures.
+    #[default]
+    Lossless,
     /// Deterministic: received iff SNR ≥ `threshold_db`.
     SnrThreshold {
         /// Minimum workable SNR in dB.
@@ -92,33 +95,17 @@ pub enum PerModel {
     },
 }
 
-impl Default for PerModel {
-    fn default() -> Self {
-        PerModel::RangeCutoff { range_m: 1_500.0 }
-    }
-}
-
 impl PerModel {
-    /// Probability that a `bits`-bit packet is **lost**, given the link
-    /// distance and SNR.
+    /// Probability that a `bits`-bit packet inside the channel's horizon
+    /// is **lost**, given the link SNR.
     ///
     /// # Panics
     ///
-    /// Panics if `distance_m` is negative/not finite or `bits` is zero.
-    pub fn loss_probability(&self, distance_m: f64, snr_db: f64, bits: u32) -> f64 {
-        assert!(
-            distance_m.is_finite() && distance_m >= 0.0,
-            "distance must be finite and non-negative, got {distance_m}"
-        );
+    /// Panics if `bits` is zero.
+    pub fn loss_probability(&self, snr_db: f64, bits: u32) -> f64 {
         assert!(bits > 0, "packet must contain at least one bit");
         match *self {
-            PerModel::RangeCutoff { range_m } => {
-                if distance_m <= range_m {
-                    0.0
-                } else {
-                    1.0
-                }
-            }
+            PerModel::Lossless => 0.0,
             PerModel::SnrThreshold { threshold_db } => {
                 if snr_db >= threshold_db {
                     0.0
@@ -138,17 +125,11 @@ impl PerModel {
     }
 
     /// Whether [`loss_probability`](Self::loss_probability) reads its
-    /// `snr_db` argument: every model but the range cutoff, which decides
-    /// on `distance_m <= range_m` alone. A caller that would compute the
-    /// SNR only to hand it over can skip it when this is false.
+    /// `snr_db` argument: every model but [`PerModel::Lossless`]. A caller
+    /// that would compute the SNR only to hand it over can skip it when
+    /// this is false.
     pub fn reads_snr(&self) -> bool {
-        !matches!(self, PerModel::RangeCutoff { .. })
-    }
-
-    /// Whether any packet can ever be heard at this distance/SNR (loss
-    /// probability strictly below 1 for a 1-bit packet).
-    pub fn is_audible(&self, distance_m: f64, snr_db: f64) -> bool {
-        self.loss_probability(distance_m, snr_db, 1) < 1.0
+        !matches!(self, PerModel::Lossless)
     }
 }
 
@@ -194,18 +175,22 @@ mod tests {
 
     #[test]
     fn range_cutoff_is_binary() {
-        let m = PerModel::RangeCutoff { range_m: 1_500.0 };
-        assert_eq!(m.loss_probability(1_500.0, 0.0, 2048), 0.0);
-        assert_eq!(m.loss_probability(1_500.1, 100.0, 2048), 1.0);
-        assert!(m.is_audible(1_000.0, -100.0));
-        assert!(!m.is_audible(2_000.0, 100.0));
+        // The lossless model ignores the SNR; the channel's horizon makes
+        // the cutoff.
+        let m = PerModel::Lossless;
+        assert_eq!(m.loss_probability(-100.0, 2048), 0.0);
+        assert_eq!(m.loss_probability(f64::NAN, 2048), 0.0);
+        assert!(!m.reads_snr());
+        let ch = crate::channel::AcousticChannel::paper_default();
+        assert_eq!(ch.loss_probability_at(1_500.0, f64::NAN, 2048), 0.0);
+        assert_eq!(ch.loss_probability_at(1_500.1, 100.0, 2048), 1.0);
     }
 
     #[test]
     fn snr_threshold_is_binary() {
         let m = PerModel::SnrThreshold { threshold_db: 10.0 };
-        assert_eq!(m.loss_probability(1.0, 10.0, 64), 0.0);
-        assert_eq!(m.loss_probability(1.0, 9.99, 64), 1.0);
+        assert_eq!(m.loss_probability(10.0, 64), 0.0);
+        assert_eq!(m.loss_probability(9.99, 64), 1.0);
     }
 
     #[test]
@@ -214,8 +199,8 @@ mod tests {
             scheme: Modulation::NcFsk,
             bandwidth_over_bitrate: 1.0,
         };
-        let short = m.loss_probability(100.0, 10.0, 64);
-        let long = m.loss_probability(100.0, 10.0, 4_096);
+        let short = m.loss_probability(10.0, 64);
+        let long = m.loss_probability(10.0, 4_096);
         assert!(long > short);
         assert!((0.0..=1.0).contains(&short) && (0.0..=1.0).contains(&long));
     }
@@ -227,14 +212,14 @@ mod tests {
             bandwidth_over_bitrate: 1.0,
         };
         // Very high SNR -> essentially lossless.
-        assert!(m.loss_probability(100.0, 40.0, 2_048) < 1e-9);
+        assert!(m.loss_probability(40.0, 2_048) < 1e-9);
         // Very low SNR -> essentially certain loss for long packets.
-        assert!(m.loss_probability(100.0, -20.0, 2_048) > 0.999);
+        assert!(m.loss_probability(-20.0, 2_048) > 0.999);
     }
 
     #[test]
     #[should_panic(expected = "at least one bit")]
     fn zero_bits_panics() {
-        PerModel::default().loss_probability(1.0, 0.0, 0);
+        PerModel::default().loss_probability(0.0, 0);
     }
 }

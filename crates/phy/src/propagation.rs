@@ -164,27 +164,6 @@ impl LinkBudget {
         self.received_level_db(distance_m) - self.noise_db
     }
 
-    /// The distance at which the SNR drops to `threshold_db`, found by
-    /// bisection over `[1 m, max_m]`; `None` if the SNR is still above the
-    /// threshold at `max_m` (link closes everywhere) or already below it at
-    /// 1 m (link closes nowhere).
-    pub fn range_for_snr(&self, threshold_db: f64, max_m: f64) -> Option<f64> {
-        let mut lo = 1.0;
-        let mut hi = max_m;
-        if self.snr_db(hi) >= threshold_db || self.snr_db(lo) < threshold_db {
-            return None;
-        }
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if self.snr_db(mid) >= threshold_db {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Some(0.5 * (lo + hi))
-    }
-
     /// Converts an SNR in dB into the per-bit `Eb/N0` ratio (linear) for a
     /// link at `bitrate_bps`: `Eb/N0 = SNR · BW / R`.
     ///
@@ -275,22 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn range_for_snr_brackets_threshold() {
-        let b = budget();
-        let r = b
-            .range_for_snr(b.snr_db(800.0), 100_000.0)
-            .expect("threshold crossed in range");
-        assert!((r - 800.0).abs() < 1.0, "bisection found {r}");
-    }
-
-    #[test]
-    fn range_for_snr_none_when_never_crossed() {
-        let b = budget();
-        assert_eq!(b.range_for_snr(-1_000.0, 10_000.0), None);
-        assert_eq!(b.range_for_snr(1_000.0, 10_000.0), None);
-    }
-
-    #[test]
     fn eb_n0_scales_with_bitrate() {
         let b = budget();
         let low_rate = b.eb_n0_linear(10.0, 1_000.0);
@@ -300,10 +263,6 @@ mod tests {
 
     #[test]
     fn snr_is_bit_identical_to_the_per_call_noise_formula() {
-        use crate::channel::AcousticChannel;
-        use crate::per::PerModel;
-        use crate::sound::SoundSpeedProfile;
-
         let settings = [
             (AmbientNoise::default(), 12_000.0, 10.0),
             (
@@ -329,37 +288,6 @@ mod tests {
                         "{spreading:?} at {d} m"
                     );
                 }
-                // The SNR-threshold detection radius is the same bisection
-                // over the same values.
-                let threshold_db = 15.0;
-                let ch = AcousticChannel::new(
-                    SoundSpeedProfile::default(),
-                    b,
-                    PerModel::SnrThreshold { threshold_db },
-                    1_500.0,
-                );
-                let (mut lo, mut hi) = (1.0, 150_000.0);
-                let expected = if formula(1.0) < threshold_db {
-                    Some(0.0)
-                } else if formula(hi) >= threshold_db {
-                    None
-                } else {
-                    for _ in 0..64 {
-                        let mid = 0.5 * (lo + hi);
-                        if formula(mid) >= threshold_db {
-                            lo = mid;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    Some(0.5 * (lo + hi))
-                };
-                assert!(expected.is_some_and(|r| r > 1.0), "{spreading:?}");
-                assert_eq!(
-                    ch.detection_radius_m().map(f64::to_bits),
-                    expected.map(f64::to_bits),
-                    "{spreading:?}, {bw} Hz"
-                );
             }
         }
     }

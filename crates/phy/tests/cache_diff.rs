@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use uasn_phy::cache::{LinkBudgetCache, CULL_MARGIN};
+use uasn_phy::cache::LinkBudgetCache;
 use uasn_phy::channel::AcousticChannel;
 use uasn_phy::geometry::Point;
 use uasn_phy::noise::AmbientNoise;
@@ -20,12 +20,13 @@ use uasn_phy::per::{Modulation, PerModel};
 use uasn_phy::propagation::{LinkBudget, Spreading, TransmissionLoss};
 use uasn_phy::sound::SoundSpeedProfile;
 
-/// A channel for PER-model index `model` (0 = range cutoff, 1 = SNR
-/// threshold, 2 = probabilistic modulation), with a configurable cutoff so
-/// the proptest sweep exercises different audible-set shapes.
+/// A channel for PER-model index `model` (0 = lossless, 1 = SNR
+/// threshold, 2 = probabilistic modulation), with a configurable horizon
+/// (`cutoff`, also scaling the SNR threshold) so the proptest sweep
+/// exercises different audible-set shapes.
 fn channel_for(model: u8, cutoff: f64) -> AcousticChannel {
     let per = match model {
-        0 => PerModel::RangeCutoff { range_m: cutoff },
+        0 => PerModel::Lossless,
         1 => PerModel::SnrThreshold {
             threshold_db: cutoff / 100.0,
         },
@@ -43,7 +44,7 @@ fn channel_for(model: u8, cutoff: f64) -> AcousticChannel {
             12_000.0,
         ),
         per,
-        1_500.0,
+        cutoff,
     )
 }
 
@@ -121,24 +122,35 @@ proptest! {
         }
     }
 
-    /// The padded cull radius really over-approximates the detection
-    /// radius: anything audible sits inside it, with margin to spare.
+    /// The horizon bounds every PER model: no audible pair, direct or
+    /// surface echo, lies beyond `max_range_m`, which is what lets the
+    /// cull, the spatial index and τmax all read that one range.
     #[test]
     fn detection_radius_bounds_every_audible_pair(
         positions in positions_strategy(),
-        model in 0u8..2, // only the deterministic models define a radius
+        model in 0u8..3,
         cutoff in 400.0f64..4_000.0,
+        surface_loss_db in 0.0f64..10.0,
     ) {
-        let ch = channel_for(model, cutoff);
-        prop_assume!(ch.detection_radius_m().is_some());
-        let radius = ch.detection_radius_m().unwrap();
+        let ch = channel_for(model, cutoff).with_two_ray(surface_loss_db);
+        let horizon = ch.max_range_m();
         for (i, &from) in positions.iter().enumerate() {
             for (j, &to) in positions.iter().enumerate() {
-                if i != j && ch.is_audible(from, to) {
+                if i == j {
+                    continue;
+                }
+                if ch.is_audible(from, to) {
                     prop_assert!(
-                        from.distance(to) <= radius * CULL_MARGIN,
-                        "audible pair ({}, {}) at {} m outside padded radius {} m",
-                        i, j, from.distance(to), radius * CULL_MARGIN
+                        from.distance(to) <= horizon,
+                        "audible pair ({}, {}) at {} m past the {} m horizon",
+                        i, j, from.distance(to), horizon
+                    );
+                }
+                if ch.echo_audible(from, to) {
+                    prop_assert!(
+                        ch.echo_path_m(from, to) <= horizon,
+                        "audible echo ({}, {}) over {} m past the {} m horizon",
+                        i, j, ch.echo_path_m(from, to), horizon
                     );
                 }
             }

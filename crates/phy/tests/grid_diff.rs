@@ -23,14 +23,14 @@ use uasn_phy::propagation::{LinkBudget, Spreading, TransmissionLoss};
 use uasn_phy::soa::PositionTable;
 use uasn_phy::sound::SoundSpeedProfile;
 
-/// A channel for PER-model index `model` (0 = range cutoff, 1 = SNR
-/// threshold, 2 = probabilistic modulation), with a configurable cutoff so
-/// the sweep exercises different audible-set shapes. The modulation model
-/// admits no detection radius, so `with_index` must degrade to the
-/// unindexed scan there — the properties cover that path too.
+/// A channel for PER-model index `model` (0 = lossless, 1 = SNR
+/// threshold, 2 = probabilistic modulation), with a configurable horizon
+/// (`cutoff`, also scaling the SNR threshold) so the sweep exercises
+/// different audible-set shapes. The horizon bounds every model, so every
+/// model gets an index.
 fn channel_for(model: u8, cutoff: f64) -> AcousticChannel {
     let per = match model {
-        0 => PerModel::RangeCutoff { range_m: cutoff },
+        0 => PerModel::Lossless,
         1 => PerModel::SnrThreshold {
             threshold_db: cutoff / 100.0,
         },
@@ -48,7 +48,7 @@ fn channel_for(model: u8, cutoff: f64) -> AcousticChannel {
             12_000.0,
         ),
         per,
-        1_500.0,
+        cutoff,
     )
 }
 
@@ -142,13 +142,12 @@ proptest! {
         layers in 2u32..6,
         spacing in 300.0f64..1_200.0,
         raw in raw_nodes(),
-        model in 0u8..2, // the probabilistic model builds no index
+        model in 0u8..3,
         cutoff in 400.0f64..4_000.0,
         bits in 1u32..2_048,
     ) {
         let positions = build_geometry(geom, layers, spacing, &raw);
         let ch = channel_for(model, cutoff);
-        prop_assume!(ch.index_cell_m().is_some());
         let grid = SpatialGrid::build(ch.index_cell_m().unwrap(), positions.as_slice());
         let mut cand = Vec::new();
         for tx in 0..positions.len() {

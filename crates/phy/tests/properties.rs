@@ -67,8 +67,8 @@ proptest! {
             scheme: Modulation::NcFsk,
             bandwidth_over_bitrate: 1.0,
         };
-        let p_small = m.loss_probability(100.0, snr, bits_small);
-        let p_big = m.loss_probability(100.0, snr, bits_small + extra);
+        let p_small = m.loss_probability(snr, bits_small);
+        let p_big = m.loss_probability(snr, bits_small + extra);
         prop_assert!((0.0..=1.0).contains(&p_small));
         prop_assert!((0.0..=1.0).contains(&p_big));
         prop_assert!(p_big >= p_small - 1e-12, "PER must grow with packet size");
