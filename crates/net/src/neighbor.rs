@@ -43,8 +43,10 @@ impl NeighborEntry {
 
 /// One-hop propagation-delay table (what EW-MAC maintains).
 ///
-/// Deterministically ordered (`BTreeMap`) so iteration order can never
-/// perturb reproducibility.
+/// One vector of `(neighbour, entry)` pairs, ascending by id with each id
+/// once, searched by binary search: iteration order can never perturb
+/// reproducibility, and the oracle install copies its sorted list into a
+/// single allocation.
 ///
 /// # Examples
 ///
@@ -62,7 +64,7 @@ impl NeighborEntry {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OneHopTable {
-    entries: BTreeMap<NodeId, NeighborEntry>,
+    entries: Vec<(NodeId, NeighborEntry)>,
 }
 
 impl OneHopTable {
@@ -71,15 +73,17 @@ impl OneHopTable {
         OneHopTable::default()
     }
 
-    /// Records (or refreshes) a delay measurement for `neighbor`.
+    /// Records (or refreshes) a delay measurement for `neighbor`; a new
+    /// neighbour is inserted in id order.
     pub fn observe(&mut self, neighbor: NodeId, delay: SimDuration, now: SimTime) {
-        self.entries.insert(
-            neighbor,
-            NeighborEntry {
-                delay,
-                measured_at: now,
-            },
-        );
+        let entry = NeighborEntry {
+            delay,
+            measured_at: now,
+        };
+        match self.find(neighbor) {
+            Ok(at) => self.entries[at].1 = entry,
+            Err(at) => self.entries.insert(at, (neighbor, entry)),
+        }
     }
 
     /// Records every `(neighbor, delay)` of `entries` as measured at `now`:
@@ -94,38 +98,40 @@ impl OneHopTable {
             }
             return;
         }
-        // `BTreeMap::from_iter` sorts stably and keeps the last entry of
-        // each id, as repeated inserts would.
-        self.entries = entries
-            .iter()
-            .map(|&(id, delay)| {
-                let entry = NeighborEntry {
-                    delay,
-                    measured_at: now,
-                };
-                (id, entry)
-            })
-            .collect();
+        let entry = |&(id, delay): &(NodeId, SimDuration)| {
+            let measured = NeighborEntry {
+                delay,
+                measured_at: now,
+            };
+            (id, measured)
+        };
+        self.entries = entries.iter().map(entry).collect();
+        sort_keeping_last(&mut self.entries);
+    }
+
+    /// Where `neighbor` is (`Ok`) or would be inserted (`Err`).
+    fn find(&self, neighbor: NodeId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&neighbor, |&(id, _)| id)
     }
 
     /// The last measured delay to `neighbor`, if any.
     pub fn delay_of(&self, neighbor: NodeId) -> Option<SimDuration> {
-        self.entries.get(&neighbor).map(|e| e.delay)
+        self.entry(neighbor).map(|e| e.delay)
     }
 
     /// The full entry for `neighbor`, if any.
     pub fn entry(&self, neighbor: NodeId) -> Option<&NeighborEntry> {
-        self.entries.get(&neighbor)
+        self.find(neighbor).ok().map(|at| &self.entries[at].1)
     }
 
     /// All known neighbours, ascending by id.
     pub fn neighbors(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.keys().copied()
+        self.entries.iter().map(|&(id, _)| id)
     }
 
     /// Iterates `(neighbor, entry)` pairs, ascending by id.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NeighborEntry)> + '_ {
-        self.entries.iter().map(|(&id, e)| (id, e))
+        self.entries.iter().map(|(id, e)| (*id, e))
     }
 
     /// Number of known neighbours.
@@ -143,14 +149,14 @@ impl OneHopTable {
     /// have drifted from the true one (see `uasn-clock`'s
     /// `DelayEstimator::staleness_bound`).
     pub fn age_of(&self, neighbor: NodeId, now: SimTime) -> Option<SimDuration> {
-        self.entries.get(&neighbor).map(|e| e.age(now))
+        self.entry(neighbor).map(|e| e.age(now))
     }
 
     /// The oldest measurement age in the table at `now` — the staleness a
     /// node must budget for when it trusts any entry without knowing which
     /// one a future exchange will use.
     pub fn oldest_age(&self, now: SimTime) -> Option<SimDuration> {
-        self.entries.values().map(|e| e.age(now)).max()
+        self.entries.iter().map(|(_, e)| e.age(now)).max()
     }
 }
 
@@ -166,16 +172,30 @@ pub type DelaySnapshot = Arc<[(NodeId, SimDuration)]>;
 /// [`OneHopTable::observe`] calls would. An already sorted, duplicate-free
 /// list (a fan-out row, a table walk) is copied once without sorting.
 pub fn snapshot_of(entries: &[(NodeId, SimDuration)]) -> DelaySnapshot {
-    if entries.windows(2).all(|w| w[0].0 < w[1].0) {
+    if is_sorted_unique(entries) {
         return Arc::from(entries);
     }
     let mut unique = entries.to_vec();
+    sort_keeping_last(&mut unique);
+    Arc::from(unique)
+}
+
+/// Whether `entries` ascend strictly by id.
+fn is_sorted_unique<T>(entries: &[(NodeId, T)]) -> bool {
+    entries.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
+/// Sorts `entries` by id, keeping each id's last entry, as repeated
+/// inserts would. An already sorted, duplicate-free list is left as is.
+fn sort_keeping_last<T>(entries: &mut Vec<(NodeId, T)>) {
+    if is_sorted_unique(entries) {
+        return;
+    }
     // Reversed first, the stable sort puts each id's last entry ahead of
     // its earlier ones, and `dedup_by_key` keeps the first of each run.
-    unique.reverse();
-    unique.sort_by_key(|&(id, _)| id);
-    unique.dedup_by_key(|&mut (id, _)| id);
-    Arc::from(unique)
+    entries.reverse();
+    entries.sort_by_key(|(id, _)| *id);
+    entries.dedup_by_key(|(id, _)| *id);
 }
 
 /// Two-hop table: for each one-hop neighbour, a snapshot of *their* one-hop

@@ -338,7 +338,10 @@ fn range_grid(nodes: &[NodeInfo], comm_range_m: f64) -> Option<SpatialGrid> {
 }
 
 /// Sensors with **no** shallower node within `comm_range_m` — the stranded
-/// set that would make depth routing impossible.
+/// set that would make depth routing impossible, by geometry alone.
+/// `Simulation::new` checks the channel's audible pairs instead
+/// (`LinkBudgetCache::audible_sweep`), which agree with this scan at
+/// `max_range_m` under the lossless model.
 ///
 /// From `STRANDED_GRID_THRESHOLD` nodes up each sensor's witnesses come
 /// from one unsorted query of a uniform grid with cell edge `comm_range_m`,

@@ -71,7 +71,6 @@ use crate::record::{
 use crate::routing::uphill_candidates;
 use crate::sampling::{NodeSample, Snapshot, TimeSeries};
 use crate::slots::{SlotClock, SlotIndex};
-use crate::topology::stranded_sensors;
 use crate::traffic::TrafficPattern;
 
 /// Builds one MAC instance per node.
@@ -1129,15 +1128,28 @@ impl NetworkWorld {
         sched.after(dt, NetEvent::MobilityTick);
     }
 
+    /// Charges every refreshing node one table refresh. A refreshing node
+    /// re-broadcasts only its **own** one-hop table (neighbours assemble
+    /// two-hop views by listening), so the cost is one entry per audible
+    /// neighbour regardless of scope; the scope decides whether refreshes
+    /// happen at all and how often (the protocol's `periodic_refresh`).
     fn handle_maintenance_tick(&mut self, sched: &mut Schedule<'_, NetEvent>) {
         let mut interval = None;
+        let mut sweep = None;
         for node in 0..self.node_count() {
             let profile = self.maintenance[node];
             let Some(period) = profile.periodic_refresh else {
                 continue;
             };
             interval = Some(period);
-            let bits = self.maintenance_refresh_bits(node, profile.scope);
+            if profile.scope == NeighborInfoScope::None {
+                continue;
+            }
+            let sweep = sweep.get_or_insert_with(|| {
+                self.link_cache
+                    .audible_sweep(&self.channel, &self.positions)
+            });
+            let bits = u64::from(sweep.degree[node]) * ANNOUNCE_BITS_PER_ENTRY;
             if bits > 0 {
                 self.metrics.per_node[node].maintenance_bits += bits;
                 self.meters[node].charge_maintenance_bits(bits);
@@ -1146,25 +1158,6 @@ impl NetworkWorld {
         if let Some(period) = interval {
             sched.after(period, NetEvent::MaintenanceTick);
         }
-    }
-
-    /// Bits one table refresh costs `node` right now. A refreshing node
-    /// re-broadcasts only its **own** one-hop table (neighbours assemble
-    /// two-hop views by listening), so the cost is one entry per audible
-    /// neighbour regardless of scope; the scope decides whether refreshes
-    /// happen at all and how often (the protocol's `periodic_refresh`).
-    fn maintenance_refresh_bits(&mut self, node: usize, scope: NeighborInfoScope) -> u64 {
-        if scope == NeighborInfoScope::None {
-            return 0;
-        }
-        self.audible_degree(node) as u64 * ANNOUNCE_BITS_PER_ENTRY
-    }
-
-    /// How many nodes can hear `node` right now (its one-hop degree).
-    fn audible_degree(&mut self, node: usize) -> usize {
-        self.link_cache
-            .ensure_row(&self.channel, &self.positions, node);
-        self.link_cache.row_len(node)
     }
 
     /// One resynchronization round: sample every node's sync error into the
@@ -1224,14 +1217,23 @@ impl NetworkWorld {
 
     fn finalize(&mut self, end: SimTime) -> MetricsReport {
         let duration_s = end.duration_since(SimTime::ZERO).as_secs_f64();
-        for node in 0..self.node_count() {
-            // Active-listening surcharge (§5.2 "power for waiting"): scales
-            // with how many neighbours the protocol must monitor.
-            let mw = self.maintenance[node].listen_mw_per_neighbor;
-            if mw > 0.0 {
-                // Only the count is needed: no row is built this late.
-                let degree = self.link_cache.degree(&self.channel, &self.positions, node) as f64;
-                self.meters[node].charge_joules(mw / 1_000.0 * degree * duration_s);
+        // Active-listening surcharge (§5.2 "power for waiting"): scales
+        // with how many neighbours the protocol must monitor. Only the
+        // counts are needed, so no row is built this late.
+        if self
+            .maintenance
+            .iter()
+            .any(|p| p.listen_mw_per_neighbor > 0.0)
+        {
+            let sweep = self
+                .link_cache
+                .audible_sweep(&self.channel, &self.positions);
+            for (node, &degree) in sweep.degree.iter().enumerate() {
+                let mw = self.maintenance[node].listen_mw_per_neighbor;
+                if mw > 0.0 {
+                    let joules = mw / 1_000.0 * f64::from(degree) * duration_s;
+                    self.meters[node].charge_joules(joules);
+                }
             }
         }
         let duration = end.duration_since(SimTime::ZERO);
@@ -1468,11 +1470,21 @@ impl Simulation {
             cfg.sinks,
             cfg.channel.max_range_m(),
         )?;
-        let stranded = stranded_sensors(&nodes, cfg.channel.max_range_m());
-        if !stranded.is_empty() {
-            return Err(BuildNetworkError::Disconnected {
-                stranded: stranded.len(),
-            });
+        let points: Vec<Point> = nodes.iter().map(|i| i.position).collect();
+        let positions = PositionTable::from_points(&points);
+        let channel = cfg.channel.clone();
+        let mut link_cache = LinkBudgetCache::with_index(&channel, &positions);
+        // Routing forwards to a strictly shallower node that hears the
+        // sender, so a sensor that hears none cannot route. Audibility is
+        // the channel's, as routing reads it, not the geometric range.
+        let sweep = link_cache.audible_sweep(&channel, &positions);
+        let stranded = nodes
+            .iter()
+            .zip(&sweep.hears_shallower)
+            .filter(|&(info, &uphill)| !info.is_sink() && !uphill)
+            .count();
+        if stranded > 0 {
+            return Err(BuildNetworkError::Disconnected { stranded });
         }
 
         let n = nodes.len();
@@ -1498,8 +1510,6 @@ impl Simulation {
             })
             .collect();
 
-        let points: Vec<Point> = nodes.iter().map(|i| i.position).collect();
-        let positions = PositionTable::from_points(&points);
         let roles: Vec<NodeRole> = nodes.iter().map(|i| i.role).collect();
         let mut macs: Vec<Option<Box<dyn MacProtocol>>> = (0..n)
             .map(|i| Some(factory(NodeId::new(i as u32))))
@@ -1513,8 +1523,6 @@ impl Simulation {
         // walked without building rows (rows are built on transmission).
         // Under `hello_init` the tables start empty and the MACs learn them
         // from on-air beacons; the init charge, a count, is the same.
-        let channel = cfg.channel.clone();
-        let mut link_cache = LinkBudgetCache::with_index(&channel, &positions);
         let maintenance: Vec<MaintenanceProfile> = macs
             .iter()
             .map(|mac| mac.as_ref().expect("just built").maintenance())
@@ -1536,7 +1544,7 @@ impl Simulation {
             let mac = macs[i].as_mut().expect("just built");
             let degree = match profile.scope {
                 NeighborInfoScope::None => continue,
-                _ if cfg.hello_init => lists.cache.degree(&channel, &positions, i),
+                _ if cfg.hello_init => sweep.degree[i] as usize,
                 _ if !two_hop => {
                     let one_hop = lists.walk(i);
                     mac.install_neighbors(one_hop);
@@ -2249,6 +2257,86 @@ mod tests {
                 assert_eq!(*installs.borrow(), expected, "{case}");
             }
         }
+    }
+
+    /// A MAC with EW-MAC's maintenance profile (one-hop tables, 0.2 mW
+    /// per audible neighbour, no periodic refresh) that does nothing
+    /// else: the listening surcharge reads only the profile.
+    #[derive(Debug)]
+    struct Listener;
+
+    impl MacProtocol for Listener {
+        fn name(&self) -> &'static str {
+            "LISTENER"
+        }
+        fn maintenance(&self) -> MaintenanceProfile {
+            MaintenanceProfile {
+                scope: NeighborInfoScope::OneHop,
+                listen_mw_per_neighbor: 0.2,
+                ..MaintenanceProfile::none()
+            }
+        }
+        fn on_slot_start(&mut self, _: &mut MacContext<'_>, _: SlotIndex) {}
+        fn on_enqueue(&mut self, _: &mut MacContext<'_>, _: Sdu) {}
+        fn on_frame_received(&mut self, _: &mut MacContext<'_>, _: &Reception<'_>) {}
+        fn queue_len(&self) -> usize {
+            0
+        }
+    }
+
+    /// Over a mobile column large enough for the grid to span many cells,
+    /// each node's listening surcharge is `mw / 1000 × degree × duration`
+    /// with the degree of a row built at the end-of-run positions, in a
+    /// cache of its own, not at the start positions.
+    #[test]
+    fn listening_surcharge_reads_end_of_run_degrees() {
+        use crate::topology::Deployment;
+
+        let mut cfg = SimConfig::paper_default()
+            .with_sensors(320)
+            .with_mobility(30.0)
+            .with_offered_load_kbps(0.1)
+            .with_sim_time(SimDuration::from_secs(20));
+        cfg.mobility.update_interval = SimDuration::from_secs(2);
+        cfg.deployment = Deployment::LayeredColumn {
+            extent_m: 8_000.0,
+            layers: 4,
+            layer_spacing_m: 900.0,
+        };
+        let factory = |_| -> Box<dyn MacProtocol> { Box::new(Listener) };
+        let mut sim = Simulation::new(cfg, &factory).unwrap();
+        let start = sim.world.positions.clone();
+        sim.engine.run_profiled(&mut sim.world, sim.horizon);
+        let end = sim.horizon.min(sim.engine.now());
+        let world = &mut sim.world;
+        assert!(
+            world.link_cache.stats().invalidations >= 9,
+            "several epochs"
+        );
+        let before: Vec<f64> = world
+            .meters
+            .iter()
+            .map(|m| m.maintenance_joules())
+            .collect();
+        world.finalize(end);
+
+        let n = world.node_count();
+        let duration_s = end.duration_since(SimTime::ZERO).as_secs_f64();
+        let mut at_end = LinkBudgetCache::new(&world.channel, n);
+        let mut at_start = LinkBudgetCache::new(&world.channel, n);
+        let mut changed = 0;
+        for (i, &spent) in before.iter().enumerate() {
+            at_end.ensure_row(&world.channel, &world.positions, i);
+            at_start.ensure_row(&world.channel, &start, i);
+            let want = 0.2 / 1_000.0 * at_end.row_len(i) as f64 * duration_s;
+            let got = world.meters[i].maintenance_joules() - spent;
+            assert!(
+                (got - want).abs() <= 1e-9 * want.max(1e-3),
+                "node {i}: surcharge {got} J, want {want} J"
+            );
+            changed += usize::from(at_end.row_len(i) != at_start.row_len(i));
+        }
+        assert!(changed > n / 4, "mobility moved {changed} of {n} degrees");
     }
 
     /// A MAC that, at start-up, arms token A, re-arms A for a later

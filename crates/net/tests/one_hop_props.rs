@@ -1,10 +1,14 @@
-//! Property test for the one-hop table's bulk install: `observe_all`
+//! Property tests for the one-hop table: its bulk install, `observe_all`,
 //! leaves exactly the table a loop of `observe` calls would, for sorted,
-//! unsorted and repeated-id lists, on empty and non-empty tables.
+//! unsorted and repeated-id lists, on empty and non-empty tables; and any
+//! sequence of `observe` and `observe_all` calls reads back as the same
+//! sequence applied to a `BTreeMap` keyed by id.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
-use uasn_net::neighbor::OneHopTable;
+use uasn_net::neighbor::{NeighborEntry, OneHopTable};
 use uasn_net::node::NodeId;
 use uasn_sim::time::{SimDuration, SimTime};
 
@@ -50,5 +54,51 @@ proptest! {
         observe_each(&mut reference, &list, now);
         bulk.observe_all(&list, now);
         prop_assert_eq!(bulk, reference);
+    }
+
+    /// Each step observes the first entry of its list alone (`single`)
+    /// or the whole list (unsorted, ids may repeat) at a later time, so
+    /// refreshes show in `measured_at`. After every step the table and
+    /// the map agree on iteration order, every id's delay and age, the
+    /// oldest age and the length.
+    #[test]
+    fn observe_sequences_match_a_btree_map(
+        steps in proptest::collection::vec(
+            (
+                proptest::bool::ANY,
+                proptest::collection::vec((0u32..30, 0u64..2_000_000), 0..12),
+            ),
+            0..24,
+        ),
+    ) {
+        let mut table = OneHopTable::new();
+        let mut model: BTreeMap<NodeId, NeighborEntry> = BTreeMap::new();
+        for (k, step) in steps.iter().enumerate() {
+            let now = SimTime::from_secs(k as u64);
+            let (single, raw) = step;
+            let mut list = entries(raw);
+            if *single {
+                list.truncate(1);
+                for &(id, delay) in &list {
+                    table.observe(id, delay, now);
+                }
+            } else {
+                table.observe_all(&list, now);
+            }
+            for (id, delay) in list {
+                model.insert(id, NeighborEntry { delay, measured_at: now });
+            }
+            let later = SimTime::from_secs(k as u64 + 7);
+            let got: Vec<(NodeId, NeighborEntry)> = table.iter().map(|(id, e)| (id, *e)).collect();
+            let want: Vec<(NodeId, NeighborEntry)> = model.iter().map(|(&id, &e)| (id, e)).collect();
+            prop_assert_eq!(got, want, "step {}", k);
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.oldest_age(later), model.values().map(|e| e.age(later)).max());
+            for id in (0..32).map(NodeId::new) {
+                let entry = model.get(&id);
+                prop_assert_eq!(table.delay_of(id), entry.map(|e| e.delay), "step {}, {:?}", k, id);
+                prop_assert_eq!(table.age_of(id, later), entry.map(|e| e.age(later)));
+            }
+        }
     }
 }

@@ -9,12 +9,14 @@
 //! [`LinkBudgetCache`] computes each transmitter's audible-receiver row once
 //! and replays it until a mobility epoch invalidates it.
 //!
-//! Rows are built only when a node transmits. Callers that need less than
-//! a row walk the same receivers without storing one:
-//! [`LinkBudgetCache::degree`] counts them (energy and maintenance
-//! accounting) and [`LinkBudgetCache::neighbor_delays`] lists their
-//! `(rx, delay)` pairs (the network's one-hop delay tables at
-//! construction). Every walk computes only what its caller reads. The
+//! Rows are built only when a node transmits. A caller that needs one
+//! node's receivers without a row walks them:
+//! [`LinkBudgetCache::neighbor_delays`] lists their `(rx, delay)` pairs
+//! (the network's one-hop delay tables at construction). A caller that
+//! needs a count for every node (energy and maintenance accounting, the
+//! connectivity check) reads [`LinkBudgetCache::audible_sweep`], which
+//! tests each audible pair once, since audibility is symmetric, and
+//! credits both ends. Every walk computes only what its caller reads. The
 //! SNR, a transmission-loss `log10` per candidate, is computed for the
 //! audibility test only when the PER model decides on it
 //! ([`PerModel::reads_snr`](crate::per::PerModel::reads_snr): the SNR
@@ -143,14 +145,43 @@ fn link_delay(channel: &AcousticChannel, from: Point, to: Point, distance_m: f64
     SimDuration::from_secs_f64(delay_s)
 }
 
+/// The exact audibility test of every walk: `Some` when a 1-bit frame
+/// over `distance_m` is heard ([`AcousticChannel::loss_probability_at`]
+/// below 1, the arithmetic of [`AcousticChannel::is_audible`]), `None`
+/// when it is lost. The SNR (a transmission-loss `log10`) is computed,
+/// and returned inside the `Some`, only when the PER model reads it
+/// (`reads_snr`, from [`PerModel::reads_snr`](crate::per::PerModel::reads_snr));
+/// the lossless model is decided by the horizon alone.
+fn heard(channel: &AcousticChannel, reads_snr: bool, distance_m: f64) -> Option<Option<f64>> {
+    let snr_db = reads_snr.then(|| channel.budget().snr_db(distance_m));
+    // A model that does not read the SNR is handed NaN in its place.
+    if channel.loss_probability_at(distance_m, snr_db.unwrap_or(f64::NAN), 1) >= 1.0 {
+        None
+    } else {
+        Some(snr_db)
+    }
+}
+
+/// Every node's view of the audible pairs at one set of positions, from
+/// [`LinkBudgetCache::audible_sweep`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AudibleSweep {
+    /// How many nodes each node hears: the length its row would have.
+    pub degree: Vec<u32>,
+    /// Whether each node hears some node strictly shallower than itself:
+    /// a depth-routing witness.
+    pub hears_shallower: Vec<bool>,
+}
+
 /// Memoizes each transmitter's audible receivers with their link budgets.
 ///
 /// Rows are built lazily, by [`ensure_row`](Self::ensure_row) on a
 /// transmission (a node that never transmits never pays), and invalidated
 /// in O(1) by bumping the global epoch when node positions change.
-/// [`degree`](Self::degree) and [`neighbor_delays`](Self::neighbor_delays)
-/// read a fresh row but never build one; on a stale row they walk the
-/// receivers a build would keep and store nothing.
+/// [`neighbor_delays`](Self::neighbor_delays) reads a fresh row but never
+/// builds one; on a stale row it walks the receivers a build would keep
+/// and stores nothing. [`audible_sweep`](Self::audible_sweep) reads no
+/// row at all.
 ///
 /// # Examples
 ///
@@ -278,7 +309,7 @@ impl LinkBudgetCache {
         let from = positions.position(tx);
         let mut links = std::mem::take(&mut self.rows[tx].links);
         links.clear();
-        links.reserve_exact(self.cull(positions, tx, true));
+        links.reserve_exact(self.cull(positions, tx));
         self.walk_audible(channel, positions, tx, |j, to, distance_m, snr_db| {
             let echo_delay = channel
                 .echo_audible(from, to)
@@ -299,31 +330,10 @@ impl LinkBudgetCache {
         };
     }
 
-    /// The number of audible receivers of `tx`: what
-    /// [`row_len`](Self::row_len) returns after
-    /// [`ensure_row`](Self::ensure_row), with the same change to
-    /// [`stats`](Self::stats). A stale row is not rebuilt: the count runs
-    /// the row build's cull and audibility test but computes no delays and
-    /// stores and sorts nothing, so the row stays stale.
-    pub fn degree<P: PositionSource + ?Sized>(
-        &mut self,
-        channel: &AcousticChannel,
-        positions: &P,
-        tx: usize,
-    ) -> usize {
-        if self.is_fresh(positions.node_count(), tx) {
-            return self.rows[tx].links.len();
-        }
-        let mut degree = 0;
-        self.cull(positions, tx, false);
-        self.walk_audible(channel, positions, tx, |_, _, _, _| degree += 1);
-        degree
-    }
-
     /// Fills `out` with the `(rx, delay)` pairs of `tx`'s row, ascending by
     /// `rx`: what [`row`](Self::row) holds after
     /// [`ensure_row`](Self::ensure_row), with the same change to
-    /// [`stats`](Self::stats). Like [`degree`](Self::degree), a stale row
+    /// [`stats`](Self::stats). A stale row
     /// is not rebuilt: the walk computes each receiver's delay but no
     /// echo and stores no row, so the row stays stale. A fresh row is
     /// copied. This is what a one-hop delay table needs from the channel.
@@ -340,7 +350,7 @@ impl LinkBudgetCache {
             return;
         }
         let from = positions.position(tx);
-        out.reserve(self.cull(positions, tx, true));
+        out.reserve(self.cull(positions, tx));
         self.walk_audible(channel, positions, tx, |j, to, distance_m, _| {
             out.push((j as u32, link_delay(channel, from, to, distance_m)));
         });
@@ -363,15 +373,9 @@ impl LinkBudgetCache {
 
     /// The first half of every walk: fills the scratch buffer with the
     /// receivers of `tx` that survive the cull (`tx` itself excluded),
-    /// ascending when `sorted` is set (the linear scan is always
-    /// ascending), counts the rest as culled, and returns how many
+    /// ascending, counts the rest as culled, and returns how many
     /// survived. [`walk_audible`](Self::walk_audible) is the second half.
-    fn cull<P: PositionSource + ?Sized>(
-        &mut self,
-        positions: &P,
-        tx: usize,
-        sorted: bool,
-    ) -> usize {
+    fn cull<P: PositionSource + ?Sized>(&mut self, positions: &P, tx: usize) -> usize {
         let n = positions.node_count();
         let from = positions.position(tx);
         let r2 = self.cull_radius_sq;
@@ -388,9 +392,7 @@ impl LinkBudgetCache {
             // `tx` itself always survives it.
             grid.within_into(from, r2, &mut self.scratch);
             self.scratch.retain(|&cand| cand as usize != tx);
-            if sorted {
-                self.scratch.sort_unstable();
-            }
+            self.scratch.sort_unstable();
         } else {
             self.scratch.extend(
                 (0..n)
@@ -410,13 +412,7 @@ impl LinkBudgetCache {
     /// counting the audibility rejects. Shared by every walk so they cannot
     /// drift apart.
     ///
-    /// The test is [`AcousticChannel::loss_probability_at`] for a 1-bit
-    /// frame, the arithmetic of [`AcousticChannel::is_audible`]. The SNR
-    /// (a transmission-loss `log10`) is computed, and passed on as
-    /// `Some`, only when the PER model reads it
-    /// ([`PerModel::reads_snr`](crate::per::PerModel::reads_snr)); the
-    /// lossless model is decided by the horizon alone, so under it every
-    /// walk but a row build skips the `log10`.
+    /// The test is [`heard`]; the SNR it computes is passed on.
     fn walk_audible<P: PositionSource + ?Sized>(
         &mut self,
         channel: &AcousticChannel,
@@ -430,13 +426,63 @@ impl LinkBudgetCache {
             let j = cand as usize;
             let to = positions.position(j);
             let distance_m = from.distance(to);
-            let snr_db = reads_snr.then(|| channel.budget().snr_db(distance_m));
-            // A model that does not read the SNR is handed NaN in its place.
-            if channel.loss_probability_at(distance_m, snr_db.unwrap_or(f64::NAN), 1) >= 1.0 {
-                self.stats.audibility_rejects += 1;
-            } else {
-                keep(j, to, distance_m, snr_db);
+            match heard(channel, reads_snr, distance_m) {
+                Some(snr_db) => keep(j, to, distance_m, snr_db),
+                None => self.stats.audibility_rejects += 1,
             }
+        }
+    }
+
+    /// Every node's degree and uphill flag (see [`AudibleSweep`]) at the
+    /// current positions, from one sweep over the audible pairs. Each pair
+    /// the cull keeps takes the exact audibility test of a row build once
+    /// and credits both ends, which is sound because the test reads only
+    /// the pair's distance. With an index the pairs come from
+    /// [`SpatialGrid::for_each_pair_within`] on the stored positions (kept
+    /// current by [`note_move`](Self::note_move)); without one, from a scan
+    /// of every pair. Reads and builds no row and leaves
+    /// [`stats`](Self::stats) untouched.
+    pub fn audible_sweep<P: PositionSource + ?Sized>(
+        &self,
+        channel: &AcousticChannel,
+        positions: &P,
+    ) -> AudibleSweep {
+        let n = positions.node_count();
+        let reads_snr = channel.per_model().reads_snr();
+        let mut degree = vec![0; n];
+        let mut hears_shallower = vec![false; n];
+        let mut credit = |i: u32, j: u32, d2: f64| {
+            if heard(channel, reads_snr, d2.sqrt()).is_some() {
+                let (i, j) = (i as usize, j as usize);
+                degree[i] += 1;
+                degree[j] += 1;
+                let (di, dj) = (positions.position(i).depth(), positions.position(j).depth());
+                hears_shallower[i] |= dj < di;
+                hears_shallower[j] |= di < dj;
+            }
+        };
+        let r2 = self.cull_radius_sq;
+        if let Some(grid) = &self.grid {
+            debug_assert_eq!(
+                grid.node_count(),
+                n,
+                "spatial index covers a different node set"
+            );
+            grid.for_each_pair_within(r2, credit);
+        } else {
+            for i in 0..n {
+                let from = positions.position(i);
+                for j in i + 1..n {
+                    let d2 = from.distance_sq(positions.position(j));
+                    if d2 <= r2 {
+                        credit(i as u32, j as u32, d2);
+                    }
+                }
+            }
+        }
+        AudibleSweep {
+            degree,
+            hears_shallower,
         }
     }
 
@@ -747,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn degree_equals_row_len_and_counts_like_a_row_build() {
+    fn sweep_degree_equals_row_len_for_every_node() {
         // A 6 × 6 lattice at 700 m with depth jitter: every node has some
         // neighbours in range and some beyond it.
         let start: Vec<Point> = (0..36)
@@ -767,29 +813,31 @@ mod tests {
                         LinkBudgetCache::new(&ch, p.len())
                     }
                 };
-                let (mut counted, mut built) = (make(&positions), make(&positions));
+                let (mut swept, mut built) = (make(&positions), make(&positions));
                 for epoch in 0..3 {
+                    let stats = swept.stats();
+                    let sweep = swept.audible_sweep(&ch, &positions);
+                    assert_eq!(swept.stats(), stats, "{per:?}, epoch {epoch}");
                     for tx in 0..positions.len() {
-                        // Every other row is fresh in `counted` too, so the
-                        // hit path is covered as well as the count.
-                        if tx % 2 == 0 {
-                            counted.ensure_row(&ch, &positions, tx);
-                            built.ensure_row(&ch, &positions, tx);
-                        }
-                        let degree = counted.degree(&ch, &positions, tx);
                         built.ensure_row(&ch, &positions, tx);
-                        assert_eq!(degree, built.row_len(tx), "{per:?}, epoch {epoch}, tx {tx}");
-                        assert_eq!(counted.stats(), built.stats(), "{per:?}, epoch {epoch}");
+                        let case = format!("{per:?}, epoch {epoch}, tx {tx}");
+                        assert_eq!(sweep.degree[tx] as usize, built.row_len(tx), "{case}");
+                        let depth = positions[tx].depth();
+                        let uphill = built
+                            .row(tx)
+                            .iter()
+                            .any(|l| positions[l.rx as usize].depth() < depth);
+                        assert_eq!(sweep.hears_shallower[tx], uphill, "{case}");
                     }
                     // Scatter a few nodes, some out of range of everyone.
                     for node in [3usize, 14, 29] {
                         let p = positions[node];
                         let moved = Point::new(p.x + 900.0 * (epoch + 1) as f64, p.y - 450.0, p.z);
                         positions[node] = moved;
-                        counted.note_move(node as u32, moved);
+                        swept.note_move(node as u32, moved);
                         built.note_move(node as u32, moved);
                     }
-                    counted.invalidate();
+                    swept.invalidate();
                     built.invalidate();
                 }
             }

@@ -31,6 +31,12 @@
 //!   see only the survivors. The loop writes every candidate and advances
 //!   the output length by the comparison's outcome, so it has no
 //!   data-dependent branch.
+//! - **The pair sweep.** [`SpatialGrid::for_each_pair_within`] asks the
+//!   bounded question for every node at once. Each cell pairs its nodes
+//!   among themselves and with its 13 forward neighbour cells (one of each
+//!   opposite pair of the 26), so every unordered pair of nodes in
+//!   touching cells is tested once, with the same comparison on the same
+//!   stored positions as the per-node query.
 //!
 //! The link-budget cache sizes cells at the channel's horizon padded
 //! by [`crate::cache::CULL_MARGIN`] **twice** (see
@@ -235,6 +241,71 @@ impl SpatialGrid {
                         kept += usize::from(p.distance_sq(q) <= r2);
                     }
                     out.truncate(start + kept);
+                }
+            }
+        }
+    }
+
+    /// Calls `visit(i, j, d2)` once for every unordered pair of indexed
+    /// nodes whose stored positions lie within squared distance `r2` of
+    /// each other, `d2` being that squared distance, in no particular
+    /// order.
+    ///
+    /// Each cell pairs its nodes among themselves and with its 13 forward
+    /// neighbour cells, so every pair of touching cells is visited once.
+    /// Like `within_into`, the cull writes every candidate and advances by
+    /// the comparison's outcome, so it has no data-dependent branch.
+    /// For `r2 ≤ cell_m()²` that is every pair within the bound, by the
+    /// argument that makes [`within_into`](Self::within_into) exact, and
+    /// `d2` is the value `within_into` compares from either end:
+    /// [`Point::distance_sq`] is symmetric bit for bit.
+    pub fn for_each_pair_within(&self, r2: f64, mut visit: impl FnMut(u32, u32, f64)) {
+        /// The cell offsets after `(0, 0, 0)` in row-major order, each
+        /// axis shifted by one: one of each opposite pair of the 26
+        /// neighbours. Offset `(dx, dy, dz)` is the base-3 number
+        /// `dz+1, dy+1, dx+1`, so the home cell is 13.
+        const FORWARD: [[usize; 3]; 13] = {
+            let mut out = [[0; 3]; 13];
+            let mut k = 0;
+            let mut code = 14;
+            while code < 27 {
+                out[k] = [code % 3, code / 3 % 3, code / 9];
+                k += 1;
+                code += 1;
+            }
+            out
+        };
+        let [nx, ny, nz] = self.dims;
+        // The home cell's forward neighbours, and one node's survivors.
+        let mut forward: Vec<usize> = Vec::with_capacity(FORWARD.len());
+        let mut near: Vec<(u32, f64)> = Vec::new();
+        for (home, bucket) in self.cells.iter().enumerate() {
+            if bucket.is_empty() {
+                continue;
+            }
+            let (x, y, z) = (home % nx, home / nx % ny, home / (nx * ny));
+            forward.clear();
+            for [dx, dy, dz] in FORWARD {
+                let (x2, y2, z2) = (x + dx, y + dy, z + dz);
+                if x2 > 0 && x2 <= nx && y2 > 0 && y2 <= ny && z2 > 0 && z2 <= nz {
+                    forward.push(((z2 - 1) * ny + y2 - 1) * nx + x2 - 1);
+                }
+            }
+            let forward_len: usize = forward.iter().map(|&c| self.cells[c].len()).sum();
+            for (k, &(i, p)) in bucket.iter().enumerate() {
+                // Later nodes of the home cell, then the forward cells,
+                // culled branch-free as in `within_into`.
+                let later = &bucket[k + 1..];
+                near.resize(later.len() + forward_len, (0, 0.0));
+                let mut kept = 0;
+                let others = forward.iter().flat_map(|&c| &self.cells[c]);
+                for &(j, q) in later.iter().chain(others) {
+                    let d2 = p.distance_sq(q);
+                    near[kept] = (j, d2);
+                    kept += usize::from(d2 <= r2);
+                }
+                for &(j, d2) in &near[..kept] {
+                    visit(i, j, d2);
                 }
             }
         }
@@ -488,6 +559,98 @@ mod tests {
         let all: Vec<u32> = (0..50).collect();
         assert_eq!(sorted_within(&grid, stacked[0], 0.0), all);
         assert!(sorted_within(&grid, far, r2).is_empty());
+    }
+
+    /// Every unordered pair within `r2`, as `(low, high, d2)`, sorted.
+    fn swept_pairs(grid: &SpatialGrid, r2: f64) -> Vec<(u32, u32, u64)> {
+        let mut pairs = Vec::new();
+        grid.for_each_pair_within(r2, |i, j, d2| {
+            pairs.push((i.min(j), i.max(j), d2.to_bits()))
+        });
+        pairs.sort_unstable();
+        pairs
+    }
+
+    fn brute_pairs(positions: &[Point], r2: f64) -> Vec<(u32, u32, u64)> {
+        let mut pairs = Vec::new();
+        for (i, &p) in positions.iter().enumerate() {
+            for (j, &q) in positions.iter().enumerate().skip(i + 1) {
+                let d2 = p.distance_sq(q);
+                if d2 <= r2 {
+                    pairs.push((i as u32, j as u32, d2.to_bits()));
+                }
+            }
+        }
+        pairs
+    }
+
+    #[test]
+    fn pair_sweep_visits_every_pair_within_the_bound_once() {
+        use rand::{Rng, SeedableRng};
+
+        let cell = 1_000.0;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        for round in 0..10 {
+            let mut positions: Vec<Point> = (0..150)
+                .map(|_| {
+                    Point::new(
+                        rng.gen_range(-3_000.0..3_000.0),
+                        rng.gen_range(-3_000.0..3_000.0),
+                        rng.gen_range(0.0..2_000.0),
+                    )
+                })
+                .collect();
+            // Coincident nodes share a cell and a zero distance.
+            positions[1] = positions[0];
+            let mut grid = SpatialGrid::build(cell, &positions);
+            // Far moves clamp into border cells; small ones stay in place.
+            for node in (0..positions.len()).step_by(7) {
+                let p = positions[node];
+                let far = if node % 2 == 0 { 40_000.0 } else { -40_000.0 };
+                let moved = if round % 2 == 0 {
+                    Point::new(p.x + far, p.y, p.z)
+                } else {
+                    Point::new(p.x + 30.0, p.y - 30.0, p.z + 30.0)
+                };
+                positions[node] = moved;
+                grid.note_move(node as u32, moved);
+            }
+            for r in [0.0, 400.0, cell] {
+                assert_eq!(
+                    swept_pairs(&grid, r * r),
+                    brute_pairs(&positions, r * r),
+                    "round {round}, {r} m"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pair_sweep_is_exact_on_a_grown_edge_and_tiny_layouts() {
+        let mut positions = Vec::new();
+        for k in 0..600 {
+            let p = Point::new(
+                k as f64 * 3_331.0 % 2.0e6,
+                k as f64 * 7_919.0 % 2.0e6,
+                100.0,
+            );
+            positions.push(p);
+            positions.push(Point::new(p.x + 600.0, p.y, p.z));
+        }
+        let grid = SpatialGrid::build(1_000.0, &positions);
+        assert!(grid.cell_m() > 1_000.0, "edge grew to {}", grid.cell_m());
+        for r in [600.0, 1_000.0, grid.cell_m()] {
+            assert_eq!(swept_pairs(&grid, r * r), brute_pairs(&positions, r * r));
+        }
+        for n in 0..3 {
+            let few = &positions[..n];
+            let grid = SpatialGrid::build(1_000.0, few);
+            assert_eq!(
+                swept_pairs(&grid, 1.0e6),
+                brute_pairs(few, 1.0e6),
+                "n = {n}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Differential properties of [`LinkBudgetCache`] against direct channel
 //! recomputation, over random topologies and all three PER models.
+//! The all-node pair sweep is held to a per-node walk of the same
+//! audibility test.
 //!
 //! The cache is the network layer's only fan-out and the source of its
 //! neighbour delay tables, and these properties are the reference it is
@@ -242,6 +244,90 @@ proptest! {
                     .then(|| ch.echo_delay(from, to));
                 prop_assert_eq!(link.echo_delay, expected);
             }
+        }
+    }
+
+    /// The pair sweep gives every node the degree and uphill flag a
+    /// per-node walk of `is_audible` gives it, with and without the
+    /// spatial index, across mobility epochs with small moves and far
+    /// moves that clamp into border cells, on a huge sparse extent that
+    /// grows the cell edge, around a cell corner, with coincident nodes
+    /// and with 0, 1 or 2 nodes. It never touches the statistics. The box is as deep as the
+    /// horizon is long, so pairs straddle cells along every axis.
+    #[test]
+    fn sweep_matches_a_per_node_walk(
+        raw in proptest::collection::vec(
+            (0.0f64..6_000.0, 0.0f64..6_000.0, 0.0f64..4_000.0),
+            0..40,
+        ),
+        model in 0u8..3,
+        cutoff in 400.0f64..4_000.0,
+        layout in 0u8..3,
+        coincident in proptest::bool::ANY,
+        indexed in proptest::bool::ANY,
+        moves in proptest::collection::vec(
+            (0usize..40, -3_000.0f64..3_000.0, -3_000.0f64..3_000.0, proptest::bool::ANY),
+            0..12,
+        ),
+    ) {
+        let ch = channel_for(model, cutoff);
+        let mut positions: Vec<Point> = raw.iter().map(|&(x, y, z)| Point::new(x, y, z)).collect();
+        let cell = ch.index_cell_m().expect("the horizon admits an index");
+        for k in 0..positions.len() {
+            let (x, y, z) = raw[k];
+            positions[k] = match layout {
+                // Spread over 300 km, each odd node within 600 m of its
+                // even partner: the box needs far more cells than the
+                // budget, so the edge grows.
+                1 if k % 2 == 1 => {
+                    let p = positions[k - 1];
+                    Point::new(p.x + x / 10.0, p.y + y / 10.0, z)
+                }
+                1 => Point::new(x * 50.0, y * 50.0, z),
+                // Within half a horizon of a cell corner along each
+                // axis: pairs straddle the corner in every direction.
+                2 => {
+                    let near = |v: f64, span: f64| 2.0 * cell + (v / span - 0.5) * cutoff;
+                    Point::new(near(x, 6_000.0), near(y, 6_000.0), near(z, 4_000.0))
+                }
+                _ => positions[k],
+            };
+        }
+        if coincident && positions.len() >= 2 {
+            positions[1] = positions[0];
+        }
+        let mut cache = if indexed {
+            LinkBudgetCache::with_index(&ch, &positions)
+        } else {
+            LinkBudgetCache::new(&ch, positions.len())
+        };
+        for epoch in 0..3 {
+            let stats = cache.stats();
+            let sweep = cache.audible_sweep(&ch, &positions);
+            prop_assert_eq!(cache.stats(), stats, "epoch {}", epoch);
+            for (i, &from) in positions.iter().enumerate() {
+                let heard: Vec<usize> = (0..positions.len())
+                    .filter(|&j| j != i && ch.is_audible(from, positions[j]))
+                    .collect();
+                let uphill = heard.iter().any(|&j| positions[j].depth() < from.depth());
+                prop_assert_eq!(sweep.degree[i] as usize, heard.len(), "epoch {}, node {}", epoch, i);
+                prop_assert_eq!(sweep.hears_shallower[i], uphill, "epoch {}, node {}", epoch, i);
+            }
+            prop_assert_eq!(sweep.degree.len(), positions.len());
+            prop_assert_eq!(sweep.hears_shallower.len(), positions.len());
+            if positions.is_empty() {
+                break;
+            }
+            for &(node, dx, dy, far) in &moves {
+                let node = node % positions.len();
+                let p = positions[node];
+                // A far move leaves the build-time box and clamps.
+                let (dx, dy) = if far { (dx * 20.0, dy * 20.0) } else { (dx, dy) };
+                let moved = Point::new(p.x + dx, p.y + dy, p.z);
+                positions[node] = moved;
+                cache.note_move(node as u32, moved);
+            }
+            cache.invalidate();
         }
     }
 }

@@ -173,3 +173,30 @@ fn surface_multipath_degrades_but_does_not_wedge() {
         );
     }
 }
+
+#[test]
+fn a_threshold_that_closes_inside_the_horizon_is_rejected_as_disconnected() {
+    use uasn::net::error::BuildNetworkError;
+    use uasn::net::world::Simulation;
+
+    // The paper's link budget under a 37 dB SNR threshold hears less than
+    // 1 km, well inside the 1.5 km horizon the geometry is placed for: most
+    // sensors hear no shallower node, so no SDU could be routed.
+    let mut cfg = SimConfig::paper_default()
+        .with_sensors(30)
+        .with_offered_load_kbps(0.5)
+        .with_sim_time(SimDuration::from_secs(200));
+    let paper = AcousticChannel::paper_default();
+    cfg.channel = AcousticChannel::new(
+        SoundSpeedProfile::default(),
+        *paper.budget(),
+        PerModel::SnrThreshold { threshold_db: 37.0 },
+        paper.max_range_m(),
+    );
+    let factory = |id| Protocol::EwMac.build(id);
+    match Simulation::new(cfg, &factory) {
+        Err(BuildNetworkError::Disconnected { stranded }) => assert!(stranded > 0),
+        Err(other) => panic!("rejected for the wrong reason: {other}"),
+        Ok(_) => panic!("a network whose sensors hear no shallower node was built"),
+    }
+}
