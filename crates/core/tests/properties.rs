@@ -143,7 +143,7 @@ proptest! {
     fn rts_winner_is_the_max_rp(
         candidates in proptest::collection::vec((0u32..64, 0u32..10_000), 1..10),
     ) {
-        let winner = pick_winner(&candidates).expect("non-empty");
+        let winner = pick_winner(candidates.iter().copied()).expect("non-empty");
         let best = candidates.iter().map(|&(_, rp)| rp).max().unwrap();
         prop_assert_eq!(candidates[winner].1, best);
         // Deterministic tie-break: lowest sender id among the maxima.

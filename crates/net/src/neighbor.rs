@@ -7,7 +7,6 @@
 //! published designs), which the paper charges against their overhead and
 //! energy. The bit-size constants here drive that accounting.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use uasn_sim::time::{SimDuration, SimTime};
@@ -202,7 +201,9 @@ fn sort_keeping_last<T>(entries: &mut Vec<(NodeId, T)>) {
 /// delays (what ROPA and CS-MAC maintain and periodically re-broadcast).
 ///
 /// A snapshot is the neighbour's announcement itself, shared with the frame
-/// that carried it; lookups binary-search it.
+/// that carried it. Snapshots sit in one vector ascending by neighbour id,
+/// as [`OneHopTable`]'s entries do; lookups binary-search the vector and
+/// then the snapshot.
 ///
 /// # Examples
 ///
@@ -221,7 +222,7 @@ fn sort_keeping_last<T>(entries: &mut Vec<(NodeId, T)>) {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TwoHopTable {
-    snapshots: BTreeMap<NodeId, DelaySnapshot>,
+    snapshots: Vec<(NodeId, DelaySnapshot)>,
 }
 
 impl TwoHopTable {
@@ -238,20 +239,29 @@ impl TwoHopTable {
             snapshot.windows(2).all(|w| w[0].0 < w[1].0),
             "a two-hop snapshot must be sorted by id without duplicates"
         );
-        self.snapshots.insert(neighbor, snapshot);
+        match self.find(neighbor) {
+            Ok(at) => self.snapshots[at].1 = snapshot,
+            Err(at) => self.snapshots.insert(at, (neighbor, snapshot)),
+        }
+    }
+
+    /// Where `neighbor` is (`Ok`) or would be inserted (`Err`).
+    fn find(&self, neighbor: NodeId) -> Result<usize, usize> {
+        self.snapshots
+            .binary_search_by_key(&neighbor, |&(id, _)| id)
     }
 
     /// The delay between `neighbor` and one of *its* neighbours `other`, if
     /// known.
     pub fn delay_between(&self, neighbor: NodeId, other: NodeId) -> Option<SimDuration> {
-        let snapshot = self.snapshots.get(&neighbor)?;
+        let snapshot = self.snapshot(neighbor)?;
         let at = snapshot.binary_search_by_key(&other, |&(id, _)| id).ok()?;
         Some(snapshot[at].1)
     }
 
     /// The snapshot announced by `neighbor`, if any.
     pub fn snapshot(&self, neighbor: NodeId) -> Option<&DelaySnapshot> {
-        self.snapshots.get(&neighbor)
+        self.find(neighbor).ok().map(|at| &self.snapshots[at].1)
     }
 
     /// Number of neighbours with installed snapshots.

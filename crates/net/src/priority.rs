@@ -41,10 +41,10 @@ pub fn priority_value<R: Rng>(rng: &mut R, rule: &PriorityRule, waited_slots: u6
 
 /// Picks the winning RTS among candidates `(sender_index, rp)`: highest rp,
 /// ties broken by lowest sender index for determinism. Returns the winner's
-/// position in the slice.
-pub fn pick_winner(candidates: &[(u32, u32)]) -> Option<usize> {
+/// position in the sequence.
+pub fn pick_winner(candidates: impl IntoIterator<Item = (u32, u32)>) -> Option<usize> {
     candidates
-        .iter()
+        .into_iter()
         .enumerate()
         .max_by(|(_, a), (_, b)| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
         .map(|(i, _)| i)
@@ -101,22 +101,22 @@ mod tests {
     #[test]
     fn winner_is_max_rp() {
         let c = [(5, 10), (2, 30), (9, 20)];
-        assert_eq!(pick_winner(&c), Some(1));
+        assert_eq!(pick_winner(c), Some(1));
     }
 
     #[test]
     fn winner_tie_breaks_by_lowest_sender() {
         let c = [(5, 30), (2, 30), (9, 30)];
-        assert_eq!(pick_winner(&c), Some(1));
+        assert_eq!(pick_winner(c), Some(1));
     }
 
     #[test]
     fn empty_candidates_have_no_winner() {
-        assert_eq!(pick_winner(&[]), None);
+        assert_eq!(pick_winner([]), None);
     }
 
     #[test]
     fn single_candidate_wins() {
-        assert_eq!(pick_winner(&[(7, 0)]), Some(0));
+        assert_eq!(pick_winner([(7, 0)]), Some(0));
     }
 }

@@ -35,26 +35,30 @@ impl QuietSchedule {
         QuietSchedule::default()
     }
 
-    /// Adds a quiet interval `[from, until)`, merging overlaps.
+    /// Adds a quiet interval `[from, until)`, merging overlapping and
+    /// touching intervals, in place.
     ///
     /// Empty or inverted intervals are ignored.
     pub fn add(&mut self, from: SimTime, until: SimTime) {
         if until <= from {
             return;
         }
-        let mut merged = (from, until);
-        let mut out = Vec::with_capacity(self.intervals.len() + 1);
-        for &(s, e) in &self.intervals {
-            if e < merged.0 || s > merged.1 {
-                out.push((s, e));
-            } else {
-                merged.0 = merged.0.min(s);
-                merged.1 = merged.1.max(e);
-            }
+        // Stored intervals never touch, so both their starts and their
+        // ends ascend, and the ones `[from, until)` meets are a contiguous
+        // run: from the first that ends at or after `from` to the last
+        // that starts at or before `until`.
+        let lo = self.intervals.partition_point(|&(_, e)| e < from);
+        let hi = self.intervals.partition_point(|&(s, _)| s <= until);
+        if lo == hi {
+            self.intervals.insert(lo, (from, until));
+            return;
         }
-        out.push(merged);
-        out.sort();
-        self.intervals = out;
+        let merged = (
+            from.min(self.intervals[lo].0),
+            until.max(self.intervals[hi - 1].1),
+        );
+        self.intervals[lo] = merged;
+        self.intervals.drain(lo + 1..hi);
     }
 
     /// Whether `t` falls in a quiet interval.

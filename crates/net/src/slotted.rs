@@ -434,29 +434,13 @@ impl SlottedCore {
 
     fn answer_rts_inbox(&mut self, ctx: &mut MacContext<'_>, slot: SlotIndex) {
         let clock = ctx.clock();
-        let now = ctx.now();
-        let candidates: Vec<RtsCandidate> = self
-            .rts_inbox
-            .drain(..)
-            .filter(|c| c.sent_slot + 1 == slot)
-            .collect();
-        if candidates.is_empty() || self.role != CoreRole::Idle || self.hold {
+        // Only RTSs sent in the previous slot can be answered now; the
+        // inbox empties at every answering boundary.
+        self.rts_inbox.retain(|c| c.sent_slot + 1 == slot);
+        let winner = self.rts_winner(ctx.now(), clock.start_of(slot + 2));
+        self.rts_inbox.clear();
+        let Some(winner) = winner else {
             return;
-        }
-        // Fig 3 "Checking Scheduling": the whole exchange must fit outside
-        // known quiet windows.
-        if self.quiet.overlaps(now, clock.start_of(slot + 2)) {
-            return;
-        }
-        let winner = match self.cfg.priority {
-            None => candidates[0],
-            Some(_) => {
-                let keyed: Vec<(u32, u32)> = candidates
-                    .iter()
-                    .map(|c| (c.src.index() as u32, c.rp))
-                    .collect();
-                candidates[pick_winner(&keyed).expect("candidates are non-empty")]
-            }
         };
         let mut cts = Frame::control(FrameKind::Cts, self.id, winner.src, ctx.control_bits())
             .with_data_duration(winner.td);
@@ -479,6 +463,28 @@ impl SlottedCore {
             ack_slot: clock.ack_slot(data_slot, winner.td, tau),
             data_received: false,
         };
+    }
+
+    /// The RTS to answer among the due ones left in the inbox, if this
+    /// node may answer one in an exchange running from `now` to
+    /// `exchange_end`.
+    fn rts_winner(&self, now: SimTime, exchange_end: SimTime) -> Option<RtsCandidate> {
+        if self.rts_inbox.is_empty() || self.role != CoreRole::Idle || self.hold {
+            return None;
+        }
+        // Fig 3 "Checking Scheduling": the whole exchange must fit outside
+        // known quiet windows.
+        if self.quiet.overlaps(now, exchange_end) {
+            return None;
+        }
+        let at = match self.cfg.priority {
+            None => 0,
+            Some(_) => {
+                let keyed = self.rts_inbox.iter().map(|c| (c.src.index() as u32, c.rp));
+                pick_winner(keyed).expect("candidates are non-empty")
+            }
+        };
+        Some(self.rts_inbox[at])
     }
 
     fn maybe_contend(&mut self, ctx: &mut MacContext<'_>, slot: SlotIndex) {

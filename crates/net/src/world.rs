@@ -23,14 +23,19 @@
 //! [`Tracer::record_event`]: the streaming monitors read that record as
 //! is, and its text is rendered only when a text sink is attached.
 //!
-//! The per-event maps keyed by simulator-minted integers (frame tokens,
-//! reception ids, SDU copies: `tx_frames`, `pending_rx`, `delivered`) use
-//! the Fx hasher from `uasn_sim::hash`. They are only probed, never
-//! iterated, so the hash function cannot reach any output. Per-SDU state
-//! (generation time, batch membership, transport slot, hop counters) is
-//! one entry per SDU id in [`crate::sdu::SduTable`], indexed without
-//! hashing. Transport timeouts go to the event queue's per-attempt FIFO
-//! lanes (`uasn_route::timeout_lane`).
+//! Frames and receptions are filed without hashing: queued and in-air
+//! frames (`tx_frames`) and pending receptions (`pending_rx`) live in
+//! slabs, and their events carry the `u32` slot, so `NetEvent` stays two
+//! words and, once the slabs reach the run's peak, filing allocates
+//! nothing. A reception stores its `RxEnd` instant at booking, so its
+//! `RxStart` does no duration arithmetic. The first-copy gate for
+//! delivered SDU copies (`delivered`) is the one hashed set; it uses the Fx
+//! hasher from `uasn_sim::hash` and is only probed, never iterated, so the
+//! hash function cannot reach any output. Per-SDU state (generation time,
+//! batch membership, transport slot, hop counters) is one entry per SDU id
+//! in [`crate::sdu::SduTable`], indexed without hashing. Transport timeouts
+//! go to the event queue's per-attempt FIFO lanes
+//! (`uasn_route::timeout_lane`).
 
 use std::rc::Rc;
 
@@ -48,7 +53,7 @@ use uasn_route::{
     select_next_hop, timeout_lane, Candidate, ForwardPolicy, TimeoutVerdict, TransportTable,
 };
 use uasn_sim::engine::{Engine, EventLabel, RunStats, Schedule, StopReason};
-use uasn_sim::hash::{FxHashMap, FxHashSet};
+use uasn_sim::hash::FxHashSet;
 use uasn_sim::profile::{MetricsRegistry, ProfileReport};
 use uasn_sim::rng::SeedFactory;
 use uasn_sim::time::{SimDuration, SimTime};
@@ -85,14 +90,16 @@ enum NetEvent {
     SlotStart(SlotIndex),
     /// Traffic source fires at `node`; recurring patterns reschedule.
     TrafficArrival { node: u32 },
-    /// A queued frame's transmit time arrived.
-    TxStart { node: u32, token: u64 },
+    /// A queued frame's transmit time arrived; `slot` addresses it in
+    /// `NetworkWorld::tx_frames`.
+    TxStart { node: u32, slot: u32 },
     /// A transmission finished.
-    TxEnd { node: u32, token: u64 },
-    /// A frame's first bit reaches a receiver.
-    RxStart { token: u64 },
+    TxEnd { node: u32, slot: u32 },
+    /// A frame's first bit reaches a receiver; `slot` addresses the
+    /// reception in `NetworkWorld::pending_rx`.
+    RxStart { slot: u32 },
     /// A frame's last bit reaches a receiver.
-    RxEnd { token: u64 },
+    RxEnd { slot: u32 },
     /// A MAC timer arm fires; stale unless `arm` is still the tag of one of
     /// the node's armed tokens (see `NetworkWorld::timers`).
     Timer { node: u32, arm: u32 },
@@ -122,23 +129,41 @@ enum NetEvent {
 const _: () = assert!(std::mem::size_of::<NetEvent>() <= 16);
 
 impl EventLabel for NetEvent {
-    fn label(&self) -> &'static str {
+    const LABELS: &'static [&'static str] = &[
+        "start",
+        "slot-start",
+        "traffic",
+        "tx-start",
+        "tx-end",
+        "rx-start",
+        "rx-end",
+        "timer",
+        "mobility",
+        "maintenance",
+        "sample",
+        "node-slot-start",
+        "resync",
+        "route-timeout",
+        "route-ack",
+    ];
+
+    fn kind(&self) -> usize {
         match self {
-            NetEvent::Start => "start",
-            NetEvent::SlotStart(_) => "slot-start",
-            NetEvent::TrafficArrival { .. } => "traffic",
-            NetEvent::TxStart { .. } => "tx-start",
-            NetEvent::TxEnd { .. } => "tx-end",
-            NetEvent::RxStart { .. } => "rx-start",
-            NetEvent::RxEnd { .. } => "rx-end",
-            NetEvent::Timer { .. } => "timer",
-            NetEvent::MobilityTick => "mobility",
-            NetEvent::MaintenanceTick => "maintenance",
-            NetEvent::SampleTick => "sample",
-            NetEvent::NodeSlotStart { .. } => "node-slot-start",
-            NetEvent::ResyncTick => "resync",
-            NetEvent::RouteTimeout { .. } => "route-timeout",
-            NetEvent::RouteAck { .. } => "route-ack",
+            NetEvent::Start => 0,
+            NetEvent::SlotStart(_) => 1,
+            NetEvent::TrafficArrival { .. } => 2,
+            NetEvent::TxStart { .. } => 3,
+            NetEvent::TxEnd { .. } => 4,
+            NetEvent::RxStart { .. } => 5,
+            NetEvent::RxEnd { .. } => 6,
+            NetEvent::Timer { .. } => 7,
+            NetEvent::MobilityTick => 8,
+            NetEvent::MaintenanceTick => 9,
+            NetEvent::SampleTick => 10,
+            NetEvent::NodeSlotStart { .. } => 11,
+            NetEvent::ResyncTick => 12,
+            NetEvent::RouteTimeout { .. } => 13,
+            NetEvent::RouteAck { .. } => 14,
         }
     }
 }
@@ -176,12 +201,83 @@ impl ClockStats {
     }
 }
 
+/// Entries addressed by a `u32` slot: a `Vec` plus a free list, so filing
+/// and retiring one costs no hashing and, once the vector has grown to the
+/// run's peak, no allocation. A slot is live from `insert` to `remove`,
+/// and only a removed slot is handed out again, so a reused slot never
+/// aliases a live entry. Nothing iterates the slab, so which slot an entry
+/// gets cannot reach any output.
+#[derive(Debug)]
+struct Slab<T> {
+    entries: Vec<Option<T>>,
+    /// Removed slots, reused last-freed first.
+    free: Vec<u32>,
+}
+
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
+        Slab {
+            entries: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> Slab<T> {
+    /// Files `value` and returns its slot.
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                let entry = &mut self.entries[slot as usize];
+                debug_assert!(entry.is_none(), "a free slot holds no entry");
+                *entry = Some(value);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.entries.len()).expect("fewer than 2^32 live entries");
+                self.entries.push(Some(value));
+                slot
+            }
+        }
+    }
+
+    /// The live entry at `slot`, if any.
+    fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
+        self.entries.get_mut(slot as usize)?.as_mut()
+    }
+
+    /// Retires the live entry at `slot`, freeing the slot.
+    fn remove(&mut self, slot: u32) -> Option<T> {
+        let value = self.entries.get_mut(slot as usize)?.take()?;
+        self.free.push(slot);
+        Some(value)
+    }
+
+    /// Every live entry, for tests.
+    #[cfg(test)]
+    fn live(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter().flatten()
+    }
+}
+
+/// A frame from `SendFrame` to `TxEnd`: queued until `TxStart` stamps it,
+/// then in the air.
+#[derive(Debug)]
+struct InFlight {
+    /// The transmission's one allocation, which its receptions share.
+    frame: Rc<Frame>,
+    /// The transmission's echo group (see [`PendingRx::group`]).
+    token: u64,
+}
+
 #[derive(Debug, Clone)]
 struct PendingRx {
     node: u32,
     /// The transmission's one frame, shared with its other receptions.
     frame: Rc<Frame>,
     arrival_start: SimTime,
+    /// When the last bit arrives: the `RxEnd` instant, fixed at booking.
+    end: SimTime,
     /// Global send instant — the true-propagation reference. The frame's
     /// own `timestamp` is the *sender-local* reading and drifts with it.
     sent_at: SimTime,
@@ -193,6 +289,10 @@ struct PendingRx {
     is_echo: bool,
     rid: Option<ReceptionId>,
 }
+
+// The slab holds one `Option<PendingRx>` per concurrent reception; the
+// `Rc` niche keeps the `Option` free, and `Option<ReceptionId>` is one word.
+const _: () = assert!(std::mem::size_of::<Option<PendingRx>>() <= 56);
 
 struct NetworkWorld {
     cfg: SimConfig,
@@ -243,11 +343,11 @@ struct NetworkWorld {
     /// visited while MAC-level duplicates of one copy still dedup.
     delivered: FxHashSet<(u64, u32, u64)>,
     cmd_buf: Vec<MacCommand>,
-    /// Frames by token from `SendFrame` to `TxEnd`: queued until
-    /// `TxStart` stamps them, then in the air. Each transmission has one
-    /// allocation, which its receptions share.
-    tx_frames: FxHashMap<u64, Rc<Frame>>,
-    pending_rx: FxHashMap<u64, PendingRx>,
+    /// Frames from `SendFrame` to `TxEnd`, addressed by their events' slot.
+    tx_frames: Slab<InFlight>,
+    /// Receptions from booking at the fan-out to `RxEnd`, addressed by
+    /// their events' slot.
+    pending_rx: Slab<PendingRx>,
     /// Armed MAC timers per node: each token with the tag of its latest
     /// arm. Re-arming or cancelling a token only rewrites or drops its
     /// entry; the superseded `Timer` event still pops and, its tag no
@@ -264,6 +364,8 @@ struct NetworkWorld {
     /// order, so event sequence numbers — and therefore equal-time FIFO
     /// ordering — are bit-identical to the unbatched path.
     event_buf: Vec<(SimTime, NetEvent)>,
+    /// The next transmission's token, minted at `SendFrame`: its echo
+    /// group in the modem ledgers.
     next_token: u64,
     next_sdu_id: u64,
     tracer: Tracer,
@@ -411,12 +513,15 @@ impl NetworkWorld {
                 let at = self.to_global(node, at);
                 let token = self.next_token;
                 self.next_token += 1;
-                self.tx_frames.insert(token, Rc::new(frame));
+                let slot = self.tx_frames.insert(InFlight {
+                    frame: Rc::new(frame),
+                    token,
+                });
                 sched.at(
                     at,
                     NetEvent::TxStart {
                         node: node as u32,
-                        token,
+                        slot,
                     },
                 );
             }
@@ -460,11 +565,12 @@ impl NetworkWorld {
         }
     }
 
-    fn handle_tx_start(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, token: u64) {
-        let Some(mut frame) = self.tx_frames.remove(&token) else {
-            return;
-        };
+    fn handle_tx_start(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, slot: u32) {
         if self.modems[node].is_transmitting() {
+            let InFlight { frame, .. } = self
+                .tx_frames
+                .remove(slot)
+                .expect("TxStart without queued frame");
             self.metrics.record_drop(DropVerdict::ModemBusy);
             if self.tracer.enabled(TraceLevel::Debug) {
                 let event = TxDropEvent {
@@ -487,9 +593,15 @@ impl NetworkWorld {
         // §4.3: the frame carries the *sender's* clock reading, which is
         // what receivers difference against. Identical to `self.now` under
         // ideal clocks.
-        Rc::get_mut(&mut frame)
+        let stamp = self.local_now(node);
+        let queued = self
+            .tx_frames
+            .get_mut(slot)
+            .expect("TxStart without queued frame");
+        Rc::get_mut(&mut queued.frame)
             .expect("a frame is unshared until it starts")
-            .timestamp = self.local_now(node);
+            .timestamp = stamp;
+        let (frame, token) = (Rc::clone(&queued.frame), queued.token);
         let duration = self.spec.tx_duration(frame.bits);
         self.modems[node].begin_transmit(self.now, self.now + duration);
         self.sync_energy(node);
@@ -548,10 +660,12 @@ impl NetworkWorld {
                 link.snr_db,
                 frame.bits,
             );
+            let arrival_start = self.now + link.delay;
             let arrival = PendingRx {
                 node: link.rx,
                 frame: Rc::clone(&frame),
-                arrival_start: self.now + link.delay,
+                arrival_start,
+                end: arrival_start + duration,
                 sent_at: self.now,
                 pre_lost,
                 group: token,
@@ -560,15 +674,19 @@ impl NetworkWorld {
             };
             // Surface-bounce echo (when the channel models multipath): a
             // delayed, data-less copy that occupies the receiver.
-            let echo = link.echo_delay.map(|echo_delay| PendingRx {
-                arrival_start: self.now + echo_delay,
-                pre_lost: true,
-                is_echo: true,
-                ..arrival.clone()
+            let echo = link.echo_delay.map(|echo_delay| {
+                let arrival_start = self.now + echo_delay;
+                PendingRx {
+                    arrival_start,
+                    end: arrival_start + duration,
+                    pre_lost: true,
+                    is_echo: true,
+                    ..arrival.clone()
+                }
             });
-            self.book_reception(arrival, duration);
+            self.book_reception(arrival);
             if let Some(echo) = echo {
-                self.book_reception(echo, duration);
+                self.book_reception(echo);
             }
         }
         // One reserve + push pass for the whole fan-out instead of 2(+2)
@@ -579,35 +697,31 @@ impl NetworkWorld {
         self.event_buf = buf;
         self.registry.observe("net.fanout", fanout as u64);
 
-        self.tx_frames.insert(token, frame);
         sched.at(
             self.now + duration,
             NetEvent::TxEnd {
                 node: node as u32,
-                token,
+                slot,
             },
         );
     }
 
-    /// Books one reception — a direct arrival or a surface echo: mints
-    /// its token, files it as pending and stages its `RxStart`/`RxEnd`
-    /// pair into [`Self::event_buf`] (the caller flushes the whole fan-out
-    /// in one batch). Token allocation order is part of the determinism
-    /// contract the golden traces pin.
-    fn book_reception(&mut self, rx: PendingRx, duration: SimDuration) {
-        let token = self.next_token;
-        self.next_token += 1;
-        let start = rx.arrival_start;
-        self.pending_rx.insert(token, rx);
-        self.event_buf.push((start, NetEvent::RxStart { token }));
-        self.event_buf
-            .push((start + duration, NetEvent::RxEnd { token }));
+    /// Books one reception — a direct arrival or a surface echo: files it
+    /// as pending and stages its `RxStart`/`RxEnd` pair into
+    /// [`Self::event_buf`] (the caller flushes the whole fan-out in one
+    /// batch). Staging order is part of the determinism contract the
+    /// golden traces pin.
+    fn book_reception(&mut self, rx: PendingRx) {
+        let (start, end) = (rx.arrival_start, rx.end);
+        let slot = self.pending_rx.insert(rx);
+        self.event_buf.push((start, NetEvent::RxStart { slot }));
+        self.event_buf.push((end, NetEvent::RxEnd { slot }));
     }
 
-    fn handle_tx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, token: u64) {
-        let frame = self
+    fn handle_tx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, slot: u32) {
+        let InFlight { frame, .. } = self
             .tx_frames
-            .remove(&token)
+            .remove(slot)
             .expect("TxEnd without inflight frame");
         self.modems[node].end_transmit(self.now);
         self.sync_energy(node);
@@ -615,23 +729,22 @@ impl NetworkWorld {
         self.with_mac(sched, node, |mac, ctx| mac.on_frame_sent(ctx, &frame));
     }
 
-    fn handle_rx_start(&mut self, token: u64) {
+    fn handle_rx_start(&mut self, slot: u32) {
         let entry = self
             .pending_rx
-            .get_mut(&token)
+            .get_mut(slot)
             .expect("RxStart without pending reception");
+        assert!(entry.rid.is_none(), "reception started twice");
         let node = entry.node as usize;
-        let duration = self.spec.tx_duration(entry.frame.bits);
-        let rid =
-            self.modems[node].begin_reception_grouped(self.now, self.now + duration, entry.group);
+        let rid = self.modems[node].begin_reception_grouped(self.now, entry.end, entry.group);
         entry.rid = Some(rid);
         self.sync_energy(node);
     }
 
-    fn handle_rx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, token: u64) {
+    fn handle_rx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, slot: u32) {
         let entry = self
             .pending_rx
-            .remove(&token)
+            .remove(slot)
             .expect("RxEnd without pending reception");
         let node = entry.node as usize;
         let rid = entry.rid.expect("reception never started");
@@ -1330,14 +1443,14 @@ impl uasn_sim::engine::World for NetworkWorld {
                 sched.at(self.clock.start_of(slot + 1), NetEvent::SlotStart(slot + 1));
             }
             NetEvent::TrafficArrival { node } => self.handle_traffic(sched, node as usize),
-            NetEvent::TxStart { node, token } => {
-                self.handle_tx_start(sched, node as usize, token);
+            NetEvent::TxStart { node, slot } => {
+                self.handle_tx_start(sched, node as usize, slot);
             }
-            NetEvent::TxEnd { node, token } => {
-                self.handle_tx_end(sched, node as usize, token);
+            NetEvent::TxEnd { node, slot } => {
+                self.handle_tx_end(sched, node as usize, slot);
             }
-            NetEvent::RxStart { token } => self.handle_rx_start(token),
-            NetEvent::RxEnd { token } => self.handle_rx_end(sched, token),
+            NetEvent::RxStart { slot } => self.handle_rx_start(slot),
+            NetEvent::RxEnd { slot } => self.handle_rx_end(sched, slot),
             NetEvent::Timer { node, arm } => {
                 let armed = &mut self.timers[node as usize];
                 // No entry carries this tag: the arm was superseded.
@@ -1627,8 +1740,8 @@ impl Simulation {
             metrics,
             delivered: FxHashSet::default(),
             cmd_buf: Vec::new(),
-            tx_frames: FxHashMap::default(),
-            pending_rx: FxHashMap::default(),
+            tx_frames: Slab::default(),
+            pending_rx: Slab::default(),
             timers: vec![Vec::new(); n],
             next_arm: 0,
             event_buf: Vec::new(),
@@ -1684,13 +1797,16 @@ impl Simulation {
                     me,
                     world.cfg.control_bits,
                 );
-                world.tx_frames.insert(token, Rc::new(beacon));
+                let slot = world.tx_frames.insert(InFlight {
+                    frame: Rc::new(beacon),
+                    token,
+                });
                 let at = SimTime::ZERO + SimDuration::from_micros(17_000 * i as u64 + 1_000);
                 engine.seed_event(
                     at,
                     NetEvent::TxStart {
                         node: i as u32,
-                        token,
+                        slot,
                     },
                 );
             }
@@ -2092,16 +2208,19 @@ mod tests {
             SimTime::ZERO + SimDuration::from_micros(1_001),
         );
         let world = &sim.world;
-        let (&token, in_air) = world
+        let InFlight {
+            frame: in_air,
+            token,
+        } = world
             .tx_frames
-            .iter()
-            .find(|(_, f)| f.src == NodeId::new(0))
+            .live()
+            .find(|f| f.frame.src == NodeId::new(0))
             .expect("node 0's beacon is in the air");
         assert_ne!(in_air.timestamp, SimTime::ZERO, "stamped at TxStart");
         let receptions: Vec<&PendingRx> = world
             .pending_rx
-            .values()
-            .filter(|rx| rx.group == token)
+            .live()
+            .filter(|rx| rx.group == *token)
             .collect();
         let echoes = receptions.iter().filter(|rx| rx.is_echo).count();
         assert!(echoes > 0 && echoes < receptions.len(), "{echoes} echoes");

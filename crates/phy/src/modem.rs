@@ -8,6 +8,8 @@
 //! overlaps, and remembers whether a reception was corrupted by the node's
 //! own transmission.
 
+use std::num::NonZeroU64;
+
 use uasn_sim::time::{SimDuration, SimTime};
 
 /// Radio state of a modem at an instant.
@@ -23,13 +25,14 @@ pub enum ModemState {
     Receiving,
 }
 
-/// Identifier for one in-flight reception at a modem.
+/// Identifier for one in-flight reception at a modem. Never zero, so an
+/// `Option<ReceptionId>` is no larger than the id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReceptionId(u64);
+pub struct ReceptionId(NonZeroU64);
 
 #[derive(Debug, Clone)]
 struct Reception {
-    id: u64,
+    id: ReceptionId,
     /// Frames sharing a group are copies of the same transmission
     /// (direct path + multipath echoes): they never corrupt each other.
     group: u64,
@@ -112,7 +115,8 @@ impl ModemSpec {
 pub struct Modem {
     transmitting_until: Option<SimTime>,
     receptions: Vec<Reception>,
-    next_id: u64,
+    /// The last reception id handed out; ids count up from 1.
+    last_id: u64,
     collisions: u64,
     half_duplex_losses: u64,
 }
@@ -216,15 +220,15 @@ impl Modem {
                 }
             }
         }
-        let id = self.next_id;
-        self.next_id += 1;
+        self.last_id += 1;
+        let id = ReceptionId(NonZeroU64::new(self.last_id).expect("ids count up from 1"));
         self.receptions.push(Reception {
             id,
             group,
             end,
             corrupted,
         });
-        ReceptionId(id)
+        id
     }
 
     /// Completes a reception; returns `true` if the frame survived (no
@@ -238,7 +242,7 @@ impl Modem {
         let idx = self
             .receptions
             .iter()
-            .position(|r| r.id == id.0)
+            .position(|r| r.id == id)
             .expect("end_reception for unknown reception");
         let r = self.receptions.swap_remove(idx);
         debug_assert!(now >= r.end, "reception completed before its scheduled end");

@@ -132,10 +132,16 @@ impl StopReason {
 /// Events that can name their kind for per-kind profiling counters.
 ///
 /// Implemented by the network layer's event enum; [`Engine::run_profiled`]
-/// uses it to break [`RunStats::kind_counts`] down by event kind.
+/// uses it to break [`RunStats::kind_counts`] down by event kind. Kinds are
+/// dense indices into [`EventLabel::LABELS`], so the run loop counts each
+/// event with one array increment.
 pub trait EventLabel {
-    /// A short static name for this event's kind, e.g. `"tx-end"`.
-    fn label(&self) -> &'static str;
+    /// Every kind's short static name, e.g. `"tx-end"`, indexed by
+    /// [`EventLabel::kind`].
+    const LABELS: &'static [&'static str];
+
+    /// This event's kind: an index below `LABELS.len()`.
+    fn kind(&self) -> usize;
 }
 
 /// Profiling summary of one [`Engine::run_profiled`] call.
@@ -275,7 +281,7 @@ impl RunStats {
 
 /// Interns a label, returning a `&'static str` equal to it.
 ///
-/// Labels (event kinds from [`EventLabel::label`], stop reasons, profile
+/// Labels (event kinds from [`EventLabel::LABELS`], stop reasons, profile
 /// metric names) are `&'static str` in the live structs; parsing a
 /// manifest back only ever re-encounters those same few strings, so the
 /// leaked table stays tiny and is shared across every decoder and every
@@ -445,9 +451,13 @@ impl<E> Engine<E> {
             } else {
                 0.0
             },
-            kind_counts: profile.kind_counts,
+            kind_counts: profile.kind_counts.labelled(P::LABELS),
         };
-        (stats, profile.cost)
+        let cost = EngineCost {
+            handler: profile.handler.labelled(P::LABELS),
+            ..profile.cost
+        };
+        (stats, cost)
     }
 
     /// The one event loop. `P` is a zero-sized probe, so each mode gets its
@@ -459,36 +469,33 @@ impl<E> Engine<E> {
         world: &mut W,
         horizon: SimTime,
     ) -> (StopReason, RunProfile) {
-        let mut profile = RunProfile::default();
+        let mut profile = RunProfile {
+            kind_counts: KindTally::new(P::LABELS.len()),
+            handler: KindTally::new(P::LABELS.len()),
+            ..RunProfile::default()
+        };
         let reason = loop {
             if self.processed >= self.budget {
                 break StopReason::BudgetExhausted;
             }
-            let sampled = P::TIMED && profile.processed % PROFILE_SAMPLE_STRIDE == 0;
+            let sampled = P::TIMED && profile.processed.is_multiple_of(PROFILE_SAMPLE_STRIDE);
             let popped_at = sampled.then(Instant::now);
-            match self.queue.peek_time() {
-                None => break StopReason::QueueExhausted,
-                Some(t) if t >= horizon => {
-                    self.now = horizon;
-                    break StopReason::HorizonReached;
+            let Some((t, ev)) = self.queue.pop_before(horizon) else {
+                if self.queue.is_empty() {
+                    break StopReason::QueueExhausted;
                 }
-                Some(_) => {}
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event vanished");
+                self.now = horizon;
+                break StopReason::HorizonReached;
+            };
             self.now = t;
             self.processed += 1;
             profile.processed += 1;
             let depth = self.queue.len();
             profile.depth_sum += depth as u64;
             profile.depth_peak = profile.depth_peak.max(depth);
-            let label = P::label(&ev);
-            if let Some(label) = label {
-                // Kinds are few (an event enum), so a first-seen-ordered Vec
-                // beats a HashMap and keeps manifest output deterministic.
-                match profile.kind_counts.iter_mut().find(|(l, _)| *l == label) {
-                    Some((_, count)) => *count += 1,
-                    None => profile.kind_counts.push((label, 1)),
-                }
+            let kind = P::kind(&ev);
+            if let Some(kind) = kind {
+                *profile.kind_counts.entry(kind) += 1;
             }
             let handled_at = popped_at.map(|popped| {
                 let handled = Instant::now();
@@ -500,25 +507,13 @@ impl<E> Engine<E> {
                 now: t,
             };
             world.handle(t, ev, &mut sched);
-            if let (Some(handled), Some(label)) = (handled_at, label) {
+            if let (Some(handled), Some(kind)) = (handled_at, kind) {
                 let ns = handled.elapsed().as_nanos() as u64;
-                let cost = &mut profile.cost;
-                cost.sampled_events += 1;
-                match cost.handler.iter_mut().find(|(l, _)| *l == label) {
-                    Some((_, kc)) => {
-                        kc.sampled += 1;
-                        kc.total_ns += ns;
-                        kc.max_ns = kc.max_ns.max(ns);
-                    }
-                    None => cost.handler.push((
-                        label,
-                        KindCost {
-                            sampled: 1,
-                            total_ns: ns,
-                            max_ns: ns,
-                        },
-                    )),
-                }
+                profile.cost.sampled_events += 1;
+                let kc = profile.handler.entry(kind);
+                kc.sampled += 1;
+                kc.total_ns += ns;
+                kc.max_ns = kc.max_ns.max(ns);
             }
             if world.should_stop() {
                 break StopReason::StoppedByWorld;
@@ -535,8 +530,11 @@ trait Probe<E> {
     /// handler wall time sampled.
     const TIMED: bool;
 
+    /// The names of the kinds [`Probe::kind`] returns.
+    const LABELS: &'static [&'static str];
+
     /// The kind to count the event under; `None` counts nothing.
-    fn label(ev: &E) -> Option<&'static str>;
+    fn kind(ev: &E) -> Option<usize>;
 }
 
 /// [`Engine::run`]: queue statistics only.
@@ -550,22 +548,25 @@ struct Timed;
 
 impl<E> Probe<E> for Silent {
     const TIMED: bool = false;
-    fn label(_: &E) -> Option<&'static str> {
+    const LABELS: &'static [&'static str] = &[];
+    fn kind(_: &E) -> Option<usize> {
         None
     }
 }
 
 impl<E: EventLabel> Probe<E> for Counting {
     const TIMED: bool = false;
-    fn label(ev: &E) -> Option<&'static str> {
-        Some(ev.label())
+    const LABELS: &'static [&'static str] = E::LABELS;
+    fn kind(ev: &E) -> Option<usize> {
+        Some(ev.kind())
     }
 }
 
 impl<E: EventLabel> Probe<E> for Timed {
     const TIMED: bool = true;
-    fn label(ev: &E) -> Option<&'static str> {
-        Some(ev.label())
+    const LABELS: &'static [&'static str] = E::LABELS;
+    fn kind(ev: &E) -> Option<usize> {
+        Some(ev.kind())
     }
 }
 
@@ -575,8 +576,45 @@ struct RunProfile {
     processed: u64,
     depth_sum: u64,
     depth_peak: usize,
-    kind_counts: Vec<(&'static str, u64)>,
+    kind_counts: KindTally<u64>,
+    handler: KindTally<KindCost>,
     cost: EngineCost,
+}
+
+/// One accumulator per event kind, indexed by [`EventLabel::kind`], that
+/// remembers the order kinds were first touched in: manifests list kinds
+/// in first-seen order, so that order is part of the output.
+#[derive(Debug, Default)]
+struct KindTally<T> {
+    by_kind: Vec<Option<T>>,
+    first_seen: Vec<usize>,
+}
+
+impl<T: Default + Copy> KindTally<T> {
+    fn new(kinds: usize) -> Self {
+        KindTally {
+            by_kind: vec![None; kinds],
+            first_seen: Vec::new(),
+        }
+    }
+
+    /// `kind`'s accumulator, started at its default on first touch.
+    fn entry(&mut self, kind: usize) -> &mut T {
+        let slot = &mut self.by_kind[kind];
+        if slot.is_none() {
+            self.first_seen.push(kind);
+        }
+        slot.get_or_insert_with(T::default)
+    }
+
+    /// The touched accumulators under their kind names, in first-seen
+    /// order.
+    fn labelled(&self, labels: &[&'static str]) -> Vec<(&'static str, T)> {
+        self.first_seen
+            .iter()
+            .map(|&kind| (labels[kind], self.by_kind[kind].expect("a seen kind")))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -696,11 +734,9 @@ mod profiling_tests {
     }
 
     impl EventLabel for Ev {
-        fn label(&self) -> &'static str {
-            match self {
-                Ev::Tick => "tick",
-                Ev::Tock => "tock",
-            }
+        const LABELS: &'static [&'static str] = &["tick", "tock"];
+        fn kind(&self) -> usize {
+            *self as usize
         }
     }
 
@@ -780,6 +816,53 @@ mod profiling_tests {
         let sampled_by_kind: u64 = cost.handler.iter().map(|&(_, c)| c.sampled).sum();
         assert_eq!(sampled_by_kind, cost.sampled_events);
         assert!(cost.handler.iter().all(|&(_, c)| c.max_ns >= c.mean_ns()));
+    }
+
+    /// Records the label of every event it handles, in handling order.
+    #[derive(Default)]
+    struct LabelLog(Vec<&'static str>);
+
+    impl World for LabelLog {
+        type Event = Ev;
+        fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Schedule<'_, Ev>) {
+            self.0.push(Ev::LABELS[ev.kind()]);
+            PingPong.handle(now, ev, sched);
+        }
+    }
+
+    /// `labels` counted with a linear search, in first-seen order.
+    fn recount<'a>(labels: impl Iterator<Item = &'a &'static str>) -> Vec<(&'static str, u64)> {
+        let mut counts: Vec<(&'static str, u64)> = Vec::new();
+        for &label in labels {
+            match counts.iter_mut().find(|(l, _)| *l == label) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((label, 1)),
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn kind_counts_equal_a_label_recount_in_first_seen_order() {
+        // Seeded Tock first, so first-seen order differs from `LABELS`.
+        let seeded = || {
+            let mut engine = Engine::new();
+            engine.seed_event(SimTime::ZERO, Ev::Tock);
+            engine
+        };
+        let mut log = LabelLog::default();
+        let stats = seeded().run_profiled(&mut log, SimTime::from_secs(30));
+        assert_eq!(stats.kind_counts, recount(log.0.iter()));
+        assert_eq!(stats.kind_counts[0].0, "tock");
+
+        let mut log = LabelLog::default();
+        let (stats, cost) = seeded().run_instrumented(&mut log, SimTime::from_secs(30));
+        assert_eq!(stats.kind_counts, recount(log.0.iter()));
+        // The handler cost lists the sampled events' kinds, first seen first.
+        let sampled = recount(log.0.iter().step_by(PROFILE_SAMPLE_STRIDE as usize));
+        let handler: Vec<(&'static str, u64)> =
+            cost.handler.iter().map(|&(l, c)| (l, c.sampled)).collect();
+        assert_eq!(handler, sampled);
     }
 
     #[test]

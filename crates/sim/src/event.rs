@@ -18,9 +18,13 @@
 //! to a non-decreasing clock, such as the transport's per-attempt timeouts.
 //! A lane push and pop are O(1) where the heap's are O(log n), and the
 //! events in lanes do not deepen the heap. Lanes draw their sequence numbers
-//! from the heap's counter and `pop` takes the smallest key over the heap
+//! from the heap's counter and a pop takes the smallest key over the heap
 //! top and every lane front, so the popped `(time, seq)` sequence is exactly
 //! the one a heap-only queue fed the same calls would produce.
+//!
+//! The run loop pops through [`EventQueue::pop_before`], which finds the
+//! next key once and pops it only if it lies before the horizon: one scan
+//! of the lane fronts per event instead of a peek followed by a pop.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -193,41 +197,49 @@ impl<E> EventQueue<E> {
     /// Returns `None` when the queue is empty. Advances the watermark to the
     /// popped event's time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = match self.next_lane() {
+        self.pop_below(u128::MAX)
+    }
+
+    /// Removes and returns the next event if it fires strictly before
+    /// `horizon`; `None` when the queue is empty or its next event lies at
+    /// or beyond `horizon`, which then stays queued. Tell the two apart
+    /// with [`is_empty`](Self::is_empty). Advances the watermark to the
+    /// popped event's time.
+    pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
+        self.pop_below((horizon.as_micros() as u128) << 64)
+    }
+
+    /// Pops the smallest key if it is below `limit`.
+    fn pop_below(&mut self, limit: u128) -> Option<(SimTime, E)> {
+        let (key, lane) = self.next_key()?;
+        if key >= limit {
+            return None;
+        }
+        let entry = match lane {
             Some(lane) => {
                 self.in_lanes -= 1;
                 self.lanes[lane].pop_front()
             }
             None => self.heap.pop(),
-        }?;
+        }
+        .expect("the smallest key is queued");
         let time = entry.time();
         self.watermark = time;
         Some((time, entry.payload))
     }
 
-    /// The lane whose front holds the smallest key, if that key is also
-    /// below the heap top; `None` when the heap top (or nothing) comes next.
-    fn next_lane(&self) -> Option<usize> {
-        let mut best = self.heap.peek().map(|e| e.key);
-        let mut lane = None;
+    /// The smallest queued key and the lane holding it (`None`: the heap
+    /// top); `None` when nothing is queued.
+    fn next_key(&self) -> Option<(u128, Option<usize>)> {
+        let mut best = self.heap.peek().map(|e| (e.key, None));
         for (i, fifo) in self.lanes.iter().enumerate() {
             if let Some(front) = fifo.front() {
-                if best.is_none_or(|key| front.key < key) {
-                    best = Some(front.key);
-                    lane = Some(i);
+                if best.is_none_or(|(key, _)| front.key < key) {
+                    best = Some((front.key, Some(i)));
                 }
             }
         }
-        lane
-    }
-
-    /// The time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self.next_lane() {
-            Some(lane) => self.lanes[lane].front(),
-            None => self.heap.peek(),
-        }
-        .map(Entry::time)
+        best
     }
 
     /// Number of events still queued, lanes included, counting any the

@@ -3,8 +3,8 @@
 //! [`FxHasher`] is the Fx scheme (rotate, xor, multiply by an odd
 //! constant per word): a few cycles per key where the standard library's
 //! SipHash takes tens. It is deterministic and not collision-resistant, so
-//! it is only for keys the simulator hands out itself — SDU ids, frame
-//! tokens, reception ids — never for input an adversary controls.
+//! it is only for keys the simulator hands out itself — SDU copies, node
+//! ids, record counters — never for input an adversary controls.
 //!
 //! The maps that use it are only ever probed (insert, get, remove, len),
 //! never iterated, so the hash function cannot reach any output.

@@ -342,7 +342,7 @@ impl KindCost {
 pub struct EngineCost {
     /// Per-event-kind sampled handler cost, in first-seen order.
     pub handler: Vec<(&'static str, KindCost)>,
-    /// Total nanoseconds spent in heap peek+pop across sampled events.
+    /// Total nanoseconds spent popping the queue across sampled events.
     pub pop_ns: u64,
     /// Events whose iteration was timed.
     pub sampled_events: u64,

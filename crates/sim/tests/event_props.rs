@@ -78,9 +78,9 @@ const LANES: usize = 4;
 proptest! {
     /// FIFO lanes are invisible in the pop order: a queue that takes some
     /// schedules in lanes (each lane's times non-decreasing) pops the same
-    /// `(time, payload)` sequence, and reports the same `len`, `peek_time`
-    /// and `is_empty` after every call, as a heap-only queue fed the same
-    /// calls through `schedule`.
+    /// `(time, payload)` sequence, stops at the same horizons, and reports
+    /// the same `len` and `is_empty` after every call, as a heap-only queue
+    /// fed the same calls through `schedule`.
     #[test]
     fn lanes_match_a_heap_only_queue(
         ops in proptest::collection::vec((0u8..8, 0..LANES, 0u64..4), 1..200),
@@ -105,10 +105,13 @@ proptest! {
                     laned.schedule_in_lane(lane, t, payload);
                     reference.schedule(t, payload);
                 }
-                _ => prop_assert_eq!(laned.pop(), reference.pop()),
+                // Pop before a horizon at most a few µs past the watermark.
+                _ => {
+                    let horizon = SimTime::from_micros(laned.watermark().as_micros() + delta);
+                    prop_assert_eq!(laned.pop_before(horizon), reference.pop_before(horizon));
+                }
             }
             prop_assert_eq!(laned.len(), reference.len());
-            prop_assert_eq!(laned.peek_time(), reference.peek_time());
             prop_assert_eq!(laned.is_empty(), reference.is_empty());
         }
         while let Some(next) = reference.pop() {
@@ -118,6 +121,56 @@ proptest! {
         prop_assert!(laned.is_empty());
         prop_assert_eq!(laned.pop(), None);
         prop_assert_eq!(laned.scheduled_count(), reference.scheduled_count());
+    }
+
+    /// `pop_before` is peek-then-pop in one call: against a brute-force
+    /// queue that peeks the earliest (time, insertion) entry and pops it
+    /// only when it lies before the horizon, a queue with lanes in use pops
+    /// the same `(time, payload)` sequence, stops at the same point, and
+    /// keeps what it did not pop.
+    #[test]
+    fn pop_before_matches_peek_then_pop(
+        ops in proptest::collection::vec((0u8..8, 0..LANES, 0u64..6), 1..200),
+    ) {
+        let mut queue = EventQueue::new();
+        // Every queued `(time µs, payload)`, in schedule order.
+        let mut model: Vec<(u64, usize)> = Vec::new();
+        let mut lane_last = [SimTime::ZERO; LANES];
+        for (payload, &(kind, lane, delta)) in ops.iter().enumerate() {
+            let watermark = queue.watermark().as_micros();
+            match kind {
+                0..=2 => {
+                    queue.schedule(SimTime::from_micros(watermark + delta), payload);
+                    model.push((watermark + delta, payload));
+                }
+                3..=5 => {
+                    let t = lane_last[lane].as_micros().max(watermark) + delta;
+                    lane_last[lane] = SimTime::from_micros(t);
+                    queue.schedule_in_lane(lane, lane_last[lane], payload);
+                    model.push((t, payload));
+                }
+                _ => {
+                    let horizon = watermark + delta;
+                    // Peek: the earliest time, first scheduled among equals.
+                    let peeked = (0..model.len()).min_by_key(|&i| (model[i].0, i));
+                    let expected = match peeked {
+                        Some(i) if model[i].0 < horizon => {
+                            let (t, p) = model.remove(i);
+                            Some((SimTime::from_micros(t), p))
+                        }
+                        _ => None,
+                    };
+                    prop_assert_eq!(queue.pop_before(SimTime::from_micros(horizon)), expected);
+                    if expected.is_none() {
+                        // The stop point: empty, or the next event is due
+                        // at or past the horizon, and nothing moved.
+                        prop_assert_eq!(queue.is_empty(), model.is_empty());
+                        prop_assert_eq!(queue.watermark().as_micros(), watermark);
+                    }
+                }
+            }
+            prop_assert_eq!(queue.len(), model.len());
+        }
     }
 }
 
