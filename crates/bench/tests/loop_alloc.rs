@@ -26,8 +26,12 @@ use uasn_sim::time::SimDuration;
 
 /// Event-loop allocations allowed per transmission: the shared frame plus
 /// CS-MAC's announcement. Measured on this gate's cells: S-FAMA and EW-MAC
-/// 1.06, ROPA 1.16 and CS-MAC 1.87 allocations per transmission.
-const PER_TX_BOUND: f64 = 2.0;
+/// 1.06, ROPA 1.16 and CS-MAC 1.79 allocations per transmission; the bound
+/// is the highest reading plus a margin of 0.11. CS-MAC reuses its last
+/// announcement while the announced delays stand, but these cells drift
+/// (`paper_base` mobility), so most receptions re-measure a delay and the
+/// next announcement is rebuilt.
+const PER_TX_BOUND: f64 = 1.9;
 
 struct CountingAllocator;
 

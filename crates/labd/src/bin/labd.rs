@@ -21,7 +21,8 @@
 //! the job's final state. `cmp` compares two checkpoint journals under the
 //! canonical-identity contract (records sorted by job ID, scheduling
 //! metadata stripped) and exits nonzero when they differ — the CI gate for
-//! "a server-submitted sweep equals the CLI run".
+//! "a server-submitted sweep equals the CLI run". On a difference it names
+//! how many records differ and every field path that does.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -252,10 +253,103 @@ fn cmd_cmp(tokens: &[String]) -> Result<ExitCode, String> {
         Ok(ExitCode::SUCCESS)
     } else {
         eprintln!(
-            "canonical journals DIFFER ({} vs {} bytes)",
+            "canonical journals DIFFER ({} vs {} bytes): {}",
             bytes_a.len(),
-            bytes_b.len()
+            bytes_b.len(),
+            explain_difference(&bytes_a, &bytes_b)
         );
         Ok(ExitCode::FAILURE)
+    }
+}
+
+/// Where two canonical journals differ: how many of their records
+/// (header included) differ, and every field path that differs in any of
+/// them, such as `payload.stats.kind_counts`. Arrays count as one field.
+fn explain_difference(a: &[u8], b: &[u8]) -> String {
+    let (a, b) = (String::from_utf8_lossy(a), String::from_utf8_lossy(b));
+    let (lines_a, lines_b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+    let mut paths = std::collections::BTreeSet::new();
+    let mut differing = 0;
+    for (la, lb) in lines_a.iter().zip(&lines_b) {
+        if la == lb {
+            continue;
+        }
+        differing += 1;
+        match (JsonValue::parse(la), JsonValue::parse(lb)) {
+            (Ok(ja), Ok(jb)) => differing_paths(&ja, &jb, "", &mut paths),
+            _ => {
+                paths.insert("(unparsable record)".to_string());
+            }
+        }
+    }
+    let mut text = format!("{differing} of {} records differ", lines_a.len());
+    if lines_a.len() != lines_b.len() {
+        text.push_str(&format!(
+            " ({} vs {} records)",
+            lines_a.len(),
+            lines_b.len()
+        ));
+    }
+    if !paths.is_empty() {
+        let paths: Vec<String> = paths.into_iter().collect();
+        text.push_str(&format!(", in {}", paths.join(", ")));
+    }
+    text
+}
+
+/// Adds to `out` the path of every field where `a` and `b` differ,
+/// descending through objects; a key present on one side only counts.
+fn differing_paths(
+    a: &JsonValue,
+    b: &JsonValue,
+    prefix: &str,
+    out: &mut std::collections::BTreeSet<String>,
+) {
+    let (Some(fa), Some(fb)) = (a.as_object(), b.as_object()) else {
+        if a != b {
+            out.insert(prefix.to_string());
+        }
+        return;
+    };
+    let path = |key: &str| {
+        if prefix.is_empty() {
+            key.to_string()
+        } else {
+            format!("{prefix}.{key}")
+        }
+    };
+    for (key, va) in fa {
+        match b.get(key) {
+            Some(vb) => differing_paths(va, vb, &path(key), out),
+            None => {
+                out.insert(path(key));
+            }
+        }
+    }
+    for (key, _) in fb {
+        if a.get(key).is_none() {
+            out.insert(path(key));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn differences_are_explained_by_field_path() {
+        let a = b"{\"v\":1}\n{\"job\":\"a\",\"payload\":{\"stats\":{\"n\":1,\"k\":[1]},\"x\":2}}\n";
+        let b = b"{\"v\":1}\n{\"job\":\"a\",\"payload\":{\"stats\":{\"n\":2,\"k\":[2]},\"y\":2}}\n";
+        assert_eq!(
+            explain_difference(a, b),
+            "1 of 2 records differ, in payload.stats.k, payload.stats.n, payload.x, payload.y"
+        );
+        assert_eq!(explain_difference(a, a), "0 of 2 records differ");
+        let short = b"{\"v\":1}\n";
+        assert_eq!(
+            explain_difference(a, short),
+            "0 of 2 records differ (2 vs 1 records)"
+        );
     }
 }

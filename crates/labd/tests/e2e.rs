@@ -165,29 +165,13 @@ fn server_submitted_sweep_matches_the_cli_run_canonically() {
 #[test]
 fn two_concurrent_clients_stream_while_a_third_submission_is_rejected() {
     let state = fresh_dir("concurrent");
-    // One runner and a single queue slot: job A runs, job B waits in the
-    // only slot, a third submission has nowhere to go.
-    let (server, client) = start_server(&state, 1, 1);
-
-    // Job A is deliberately larger so it is still running while B and the
-    // rejected submission arrive.
+    // Admission first, on a server with no runner: nothing pops the
+    // queue, so jobs A and B fill both slots and the third submission has
+    // nowhere to go however fast the host runs sweeps.
+    let (server, client) = start_server(&state, 0, 2);
     let a = client
-        .submit(&JobRequest::new(vec!["SMOKE".to_string()], 30))
+        .submit(&JobRequest::new(vec!["SMOKE".to_string()], 2))
         .expect("submit a");
-    let deadline = Instant::now() + WAIT;
-    loop {
-        let state = client
-            .job(&a)
-            .expect("status")
-            .get("state")
-            .and_then(JsonValue::as_str)
-            .map(str::to_string);
-        if state.as_deref() == Some("running") {
-            break;
-        }
-        assert!(Instant::now() < deadline, "job a never started");
-        std::thread::sleep(Duration::from_millis(10));
-    }
     let b = client
         .submit(&JobRequest::new(vec!["SMOKE".to_string()], 1))
         .expect("submit b (fills the queue)");
@@ -199,10 +183,16 @@ fn two_concurrent_clients_stream_while_a_third_submission_is_rejected() {
         }) => {
             assert_eq!(status, 429);
             assert_eq!(code, "queue-full");
-            assert!(message.contains('1'), "capacity echoed: {message}");
+            assert!(message.contains('2'), "capacity echoed: {message}");
         }
         other => panic!("expected queue-full, got {other:?}"),
     }
+    client.shutdown().expect("shutdown");
+    server.wait();
+
+    // Restart on the same state with one runner: A and B come back queued
+    // and run one after the other.
+    let (server, client) = start_server(&state, 1, 2);
 
     // Two independent clients stream both jobs concurrently.
     let addr = server.addr().to_string();

@@ -218,6 +218,9 @@ pub struct SlottedCore {
     /// Earliest slot for the next contention attempt.
     pub next_attempt_slot: SlotIndex,
     rts_inbox: Vec<RtsCandidate>,
+    /// The last [`table_announcement`](Self::table_announcement) built,
+    /// handed out again while the table's announced pairs still equal it.
+    announcement: Option<DelaySnapshot>,
 }
 
 impl SlottedCore {
@@ -235,6 +238,7 @@ impl SlottedCore {
             cw: cfg.base_cw,
             next_attempt_slot: 0,
             rts_inbox: Vec::new(),
+            announcement: None,
         }
     }
 
@@ -305,19 +309,26 @@ impl SlottedCore {
 
     /// The one-hop entries this node piggybacks when `announce_table` is
     /// set, capped so control packets stay bounded; `None` while the table
-    /// is empty. Built once per frame and shared by all its receivers.
-    pub fn table_announcement(&self) -> Option<DelaySnapshot> {
+    /// is empty. Shared by all of a frame's receivers, and by later frames
+    /// too: the snapshot is rebuilt only when an observation has changed
+    /// the announced `(id, delay)` pairs since the last one (a refresh
+    /// that only re-dates an entry keeps it).
+    pub fn table_announcement(&mut self) -> Option<DelaySnapshot> {
         const MAX_ENTRIES: usize = 16;
         if self.neighbors.is_empty() {
             return None;
         }
-        let entries = self
-            .neighbors
-            .iter()
-            .take(MAX_ENTRIES)
-            .map(|(id, e)| (id, e.delay))
-            .collect();
-        Some(entries)
+        let announced = || {
+            self.neighbors
+                .iter()
+                .take(MAX_ENTRIES)
+                .map(|(id, e)| (id, e.delay))
+        };
+        match &self.announcement {
+            Some(cached) if cached.iter().copied().eq(announced()) => {}
+            _ => self.announcement = Some(announced().collect()),
+        }
+        self.announcement.clone()
     }
 
     /// How many consecutive head SDUs (same next hop) one data frame will

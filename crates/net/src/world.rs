@@ -8,14 +8,26 @@
 //!
 //! Event flow for one transmission: a MAC queues `SendFrame`, and the
 //! world files the frame as one shared `Rc<Frame>` → `TxStart` stamps the
-//! timestamp while the frame is still unshared, seizes the modem and fans
-//! out `RxStart`/`RxEnd` pairs to every audible node at its propagation
-//! delay, each pending reception (surface echoes too) holding a pointer
-//! to that one frame → `RxEnd` consults the receiver's modem ledger
-//! (overlap ⇒ collision, own-tx ⇒ half-duplex loss) and the channel's PER
-//! draw, then lends the decoded frame to the receiving MAC (addressed or
-//! overheard) → `TxEnd` lends it to the sender's MAC and drops the in-air
-//! entry.
+//! timestamp while the frame is still unshared, seizes the modem and books
+//! a pending reception at every audible node at its propagation delay
+//! (surface echoes too), each holding a pointer to that one frame and
+//! pushing only its `RxEnd` → the reception begins at the receiver's modem
+//! lazily, just before the next event that reads or changes that modem or
+//! its meter (`begin_booked`) → `RxEnd` consults the receiver's modem
+//! ledger (overlap ⇒ collision, own-tx ⇒ half-duplex loss) and the
+//! channel's PER draw, then lends the decoded frame to the receiving MAC
+//! (addressed or overheard) → `TxEnd` lends it to the sender's MAC and
+//! drops the in-air entry.
+//!
+//! A booked reception begins where a start event pushed just before its
+//! `RxEnd` would have popped: at key `(arrival_start, RxEnd seq)` among
+//! the events' packed `(time, seq)` keys. The events that read a modem or
+//! meter — the node's `TxStart` and `TxEnd`, an `RxEnd` at the node, a
+//! `SampleTick`, and the end-of-run report — first begin every booked
+//! reception of the node whose key lies below theirs, in key order, with
+//! the arrival instant. So each modem and meter gets the calls a start
+//! event per reception would have made, in the same order, and ties at one
+//! microsecond resolve by push order as they would have.
 //!
 //! Each traced step (`tx`, `rx`, `rx-lost`, queue, sink and routing
 //! records) builds one typed record from [`crate::record`], only once the
@@ -27,8 +39,9 @@
 //! frames (`tx_frames`) and pending receptions (`pending_rx`) live in
 //! slabs, and their events carry the `u32` slot, so `NetEvent` stays two
 //! words and, once the slabs reach the run's peak, filing allocates
-//! nothing. A reception stores its `RxEnd` instant at booking, so its
-//! `RxStart` does no duration arithmetic. The first-copy gate for
+//! nothing. A reception stores its end instant and `RxEnd` sequence number
+//! at booking, and each node's not yet begun receptions are a sorted list
+//! linked through the slab (`booked`). The first-copy gate for
 //! delivered SDU copies (`delivered`) is the one hashed set; it uses the Fx
 //! hasher from `uasn_sim::hash` and is only probed, never iterated, so the
 //! hash function cannot reach any output. Per-SDU state (generation time,
@@ -53,6 +66,7 @@ use uasn_route::{
     select_next_hop, timeout_lane, Candidate, ForwardPolicy, TimeoutVerdict, TransportTable,
 };
 use uasn_sim::engine::{Engine, EventLabel, RunStats, Schedule, StopReason};
+use uasn_sim::event::pack_key;
 use uasn_sim::hash::FxHashSet;
 use uasn_sim::profile::{MetricsRegistry, ProfileReport};
 use uasn_sim::rng::SeedFactory;
@@ -95,10 +109,9 @@ enum NetEvent {
     TxStart { node: u32, slot: u32 },
     /// A transmission finished.
     TxEnd { node: u32, slot: u32 },
-    /// A frame's first bit reaches a receiver; `slot` addresses the
-    /// reception in `NetworkWorld::pending_rx`.
-    RxStart { slot: u32 },
-    /// A frame's last bit reaches a receiver.
+    /// A frame's last bit reaches a receiver; `slot` addresses the
+    /// reception in `NetworkWorld::pending_rx`. Its first bit has no event:
+    /// the world begins booked receptions lazily (`begin_booked`).
     RxEnd { slot: u32 },
     /// A MAC timer arm fires; stale unless `arm` is still the tag of one of
     /// the node's armed tokens (see `NetworkWorld::timers`).
@@ -135,7 +148,6 @@ impl EventLabel for NetEvent {
         "traffic",
         "tx-start",
         "tx-end",
-        "rx-start",
         "rx-end",
         "timer",
         "mobility",
@@ -154,16 +166,15 @@ impl EventLabel for NetEvent {
             NetEvent::TrafficArrival { .. } => 2,
             NetEvent::TxStart { .. } => 3,
             NetEvent::TxEnd { .. } => 4,
-            NetEvent::RxStart { .. } => 5,
-            NetEvent::RxEnd { .. } => 6,
-            NetEvent::Timer { .. } => 7,
-            NetEvent::MobilityTick => 8,
-            NetEvent::MaintenanceTick => 9,
-            NetEvent::SampleTick => 10,
-            NetEvent::NodeSlotStart { .. } => 11,
-            NetEvent::ResyncTick => 12,
-            NetEvent::RouteTimeout { .. } => 13,
-            NetEvent::RouteAck { .. } => 14,
+            NetEvent::RxEnd { .. } => 5,
+            NetEvent::Timer { .. } => 6,
+            NetEvent::MobilityTick => 7,
+            NetEvent::MaintenanceTick => 8,
+            NetEvent::SampleTick => 9,
+            NetEvent::NodeSlotStart { .. } => 10,
+            NetEvent::ResyncTick => 11,
+            NetEvent::RouteTimeout { .. } => 12,
+            NetEvent::RouteAck { .. } => 13,
         }
     }
 }
@@ -242,6 +253,11 @@ impl<T> Slab<T> {
     }
 
     /// The live entry at `slot`, if any.
+    fn get(&self, slot: u32) -> Option<&T> {
+        self.entries.get(slot as usize)?.as_ref()
+    }
+
+    /// The live entry at `slot`, if any.
     fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
         self.entries.get_mut(slot as usize)?.as_mut()
     }
@@ -270,14 +286,27 @@ struct InFlight {
     token: u64,
 }
 
+/// The end of a node's list of booked receptions.
+const NO_RX: u32 = u32::MAX;
+
+/// One reception from booking at its sender's `TxStart` to its `RxEnd`.
 #[derive(Debug, Clone)]
 struct PendingRx {
     node: u32,
+    /// The next of `node`'s booked, not yet begun receptions in start
+    /// order ([`NO_RX`]: none); meaningless once begun.
+    next: u32,
+    /// Set when the reception begins at the modem.
+    rid: Option<ReceptionId>,
     /// The transmission's one frame, shared with its other receptions.
     frame: Rc<Frame>,
     arrival_start: SimTime,
     /// When the last bit arrives: the `RxEnd` instant, fixed at booking.
     end: SimTime,
+    /// The sequence number of the `RxEnd` event. The reception begins
+    /// where a start event pushed just before it would have popped, at
+    /// key `(arrival_start, end_seq)` ([`PendingRx::start_key`]).
+    end_seq: u64,
     /// Global send instant — the true-propagation reference. The frame's
     /// own `timestamp` is the *sender-local* reading and drifts with it.
     sent_at: SimTime,
@@ -287,12 +316,20 @@ struct PendingRx {
     group: u64,
     /// Surface echoes occupy the receiver but never decode.
     is_echo: bool,
-    rid: Option<ReceptionId>,
+}
+
+impl PendingRx {
+    /// Where the reception begins among the events: before exactly the
+    /// events whose packed key is above this one.
+    fn start_key(&self) -> u128 {
+        pack_key(self.arrival_start, self.end_seq)
+    }
 }
 
 // The slab holds one `Option<PendingRx>` per concurrent reception; the
-// `Rc` niche keeps the `Option` free, and `Option<ReceptionId>` is one word.
-const _: () = assert!(std::mem::size_of::<Option<PendingRx>>() <= 56);
+// `Rc` niche keeps the `Option` free, and `node`, `next` and the 32-bit
+// `Option<ReceptionId>` share one word and a half.
+const _: () = assert!(std::mem::size_of::<Option<PendingRx>>() <= 64);
 
 struct NetworkWorld {
     cfg: SimConfig,
@@ -348,6 +385,10 @@ struct NetworkWorld {
     /// Receptions from booking at the fan-out to `RxEnd`, addressed by
     /// their events' slot.
     pending_rx: Slab<PendingRx>,
+    /// Per node, the first of its booked receptions not yet begun
+    /// ([`NO_RX`]: none); the rest follow through [`PendingRx::next`] in
+    /// start-key order.
+    booked: Vec<u32>,
     /// Armed MAC timers per node: each token with the tag of its latest
     /// arm. Re-arming or cancelling a token only rewrites or drops its
     /// entry; the superseded `Timer` event still pops and, its tag no
@@ -358,11 +399,11 @@ struct NetworkWorld {
     /// mistaken for a live one after 2³² further arms while it is pending.
     next_arm: u32,
     /// Scratch for the fan-out's batched event pushes: `book_reception`
-    /// stages each reception's `RxStart`/`RxEnd` pair here and
-    /// `handle_tx_start` flushes them through `Schedule::at_batch` in one
-    /// reserve-then-push pass. Push order equals the old per-call `sched.at`
-    /// order, so event sequence numbers — and therefore equal-time FIFO
-    /// ordering — are bit-identical to the unbatched path.
+    /// stages each reception's `RxEnd` here and `handle_tx_start` flushes
+    /// them through `Schedule::at_batch` in one reserve-then-push pass.
+    /// Push order equals the per-call `sched.at` order, so event sequence
+    /// numbers — and therefore equal-time FIFO ordering — are the
+    /// unbatched path's.
     event_buf: Vec<(SimTime, NetEvent)>,
     /// The next transmission's token, minted at `SendFrame`: its echo
     /// group in the modem ledgers.
@@ -407,6 +448,39 @@ impl NetworkWorld {
     fn sync_energy(&mut self, node: usize) {
         let state = self.modems[node].state();
         self.meters[node].set_state(self.now, state);
+    }
+
+    /// Begins every booked reception at `node` whose start key lies below
+    /// `limit` (the key of the event about to read or change the node's
+    /// modem or meter), in start-key order: the modem and meter get the
+    /// calls a start event per reception would have made, at the
+    /// reception's own arrival instant and in the order those events
+    /// would have popped.
+    fn begin_booked(&mut self, node: usize, limit: u128) {
+        let mut slot = self.booked[node];
+        while slot != NO_RX {
+            let entry = self
+                .pending_rx
+                .get_mut(slot)
+                .expect("a booked reception is pending");
+            if entry.start_key() >= limit {
+                break;
+            }
+            assert!(entry.rid.is_none(), "reception started twice");
+            let at = entry.arrival_start;
+            let modem = &mut self.modems[node];
+            entry.rid = Some(modem.begin_reception_grouped(at, entry.end, entry.group));
+            self.meters[node].set_state(at, modem.state());
+            slot = entry.next;
+        }
+        self.booked[node] = slot;
+    }
+
+    /// [`Self::begin_booked`] for every node.
+    fn begin_all_booked(&mut self, limit: u128) {
+        for node in 0..self.node_count() {
+            self.begin_booked(node, limit);
+        }
     }
 
     /// Emits one typed trace record at `level`, built from the current
@@ -566,6 +640,7 @@ impl NetworkWorld {
     }
 
     fn handle_tx_start(&mut self, sched: &mut Schedule<'_, NetEvent>, node: usize, slot: u32) {
+        self.begin_booked(node, sched.key());
         if self.modems[node].is_transmitting() {
             let InFlight { frame, .. } = self
                 .tx_frames
@@ -652,6 +727,7 @@ impl NetworkWorld {
         self.link_cache
             .ensure_row(&self.channel, &self.positions, node);
         let fanout = self.link_cache.row_len(node);
+        let first_seq = sched.next_seq();
         for k in 0..fanout {
             let link = self.link_cache.link_at(node, k);
             let pre_lost = !self.channel.draw_delivery_at(
@@ -663,14 +739,16 @@ impl NetworkWorld {
             let arrival_start = self.now + link.delay;
             let arrival = PendingRx {
                 node: link.rx,
+                next: NO_RX,
+                rid: None,
                 frame: Rc::clone(&frame),
                 arrival_start,
                 end: arrival_start + duration,
+                end_seq: 0,
                 sent_at: self.now,
                 pre_lost,
                 group: token,
                 is_echo: false,
-                rid: None,
             };
             // Surface-bounce echo (when the channel models multipath): a
             // delayed, data-less copy that occupies the receiver.
@@ -684,17 +762,19 @@ impl NetworkWorld {
                     ..arrival.clone()
                 }
             });
-            self.book_reception(arrival);
+            self.book_reception(arrival, first_seq);
             if let Some(echo) = echo {
-                self.book_reception(echo);
+                self.book_reception(echo, first_seq);
             }
         }
-        // One reserve + push pass for the whole fan-out instead of 2(+2)
+        // One reserve + push pass for the whole fan-out instead of 1(+1)
         // heap pushes per receiver. The drain preserves push order, so the
-        // queue assigns the same sequence numbers the per-call path would.
+        // queue assigns the sequence numbers `book_reception` recorded.
         let mut buf = std::mem::take(&mut self.event_buf);
+        let booked = buf.len() as u64;
         sched.at_batch(buf.drain(..));
         self.event_buf = buf;
+        debug_assert_eq!(sched.next_seq(), first_seq + booked);
         self.registry.observe("net.fanout", fanout as u64);
 
         sched.at(
@@ -707,14 +787,40 @@ impl NetworkWorld {
     }
 
     /// Books one reception — a direct arrival or a surface echo: files it
-    /// as pending and stages its `RxStart`/`RxEnd` pair into
-    /// [`Self::event_buf`] (the caller flushes the whole fan-out in one
-    /// batch). Staging order is part of the determinism contract the
-    /// golden traces pin.
-    fn book_reception(&mut self, rx: PendingRx) {
-        let (start, end) = (rx.arrival_start, rx.end);
+    /// as pending, links it into its node's booked list in start-key
+    /// order, and stages its `RxEnd` into [`Self::event_buf`] (the caller
+    /// flushes the whole fan-out in one batch whose first event takes
+    /// sequence number `first_seq`). Staging order is part of the
+    /// determinism contract the golden traces pin.
+    fn book_reception(&mut self, mut rx: PendingRx, first_seq: u64) {
+        rx.end_seq = first_seq + self.event_buf.len() as u64;
+        let (node, key, end) = (rx.node as usize, rx.start_key(), rx.end);
+        // The link that will point at the new entry: the node's head, or
+        // the `next` of the last entry that starts before it.
+        let mut prev = None;
+        let mut next = self.booked[node];
+        while next != NO_RX {
+            let entry = self
+                .pending_rx
+                .get(next)
+                .expect("a booked reception is pending");
+            if entry.start_key() > key {
+                break;
+            }
+            prev = Some(next);
+            next = entry.next;
+        }
+        rx.next = next;
         let slot = self.pending_rx.insert(rx);
-        self.event_buf.push((start, NetEvent::RxStart { slot }));
+        match prev {
+            None => self.booked[node] = slot,
+            Some(prev) => {
+                self.pending_rx
+                    .get_mut(prev)
+                    .expect("a booked reception is pending")
+                    .next = slot;
+            }
+        }
         self.event_buf.push((end, NetEvent::RxEnd { slot }));
     }
 
@@ -723,30 +829,23 @@ impl NetworkWorld {
             .tx_frames
             .remove(slot)
             .expect("TxEnd without inflight frame");
+        self.begin_booked(node, sched.key());
         self.modems[node].end_transmit(self.now);
         self.sync_energy(node);
         self.metrics.transmission_ended(self.now);
         self.with_mac(sched, node, |mac, ctx| mac.on_frame_sent(ctx, &frame));
     }
 
-    fn handle_rx_start(&mut self, slot: u32) {
-        let entry = self
-            .pending_rx
-            .get_mut(slot)
-            .expect("RxStart without pending reception");
-        assert!(entry.rid.is_none(), "reception started twice");
-        let node = entry.node as usize;
-        let rid = self.modems[node].begin_reception_grouped(self.now, entry.end, entry.group);
-        entry.rid = Some(rid);
-        self.sync_energy(node);
-    }
-
     fn handle_rx_end(&mut self, sched: &mut Schedule<'_, NetEvent>, slot: u32) {
-        let entry = self
+        let node = self
             .pending_rx
-            .remove(slot)
-            .expect("RxEnd without pending reception");
-        let node = entry.node as usize;
+            .get(slot)
+            .expect("RxEnd without pending reception")
+            .node as usize;
+        // The reception's own start key lies below its end's key, so this
+        // begins it too if nothing at the node has since.
+        self.begin_booked(node, sched.key());
+        let entry = self.pending_rx.remove(slot).expect("checked above");
         let rid = entry.rid.expect("reception never started");
         let survived = self.modems[node].end_reception(self.now, rid);
         self.sync_energy(node);
@@ -1293,10 +1392,12 @@ impl NetworkWorld {
     }
 
     fn handle_sample_tick(&mut self, sched: &mut Schedule<'_, NetEvent>) {
-        let Some(series) = self.series.as_mut() else {
+        let Some(series) = self.series.as_ref() else {
             return;
         };
         let interval = series.interval;
+        // The snapshot reads every modem.
+        self.begin_all_booked(sched.key());
         let n = self.node_count();
         let busy = self
             .modems
@@ -1449,7 +1550,6 @@ impl uasn_sim::engine::World for NetworkWorld {
             NetEvent::TxEnd { node, slot } => {
                 self.handle_tx_end(sched, node as usize, slot);
             }
-            NetEvent::RxStart { slot } => self.handle_rx_start(slot),
             NetEvent::RxEnd { slot } => self.handle_rx_end(sched, slot),
             NetEvent::Timer { node, arm } => {
                 let armed = &mut self.timers[node as usize];
@@ -1742,6 +1842,7 @@ impl Simulation {
             cmd_buf: Vec::new(),
             tx_frames: Slab::default(),
             pending_rx: Slab::default(),
+            booked: vec![NO_RX; n],
             timers: vec![Vec::new(); n],
             next_arm: 0,
             event_buf: Vec::new(),
@@ -1759,7 +1860,7 @@ impl Simulation {
         };
 
         // Seed the event queue, pre-sized for the steady state: each
-        // in-flight transmission pends ~2 events per audible receiver, plus
+        // in-flight transmission pends an `RxEnd` per audible receiver, plus
         // the periodic ticks and hello beacons.
         let mut engine = Engine::new().with_queue_capacity(128 + 16 * n);
         engine.seed_event(SimTime::ZERO, NetEvent::Start);
@@ -1935,6 +2036,15 @@ impl Simulation {
             StopReason::StoppedByWorld => self.engine.now(),
             _ => self.horizon.min(self.engine.now()),
         };
+        // `finalize` reads every meter and modem: begin what a start event
+        // would have begun before the run stopped. A horizon stop pops
+        // nothing at the horizon; a world or budget stop can fall partway
+        // through an instant, right after the last handled event.
+        let limit = match stats.stop_reason {
+            StopReason::HorizonReached => pack_key(self.horizon, 0),
+            _ => self.engine.last_key(),
+        };
+        self.world.begin_all_booked(limit);
         let report = self.world.finalize(end);
         // Close out the sync-error record with one final per-node sample, so
         // even runs too short for a resync round report nonzero statistics.
@@ -2917,5 +3027,283 @@ mod tests {
             .fields
             .iter()
             .any(|(k, _)| k.as_ref() == "clock_error_us"));
+    }
+
+    /// Every frame a node decoded: `(receiver, sender)`, in decode order.
+    type DecodeLog = std::rc::Rc<std::cell::RefCell<Vec<(u32, u32)>>>;
+
+    /// A MAC that never transmits on its own and logs every frame it
+    /// decodes, so a test's hand-seeded transmissions are the only traffic.
+    #[derive(Debug)]
+    struct Ear {
+        id: NodeId,
+        decoded: DecodeLog,
+    }
+
+    impl MacProtocol for Ear {
+        fn name(&self) -> &'static str {
+            "EAR"
+        }
+        fn maintenance(&self) -> MaintenanceProfile {
+            MaintenanceProfile::none()
+        }
+        fn on_slot_start(&mut self, _: &mut MacContext<'_>, _: SlotIndex) {}
+        fn on_enqueue(&mut self, _: &mut MacContext<'_>, _: Sdu) {}
+        fn on_frame_received(&mut self, _: &mut MacContext<'_>, rx: &Reception<'_>) {
+            let heard = (self.id.index() as u32, rx.frame.src.index() as u32);
+            self.decoded.borrow_mut().push(heard);
+        }
+        fn queue_len(&self) -> usize {
+            0
+        }
+    }
+
+    /// A lossless `small_cfg` network of [`Ear`]s, its first nodes moved to
+    /// `at` (metres east and north, 100 m deep) and every other node far
+    /// out of everyone's range, so the placed nodes hear only each other.
+    fn placed(at: &[(f64, f64)]) -> (Simulation, DecodeLog) {
+        let decoded = DecodeLog::default();
+        let factory = |id| -> Box<dyn MacProtocol> {
+            Box::new(Ear {
+                id,
+                decoded: decoded.clone(),
+            })
+        };
+        let mut sim = Simulation::new(small_cfg(), &factory).unwrap();
+        let world = &mut sim.world;
+        for i in 0..world.node_count() {
+            let (x, y) = at
+                .get(i)
+                .copied()
+                .unwrap_or((100_000.0 * (i + 1) as f64, 0.0));
+            world.positions.set(i, Point::new(x, y, 100.0));
+        }
+        world.link_cache = LinkBudgetCache::with_index(&world.channel, &world.positions);
+        world.greedy_hops.fill(None);
+        (sim, decoded)
+    }
+
+    /// The propagation delay the fan-out applies from `tx` to `rx`.
+    fn link_delay(sim: &mut Simulation, tx: usize, rx: usize) -> SimDuration {
+        let w = &mut sim.world;
+        w.link_cache.ensure_row(&w.channel, &w.positions, tx);
+        w.link_cache
+            .row(tx)
+            .iter()
+            .find(|link| link.rx as usize == rx)
+            .expect("the placed nodes hear each other")
+            .delay
+    }
+
+    /// Seeds a `frame` transmission from `node` at `at`, as the hello phase
+    /// seeds its beacons: the push happens now, so seeding order is the
+    /// `TxStart` push order.
+    fn seed_frame(sim: &mut Simulation, node: usize, at: SimTime, frame: Frame) {
+        let w = &mut sim.world;
+        let token = w.next_token;
+        w.next_token += 1;
+        let slot = w.tx_frames.insert(InFlight {
+            frame: Rc::new(frame),
+            token,
+        });
+        let node = node as u32;
+        sim.engine.seed_event(at, NetEvent::TxStart { node, slot });
+    }
+
+    /// Seeds one 64-bit beacon from `node` at `at`.
+    fn seed_beacon(sim: &mut Simulation, node: usize, at: SimTime) {
+        let me = NodeId::new(node as u32);
+        seed_frame(sim, node, at, Frame::control(FrameKind::Beacon, me, me, 64));
+    }
+
+    /// What a tie test pins, bit for bit: the decodes, both loss counters
+    /// and the energy.
+    #[derive(Debug, PartialEq)]
+    struct Pinned {
+        decoded: Vec<(u32, u32)>,
+        collisions: u64,
+        half_duplex_losses: u64,
+        energy_bits: u64,
+    }
+
+    fn pinned(report: &MetricsReport, decoded: &DecodeLog) -> Pinned {
+        Pinned {
+            decoded: decoded.borrow().clone(),
+            collisions: report.collisions,
+            half_duplex_losses: report.half_duplex_losses,
+            energy_bits: report.total_energy_j.to_bits(),
+        }
+    }
+
+    /// Receiver 0, a near sender 1 and a far sender 2, off one line so no
+    /// third pair ties by accident.
+    const TRIANGLE: [(f64, f64); 3] = [(0.0, 0.0), (0.0, 300.0), (1_200.0, 0.0)];
+
+    /// At receiver 0, frame Y's first bit lands on the exact microsecond
+    /// frame X's last bit does. Events at one instant run in push order,
+    /// so the two clash exactly when Y's sender transmitted first (the far
+    /// sender, pushing Y's arrival before X's end) and both survive when
+    /// X's did.
+    #[test]
+    fn an_arrival_at_another_frames_end_instant_clashes_by_push_order() {
+        let run = |x_from: usize, y_from: usize, x_at: SimTime| {
+            let (mut sim, decoded) = placed(&TRIANGLE);
+            let omega = sim.world.spec.tx_duration(64);
+            let x_end = x_at + link_delay(&mut sim, x_from, 0) + omega;
+            let y_at = x_end - link_delay(&mut sim, y_from, 0);
+            seed_beacon(&mut sim, x_from, x_at);
+            seed_beacon(&mut sim, y_from, y_at);
+            let report = sim.run();
+            pinned(&report, &decoded)
+        };
+        // X from the far sender: its end is pushed first.
+        let end_first = run(2, 1, SimTime::from_secs(1));
+        assert!(end_first.decoded.contains(&(0, 2)) && end_first.decoded.contains(&(0, 1)));
+        assert_eq!(
+            end_first,
+            Pinned {
+                decoded: vec![(0, 2), (0, 1), (1, 2), (2, 1)],
+                collisions: 0,
+                half_duplex_losses: 0,
+                energy_bits: 4633308190244491884,
+            }
+        );
+        // X from the near sender: Y's arrival is pushed first and clashes.
+        let start_first = run(1, 2, SimTime::from_secs(2));
+        assert!(!start_first.decoded.iter().any(|&(rx, _)| rx == 0));
+        assert_eq!(
+            start_first,
+            Pinned {
+                decoded: vec![(1, 2), (2, 1)],
+                collisions: 2,
+                half_duplex_losses: 0,
+                energy_bits: 4633308190244491884,
+            }
+        );
+    }
+
+    /// Receiver 0 starts transmitting on the exact microsecond frame Y
+    /// (from the far sender) reaches it, while frame Z (from the near
+    /// sender) is mid-arrival. Own transmission first: it corrupts Z and
+    /// then Y arrives half-duplex (two half-duplex losses, Y's clash with
+    /// the already-corrupted Z one collision). Arrival first: Y and Z
+    /// destroy each other (two collisions) and the transmission finds
+    /// nothing left to corrupt.
+    #[test]
+    fn an_own_transmission_at_an_arrival_instant_wins_by_push_order() {
+        let run = |own_first: bool| {
+            let (mut sim, decoded) = placed(&TRIANGLE);
+            let omega = sim.world.spec.tx_duration(64);
+            let y_from_at = SimTime::from_secs(1);
+            let tie = y_from_at + link_delay(&mut sim, 2, 0);
+            let z_at = tie - omega / 2 - link_delay(&mut sim, 1, 0);
+            if own_first {
+                seed_beacon(&mut sim, 0, tie);
+            }
+            seed_beacon(&mut sim, 2, y_from_at);
+            seed_beacon(&mut sim, 1, z_at);
+            if !own_first {
+                // Y's arrival is booked at its sender's start; push the
+                // own transmission only after that.
+                let after = y_from_at + SimDuration::from_micros(1);
+                sim.engine.run(&mut sim.world, after);
+                seed_beacon(&mut sim, 0, tie);
+            }
+            let report = sim.run();
+            pinned(&report, &decoded)
+        };
+        let own_first = run(true);
+        assert_eq!(
+            own_first,
+            Pinned {
+                decoded: vec![(1, 2), (1, 0), (2, 1), (2, 0)],
+                collisions: 1,
+                half_duplex_losses: 2,
+                energy_bits: 4633309882694417100,
+            }
+        );
+        let arrival_first = run(false);
+        assert_eq!(
+            arrival_first,
+            Pinned {
+                decoded: vec![(1, 2), (1, 0), (2, 1), (2, 0)],
+                collisions: 2,
+                half_duplex_losses: 0,
+                energy_bits: 4633309882694417100,
+            }
+        );
+    }
+
+    /// A one-SDU batch completes when sensor 2's data frame ends at sink
+    /// 0, and the run stops after that event. At the same microsecond a
+    /// frame W reaches node 3, mid-arrival of a beacon from node 5. If W's
+    /// sender (node 4) transmitted before the data frame, W's arrival was
+    /// pushed before the stopping event and clashes with the beacon (two
+    /// collisions); if after, the run stops before W arrives (none).
+    #[test]
+    fn a_batch_stop_begins_exactly_the_arrivals_pushed_before_it() {
+        let run = |w_pushed_first: bool| {
+            let u_east = if w_pushed_first { 1_200.0 } else { 300.0 };
+            let (mut sim, decoded) = placed(&[
+                (0.0, 0.0),
+                (50_000.0, 50_000.0),
+                (600.0, 0.0),
+                (10_000.0, 0.0),
+                (10_000.0 + u_east, 0.0),
+                (10_000.0, 300.0),
+            ]);
+            let (sink, sensor) = (0, 2);
+            assert_eq!(sim.world.roles[sink], NodeRole::Sink);
+            assert_eq!(sim.world.roles[sensor], NodeRole::Sensor);
+            let w = &mut sim.world;
+            let id = w.next_sdu_id;
+            w.next_sdu_id += 1;
+            w.metrics.expect_batch(1);
+            w.metrics.record_sdu_generated(SimTime::ZERO, id);
+            w.metrics.register_batch_sdu(Some(id));
+            let sdu = Sdu {
+                id,
+                origin: NodeId::new(sensor as u32),
+                next_hop: NodeId::new(sink as u32),
+                bits: 2_048,
+                created: SimTime::ZERO,
+                attempt: 0,
+            };
+            let data_at = SimTime::from_secs(1);
+            let stop =
+                data_at + link_delay(&mut sim, sensor, sink) + sim.world.spec.tx_duration(2_048);
+            let omega = sim.world.spec.tx_duration(64);
+            let w_at = stop - link_delay(&mut sim, 4, 3);
+            let z_at = stop - omega / 2 - link_delay(&mut sim, 5, 3);
+            assert_eq!(w_at < data_at, w_pushed_first);
+            let data = Frame::data(FrameKind::Data, NodeId::new(sensor as u32), sdu);
+            seed_frame(&mut sim, sensor, data_at, data);
+            seed_beacon(&mut sim, 4, w_at);
+            seed_beacon(&mut sim, 5, z_at);
+            let out = sim.run_full();
+            assert_eq!(out.stats.stop_reason, StopReason::StoppedByWorld);
+            assert_eq!(out.stats.sim_end, stop);
+            pinned(&out.report, &decoded)
+        };
+        let before = run(true);
+        assert_eq!(
+            before,
+            Pinned {
+                decoded: vec![(0, 2)],
+                collisions: 2,
+                half_duplex_losses: 0,
+                energy_bits: 4611560515670816050,
+            }
+        );
+        let after = run(false);
+        assert_eq!(
+            after,
+            Pinned {
+                decoded: vec![(0, 2)],
+                collisions: 0,
+                half_duplex_losses: 0,
+                energy_bits: 4611560515670816050,
+            }
+        );
     }
 }

@@ -8,7 +8,7 @@
 //! overlaps, and remembers whether a reception was corrupted by the node's
 //! own transmission.
 
-use std::num::NonZeroU64;
+use std::num::NonZeroU32;
 
 use uasn_sim::time::{SimDuration, SimTime};
 
@@ -26,9 +26,10 @@ pub enum ModemState {
 }
 
 /// Identifier for one in-flight reception at a modem. Never zero, so an
-/// `Option<ReceptionId>` is no larger than the id.
+/// `Option<ReceptionId>` is no larger than the id, and 32 bits wide, so a
+/// caller's pending-reception entry packs it beside other `u32`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ReceptionId(NonZeroU64);
+pub struct ReceptionId(NonZeroU32);
 
 #[derive(Debug, Clone)]
 struct Reception {
@@ -91,12 +92,14 @@ impl ModemSpec {
 /// The per-node half-duplex modem: transmit bookkeeping plus a ledger of
 /// overlapping receptions.
 ///
-/// The channel calls [`begin_reception`](Modem::begin_reception) /
-/// [`end_reception`](Modem::end_reception) for every arriving frame and
-/// [`begin_transmit`](Modem::begin_transmit) /
+/// The network world calls [`begin_transmit`](Modem::begin_transmit) /
 /// [`end_transmit`](Modem::end_transmit) around the node's own
-/// transmissions; the modem answers whether each completed reception
-/// survived.
+/// transmissions and [`end_reception`](Modem::end_reception) when an
+/// arriving frame's last bit lands. It begins a reception
+/// ([`begin_reception_grouped`](Modem::begin_reception_grouped)) lazily:
+/// with the arrival's own first-bit instant, just before the next call
+/// for the same modem, so every modem sees its calls in arrival order.
+/// The modem answers whether each completed reception survived.
 ///
 /// # Examples
 ///
@@ -116,7 +119,7 @@ pub struct Modem {
     transmitting_until: Option<SimTime>,
     receptions: Vec<Reception>,
     /// The last reception id handed out; ids count up from 1.
-    last_id: u64,
+    last_id: u32,
     collisions: u64,
     half_duplex_losses: u64,
 }
@@ -220,8 +223,11 @@ impl Modem {
                 }
             }
         }
-        self.last_id += 1;
-        let id = ReceptionId(NonZeroU64::new(self.last_id).expect("ids count up from 1"));
+        self.last_id = self
+            .last_id
+            .checked_add(1)
+            .expect("fewer than 2^32 receptions per modem");
+        let id = ReceptionId(NonZeroU32::new(self.last_id).expect("ids count up from 1"));
         self.receptions.push(Reception {
             id,
             group,
@@ -249,14 +255,6 @@ impl Modem {
         !r.corrupted
     }
 
-    /// Marks every in-progress reception corrupted (used for external
-    /// interference injection in tests).
-    pub fn corrupt_all(&mut self) {
-        for r in &mut self.receptions {
-            r.corrupted = true;
-        }
-    }
-
     /// Number of receptions corrupted by overlapping arrivals so far.
     pub fn collisions(&self) -> u64 {
         self.collisions
@@ -265,11 +263,6 @@ impl Modem {
     /// Number of receptions corrupted by the node's own transmissions.
     pub fn half_duplex_losses(&self) -> u64 {
         self.half_duplex_losses
-    }
-
-    /// Number of receptions currently in progress.
-    pub fn active_receptions(&self) -> usize {
-        self.receptions.len()
     }
 }
 
@@ -425,13 +418,5 @@ mod tests {
         let late = m.begin_reception_grouped(t(150), t(250), 9);
         assert!(!m.end_reception(t(180), echo));
         assert!(!m.end_reception(t(250), late));
-    }
-
-    #[test]
-    fn corrupt_all_marks_everything() {
-        let mut m = Modem::new();
-        let a = m.begin_reception(t(0), t(100));
-        m.corrupt_all();
-        assert!(!m.end_reception(t(100), a));
     }
 }

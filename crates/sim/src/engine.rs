@@ -51,6 +51,18 @@ impl<'a, E> Schedule<'a, E> {
         self.now
     }
 
+    /// The packed `(time, seq)` key ([`crate::event::pack_key`]) of the
+    /// event being handled.
+    pub fn key(&self) -> u128 {
+        self.queue.last_key()
+    }
+
+    /// The sequence number the next push takes; a batch's items take it
+    /// and the numbers after it, in iteration order.
+    pub fn next_seq(&self) -> u64 {
+        self.queue.scheduled_count()
+    }
+
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -391,6 +403,12 @@ impl<E> Engine<E> {
         self.processed
     }
 
+    /// The packed `(time, seq)` key ([`crate::event::pack_key`]) of the
+    /// last event handled; 0 before the first.
+    pub fn last_key(&self) -> u128 {
+        self.queue.last_key()
+    }
+
     /// Runs until the queue empties, the next event would land at or beyond
     /// `horizon`, or the event budget runs out. Returns why it stopped.
     ///
@@ -631,7 +649,7 @@ mod tests {
             wall: Duration::from_micros(4_567),
             peak_queue_depth: 42,
             mean_queue_depth: std::f64::consts::PI,
-            kind_counts: vec![("tx-end", 7_000), ("rx-start", 5_345)],
+            kind_counts: vec![("tx-end", 7_000), ("rx-end", 5_345)],
         };
         let back = RunStats::from_json(&stats.to_json()).expect("parse");
         assert_eq!(back, stats);

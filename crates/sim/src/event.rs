@@ -25,11 +25,24 @@
 //! The run loop pops through [`EventQueue::pop_before`], which finds the
 //! next key once and pops it only if it lies before the horizon: one scan
 //! of the lane fronts per event instead of a peek followed by a pop.
+//!
+//! The queue remembers the key it popped last ([`EventQueue::last_key`]),
+//! and [`EventQueue::scheduled_count`] is the sequence number the next
+//! schedule takes. Together they let a caller place a moment it never
+//! queued among the events: one that would have been pushed at time `t`
+//! just before the event that took sequence number `s` pops before exactly
+//! the keys at or above [`pack_key`]`(t, s)`.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
+
+/// Packs `(time, seq)` into the queue's one-compare ordering key:
+/// `time` in microseconds in the high 64 bits, `seq` in the low.
+pub fn pack_key(time: SimTime, seq: u64) -> u128 {
+    (time.as_micros() as u128) << 64 | seq as u128
+}
 
 /// Heap entry: the packed ordering key plus the payload.
 #[derive(Debug)]
@@ -90,8 +103,9 @@ pub struct EventQueue<E> {
     /// Events queued across all lanes.
     in_lanes: usize,
     next_seq: u64,
-    /// Time of the most recently popped event; schedules may never precede it.
-    watermark: SimTime,
+    /// Key of the most recently popped event (0 before the first pop); its
+    /// time is the watermark, which schedules may never precede.
+    last_key: u128,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -114,7 +128,7 @@ impl<E> EventQueue<E> {
             lanes: Vec::new(),
             in_lanes: 0,
             next_seq: 0,
-            watermark: SimTime::ZERO,
+            last_key: 0,
         }
     }
 
@@ -159,14 +173,14 @@ impl<E> EventQueue<E> {
     /// sequence number.
     fn entry(&mut self, time: SimTime, payload: E) -> Entry<E> {
         assert!(
-            time >= self.watermark,
+            time >= self.watermark(),
             "cannot schedule event at {time} before current time {}",
-            self.watermark
+            self.watermark()
         );
         let seq = self.next_seq;
         self.next_seq += 1;
         Entry {
-            key: (time.as_micros() as u128) << 64 | seq as u128,
+            key: pack_key(time, seq),
             payload,
         }
     }
@@ -206,7 +220,7 @@ impl<E> EventQueue<E> {
     /// with [`is_empty`](Self::is_empty). Advances the watermark to the
     /// popped event's time.
     pub fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        self.pop_below((horizon.as_micros() as u128) << 64)
+        self.pop_below(pack_key(horizon, 0))
     }
 
     /// Pops the smallest key if it is below `limit`.
@@ -223,9 +237,8 @@ impl<E> EventQueue<E> {
             None => self.heap.pop(),
         }
         .expect("the smallest key is queued");
-        let time = entry.time();
-        self.watermark = time;
-        Some((time, entry.payload))
+        self.last_key = key;
+        Some((entry.time(), entry.payload))
     }
 
     /// The smallest queued key and the lane holding it (`None`: the heap
@@ -255,10 +268,17 @@ impl<E> EventQueue<E> {
 
     /// The time of the most recently popped event.
     pub fn watermark(&self) -> SimTime {
-        self.watermark
+        SimTime::from_micros((self.last_key >> 64) as u64)
     }
 
-    /// Total events ever scheduled (pending and fired).
+    /// The packed [`pack_key`] of the most recently popped event; 0 before
+    /// the first pop. Popped keys strictly increase.
+    pub fn last_key(&self) -> u128 {
+        self.last_key
+    }
+
+    /// Total events ever scheduled (pending and fired): also the sequence
+    /// number the next schedule takes.
     pub fn scheduled_count(&self) -> u64 {
         self.next_seq
     }

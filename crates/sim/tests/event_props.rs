@@ -1,11 +1,13 @@
 //! Property tests for the event queue's determinism contract:
 //! equal-timestamp entries pop in insertion order, whether they were
-//! scheduled one by one, in batches, or in FIFO lanes.
+//! scheduled one by one, in batches, or in FIFO lanes; and the engine's
+//! handle reports each event's key and each push's seq.
 
 use proptest::prelude::*;
 
-use uasn_sim::event::EventQueue;
-use uasn_sim::time::SimTime;
+use uasn_sim::engine::{Engine, Schedule, World};
+use uasn_sim::event::{pack_key, EventQueue};
+use uasn_sim::time::{SimDuration, SimTime};
 
 proptest! {
     /// FIFO tie-break: popping replays a stable sort by (time, insertion).
@@ -186,4 +188,91 @@ fn lane_time_going_backwards_panics() {
     q.schedule(SimTime::from_micros(1), 2);
     // …but lane 2 may not.
     q.schedule_in_lane(2, SimTime::from_micros(9), 3);
+}
+
+/// One scripted push: `(kind, lane, delay µs, batch length)`.
+type Push = (u8, usize, u64, usize);
+
+/// A world that, for every event it handles, checks the handle's key
+/// against what the pushes announced, then makes the script's next two
+/// pushes (heap, lane or batch), each announcing the seq it expects.
+struct Scripted {
+    script: Vec<Push>,
+    next: usize,
+    lane_last: [SimTime; LANES],
+    /// The seq announced for each payload, indexed by payload.
+    announced: Vec<u64>,
+    last_key: Option<u128>,
+    mismatches: Vec<String>,
+}
+
+impl World for Scripted {
+    type Event = usize;
+
+    fn handle(&mut self, now: SimTime, id: usize, sched: &mut Schedule<'_, usize>) {
+        let key = sched.key();
+        if self.last_key.is_some_and(|last| key <= last) {
+            self.mismatches
+                .push(format!("key {key:#x} after {:?}", self.last_key));
+        }
+        self.last_key = Some(key);
+        if key != pack_key(now, self.announced[id]) {
+            let seq = self.announced[id];
+            self.mismatches
+                .push(format!("{id}: key {key:#x}, announced ({now}, {seq})"));
+        }
+        for _ in 0..2 {
+            let Some(&(kind, lane, delay, len)) = self.script.get(self.next) else {
+                return;
+            };
+            self.next += 1;
+            let at = now + SimDuration::from_micros(delay);
+            match kind {
+                0 => {
+                    self.announced.push(sched.next_seq());
+                    sched.at(at, self.announced.len() - 1);
+                }
+                1 => {
+                    let at = at.max(self.lane_last[lane]);
+                    self.lane_last[lane] = at;
+                    self.announced.push(sched.next_seq());
+                    sched.at_lane(lane, at, self.announced.len() - 1);
+                }
+                _ => {
+                    let base = sched.next_seq();
+                    let first = self.announced.len();
+                    self.announced.extend((0..len as u64).map(|i| base + i));
+                    let batch =
+                        (0..len).map(|i| (at + SimDuration::from_micros(i as u64 % 3), first + i));
+                    sched.at_batch(batch);
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    /// The engine's key accessors, with lanes and batches in use: handled
+    /// keys strictly increase in pop order, and each event pops with the
+    /// seq `Schedule::next_seq` announced before its push (for a batch,
+    /// before the batch, plus the item's index).
+    #[test]
+    fn schedule_keys_match_announced_seqs(
+        script in proptest::collection::vec((0u8..3, 0..LANES, 0u64..4, 0usize..4), 1..120),
+    ) {
+        let mut world = Scripted {
+            script,
+            next: 0,
+            lane_last: [SimTime::ZERO; LANES],
+            announced: vec![0],
+            last_key: None,
+            mismatches: Vec::new(),
+        };
+        let mut engine = Engine::new();
+        engine.seed_event(SimTime::ZERO, 0);
+        engine.run(&mut world, SimTime::MAX);
+        prop_assert!(world.mismatches.is_empty(), "{:?}", world.mismatches);
+        prop_assert_eq!(Some(engine.last_key()), world.last_key);
+        prop_assert_eq!(engine.processed() as usize, world.announced.len());
+    }
 }
